@@ -18,7 +18,6 @@ from .composition import (
     classify,
     componentwise_joint,
     compose_parallel,
-    compose_sequential,
     factorize_dynamics,
     factorize_representation,
 )
@@ -32,7 +31,6 @@ from .dynamics import (
     CoordinateFlipNoise,
     CoordinateUpdateRule,
     LabelFlipNoise,
-    PhysicalChainRule,
     PhysicalDynamics,
     TableRule,
     TrialSeed,
@@ -75,13 +73,11 @@ from .relations import (
     LookupRule,
     Prediction,
     RepresentationRelation,
-    RepresentationalTriple,
     Theory,
     ThresholdRule,
     TupleWiseRule,
     Validity,
     instantiate,
-    make_triple,
     represent,
 )
 from .runner import RunReport, report_to_json, report_to_text, run_checks
@@ -123,13 +119,10 @@ from .verification import (
     CommutationReport,
     ComputeResult,
     DiagramSpec,
-    ProblemEmbedding,
     ValidityReport,
     check_commutation,
     check_history,
-    embed_problem,
     run_compute_cycle,
-    run_experiment,
     validate_theory,
 )
 

@@ -21,6 +21,7 @@ pair of machine registers reads as ("01","10","000").
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .document import emit_scenario, parse_scenario
@@ -28,7 +29,6 @@ from .dynamics import TrialSeed
 from .errors import ModelError
 from .runner import (
     render_report_text,
-    report_from_json,
     report_to_json,
     report_to_text,
     run_checks,
@@ -219,10 +219,8 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "report":
         with open(args.file, "r", encoding="utf-8") as f:
-            data = report_from_json(f.read())
+            data = json.load(f)
         if args.format == "json":
-            import json
-
             sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
         else:
             sys.stdout.write(render_report_text(data))

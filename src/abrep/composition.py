@@ -162,16 +162,6 @@ def compose_parallel(a: Component, b: Component, joint_id: str = "parallel") -> 
     return componentwise_joint(joint_id, a, b, "composed-parallel")
 
 
-def compose_sequential(a: Component, b: Component, joint_id: str = "sequential") -> JointSystem:
-    """Run both computations on separate machines, then combine the outputs.
-
-    The joint action on the product is still coordinate-wise; the provenance
-    records that the runs are independent and composed afterwards.
-    """
-    _require_validated(joint_id, a, b)
-    return componentwise_joint(joint_id, a, b, "composed-sequential")
-
-
 def _product_states(space: PhysicalTupleSpace) -> tuple[list[PhysicalState], list[PhysicalState]]:
     if len(space.components) != 2:
         raise NotProductSpace(f"space {space.id!r} is not a two-part product")
@@ -179,6 +169,27 @@ def _product_states(space: PhysicalTupleSpace) -> tuple[list[PhysicalState], lis
     if not (is_finite(left) and is_finite(right)):
         raise NotEnumerable(f"space {space.id!r} has a continuous component")
     return enumerate_states(left), enumerate_states(right)
+
+
+def _split_coordinates(avals: list, bvals: list, joint) -> tuple[dict, dict] | None:
+    """Maps (f, g) with joint(a, b) == (f[a], g[b]) for every pair, or None.
+
+    ``joint`` is evaluated once per pair, row by row, so a first coordinate
+    that depends on ``b`` is caught before the rest of the table is read.
+    """
+    fmap: dict[Value, Value] = {}
+    seconds: list[set] = [set() for _ in bvals]
+    for a in avals:
+        row = [joint(a, b) for b in bvals]
+        firsts = {v[0] for v in row}
+        if len(firsts) != 1:
+            return None
+        fmap[a] = firsts.pop()
+        for column, v in zip(seconds, row):
+            column.add(v[1])
+    if any(len(column) != 1 for column in seconds):
+        return None
+    return fmap, {b: column.pop() for b, column in zip(bvals, seconds)}
 
 
 def factorize_representation(j: JointSystem) -> tuple[dict, dict] | None:
@@ -192,30 +203,20 @@ def factorize_representation(j: JointSystem) -> tuple[dict, dict] | None:
     codomain = j.joint_representation.codomain
     if not (isinstance(codomain, TupleSpace) and len(codomain.components) == 2):
         return None
+    relation, space = j.joint_representation, j.joint_space
+    split = _split_coordinates(
+        [p.value for p in lefts],
+        [q.value for q in rights],
+        lambda a, b: represent(relation, PhysicalState(space, (a, b))).value,
+    )
+    if split is None:
+        return None
     space_x, space_y = codomain.components
-    fmap: dict[Value, AbstractState] = {}
-    gmap: dict[Value, AbstractState] = {}
-    for p in lefts:
-        firsts = {
-            represent(
-                j.joint_representation, PhysicalState(j.joint_space, (p.value, q.value))
-            ).value[0]
-            for q in rights
-        }
-        if len(firsts) != 1:
-            return None
-        fmap[p.value] = AbstractState(space_x, firsts.pop())
-    for q in rights:
-        seconds = {
-            represent(
-                j.joint_representation, PhysicalState(j.joint_space, (p.value, q.value))
-            ).value[1]
-            for p in lefts
-        }
-        if len(seconds) != 1:
-            return None
-        gmap[q.value] = AbstractState(space_y, seconds.pop())
-    return fmap, gmap
+    fmap, gmap = split
+    return (
+        {k: AbstractState(space_x, v) for k, v in fmap.items()},
+        {k: AbstractState(space_y, v) for k, v in gmap.items()},
+    )
 
 
 def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
@@ -230,25 +231,11 @@ def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
     if not is_finite(space):
         raise NotEnumerable(f"space {space.id!r} has an infinite component")
     space_a, space_b = space.components
-    avals = list(enumerate_values(space_a))
-    bvals = list(enumerate_values(space_b))
-    fmap: dict[Value, Value] = {}
-    gmap: dict[Value, Value] = {}
-    for a in avals:
-        firsts = {
-            evolve_abstract(d, AbstractState(space, (a, b))).value[0] for b in bvals
-        }
-        if len(firsts) != 1:
-            return None
-        fmap[a] = firsts.pop()
-    for b in bvals:
-        seconds = {
-            evolve_abstract(d, AbstractState(space, (a, b))).value[1] for a in avals
-        }
-        if len(seconds) != 1:
-            return None
-        gmap[b] = seconds.pop()
-    return fmap, gmap
+    return _split_coordinates(
+        list(enumerate_values(space_a)),
+        list(enumerate_values(space_b)),
+        lambda a, b: evolve_abstract(d, AbstractState(space, (a, b))).value,
+    )
 
 
 def _factors_match_declared(j: JointSystem, factors: tuple[dict, dict]) -> bool:

@@ -1,8 +1,7 @@
 """Scenario documents: parsing, resolution, and emission.
 
 A scenario file is a UTF-8 JSON document with a fixed section order
-(spaces, relations, dynamics, theories, embeddings, stacks, compositions,
-checks). Identifiers must be declared before they are referenced and are
+(spaces, relations, dynamics, theories, stacks, compositions, checks). Identifiers must be declared before they are referenced and are
 unique per section. Parsing yields a fully resolved bundle; emission writes
 a document that parses back to a structurally equal bundle. Check
 declarations keep their object references as identifiers so that a check
@@ -26,14 +25,14 @@ from .dynamics import (
     CoordinateFlipNoise,
     CoordinateUpdateRule,
     LabelFlipNoise,
-    PhysicalChainRule,
     PhysicalDynamics,
     TableRule,
 )
 from .errors import (
-    DeclarationError,
     DuplicateIdentifier,
     ModelError,
+    OutOfDomain,
+    ScenarioError,
     ScenarioSyntaxError,
     UnknownReference,
     VersionUnsupported,
@@ -63,8 +62,8 @@ from .spaces import (
     TupleSpace,
     Value,
     enumerate_values,
+    normalize_value,
 )
-from .verification import ProblemEmbedding
 
 SUPPORTED_VERSIONS = ("1",)
 
@@ -74,7 +73,6 @@ _SECTIONS = (
     "relations",
     "dynamics",
     "theories",
-    "embeddings",
     "stacks",
     "compositions",
     "checks",
@@ -110,12 +108,12 @@ def _get(obj: dict, key: str, path: str) -> Any:
 
 
 def _checked(parser, decl, path: str, *args):
-    """Run one declaration parser, folding shape errors into diagnostics."""
+    """Run one declaration parser, folding model and shape errors into diagnostics."""
     try:
         return parser(decl, path, *args)
-    except (ScenarioSyntaxError, UnknownReference, DuplicateIdentifier, VersionUnsupported):
+    except ScenarioError:
         raise
-    except DeclarationError as err:
+    except ModelError as err:
         raise ScenarioSyntaxError(f"{path}: {err}") from err
     except (TypeError, ValueError, AttributeError, KeyError) as err:
         raise ScenarioSyntaxError(f"{path}: malformed declaration ({err})") from err
@@ -130,7 +128,6 @@ class _Registry:
         self.abstract_dynamics: dict[str, AbstractDynamics] = {}
         self.physical_dynamics: dict[str, PhysicalDynamics] = {}
         self.theories: dict[str, Theory] = {}
-        self.embeddings: dict[str, ProblemEmbedding] = {}
         self.stacks: dict[str, RefinementStack] = {}
         self.joints: dict[str, JointSystem] = {}
 
@@ -148,42 +145,36 @@ class _Registry:
 def _parse_space(decl: dict, path: str, physical: bool, reg: _Registry):
     ident = _expect(_get(decl, "id", path), f"{path}.id", str, "a string identifier")
     kind = _get(decl, "kind", path)
-    try:
-        if kind == "labels":
-            labels = tuple(_expect(_get(decl, "labels", path), f"{path}.labels", list, "a list"))
-            space = PhysicalLabelSpace(ident, labels) if physical else LabelSpace(ident, labels)
-        elif kind == "bits" and not physical:
-            space = BitSpace(ident, _get(decl, "width", path))
-        elif kind == "ints" and not physical:
-            space = IntSpace(ident, _get(decl, "lo", path), _get(decl, "hi", path))
-        elif kind == "vector" and physical:
-            bounds = tuple(
-                (float(lo), float(hi)) for lo, hi in _get(decl, "bounds", path)
-            )
-            space = RealVectorSpace(ident, bounds)
-        elif kind == "tuple":
-            comps = []
-            for i, ref in enumerate(_get(decl, "components", path)):
-                comp = reg.resolve(reg.spaces, ref, f"{path}.components[{i}]")
-                if physical != isinstance(comp, PhysicalSpace):
-                    raise ScenarioSyntaxError(
-                        f"{path}.components[{i}]: component is on the wrong side"
-                    )
-                comps.append(comp)
-            cls = PhysicalTupleSpace if physical else TupleSpace
-            space = cls(ident, tuple(comps))
-        else:
-            raise ScenarioSyntaxError(f"{path}.kind: unknown space kind {kind!r}")
-    except (TypeError, DeclarationError) as err:
-        raise ScenarioSyntaxError(f"{path}: {err}") from err
+    if kind == "labels":
+        labels = tuple(_expect(_get(decl, "labels", path), f"{path}.labels", list, "a list"))
+        space = PhysicalLabelSpace(ident, labels) if physical else LabelSpace(ident, labels)
+    elif kind == "bits" and not physical:
+        space = BitSpace(ident, _get(decl, "width", path))
+    elif kind == "ints" and not physical:
+        space = IntSpace(ident, _get(decl, "lo", path), _get(decl, "hi", path))
+    elif kind == "vector" and physical:
+        bounds = tuple(
+            (float(lo), float(hi)) for lo, hi in _get(decl, "bounds", path)
+        )
+        space = RealVectorSpace(ident, bounds)
+    elif kind == "tuple":
+        comps = []
+        for i, ref in enumerate(_get(decl, "components", path)):
+            comp = reg.resolve(reg.spaces, ref, f"{path}.components[{i}]")
+            if physical != isinstance(comp, PhysicalSpace):
+                raise ScenarioSyntaxError(
+                    f"{path}.components[{i}]: component is on the wrong side"
+                )
+            comps.append(comp)
+        cls = PhysicalTupleSpace if physical else TupleSpace
+        space = cls(ident, tuple(comps))
+    else:
+        raise ScenarioSyntaxError(f"{path}.kind: unknown space kind {kind!r}")
     reg.declare(reg.spaces, ident, space, path)
     return space
 
 
 def _state_value(space, encoded: Any, path: str) -> Value:
-    from .spaces import normalize_value
-    from .errors import OutOfDomain
-
     try:
         return normalize_value(space, raw_value(encoded))
     except OutOfDomain as err:
@@ -221,88 +212,81 @@ def _parse_relation(decl: dict, path: str, reg: _Registry) -> RepresentationRela
         rule = TupleWiseRule(parts)
     else:
         raise ScenarioSyntaxError(f"{path}.rule.kind: unknown rule kind {kind!r}")
-    try:
-        relation = RepresentationRelation(ident, domain, codomain, rule)
-    except DeclarationError as err:
-        raise ScenarioSyntaxError(f"{path}: {err}") from err
+    relation = RepresentationRelation(ident, domain, codomain, rule)
     reg.declare(reg.relations, ident, relation, path)
     return relation
 
 
-def _parse_abstract_dynamics(decl: dict, path: str, reg: _Registry) -> AbstractDynamics:
+def _parse_dynamics(decl: dict, path: str, reg: _Registry, other_rule) -> tuple:
+    """The id, space and rule every dynamics declares.
+
+    Table rules are parsed here; ``other_rule(kind, rule_decl, rule_path,
+    reg)`` parses the kinds particular to one side.
+    """
     ident = _get(decl, "id", path)
     if ident in BUILTIN_NAMES:
         raise ScenarioSyntaxError(f"{path}.id: {ident!r} is a reserved builtin name")
     space = reg.resolve(reg.spaces, _get(decl, "space", path), f"{path}.space")
     rule_decl = _get(decl, "rule", path)
-    kind = _get(rule_decl, "kind", f"{path}.rule")
+    rpath = f"{path}.rule"
+    kind = _get(rule_decl, "kind", rpath)
     if kind == "table":
-        rule = TableRule(
-            _parse_entries(_get(rule_decl, "entries", f"{path}.rule"), space, space, f"{path}.rule.entries")
+        entries = _parse_entries(_get(rule_decl, "entries", rpath), space, space, f"{rpath}.entries")
+        return ident, space, TableRule(entries)
+    return ident, space, other_rule(kind, rule_decl, rpath, reg)
+
+
+def _abstract_rule(kind: str, rule_decl: dict, rpath: str, reg: _Registry):
+    if kind == "builtin":
+        return BuiltinRule(_get(rule_decl, "name", rpath))
+    if kind == "chain":
+        return ChainRule(
+            tuple(
+                reg.resolve(reg.abstract_dynamics, ref, f"{rpath}.parts[{i}]")
+                for i, ref in enumerate(_get(rule_decl, "parts", rpath))
+            )
         )
-    elif kind == "builtin":
-        rule = BuiltinRule(_get(rule_decl, "name", f"{path}.rule"))
-    elif kind == "chain":
-        parts = tuple(
-            reg.resolve(reg.abstract_dynamics, ref, f"{path}.rule.parts[{i}]")
-            for i, ref in enumerate(_get(rule_decl, "parts", f"{path}.rule"))
-        )
-        rule = ChainRule(parts)
-    else:
-        raise ScenarioSyntaxError(f"{path}.rule.kind: unknown rule kind {kind!r}")
-    try:
-        dyn = AbstractDynamics(ident, space, rule)
-    except DeclarationError as err:
-        raise ScenarioSyntaxError(f"{path}: {err}") from err
-    reg.declare(reg.abstract_dynamics, ident, dyn, path)
+    raise ScenarioSyntaxError(f"{rpath}.kind: unknown rule kind {kind!r}")
+
+
+def _physical_rule(kind: str, rule_decl: dict, rpath: str, reg: _Registry):
+    if kind != "coordinate-update":
+        raise ScenarioSyntaxError(f"{rpath}.kind: unknown rule kind {kind!r}")
+    assignments = []
+    for i, a in enumerate(_get(rule_decl, "assignments", rpath)):
+        apath = f"{rpath}.assignments[{i}]"
+        op = _get(a, "op", apath)
+        if op == "binary-sum":
+            assignments.append(
+                BinarySumUpdate(
+                    tuple(_get(a, "a", apath)),
+                    tuple(_get(a, "b", apath)),
+                    tuple(_get(a, "out", apath)),
+                    float(_get(a, "threshold", apath)),
+                    float(_get(a, "low", apath)),
+                    float(_get(a, "high", apath)),
+                )
+            )
+        elif op == "constant":
+            assignments.append(
+                ConstantUpdate(
+                    tuple(_get(a, "lines", apath)),
+                    tuple(float(v) for v in _get(a, "values", apath)),
+                )
+            )
+        else:
+            raise ScenarioSyntaxError(f"{apath}.op: unknown assignment op {op!r}")
+    return CoordinateUpdateRule(tuple(assignments))
+
+
+def _parse_abstract_dynamics(decl: dict, path: str, reg: _Registry) -> AbstractDynamics:
+    dyn = AbstractDynamics(*_parse_dynamics(decl, path, reg, _abstract_rule))
+    reg.declare(reg.abstract_dynamics, dyn.id, dyn, path)
     return dyn
 
 
 def _parse_physical_dynamics(decl: dict, path: str, reg: _Registry) -> PhysicalDynamics:
-    ident = _get(decl, "id", path)
-    if ident in BUILTIN_NAMES:
-        raise ScenarioSyntaxError(f"{path}.id: {ident!r} is a reserved builtin name")
-    space = reg.resolve(reg.spaces, _get(decl, "space", path), f"{path}.space")
-    rule_decl = _get(decl, "rule", path)
-    kind = _get(rule_decl, "kind", f"{path}.rule")
-    if kind == "table":
-        rule = TableRule(
-            _parse_entries(_get(rule_decl, "entries", f"{path}.rule"), space, space, f"{path}.rule.entries")
-        )
-    elif kind == "coordinate-update":
-        assignments = []
-        for i, a in enumerate(_get(rule_decl, "assignments", f"{path}.rule")):
-            apath = f"{path}.rule.assignments[{i}]"
-            op = _get(a, "op", apath)
-            if op == "binary-sum":
-                assignments.append(
-                    BinarySumUpdate(
-                        tuple(_get(a, "a", apath)),
-                        tuple(_get(a, "b", apath)),
-                        tuple(_get(a, "out", apath)),
-                        float(_get(a, "threshold", apath)),
-                        float(_get(a, "low", apath)),
-                        float(_get(a, "high", apath)),
-                    )
-                )
-            elif op == "constant":
-                assignments.append(
-                    ConstantUpdate(
-                        tuple(_get(a, "lines", apath)),
-                        tuple(float(v) for v in _get(a, "values", apath)),
-                    )
-                )
-            else:
-                raise ScenarioSyntaxError(f"{apath}.op: unknown assignment op {op!r}")
-        rule = CoordinateUpdateRule(tuple(assignments))
-    elif kind == "chain":
-        parts = tuple(
-            reg.resolve(reg.physical_dynamics, ref, f"{path}.rule.parts[{i}]")
-            for i, ref in enumerate(_get(rule_decl, "parts", f"{path}.rule"))
-        )
-        rule = PhysicalChainRule(parts)
-    else:
-        raise ScenarioSyntaxError(f"{path}.rule.kind: unknown rule kind {kind!r}")
+    ident, space, rule = _parse_dynamics(decl, path, reg, _physical_rule)
     noise_decl = decl.get("noise")
     noise = None
     if noise_decl is not None:
@@ -323,10 +307,7 @@ def _parse_physical_dynamics(decl: dict, path: str, reg: _Registry) -> PhysicalD
             )
         else:
             raise ScenarioSyntaxError(f"{npath}.kind: unknown noise kind {nkind!r}")
-    try:
-        dyn = PhysicalDynamics(ident, space, rule, noise)
-    except DeclarationError as err:
-        raise ScenarioSyntaxError(f"{path}: {err}") from err
+    dyn = PhysicalDynamics(ident, space, rule, noise)
     reg.declare(reg.physical_dynamics, ident, dyn, path)
     return dyn
 
@@ -360,25 +341,9 @@ def _parse_theory(decl: dict, path: str, reg: _Registry) -> Theory:
             reg.physical_dynamics, _get(inst_decl, "engineering", ipath), f"{ipath}.engineering"
         )
         instantiation = InstantiationProcedure(seeds, engineering)
-    try:
-        theory = Theory(ident, relation, domain, tuple(predictions), instantiation)
-    except DeclarationError as err:
-        raise ScenarioSyntaxError(f"{path}: {err}") from err
+    theory = Theory(ident, relation, domain, tuple(predictions), instantiation)
     reg.declare(reg.theories, ident, theory, path)
     return theory
-
-
-def _parse_embedding(decl: dict, path: str, reg: _Registry) -> ProblemEmbedding:
-    ident = _get(decl, "id", path)
-    problem = reg.resolve(reg.spaces, _get(decl, "problem_space", path), f"{path}.problem_space")
-    machine = reg.resolve(reg.spaces, _get(decl, "machine_space", path), f"{path}.machine_space")
-    entries = _parse_entries(_get(decl, "entries", path), problem, machine, f"{path}.entries")
-    try:
-        embedding = ProblemEmbedding(ident, problem, machine, entries)
-    except DeclarationError as err:
-        raise ScenarioSyntaxError(f"{path}: {err}") from err
-    reg.declare(reg.embeddings, ident, embedding, path)
-    return embedding
 
 
 def _parse_stack(decl: dict, path: str, reg: _Registry) -> RefinementStack:
@@ -396,30 +361,26 @@ def _parse_stack(decl: dict, path: str, reg: _Registry) -> RefinementStack:
             raise DuplicateIdentifier(lpath, layer.id)
         layer_table[layer.id] = layer
         layers.append(layer)
-    relations = []
-    for i, rd in enumerate(_get(decl, "relations", path)):
-        rpath = f"{path}.relations[{i}]"
-        upper = layer_table.get(_get(rd, "upper", rpath))
-        lower = layer_table.get(_get(rd, "lower", rpath))
-        if upper is None:
-            raise UnknownReference(f"{rpath}.upper", rd["upper"])
-        if lower is None:
-            raise UnknownReference(f"{rpath}.lower", rd["lower"])
-        entries = _parse_entries(
-            _get(rd, "entries", rpath), upper.space, lower.space, f"{rpath}.entries"
-        )
-        try:
-            relations.append(SimulationRelation(_get(rd, "id", rpath), upper, lower, entries))
-        except DeclarationError as err:
-            raise ScenarioSyntaxError(f"{rpath}: {err}") from err
+    relations = tuple(
+        _checked(_parse_simulation, rd, f"{path}.relations[{i}]", layer_table)
+        for i, rd in enumerate(_get(decl, "relations", path))
+    )
     theory = reg.resolve(reg.theories, _get(decl, "theory", path), f"{path}.theory")
     device = reg.resolve(reg.physical_dynamics, _get(decl, "device", path), f"{path}.device")
-    try:
-        stack = RefinementStack(ident, tuple(layers), tuple(relations), theory, device)
-    except DeclarationError as err:
-        raise ScenarioSyntaxError(f"{path}: {err}") from err
+    stack = RefinementStack(ident, tuple(layers), relations, theory, device)
     reg.declare(reg.stacks, ident, stack, path)
     return stack
+
+
+def _parse_simulation(decl: dict, path: str, layers: dict) -> SimulationRelation:
+    upper = layers.get(_get(decl, "upper", path))
+    lower = layers.get(_get(decl, "lower", path))
+    if upper is None:
+        raise UnknownReference(f"{path}.upper", decl["upper"])
+    if lower is None:
+        raise UnknownReference(f"{path}.lower", decl["lower"])
+    entries = _parse_entries(_get(decl, "entries", path), upper.space, lower.space, f"{path}.entries")
+    return SimulationRelation(_get(decl, "id", path), upper, lower, entries)
 
 
 def _parse_component(decl: dict, path: str, reg: _Registry) -> Component:
@@ -434,31 +395,30 @@ def _parse_composition(decl: dict, path: str, reg: _Registry) -> JointSystem:
     mode = _get(decl, "mode", path)
     left = _parse_component(_get(decl, "left", path), f"{path}.left", reg)
     right = _parse_component(_get(decl, "right", path), f"{path}.right", reg)
-    try:
-        if mode in ("parallel", "sequential"):
-            joint = componentwise_joint(ident, left, right, f"composed-{mode}")
-        elif mode == "declared":
-            joint = JointSystem(
-                ident,
-                left,
-                right,
-                reg.resolve(reg.spaces, _get(decl, "joint_space", path), f"{path}.joint_space"),
-                reg.resolve(
-                    reg.relations, _get(decl, "joint_representation", path), f"{path}.joint_representation"
-                ),
-                reg.resolve(
-                    reg.abstract_dynamics, _get(decl, "joint_dynamics", path), f"{path}.joint_dynamics"
-                ),
-                "declared",
-            )
-        else:
-            raise ScenarioSyntaxError(f"{path}.mode: unknown composition mode {mode!r}")
-    except ModelError as err:
-        if isinstance(err, (ScenarioSyntaxError, UnknownReference, DuplicateIdentifier)):
-            raise
-        raise ScenarioSyntaxError(f"{path}: {err}") from err
+    if mode in ("parallel", "sequential"):
+        joint = componentwise_joint(ident, left, right, f"composed-{mode}")
+    elif mode == "declared":
+        joint = JointSystem(
+            ident,
+            left,
+            right,
+            reg.resolve(reg.spaces, _get(decl, "joint_space", path), f"{path}.joint_space"),
+            reg.resolve(
+                reg.relations, _get(decl, "joint_representation", path), f"{path}.joint_representation"
+            ),
+            reg.resolve(
+                reg.abstract_dynamics, _get(decl, "joint_dynamics", path), f"{path}.joint_dynamics"
+            ),
+            "declared",
+        )
+    else:
+        raise ScenarioSyntaxError(f"{path}.mode: unknown composition mode {mode!r}")
     reg.declare(reg.joints, ident, joint, path)
     return joint
+
+
+#: Check fields that name a declared object (or, for expect_class, a class).
+_CHECK_REFERENCES = ("theory", "prediction", "stack", "relation", "joint", "expect_class")
 
 
 def _parse_check(decl: dict, path: str, seen: set) -> CheckSpec:
@@ -477,19 +437,18 @@ def _parse_check(decl: dict, path: str, seen: set) -> CheckSpec:
         raise ScenarioSyntaxError(f"{path}: history checks must declare a physical metric")
     if physical_metric is not None and physical_metric not in METRICS:
         raise ScenarioSyntaxError(f"{path}.physical_metric: unknown metric {physical_metric!r}")
+    refs = {key: decl.get(key) for key in _CHECK_REFERENCES}
+    for key, ref in refs.items():
+        if ref is not None and not isinstance(ref, str):
+            raise ScenarioSyntaxError(f"{path}.{key}: expected a string identifier")
     return CheckSpec(
         name=name,
         kind=kind,
-        theory=decl.get("theory"),
-        prediction=decl.get("prediction"),
         state=raw_value(decl.get("state")),
         input=raw_value(decl.get("input")),
         expect=raw_value(decl.get("expect")),
         physical_metric=physical_metric,
-        stack=decl.get("stack"),
-        relation=decl.get("relation"),
-        joint=decl.get("joint"),
-        expect_class=decl.get("expect_class"),
+        **refs,
         oracle=bool(decl.get("oracle", False)),
         epsilon=float(decl.get("epsilon", 0.0)),
         metric=metric,
@@ -517,62 +476,28 @@ def parse_scenario(text: str) -> ScenarioBundle:
         raise VersionUnsupported(f"unsupported format version {version!r}")
 
     reg = _Registry()
-    spaces_decl = _expect(doc.get("spaces", {}), "spaces", dict, "an object")
-    abstract_spaces = [
-        _checked(_parse_space, d, f"spaces.abstract[{i}]", False, reg)
-        for i, d in enumerate(_expect(spaces_decl.get("abstract", []), "spaces.abstract", list, "a list"))
-    ]
-    physical_spaces = [
-        _checked(_parse_space, d, f"spaces.physical[{i}]", True, reg)
-        for i, d in enumerate(_expect(spaces_decl.get("physical", []), "spaces.physical", list, "a list"))
-    ]
-    relations = [
-        _checked(_parse_relation, d, f"relations[{i}]", reg)
-        for i, d in enumerate(_expect(doc.get("relations", []), "relations", list, "a list"))
-    ]
-    dynamics_decl = _expect(doc.get("dynamics", {}), "dynamics", dict, "an object")
-    abstract_dynamics = [
-        _checked(_parse_abstract_dynamics, d, f"dynamics.abstract[{i}]", reg)
-        for i, d in enumerate(_expect(dynamics_decl.get("abstract", []), "dynamics.abstract", list, "a list"))
-    ]
-    physical_dynamics = [
-        _checked(_parse_physical_dynamics, d, f"dynamics.physical[{i}]", reg)
-        for i, d in enumerate(_expect(dynamics_decl.get("physical", []), "dynamics.physical", list, "a list"))
-    ]
-    theories = [
-        _checked(_parse_theory, d, f"theories[{i}]", reg)
-        for i, d in enumerate(_expect(doc.get("theories", []), "theories", list, "a list"))
-    ]
-    embeddings = [
-        _checked(_parse_embedding, d, f"embeddings[{i}]", reg)
-        for i, d in enumerate(_expect(doc.get("embeddings", []), "embeddings", list, "a list"))
-    ]
-    stacks = [
-        _checked(_parse_stack, d, f"stacks[{i}]", reg)
-        for i, d in enumerate(_expect(doc.get("stacks", []), "stacks", list, "a list"))
-    ]
-    joints = [
-        _checked(_parse_composition, d, f"compositions[{i}]", reg)
-        for i, d in enumerate(_expect(doc.get("compositions", []), "compositions", list, "a list"))
-    ]
     seen_names: set = set()
-    checks = [
-        _checked(_parse_check, d, f"checks[{i}]", seen_names)
-        for i, d in enumerate(_expect(doc.get("checks", []), "checks", list, "a list"))
-    ]
-    return ScenarioBundle(
-        format_version=version,
-        abstract_spaces=tuple(abstract_spaces),
-        physical_spaces=tuple(physical_spaces),
-        relations=tuple(relations),
-        abstract_dynamics=tuple(abstract_dynamics),
-        physical_dynamics=tuple(physical_dynamics),
-        theories=tuple(theories),
-        embeddings=tuple(embeddings),
-        stacks=tuple(stacks),
-        joints=tuple(joints),
-        checks=tuple(checks),
-    )
+    parsed = {}
+    for field, path, parser, *args in (
+        ("abstract_spaces", "spaces.abstract", _parse_space, False, reg),
+        ("physical_spaces", "spaces.physical", _parse_space, True, reg),
+        ("relations", "relations", _parse_relation, reg),
+        ("abstract_dynamics", "dynamics.abstract", _parse_abstract_dynamics, reg),
+        ("physical_dynamics", "dynamics.physical", _parse_physical_dynamics, reg),
+        ("theories", "theories", _parse_theory, reg),
+        ("stacks", "stacks", _parse_stack, reg),
+        ("joints", "compositions", _parse_composition, reg),
+        ("checks", "checks", _parse_check, seen_names),
+    ):
+        section, _, part = path.partition(".")
+        decls = doc.get(section, {} if part else [])
+        if part:
+            decls = _expect(decls, section, dict, "an object").get(part, [])
+        parsed[field] = tuple(
+            _checked(parser, d, f"{path}[{i}]", *args)
+            for i, d in enumerate(_expect(decls, path, list, "a list"))
+        )
+    return ScenarioBundle(format_version=version, **parsed)
 
 
 def _emit_space(space) -> dict:
@@ -628,7 +553,7 @@ def _emit_physical_dynamics(dyn: PhysicalDynamics) -> dict:
     rule = dyn.rule
     if isinstance(rule, TableRule):
         encoded = {"kind": "table", "entries": _emit_entries(rule.entries, dyn.space, dyn.space)}
-    elif isinstance(rule, CoordinateUpdateRule):
+    else:
         assignments = []
         for a in rule.assignments:
             if isinstance(a, BinarySumUpdate):
@@ -648,8 +573,6 @@ def _emit_physical_dynamics(dyn: PhysicalDynamics) -> dict:
                     {"op": "constant", "lines": list(a.lines), "values": list(a.values)}
                 )
         encoded = {"kind": "coordinate-update", "assignments": assignments}
-    else:
-        encoded = {"kind": "chain", "parts": [p.id for p in rule.parts]}
     out = {"id": dyn.id, "space": dyn.space.id, "rule": encoded}
     if dyn.noise is not None:
         if isinstance(dyn.noise, CoordinateFlipNoise):
@@ -687,15 +610,6 @@ def _emit_theory(theory: Theory) -> dict:
             "engineering": theory.instantiation.engineering.id,
         }
     return out
-
-
-def _emit_embedding(embedding: ProblemEmbedding) -> dict:
-    return {
-        "id": embedding.id,
-        "problem_space": embedding.problem_space.id,
-        "machine_space": embedding.machine_space.id,
-        "entries": _emit_entries(embedding.entries, embedding.problem_space, embedding.machine_space),
-    }
 
 
 def _emit_stack(stack: RefinementStack) -> dict:
@@ -775,7 +689,6 @@ def emit_scenario(bundle: ScenarioBundle) -> str:
             "physical": [_emit_physical_dynamics(d) for d in bundle.physical_dynamics],
         },
         "theories": [_emit_theory(t) for t in bundle.theories],
-        "embeddings": [_emit_embedding(e) for e in bundle.embeddings],
         "stacks": [_emit_stack(s) for s in bundle.stacks],
         "compositions": [_emit_composition(j) for j in bundle.joints],
         "checks": [_emit_check(c) for c in bundle.checks],

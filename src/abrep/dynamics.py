@@ -1,6 +1,6 @@
 """Abstract evolutions (programs) and physical evolutions (device updates).
 
-Both kinds of dynamics are single discrete-time steps; multi-step devices
+Both kinds of dynamics are single discrete-time steps; multi-step programs
 are modeled as chains. Physical dynamics may carry a noise model whose
 randomness is counter-based: every random draw is a pure function of the
 trial seed and a draw index, so trial k of a batch can be reproduced in
@@ -23,9 +23,9 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    check_total_table,
     contains,
     enumerate_values,
-    is_finite,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -114,7 +114,7 @@ class AbstractDynamics:
     def __post_init__(self):
         rule = self.rule
         if isinstance(rule, TableRule):
-            _check_total_table(self.id, self.space, rule.entries)
+            check_total_table(f"dynamics {self.id!r}", rule.entries, self.space, self.space)
         elif isinstance(rule, BuiltinRule):
             _check_builtin_shape(self.id, self.space, rule.name)
         elif isinstance(rule, ChainRule):
@@ -126,22 +126,6 @@ class AbstractDynamics:
                     )
         else:
             raise DeclarationError(f"dynamics {self.id!r}: unknown rule type")
-
-
-def _check_total_table(dyn_id: str, space, entries: Mapping[Value, Value]) -> None:
-    if not is_finite(space):
-        raise DeclarationError(f"dynamics {dyn_id!r}: table rule needs a finite space")
-    seen = 0
-    for value in enumerate_values(space):
-        if value not in entries:
-            raise DeclarationError(f"dynamics {dyn_id!r}: table misses {value!r}")
-        if not contains(space, entries[value]):
-            raise DeclarationError(
-                f"dynamics {dyn_id!r}: image of {value!r} leaves the space"
-            )
-        seen += 1
-    if len(entries) != seen:
-        raise DeclarationError(f"dynamics {dyn_id!r}: table has extraneous keys")
 
 
 def _check_builtin_shape(dyn_id: str, space: AbstractSpace, name: str) -> None:
@@ -272,14 +256,7 @@ class CoordinateUpdateRule:
     assignments: tuple[Union[BinarySumUpdate, ConstantUpdate], ...] = ()
 
 
-@dataclass(frozen=True)
-class PhysicalChainRule:
-    """Apply component device updates left to right."""
-
-    parts: tuple["PhysicalDynamics", ...]
-
-
-PhysicalRule = Union[TableRule, CoordinateUpdateRule, PhysicalChainRule]
+PhysicalRule = Union[TableRule, CoordinateUpdateRule]
 
 
 @dataclass(frozen=True)
@@ -328,46 +305,41 @@ class PhysicalDynamics:
     def __post_init__(self):
         rule = self.rule
         if isinstance(rule, TableRule):
-            _check_total_table(self.id, self.space, rule.entries)
+            check_total_table(f"dynamics {self.id!r}", rule.entries, self.space, self.space)
         elif isinstance(rule, CoordinateUpdateRule):
             if not isinstance(self.space, RealVectorSpace):
                 raise DeclarationError(
                     f"dynamics {self.id!r}: coordinate updates need a real-vector space"
                 )
             _check_update_levels(self.id, self.space, rule)
-        elif isinstance(rule, PhysicalChainRule):
-            for part in rule.parts:
-                if part.space != self.space:
-                    raise SpaceMismatch(
-                        f"dynamics {self.id!r}: chain part {part.id!r} acts on a"
-                        " different space"
-                    )
         else:
             raise DeclarationError(f"dynamics {self.id!r}: unknown rule type")
         _check_noise(self.id, self.space, self.noise)
 
 
-def _check_update_levels(dyn_id: str, space: RealVectorSpace, rule: CoordinateUpdateRule):
-    def check_line(line: int, level: float):
+def _check_lines(dyn_id: str, space: RealVectorSpace, lines, *levels: float) -> None:
+    """Each line must index a coordinate, and each level must fit its bounds."""
+    for line in lines:
+        if isinstance(line, bool) or not isinstance(line, int):
+            raise DeclarationError(f"dynamics {dyn_id!r}: line {line!r} is not an integer")
         if not (0 <= line < space.dimension):
             raise DeclarationError(f"dynamics {dyn_id!r}: line {line} out of range")
         lo, hi = space.bounds[line]
-        if not (lo <= level <= hi):
-            raise DeclarationError(
-                f"dynamics {dyn_id!r}: level {level} leaves the bounds of line {line}"
-            )
+        for level in levels:
+            if not (lo <= level <= hi):
+                raise DeclarationError(
+                    f"dynamics {dyn_id!r}: level {level} leaves the bounds of line {line}"
+                )
 
+
+def _check_update_levels(dyn_id: str, space: RealVectorSpace, rule: CoordinateUpdateRule):
     for upd in rule.assignments:
         if isinstance(upd, BinarySumUpdate):
-            for line in upd.a_lines + upd.b_lines:
-                if not (0 <= line < space.dimension):
-                    raise DeclarationError(f"dynamics {dyn_id!r}: line {line} out of range")
-            for line in upd.out_lines:
-                check_line(line, upd.low)
-                check_line(line, upd.high)
+            _check_lines(dyn_id, space, upd.a_lines + upd.b_lines)
+            _check_lines(dyn_id, space, upd.out_lines, upd.low, upd.high)
         elif isinstance(upd, ConstantUpdate):
             for line, value in zip(upd.lines, upd.values):
-                check_line(line, value)
+                _check_lines(dyn_id, space, (line,), value)
         else:
             raise DeclarationError(f"dynamics {dyn_id!r}: unknown update type")
 
@@ -380,14 +352,7 @@ def _check_noise(dyn_id: str, space: PhysicalSpace, noise: Noise | None) -> None
             raise DeclarationError(
                 f"dynamics {dyn_id!r}: coordinate-flip noise needs a real-vector space"
             )
-        for line in noise.coordinates:
-            if not (0 <= line < space.dimension):
-                raise DeclarationError(f"dynamics {dyn_id!r}: noise line {line} out of range")
-            lo, hi = space.bounds[line]
-            if not (lo <= noise.low <= hi and lo <= noise.high <= hi):
-                raise DeclarationError(
-                    f"dynamics {dyn_id!r}: noise levels leave the bounds of line {line}"
-                )
+        _check_lines(dyn_id, space, noise.coordinates, noise.low, noise.high)
     elif isinstance(noise, LabelFlipNoise):
         if not isinstance(space, PhysicalLabelSpace):
             raise DeclarationError(
@@ -425,13 +390,6 @@ def evolve_physical(h: PhysicalDynamics, p: PhysicalState, t: TrialSeed) -> Phys
 def _apply_physical(rule: PhysicalRule, value: Value, t: TrialSeed) -> Value:
     if isinstance(rule, TableRule):
         return rule.entries[value]
-    if isinstance(rule, PhysicalChainRule):
-        for stage, part in enumerate(rule.parts):
-            sub = derive_seed(t, stage + 1)
-            value = _apply_physical(part.rule, value, sub)
-            if part.noise is not None:
-                value = _apply_noise(part.noise, value, sub)
-        return value
     working = list(value)
     for upd in rule.assignments:
         if isinstance(upd, BinarySumUpdate):

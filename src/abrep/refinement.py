@@ -24,7 +24,7 @@ from .spaces import (
     AbstractState,
     Metric,
     Value,
-    contains,
+    check_total_table,
     distance,
     enumerate_states,
     is_finite,
@@ -61,20 +61,9 @@ class SimulationRelation:
             raise NotEnumerable(
                 f"simulation {self.id!r}: upper layer space must be finite"
             )
-        seen = 0
-        for state in enumerate_states(self.upper.space):
-            if state.value not in self.entries:
-                raise DeclarationError(
-                    f"simulation {self.id!r}: no image for {state.value!r}"
-                )
-            if not contains(self.lower.space, self.entries[state.value]):
-                raise DeclarationError(
-                    f"simulation {self.id!r}: image of {state.value!r} leaves the"
-                    " lower space"
-                )
-            seen += 1
-        if len(self.entries) != seen:
-            raise DeclarationError(f"simulation {self.id!r}: extraneous table keys")
+        check_total_table(
+            f"simulation {self.id!r}", self.entries, self.upper.space, self.lower.space
+        )
 
     def map_state(self, state: AbstractState) -> AbstractState:
         return AbstractState(self.lower.space, self.entries[state.value])

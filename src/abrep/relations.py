@@ -1,4 +1,4 @@
-"""Representation relations, representational triples, and device theories.
+"""Representation relations and device theories.
 
 A representation relation is the one bridge between a simulated device and
 the abstract values it carries: a total, deterministic map from physical
@@ -35,9 +35,8 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    check_total_table,
     contains,
-    enumerate_values,
-    is_finite,
 )
 
 if TYPE_CHECKING:
@@ -89,23 +88,7 @@ class RepresentationRelation:
     def __post_init__(self):
         rule = self.rule
         if isinstance(rule, LookupRule):
-            if not is_finite(self.domain):
-                raise DeclarationError(
-                    f"relation {self.id!r}: lookup rules need a finite domain"
-                )
-            seen = 0
-            for value in enumerate_values(self.domain):
-                if value not in rule.entries:
-                    raise DeclarationError(
-                        f"relation {self.id!r}: no image for {value!r}"
-                    )
-                if not contains(self.codomain, rule.entries[value]):
-                    raise DeclarationError(
-                        f"relation {self.id!r}: image of {value!r} leaves the codomain"
-                    )
-                seen += 1
-            if len(rule.entries) != seen:
-                raise DeclarationError(f"relation {self.id!r}: extraneous table keys")
+            check_total_table(f"relation {self.id!r}", rule.entries, self.domain, self.codomain)
         elif isinstance(rule, ThresholdRule):
             if not isinstance(self.domain, RealVectorSpace):
                 raise DeclarationError(
@@ -183,19 +166,6 @@ def _apply(relation: RepresentationRelation, value: Value) -> Value:
             at += w
         return tuple(out)
     return tuple(_apply(part, v) for part, v in zip(rule.parts, value))
-
-
-@dataclass(frozen=True)
-class RepresentationalTriple:
-    """A configuration, the relation used to read it, and the reading."""
-
-    physical: PhysicalState
-    relation: RepresentationRelation
-    abstract: AbstractState
-
-
-def make_triple(relation: RepresentationRelation, p: PhysicalState) -> RepresentationalTriple:
-    return RepresentationalTriple(p, relation, represent(relation, p))
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,15 @@ from .document import value_to_json
 from .dynamics import TrialSeed, derive_seed
 from .errors import ModelError, UnknownReference
 from .refinement import check_layer, check_stack_to_device
-from .relations import Theory, instantiate
-from .scenarios import CheckSpec, ScenarioBundle
-from .spaces import METRICS, AbstractState, PhysicalState
+from .relations import Prediction, Theory, instantiate
+from .scenarios import CHECK_KINDS, CheckSpec, ScenarioBundle
+from .spaces import METRICS, AbstractState, PhysicalState, normalize_value
 from .verification import (
     CommutationReport,
     DiagramSpec,
     check_commutation,
     check_history,
     run_compute_cycle,
-    run_experiment,
     validate_theory,
 )
 
@@ -83,38 +82,29 @@ def _commutation_detail(report: CommutationReport) -> dict:
 
 
 class _Run:
-    def __init__(self, bundle: ScenarioBundle, seed: TrialSeed):
-        self.bundle = bundle
-        self.seed = seed
+    def __init__(self, bundle: ScenarioBundle):
         self.theories: dict[str, Theory] = {t.id: t for t in bundle.theories}
+        self.stacks = {s.id: s for s in bundle.stacks}
+        self.joints = {j.id: j for j in bundle.joints}
         self.coverage: dict[str, int] = {}
 
     def _count_coverage(self, theory_id: str, cells: int) -> None:
         self.coverage[theory_id] = self.coverage.get(theory_id, 0) + cells
 
-    def _theory(self, check: CheckSpec) -> Theory:
-        if check.theory is None or check.theory not in self.theories:
-            raise UnknownReference(f"check {check.name!r}", str(check.theory))
-        return self.theories[check.theory]
+    def _lookup(self, table: dict, ident, check: CheckSpec):
+        if not isinstance(ident, str) or ident not in table:
+            raise UnknownReference(f"check {check.name!r}", str(ident))
+        return table[ident]
 
-    def _stack(self, check: CheckSpec):
+    def _prediction(self, theory: Theory, check: CheckSpec) -> Prediction:
+        name = check.prediction or next((p.name for p in theory.predictions), None)
         try:
-            return self.bundle.stack(check.stack)
+            return theory.prediction(name)
         except KeyError:
-            raise UnknownReference(f"check {check.name!r}", str(check.stack)) from None
-
-    def _joint(self, check: CheckSpec):
-        try:
-            return self.bundle.joint(check.joint)
-        except KeyError:
-            raise UnknownReference(f"check {check.name!r}", str(check.joint)) from None
+            raise UnknownReference(f"check {check.name!r}", str(name)) from None
 
     def _diagram_spec(self, theory: Theory, check: CheckSpec) -> DiagramSpec:
-        name = check.prediction or theory.predictions[0].name
-        try:
-            prediction = theory.prediction(name)
-        except KeyError:
-            raise UnknownReference(f"check {check.name!r}", name) from None
+        prediction = self._prediction(theory, check)
         return DiagramSpec(
             theory=theory,
             abstract_dynamics=prediction.abstract,
@@ -135,7 +125,9 @@ class _Run:
 
     def execute(self, check: CheckSpec, seed: TrialSeed) -> CheckResult:
         try:
-            status, detail = self._dispatch(check, seed)
+            if check.kind not in CHECK_KINDS:
+                raise UnknownReference(f"check {check.name!r}", str(check.kind))
+            status, detail = _HANDLERS[check.kind](self, check, seed)
             return CheckResult(check.name, check.kind, status, detail)
         except ModelError as err:
             return CheckResult(
@@ -146,127 +138,131 @@ class _Run:
                 {"type": type(err).__name__, "message": str(err)},
             )
 
-    def _dispatch(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        kind = check.kind
-        if kind in ("commutation", "experiment"):
-            theory = self._theory(check)
-            spec = self._diagram_spec(theory, check)
-            state = self._initial_state(theory, check)
-            if kind == "experiment":
-                report = run_experiment(theory, state, spec, seed)
-            else:
-                report = check_commutation(spec, state, seed)
-            self._count_coverage(theory.id, 1)
-            return (PASS if report.passed else FAIL), _commutation_detail(report)
-        if kind == "history":
-            theory = self._theory(check)
-            spec = self._diagram_spec(theory, check)
-            state = AbstractState(theory.representation.codomain, check.input)
-            report = check_history(spec, state, METRICS[check.physical_metric], seed)
-            return (PASS if report.passed else FAIL), _commutation_detail(report)
-        if kind == "validate-theory":
-            theory = self._theory(check)
-            graded, evidence = validate_theory(
-                theory,
-                check.epsilon,
-                METRICS[check.metric],
-                check.trials,
-                check.required_success,
-                seed,
-            )
-            self.theories[theory.id] = graded
-            self._count_coverage(theory.id, evidence.coverage)
-            failing = [
-                {"state": _state_json(cell.state), "prediction": cell.prediction}
-                for cell in evidence.cells
-                if not cell.report.passed
-            ]
-            detail = {
-                "validity": graded.validity.status,
-                "coverage": evidence.coverage,
-                "failing_cells": failing,
+    def _run_commutation(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
+        theory = self._lookup(self.theories, check.theory, check)
+        spec = self._diagram_spec(theory, check)
+        report = check_commutation(spec, self._initial_state(theory, check), seed)
+        self._count_coverage(theory.id, 1)
+        return (PASS if report.passed else FAIL), _commutation_detail(report)
+
+    def _run_history(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
+        theory = self._lookup(self.theories, check.theory, check)
+        spec = self._diagram_spec(theory, check)
+        state = AbstractState(theory.representation.codomain, check.input)
+        report = check_history(spec, state, METRICS[check.physical_metric], seed)
+        return (PASS if report.passed else FAIL), _commutation_detail(report)
+
+    def _run_validate(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
+        theory = self._lookup(self.theories, check.theory, check)
+        graded, evidence = validate_theory(
+            theory,
+            check.epsilon,
+            METRICS[check.metric],
+            check.trials,
+            check.required_success,
+            seed,
+        )
+        self.theories[theory.id] = graded
+        self._count_coverage(theory.id, evidence.coverage)
+        failing = [
+            {"state": _state_json(cell.state), "prediction": cell.prediction}
+            for cell in evidence.cells
+            if not cell.report.passed
+        ]
+        detail = {
+            "validity": graded.validity.status,
+            "coverage": evidence.coverage,
+            "failing_cells": failing,
+        }
+        return (PASS if evidence.all_passed else FAIL), detail
+
+    def _run_compute(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
+        theory = self._lookup(self.theories, check.theory, check)
+        prediction = self._prediction(theory, check)
+        codomain = theory.representation.codomain
+        state = AbstractState(codomain, check.input)
+        expect = None if check.expect is None else normalize_value(codomain, check.expect)
+        result = run_compute_cycle(theory, state, prediction.name, prediction.physical, seed)
+        detail = {
+            "input": _state_json(result.input),
+            "output": _state_json(result.output),
+            "program": result.program,
+        }
+        if expect is None:
+            return PASS, detail
+        detail["expected"] = value_to_json(codomain, expect)
+        return (PASS if result.output.value == expect else FAIL), detail
+
+    def _run_layer(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
+        stack = self._lookup(self.stacks, check.stack, check)
+        relations = {r.id: r for r in stack.relations}
+        relation = self._lookup(relations, check.relation, check)
+        report = check_layer(relation, check.epsilon, METRICS[check.metric])
+        failing = [
+            {
+                "state": _state_json(e.state),
+                "via_upper": _state_json(e.mapped_after_upper),
+                "via_lower": _state_json(e.lower_after_mapped),
+                "distance": e.distance,
             }
-            return (PASS if evidence.all_passed else FAIL), detail
-        if kind == "compute":
-            theory = self._theory(check)
-            program = check.prediction or theory.predictions[0].name
-            try:
-                prediction = theory.prediction(program)
-            except KeyError:
-                raise UnknownReference(f"check {check.name!r}", program) from None
-            state = AbstractState(theory.representation.codomain, check.input)
-            result = run_compute_cycle(theory, state, program, prediction.physical, seed)
-            detail = {
-                "input": _state_json(result.input),
-                "output": _state_json(result.output),
-                "program": result.program,
-            }
-            if check.expect is not None:
-                detail["expected"] = value_to_json(
-                    theory.representation.codomain, check.expect
-                )
-                ok = result.output.value == check.expect
-            else:
-                ok = True
-            return (PASS if ok else FAIL), detail
-        if kind == "layer":
-            stack = self._stack(check)
-            relation = next(
-                (r for r in stack.relations if r.id == check.relation), None
-            )
-            if relation is None:
-                raise UnknownReference(f"check {check.name!r}", str(check.relation))
-            report = check_layer(relation, check.epsilon, METRICS[check.metric])
-            failing = [
-                {
-                    "state": _state_json(e.state),
-                    "via_upper": _state_json(e.mapped_after_upper),
-                    "via_lower": _state_json(e.lower_after_mapped),
-                    "distance": e.distance,
-                }
-                for e in report.entries
-                if not e.passed
-            ]
-            detail = {"states": len(report.entries), "failing": failing}
-            return (PASS if report.passed else FAIL), detail
-        if kind == "stack":
-            stack = self._stack(check)
-            report = check_stack_to_device(
-                stack,
-                check.epsilon,
-                METRICS[check.metric],
-                seed,
-                trials=check.trials,
-                required_success=check.required_success,
-            )
-            self._count_coverage(stack.theory.id, len(report.device_entries))
-            detail = {
-                "layers": {
-                    r.relation_id: r.passed for r in report.layer_reports
-                },
-                "device_states": len(report.device_entries),
-                "device_failures": [
-                    _state_json(e.state)
-                    for e in report.device_entries
-                    if not e.report.passed
-                ],
-            }
-            return (PASS if report.passed else FAIL), detail
-        if kind == "classify":
-            joint = self._joint(check)
-            decision = classify(joint)
-            detail: dict[str, Any] = {
-                "class": decision.value,
-                "witness": _witness_json(joint, decision.witness),
-            }
-            ok = check.expect_class is None or decision.value == check.expect_class
-            if check.oracle:
-                oracle_decision = brute_force_classify(joint)
-                detail["oracle_class"] = oracle_decision.value
-                detail["oracle_agrees"] = oracle_decision.value == decision.value
-                ok = ok and detail["oracle_agrees"]
-            return (PASS if ok else FAIL), detail
-        raise UnknownReference(f"check {check.name!r}", kind)
+            for e in report.entries
+            if not e.passed
+        ]
+        detail = {"states": len(report.entries), "failing": failing}
+        return (PASS if report.passed else FAIL), detail
+
+    def _run_stack(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
+        stack = self._lookup(self.stacks, check.stack, check)
+        report = check_stack_to_device(
+            stack,
+            check.epsilon,
+            METRICS[check.metric],
+            seed,
+            trials=check.trials,
+            required_success=check.required_success,
+        )
+        self._count_coverage(stack.theory.id, len(report.device_entries))
+        detail = {
+            "layers": {
+                r.relation_id: r.passed for r in report.layer_reports
+            },
+            "device_states": len(report.device_entries),
+            "device_failures": [
+                _state_json(e.state)
+                for e in report.device_entries
+                if not e.report.passed
+            ],
+        }
+        return (PASS if report.passed else FAIL), detail
+
+    def _run_classify(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
+        joint = self._lookup(self.joints, check.joint, check)
+        decision = classify(joint)
+        detail: dict[str, Any] = {
+            "class": decision.value,
+            "witness": _witness_json(joint, decision.witness),
+        }
+        ok = check.expect_class is None or decision.value == check.expect_class
+        if check.oracle:
+            oracle_decision = brute_force_classify(joint)
+            detail["oracle_class"] = oracle_decision.value
+            detail["oracle_agrees"] = oracle_decision.value == decision.value
+            ok = ok and detail["oracle_agrees"]
+        return (PASS if ok else FAIL), detail
+
+
+#: One handler per check kind. An ``experiment`` is read as a commutation
+#: check; its report keeps the declared kind.
+_HANDLERS = {
+    "commutation": _Run._run_commutation,
+    "experiment": _Run._run_commutation,
+    "history": _Run._run_history,
+    "validate-theory": _Run._run_validate,
+    "compute": _Run._run_compute,
+    "layer": _Run._run_layer,
+    "stack": _Run._run_stack,
+    "classify": _Run._run_classify,
+}
 
 
 def _witness_json(joint, witness) -> dict:
@@ -313,7 +309,7 @@ def run_checks(
     ``name_filter`` is a glob pattern on check names; filtered runs report
     exactly the matching subset, in declaration order.
     """
-    run = _Run(bundle, seed)
+    run = _Run(bundle)
     selected = []
     source = bundle.checks if checks is None else checks
     for index, check in enumerate(source):
@@ -364,10 +360,6 @@ def report_to_dict(report: RunReport) -> dict:
 def report_to_json(report: RunReport) -> str:
     """Canonical machine-readable serialization; byte-stable per (bundle, seed)."""
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-
-
-def report_from_json(text: str) -> dict:
-    return json.loads(text)
 
 
 def render_report_text(data: dict) -> str:

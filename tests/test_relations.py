@@ -25,7 +25,6 @@ from abrep import (
     enumerate_states,
     identity_dynamics,
     instantiate,
-    make_triple,
     represent,
 )
 from abrep.errors import DeclarationError
@@ -61,20 +60,7 @@ def test_single_entry_lookup():
     cells = PhysicalLabelSpace("cells", ("s0",))
     modes = LabelSpace("modes", ("idle",))
     read = RepresentationRelation("read", cells, modes, LookupRule({"s0": "idle"}))
-    triple = make_triple(read, PhysicalState(cells, "s0"))
-    assert triple.abstract.value == "idle"
-    assert triple.relation is read
-    assert triple.abstract == represent(read, triple.physical)
-
-
-def test_make_triple_threshold_example():
-    lines = RealVectorSpace("v2", ((0.0, 5.0),) * 2)
-    bits = BitSpace("b2", 2)
-    read = RepresentationRelation("read", lines, bits, ThresholdRule((2.5, 2.5)))
-    triple = make_triple(read, PhysicalState(lines, (5.0, 0.0)))
-    assert triple.abstract.value == "10"
-    with pytest.raises(OutOfDomain):
-        PhysicalState(lines, (7.0, 0.0))
+    assert represent(read, PhysicalState(cells, "s0")).value == "idle"
 
 
 def test_represent_rejects_foreign_configurations():

@@ -1,0 +1,27 @@
+"""The runtime depends on the standard library alone."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "abrep").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_only_stdlib_and_abrep(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level > 0:
+                continue
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        for root in roots:
+            assert root == "abrep" or root in sys.stdlib_module_names, (
+                f"{path.name}:{node.lineno} imports {root!r}"
+            )

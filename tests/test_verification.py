@@ -12,19 +12,16 @@ from abrep import (
     MAX_COORDINATE,
     OutOfDomain,
     PhysicalState,
-    ProblemEmbedding,
     TheoryNotValidated,
     TrialSeed,
     build_swap_device,
     build_voltage_adder,
     check_commutation,
     check_history,
-    embed_problem,
     identity_dynamics,
     instantiate,
     represent,
     run_compute_cycle,
-    run_experiment,
     validate_theory,
 )
 from support import random_deterministic_theory
@@ -161,32 +158,6 @@ def test_noisy_adder_fails_validation_at_high_confidence():
     assert abs(sum(fractions) / len(fractions) - 0.729) < 0.05
 
 
-def test_embed_problem_maps_decimals_to_machine_inputs():
-    bundle, theory, _ = adder_pieces()
-    embedding = bundle.embedding("adder.encode-decimal")
-    problem = AbstractState(embedding.problem_space, (1, 2))
-    assert embed_problem(embedding, problem).value == ("01", "10", "000")
-
-
-def test_identity_embedding_on_equal_spaces():
-    _, theory, _ = adder_pieces()
-    machine = theory.representation.codomain
-    from abrep import enumerate_values
-
-    ident = ProblemEmbedding(
-        "ident", machine, machine, {v: v for v in enumerate_values(machine)}
-    )
-    state = machine_state(theory, ("11", "11", "000"))
-    assert embed_problem(ident, state) == state
-
-
-def test_embed_rejects_states_outside_problem_space():
-    bundle, theory, _ = adder_pieces()
-    embedding = bundle.embedding("adder.encode-decimal")
-    with pytest.raises(OutOfDomain):
-        embed_problem(embedding, machine_state(theory, ("01", "10", "000")))
-
-
 def test_compute_cycle_requires_validated_theory():
     _, theory, pred = adder_pieces()
     with pytest.raises(TheoryNotValidated):
@@ -218,16 +189,16 @@ def test_compute_cycle_on_swap_device():
     assert result.output.value == (9, 7)
 
 
-def test_run_experiment_zero_case_and_fault_sensitivity():
+def test_commutation_zero_case_and_fault_sensitivity():
     _, theory, pred = adder_pieces()
     spec = DiagramSpec(theory, pred.abstract, pred.physical)
-    report = run_experiment(theory, encoded(theory, ("00", "00", "000")), spec, SEED)
+    report = check_commutation(spec, encoded(theory, ("00", "00", "000")), SEED)
     assert report.passed
     assert report.upper_path_result.value == ("00", "00", "000")
 
     _, faulted, fpred = adder_pieces(faulted=True)
     fspec = DiagramSpec(faulted, fpred.abstract, fpred.physical)
-    report = run_experiment(faulted, encoded(faulted, ("01", "10", "000")), fspec, SEED)
+    report = check_commutation(fspec, encoded(faulted, ("01", "10", "000")), SEED)
     assert not report.passed
 
 
@@ -284,15 +255,3 @@ def test_epsilon_monotonicity_on_random_deterministic_theories():
         for lo, hi in zip(verdicts, verdicts[1:]):
             assert not (lo and not hi)
 
-
-def test_experiment_spec_must_name_the_same_theory():
-    from abrep.errors import DeclarationError
-
-    _, theory, pred = adder_pieces()
-    _, other, _ = adder_pieces(faulted=True)
-    from dataclasses import replace
-
-    renamed = replace(other, id="other")
-    spec = DiagramSpec(renamed, pred.abstract, pred.physical)
-    with pytest.raises(DeclarationError):
-        run_experiment(theory, theory.domain[0], spec, SEED)
