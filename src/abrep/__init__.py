@@ -80,7 +80,7 @@ from .relations import (
     instantiate,
     represent,
 )
-from .runner import RunReport, report_to_json, report_to_text, run_checks
+from .runner import RunReport, report_to_json, run_checks
 from .scenarios import (
     BUILTIN_SCENARIOS,
     CheckSpec,

@@ -27,12 +27,7 @@ import sys
 from .document import emit_scenario, parse_scenario
 from .dynamics import TrialSeed
 from .errors import ModelError
-from .runner import (
-    render_report_text,
-    report_to_json,
-    report_to_text,
-    run_checks,
-)
+from .runner import render_report, report_to_dict, run_checks
 from .scenarios import BUILTIN_SCENARIOS, CheckSpec
 from .spaces import METRICS
 
@@ -106,10 +101,7 @@ def _load_bundle(path: str):
 
 
 def _print_report(report, fmt: str) -> int:
-    if fmt == "json":
-        sys.stdout.write(report_to_json(report))
-    else:
-        sys.stdout.write(report_to_text(report))
+    sys.stdout.write(render_report(report_to_dict(report), fmt))
     return report.exit_code
 
 
@@ -219,11 +211,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "report":
         with open(args.file, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        if args.format == "json":
-            sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        else:
-            sys.stdout.write(render_report_text(data))
+            sys.stdout.write(render_report(json.load(f), args.format))
         return 0
 
     bundle = _load_bundle(args.file)

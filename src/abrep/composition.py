@@ -9,8 +9,9 @@ them, the composition is happening inside the representation itself and the
 system is *heterotic*.
 
 The classifier decides this structurally, by coordinate-constancy checks and
-factor read-off. ``brute_force_classify`` is its independent oracle: it
-enumerates candidate factor functions outright and searches for a witness.
+factor read-off. ``brute_force_classify`` is its independent oracle: for each
+factor in turn it enumerates every candidate function and takes the first
+that reproduces its coordinate of the joint table.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ from .spaces import (
 
 HYBRID = "Hybrid"
 HETEROTIC = "Heterotic"
-
-#: Above this many candidate function pairs the oracle searches each factor
-#: exhaustively on its own rather than materializing the pair product.
-_PAIR_ENUMERATION_CAP = 4096
 
 #: Component abstract spaces larger than this make the oracle refuse.
 _ORACLE_SIZE_BOUND = 6
@@ -228,8 +225,6 @@ def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
     space = d.space
     if not (isinstance(space, TupleSpace) and len(space.components) == 2):
         raise NotProductSpace(f"dynamics {d.id!r} do not act on a two-part product")
-    if not is_finite(space):
-        raise NotEnumerable(f"space {space.id!r} has an infinite component")
     space_a, space_b = space.components
     return _split_coordinates(
         list(enumerate_values(space_a)),
@@ -285,21 +280,10 @@ def _search_reproducing_pair(
 ) -> tuple[dict, dict] | None:
     """Exhaustively find (f, g) with observed[(a, b)] == (f[a], g[b]).
 
-    Small searches materialize every pair outright; larger ones search each
-    side exhaustively on its own, which finds a pair exactly when pairwise
-    enumeration would (each coordinate of the observed table constrains only
-    its own factor).
+    Each coordinate of the observed table constrains only its own factor, so
+    each side is searched on its own; the first f and the first g found are
+    the first reproducing pair in canonical order.
     """
-    f_count = len(aouts) ** len(akeys)
-    g_count = len(bouts) ** len(bkeys)
-    if f_count * g_count <= _PAIR_ENUMERATION_CAP:
-        for f in _all_maps(akeys, aouts):
-            for g in _all_maps(bkeys, bouts):
-                if all(
-                    observed[(a, b)] == (f[a], g[b]) for a in akeys for b in bkeys
-                ):
-                    return f, g
-        return None
     found_f = None
     for f in _all_maps(akeys, aouts):
         if all(observed[(a, b)][0] == f[a] for a in akeys for b in bkeys):

@@ -79,12 +79,10 @@ _SECTIONS = (
 )
 
 
-def value_to_json(space, value: Value) -> Any:
-    """Encode a canonical state value as a JSON value for its space."""
-    if isinstance(space, (TupleSpace, PhysicalTupleSpace)):
-        return [value_to_json(c, v) for c, v in zip(space.components, value)]
-    if isinstance(space, RealVectorSpace):
-        return list(value)
+def value_to_json(value: Value) -> Any:
+    """Encode a canonical state value as a JSON value (tuples become arrays)."""
+    if isinstance(value, tuple):
+        return [value_to_json(v) for v in value]
     return value
 
 
@@ -101,10 +99,37 @@ def _expect(obj: Any, path: str, kind: type, what: str) -> Any:
     return obj
 
 
+#: JSON scalar kinds: the Python types a field of that kind accepts, and how
+#: a diagnostic names it. Flags are never numbers and numbers never flags.
+_SCALARS = {
+    "number": ((int, float), "a number"),
+    "integer": (int, "an integer"),
+    "flag": (bool, "true or false"),
+}
+
+
+def _scalar(value: Any, path: str, kind: str = "number") -> Any:
+    """``value`` checked, never coerced, as a JSON number, integer or flag.
+
+    Numbers come back as float, so ``1`` and ``1.0`` declare the same thing.
+    """
+    types, what = _SCALARS[kind]
+    if isinstance(value, bool) != (kind == "flag") or not isinstance(value, types):
+        raise ScenarioSyntaxError(f"{path}: expected {what}")
+    return float(value) if kind == "number" else value
+
+
 def _get(obj: dict, key: str, path: str) -> Any:
     if not isinstance(obj, dict) or key not in obj:
         raise ScenarioSyntaxError(f"{path}: missing key {key!r}")
     return obj[key]
+
+
+def resolve(table: dict, ident: Any, path: str) -> Any:
+    """The object ``table`` declares as ``ident``, or UnknownReference at ``path``."""
+    if not isinstance(ident, str) or ident not in table:
+        raise UnknownReference(path, str(ident))
+    return table[ident]
 
 
 def _checked(parser, decl, path: str, *args):
@@ -115,7 +140,7 @@ def _checked(parser, decl, path: str, *args):
         raise
     except ModelError as err:
         raise ScenarioSyntaxError(f"{path}: {err}") from err
-    except (TypeError, ValueError, AttributeError, KeyError) as err:
+    except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as err:
         raise ScenarioSyntaxError(f"{path}: malformed declaration ({err})") from err
 
 
@@ -136,11 +161,6 @@ class _Registry:
             raise DuplicateIdentifier(path, ident)
         table[ident] = obj
 
-    def resolve(self, table: dict, ident: str, path: str) -> Any:
-        if not isinstance(ident, str) or ident not in table:
-            raise UnknownReference(path, str(ident))
-        return table[ident]
-
 
 def _parse_space(decl: dict, path: str, physical: bool, reg: _Registry):
     ident = _expect(_get(decl, "id", path), f"{path}.id", str, "a string identifier")
@@ -149,25 +169,22 @@ def _parse_space(decl: dict, path: str, physical: bool, reg: _Registry):
         labels = tuple(_expect(_get(decl, "labels", path), f"{path}.labels", list, "a list"))
         space = PhysicalLabelSpace(ident, labels) if physical else LabelSpace(ident, labels)
     elif kind == "bits" and not physical:
-        space = BitSpace(ident, _get(decl, "width", path))
+        space = BitSpace(ident, _scalar(_get(decl, "width", path), f"{path}.width", "integer"))
     elif kind == "ints" and not physical:
-        space = IntSpace(ident, _get(decl, "lo", path), _get(decl, "hi", path))
+        lo, hi = (_scalar(_get(decl, k, path), f"{path}.{k}", "integer") for k in ("lo", "hi"))
+        space = IntSpace(ident, lo, hi)
     elif kind == "vector" and physical:
         bounds = tuple(
-            (float(lo), float(hi)) for lo, hi in _get(decl, "bounds", path)
+            (_scalar(lo, f"{path}.bounds[{i}][0]"), _scalar(hi, f"{path}.bounds[{i}][1]"))
+            for i, (lo, hi) in enumerate(_get(decl, "bounds", path))
         )
         space = RealVectorSpace(ident, bounds)
     elif kind == "tuple":
-        comps = []
-        for i, ref in enumerate(_get(decl, "components", path)):
-            comp = reg.resolve(reg.spaces, ref, f"{path}.components[{i}]")
-            if physical != isinstance(comp, PhysicalSpace):
-                raise ScenarioSyntaxError(
-                    f"{path}.components[{i}]: component is on the wrong side"
-                )
-            comps.append(comp)
-        cls = PhysicalTupleSpace if physical else TupleSpace
-        space = cls(ident, tuple(comps))
+        comps = tuple(
+            resolve(reg.spaces, ref, f"{path}.components[{i}]")
+            for i, ref in enumerate(_get(decl, "components", path))
+        )
+        space = (PhysicalTupleSpace if physical else TupleSpace)(ident, comps)
     else:
         raise ScenarioSyntaxError(f"{path}.kind: unknown space kind {kind!r}")
     reg.declare(reg.spaces, ident, space, path)
@@ -194,8 +211,8 @@ def _parse_entries(entries: Any, key_space, value_space, path: str) -> dict:
 
 def _parse_relation(decl: dict, path: str, reg: _Registry) -> RepresentationRelation:
     ident = _get(decl, "id", path)
-    domain = reg.resolve(reg.spaces, _get(decl, "domain", path), f"{path}.domain")
-    codomain = reg.resolve(reg.spaces, _get(decl, "codomain", path), f"{path}.codomain")
+    domain = resolve(reg.spaces, _get(decl, "domain", path), f"{path}.domain")
+    codomain = resolve(reg.spaces, _get(decl, "codomain", path), f"{path}.codomain")
     rule_decl = _get(decl, "rule", path)
     kind = _get(rule_decl, "kind", f"{path}.rule")
     if kind == "lookup":
@@ -203,10 +220,13 @@ def _parse_relation(decl: dict, path: str, reg: _Registry) -> RepresentationRela
             _parse_entries(_get(rule_decl, "entries", f"{path}.rule"), domain, codomain, f"{path}.rule.entries")
         )
     elif kind == "threshold":
-        rule = ThresholdRule(tuple(float(t) for t in _get(rule_decl, "thresholds", f"{path}.rule")))
+        thresholds = _get(rule_decl, "thresholds", f"{path}.rule")
+        rule = ThresholdRule(
+            tuple(_scalar(t, f"{path}.rule.thresholds[{i}]") for i, t in enumerate(thresholds))
+        )
     elif kind == "tuple-wise":
         parts = tuple(
-            reg.resolve(reg.relations, ref, f"{path}.rule.parts[{i}]")
+            resolve(reg.relations, ref, f"{path}.rule.parts[{i}]")
             for i, ref in enumerate(_get(rule_decl, "parts", f"{path}.rule"))
         )
         rule = TupleWiseRule(parts)
@@ -226,7 +246,7 @@ def _parse_dynamics(decl: dict, path: str, reg: _Registry, other_rule) -> tuple:
     ident = _get(decl, "id", path)
     if ident in BUILTIN_NAMES:
         raise ScenarioSyntaxError(f"{path}.id: {ident!r} is a reserved builtin name")
-    space = reg.resolve(reg.spaces, _get(decl, "space", path), f"{path}.space")
+    space = resolve(reg.spaces, _get(decl, "space", path), f"{path}.space")
     rule_decl = _get(decl, "rule", path)
     rpath = f"{path}.rule"
     kind = _get(rule_decl, "kind", rpath)
@@ -242,7 +262,7 @@ def _abstract_rule(kind: str, rule_decl: dict, rpath: str, reg: _Registry):
     if kind == "chain":
         return ChainRule(
             tuple(
-                reg.resolve(reg.abstract_dynamics, ref, f"{rpath}.parts[{i}]")
+                resolve(reg.abstract_dynamics, ref, f"{rpath}.parts[{i}]")
                 for i, ref in enumerate(_get(rule_decl, "parts", rpath))
             )
         )
@@ -257,21 +277,15 @@ def _physical_rule(kind: str, rule_decl: dict, rpath: str, reg: _Registry):
         apath = f"{rpath}.assignments[{i}]"
         op = _get(a, "op", apath)
         if op == "binary-sum":
-            assignments.append(
-                BinarySumUpdate(
-                    tuple(_get(a, "a", apath)),
-                    tuple(_get(a, "b", apath)),
-                    tuple(_get(a, "out", apath)),
-                    float(_get(a, "threshold", apath)),
-                    float(_get(a, "low", apath)),
-                    float(_get(a, "high", apath)),
-                )
-            )
+            lines = (tuple(_get(a, k, apath)) for k in ("a", "b", "out"))
+            levels = (_scalar(_get(a, k, apath), f"{apath}.{k}") for k in ("threshold", "low", "high"))
+            assignments.append(BinarySumUpdate(*lines, *levels))
         elif op == "constant":
+            values = _get(a, "values", apath)
             assignments.append(
                 ConstantUpdate(
                     tuple(_get(a, "lines", apath)),
-                    tuple(float(v) for v in _get(a, "values", apath)),
+                    tuple(_scalar(v, f"{apath}.values[{i}]") for i, v in enumerate(values)),
                 )
             )
         else:
@@ -292,18 +306,17 @@ def _parse_physical_dynamics(decl: dict, path: str, reg: _Registry) -> PhysicalD
     if noise_decl is not None:
         npath = f"{path}.noise"
         nkind = _get(noise_decl, "kind", npath)
+        probability = _scalar(_get(noise_decl, "probability", npath), f"{npath}.probability")
         if nkind == "coordinate-flip":
+            levels = ("threshold", "low", "high")
             noise = CoordinateFlipNoise(
-                float(_get(noise_decl, "probability", npath)),
+                probability,
                 tuple(_get(noise_decl, "coordinates", npath)),
-                float(_get(noise_decl, "threshold", npath)),
-                float(_get(noise_decl, "low", npath)),
-                float(_get(noise_decl, "high", npath)),
+                *(_scalar(_get(noise_decl, k, npath), f"{npath}.{k}") for k in levels),
             )
         elif nkind == "label-flip":
             noise = LabelFlipNoise(
-                float(_get(noise_decl, "probability", npath)),
-                {k: v for k, v in _get(noise_decl, "partners", npath)},
+                probability, {k: v for k, v in _get(noise_decl, "partners", npath)}
             )
         else:
             raise ScenarioSyntaxError(f"{npath}.kind: unknown noise kind {nkind!r}")
@@ -314,7 +327,7 @@ def _parse_physical_dynamics(decl: dict, path: str, reg: _Registry) -> PhysicalD
 
 def _parse_theory(decl: dict, path: str, reg: _Registry) -> Theory:
     ident = _get(decl, "id", path)
-    relation = reg.resolve(reg.relations, _get(decl, "representation", path), f"{path}.representation")
+    relation = resolve(reg.relations, _get(decl, "representation", path), f"{path}.representation")
     domain = tuple(
         PhysicalState(relation.domain, _state_value(relation.domain, v, f"{path}.domain[{i}]"))
         for i, v in enumerate(_get(decl, "domain", path))
@@ -325,8 +338,8 @@ def _parse_theory(decl: dict, path: str, reg: _Registry) -> Theory:
         predictions.append(
             Prediction(
                 _get(pd, "name", ppath),
-                reg.resolve(reg.abstract_dynamics, _get(pd, "abstract", ppath), f"{ppath}.abstract"),
-                reg.resolve(reg.physical_dynamics, _get(pd, "physical", ppath), f"{ppath}.physical"),
+                resolve(reg.abstract_dynamics, _get(pd, "abstract", ppath), f"{ppath}.abstract"),
+                resolve(reg.physical_dynamics, _get(pd, "physical", ppath), f"{ppath}.physical"),
             )
         )
     inst_decl = decl.get("instantiation")
@@ -337,7 +350,7 @@ def _parse_theory(decl: dict, path: str, reg: _Registry) -> Theory:
             PhysicalState(relation.domain, _state_value(relation.domain, v, f"{ipath}.seeds[{i}]"))
             for i, v in enumerate(_get(inst_decl, "seeds", ipath))
         )
-        engineering = reg.resolve(
+        engineering = resolve(
             reg.physical_dynamics, _get(inst_decl, "engineering", ipath), f"{ipath}.engineering"
         )
         instantiation = InstantiationProcedure(seeds, engineering)
@@ -354,8 +367,8 @@ def _parse_stack(decl: dict, path: str, reg: _Registry) -> RefinementStack:
         lpath = f"{path}.layers[{i}]"
         layer = RefinementLayer(
             _get(ld, "id", lpath),
-            reg.resolve(reg.spaces, _get(ld, "space", lpath), f"{lpath}.space"),
-            reg.resolve(reg.abstract_dynamics, _get(ld, "dynamics", lpath), f"{lpath}.dynamics"),
+            resolve(reg.spaces, _get(ld, "space", lpath), f"{lpath}.space"),
+            resolve(reg.abstract_dynamics, _get(ld, "dynamics", lpath), f"{lpath}.dynamics"),
         )
         if layer.id in layer_table:
             raise DuplicateIdentifier(lpath, layer.id)
@@ -365,28 +378,24 @@ def _parse_stack(decl: dict, path: str, reg: _Registry) -> RefinementStack:
         _checked(_parse_simulation, rd, f"{path}.relations[{i}]", layer_table)
         for i, rd in enumerate(_get(decl, "relations", path))
     )
-    theory = reg.resolve(reg.theories, _get(decl, "theory", path), f"{path}.theory")
-    device = reg.resolve(reg.physical_dynamics, _get(decl, "device", path), f"{path}.device")
+    theory = resolve(reg.theories, _get(decl, "theory", path), f"{path}.theory")
+    device = resolve(reg.physical_dynamics, _get(decl, "device", path), f"{path}.device")
     stack = RefinementStack(ident, tuple(layers), relations, theory, device)
     reg.declare(reg.stacks, ident, stack, path)
     return stack
 
 
 def _parse_simulation(decl: dict, path: str, layers: dict) -> SimulationRelation:
-    upper = layers.get(_get(decl, "upper", path))
-    lower = layers.get(_get(decl, "lower", path))
-    if upper is None:
-        raise UnknownReference(f"{path}.upper", decl["upper"])
-    if lower is None:
-        raise UnknownReference(f"{path}.lower", decl["lower"])
+    upper = resolve(layers, _get(decl, "upper", path), f"{path}.upper")
+    lower = resolve(layers, _get(decl, "lower", path), f"{path}.lower")
     entries = _parse_entries(_get(decl, "entries", path), upper.space, lower.space, f"{path}.entries")
     return SimulationRelation(_get(decl, "id", path), upper, lower, entries)
 
 
 def _parse_component(decl: dict, path: str, reg: _Registry) -> Component:
     return Component(
-        reg.resolve(reg.theories, _get(decl, "theory", path), f"{path}.theory"),
-        reg.resolve(reg.abstract_dynamics, _get(decl, "dynamics", path), f"{path}.dynamics"),
+        resolve(reg.theories, _get(decl, "theory", path), f"{path}.theory"),
+        resolve(reg.abstract_dynamics, _get(decl, "dynamics", path), f"{path}.dynamics"),
     )
 
 
@@ -402,11 +411,11 @@ def _parse_composition(decl: dict, path: str, reg: _Registry) -> JointSystem:
             ident,
             left,
             right,
-            reg.resolve(reg.spaces, _get(decl, "joint_space", path), f"{path}.joint_space"),
-            reg.resolve(
+            resolve(reg.spaces, _get(decl, "joint_space", path), f"{path}.joint_space"),
+            resolve(
                 reg.relations, _get(decl, "joint_representation", path), f"{path}.joint_representation"
             ),
-            reg.resolve(
+            resolve(
                 reg.abstract_dynamics, _get(decl, "joint_dynamics", path), f"{path}.joint_dynamics"
             ),
             "declared",
@@ -449,11 +458,11 @@ def _parse_check(decl: dict, path: str, seen: set) -> CheckSpec:
         expect=raw_value(decl.get("expect")),
         physical_metric=physical_metric,
         **refs,
-        oracle=bool(decl.get("oracle", False)),
-        epsilon=float(decl.get("epsilon", 0.0)),
+        oracle=_scalar(decl.get("oracle", False), f"{path}.oracle", "flag"),
+        epsilon=_scalar(decl.get("epsilon", 0.0), f"{path}.epsilon"),
         metric=metric,
-        trials=int(decl.get("trials", 1)),
-        required_success=float(decl.get("required_success", 1.0)),
+        trials=_scalar(decl.get("trials", 1), f"{path}.trials", "integer"),
+        required_success=_scalar(decl.get("required_success", 1.0), f"{path}.required_success"),
     )
 
 
@@ -512,11 +521,8 @@ def _emit_space(space) -> dict:
     return {"id": space.id, "kind": "tuple", "components": [c.id for c in space.components]}
 
 
-def _emit_entries(entries: dict, key_space, value_space) -> list:
-    return [
-        [value_to_json(key_space, k), value_to_json(value_space, entries[k])]
-        for k in enumerate_values(key_space)
-    ]
+def _emit_entries(entries: dict, key_space) -> list:
+    return [[value_to_json(k), value_to_json(entries[k])] for k in enumerate_values(key_space)]
 
 
 def _emit_relation(relation: RepresentationRelation) -> dict:
@@ -524,7 +530,7 @@ def _emit_relation(relation: RepresentationRelation) -> dict:
     if isinstance(rule, LookupRule):
         encoded = {
             "kind": "lookup",
-            "entries": _emit_entries(rule.entries, relation.domain, relation.codomain),
+            "entries": _emit_entries(rule.entries, relation.domain),
         }
     elif isinstance(rule, ThresholdRule):
         encoded = {"kind": "threshold", "thresholds": list(rule.thresholds)}
@@ -541,7 +547,7 @@ def _emit_relation(relation: RepresentationRelation) -> dict:
 def _emit_abstract_dynamics(dyn: AbstractDynamics) -> dict:
     rule = dyn.rule
     if isinstance(rule, TableRule):
-        encoded = {"kind": "table", "entries": _emit_entries(rule.entries, dyn.space, dyn.space)}
+        encoded = {"kind": "table", "entries": _emit_entries(rule.entries, dyn.space)}
     elif isinstance(rule, BuiltinRule):
         encoded = {"kind": "builtin", "name": rule.name}
     else:
@@ -552,7 +558,7 @@ def _emit_abstract_dynamics(dyn: AbstractDynamics) -> dict:
 def _emit_physical_dynamics(dyn: PhysicalDynamics) -> dict:
     rule = dyn.rule
     if isinstance(rule, TableRule):
-        encoded = {"kind": "table", "entries": _emit_entries(rule.entries, dyn.space, dyn.space)}
+        encoded = {"kind": "table", "entries": _emit_entries(rule.entries, dyn.space)}
     else:
         assignments = []
         for a in rule.assignments:
@@ -594,11 +600,10 @@ def _emit_physical_dynamics(dyn: PhysicalDynamics) -> dict:
 
 
 def _emit_theory(theory: Theory) -> dict:
-    space = theory.representation.domain
     out = {
         "id": theory.id,
         "representation": theory.representation.id,
-        "domain": [value_to_json(space, s.value) for s in theory.domain],
+        "domain": [value_to_json(s.value) for s in theory.domain],
         "predictions": [
             {"name": p.name, "abstract": p.abstract.id, "physical": p.physical.id}
             for p in theory.predictions
@@ -606,7 +611,7 @@ def _emit_theory(theory: Theory) -> dict:
     }
     if theory.instantiation is not None:
         out["instantiation"] = {
-            "seeds": [value_to_json(space, s.value) for s in theory.instantiation.seeds],
+            "seeds": [value_to_json(s.value) for s in theory.instantiation.seeds],
             "engineering": theory.instantiation.engineering.id,
         }
     return out
@@ -623,7 +628,7 @@ def _emit_stack(stack: RefinementStack) -> dict:
                 "id": r.id,
                 "upper": r.upper.id,
                 "lower": r.lower.id,
-                "entries": _emit_entries(r.entries, r.upper.space, r.lower.space),
+                "entries": _emit_entries(r.entries, r.upper.space),
             }
             for r in stack.relations
         ],
@@ -650,12 +655,6 @@ def _emit_composition(joint: JointSystem) -> dict:
     return out
 
 
-def _raw_to_json(v: Any) -> Any:
-    if isinstance(v, tuple):
-        return [_raw_to_json(x) for x in v]
-    return v
-
-
 def _emit_check(check: CheckSpec) -> dict:
     out: dict[str, Any] = {"name": check.name, "kind": check.kind}
     for key in ("theory", "prediction", "stack", "relation", "joint", "expect_class", "physical_metric"):
@@ -665,7 +664,7 @@ def _emit_check(check: CheckSpec) -> dict:
     for key in ("state", "input", "expect"):
         value = getattr(check, key)
         if value is not None:
-            out[key] = _raw_to_json(value)
+            out[key] = value_to_json(value)
     if check.oracle:
         out["oracle"] = True
     out["epsilon"] = check.epsilon

@@ -26,6 +26,7 @@ from .spaces import (
     check_total_table,
     contains,
     enumerate_values,
+    require_family,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -112,6 +113,7 @@ class AbstractDynamics:
     rule: AbstractRule
 
     def __post_init__(self):
+        require_family(f"dynamics {self.id!r}", self.space, AbstractSpace)
         rule = self.rule
         if isinstance(rule, TableRule):
             check_total_table(f"dynamics {self.id!r}", rule.entries, self.space, self.space)
@@ -203,11 +205,10 @@ def _apply_abstract(rule: AbstractRule, space: AbstractSpace, value: Value) -> V
 
 
 def compose_dynamics(first: AbstractDynamics, second: AbstractDynamics) -> AbstractDynamics:
-    """A chain acting as ``second`` after ``first`` on every state."""
-    if first.space != second.space:
-        raise SpaceMismatch(
-            f"cannot compose dynamics on {first.space.id!r} with {second.space.id!r}"
-        )
+    """A chain acting as ``second`` after ``first`` on every state.
+
+    Raises SpaceMismatch when the two act on different spaces.
+    """
     return AbstractDynamics(
         id=f"{first.id}>>{second.id}",
         space=first.space,
@@ -303,6 +304,7 @@ class PhysicalDynamics:
     noise: Noise | None = None
 
     def __post_init__(self):
+        require_family(f"dynamics {self.id!r}", self.space, PhysicalSpace)
         rule = self.rule
         if isinstance(rule, TableRule):
             check_total_table(f"dynamics {self.id!r}", rule.entries, self.space, self.space)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .dynamics import AbstractDynamics, PhysicalDynamics, TrialSeed, derive_seed, evolve_abstract
-from .errors import DeclarationError, NotEnumerable, TheoryNotValidated
+from .errors import DeclarationError, TheoryNotValidated
 from .relations import Theory, instantiate
 from .spaces import (
     AbstractSpace,
@@ -27,7 +27,6 @@ from .spaces import (
     check_total_table,
     distance,
     enumerate_states,
-    is_finite,
 )
 from .verification import CommutationReport, DiagramSpec, check_commutation
 
@@ -57,10 +56,6 @@ class SimulationRelation:
     entries: Mapping[Value, Value]
 
     def __post_init__(self):
-        if not is_finite(self.upper.space):
-            raise NotEnumerable(
-                f"simulation {self.id!r}: upper layer space must be finite"
-            )
         check_total_table(
             f"simulation {self.id!r}", self.entries, self.upper.space, self.lower.space
         )
@@ -90,8 +85,6 @@ class LayerReport:
 
 def check_layer(s: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
     """Check one adjacent layer pair over every upper state."""
-    if not (is_finite(s.upper.space) and is_finite(s.lower.space)):
-        raise NotEnumerable(f"simulation {s.id!r}: both layer spaces must be finite")
     entries: list[LayerCheckEntry] = []
     for state in enumerate_states(s.upper.space):
         via_upper = s.map_state(evolve_abstract(s.upper.dynamics, state))

@@ -37,6 +37,7 @@ from .spaces import (
     Value,
     check_total_table,
     contains,
+    require_family,
 )
 
 if TYPE_CHECKING:
@@ -86,6 +87,8 @@ class RepresentationRelation:
     rule: RepresentationRule
 
     def __post_init__(self):
+        require_family(f"relation {self.id!r}", self.domain, PhysicalSpace)
+        require_family(f"relation {self.id!r}", self.codomain, AbstractSpace)
         rule = self.rule
         if isinstance(rule, LookupRule):
             check_total_table(f"relation {self.id!r}", rule.entries, self.domain, self.codomain)

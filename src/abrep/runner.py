@@ -19,8 +19,8 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .composition import brute_force_classify, classify
-from .document import value_to_json
+from .composition import FactorizationWitness, brute_force_classify, classify
+from .document import resolve, value_to_json
 from .dynamics import TrialSeed, derive_seed
 from .errors import ModelError, UnknownReference
 from .refinement import check_layer, check_stack_to_device
@@ -66,7 +66,7 @@ class RunReport:
 
 
 def _state_json(state: AbstractState | PhysicalState) -> dict:
-    return {"space": state.space.id, "value": value_to_json(state.space, state.value)}
+    return {"space": state.space.id, "value": value_to_json(state.value)}
 
 
 def _commutation_detail(report: CommutationReport) -> dict:
@@ -90,11 +90,6 @@ class _Run:
 
     def _count_coverage(self, theory_id: str, cells: int) -> None:
         self.coverage[theory_id] = self.coverage.get(theory_id, 0) + cells
-
-    def _lookup(self, table: dict, ident, check: CheckSpec):
-        if not isinstance(ident, str) or ident not in table:
-            raise UnknownReference(f"check {check.name!r}", str(ident))
-        return table[ident]
 
     def _prediction(self, theory: Theory, check: CheckSpec) -> Prediction:
         name = check.prediction or next((p.name for p in theory.predictions), None)
@@ -139,21 +134,21 @@ class _Run:
             )
 
     def _run_commutation(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        theory = self._lookup(self.theories, check.theory, check)
+        theory = resolve(self.theories, check.theory, f"check {check.name!r}")
         spec = self._diagram_spec(theory, check)
         report = check_commutation(spec, self._initial_state(theory, check), seed)
         self._count_coverage(theory.id, 1)
         return (PASS if report.passed else FAIL), _commutation_detail(report)
 
     def _run_history(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        theory = self._lookup(self.theories, check.theory, check)
+        theory = resolve(self.theories, check.theory, f"check {check.name!r}")
         spec = self._diagram_spec(theory, check)
         state = AbstractState(theory.representation.codomain, check.input)
         report = check_history(spec, state, METRICS[check.physical_metric], seed)
         return (PASS if report.passed else FAIL), _commutation_detail(report)
 
     def _run_validate(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        theory = self._lookup(self.theories, check.theory, check)
+        theory = resolve(self.theories, check.theory, f"check {check.name!r}")
         graded, evidence = validate_theory(
             theory,
             check.epsilon,
@@ -177,7 +172,7 @@ class _Run:
         return (PASS if evidence.all_passed else FAIL), detail
 
     def _run_compute(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        theory = self._lookup(self.theories, check.theory, check)
+        theory = resolve(self.theories, check.theory, f"check {check.name!r}")
         prediction = self._prediction(theory, check)
         codomain = theory.representation.codomain
         state = AbstractState(codomain, check.input)
@@ -190,13 +185,13 @@ class _Run:
         }
         if expect is None:
             return PASS, detail
-        detail["expected"] = value_to_json(codomain, expect)
+        detail["expected"] = value_to_json(expect)
         return (PASS if result.output.value == expect else FAIL), detail
 
     def _run_layer(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        stack = self._lookup(self.stacks, check.stack, check)
+        stack = resolve(self.stacks, check.stack, f"check {check.name!r}")
         relations = {r.id: r for r in stack.relations}
-        relation = self._lookup(relations, check.relation, check)
+        relation = resolve(relations, check.relation, f"check {check.name!r}")
         report = check_layer(relation, check.epsilon, METRICS[check.metric])
         failing = [
             {
@@ -212,7 +207,7 @@ class _Run:
         return (PASS if report.passed else FAIL), detail
 
     def _run_stack(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        stack = self._lookup(self.stacks, check.stack, check)
+        stack = resolve(self.stacks, check.stack, f"check {check.name!r}")
         report = check_stack_to_device(
             stack,
             check.epsilon,
@@ -236,11 +231,11 @@ class _Run:
         return (PASS if report.passed else FAIL), detail
 
     def _run_classify(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        joint = self._lookup(self.joints, check.joint, check)
+        joint = resolve(self.joints, check.joint, f"check {check.name!r}")
         decision = classify(joint)
         detail: dict[str, Any] = {
             "class": decision.value,
-            "witness": _witness_json(joint, decision.witness),
+            "witness": _witness_json(decision.witness),
         }
         ok = check.expect_class is None or decision.value == check.expect_class
         if check.oracle:
@@ -265,37 +260,23 @@ _HANDLERS = {
 }
 
 
-def _witness_json(joint, witness) -> dict:
-    out: dict[str, Any] = {"representation_factors": None, "dynamics_factors": None}
-    if witness.representation_factors is not None:
-        fmap, gmap = witness.representation_factors
-        left_space = joint.left.theory.representation.domain
-        right_space = joint.right.theory.representation.domain
-        out["representation_factors"] = {
-            "left": [
-                [value_to_json(left_space, k), value_to_json(v.space, v.value)]
-                for k, v in fmap.items()
-            ],
-            "right": [
-                [value_to_json(right_space, k), value_to_json(v.space, v.value)]
-                for k, v in gmap.items()
-            ],
-        }
-    if witness.dynamics_factors is not None:
-        space = joint.joint_dynamics.space
-        space_a, space_b = space.components
-        fmap, gmap = witness.dynamics_factors
-        out["dynamics_factors"] = {
-            "left": [
-                [value_to_json(space_a, k), value_to_json(space_a, v)]
-                for k, v in fmap.items()
-            ],
-            "right": [
-                [value_to_json(space_b, k), value_to_json(space_b, v)]
-                for k, v in gmap.items()
-            ],
-        }
-    return out
+def _witness_json(witness: FactorizationWitness) -> dict:
+    rep = witness.representation_factors
+    if rep is not None:
+        rep = tuple({k: v.value for k, v in table.items()} for table in rep)
+    return {
+        "representation_factors": _factors_json(rep),
+        "dynamics_factors": _factors_json(witness.dynamics_factors),
+    }
+
+
+def _factors_json(factors: tuple[dict, dict] | None) -> dict | None:
+    if factors is None:
+        return None
+    return {
+        side: [[value_to_json(k), value_to_json(v)] for k, v in table.items()]
+        for side, table in zip(("left", "right"), factors)
+    }
 
 
 def run_checks(
@@ -359,11 +340,13 @@ def report_to_dict(report: RunReport) -> dict:
 
 def report_to_json(report: RunReport) -> str:
     """Canonical machine-readable serialization; byte-stable per (bundle, seed)."""
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return render_report(report_to_dict(report), "json")
 
 
-def render_report_text(data: dict) -> str:
-    """Human-readable rendering of a report dictionary."""
+def render_report(data: dict, fmt: str) -> str:
+    """Render a report dictionary as canonical JSON (``fmt`` "json") or as text."""
+    if fmt == "json":
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
     lines = []
     for check in data["checks"]:
         line = f"{check['status'].upper():5s} {check['name']} ({check['kind']})"
@@ -380,7 +363,3 @@ def render_report_text(data: dict) -> str:
         f" seed {data['seed']})"
     )
     return "\n".join(lines) + "\n"
-
-
-def report_to_text(report: RunReport) -> str:
-    return render_report_text(report_to_dict(report))

@@ -1,9 +1,11 @@
 """State spaces, states, and the metrics used by commutation checks.
 
 Abstract spaces hold the values programs compute over; physical spaces hold
-simulated device configurations. The two families never mix: verification
-code crosses between them only through representation relations, so physical
-values stay opaque to program-level code.
+simulated device configurations. The two families never mix, and the
+constructors of states, tuple spaces, dynamics and relations reject a space of
+the wrong family: verification code crosses between them only through
+representation relations, so physical values stay opaque to program-level
+code.
 
 All types here are immutable and all operations are pure.
 """
@@ -11,6 +13,7 @@ All types here are immutable and all operations are pure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -73,8 +76,7 @@ class TupleSpace(AbstractSpace):
     components: tuple[AbstractSpace, ...]
 
     def __post_init__(self):
-        if not self.components:
-            raise DeclarationError(f"space {self.id!r}: tuple space needs components")
+        _check_components(self, AbstractSpace)
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,8 @@ class PhysicalLabelSpace(PhysicalSpace):
 class RealVectorSpace(PhysicalSpace):
     """Real-valued device coordinates with inclusive per-coordinate bounds.
 
-    Unbounded coordinates are rejected up front so that instantiation search
-    stays decidable.
+    Unbounded (and NaN) coordinates are rejected up front so that
+    instantiation search stays decidable.
     """
 
     id: str
@@ -103,9 +105,9 @@ class RealVectorSpace(PhysicalSpace):
         if not self.bounds:
             raise DeclarationError(f"space {self.id!r}: vector space needs a dimension")
         for i, (lo, hi) in enumerate(self.bounds):
-            if not (lo <= hi):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise DeclarationError(
-                    f"space {self.id!r}: coordinate {i} bounds must satisfy lo <= hi"
+                    f"space {self.id!r}: coordinate {i} bounds must be finite with lo <= hi"
                 )
 
     @property
@@ -121,11 +123,24 @@ class PhysicalTupleSpace(PhysicalSpace):
     components: tuple[PhysicalSpace, ...]
 
     def __post_init__(self):
-        if not self.components:
-            raise DeclarationError(f"space {self.id!r}: tuple space needs components")
+        _check_components(self, PhysicalSpace)
 
 
 Space = Union[AbstractSpace, PhysicalSpace]
+
+
+def require_family(owner: str, space, family: type) -> None:
+    """Raise DeclarationError unless ``space`` is of ``family``: AbstractSpace or PhysicalSpace."""
+    if not isinstance(space, family):
+        side = "an abstract" if family is AbstractSpace else "a physical"
+        raise DeclarationError(f"{owner}: {getattr(space, 'id', space)!r} is not {side} space")
+
+
+def _check_components(space, family: type) -> None:
+    if not space.components:
+        raise DeclarationError(f"space {space.id!r}: tuple space needs components")
+    for comp in space.components:
+        require_family(f"space {space.id!r}", comp, family)
 
 
 def _check_labels(space_id: str, labels: tuple[str, ...]) -> None:
@@ -181,6 +196,7 @@ class AbstractState:
     value: Value
 
     def __post_init__(self):
+        require_family("abstract state", self.space, AbstractSpace)
         object.__setattr__(self, "value", normalize_value(self.space, self.value))
 
 
@@ -192,6 +208,7 @@ class PhysicalState:
     value: Value
 
     def __post_init__(self):
+        require_family("physical state", self.space, PhysicalSpace)
         object.__setattr__(self, "value", normalize_value(self.space, self.value))
 
 
@@ -201,12 +218,11 @@ State = Union[AbstractState, PhysicalState]
 def contains(space: Space, state) -> bool:
     """True iff ``state`` (a State or a raw value) is a member of ``space``.
 
-    For tagged states the space reference must match as well.
+    A tagged state is a member exactly when its space is ``space``: its
+    constructor already normalized the value against that space.
     """
     if isinstance(state, (AbstractState, PhysicalState)):
-        if state.space != space:
-            return False
-        state = state.value
+        return state.space == space
     try:
         normalize_value(space, state)
     except OutOfDomain:

@@ -251,7 +251,8 @@ def run_compute_cycle(
 
     The program itself is never executed: the input is encoded into the
     device, the device evolves, and the result is decoded. A theory that has
-    not been validated cannot be used this way.
+    not been validated cannot be used this way, and ``h`` must be the device
+    update that validation checked for ``program``.
     """
     if not theory.is_valid:
         raise TheoryNotValidated(
@@ -259,9 +260,14 @@ def run_compute_cycle(
             " validate it before computing"
         )
     try:
-        theory.prediction(program)
+        validated = theory.prediction(program).physical
     except KeyError:
         raise UnknownReference(f"theory {theory.id!r}", program) from None
+    if h != validated:
+        raise TheoryNotValidated(
+            f"theory {theory.id!r}: the device update given is not the one"
+            f" validated for program {program!r}"
+        )
     prepared = instantiate(theory, input_state)
     final = evolve_physical(h, prepared, seed)
     output = represent(theory.representation, final)

@@ -170,8 +170,15 @@ def test_epsilon_and_trials_overrides_apply(tmp_path, capsys):
         lambda d: d["checks"][1].__setitem__("theory", ["adder"]),
         lambda d: d["dynamics"]["physical"][0]["rule"]["assignments"][0].__setitem__("a", [0.0, 1]),
         lambda d: d["checks"][2].__setitem__("expect", 5),
+        lambda d: d["checks"][1].__setitem__("oracle", "false"),
+        lambda d: d["checks"][1].__setitem__("trials", 2.9),
+        lambda d: d["checks"][1].__setitem__("epsilon", "0.5"),
+        lambda d: d["dynamics"]["physical"][0]["rule"]["assignments"][0].__setitem__("threshold", "2.5"),
     ],
-    ids=["list-theory-id", "float-line-index", "expect-shape"],
+    ids=[
+        "list-theory-id", "float-line-index", "expect-shape",
+        "str-oracle", "float-trials", "str-epsilon", "str-threshold",
+    ],
 )
 def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys, mutate):
     data = json.loads(emit_scenario(BUILTIN_SCENARIOS["voltage-adder"]()))

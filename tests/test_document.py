@@ -9,9 +9,12 @@ from abrep import (
     UnknownReference,
     VersionUnsupported,
     emit_scenario,
+    enumerate_values,
     parse_scenario,
 )
+from abrep.document import raw_value, value_to_json
 from abrep.runner import run_checks
+from abrep.spaces import is_finite, normalize_value
 
 MINIMAL = {
     "format_version": "1",
@@ -251,6 +254,67 @@ def test_line_indices_must_be_integers(mutate):
     with pytest.raises(ScenarioSyntaxError) as err:
         parse_scenario(json.dumps(bad))
     assert "dynamics.physical[0]" in str(err.value)
+
+
+_BINARY_SUM = "dynamics.physical[0].rule.assignments[0]"
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (lambda d: d["checks"][1].__setitem__("oracle", "false"), "checks[1].oracle"),
+        (lambda d: d["checks"][1].__setitem__("oracle", 0), "checks[1].oracle"),
+        (lambda d: d["checks"][1].__setitem__("trials", 2.9), "checks[1].trials"),
+        (lambda d: d["checks"][1].__setitem__("trials", True), "checks[1].trials"),
+        (lambda d: d["checks"][1].__setitem__("epsilon", "0.5"), "checks[1].epsilon"),
+        (lambda d: d["checks"][1].__setitem__("required_success", False), "checks[1].required_success"),
+        (lambda d: d["dynamics"]["physical"][0]["rule"]["assignments"][0].__setitem__("threshold", "2.5"),
+         f"{_BINARY_SUM}.threshold"),
+        (lambda d: d["spaces"]["physical"][0]["bounds"][2].__setitem__(1, "5"), "spaces.physical[0].bounds[2][1]"),
+        (lambda d: d["spaces"]["abstract"][0].__setitem__("width", 2.0), "spaces.abstract[0].width"),
+    ],
+    ids=[
+        "str-oracle", "int-oracle", "float-trials", "bool-trials", "str-epsilon", "bool-success",
+        "str-threshold", "str-bound", "float-width",
+    ],
+)
+def test_numbers_and_flags_are_checked_not_coerced(mutate, path):
+    bad = _adder_doc()
+    mutate(bad)
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(bad))
+    assert str(err.value).startswith(f"{path}: expected")
+
+
+def test_infinite_vector_bounds_are_rejected():
+    bad = _adder_doc()
+    bad["spaces"]["physical"][0]["bounds"][0][1] = float("inf")
+    text = json.dumps(bad)
+    assert "Infinity" in text
+    with pytest.raises(ScenarioSyntaxError, match="finite"):
+        parse_scenario(text)
+
+
+def test_abstract_dynamics_over_a_physical_space_are_rejected():
+    bad = json.loads(emit_scenario(BUILTIN_SCENARIOS["xor-joint"]()))
+    bad["dynamics"]["abstract"].append(
+        {"id": "xor.misplaced", "space": "xor.cells", "rule": {"kind": "builtin", "name": "identity"}}
+    )
+    with pytest.raises(ScenarioSyntaxError, match="is not an abstract space"):
+        parse_scenario(json.dumps(bad))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_value_to_json_round_trips_every_value(name):
+    bundle = BUILTIN_SCENARIOS[name]()
+    joint_spaces = [s for j in bundle.joints for s in (j.joint_space, j.joint_dynamics.space)]
+    spaces = [*bundle.abstract_spaces, *bundle.physical_spaces, *joint_spaces]
+    cases = [(s, v) for s in spaces if is_finite(s) for v in enumerate_values(s)]
+    cases += [(t.representation.domain, p.value) for t in bundle.theories for p in t.domain]
+    assert cases
+    for space, value in cases:
+        decoded = raw_value(json.loads(json.dumps(value_to_json(value))))
+        assert normalize_value(space, decoded) == value
 
 
 def test_compute_expect_outside_the_codomain_is_a_check_error():

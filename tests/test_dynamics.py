@@ -280,6 +280,15 @@ def test_evolve_rejects_foreign_states():
         evolve_abstract(add, AbstractState(BitSpace("b", 2), "01"))
 
 
+def test_dynamics_act_on_their_own_family_of_spaces():
+    cells = PhysicalLabelSpace("c", ("a", "b"))
+    with pytest.raises(DeclarationError):
+        AbstractDynamics("keep", cells, BuiltinRule("identity"))
+    bits = BitSpace("b", 1)
+    with pytest.raises(DeclarationError):
+        PhysicalDynamics("hold", bits, TableRule({"0": "0", "1": "1"}))
+
+
 def test_update_levels_validated_against_bounds():
     with pytest.raises(DeclarationError):
         PhysicalDynamics(

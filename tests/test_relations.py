@@ -90,6 +90,16 @@ def test_threshold_widths_must_cover_dimension():
         RepresentationRelation("read", lines, bits, ThresholdRule((2.5,) * 3))
 
 
+def test_relations_read_physical_configurations_into_abstract_values():
+    cells = PhysicalLabelSpace("cells", ("a", "b"))
+    other = PhysicalLabelSpace("other", ("x", "y"))
+    modes = LabelSpace("modes", ("x", "y"))
+    with pytest.raises(DeclarationError):
+        RepresentationRelation("into-physical", cells, other, LookupRule({"a": "x", "b": "y"}))
+    with pytest.raises(DeclarationError):
+        RepresentationRelation("from-abstract", modes, modes, LookupRule({"x": "x", "y": "y"}))
+
+
 def test_tuple_wise_parts_must_line_up():
     cells = PhysicalLabelSpace("cells", ("a", "b"))
     modes = LabelSpace("modes", ("x", "y"))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from abrep import (
     OutOfDomain,
     PhysicalLabelSpace,
     PhysicalState,
+    PhysicalTupleSpace,
     RealVectorSpace,
     TupleSpace,
     cardinality,
@@ -72,6 +74,31 @@ def test_space_declaration_invariants():
         IntSpace("bad", 3, 1)
     with pytest.raises(DeclarationError):
         RealVectorSpace("bad", ((1.0, 0.0),))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)],
+    ids=["inf-hi", "inf-lo", "nan-hi"],
+)
+def test_vector_bounds_must_be_finite(bounds):
+    with pytest.raises(DeclarationError, match="finite"):
+        RealVectorSpace("v", ((0.0, 5.0), bounds))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AbstractState(VOLTS, (0.0, 0.0, 0.0)),
+        lambda: PhysicalState(BITS2, "01"),
+        lambda: TupleSpace("mixed", (BITS2, VOLTS)),
+        lambda: PhysicalTupleSpace("mixed", (VOLTS, BITS2)),
+    ],
+    ids=["abstract-state-on-vector", "physical-state-on-bits", "abstract-tuple", "physical-tuple"],
+)
+def test_abstract_and_physical_spaces_never_mix(build):
+    with pytest.raises(DeclarationError):
+        build()
 
 
 def test_distance_examples():

@@ -1,4 +1,4 @@
-"""The runtime depends on the standard library alone."""
+"""The runtime depends on the standard library alone, and uses what it imports."""
 
 import ast
 import sys
@@ -25,3 +25,20 @@ def test_module_imports_only_stdlib_and_abrep(path):
             assert root == "abrep" or root in sys.stdlib_module_names, (
                 f"{path.name}:{node.lineno} imports {root!r}"
             )
+
+
+#: The package's __init__ imports in order to re-export.
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_module_uses_every_top_level_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            assert name in used, f"{path.name}:{node.lineno} imports {name!r} and never uses it"

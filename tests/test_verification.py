@@ -6,11 +6,14 @@ from abrep import (
     AbstractDynamics,
     AbstractState,
     BuiltinRule,
+    ConstantUpdate,
+    CoordinateUpdateRule,
     DISCRETE,
     DiagramSpec,
     EmptyDomain,
     MAX_COORDINATE,
     OutOfDomain,
+    PhysicalDynamics,
     PhysicalState,
     TheoryNotValidated,
     TrialSeed,
@@ -175,6 +178,18 @@ def test_compute_cycle_predicts_addition_without_running_it():
     assert result.output.value == ("01", "10", "011")
     assert result.output == represent(graded.representation, result.final_physical)
     assert [step.stage for step in result.trace] == ["input", "prepared", "evolved", "output"]
+
+
+def test_compute_cycle_runs_only_the_validated_device_update():
+    _, theory, pred = adder_pieces()
+    graded, _ = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    stuck = PhysicalDynamics(
+        "stuck-line-6",
+        pred.physical.space,
+        CoordinateUpdateRule(pred.physical.rule.assignments + (ConstantUpdate((6,), (0.0,)),)),
+    )
+    with pytest.raises(TheoryNotValidated):
+        run_compute_cycle(graded, machine_state(graded, ("01", "10", "000")), "add", stuck, SEED)
 
 
 def test_compute_cycle_on_swap_device():
