@@ -29,6 +29,7 @@ from .dynamics import (
     TableRule,
 )
 from .errors import (
+    DeclarationError,
     DuplicateIdentifier,
     ModelError,
     OutOfDomain,
@@ -61,6 +62,7 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _finite,
     enumerate_values,
     normalize_value,
 )
@@ -99,10 +101,9 @@ def _expect(obj: Any, path: str, kind: type, what: str) -> Any:
     return obj
 
 
-#: JSON scalar kinds: the Python types a field of that kind accepts, and how
-#: a diagnostic names it. Flags are never numbers and numbers never flags.
+#: JSON scalar kinds other than numbers: the Python type a field of that kind
+#: accepts, and how a diagnostic names it. Flags are never integers.
 _SCALARS = {
-    "number": ((int, float), "a number"),
     "integer": (int, "an integer"),
     "flag": (bool, "true or false"),
 }
@@ -111,12 +112,18 @@ _SCALARS = {
 def _scalar(value: Any, path: str, kind: str = "number") -> Any:
     """``value`` checked, never coerced, as a JSON number, integer or flag.
 
-    Numbers come back as float, so ``1`` and ``1.0`` declare the same thing.
+    Numbers must be finite, and come back as float, so ``1`` and ``1.0``
+    declare the same thing; ``NaN`` and ``Infinity`` are rejected.
     """
+    if kind == "number":
+        try:
+            return _finite(path, value)
+        except DeclarationError:
+            raise ScenarioSyntaxError(f"{path}: expected a finite number") from None
     types, what = _SCALARS[kind]
     if isinstance(value, bool) != (kind == "flag") or not isinstance(value, types):
         raise ScenarioSyntaxError(f"{path}: expected {what}")
-    return float(value) if kind == "number" else value
+    return value
 
 
 def _get(obj: dict, key: str, path: str) -> Any:

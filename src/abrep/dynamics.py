@@ -23,6 +23,8 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _finite,
+    _trusted,
     check_total_table,
     contains,
     enumerate_values,
@@ -71,7 +73,10 @@ BUILTIN_NAMES = ("identity", "bit-not", "and", "xor", "ripple-add", "swap-pair")
 
 @dataclass(frozen=True)
 class TableRule:
-    """A total lookup from state value to state value."""
+    """A total lookup from state value to state value.
+
+    The dynamics that owns the rule stores it in canonical form.
+    """
 
     entries: Mapping[Value, Value]
 
@@ -116,7 +121,7 @@ class AbstractDynamics:
         require_family(f"dynamics {self.id!r}", self.space, AbstractSpace)
         rule = self.rule
         if isinstance(rule, TableRule):
-            check_total_table(f"dynamics {self.id!r}", rule.entries, self.space, self.space)
+            _canonical_table(self)
         elif isinstance(rule, BuiltinRule):
             _check_builtin_shape(self.id, self.space, rule.name)
         elif isinstance(rule, ChainRule):
@@ -128,6 +133,12 @@ class AbstractDynamics:
                     )
         else:
             raise DeclarationError(f"dynamics {self.id!r}: unknown rule type")
+
+
+def _canonical_table(dyn) -> None:
+    """Check a dynamics' table rule for totality and store it in canonical form."""
+    entries = check_total_table(f"dynamics {dyn.id!r}", dyn.rule.entries, dyn.space, dyn.space)
+    object.__setattr__(dyn, "rule", TableRule(entries))
 
 
 def _check_builtin_shape(dyn_id: str, space: AbstractSpace, name: str) -> None:
@@ -171,7 +182,7 @@ def evolve_abstract(c: AbstractDynamics, m: AbstractState) -> AbstractState:
     """Image of ``m`` under the program ``c``."""
     if not contains(c.space, m):
         raise OutOfDomain(f"state is not in the space of dynamics {c.id!r}")
-    return AbstractState(c.space, _apply_abstract(c.rule, c.space, m.value))
+    return _trusted(AbstractState, c.space, _apply_abstract(c.rule, c.space, m.value))
 
 
 def _apply_abstract(rule: AbstractRule, space: AbstractSpace, value: Value) -> Value:
@@ -216,6 +227,17 @@ def compose_dynamics(first: AbstractDynamics, second: AbstractDynamics) -> Abstr
     )
 
 
+def _store_floats(decl, owner: str, *names: str) -> None:
+    """Check the named numeric fields of ``decl`` and store them as floats."""
+    for name in names:
+        object.__setattr__(decl, name, _finite(f"{owner} {name}", getattr(decl, name)))
+
+
+def _check_probability(probability) -> None:
+    if not (0.0 <= _finite("flip probability", probability) <= 1.0):
+        raise DeclarationError("flip probability must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class BinarySumUpdate:
     """Write the binary sum of two voltage registers into a target register.
@@ -233,6 +255,9 @@ class BinarySumUpdate:
     low: float
     high: float
 
+    def __post_init__(self):
+        _store_floats(self, "binary-sum update", "threshold", "low", "high")
+
 
 @dataclass(frozen=True)
 class ConstantUpdate:
@@ -244,6 +269,8 @@ class ConstantUpdate:
     def __post_init__(self):
         if len(self.lines) != len(self.values):
             raise DeclarationError("constant update: lines and values differ in length")
+        values = tuple(_finite("constant update", v) for v in self.values)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -275,8 +302,8 @@ class CoordinateFlipNoise:
     high: float
 
     def __post_init__(self):
-        if not (0.0 <= self.probability <= 1.0):
-            raise DeclarationError("flip probability must lie in [0, 1]")
+        _store_floats(self, "coordinate-flip noise", "threshold", "low", "high")
+        _check_probability(self.probability)
 
 
 @dataclass(frozen=True)
@@ -287,8 +314,7 @@ class LabelFlipNoise:
     partners: Mapping[str, str]
 
     def __post_init__(self):
-        if not (0.0 <= self.probability <= 1.0):
-            raise DeclarationError("flip probability must lie in [0, 1]")
+        _check_probability(self.probability)
 
 
 Noise = Union[CoordinateFlipNoise, LabelFlipNoise]
@@ -307,7 +333,7 @@ class PhysicalDynamics:
         require_family(f"dynamics {self.id!r}", self.space, PhysicalSpace)
         rule = self.rule
         if isinstance(rule, TableRule):
-            check_total_table(f"dynamics {self.id!r}", rule.entries, self.space, self.space)
+            _canonical_table(self)
         elif isinstance(rule, CoordinateUpdateRule):
             if not isinstance(self.space, RealVectorSpace):
                 raise DeclarationError(
@@ -386,7 +412,7 @@ def evolve_physical(h: PhysicalDynamics, p: PhysicalState, t: TrialSeed) -> Phys
     value = _apply_physical(h.rule, p.value, t)
     if h.noise is not None:
         value = _apply_noise(h.noise, value, t)
-    return PhysicalState(h.space, value)
+    return _trusted(PhysicalState, h.space, value)
 
 
 def _apply_physical(rule: PhysicalRule, value: Value, t: TrialSeed) -> Value:

@@ -24,6 +24,7 @@ from .spaces import (
     AbstractState,
     Metric,
     Value,
+    _finite,
     check_total_table,
     distance,
     enumerate_states,
@@ -56,9 +57,10 @@ class SimulationRelation:
     entries: Mapping[Value, Value]
 
     def __post_init__(self):
-        check_total_table(
+        entries = check_total_table(
             f"simulation {self.id!r}", self.entries, self.upper.space, self.lower.space
         )
+        object.__setattr__(self, "entries", entries)
 
     def map_state(self, state: AbstractState) -> AbstractState:
         return AbstractState(self.lower.space, self.entries[state.value])
@@ -85,6 +87,8 @@ class LayerReport:
 
 def check_layer(s: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
     """Check one adjacent layer pair over every upper state."""
+    if _finite("epsilon", epsilon) < 0:
+        raise DeclarationError("epsilon must be non-negative")
     entries: list[LayerCheckEntry] = []
     for state in enumerate_states(s.upper.space):
         via_upper = s.map_state(evolve_abstract(s.upper.dynamics, state))

@@ -11,6 +11,7 @@ engineering dynamics, which keeps preparation decidable and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Union
 
 from .dynamics import (
@@ -35,6 +36,8 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _finite,
+    _trusted,
     check_total_table,
     contains,
     require_family,
@@ -46,7 +49,10 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class LookupRule:
-    """A total table from physical values to abstract values."""
+    """A total table from physical values to abstract values.
+
+    The relation that owns the rule stores it in canonical form.
+    """
 
     entries: Mapping[Value, Value]
 
@@ -91,7 +97,10 @@ class RepresentationRelation:
         require_family(f"relation {self.id!r}", self.codomain, AbstractSpace)
         rule = self.rule
         if isinstance(rule, LookupRule):
-            check_total_table(f"relation {self.id!r}", rule.entries, self.domain, self.codomain)
+            entries = check_total_table(
+                f"relation {self.id!r}", rule.entries, self.domain, self.codomain
+            )
+            object.__setattr__(self, "rule", LookupRule(entries))
         elif isinstance(rule, ThresholdRule):
             if not isinstance(self.domain, RealVectorSpace):
                 raise DeclarationError(
@@ -101,6 +110,8 @@ class RepresentationRelation:
                 raise DeclarationError(
                     f"relation {self.id!r}: one threshold per coordinate required"
                 )
+            for th in rule.thresholds:
+                _finite(f"relation {self.id!r}: threshold", th)
             if _register_widths(self.codomain) is None:
                 raise DeclarationError(
                     f"relation {self.id!r}: codomain must be a bitstring register"
@@ -149,7 +160,7 @@ def represent(relation: RepresentationRelation, p: PhysicalState) -> AbstractSta
         raise OutOfDomain(
             f"configuration is not in the domain of relation {relation.id!r}"
         )
-    return AbstractState(relation.codomain, _apply(relation, p.value))
+    return _trusted(AbstractState, relation.codomain, _apply(relation, p.value))
 
 
 def _apply(relation: RepresentationRelation, value: Value) -> Value:
@@ -257,6 +268,11 @@ class Theory:
                     raise DeclarationError(
                         f"theory {self.id!r}: seed outside the represented space"
                     )
+
+    @cached_property
+    def _domain_set(self) -> frozenset:
+        """The domain, hashed on first use, so that a square's domain check is one lookup."""
+        return frozenset(self.domain)
 
     @property
     def is_valid(self) -> bool:

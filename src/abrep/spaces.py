@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import DeclarationError, MetricMismatch, NotEnumerable, OutOfDomain
 
@@ -40,7 +41,7 @@ class LabelSpace(AbstractSpace):
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        _check_labels(self.id, self.labels)
+        _check_labels(self)
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class PhysicalLabelSpace(PhysicalSpace):
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        _check_labels(self.id, self.labels)
+        _check_labels(self)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class RealVectorSpace(PhysicalSpace):
     """Real-valued device coordinates with inclusive per-coordinate bounds.
 
     Unbounded (and NaN) coordinates are rejected up front so that
-    instantiation search stays decidable.
+    instantiation search stays decidable. Bounds are stored as float pairs.
     """
 
     id: str
@@ -104,11 +105,16 @@ class RealVectorSpace(PhysicalSpace):
     def __post_init__(self):
         if not self.bounds:
             raise DeclarationError(f"space {self.id!r}: vector space needs a dimension")
-        for i, (lo, hi) in enumerate(self.bounds):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise DeclarationError(
-                    f"space {self.id!r}: coordinate {i} bounds must be finite with lo <= hi"
-                )
+        bounds = []
+        for i, pair in enumerate(self.bounds):
+            owner = f"space {self.id!r}: coordinate {i} bounds"
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise DeclarationError(f"{owner} must be a (lo, hi) pair")
+            lo, hi = (_finite(owner, v) for v in pair)
+            if lo > hi:
+                raise DeclarationError(f"{owner} must have lo <= hi")
+            bounds.append((lo, hi))
+        object.__setattr__(self, "bounds", tuple(bounds))
 
     @property
     def dimension(self) -> int:
@@ -136,22 +142,45 @@ def require_family(owner: str, space, family: type) -> None:
         raise DeclarationError(f"{owner}: {getattr(space, 'id', space)!r} is not {side} space")
 
 
+def _finite(owner: str, value) -> float:
+    """``value`` as a float; DeclarationError unless it is a finite int or float.
+
+    Every numeric field of a declaration goes through here, so a bool, a
+    string or a NaN never reaches a comparison or a state.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    raise DeclarationError(f"{owner}: {value!r} is not a finite number")
+
+
 def _check_components(space, family: type) -> None:
     if not space.components:
         raise DeclarationError(f"space {space.id!r}: tuple space needs components")
     for comp in space.components:
         require_family(f"space {space.id!r}", comp, family)
+    object.__setattr__(space, "components", tuple(space.components))
 
 
-def _check_labels(space_id: str, labels: tuple[str, ...]) -> None:
-    if not labels:
-        raise DeclarationError(f"space {space_id!r}: label set must be non-empty")
-    if len(set(labels)) != len(labels):
-        raise DeclarationError(f"space {space_id!r}: duplicate labels")
+def _check_labels(space) -> None:
+    if not space.labels:
+        raise DeclarationError(f"space {space.id!r}: label set must be non-empty")
+    if len(set(space.labels)) != len(space.labels):
+        raise DeclarationError(f"space {space.id!r}: duplicate labels")
+    object.__setattr__(space, "labels", tuple(space.labels))
 
 
 def normalize_value(space: Space, value) -> Value:
-    """Coerce ``value`` into canonical form for ``space`` or raise OutOfDomain."""
+    """Coerce ``value`` into canonical form for ``space`` or raise OutOfDomain.
+
+    A tuple-space value already in canonical form is returned as it is, not
+    copied.
+    """
     if isinstance(space, (LabelSpace, PhysicalLabelSpace)):
         if isinstance(value, str) and value in space.labels:
             return value
@@ -180,12 +209,23 @@ def normalize_value(space: Space, value) -> Value:
                 return tuple(coords)
     elif isinstance(space, (TupleSpace, PhysicalTupleSpace)):
         if isinstance(value, (tuple, list)) and len(value) == len(space.components):
-            return tuple(
-                normalize_value(comp, v) for comp, v in zip(space.components, value)
+            return _reuse(
+                value,
+                tuple(normalize_value(comp, v) for comp, v in zip(space.components, value)),
             )
     else:
         raise DeclarationError(f"unknown space type {type(space).__name__}")
     raise OutOfDomain(f"value {value!r} is not a member of space {space.id!r}")
+
+
+def _reuse(value, canonical: tuple) -> tuple:
+    """``value`` itself when it already is ``canonical`` element for element.
+
+    So a table whose images are canonical is kept as declared, not copied.
+    """
+    if type(value) is tuple and all(map(operator.is_, value, canonical)):
+        return value
+    return canonical
 
 
 @dataclass(frozen=True)
@@ -213,6 +253,19 @@ class PhysicalState:
 
 
 State = Union[AbstractState, PhysicalState]
+
+
+def _trusted(cls: type, space: Space, value: Value) -> State:
+    """A ``cls`` state of ``value``, built without normalizing it.
+
+    Only for values already canonical in ``space``: the images of
+    declarations whose tables and levels were normalized when declared. The
+    public constructors, the API boundary, always normalize.
+    """
+    state = object.__new__(cls)
+    object.__setattr__(state, "space", space)
+    object.__setattr__(state, "value", value)
+    return state
 
 
 def contains(space: Space, state) -> bool:
@@ -276,22 +329,33 @@ def enumerate_values(space: Space) -> Iterator[Value]:
         raise NotEnumerable(f"space {space.id!r} is continuous")
 
 
-def check_total_table(owner: str, entries, keys: Space, values: Space) -> None:
+def check_total_table(owner: str, entries, keys: Space, values: Space) -> Mapping:
     """Require ``entries`` to map each value of finite ``keys`` into ``values``.
 
+    Returns the table with every image in canonical form: ``entries`` itself
+    when its images already are, else a copy with the others normalized.
     ``owner`` labels the declaration in the DeclarationError raised otherwise.
     """
     if not is_finite(keys):
         raise DeclarationError(f"{owner}: a table needs a finite key space")
     seen = 0
+    changed = {}
     for value in enumerate_values(keys):
         if value not in entries:
             raise DeclarationError(f"{owner}: no image for {value!r}")
-        if not contains(values, entries[value]):
-            raise DeclarationError(f"{owner}: image of {value!r} leaves {values.id!r}")
+        image = entries[value]
+        try:
+            canonical = normalize_value(values, image)
+        except OutOfDomain:
+            raise DeclarationError(
+                f"{owner}: image of {value!r} leaves {values.id!r}"
+            ) from None
+        if canonical is not image:
+            changed[value] = canonical
         seen += 1
     if len(entries) != seen:
         raise DeclarationError(f"{owner}: extraneous table keys")
+    return {**entries, **changed} if changed else entries
 
 
 def enumerate_states(space: Space) -> list[State]:

@@ -39,6 +39,7 @@ from .spaces import (
     AbstractState,
     Metric,
     PhysicalState,
+    _finite,
     distance,
 )
 
@@ -61,11 +62,13 @@ class DiagramSpec:
     required_success: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if _finite("epsilon", self.epsilon) < 0:
             raise DeclarationError("epsilon must be non-negative")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
+            raise DeclarationError(f"trials {self.trials!r} is not an integer")
         if self.trials < 1:
             raise DeclarationError("at least one trial is required")
-        if not (0.0 < self.required_success <= 1.0):
+        if not (0.0 < _finite("required success", self.required_success) <= 1.0):
             raise DeclarationError("required success must lie in (0, 1]")
 
 
@@ -131,7 +134,7 @@ def check_commutation(
     Representing both ends and comparing abstractly is the scientific use of
     the theory: the program's answer is the prediction the device must hit.
     """
-    if p not in spec.theory.domain:
+    if not isinstance(p, PhysicalState) or p not in spec.theory._domain_set:
         raise OutOfDomain(
             f"configuration is outside the declared domain of theory {spec.theory.id!r}"
         )

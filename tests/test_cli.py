@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -165,6 +166,23 @@ def test_epsilon_and_trials_overrides_apply(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["check", "--epsilon", "nan"],
+        ["check", "--epsilon=-inf"],
+        ["validate-theory", "--theory", "adder", "--required-success", "nan"],
+    ],
+    ids=["nan-epsilon", "inf-epsilon", "nan-success"],
+)
+def test_non_finite_flag_values_are_usage_errors(tmp_path, capsys, flags):
+    path = write_scenario(tmp_path, "voltage-adder")
+    with pytest.raises(SystemExit) as exit_:
+        main([flags[0], path, *flags[1:]])
+    assert exit_.value.code == 2
+    assert "is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "mutate",
     [
         lambda d: d["checks"][1].__setitem__("theory", ["adder"]),
@@ -174,10 +192,13 @@ def test_epsilon_and_trials_overrides_apply(tmp_path, capsys):
         lambda d: d["checks"][1].__setitem__("trials", 2.9),
         lambda d: d["checks"][1].__setitem__("epsilon", "0.5"),
         lambda d: d["dynamics"]["physical"][0]["rule"]["assignments"][0].__setitem__("threshold", "2.5"),
+        lambda d: d["checks"][1].__setitem__("epsilon", math.nan),
+        lambda d: d["dynamics"]["physical"][0]["rule"]["assignments"][0].__setitem__("threshold", math.inf),
     ],
     ids=[
         "list-theory-id", "float-line-index", "expect-shape",
         "str-oracle", "float-trials", "str-epsilon", "str-threshold",
+        "nan-epsilon", "inf-threshold",
     ],
 )
 def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys, mutate):

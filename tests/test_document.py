@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -272,10 +273,14 @@ _BINARY_SUM = "dynamics.physical[0].rule.assignments[0]"
          f"{_BINARY_SUM}.threshold"),
         (lambda d: d["spaces"]["physical"][0]["bounds"][2].__setitem__(1, "5"), "spaces.physical[0].bounds[2][1]"),
         (lambda d: d["spaces"]["abstract"][0].__setitem__("width", 2.0), "spaces.abstract[0].width"),
+        (lambda d: d["checks"][1].__setitem__("epsilon", math.nan), "checks[1].epsilon"),
+        (lambda d: d["checks"][1].__setitem__("required_success", math.inf), "checks[1].required_success"),
+        (lambda d: d["dynamics"]["physical"][0]["rule"]["assignments"][0].__setitem__("low", -math.inf),
+         f"{_BINARY_SUM}.low"),
     ],
     ids=[
         "str-oracle", "int-oracle", "float-trials", "bool-trials", "str-epsilon", "bool-success",
-        "str-threshold", "str-bound", "float-width",
+        "str-threshold", "str-bound", "float-width", "nan-epsilon", "inf-success", "neg-inf-level",
     ],
 )
 def test_numbers_and_flags_are_checked_not_coerced(mutate, path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from abrep import (
     PhysicalDynamics,
     PhysicalLabelSpace,
     PhysicalState,
+    PhysicalTupleSpace,
     RealVectorSpace,
     SpaceMismatch,
     TableRule,
@@ -175,6 +177,77 @@ def test_constant_update_overrides_in_order():
     start = PhysicalState(VOLTS, encode("01" + "10" + "000"))
     out = evolve_physical(device, start, TrialSeed(0))
     assert out.value == encode("01" + "10" + "010")
+
+
+@pytest.mark.parametrize(
+    "update",
+    [
+        ConstantUpdate((0,), (5,)),
+        BinarySumUpdate((0, 1), (2, 3), (4, 5, 6), 2.5, 0, 5),
+    ],
+    ids=["constant", "binary-sum"],
+)
+def test_int_levels_evolve_to_float_coordinates(update):
+    device = PhysicalDynamics("pin", VOLTS, CoordinateUpdateRule((update,)))
+    out = evolve_physical(device, PhysicalState(VOLTS, encode("11" + "11" + "000")), TrialSeed(0))
+    assert all(type(c) is float for c in out.value)
+    assert out == PhysicalState(VOLTS, out.value)
+
+
+def test_int_noise_levels_evolve_to_float_coordinates():
+    noise = CoordinateFlipNoise(1, (4, 5, 6), 2, 0, 5)
+    device = PhysicalDynamics("flip", VOLTS, CoordinateUpdateRule(()), noise)
+    out = evolve_physical(device, PhysicalState(VOLTS, encode("0" * 7)), TrialSeed(0))
+    assert out.value == encode("0000111")
+    assert all(type(c) is float for c in out.value)
+
+
+def test_table_images_given_as_lists_evolve_to_tuples():
+    bit = BitSpace("b1", 1)
+    pair = TupleSpace("pair", (bit, bit))
+    swap = TableRule({(a, b): [b, a] for a, b in enumerate_values(pair)})
+    out = evolve_abstract(AbstractDynamics("swap", pair, swap), AbstractState(pair, ("0", "1")))
+    assert out.value == ("1", "0")
+    assert hash(out) == hash(AbstractState(pair, ("1", "0")))
+    cells = PhysicalTupleSpace("cells", (PhysicalLabelSpace("c", ("lo", "hi")),) * 2)
+    flip = TableRule({(a, b): [b, a] for a, b in enumerate_values(cells)})
+    moved = evolve_physical(PhysicalDynamics("swap", cells, flip), PhysicalState(cells, ("lo", "hi")), TrialSeed(0))
+    assert moved.value == ("hi", "lo")
+    assert hash(moved) == hash(PhysicalState(cells, ("hi", "lo")))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BinarySumUpdate((0, 1), (2, 3), (4, 5, 6), 2.5, "0", 5.0),
+        lambda: BinarySumUpdate((0, 1), (2, 3), (4, 5, 6), math.nan, 0.0, 5.0),
+        lambda: BinarySumUpdate((0, 1), (2, 3), (4, 5, 6), 2.5, 0.0, True),
+    ],
+    ids=["str-low", "nan-threshold", "bool-high"],
+)
+def test_binary_sum_levels_must_be_finite_numbers(build):
+    with pytest.raises(DeclarationError):
+        build()
+
+
+@pytest.mark.parametrize("level", ["5", math.inf, None], ids=["str", "inf", "none"])
+def test_constant_levels_must_be_finite_numbers(level):
+    with pytest.raises(DeclarationError):
+        ConstantUpdate((0,), (level,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CoordinateFlipNoise(0.1, (4,), 2.5, "0", 5.0),
+        lambda: CoordinateFlipNoise(0.1, (4,), 2.5, 0.0, math.nan),
+        lambda: CoordinateFlipNoise("0.1", (4,), 2.5, 0.0, 5.0),
+    ],
+    ids=["str-low", "nan-high", "str-probability"],
+)
+def test_flip_noise_levels_must_be_finite_numbers(build):
+    with pytest.raises(DeclarationError):
+        build()
 
 
 def test_identity_rule_with_no_noise_returns_input():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from abrep import (
@@ -35,6 +37,13 @@ def test_decimal_over_binary_layer_commutes():
     report = check_layer(stack.relations[0], 0.0, DISCRETE)
     assert report.passed
     assert len(report.entries) == 4 * 4 * 7
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -1.0, "0"], ids=["nan", "negative", "str"])
+def test_layer_tolerance_must_be_a_non_negative_number(epsilon):
+    _, stack = stack_pieces()
+    with pytest.raises(DeclarationError):
+        check_layer(stack.relations[0], epsilon, DISCRETE)
 
 
 def test_binary_over_machine_word_layer_commutes():

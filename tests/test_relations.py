@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from abrep import (
@@ -63,6 +65,18 @@ def test_single_entry_lookup():
     assert represent(read, PhysicalState(cells, "s0")).value == "idle"
 
 
+def test_lookup_images_given_as_lists_read_as_tuples():
+    cells = PhysicalLabelSpace("cells", ("off", "on"))
+    bit = BitSpace("bit", 1)
+    pair = TupleSpace("pair", (bit, bit))
+    read = RepresentationRelation(
+        "read", cells, pair, LookupRule({"off": ["0", "0"], "on": ["1", "1"]})
+    )
+    out = represent(read, PhysicalState(cells, "on"))
+    assert out.value == ("1", "1")
+    assert hash(out) == hash(AbstractState(pair, ("1", "1")))
+
+
 def test_represent_rejects_foreign_configurations():
     cells = PhysicalLabelSpace("cells", ("s0",))
     other = PhysicalLabelSpace("other", ("s0",))
@@ -88,6 +102,13 @@ def test_threshold_widths_must_cover_dimension():
     bits = BitSpace("b2", 2)
     with pytest.raises(DeclarationError):
         RepresentationRelation("read", lines, bits, ThresholdRule((2.5,) * 3))
+
+
+@pytest.mark.parametrize("threshold", ["2.5", math.nan, False], ids=["str", "nan", "bool"])
+def test_thresholds_must_be_finite_numbers(threshold):
+    lines = RealVectorSpace("v2", ((0.0, 5.0),) * 2)
+    with pytest.raises(DeclarationError):
+        RepresentationRelation("read", lines, BitSpace("b2", 2), ThresholdRule((2.5, threshold)))
 
 
 def test_relations_read_physical_configurations_into_abstract_values():

@@ -87,6 +87,33 @@ def test_vector_bounds_must_be_finite(bounds):
 
 
 @pytest.mark.parametrize(
+    "bounds",
+    [(("a", "b"),), ((0.0, True),), ((0.0,),), ((0, 10**400),)],
+    ids=["str-bounds", "bool-bound", "one-bound", "huge-int-bound"],
+)
+def test_vector_bounds_must_be_number_pairs(bounds):
+    with pytest.raises(DeclarationError):
+        RealVectorSpace("v", bounds)
+
+
+def test_declarations_given_as_lists_are_stored_as_hashable_tuples():
+    vector = RealVectorSpace("v", [[0, 5]])
+    assert vector.bounds == ((0.0, 5.0),)
+    assert all(type(b) is float for b in vector.bounds[0])
+    assert hash(PhysicalState(vector, (1,))) == hash(
+        PhysicalState(RealVectorSpace("v", ((0.0, 5.0),)), (1.0,))
+    )
+    cells = PhysicalLabelSpace("cells", ["lo", "hi"])
+    assert cells.labels == ("lo", "hi")
+    assert hash(PhysicalState(cells, "lo")) == hash(
+        PhysicalState(PhysicalLabelSpace("cells", ("lo", "hi")), "lo")
+    )
+    pair = TupleSpace("pair", [BITS2, SMALL_INT])
+    assert pair.components == (BITS2, SMALL_INT)
+    assert hash(AbstractState(pair, ("01", 3))) == hash(AbstractState(PAIR, ("01", 3)))
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: AbstractState(VOLTS, (0.0, 0.0, 0.0)),

@@ -1,22 +1,33 @@
+import math
 import random
 
 import pytest
 
+import abrep.spaces
 from abrep import (
     AbstractDynamics,
     AbstractState,
+    BinarySumUpdate,
+    BitSpace,
     BuiltinRule,
     ConstantUpdate,
     CoordinateUpdateRule,
     DISCRETE,
+    DeclarationError,
     DiagramSpec,
     EmptyDomain,
     MAX_COORDINATE,
     OutOfDomain,
     PhysicalDynamics,
     PhysicalState,
+    Prediction,
+    RealVectorSpace,
+    RepresentationRelation,
+    Theory,
     TheoryNotValidated,
+    ThresholdRule,
     TrialSeed,
+    TupleSpace,
     build_swap_device,
     build_voltage_adder,
     check_commutation,
@@ -270,3 +281,68 @@ def test_epsilon_monotonicity_on_random_deterministic_theories():
         for lo, hi in zip(verdicts, verdicts[1:]):
             assert not (lo and not hi)
 
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epsilon", "0.5"),
+        ("epsilon", math.nan),
+        ("epsilon", True),
+        ("required_success", math.nan),
+        ("required_success", "1"),
+        ("trials", 2.5),
+    ],
+    ids=["str-epsilon", "nan-epsilon", "bool-epsilon", "nan-success", "str-success", "float-trials"],
+)
+def test_diagram_spec_numbers_are_checked(field, value):
+    _, theory, pred = adder_pieces()
+    with pytest.raises(DeclarationError):
+        DiagramSpec(theory, pred.abstract, pred.physical, **{field: value})
+
+
+def _adder_theory(width: int) -> Theory:
+    """A noise-free voltage adder of two ``width``-bit registers, every input pair in its domain."""
+    n = 3 * width + 1
+    lines = RealVectorSpace(f"adder{width}.lines", ((0.0, 5.0),) * n)
+    register = BitSpace(f"adder{width}.register", width)
+    machine = TupleSpace(
+        f"adder{width}.machine", (register, register, BitSpace(f"adder{width}.out", width + 1))
+    )
+    read = RepresentationRelation(f"adder{width}.read", lines, machine, ThresholdRule((2.5,) * n))
+    add = AbstractDynamics(f"adder{width}.add", machine, BuiltinRule("ripple-add"))
+    update = BinarySumUpdate(
+        tuple(range(width)), tuple(range(width, 2 * width)), tuple(range(2 * width, n)), 2.5, 0.0, 5.0
+    )
+    volts = PhysicalDynamics(f"adder{width}.volts", lines, CoordinateUpdateRule((update,)))
+    domain = tuple(
+        PhysicalState(lines, tuple(5.0 if c == "1" else 0.0 for c in format(i, f"0{2 * width}b")) + (0.0,) * (width + 1))
+        for i in range(1 << (2 * width))
+    )
+    return Theory(f"adder{width}", read, domain, (Prediction("add", add, volts),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: adder_pieces()[1], lambda: _adder_theory(3)],
+    ids=["voltage-adder", "3-bit-adder"],
+)
+def test_validation_cost_per_cell_does_not_grow_with_the_domain(monkeypatch, build):
+    """Membership is checked at the boundary: no cell re-normalizes, and none scans the domain."""
+    theory = build()
+    counts = {"normalize_value": 0, "__eq__": 0}
+    normalize, eq = abrep.spaces.normalize_value, PhysicalState.__eq__
+
+    def counted_normalize(*args):
+        counts["normalize_value"] += 1
+        return normalize(*args)
+
+    def counted_eq(self, other):
+        counts["__eq__"] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(abrep.spaces, "normalize_value", counted_normalize)
+    monkeypatch.setattr(PhysicalState, "__eq__", counted_eq)
+    _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    assert evidence.all_passed and evidence.coverage == len(theory.domain)
+    assert counts["normalize_value"] == 0
+    assert counts["__eq__"] <= evidence.coverage
