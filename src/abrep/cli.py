@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .document import emit_scenario, parse_scenario
 from .dynamics import TrialSeed
@@ -101,11 +102,6 @@ def _load_bundle(path: str):
         return parse_scenario(f.read())
 
 
-def _print_report(report, fmt: str) -> int:
-    sys.stdout.write(render_report(report_to_dict(report), fmt))
-    return report.exit_code
-
-
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="trial seed (default 0)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
@@ -178,19 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override_checks(bundle, epsilon, trials):
-    from dataclasses import replace
-
-    if epsilon is None and trials is None:
-        return bundle.checks
-    out = []
-    for check in bundle.checks:
-        if epsilon is not None:
-            check = replace(check, epsilon=epsilon)
-        if trials is not None:
-            check = replace(check, trials=trials)
-        out.append(check)
-    return tuple(out)
+def _override_checks(checks, epsilon, trials):
+    """``checks`` with each of the ``--epsilon`` and ``--trials`` values that was given."""
+    overrides = {}
+    if epsilon is not None:
+        overrides["epsilon"] = epsilon
+    if trials is not None:
+        overrides["trials"] = trials
+    return tuple(replace(check, **overrides) for check in checks)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -227,64 +218,41 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     bundle = _load_bundle(args.file)
-    seed = TrialSeed(args.seed)
-
     if args.command == "check":
-        checks = _override_checks(bundle, args.epsilon, args.trials)
-        report = run_checks(bundle, seed, name_filter=args.filter, checks=checks)
-        return _print_report(report, args.format)
-
-    if args.command == "validate-theory":
-        check = CheckSpec(
-            name=f"validate:{args.theory}",
-            kind="validate-theory",
-            theory=args.theory,
-            epsilon=args.epsilon if args.epsilon is not None else 0.0,
-            metric=args.metric,
-            trials=args.trials if args.trials is not None else 1,
-            required_success=args.required_success,
+        checks = bundle.checks
+    elif args.command == "validate-theory":
+        checks = (
+            CheckSpec(
+                f"validate:{args.theory}",
+                "validate-theory",
+                theory=args.theory,
+                metric=args.metric,
+                required_success=args.required_success,
+            ),
         )
-        report = run_checks(bundle, seed, checks=(check,))
-        return _print_report(report, args.format)
-
-    if args.command == "compute":
-        check = CheckSpec(
-            name=f"compute:{args.theory}",
-            kind="compute",
-            theory=args.theory,
-            prediction=args.prediction,
-            input=parse_state_literal(args.input),
-            expect=parse_state_literal(args.expect) if args.expect else None,
+    elif args.command == "compute":
+        checks = (
+            CheckSpec(f"validate:{args.theory}", "validate-theory", theory=args.theory),
+            CheckSpec(
+                f"compute:{args.theory}",
+                "compute",
+                theory=args.theory,
+                prediction=args.prediction,
+                input=parse_state_literal(args.input),
+                expect=parse_state_literal(args.expect) if args.expect else None,
+            ),
         )
-        validate = CheckSpec(
-            name=f"validate:{args.theory}", kind="validate-theory", theory=args.theory
+    elif args.command == "check-stack":
+        checks = (CheckSpec(f"stack:{args.stack}", "stack", stack=args.stack, metric=args.metric),)
+    else:
+        checks = (
+            CheckSpec(f"classify:{args.joint}", "classify", joint=args.joint, oracle=args.oracle),
         )
-        report = run_checks(bundle, seed, checks=(validate, check))
-        return _print_report(report, args.format)
-
-    if args.command == "check-stack":
-        check = CheckSpec(
-            name=f"stack:{args.stack}",
-            kind="stack",
-            stack=args.stack,
-            epsilon=args.epsilon if args.epsilon is not None else 0.0,
-            metric=args.metric,
-            trials=args.trials if args.trials is not None else 1,
-        )
-        report = run_checks(bundle, seed, checks=(check,))
-        return _print_report(report, args.format)
-
-    if args.command == "classify":
-        check = CheckSpec(
-            name=f"classify:{args.joint}",
-            kind="classify",
-            joint=args.joint,
-            oracle=args.oracle,
-        )
-        report = run_checks(bundle, seed, checks=(check,))
-        return _print_report(report, args.format)
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    flags = vars(args)  # compute and classify have no tolerance flags; only check filters
+    checks = _override_checks(checks, flags.get("epsilon"), flags.get("trials"))
+    report = run_checks(bundle, TrialSeed(args.seed), name_filter=flags.get("filter"), checks=checks)
+    sys.stdout.write(render_report(report_to_dict(report), args.format))
+    return report.exit_code
 
 
 if __name__ == "__main__":

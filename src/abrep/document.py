@@ -139,6 +139,18 @@ def resolve(table: dict, ident: Any, path: str) -> Any:
     return table[ident]
 
 
+def _ref(table: dict, decl: dict, key: str, path: str) -> Any:
+    """The object ``table`` declares under the identifier at ``decl[key]``."""
+    return resolve(table, _get(decl, key, path), f"{path}.{key}")
+
+
+def _refs(table: dict, decl: dict, key: str, path: str) -> tuple:
+    """The objects ``table`` declares under the identifiers listed at ``decl[key]``."""
+    return tuple(
+        resolve(table, ref, f"{path}.{key}[{i}]") for i, ref in enumerate(_get(decl, key, path))
+    )
+
+
 def _checked(parser, decl, path: str, *args):
     """Run one declaration parser, folding model and shape errors into diagnostics."""
     try:
@@ -187,10 +199,7 @@ def _parse_space(decl: dict, path: str, physical: bool, reg: _Registry):
         )
         space = RealVectorSpace(ident, bounds)
     elif kind == "tuple":
-        comps = tuple(
-            resolve(reg.spaces, ref, f"{path}.components[{i}]")
-            for i, ref in enumerate(_get(decl, "components", path))
-        )
+        comps = _refs(reg.spaces, decl, "components", path)
         space = (PhysicalTupleSpace if physical else TupleSpace)(ident, comps)
     else:
         raise ScenarioSyntaxError(f"{path}.kind: unknown space kind {kind!r}")
@@ -218,8 +227,8 @@ def _parse_entries(entries: Any, key_space, value_space, path: str) -> dict:
 
 def _parse_relation(decl: dict, path: str, reg: _Registry) -> RepresentationRelation:
     ident = _get(decl, "id", path)
-    domain = resolve(reg.spaces, _get(decl, "domain", path), f"{path}.domain")
-    codomain = resolve(reg.spaces, _get(decl, "codomain", path), f"{path}.codomain")
+    domain = _ref(reg.spaces, decl, "domain", path)
+    codomain = _ref(reg.spaces, decl, "codomain", path)
     rule_decl = _get(decl, "rule", path)
     kind = _get(rule_decl, "kind", f"{path}.rule")
     if kind == "lookup":
@@ -232,11 +241,7 @@ def _parse_relation(decl: dict, path: str, reg: _Registry) -> RepresentationRela
             tuple(_scalar(t, f"{path}.rule.thresholds[{i}]") for i, t in enumerate(thresholds))
         )
     elif kind == "tuple-wise":
-        parts = tuple(
-            resolve(reg.relations, ref, f"{path}.rule.parts[{i}]")
-            for i, ref in enumerate(_get(rule_decl, "parts", f"{path}.rule"))
-        )
-        rule = TupleWiseRule(parts)
+        rule = TupleWiseRule(_refs(reg.relations, rule_decl, "parts", f"{path}.rule"))
     else:
         raise ScenarioSyntaxError(f"{path}.rule.kind: unknown rule kind {kind!r}")
     relation = RepresentationRelation(ident, domain, codomain, rule)
@@ -253,7 +258,7 @@ def _parse_dynamics(decl: dict, path: str, reg: _Registry, other_rule) -> tuple:
     ident = _get(decl, "id", path)
     if ident in BUILTIN_NAMES:
         raise ScenarioSyntaxError(f"{path}.id: {ident!r} is a reserved builtin name")
-    space = resolve(reg.spaces, _get(decl, "space", path), f"{path}.space")
+    space = _ref(reg.spaces, decl, "space", path)
     rule_decl = _get(decl, "rule", path)
     rpath = f"{path}.rule"
     kind = _get(rule_decl, "kind", rpath)
@@ -267,12 +272,7 @@ def _abstract_rule(kind: str, rule_decl: dict, rpath: str, reg: _Registry):
     if kind == "builtin":
         return BuiltinRule(_get(rule_decl, "name", rpath))
     if kind == "chain":
-        return ChainRule(
-            tuple(
-                resolve(reg.abstract_dynamics, ref, f"{rpath}.parts[{i}]")
-                for i, ref in enumerate(_get(rule_decl, "parts", rpath))
-            )
-        )
+        return ChainRule(_refs(reg.abstract_dynamics, rule_decl, "parts", rpath))
     raise ScenarioSyntaxError(f"{rpath}.kind: unknown rule kind {kind!r}")
 
 
@@ -308,6 +308,9 @@ def _parse_abstract_dynamics(decl: dict, path: str, reg: _Registry) -> AbstractD
 
 def _parse_physical_dynamics(decl: dict, path: str, reg: _Registry) -> PhysicalDynamics:
     ident, space, rule = _parse_dynamics(decl, path, reg, _physical_rule)
+    # Abstract and physical dynamics share one namespace, as the spaces do.
+    if ident in reg.abstract_dynamics:
+        raise DuplicateIdentifier(path, ident)
     noise_decl = decl.get("noise")
     noise = None
     if noise_decl is not None:
@@ -334,7 +337,7 @@ def _parse_physical_dynamics(decl: dict, path: str, reg: _Registry) -> PhysicalD
 
 def _parse_theory(decl: dict, path: str, reg: _Registry) -> Theory:
     ident = _get(decl, "id", path)
-    relation = resolve(reg.relations, _get(decl, "representation", path), f"{path}.representation")
+    relation = _ref(reg.relations, decl, "representation", path)
     domain = tuple(
         PhysicalState(relation.domain, _state_value(relation.domain, v, f"{path}.domain[{i}]"))
         for i, v in enumerate(_get(decl, "domain", path))
@@ -345,8 +348,8 @@ def _parse_theory(decl: dict, path: str, reg: _Registry) -> Theory:
         predictions.append(
             Prediction(
                 _get(pd, "name", ppath),
-                resolve(reg.abstract_dynamics, _get(pd, "abstract", ppath), f"{ppath}.abstract"),
-                resolve(reg.physical_dynamics, _get(pd, "physical", ppath), f"{ppath}.physical"),
+                _ref(reg.abstract_dynamics, pd, "abstract", ppath),
+                _ref(reg.physical_dynamics, pd, "physical", ppath),
             )
         )
     inst_decl = decl.get("instantiation")
@@ -357,9 +360,7 @@ def _parse_theory(decl: dict, path: str, reg: _Registry) -> Theory:
             PhysicalState(relation.domain, _state_value(relation.domain, v, f"{ipath}.seeds[{i}]"))
             for i, v in enumerate(_get(inst_decl, "seeds", ipath))
         )
-        engineering = resolve(
-            reg.physical_dynamics, _get(inst_decl, "engineering", ipath), f"{ipath}.engineering"
-        )
+        engineering = _ref(reg.physical_dynamics, inst_decl, "engineering", ipath)
         instantiation = InstantiationProcedure(seeds, engineering)
     theory = Theory(ident, relation, domain, tuple(predictions), instantiation)
     reg.declare(reg.theories, ident, theory, path)
@@ -374,8 +375,8 @@ def _parse_stack(decl: dict, path: str, reg: _Registry) -> RefinementStack:
         lpath = f"{path}.layers[{i}]"
         layer = RefinementLayer(
             _get(ld, "id", lpath),
-            resolve(reg.spaces, _get(ld, "space", lpath), f"{lpath}.space"),
-            resolve(reg.abstract_dynamics, _get(ld, "dynamics", lpath), f"{lpath}.dynamics"),
+            _ref(reg.spaces, ld, "space", lpath),
+            _ref(reg.abstract_dynamics, ld, "dynamics", lpath),
         )
         if layer.id in layer_table:
             raise DuplicateIdentifier(lpath, layer.id)
@@ -385,24 +386,24 @@ def _parse_stack(decl: dict, path: str, reg: _Registry) -> RefinementStack:
         _checked(_parse_simulation, rd, f"{path}.relations[{i}]", layer_table)
         for i, rd in enumerate(_get(decl, "relations", path))
     )
-    theory = resolve(reg.theories, _get(decl, "theory", path), f"{path}.theory")
-    device = resolve(reg.physical_dynamics, _get(decl, "device", path), f"{path}.device")
+    theory = _ref(reg.theories, decl, "theory", path)
+    device = _ref(reg.physical_dynamics, decl, "device", path)
     stack = RefinementStack(ident, tuple(layers), relations, theory, device)
     reg.declare(reg.stacks, ident, stack, path)
     return stack
 
 
 def _parse_simulation(decl: dict, path: str, layers: dict) -> SimulationRelation:
-    upper = resolve(layers, _get(decl, "upper", path), f"{path}.upper")
-    lower = resolve(layers, _get(decl, "lower", path), f"{path}.lower")
+    upper = _ref(layers, decl, "upper", path)
+    lower = _ref(layers, decl, "lower", path)
     entries = _parse_entries(_get(decl, "entries", path), upper.space, lower.space, f"{path}.entries")
     return SimulationRelation(_get(decl, "id", path), upper, lower, entries)
 
 
 def _parse_component(decl: dict, path: str, reg: _Registry) -> Component:
     return Component(
-        resolve(reg.theories, _get(decl, "theory", path), f"{path}.theory"),
-        resolve(reg.abstract_dynamics, _get(decl, "dynamics", path), f"{path}.dynamics"),
+        _ref(reg.theories, decl, "theory", path),
+        _ref(reg.abstract_dynamics, decl, "dynamics", path),
     )
 
 
@@ -418,13 +419,9 @@ def _parse_composition(decl: dict, path: str, reg: _Registry) -> JointSystem:
             ident,
             left,
             right,
-            resolve(reg.spaces, _get(decl, "joint_space", path), f"{path}.joint_space"),
-            resolve(
-                reg.relations, _get(decl, "joint_representation", path), f"{path}.joint_representation"
-            ),
-            resolve(
-                reg.abstract_dynamics, _get(decl, "joint_dynamics", path), f"{path}.joint_dynamics"
-            ),
+            _ref(reg.spaces, decl, "joint_space", path),
+            _ref(reg.relations, decl, "joint_representation", path),
+            _ref(reg.abstract_dynamics, decl, "joint_dynamics", path),
             "declared",
         )
     else:

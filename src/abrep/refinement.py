@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .dynamics import AbstractDynamics, PhysicalDynamics, TrialSeed, derive_seed, evolve_abstract
-from .errors import DeclarationError, TheoryNotValidated
+from .errors import DeclarationError
 from .relations import Theory, instantiate
 from .spaces import (
     AbstractSpace,
@@ -178,20 +178,14 @@ def check_stack_to_device(
     base_seed: TrialSeed,
     trials: int = 1,
     required_success: float = 1.0,
-    require_validated: bool = False,
 ) -> StackReport:
     """Check every layer pair, then the device boundary, end to end.
 
     Each bottom-layer state reachable from the top is prepared on the device
-    and its commutation square checked against the bottom dynamics. With
-    ``require_validated`` the theory must already have been validated;
-    otherwise the boundary checks themselves stand in for validation on the
-    reachable set.
+    and its commutation square checked against the bottom dynamics. The
+    theory need not have been validated: the boundary checks themselves
+    stand in for validation on the reachable set.
     """
-    if require_validated and not stack.theory.is_valid:
-        raise TheoryNotValidated(
-            f"stack {stack.id!r}: bottom theory {stack.theory.id!r} is not validated"
-        )
     layer_reports = tuple(check_layer(rel, epsilon, metric) for rel in stack.relations)
     device_entries: list[DeviceCheckEntry] = []
     spec = DiagramSpec(

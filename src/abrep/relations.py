@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping, Union
 
 from .dynamics import (
@@ -112,15 +113,19 @@ class RepresentationRelation:
                 )
             for th in rule.thresholds:
                 _finite(f"relation {self.id!r}: threshold", th)
-            if _register_widths(self.codomain) is None:
+            widths = _register_widths(self.codomain)
+            if widths is None:
                 raise DeclarationError(
                     f"relation {self.id!r}: codomain must be a bitstring register"
                     " or a tuple of bitstring registers"
                 )
-            if sum(_register_widths(self.codomain)) != self.domain.dimension:
+            if sum(widths) != self.domain.dimension:
                 raise DeclarationError(
                     f"relation {self.id!r}: register widths must sum to the dimension"
                 )
+            # Where each register's bits sit in the row of thresholded lines.
+            ends = tuple(accumulate(widths))
+            object.__setattr__(self, "_registers", tuple(zip((0,) + ends, ends)))
         elif isinstance(rule, TupleWiseRule):
             ok = (
                 isinstance(self.domain, PhysicalTupleSpace)
@@ -171,14 +176,9 @@ def _apply(relation: RepresentationRelation, value: Value) -> Value:
         bits = "".join(
             "1" if v >= th else "0" for v, th in zip(value, rule.thresholds)
         )
-        widths = _register_widths(relation.codomain)
-        if len(widths) == 1 and isinstance(relation.codomain, BitSpace):
+        if isinstance(relation.codomain, BitSpace):
             return bits
-        out, at = [], 0
-        for w in widths:
-            out.append(bits[at : at + w])
-            at += w
-        return tuple(out)
+        return tuple(bits[start:end] for start, end in relation._registers)
     return tuple(_apply(part, v) for part, v in zip(rule.parts, value))
 
 

@@ -9,7 +9,7 @@ double as format documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .composition import Component, JointSystem, componentwise_joint
 from .dynamics import (
@@ -23,6 +23,7 @@ from .dynamics import (
     TableRule,
     identity_dynamics,
 )
+from .errors import DuplicateIdentifier
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
     InstantiationProcedure,
@@ -100,20 +101,20 @@ class ScenarioBundle:
     checks: tuple
 
     def __post_init__(self):
-        for section in (
-            list(self.abstract_spaces) + list(self.physical_spaces),
-            self.relations,
-            list(self.abstract_dynamics) + list(self.physical_dynamics),
-            self.theories,
-            self.stacks,
-            self.joints,
+        for section, ids in (
+            ("spaces", [o.id for o in (*self.abstract_spaces, *self.physical_spaces)]),
+            ("relations", [o.id for o in self.relations]),
+            ("dynamics", [o.id for o in (*self.abstract_dynamics, *self.physical_dynamics)]),
+            ("theories", [o.id for o in self.theories]),
+            ("stacks", [o.id for o in self.stacks]),
+            ("compositions", [o.id for o in self.joints]),
+            ("checks", [c.name for c in self.checks]),
         ):
-            ids = [obj.id for obj in section]
-            if len(set(ids)) != len(ids):
-                raise ValueError(f"duplicate identifiers in bundle section: {ids}")
-        names = [c.name for c in self.checks]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate check names in bundle")
+            seen: set = set()
+            for ident in ids:
+                if ident in seen:
+                    raise DuplicateIdentifier(f"bundle {section}", ident)
+                seen.add(ident)
 
     def _find(self, section, wanted: str):
         for obj in section:
@@ -139,6 +140,42 @@ def _volts(bits: str) -> tuple[float, ...]:
     return tuple(5.0 if c == "1" else 0.0 for c in bits)
 
 
+def _voltage_lines(prefix: str, extra: tuple = (), noise=None):
+    """Seven 0-5 V lines that add lines 0-1 to 2-3 into 4-6, read at 2.5 V.
+
+    Returns the lines, the update (the binary sum, then the ``extra``
+    assignments, under ``noise``), a hold, and all 128 high/low patterns.
+    """
+    lines = RealVectorSpace(f"{prefix}.lines", ((0.0, 5.0),) * 7)
+    assignments = (BinarySumUpdate((0, 1), (2, 3), (4, 5, 6), 2.5, 0.0, 5.0),) + extra
+    volts = PhysicalDynamics(f"{prefix}.volts", lines, CoordinateUpdateRule(assignments), noise)
+    hold = identity_dynamics(f"{prefix}.hold", lines)
+    grid = tuple(PhysicalState(lines, _volts(_bits(i, 7))) for i in range(128))
+    return lines, volts, hold, grid
+
+
+def _label_cell_theory(
+    ident: str,
+    read: RepresentationRelation,
+    name: str,
+    program: AbstractDynamics,
+    hold: PhysicalDynamics,
+) -> Theory:
+    """A theory over a label space whose every label is a domain state and a seed.
+
+    Its one prediction, ``name``, pairs ``program`` with ``hold``, which
+    also prepares the seeds.
+    """
+    states = tuple(PhysicalState(read.domain, label) for label in read.domain.labels)
+    return Theory(
+        id=ident,
+        representation=read,
+        domain=states,
+        predictions=(Prediction(name, program, hold),),
+        instantiation=InstantiationProcedure(states, hold),
+    )
+
+
 def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) -> ScenarioBundle:
     """A seven-line voltage device that adds two 2-bit registers.
 
@@ -150,7 +187,11 @@ def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) ->
     declared checks fail on every input pair whose sum is odd; the zero-sum
     check still passes.
     """
-    lines = RealVectorSpace("adder.lines", ((0.0, 5.0),) * 7)
+    stuck = (ConstantUpdate((6,), (0.0,)),) if faulted else ()
+    noise = None
+    if flip_probability > 0:
+        noise = CoordinateFlipNoise(flip_probability, (4, 5, 6), 2.5, 0.0, 5.0)
+    lines, volts, hold, seeds = _voltage_lines("adder", stuck, noise)
     register = BitSpace("adder.register", 2)
     out_register = BitSpace("adder.out-register", 3)
     machine = TupleSpace("adder.machine", (register, register, out_register))
@@ -160,25 +201,11 @@ def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) ->
     )
     add = AbstractDynamics("adder.add", machine, BuiltinRule("ripple-add"))
 
-    assignments: tuple = (
-        BinarySumUpdate((0, 1), (2, 3), (4, 5, 6), 2.5, 0.0, 5.0),
-    )
-    if faulted:
-        assignments += (ConstantUpdate((6,), (0.0,)),)
-    noise = None
-    if flip_probability > 0:
-        noise = CoordinateFlipNoise(flip_probability, (4, 5, 6), 2.5, 0.0, 5.0)
-    volts = PhysicalDynamics(
-        "adder.volts", lines, CoordinateUpdateRule(assignments), noise
-    )
-    hold = identity_dynamics("adder.hold", lines)
-
     domain = tuple(
         PhysicalState(lines, _volts(_bits(a, 2) + _bits(b, 2) + "000"))
         for a in range(4)
         for b in range(4)
     )
-    seeds = tuple(PhysicalState(lines, _volts(_bits(i, 7))) for i in range(128))
     theory = Theory(
         id="adder",
         representation=read,
@@ -187,77 +214,29 @@ def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) ->
         instantiation=InstantiationProcedure(seeds, hold),
     )
 
+    validate = CheckSpec(name="validate", kind="validate-theory", theory="adder")
+
+    def square(name: str, kind: str, input=("01", "10", "000"), **fields) -> CheckSpec:
+        return CheckSpec(name, kind, theory="adder", prediction="add", input=input, **fields)
+
     if flip_probability > 0:
         checks = (
-            CheckSpec(
-                name="validate",
-                kind="validate-theory",
-                theory="adder",
-                trials=400,
-                required_success=0.6,
-            ),
-            CheckSpec(
-                name="estimate-success",
-                kind="experiment",
-                theory="adder",
-                prediction="add",
-                input=("01", "10", "000"),
-                trials=1000,
-                required_success=0.5,
-            ),
+            replace(validate, trials=400, required_success=0.6),
+            square("estimate-success", "experiment", trials=1000, required_success=0.5),
         )
     elif faulted:
         checks = (
-            CheckSpec(name="validate", kind="validate-theory", theory="adder"),
-            CheckSpec(
-                name="add-01-10",
-                kind="commutation",
-                theory="adder",
-                prediction="add",
-                input=("01", "10", "000"),
-            ),
-            CheckSpec(
-                name="add-00-00",
-                kind="commutation",
-                theory="adder",
-                prediction="add",
-                input=("00", "00", "000"),
-            ),
+            validate,
+            square("add-01-10", "commutation"),
+            square("add-00-00", "commutation", ("00", "00", "000")),
         )
     else:
         checks = (
-            CheckSpec(name="validate", kind="validate-theory", theory="adder"),
-            CheckSpec(
-                name="add-01-10",
-                kind="commutation",
-                theory="adder",
-                prediction="add",
-                input=("01", "10", "000"),
-            ),
-            CheckSpec(
-                name="cycle-01-10",
-                kind="compute",
-                theory="adder",
-                prediction="add",
-                input=("01", "10", "000"),
-                expect=("01", "10", "011"),
-            ),
-            CheckSpec(
-                name="cycle-11-11",
-                kind="compute",
-                theory="adder",
-                prediction="add",
-                input=("11", "11", "000"),
-                expect=("11", "11", "110"),
-            ),
-            CheckSpec(
-                name="history-01-10",
-                kind="history",
-                theory="adder",
-                prediction="add",
-                input=("01", "10", "000"),
-                physical_metric="max-coordinate",
-            ),
+            validate,
+            square("add-01-10", "commutation"),
+            square("cycle-01-10", "compute", expect=("01", "10", "011")),
+            square("cycle-11-11", "compute", ("11", "11", "000"), expect=("11", "11", "110")),
+            square("history-01-10", "history", physical_metric="max-coordinate"),
         )
 
     return ScenarioBundle(
@@ -291,7 +270,7 @@ def build_refinement_stack(mis_declared: bool = False) -> ScenarioBundle:
     out_register = BitSpace("stack.out-register", 3)
     bin_space = TupleSpace("stack.bin", (register, register, out_register))
     word = BitSpace("stack.word", 7)
-    lines = RealVectorSpace("stack.lines", ((0.0, 5.0),) * 7)
+    lines, volts, hold, grid = _voltage_lines("stack")
 
     dec_add = AbstractDynamics(
         "stack.dec-add",
@@ -310,17 +289,9 @@ def build_refinement_stack(mis_declared: bool = False) -> ScenarioBundle:
         ),
     )
 
-    volts = PhysicalDynamics(
-        "stack.volts",
-        lines,
-        CoordinateUpdateRule((BinarySumUpdate((0, 1), (2, 3), (4, 5, 6), 2.5, 0.0, 5.0),)),
-    )
-    hold = identity_dynamics("stack.hold", lines)
-
     read_word = RepresentationRelation(
         "stack.read-word", lines, word, ThresholdRule((2.5,) * 7)
     )
-    grid = tuple(PhysicalState(lines, _volts(_bits(i, 7))) for i in range(128))
     device_theory = Theory(
         id="stack.device-theory",
         representation=read_word,
@@ -510,21 +481,9 @@ def build_social_machine() -> ScenarioBundle:
     hold_tallies = AbstractDynamics("social.hold-tallies", tallies, BuiltinRule("identity"))
     publish = AbstractDynamics("social.publish", classes, BuiltinRule("identity"))
 
-    picture_states = tuple(PhysicalState(pictures, v) for v in pictures.labels)
-    memory_states = tuple(PhysicalState(memory, v) for v in memory.labels)
-    human = Theory(
-        id="social.human",
-        representation=human_read,
-        domain=picture_states,
-        predictions=(Prediction("tag", hold_tags, human_settle),),
-        instantiation=InstantiationProcedure(picture_states, human_settle),
-    )
-    machine = Theory(
-        id="social.machine",
-        representation=machine_read,
-        domain=memory_states,
-        predictions=(Prediction("tally", hold_tallies, machine_settle),),
-        instantiation=InstantiationProcedure(memory_states, machine_settle),
+    human = _label_cell_theory("social.human", human_read, "tag", hold_tags, human_settle)
+    machine = _label_cell_theory(
+        "social.machine", machine_read, "tally", hold_tallies, machine_settle
     )
 
     galaxy_zoo = JointSystem(
@@ -576,16 +535,13 @@ def build_social_machine() -> ScenarioBundle:
     )
 
 
-def build_xor_joint(joint_rule: str = "xor") -> ScenarioBundle:
-    """Two one-bit cells whose joint dynamics may couple the halves.
+def build_xor_joint() -> ScenarioBundle:
+    """Two one-bit cells whose joint dynamics couple the halves.
 
     The joint representation reads the cells independently, so the class is
     decided entirely by the dynamics: ``xor`` writes the parity of both bits
-    into the first cell and cannot be split into per-cell actions, while the
-    ``not-first`` and ``identity`` variants factor and classify as hybrid.
+    into the first cell and cannot be split into per-cell actions.
     """
-    if joint_rule not in ("xor", "not-first", "identity"):
-        raise ValueError(f"unknown joint rule {joint_rule!r}")
     left_cell = PhysicalLabelSpace("xor.left.cell", ("off", "on"))
     right_cell = PhysicalLabelSpace("xor.right.cell", ("off", "on"))
     cells = PhysicalTupleSpace("xor.cells", (left_cell, right_cell))
@@ -605,35 +561,10 @@ def build_xor_joint(joint_rule: str = "xor") -> ScenarioBundle:
     left_hold = identity_dynamics("xor.left.hold", left_cell)
     right_hold = identity_dynamics("xor.right.hold", right_cell)
     keep_bit = AbstractDynamics("xor.keep-bit", bit, BuiltinRule("identity"))
+    joint_dyn = AbstractDynamics("xor.couple", pair, BuiltinRule("xor"))
 
-    if joint_rule == "xor":
-        joint_dyn = AbstractDynamics("xor.couple", pair, BuiltinRule("xor"))
-    elif joint_rule == "not-first":
-        flip = {"0": "1", "1": "0"}
-        joint_dyn = AbstractDynamics(
-            "xor.flip-first",
-            pair,
-            TableRule({(a, b): (flip[a], b) for (a, b) in enumerate_values(pair)}),
-        )
-    else:
-        joint_dyn = AbstractDynamics("xor.keep-pair", pair, BuiltinRule("identity"))
-
-    left_states = tuple(PhysicalState(left_cell, v) for v in left_cell.labels)
-    right_states = tuple(PhysicalState(right_cell, v) for v in right_cell.labels)
-    left_theory = Theory(
-        id="xor.left",
-        representation=left_read,
-        domain=left_states,
-        predictions=(Prediction("hold", keep_bit, left_hold),),
-        instantiation=InstantiationProcedure(left_states, left_hold),
-    )
-    right_theory = Theory(
-        id="xor.right",
-        representation=right_read,
-        domain=right_states,
-        predictions=(Prediction("hold", keep_bit, right_hold),),
-        instantiation=InstantiationProcedure(right_states, right_hold),
-    )
+    left_theory = _label_cell_theory("xor.left", left_read, "hold", keep_bit, left_hold)
+    right_theory = _label_cell_theory("xor.right", right_read, "hold", keep_bit, right_hold)
 
     joint = JointSystem(
         id="xor.joint",
@@ -645,7 +576,6 @@ def build_xor_joint(joint_rule: str = "xor") -> ScenarioBundle:
         provenance="declared",
     )
 
-    expected = "Heterotic" if joint_rule == "xor" else "Hybrid"
     checks = (
         CheckSpec(name="validate-left", kind="validate-theory", theory="xor.left"),
         CheckSpec(name="validate-right", kind="validate-theory", theory="xor.right"),
@@ -653,7 +583,7 @@ def build_xor_joint(joint_rule: str = "xor") -> ScenarioBundle:
             name="classify-joint",
             kind="classify",
             joint="xor.joint",
-            expect_class=expected,
+            expect_class="Heterotic",
             oracle=True,
         ),
     )

@@ -198,18 +198,21 @@ def validate_theory(
         raise EmptyDomain(f"theory {theory.id!r} declares no domain states")
     if not theory.predictions:
         raise EmptyDomain(f"theory {theory.id!r} declares no predictions")
+    specs = [
+        DiagramSpec(
+            theory=theory,
+            abstract_dynamics=pred.abstract,
+            physical_dynamics=pred.physical,
+            epsilon=epsilon,
+            metric=metric,
+            trials=trials,
+            required_success=required_success,
+        )
+        for pred in theory.predictions
+    ]
     cells: list[ValidityCell] = []
     for si, state in enumerate(theory.domain):
-        for pi, pred in enumerate(theory.predictions):
-            spec = DiagramSpec(
-                theory=theory,
-                abstract_dynamics=pred.abstract,
-                physical_dynamics=pred.physical,
-                epsilon=epsilon,
-                metric=metric,
-                trials=trials,
-                required_success=required_success,
-            )
+        for pi, (pred, spec) in enumerate(zip(theory.predictions, specs)):
             report = check_commutation(spec, state, derive_seed(base_seed, si, pi))
             cells.append(ValidityCell(state, pred.name, report))
     all_passed = all(cell.report.passed for cell in cells)
@@ -226,12 +229,6 @@ def validate_theory(
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    stage: str
-    state: AbstractState | PhysicalState
-
-
-@dataclass(frozen=True)
 class ComputeResult:
     """Record of one compute cycle: encode, evolve, decode."""
 
@@ -240,7 +237,6 @@ class ComputeResult:
     final_physical: PhysicalState
     output: AbstractState
     program: str
-    trace: tuple[TraceStep, ...]
 
 
 def run_compute_cycle(
@@ -274,17 +270,10 @@ def run_compute_cycle(
     prepared = instantiate(theory, input_state)
     final = evolve_physical(h, prepared, seed)
     output = represent(theory.representation, final)
-    trace = (
-        TraceStep("input", input_state),
-        TraceStep("prepared", prepared),
-        TraceStep("evolved", final),
-        TraceStep("output", output),
-    )
     return ComputeResult(
         input=input_state,
         prepared=prepared,
         final_physical=final,
         output=output,
         program=program,
-        trace=trace,
     )

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from abrep import (
     AbstractDynamics,
     BitSpace,
+    BuiltinRule,
     Component,
     InstantiationProcedure,
     JointSystem,
@@ -22,6 +24,7 @@ from abrep import (
     Theory,
     TupleSpace,
     TupleWiseRule,
+    build_xor_joint,
     enumerate_values,
     identity_dynamics,
 )
@@ -178,3 +181,23 @@ def random_joint_system(rng: random.Random, tag: str) -> JointSystem:
         joint_dynamics=joint_dyn,
         provenance="declared",
     )
+
+
+def xor_joint_variant(rule: str) -> JointSystem:
+    """The built-in xor joint with its coupling replaced by a factorable rule.
+
+    ``not-first`` flips the first bit and keeps the second; ``identity``
+    keeps both. Each factors into per-cell actions, so classifies as hybrid.
+    """
+    joint = build_xor_joint().joint("xor.joint")
+    pair = joint.joint_dynamics.space
+    if rule == "not-first":
+        flip = {"0": "1", "1": "0"}
+        dynamics = AbstractDynamics(
+            "xor.flip-first",
+            pair,
+            TableRule({(a, b): (flip[a], b) for (a, b) in enumerate_values(pair)}),
+        )
+    else:
+        dynamics = AbstractDynamics("xor.keep-pair", pair, BuiltinRule("identity"))
+    return dataclasses.replace(joint, joint_dynamics=dynamics)

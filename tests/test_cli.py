@@ -5,7 +5,9 @@ import pytest
 
 from abrep.cli import main, parse_state_literal
 from abrep.document import emit_scenario
-from abrep.scenarios import BUILTIN_SCENARIOS
+from abrep.dynamics import TrialSeed
+from abrep.runner import report_to_json, run_checks
+from abrep.scenarios import BUILTIN_SCENARIOS, CheckSpec
 
 
 def write_scenario(tmp_path, name):
@@ -163,6 +165,34 @@ def test_epsilon_and_trials_overrides_apply(tmp_path, capsys):
     # a generous tolerance lets the faulted commutation checks pass, while
     # validation still reports invalid cells at distance 1
     assert main(["check", path, "--epsilon", "1.0", "--filter", "add-*"]) == 0
+
+
+@pytest.mark.parametrize(
+    "name, flags, check",
+    [
+        (
+            "voltage-adder-noisy",
+            ["validate-theory", "--theory", "adder", "--trials", "3", "--epsilon", "0.5",
+             "--metric", "hamming", "--required-success", "0.5"],
+            CheckSpec("validate:adder", "validate-theory", theory="adder", epsilon=0.5,
+                      metric="hamming", trials=3, required_success=0.5),
+        ),
+        (
+            "refinement-stack",
+            ["check-stack", "--stack", "stack.adder", "--trials", "2", "--epsilon", "1",
+             "--metric", "discrete"],
+            CheckSpec("stack:stack.adder", "stack", stack="stack.adder", epsilon=1.0,
+                      metric="discrete", trials=2),
+        ),
+    ],
+    ids=["validate-theory", "check-stack"],
+)
+def test_single_check_commands_run_the_equivalent_check(tmp_path, capsys, name, flags, check):
+    path = write_scenario(tmp_path, name)
+    code = main([flags[0], path, *flags[1:], "--seed", "5", "--format", "json"])
+    report = run_checks(BUILTIN_SCENARIOS[name](), TrialSeed(5), checks=(check,))
+    assert capsys.readouterr().out == report_to_json(report)
+    assert code == report.exit_code
 
 
 @pytest.mark.parametrize(

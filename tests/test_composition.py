@@ -41,7 +41,7 @@ from abrep import (
     represent,
     validate_theory,
 )
-from support import random_joint_system
+from support import random_joint_system, xor_joint_variant
 
 SEED = TrialSeed(0)
 
@@ -274,7 +274,7 @@ def test_mismatched_factors_classify_heterotic_in_both_classifiers():
 
 
 def test_brute_force_finds_witness_for_factorable_dynamics():
-    joint = build_xor_joint("not-first").joint("xor.joint")
+    joint = xor_joint_variant("not-first")
     decision = brute_force_classify(joint)
     assert decision.value == HYBRID
     f, g = decision.witness.dynamics_factors

@@ -125,6 +125,15 @@ def test_duplicate_across_abstract_and_physical_spaces_rejected():
         parse_scenario(json.dumps(bad))
 
 
+def test_duplicate_across_abstract_and_physical_dynamics_rejected():
+    bad = json.loads(emit_scenario(BUILTIN_SCENARIOS["xor-joint"]()))
+    text = json.dumps(bad).replace('"xor.keep-bit"', '"xor.left.hold"')
+    with pytest.raises(DuplicateIdentifier) as err:
+        parse_scenario(text)
+    assert err.value.path == "dynamics.physical[0]"
+    assert err.value.identifier == "xor.left.hold"
+
+
 def test_reserved_builtin_names_rejected_as_dynamics_ids():
     bad = json.loads(doc())
     bad["dynamics"]["abstract"].append(

@@ -8,7 +8,6 @@ from abrep import (
     RefinementLayer,
     RefinementStack,
     SimulationRelation,
-    TheoryNotValidated,
     TrialSeed,
     build_refinement_stack,
     check_layer,
@@ -169,18 +168,6 @@ def test_compositionality_from_top_input_to_device_output():
             image = rel.map_state(image)
         result = run_compute_cycle(graded, mapped, "asm-add", stack.device, SEED)
         assert result.output == image
-
-
-def test_strict_mode_requires_validated_theory():
-    _, stack = stack_pieces()
-    with pytest.raises(TheoryNotValidated):
-        check_stack_to_device(stack, 0.0, DISCRETE, SEED, require_validated=True)
-    graded, _ = validate_theory(stack.theory, 0.0, DISCRETE, 1, 1.0, SEED)
-    validated_stack = RefinementStack(
-        "validated", stack.layers, stack.relations, graded, stack.device
-    )
-    report = check_stack_to_device(validated_stack, 0.0, DISCRETE, SEED, require_validated=True)
-    assert report.passed
 
 
 def test_stack_declaration_invariants():

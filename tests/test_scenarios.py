@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from abrep import (
     BUILTIN_SCENARIOS,
     DISCRETE,
+    DuplicateIdentifier,
     TrialSeed,
     build_refinement_stack,
     build_swap_device,
@@ -12,6 +15,7 @@ from abrep import (
     validate_theory,
 )
 from abrep.runner import run_checks
+from support import xor_joint_variant
 
 SEED = TrialSeed(0)
 
@@ -85,11 +89,20 @@ def test_swap_scenario_fixed_point_and_exhaustive_validity():
 
 
 def test_xor_variants_classify_as_documented():
-    assert classify(build_xor_joint("xor").joint("xor.joint")).value == "Heterotic"
-    assert classify(build_xor_joint("not-first").joint("xor.joint")).value == "Hybrid"
-    assert classify(build_xor_joint("identity").joint("xor.joint")).value == "Hybrid"
-    with pytest.raises(ValueError):
-        build_xor_joint("bogus")
+    assert classify(build_xor_joint().joint("xor.joint")).value == "Heterotic"
+    assert classify(xor_joint_variant("not-first")).value == "Hybrid"
+    assert classify(xor_joint_variant("identity")).value == "Hybrid"
+
+
+def test_bundles_built_through_the_api_reject_duplicate_identifiers():
+    bundle = build_xor_joint()
+    keep_bit, couple = bundle.abstract_dynamics
+    with pytest.raises(DuplicateIdentifier) as err:
+        replace(bundle, abstract_dynamics=(replace(keep_bit, id="xor.left.hold"), couple))
+    assert err.value.identifier == "xor.left.hold"
+    with pytest.raises(DuplicateIdentifier) as err:
+        replace(bundle, checks=bundle.checks + bundle.checks[:1])
+    assert err.value.identifier == "validate-left"
 
 
 def test_stack_relations_connect_declared_layers():
