@@ -11,11 +11,9 @@ Commands:
   check-stack FILE           verify a refinement stack down to its device
   classify FILE              classify a joint system (optionally vs oracle)
   scenarios emit NAME        print a built-in scenario document
-  report FILE                re-render a saved JSON report
 
-State literals on the command line: bitstrings are quoted ("01"), tuples are
-parenthesized, labels are bare words, integers are bare digits, so the input
-pair of machine registers reads as ("01","10","000").
+State values on the command line are JSON, as in scenario documents: the
+input triple of machine registers reads as '["01","10","000"]'.
 """
 
 from __future__ import annotations
@@ -26,75 +24,20 @@ import math
 import sys
 from dataclasses import replace
 
-from .document import emit_scenario, parse_scenario
+from .document import emit_scenario, parse_scenario, raw_value
 from .dynamics import TrialSeed
-from .errors import ModelError
+from .errors import ModelError, ScenarioSyntaxError
 from .runner import render_report, report_to_dict, run_checks
 from .scenarios import BUILTIN_SCENARIOS, CheckSpec
 from .spaces import METRICS
 
 
 def parse_state_literal(text: str):
-    """Parse a command-line state literal into a raw canonical value."""
-    tokens = _tokenize(text)
-    value, rest = _parse_tokens(tokens)
-    if rest:
-        raise ValueError(f"trailing input in state literal: {rest!r}")
-    return value
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "(),":
-            tokens.append(c)
-            i += 1
-        elif c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ValueError("unterminated quote in state literal")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in '(),"' and not text[j].isspace():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
-
-
-def _parse_tokens(tokens: list[str]):
-    if not tokens:
-        raise ValueError("empty state literal")
-    head, rest = tokens[0], tokens[1:]
-    if head == "(":
-        items = []
-        while True:
-            value, rest = _parse_tokens(rest)
-            items.append(value)
-            if not rest:
-                raise ValueError("unterminated tuple in state literal")
-            sep, rest = rest[0], rest[1:]
-            if sep == ")":
-                return tuple(items), rest
-            if sep != ",":
-                raise ValueError(f"expected ',' or ')' in state literal, got {sep!r}")
-    if head.startswith('"'):
-        return head[1:-1], rest
+    """Read a command-line state value, written as JSON, into a raw canonical value."""
     try:
-        return int(head), rest
-    except ValueError:
-        pass
-    try:
-        return float(head), rest
-    except ValueError:
-        pass
-    return head, rest
+        return raw_value(json.loads(text))
+    except json.JSONDecodeError as err:
+        raise ScenarioSyntaxError(f"state value: {err.msg}", err.lineno, err.colno) from err
 
 
 def _load_bundle(path: str):
@@ -144,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     compute = commands.add_parser("compute", help="run one compute cycle")
     compute.add_argument("file")
     compute.add_argument("--theory", required=True)
-    compute.add_argument("--input", required=True, help="abstract state literal")
+    compute.add_argument("--input", required=True, help="abstract state value, as JSON")
     compute.add_argument("--prediction", default=None, help="program name (default: first)")
-    compute.add_argument("--expect", default=None, help="expected output literal")
+    compute.add_argument("--expect", default=None, help="expected output value, as JSON")
     _common_flags(compute)
 
     stack = commands.add_parser("check-stack", help="verify a stack down to the device")
@@ -166,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     scen_sub = scen.add_subparsers(dest="scenario_command", required=True)
     emit = scen_sub.add_parser("emit", help="print a built-in scenario document")
     emit.add_argument("name", help=f"one of: {', '.join(sorted(BUILTIN_SCENARIOS))}")
-
-    report = commands.add_parser("report", help="re-render a saved JSON report")
-    report.add_argument("file")
-    report.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
@@ -191,10 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -210,11 +146,6 @@ def _run(args: argparse.Namespace) -> int:
             )
             return 2
         sys.stdout.write(emit_scenario(builder()))
-        return 0
-
-    if args.command == "report":
-        with open(args.file, "r", encoding="utf-8") as f:
-            sys.stdout.write(render_report(json.load(f), args.format))
         return 0
 
     bundle = _load_bundle(args.file)
@@ -239,7 +170,7 @@ def _run(args: argparse.Namespace) -> int:
                 theory=args.theory,
                 prediction=args.prediction,
                 input=parse_state_literal(args.input),
-                expect=parse_state_literal(args.expect) if args.expect else None,
+                expect=None if args.expect is None else parse_state_literal(args.expect),
             ),
         )
     elif args.command == "check-stack":

@@ -7,12 +7,21 @@ a document that parses back to a structurally equal bundle. Check
 declarations keep their object references as identifiers so that a check
 naming a missing object degrades to a per-check error at run time instead
 of poisoning the whole document.
+
+The field tables below, walked from ``_SECTIONS``, are the one description
+of the format. Each declaration kind lists its fields in document order:
+JSON key, kind of value, the attribute it fills and its default. One reader
+(``_read``) and one writer (``_write``) walk them, so every field is checked
+at its own document path, and what parses is exactly what is emitted.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from collections import defaultdict
+from functools import partial
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 from .composition import Component, JointSystem, componentwise_joint
 from .dynamics import (
@@ -50,13 +59,11 @@ from .relations import (
 )
 from .scenarios import CHECK_KINDS, CheckSpec, ScenarioBundle
 from .spaces import (
-    AbstractSpace,
     BitSpace,
     IntSpace,
     LabelSpace,
     METRICS,
     PhysicalLabelSpace,
-    PhysicalSpace,
     PhysicalState,
     PhysicalTupleSpace,
     RealVectorSpace,
@@ -68,17 +75,6 @@ from .spaces import (
 )
 
 SUPPORTED_VERSIONS = ("1",)
-
-_SECTIONS = (
-    "format_version",
-    "spaces",
-    "relations",
-    "dynamics",
-    "theories",
-    "stacks",
-    "compositions",
-    "checks",
-)
 
 
 def value_to_json(value: Value) -> Any:
@@ -126,12 +122,6 @@ def _scalar(value: Any, path: str, kind: str = "number") -> Any:
     return value
 
 
-def _get(obj: dict, key: str, path: str) -> Any:
-    if not isinstance(obj, dict) or key not in obj:
-        raise ScenarioSyntaxError(f"{path}: missing key {key!r}")
-    return obj[key]
-
-
 def resolve(table: dict, ident: Any, path: str) -> Any:
     """The object ``table`` declares as ``ident``, or UnknownReference at ``path``."""
     if not isinstance(ident, str) or ident not in table:
@@ -139,72 +129,10 @@ def resolve(table: dict, ident: Any, path: str) -> Any:
     return table[ident]
 
 
-def _ref(table: dict, decl: dict, key: str, path: str) -> Any:
-    """The object ``table`` declares under the identifier at ``decl[key]``."""
-    return resolve(table, _get(decl, key, path), f"{path}.{key}")
-
-
-def _refs(table: dict, decl: dict, key: str, path: str) -> tuple:
-    """The objects ``table`` declares under the identifiers listed at ``decl[key]``."""
-    return tuple(
-        resolve(table, ref, f"{path}.{key}[{i}]") for i, ref in enumerate(_get(decl, key, path))
-    )
-
-
-def _checked(parser, decl, path: str, *args):
-    """Run one declaration parser, folding model and shape errors into diagnostics."""
-    try:
-        return parser(decl, path, *args)
-    except ScenarioError:
-        raise
-    except ModelError as err:
-        raise ScenarioSyntaxError(f"{path}: {err}") from err
-    except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as err:
-        raise ScenarioSyntaxError(f"{path}: malformed declaration ({err})") from err
-
-
-class _Registry:
-    """Scoped identifier table with declare-before-use resolution."""
-
-    def __init__(self):
-        self.spaces: dict[str, AbstractSpace | PhysicalSpace] = {}
-        self.relations: dict[str, RepresentationRelation] = {}
-        self.abstract_dynamics: dict[str, AbstractDynamics] = {}
-        self.physical_dynamics: dict[str, PhysicalDynamics] = {}
-        self.theories: dict[str, Theory] = {}
-        self.stacks: dict[str, RefinementStack] = {}
-        self.joints: dict[str, JointSystem] = {}
-
-    def declare(self, table: dict, ident: str, obj: Any, path: str) -> None:
-        if ident in table:
-            raise DuplicateIdentifier(path, ident)
-        table[ident] = obj
-
-
-def _parse_space(decl: dict, path: str, physical: bool, reg: _Registry):
-    ident = _expect(_get(decl, "id", path), f"{path}.id", str, "a string identifier")
-    kind = _get(decl, "kind", path)
-    if kind == "labels":
-        labels = tuple(_expect(_get(decl, "labels", path), f"{path}.labels", list, "a list"))
-        space = PhysicalLabelSpace(ident, labels) if physical else LabelSpace(ident, labels)
-    elif kind == "bits" and not physical:
-        space = BitSpace(ident, _scalar(_get(decl, "width", path), f"{path}.width", "integer"))
-    elif kind == "ints" and not physical:
-        lo, hi = (_scalar(_get(decl, k, path), f"{path}.{k}", "integer") for k in ("lo", "hi"))
-        space = IntSpace(ident, lo, hi)
-    elif kind == "vector" and physical:
-        bounds = tuple(
-            (_scalar(lo, f"{path}.bounds[{i}][0]"), _scalar(hi, f"{path}.bounds[{i}][1]"))
-            for i, (lo, hi) in enumerate(_get(decl, "bounds", path))
-        )
-        space = RealVectorSpace(ident, bounds)
-    elif kind == "tuple":
-        comps = _refs(reg.spaces, decl, "components", path)
-        space = (PhysicalTupleSpace if physical else TupleSpace)(ident, comps)
-    else:
-        raise ScenarioSyntaxError(f"{path}.kind: unknown space kind {kind!r}")
-    reg.declare(reg.spaces, ident, space, path)
-    return space
+def _pair(pair: Any, path: str, what: str) -> list:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ScenarioSyntaxError(f"{path}: expected a {what} pair")
+    return pair
 
 
 def _state_value(space, encoded: Any, path: str) -> Value:
@@ -225,249 +153,362 @@ def _parse_entries(entries: Any, key_space, value_space, path: str) -> dict:
     return table
 
 
-def _parse_relation(decl: dict, path: str, reg: _Registry) -> RepresentationRelation:
-    ident = _get(decl, "id", path)
-    domain = _ref(reg.spaces, decl, "domain", path)
-    codomain = _ref(reg.spaces, decl, "codomain", path)
-    rule_decl = _get(decl, "rule", path)
-    kind = _get(rule_decl, "kind", f"{path}.rule")
-    if kind == "lookup":
-        rule = LookupRule(
-            _parse_entries(_get(rule_decl, "entries", f"{path}.rule"), domain, codomain, f"{path}.rule.entries")
-        )
-    elif kind == "threshold":
-        thresholds = _get(rule_decl, "thresholds", f"{path}.rule")
-        rule = ThresholdRule(
-            tuple(_scalar(t, f"{path}.rule.thresholds[{i}]") for i, t in enumerate(thresholds))
-        )
-    elif kind == "tuple-wise":
-        rule = TupleWiseRule(_refs(reg.relations, rule_decl, "parts", f"{path}.rule"))
-    else:
-        raise ScenarioSyntaxError(f"{path}.rule.kind: unknown rule kind {kind!r}")
-    relation = RepresentationRelation(ident, domain, codomain, rule)
-    reg.declare(reg.relations, ident, relation, path)
-    return relation
+_REQUIRED = object()
 
 
-def _parse_dynamics(decl: dict, path: str, reg: _Registry, other_rule) -> tuple:
-    """The id, space and rule every dynamics declares.
+class _F(NamedTuple):
+    """One field of a declaration.
 
-    Table rules are parsed here; ``other_rule(kind, rule_decl, rule_path,
-    reg)`` parses the kinds particular to one side.
+    ``key`` is its JSON key and ``attr`` the attribute it fills (``key``
+    when unset). A field without a default is required; one whose default
+    is None may also be written as null, and is then left out on emission.
+    ``arg`` depends on the kind:
+
+    - ``name``: a string identifier; ``arg``, if set, lists reserved names.
+    - ``number``, ``integer``, ``flag``: a JSON scalar, checked and never
+      coerced. A flag is emitted only when it is true.
+    - ``enum``: a string in ``arg = (noun, choices)``.
+    - ``tag``: as ``enum``, but ``choices`` maps each tag to the ``_Decl``
+      that builds the object; that declaration's fields follow the others.
+    - ``ref``, ``refs``: an identifier, or an array of them, declared in
+      the registry table ``arg``.
+    - ``list``, ``numbers``: an array, kept as a tuple; numbers are checked.
+    - ``bounds``, ``pairs``: an array of ``[lo, hi]`` number pairs, or of
+      ``[key, value]`` pairs read into a dict and emitted sorted.
+    - ``states``: state values of the space named by ``arg``.
+    - ``entries``: a total table between the spaces ``arg = (keys, values)``.
+    - ``raw``: any JSON value, arrays read as tuples.
+    - ``one``, ``many``: the ``_Decl`` ``arg``, or an array of them.
+
+    Space names in ``arg`` are dotted attribute paths, looked up in the
+    declaration and then in the declarations enclosing it.
     """
-    ident = _get(decl, "id", path)
-    if ident in BUILTIN_NAMES:
-        raise ScenarioSyntaxError(f"{path}.id: {ident!r} is a reserved builtin name")
-    space = _ref(reg.spaces, decl, "space", path)
-    rule_decl = _get(decl, "rule", path)
-    rpath = f"{path}.rule"
-    kind = _get(rule_decl, "kind", rpath)
-    if kind == "table":
-        entries = _parse_entries(_get(rule_decl, "entries", rpath), space, space, f"{rpath}.entries")
-        return ident, space, TableRule(entries)
-    return ident, space, other_rule(kind, rule_decl, rpath, reg)
+
+    key: str
+    kind: str
+    attr: str | None = None
+    default: Any = _REQUIRED
+    arg: Any = None
 
 
-def _abstract_rule(kind: str, rule_decl: dict, rpath: str, reg: _Registry):
-    if kind == "builtin":
-        return BuiltinRule(_get(rule_decl, "name", rpath))
-    if kind == "chain":
-        return ChainRule(_refs(reg.abstract_dynamics, rule_decl, "parts", rpath))
-    raise ScenarioSyntaxError(f"{rpath}.kind: unknown rule kind {kind!r}")
+class _Decl(NamedTuple):
+    """A declaration kind: its fields, and how it builds and declares its object.
+
+    A declaration stored in registry ``tables`` is unique across all of
+    them, and is keyed by its first field. ``fresh`` names a table that
+    starts empty for each declaration. ``tag_of`` gives a built object's
+    tag where its type does not.
+    """
+
+    build: Callable | None
+    fields: tuple
+    tables: tuple = ()
+    fresh: str | None = None
+    tag_of: Callable | None = None
 
 
-def _physical_rule(kind: str, rule_decl: dict, rpath: str, reg: _Registry):
-    if kind != "coordinate-update":
-        raise ScenarioSyntaxError(f"{rpath}.kind: unknown rule kind {kind!r}")
-    assignments = []
-    for i, a in enumerate(_get(rule_decl, "assignments", rpath)):
-        apath = f"{rpath}.assignments[{i}]"
-        op = _get(a, "op", apath)
-        if op == "binary-sum":
-            lines = (tuple(_get(a, k, apath)) for k in ("a", "b", "out"))
-            levels = (_scalar(_get(a, k, apath), f"{apath}.{k}") for k in ("threshold", "low", "high"))
-            assignments.append(BinarySumUpdate(*lines, *levels))
-        elif op == "constant":
-            values = _get(a, "values", apath)
-            assignments.append(
-                ConstantUpdate(
-                    tuple(_get(a, "lines", apath)),
-                    tuple(_scalar(v, f"{apath}.values[{i}]") for i, v in enumerate(values)),
-                )
-            )
-        else:
-            raise ScenarioSyntaxError(f"{apath}.op: unknown assignment op {op!r}")
-    return CoordinateUpdateRule(tuple(assignments))
+def _find(scopes: tuple, dotted: str) -> Any:
+    """``dotted`` looked up in the innermost scope that has its first name."""
+    head, *rest = dotted.split(".")
+    value = getattr(next(s for s in scopes if hasattr(s, head)), head)
+    for name in rest:
+        value = getattr(value, name)
+    return value
 
 
-def _parse_abstract_dynamics(decl: dict, path: str, reg: _Registry) -> AbstractDynamics:
-    dyn = AbstractDynamics(*_parse_dynamics(decl, path, reg, _abstract_rule))
-    reg.declare(reg.abstract_dynamics, dyn.id, dyn, path)
-    return dyn
+def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any:
+    """Build and declare the object ``obj`` declares at ``path``.
+
+    Model errors and shape errors become diagnostics at ``path``; every
+    field is checked at its own path first.
+    """
+    try:
+        _expect(obj, path, dict, "an object")
+        if decl.fresh:
+            reg[decl.fresh] = {}
+        scope = SimpleNamespace()
+        scopes = (scope, *outer)
+        build, fields = decl.build, list(decl.fields)
+        for f in fields:  # a tag appends its declaration's fields
+            if f.key not in obj:
+                if f.default is _REQUIRED:
+                    raise ScenarioSyntaxError(f"{path}: missing key {f.key!r}")
+                value = f.default
+            elif obj[f.key] is None and f.default is None:
+                value = None
+            else:
+                value = _value(f, obj[f.key], f"{path}.{f.key}", reg, scopes)
+            if f.kind == "tag":
+                build = value.build
+                fields += value.fields
+            else:
+                setattr(scope, f.attr or f.key, value)
+        built = build(**vars(scope))
+    except ScenarioError:
+        raise
+    except ModelError as err:
+        raise ScenarioSyntaxError(f"{path}: {err}") from err
+    except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as err:
+        raise ScenarioSyntaxError(f"{path}: malformed declaration ({err})") from err
+    if decl.tables:
+        ident = getattr(scope, decl.fields[0].key)
+        if any(ident in reg[table] for table in decl.tables):
+            raise DuplicateIdentifier(path, ident)
+        reg[decl.tables[0]][ident] = built
+    return built
 
 
-def _parse_physical_dynamics(decl: dict, path: str, reg: _Registry) -> PhysicalDynamics:
-    ident, space, rule = _parse_dynamics(decl, path, reg, _physical_rule)
-    # Abstract and physical dynamics share one namespace, as the spaces do.
-    if ident in reg.abstract_dynamics:
-        raise DuplicateIdentifier(path, ident)
-    noise_decl = decl.get("noise")
-    noise = None
-    if noise_decl is not None:
-        npath = f"{path}.noise"
-        nkind = _get(noise_decl, "kind", npath)
-        probability = _scalar(_get(noise_decl, "probability", npath), f"{npath}.probability")
-        if nkind == "coordinate-flip":
-            levels = ("threshold", "low", "high")
-            noise = CoordinateFlipNoise(
-                probability,
-                tuple(_get(noise_decl, "coordinates", npath)),
-                *(_scalar(_get(noise_decl, k, npath), f"{npath}.{k}") for k in levels),
-            )
-        elif nkind == "label-flip":
-            noise = LabelFlipNoise(
-                probability, {k: v for k, v in _get(noise_decl, "partners", npath)}
-            )
-        else:
-            raise ScenarioSyntaxError(f"{npath}.kind: unknown noise kind {nkind!r}")
-    dyn = PhysicalDynamics(ident, space, rule, noise)
-    reg.declare(reg.physical_dynamics, ident, dyn, path)
-    return dyn
-
-
-def _parse_theory(decl: dict, path: str, reg: _Registry) -> Theory:
-    ident = _get(decl, "id", path)
-    relation = _ref(reg.relations, decl, "representation", path)
-    domain = tuple(
-        PhysicalState(relation.domain, _state_value(relation.domain, v, f"{path}.domain[{i}]"))
-        for i, v in enumerate(_get(decl, "domain", path))
-    )
-    predictions = []
-    for i, pd in enumerate(_get(decl, "predictions", path)):
-        ppath = f"{path}.predictions[{i}]"
-        predictions.append(
-            Prediction(
-                _get(pd, "name", ppath),
-                _ref(reg.abstract_dynamics, pd, "abstract", ppath),
-                _ref(reg.physical_dynamics, pd, "physical", ppath),
-            )
+def _value(f: _F, v: Any, path: str, reg: dict, scopes: tuple) -> Any:
+    """Field ``f`` read from the JSON value ``v`` at ``path``."""
+    kind, arg = f.kind, f.arg
+    if kind in ("number", "integer", "flag"):
+        return _scalar(v, path, kind)
+    if kind == "name":
+        _expect(v, path, str, "a string identifier")
+        if arg and v in arg:
+            raise ScenarioSyntaxError(f"{path}: {v!r} is a reserved builtin name")
+        return v
+    if kind in ("enum", "tag"):
+        noun, choices = arg
+        if not isinstance(v, str) or v not in choices:
+            raise ScenarioSyntaxError(f"{path}: unknown {noun} {v!r}")
+        return choices[v] if kind == "tag" else v
+    if kind == "ref":
+        return resolve(reg[arg], v, path)
+    if kind == "raw":
+        return raw_value(v)
+    if kind == "one":
+        return _read(arg, v, path, reg, scopes)
+    if kind == "entries":
+        return _parse_entries(v, *(_find(scopes, space) for space in arg), path)
+    items = enumerate(_expect(v, path, list, "a list"))
+    if kind == "list":
+        return tuple(v)
+    if kind == "refs":
+        return tuple(resolve(reg[arg], x, f"{path}[{i}]") for i, x in items)
+    if kind == "numbers":
+        return tuple(_scalar(x, f"{path}[{i}]") for i, x in items)
+    if kind == "many":
+        return tuple(_read(arg, x, f"{path}[{i}]", reg, scopes) for i, x in items)
+    if kind == "states":
+        space = _find(scopes, arg)
+        return tuple(
+            PhysicalState(space, _state_value(space, x, f"{path}[{i}]")) for i, x in items
         )
-    inst_decl = decl.get("instantiation")
-    instantiation = None
-    if inst_decl is not None:
-        ipath = f"{path}.instantiation"
-        seeds = tuple(
-            PhysicalState(relation.domain, _state_value(relation.domain, v, f"{ipath}.seeds[{i}]"))
-            for i, v in enumerate(_get(inst_decl, "seeds", ipath))
+    if kind == "bounds":
+        pairs = [_pair(x, f"{path}[{i}]", "[lo, hi]") for i, x in items]
+        return tuple(
+            (_scalar(lo, f"{path}[{i}][0]"), _scalar(hi, f"{path}[{i}][1]"))
+            for i, (lo, hi) in enumerate(pairs)
         )
-        engineering = _ref(reg.physical_dynamics, inst_decl, "engineering", ipath)
-        instantiation = InstantiationProcedure(seeds, engineering)
-    theory = Theory(ident, relation, domain, tuple(predictions), instantiation)
-    reg.declare(reg.theories, ident, theory, path)
-    return theory
+    return dict(_pair(x, f"{path}[{i}]", "[key, value]") for i, x in items)  # pairs
 
 
-def _parse_stack(decl: dict, path: str, reg: _Registry) -> RefinementStack:
-    ident = _get(decl, "id", path)
-    layers = []
-    layer_table: dict[str, RefinementLayer] = {}
-    for i, ld in enumerate(_get(decl, "layers", path)):
-        lpath = f"{path}.layers[{i}]"
-        layer = RefinementLayer(
-            _get(ld, "id", lpath),
-            _ref(reg.spaces, ld, "space", lpath),
-            _ref(reg.abstract_dynamics, ld, "dynamics", lpath),
-        )
-        if layer.id in layer_table:
-            raise DuplicateIdentifier(lpath, layer.id)
-        layer_table[layer.id] = layer
-        layers.append(layer)
-    relations = tuple(
-        _checked(_parse_simulation, rd, f"{path}.relations[{i}]", layer_table)
-        for i, rd in enumerate(_get(decl, "relations", path))
-    )
-    theory = _ref(reg.theories, decl, "theory", path)
-    device = _ref(reg.physical_dynamics, decl, "device", path)
-    stack = RefinementStack(ident, tuple(layers), relations, theory, device)
-    reg.declare(reg.stacks, ident, stack, path)
-    return stack
+def _write(decl: _Decl, obj: Any, outer: tuple = ()) -> dict:
+    """The JSON object that declares ``obj``, its fields in document order."""
+    out: dict[str, Any] = {}
+    scopes = (obj, *outer)
+    fields = list(decl.fields)
+    for f in fields:  # a tag appends its declaration's fields
+        if f.kind == "tag":
+            choices = f.arg[1]
+            if decl.tag_of:
+                tag = decl.tag_of(obj)
+            else:
+                tag = next(t for t, d in choices.items() if type(obj) is d.build)
+            out[f.key] = tag
+            fields += choices[tag].fields
+            continue
+        value = getattr(obj, f.attr or f.key)
+        if value is not None and (value or f.kind != "flag"):
+            out[f.key] = _json(f, value, scopes)
+    return out
 
 
-def _parse_simulation(decl: dict, path: str, layers: dict) -> SimulationRelation:
-    upper = _ref(layers, decl, "upper", path)
-    lower = _ref(layers, decl, "lower", path)
-    entries = _parse_entries(_get(decl, "entries", path), upper.space, lower.space, f"{path}.entries")
-    return SimulationRelation(_get(decl, "id", path), upper, lower, entries)
+def _json(f: _F, value: Any, scopes: tuple) -> Any:
+    """Field ``f``'s attribute ``value`` encoded as JSON."""
+    kind = f.kind
+    if kind == "ref":
+        return value.id
+    if kind == "refs":
+        return [v.id for v in value]
+    if kind in ("list", "numbers"):
+        return list(value)
+    if kind == "bounds":
+        return [list(b) for b in value]
+    if kind == "pairs":
+        return [[k, value[k]] for k in sorted(value)]
+    if kind == "states":
+        return [value_to_json(s.value) for s in value]
+    if kind == "entries":
+        keys = enumerate_values(_find(scopes, f.arg[0]))
+        return [[value_to_json(k), value_to_json(value[k])] for k in keys]
+    if kind == "raw":
+        return value_to_json(value)
+    if kind == "one":
+        return _write(f.arg, value, scopes)
+    if kind == "many":
+        return [_write(f.arg, v, scopes) for v in value]
+    return value
 
 
-def _parse_component(decl: dict, path: str, reg: _Registry) -> Component:
-    return Component(
-        _ref(reg.theories, decl, "theory", path),
-        _ref(reg.abstract_dynamics, decl, "dynamics", path),
-    )
+def _tag(key: str, noun: str, choices: dict) -> _F:
+    """The field whose value, one of ``choices``' keys, picks the declaration that follows."""
+    return _F(key, "tag", arg=(noun, choices))
 
 
-def _parse_composition(decl: dict, path: str, reg: _Registry) -> JointSystem:
-    ident = _get(decl, "id", path)
-    mode = _get(decl, "mode", path)
-    left = _parse_component(_get(decl, "left", path), f"{path}.left", reg)
-    right = _parse_component(_get(decl, "right", path), f"{path}.right", reg)
-    if mode in ("parallel", "sequential"):
-        joint = componentwise_joint(ident, left, right, f"composed-{mode}")
-    elif mode == "declared":
-        joint = JointSystem(
-            ident,
-            left,
-            right,
-            _ref(reg.spaces, decl, "joint_space", path),
-            _ref(reg.relations, decl, "joint_representation", path),
-            _ref(reg.abstract_dynamics, decl, "joint_dynamics", path),
-            "declared",
-        )
-    else:
-        raise ScenarioSyntaxError(f"{path}.mode: unknown composition mode {mode!r}")
-    reg.declare(reg.joints, ident, joint, path)
-    return joint
+def _check_spec(**fields) -> CheckSpec:
+    if fields["kind"] == "history" and fields["physical_metric"] is None:
+        raise DeclarationError("history checks must declare a physical metric")
+    return CheckSpec(**fields)
 
 
-#: Check fields that name a declared object (or, for expect_class, a class).
-_CHECK_REFERENCES = ("theory", "prediction", "stack", "relation", "joint", "expect_class")
+def _composed(mode: str) -> Callable:
+    return lambda id, left, right: componentwise_joint(id, left, right, f"composed-{mode}")
 
 
-def _parse_check(decl: dict, path: str, seen: set) -> CheckSpec:
-    name = _get(decl, "name", path)
-    if name in seen:
-        raise DuplicateIdentifier(path, name)
-    seen.add(name)
-    kind = _get(decl, "kind", path)
-    if kind not in CHECK_KINDS:
-        raise ScenarioSyntaxError(f"{path}.kind: unknown check kind {kind!r}")
-    metric = decl.get("metric", "discrete")
-    if metric not in METRICS:
-        raise ScenarioSyntaxError(f"{path}.metric: unknown metric {metric!r}")
-    physical_metric = decl.get("physical_metric")
-    if kind == "history" and physical_metric is None:
-        raise ScenarioSyntaxError(f"{path}: history checks must declare a physical metric")
-    if physical_metric is not None and physical_metric not in METRICS:
-        raise ScenarioSyntaxError(f"{path}.physical_metric: unknown metric {physical_metric!r}")
-    refs = {key: decl.get(key) for key in _CHECK_REFERENCES}
-    for key, ref in refs.items():
-        if ref is not None and not isinstance(ref, str):
-            raise ScenarioSyntaxError(f"{path}.{key}: expected a string identifier")
-    return CheckSpec(
-        name=name,
-        kind=kind,
-        state=raw_value(decl.get("state")),
-        input=raw_value(decl.get("input")),
-        expect=raw_value(decl.get("expect")),
-        physical_metric=physical_metric,
-        **refs,
-        oracle=_scalar(decl.get("oracle", False), f"{path}.oracle", "flag"),
-        epsilon=_scalar(decl.get("epsilon", 0.0), f"{path}.epsilon"),
-        metric=metric,
-        trials=_scalar(decl.get("trials", 1), f"{path}.trials", "integer"),
-        required_success=_scalar(decl.get("required_success", 1.0), f"{path}.required_success"),
-    )
+_ID = _F("id", "name")
+_LABELS = _F("labels", "list")
+_COMPONENTS = _F("components", "refs", arg="spaces")
+_TABLE = _Decl(TableRule, (_F("entries", "entries", arg=("space", "space")),))
+_DYNAMICS_ID = _F("id", "name", arg=BUILTIN_NAMES)
+_LEVELS = tuple(_F(key, "number") for key in ("threshold", "low", "high"))
+_OPTIONAL = partial(_F, default=None)
+
+_ABSTRACT_SPACE = _Decl(None, (_ID, _tag("kind", "space kind", {
+    "labels": _Decl(LabelSpace, (_LABELS,)),
+    "bits": _Decl(BitSpace, (_F("width", "integer"),)),
+    "ints": _Decl(IntSpace, (_F("lo", "integer"), _F("hi", "integer"))),
+    "tuple": _Decl(TupleSpace, (_COMPONENTS,)),
+})), ("spaces",))
+_PHYSICAL_SPACE = _Decl(None, (_ID, _tag("kind", "space kind", {
+    "labels": _Decl(PhysicalLabelSpace, (_LABELS,)),
+    "vector": _Decl(RealVectorSpace, (_F("bounds", "bounds"),)),
+    "tuple": _Decl(PhysicalTupleSpace, (_COMPONENTS,)),
+})), ("spaces",))
+_RELATION = _Decl(RepresentationRelation, (
+    _ID,
+    _F("domain", "ref", arg="spaces"),
+    _F("codomain", "ref", arg="spaces"),
+    _F("rule", "one", arg=_Decl(None, (_tag("kind", "rule kind", {
+        "lookup": _Decl(LookupRule, (_F("entries", "entries", arg=("domain", "codomain")),)),
+        "threshold": _Decl(ThresholdRule, (_F("thresholds", "numbers"),)),
+        "tuple-wise": _Decl(TupleWiseRule, (_F("parts", "refs", arg="relations"),)),
+    }),))),
+), ("relations",))
+# Abstract and physical dynamics share one namespace.
+_ABSTRACT_DYNAMICS = _Decl(AbstractDynamics, (
+    _DYNAMICS_ID,
+    _F("space", "ref", arg="spaces"),
+    _F("rule", "one", arg=_Decl(None, (_tag("kind", "rule kind", {
+        "table": _TABLE,
+        "builtin": _Decl(BuiltinRule, (_F("name", "enum", arg=("builtin dynamics", BUILTIN_NAMES)),)),
+        "chain": _Decl(ChainRule, (_F("parts", "refs", arg="abstract_dynamics"),)),
+    }),))),
+), ("abstract_dynamics", "physical_dynamics"))
+_ASSIGNMENT = _Decl(None, (_tag("op", "assignment op", {
+    "binary-sum": _Decl(BinarySumUpdate, (
+        *(_F(key, "list", f"{key}_lines") for key in ("a", "b", "out")),
+        *_LEVELS,
+    )),
+    "constant": _Decl(ConstantUpdate, (_F("lines", "list"), _F("values", "numbers"))),
+}),))
+_NOISE = _Decl(None, (
+    _tag("kind", "noise kind", {
+        "coordinate-flip": _Decl(CoordinateFlipNoise, (_F("coordinates", "list"), *_LEVELS)),
+        "label-flip": _Decl(LabelFlipNoise, (_F("partners", "pairs"),)),
+    }),
+    _F("probability", "number"),
+))
+_PHYSICAL_DYNAMICS = _Decl(PhysicalDynamics, (
+    _DYNAMICS_ID,
+    _F("space", "ref", arg="spaces"),
+    _F("rule", "one", arg=_Decl(None, (_tag("kind", "rule kind", {
+        "table": _TABLE,
+        "coordinate-update": _Decl(CoordinateUpdateRule, (
+            _F("assignments", "many", arg=_ASSIGNMENT),
+        )),
+    }),))),
+    _OPTIONAL("noise", "one", arg=_NOISE),
+), ("physical_dynamics", "abstract_dynamics"))
+_THEORY = _Decl(Theory, (
+    _ID,
+    _F("representation", "ref", arg="relations"),
+    _F("domain", "states", arg="representation.domain"),
+    _F("predictions", "many", arg=_Decl(Prediction, (
+        _F("name", "name"),
+        _F("abstract", "ref", arg="abstract_dynamics"),
+        _F("physical", "ref", arg="physical_dynamics"),
+    ))),
+    _OPTIONAL("instantiation", "one", arg=_Decl(InstantiationProcedure, (
+        _F("seeds", "states", arg="representation.domain"),
+        _F("engineering", "ref", arg="physical_dynamics"),
+    ))),
+), ("theories",))
+_STACK = _Decl(RefinementStack, (
+    _ID,
+    _F("layers", "many", arg=_Decl(RefinementLayer, (
+        _ID,
+        _F("space", "ref", arg="spaces"),
+        _F("dynamics", "ref", arg="abstract_dynamics"),
+    ), ("layers",))),
+    _F("relations", "many", arg=_Decl(SimulationRelation, (
+        _ID,
+        _F("upper", "ref", arg="layers"),
+        _F("lower", "ref", arg="layers"),
+        _F("entries", "entries", arg=("upper.space", "lower.space")),
+    ))),
+    _F("theory", "ref", arg="theories"),
+    _F("device", "ref", arg="physical_dynamics"),
+), ("stacks",), fresh="layers")  # layer identifiers are scoped to their stack
+_COMPONENT = _Decl(Component, (
+    _F("theory", "ref", arg="theories"),
+    _F("dynamics", "ref", arg="abstract_dynamics"),
+))
+_COMPOSITION = _Decl(None, (
+    _ID,
+    _tag("mode", "composition mode", {
+        "parallel": _Decl(_composed("parallel"), ()),
+        "sequential": _Decl(_composed("sequential"), ()),
+        "declared": _Decl(partial(JointSystem, provenance="declared"), (
+            _F("joint_space", "ref", arg="spaces"),
+            _F("joint_representation", "ref", arg="relations"),
+            _F("joint_dynamics", "ref", arg="abstract_dynamics"),
+        )),
+    }),
+    _F("left", "one", arg=_COMPONENT),
+    _F("right", "one", arg=_COMPONENT),
+), ("joints",), tag_of=lambda joint: joint.provenance.removeprefix("composed-"))
+_CHECK = _Decl(_check_spec, (
+    _F("name", "name"),
+    _F("kind", "enum", arg=("check kind", CHECK_KINDS)),
+    # Checks name the objects they use, and resolve them at run time.
+    *(_OPTIONAL(key, "name") for key in (
+        "theory", "prediction", "stack", "relation", "joint", "expect_class",
+    )),
+    _OPTIONAL("physical_metric", "enum", arg=("metric", METRICS)),
+    *(_OPTIONAL(key, "raw") for key in ("state", "input", "expect")),
+    _F("oracle", "flag", default=False),
+    _F("epsilon", "number", default=0.0),
+    _F("metric", "enum", default="discrete", arg=("metric", METRICS)),
+    _F("trials", "integer", default=1),
+    _F("required_success", "number", default=1.0),
+), ("checks",))
+
+#: The document's sections in order: the bundle field each fills, its
+#: document path, and the declaration kind it lists.
+_SECTIONS = (
+    ("abstract_spaces", "spaces.abstract", _ABSTRACT_SPACE),
+    ("physical_spaces", "spaces.physical", _PHYSICAL_SPACE),
+    ("relations", "relations", _RELATION),
+    ("abstract_dynamics", "dynamics.abstract", _ABSTRACT_DYNAMICS),
+    ("physical_dynamics", "dynamics.physical", _PHYSICAL_DYNAMICS),
+    ("theories", "theories", _THEORY),
+    ("stacks", "stacks", _STACK),
+    ("joints", "compositions", _COMPOSITION),
+    ("checks", "checks", _CHECK),
+)
+_TOP_LEVEL = {"format_version"} | {path.partition(".")[0] for _, path, _ in _SECTIONS}
 
 
 def parse_scenario(text: str) -> ScenarioBundle:
@@ -482,218 +523,34 @@ def parse_scenario(text: str) -> ScenarioBundle:
         raise ScenarioSyntaxError(err.msg, err.lineno, err.colno) from err
     _expect(doc, "document", dict, "a JSON object")
     for key in doc:
-        if key not in _SECTIONS:
+        if key not in _TOP_LEVEL:
             raise ScenarioSyntaxError(f"document: unknown section {key!r}")
     version = doc.get("format_version")
     if version not in SUPPORTED_VERSIONS:
         raise VersionUnsupported(f"unsupported format version {version!r}")
 
-    reg = _Registry()
-    seen_names: set = set()
+    reg: dict = defaultdict(dict)  # registry table -> identifier -> object
     parsed = {}
-    for field, path, parser, *args in (
-        ("abstract_spaces", "spaces.abstract", _parse_space, False, reg),
-        ("physical_spaces", "spaces.physical", _parse_space, True, reg),
-        ("relations", "relations", _parse_relation, reg),
-        ("abstract_dynamics", "dynamics.abstract", _parse_abstract_dynamics, reg),
-        ("physical_dynamics", "dynamics.physical", _parse_physical_dynamics, reg),
-        ("theories", "theories", _parse_theory, reg),
-        ("stacks", "stacks", _parse_stack, reg),
-        ("joints", "compositions", _parse_composition, reg),
-        ("checks", "checks", _parse_check, seen_names),
-    ):
+    for field, path, decl in _SECTIONS:
         section, _, part = path.partition(".")
         decls = doc.get(section, {} if part else [])
         if part:
             decls = _expect(decls, section, dict, "an object").get(part, [])
         parsed[field] = tuple(
-            _checked(parser, d, f"{path}[{i}]", *args)
+            _read(decl, d, f"{path}[{i}]", reg)
             for i, d in enumerate(_expect(decls, path, list, "a list"))
         )
     return ScenarioBundle(format_version=version, **parsed)
 
 
-def _emit_space(space) -> dict:
-    if isinstance(space, (LabelSpace, PhysicalLabelSpace)):
-        return {"id": space.id, "kind": "labels", "labels": list(space.labels)}
-    if isinstance(space, BitSpace):
-        return {"id": space.id, "kind": "bits", "width": space.width}
-    if isinstance(space, IntSpace):
-        return {"id": space.id, "kind": "ints", "lo": space.lo, "hi": space.hi}
-    if isinstance(space, RealVectorSpace):
-        return {"id": space.id, "kind": "vector", "bounds": [list(b) for b in space.bounds]}
-    return {"id": space.id, "kind": "tuple", "components": [c.id for c in space.components]}
-
-
-def _emit_entries(entries: dict, key_space) -> list:
-    return [[value_to_json(k), value_to_json(entries[k])] for k in enumerate_values(key_space)]
-
-
-def _emit_relation(relation: RepresentationRelation) -> dict:
-    rule = relation.rule
-    if isinstance(rule, LookupRule):
-        encoded = {
-            "kind": "lookup",
-            "entries": _emit_entries(rule.entries, relation.domain),
-        }
-    elif isinstance(rule, ThresholdRule):
-        encoded = {"kind": "threshold", "thresholds": list(rule.thresholds)}
-    else:
-        encoded = {"kind": "tuple-wise", "parts": [p.id for p in rule.parts]}
-    return {
-        "id": relation.id,
-        "domain": relation.domain.id,
-        "codomain": relation.codomain.id,
-        "rule": encoded,
-    }
-
-
-def _emit_abstract_dynamics(dyn: AbstractDynamics) -> dict:
-    rule = dyn.rule
-    if isinstance(rule, TableRule):
-        encoded = {"kind": "table", "entries": _emit_entries(rule.entries, dyn.space)}
-    elif isinstance(rule, BuiltinRule):
-        encoded = {"kind": "builtin", "name": rule.name}
-    else:
-        encoded = {"kind": "chain", "parts": [p.id for p in rule.parts]}
-    return {"id": dyn.id, "space": dyn.space.id, "rule": encoded}
-
-
-def _emit_physical_dynamics(dyn: PhysicalDynamics) -> dict:
-    rule = dyn.rule
-    if isinstance(rule, TableRule):
-        encoded = {"kind": "table", "entries": _emit_entries(rule.entries, dyn.space)}
-    else:
-        assignments = []
-        for a in rule.assignments:
-            if isinstance(a, BinarySumUpdate):
-                assignments.append(
-                    {
-                        "op": "binary-sum",
-                        "a": list(a.a_lines),
-                        "b": list(a.b_lines),
-                        "out": list(a.out_lines),
-                        "threshold": a.threshold,
-                        "low": a.low,
-                        "high": a.high,
-                    }
-                )
-            else:
-                assignments.append(
-                    {"op": "constant", "lines": list(a.lines), "values": list(a.values)}
-                )
-        encoded = {"kind": "coordinate-update", "assignments": assignments}
-    out = {"id": dyn.id, "space": dyn.space.id, "rule": encoded}
-    if dyn.noise is not None:
-        if isinstance(dyn.noise, CoordinateFlipNoise):
-            out["noise"] = {
-                "kind": "coordinate-flip",
-                "probability": dyn.noise.probability,
-                "coordinates": list(dyn.noise.coordinates),
-                "threshold": dyn.noise.threshold,
-                "low": dyn.noise.low,
-                "high": dyn.noise.high,
-            }
-        else:
-            out["noise"] = {
-                "kind": "label-flip",
-                "probability": dyn.noise.probability,
-                "partners": [[k, dyn.noise.partners[k]] for k in sorted(dyn.noise.partners)],
-            }
-    return out
-
-
-def _emit_theory(theory: Theory) -> dict:
-    out = {
-        "id": theory.id,
-        "representation": theory.representation.id,
-        "domain": [value_to_json(s.value) for s in theory.domain],
-        "predictions": [
-            {"name": p.name, "abstract": p.abstract.id, "physical": p.physical.id}
-            for p in theory.predictions
-        ],
-    }
-    if theory.instantiation is not None:
-        out["instantiation"] = {
-            "seeds": [value_to_json(s.value) for s in theory.instantiation.seeds],
-            "engineering": theory.instantiation.engineering.id,
-        }
-    return out
-
-
-def _emit_stack(stack: RefinementStack) -> dict:
-    return {
-        "id": stack.id,
-        "layers": [
-            {"id": l.id, "space": l.space.id, "dynamics": l.dynamics.id} for l in stack.layers
-        ],
-        "relations": [
-            {
-                "id": r.id,
-                "upper": r.upper.id,
-                "lower": r.lower.id,
-                "entries": _emit_entries(r.entries, r.upper.space),
-            }
-            for r in stack.relations
-        ],
-        "theory": stack.theory.id,
-        "device": stack.device.id,
-    }
-
-
-def _emit_composition(joint: JointSystem) -> dict:
-    out = {
-        "id": joint.id,
-        "mode": {
-            "composed-parallel": "parallel",
-            "composed-sequential": "sequential",
-            "declared": "declared",
-        }[joint.provenance],
-        "left": {"theory": joint.left.theory.id, "dynamics": joint.left.dynamics.id},
-        "right": {"theory": joint.right.theory.id, "dynamics": joint.right.dynamics.id},
-    }
-    if joint.provenance == "declared":
-        out["joint_space"] = joint.joint_space.id
-        out["joint_representation"] = joint.joint_representation.id
-        out["joint_dynamics"] = joint.joint_dynamics.id
-    return out
-
-
-def _emit_check(check: CheckSpec) -> dict:
-    out: dict[str, Any] = {"name": check.name, "kind": check.kind}
-    for key in ("theory", "prediction", "stack", "relation", "joint", "expect_class", "physical_metric"):
-        value = getattr(check, key)
-        if value is not None:
-            out[key] = value
-    for key in ("state", "input", "expect"):
-        value = getattr(check, key)
-        if value is not None:
-            out[key] = value_to_json(value)
-    if check.oracle:
-        out["oracle"] = True
-    out["epsilon"] = check.epsilon
-    out["metric"] = check.metric
-    out["trials"] = check.trials
-    out["required_success"] = check.required_success
-    return out
-
-
 def emit_scenario(bundle: ScenarioBundle) -> str:
     """Serialize a bundle as document text that parses back equal."""
-    doc = {
-        "format_version": bundle.format_version,
-        "spaces": {
-            "abstract": [_emit_space(s) for s in bundle.abstract_spaces],
-            "physical": [_emit_space(s) for s in bundle.physical_spaces],
-        },
-        "relations": [_emit_relation(r) for r in bundle.relations],
-        "dynamics": {
-            "abstract": [_emit_abstract_dynamics(d) for d in bundle.abstract_dynamics],
-            "physical": [_emit_physical_dynamics(d) for d in bundle.physical_dynamics],
-        },
-        "theories": [_emit_theory(t) for t in bundle.theories],
-        "stacks": [_emit_stack(s) for s in bundle.stacks],
-        "compositions": [_emit_composition(j) for j in bundle.joints],
-        "checks": [_emit_check(c) for c in bundle.checks],
-    }
+    doc: dict[str, Any] = {"format_version": bundle.format_version}
+    for field, path, decl in _SECTIONS:
+        section, _, part = path.partition(".")
+        decls = [_write(decl, obj) for obj in getattr(bundle, field)]
+        if part:
+            doc.setdefault(section, {})[part] = decls
+        else:
+            doc[section] = decls
     return json.dumps(doc, indent=2) + "\n"

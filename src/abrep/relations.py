@@ -26,6 +26,7 @@ from .errors import (
     MissingInstantiation,
     NotInstantiable,
     OutOfDomain,
+    UnknownReference,
 )
 from .spaces import (
     AbstractSpace,
@@ -282,7 +283,7 @@ class Theory:
         for pred in self.predictions:
             if pred.name == name:
                 return pred
-        raise KeyError(name)
+        raise UnknownReference(f"theory {self.id!r}", str(name))
 
 
 # Engineering dynamics run with a fixed seed so preparation is a pure

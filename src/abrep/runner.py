@@ -93,10 +93,7 @@ class _Run:
 
     def _prediction(self, theory: Theory, check: CheckSpec) -> Prediction:
         name = check.prediction or next((p.name for p in theory.predictions), None)
-        try:
-            return theory.prediction(name)
-        except KeyError:
-            raise UnknownReference(f"check {check.name!r}", str(name)) from None
+        return theory.prediction(name)
 
     def _diagram_spec(self, theory: Theory, check: CheckSpec) -> DiagramSpec:
         prediction = self._prediction(theory, check)

@@ -23,7 +23,7 @@ from .dynamics import (
     TableRule,
     identity_dynamics,
 )
-from .errors import DuplicateIdentifier
+from .errors import DuplicateIdentifier, UnknownReference
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
     InstantiationProcedure,
@@ -116,20 +116,20 @@ class ScenarioBundle:
                     raise DuplicateIdentifier(f"bundle {section}", ident)
                 seen.add(ident)
 
-    def _find(self, section, wanted: str):
-        for obj in section:
+    def _find(self, section: str, wanted: str):
+        for obj in getattr(self, section):
             if obj.id == wanted:
                 return obj
-        raise KeyError(wanted)
+        raise UnknownReference(f"bundle {section}", str(wanted))
 
     def theory(self, theory_id: str) -> Theory:
-        return self._find(self.theories, theory_id)
+        return self._find("theories", theory_id)
 
     def stack(self, stack_id: str) -> RefinementStack:
-        return self._find(self.stacks, stack_id)
+        return self._find("stacks", stack_id)
 
     def joint(self, joint_id: str) -> JointSystem:
-        return self._find(self.joints, joint_id)
+        return self._find("joints", joint_id)
 
 
 def _bits(n: int, width: int) -> str:

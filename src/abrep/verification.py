@@ -25,7 +25,7 @@ from .dynamics import (
     evolve_abstract,
     evolve_physical,
 )
-from .errors import DeclarationError, EmptyDomain, OutOfDomain, TheoryNotValidated, UnknownReference
+from .errors import DeclarationError, EmptyDomain, OutOfDomain, TheoryNotValidated
 from .relations import (
     INVALID,
     VALID,
@@ -258,11 +258,7 @@ def run_compute_cycle(
             f"theory {theory.id!r} has validity {theory.validity.status!r};"
             " validate it before computing"
         )
-    try:
-        validated = theory.prediction(program).physical
-    except KeyError:
-        raise UnknownReference(f"theory {theory.id!r}", program) from None
-    if h != validated:
+    if h != theory.prediction(program).physical:
         raise TheoryNotValidated(
             f"theory {theory.id!r}: the device update given is not the one"
             f" validated for program {program!r}"

@@ -5,6 +5,7 @@ import pytest
 
 from abrep.cli import main, parse_state_literal
 from abrep.document import emit_scenario
+from abrep.errors import ScenarioSyntaxError
 from abrep.dynamics import TrialSeed
 from abrep.runner import report_to_json, run_checks
 from abrep.scenarios import BUILTIN_SCENARIOS, CheckSpec
@@ -17,16 +18,16 @@ def write_scenario(tmp_path, name):
 
 
 def test_parse_state_literal_forms():
-    assert parse_state_literal('("01","10","000")') == ("01", "10", "000")
-    assert parse_state_literal("(7, 9)") == (7, 9)
+    assert parse_state_literal('["01","10","000"]') == ("01", "10", "000")
+    assert parse_state_literal("[7, 9]") == (7, 9)
     assert parse_state_literal('"01"') == "01"
-    assert parse_state_literal("up") == "up"
+    assert parse_state_literal('"up"') == "up"
     assert parse_state_literal("42") == 42
-    assert parse_state_literal('(("01","10"), 3)') == (("01", "10"), 3)
-    with pytest.raises(ValueError):
-        parse_state_literal('("01"')
-    with pytest.raises(ValueError):
-        parse_state_literal('"unterminated')
+    assert parse_state_literal('[["01","10"], 3]') == (("01", "10"), 3)
+    with pytest.raises(ScenarioSyntaxError):
+        parse_state_literal('["01"')
+    with pytest.raises(ScenarioSyntaxError):
+        parse_state_literal("up")
 
 
 def test_check_command_passes_on_sound_bundle(tmp_path, capsys):
@@ -97,7 +98,7 @@ def test_validate_theory_command(tmp_path, capsys):
 def test_compute_command_runs_a_cycle(tmp_path, capsys):
     path = write_scenario(tmp_path, "voltage-adder")
     code = main(
-        ["compute", path, "--theory", "adder", "--input", '("01","10","000")', "--format", "json"]
+        ["compute", path, "--theory", "adder", "--input", '["01","10","000"]', "--format", "json"]
     )
     assert code == 0
     data = json.loads(capsys.readouterr().out)
@@ -114,12 +115,28 @@ def test_compute_command_flags_wrong_expectation(tmp_path, capsys):
             "--theory",
             "adder",
             "--input",
-            '("01","10","000")',
+            '["01","10","000"]',
             "--expect",
-            '("01","10","111")',
+            '["01","10","111"]',
         ]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ["--input", '("01","10","000")'],
+        ["--input", '["01","10","000"]', "--expect", '("01","10","011")'],
+    ],
+    ids=["input", "expect"],
+)
+def test_compute_command_rejects_values_that_are_not_json(tmp_path, capsys, values):
+    path = write_scenario(tmp_path, "voltage-adder")
+    assert main(["compute", path, "--theory", "adder", *values]) == 2
+    err = capsys.readouterr().err
+    assert "ScenarioSyntaxError" in err
+    assert "Traceback" not in err
 
 
 def test_check_stack_command(tmp_path, capsys):
@@ -145,19 +162,6 @@ def test_scenarios_emit_prints_parseable_documents(capsys):
     bundle = parse_scenario(text)
     assert bundle.joint("social.galaxy-zoo")
     assert main(["scenarios", "emit", "not-a-scenario"]) == 2
-
-
-def test_report_command_rerenders_saved_reports(tmp_path, capsys):
-    path = write_scenario(tmp_path, "voltage-adder")
-    assert main(["check", path, "--format", "json"]) == 0
-    saved = tmp_path / "run.json"
-    saved.write_text(capsys.readouterr().out, encoding="utf-8")
-    assert main(["report", str(saved)]) == 0
-    text = capsys.readouterr().out
-    assert "overall: PASS" in text
-    assert main(["report", str(saved), "--format", "json"]) == 0
-    again = json.loads(capsys.readouterr().out)
-    assert again["overall"] == "pass"
 
 
 def test_epsilon_and_trials_overrides_apply(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from abrep import (
     BUILTIN_SCENARIOS,
     DuplicateIdentifier,
+    ScenarioError,
     ScenarioSyntaxError,
     UnknownReference,
     VersionUnsupported,
@@ -13,6 +14,7 @@ from abrep import (
     enumerate_values,
     parse_scenario,
 )
+from abrep import document
 from abrep.document import raw_value, value_to_json
 from abrep.runner import run_checks
 from abrep.spaces import is_finite, normalize_value
@@ -356,3 +358,64 @@ def test_default_prediction_of_a_theory_without_predictions_is_a_check_error():
     report = run_checks(parse_scenario(json.dumps(bad)))
     assert report.results[2].status == "error"
     assert report.results[2].error["type"] == "UnknownReference"
+
+
+#: A value of the wrong JSON type for each field kind of the format table.
+_WRONG = {
+    "name": 0, "ref": 0, "number": "0", "integer": "0", "flag": 0, "enum": 0, "tag": 0,
+    "one": [], **dict.fromkeys(
+        ("refs", "list", "numbers", "states", "entries", "pairs", "bounds", "many"), ""
+    ),
+}
+
+
+def _field_sites():
+    """Each field of the format table at its first use in a built-in document.
+
+    Yields (scenario, path of the declaration, the field), one per field
+    path with its indices dropped; ``raw`` fields take any value.
+    """
+    seen = set()
+
+    def walk(decl, obj, path):
+        fields = list(decl.fields)
+        for f in fields:
+            if f.kind == "tag":
+                fields += f.arg[1][obj[f.key]].fields
+        for f in fields:
+            where = f"{path}.{f.key}"
+            template = "".join(c for c in where if not c.isdigit())
+            if f.kind != "raw" and template not in seen:
+                seen.add(template)
+                yield path, f
+            nested = obj.get(f.key)
+            if f.kind == "one" and nested is not None:
+                yield from walk(f.arg, nested, where)
+            elif f.kind == "many":
+                for i, item in enumerate(nested):
+                    yield from walk(f.arg, item, f"{where}[{i}]")
+
+    for name in sorted(BUILTIN_SCENARIOS):
+        data = json.loads(emit_scenario(BUILTIN_SCENARIOS[name]()))
+        for _, path, decl in document._SECTIONS:
+            section, _, part = path.partition(".")
+            decls = data[section][part] if part else data[section]
+            for i, obj in enumerate(decls):
+                for site, field in walk(decl, obj, f"{path}[{i}]"):
+                    yield pytest.param(name, site, field, id=f"{name}:{site}.{field.key}")
+
+
+def _at(data: dict, path: str) -> dict:
+    """The object at a document path such as ``checks[1].rule``."""
+    for part in path.replace("[", ".").replace("]", "").split("."):
+        data = data[int(part)] if part.isdigit() else data[part]
+    return data
+
+
+@pytest.mark.parametrize("name, path, field", list(_field_sites()))
+def test_every_field_is_checked_at_its_path(name, path, field):
+    bad = json.loads(emit_scenario(BUILTIN_SCENARIOS[name]()))
+    _at(bad, path)[field.key] = _WRONG[field.kind]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(bad))
+    assert str(err.value).startswith(f"{path}.{field.key}: ")

@@ -3,7 +3,8 @@
 The digests below are SHA-256 sums of ``report_to_json(run_checks(...))``
 for each built-in at seeds 0, 1 and 2. A refactor that claims to preserve
 behaviour must leave all of them unchanged, both for the builder's own
-bundle and for the bundle parsed back from its emitted document.
+bundle and for the bundle parsed back from its emitted document. ``EMITTED`` pins the SHA-256
+of each built-in's emitted document, so the format's bytes are gated too.
 """
 
 import hashlib
@@ -64,14 +65,28 @@ GOLDEN = {
     ),
 }
 
+EMITTED = {
+    "refinement-stack": "069866290ef0cc697c5f545cbf698a46f12989fadb6419cbaba02540190ca2f5",
+    "refinement-stack-miswired": "9d2bd70e5625a3b370157748bf55a4c7f0e1841ae9e84f5a5c806991639cfadc",
+    "social-machine": "a9087dbe63ee3e6093b5425dbeb7f99bbcb55cf31581c4cfbc087f1c8837e46a",
+    "swap-device": "4ba6e9b8dc75a63faa76694aa7c26bf7098cdcc79ed0fe2169ffb55225ee39fb",
+    "voltage-adder": "bfc88b3185b6731b3ec1f452e62f300f4127b42c309f3ca7ac274ecd57d192ad",
+    "voltage-adder-faulted": "c3b895eaf6df5a24fe2319b9300c53b4bfabc63be67c46c40942acbea16c0f7b",
+    "voltage-adder-noisy": "5e612af188c707262c150deaa5da2fec7a8edaa4c6afea6691317003f4597401",
+    "xor-joint": "04ae8c809bee0cea9e05762f2ce9cd31bb2d1559ed91d63939fe57412c12c3fe",
+}
 
-def _digest(bundle, seed: int) -> str:
-    text = report_to_json(run_checks(bundle, TrialSeed(seed)))
+
+def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _digest(bundle, seed: int) -> str:
+    return _sha256(report_to_json(run_checks(bundle, TrialSeed(seed))))
+
+
 def test_golden_table_covers_every_builtin():
-    assert set(GOLDEN) == set(BUILTIN_SCENARIOS)
+    assert set(GOLDEN) == set(EMITTED) == set(BUILTIN_SCENARIOS)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -87,3 +102,8 @@ def test_seed_zero_digests_match_benchmark_golden():
     recorded = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
     bench = json.loads(recorded.read_text())
     assert bench == {name: digests[0] for name, digests in GOLDEN.items()}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_emitted_document_digest_unchanged(name):
+    assert _sha256(emit_scenario(BUILTIN_SCENARIOS[name]())) == EMITTED[name]

@@ -6,6 +6,7 @@ from abrep import (
     BUILTIN_SCENARIOS,
     DISCRETE,
     DuplicateIdentifier,
+    ModelError,
     TrialSeed,
     build_refinement_stack,
     build_swap_device,
@@ -103,6 +104,16 @@ def test_bundles_built_through_the_api_reject_duplicate_identifiers():
     with pytest.raises(DuplicateIdentifier) as err:
         replace(bundle, checks=bundle.checks + bundle.checks[:1])
     assert err.value.identifier == "validate-left"
+
+
+def test_unknown_identifiers_in_api_lookups_are_model_errors():
+    bundle = build_xor_joint()
+    with pytest.raises(ModelError):
+        bundle.theory("nope")
+    with pytest.raises(ModelError):
+        bundle.joint("nope")
+    with pytest.raises(ModelError):
+        bundle.theory("xor.left").prediction("nope")
 
 
 def test_stack_relations_connect_declared_layers():
