@@ -172,7 +172,8 @@ class _F(NamedTuple):
       that builds the object; that declaration's fields follow the others.
     - ``ref``, ``refs``: an identifier, or an array of them, declared in
       the registry table ``arg``.
-    - ``list``, ``numbers``: an array, kept as a tuple; numbers are checked.
+    - ``list``, ``numbers``: an array, kept as a tuple; numbers are checked,
+      and so is each element of a list whose ``arg`` is ``(type, what)``.
     - ``bounds``, ``pairs``: an array of ``[lo, hi]`` number pairs, or of
       ``[key, value]`` pairs read into a dict and emitted sorted.
     - ``states``: state values of the space named by ``arg``.
@@ -283,7 +284,7 @@ def _value(f: _F, v: Any, path: str, reg: dict, scopes: tuple) -> Any:
         return _parse_entries(v, *(_find(scopes, space) for space in arg), path)
     items = enumerate(_expect(v, path, list, "a list"))
     if kind == "list":
-        return tuple(v)
+        return tuple(_expect(x, f"{path}[{i}]", *arg) if arg else x for i, x in items)
     if kind == "refs":
         return tuple(resolve(reg[arg], x, f"{path}[{i}]") for i, x in items)
     if kind == "numbers":
@@ -368,7 +369,7 @@ def _composed(mode: str) -> Callable:
 
 
 _ID = _F("id", "name")
-_LABELS = _F("labels", "list")
+_LABELS = _F("labels", "list", arg=(str, "a string label"))
 _COMPONENTS = _F("components", "refs", arg="spaces")
 _TABLE = _Decl(TableRule, (_F("entries", "entries", arg=("space", "space")),))
 _DYNAMICS_ID = _F("id", "name", arg=BUILTIN_NAMES)

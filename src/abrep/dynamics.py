@@ -407,15 +407,32 @@ def evolve_physical(h: PhysicalDynamics, p: PhysicalState, t: TrialSeed) -> Phys
     The output is a pure function of (h, p, t); noise-free dynamics ignore
     the seed entirely.
     """
-    if not contains(h.space, p):
-        raise OutOfDomain(f"configuration is not in the space of dynamics {h.id!r}")
-    value = _apply_physical(h.rule, p.value, t)
+    value = _rule_image(h, p)
     if h.noise is not None:
         value = _apply_noise(h.noise, value, t)
     return _trusted(PhysicalState, h.space, value)
 
 
-def _apply_physical(rule: PhysicalRule, value: Value, t: TrialSeed) -> Value:
+def _trial_outcomes(h: PhysicalDynamics, p: PhysicalState, base: TrialSeed, trials: int) -> list:
+    """The outcome values of ``trials`` runs of ``h`` from ``p``, in trial order.
+
+    Trial k's value is that of ``evolve_physical(h, p, derive_seed(base, k))``.
+    The rule ignores the seed, so it runs once and only the noise is drawn
+    per trial; a noise-free device repeats its one outcome and derives no seed.
+    """
+    value = _rule_image(h, p)
+    if h.noise is None:
+        return [value] * trials
+    return [_apply_noise(h.noise, value, derive_seed(base, k)) for k in range(trials)]
+
+
+def _rule_image(h: PhysicalDynamics, p: PhysicalState) -> Value:
+    if not contains(h.space, p):
+        raise OutOfDomain(f"configuration is not in the space of dynamics {h.id!r}")
+    return _apply_physical(h.rule, p.value)
+
+
+def _apply_physical(rule: PhysicalRule, value: Value) -> Value:
     if isinstance(rule, TableRule):
         return rule.entries[value]
     working = list(value)

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .dynamics import AbstractDynamics, PhysicalDynamics, TrialSeed, derive_seed, evolve_abstract
 from .errors import DeclarationError
-from .relations import Theory, instantiate
+from .relations import Theory, _prepare
 from .spaces import (
     AbstractSpace,
     AbstractState,
@@ -181,10 +181,11 @@ def check_stack_to_device(
 ) -> StackReport:
     """Check every layer pair, then the device boundary, end to end.
 
-    Each bottom-layer state reachable from the top is prepared on the device
-    and its commutation square checked against the bottom dynamics. The
-    theory need not have been validated: the boundary checks themselves
-    stand in for validation on the reachable set.
+    Each bottom-layer state reachable from the top is prepared on the device,
+    in one scan of the theory's seeds for all of them, and its commutation
+    square checked against the bottom dynamics. The theory need not have been
+    validated: the boundary checks themselves stand in for validation on the
+    reachable set.
     """
     layer_reports = tuple(check_layer(rel, epsilon, metric) for rel in stack.relations)
     device_entries: list[DeviceCheckEntry] = []
@@ -197,8 +198,8 @@ def check_stack_to_device(
         trials=trials,
         required_success=required_success,
     )
-    for i, bottom in enumerate(reachable_bottom_states(stack)):
-        prepared = instantiate(stack.theory, bottom)
+    bottoms = reachable_bottom_states(stack)
+    for i, (bottom, prepared) in enumerate(zip(bottoms, _prepare(stack.theory, bottoms))):
         report = check_commutation(spec, prepared, derive_seed(base_seed, i))
         device_entries.append(DeviceCheckEntry(bottom, report))
     passed = all(r.passed for r in layer_reports) and all(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 from .dynamics import (
     AbstractDynamics,
@@ -297,21 +297,37 @@ def instantiate(theory: Theory, target: AbstractState) -> PhysicalState:
     Seeds are driven through the engineering dynamics in declaration order;
     the first prepared configuration that represents as ``target`` wins.
     """
+    return next(_prepare(theory, (target,)))
+
+
+def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[PhysicalState]:
+    """Prepare each of ``targets`` in turn, as ``instantiate`` would, in one scan of the seeds.
+
+    Each reading keeps its first prepared configuration, and each target
+    resumes the scan where the last stopped. Lazy, so errors come in the
+    order that per-target ``instantiate`` calls would raise them.
+    """
     if theory.instantiation is None:
         raise MissingInstantiation(
             f"theory {theory.id!r} declares no instantiation procedure"
         )
     relation = theory.representation
-    if not contains(relation.codomain, target):
-        raise OutOfDomain(
-            f"target is not in the codomain of relation {relation.id!r}"
-        )
-    for seed in theory.instantiation.seeds:
-        prepared = evolve_physical(
-            theory.instantiation.engineering, seed, _ENGINEERING_SEED
-        )
-        if represent(relation, prepared) == target:
-            return prepared
-    raise NotInstantiable(
-        f"theory {theory.id!r}: no seed prepares {target.value!r}"
-    )
+    engineering = theory.instantiation.engineering
+    seeds = iter(theory.instantiation.seeds)
+    first: dict[Value, PhysicalState] = {}
+    for target in targets:
+        if not contains(relation.codomain, target):
+            raise OutOfDomain(
+                f"target is not in the codomain of relation {relation.id!r}"
+            )
+        goal = target.value
+        if goal not in first:
+            for seed in seeds:
+                prepared = evolve_physical(engineering, seed, _ENGINEERING_SEED)
+                reading = _apply(relation, prepared.value)  # in the domain: checked at declaration
+                first.setdefault(reading, prepared)
+                if reading == goal:
+                    break
+            else:
+                raise NotInstantiable(f"theory {theory.id!r}: no seed prepares {goal!r}")
+        yield first[goal]

@@ -22,7 +22,7 @@ from typing import Any
 from .composition import FactorizationWitness, brute_force_classify, classify
 from .document import resolve, value_to_json
 from .dynamics import TrialSeed, derive_seed
-from .errors import ModelError, UnknownReference
+from .errors import EmptyDomain, ModelError, UnknownReference
 from .refinement import check_layer, check_stack_to_device
 from .relations import Prediction, Theory, instantiate
 from .scenarios import CHECK_KINDS, CheckSpec, ScenarioBundle
@@ -92,8 +92,11 @@ class _Run:
         self.coverage[theory_id] = self.coverage.get(theory_id, 0) + cells
 
     def _prediction(self, theory: Theory, check: CheckSpec) -> Prediction:
-        name = check.prediction or next((p.name for p in theory.predictions), None)
-        return theory.prediction(name)
+        if check.prediction:
+            return theory.prediction(check.prediction)
+        if not theory.predictions:
+            raise EmptyDomain(f"theory {theory.id!r} declares no predictions")
+        return theory.predictions[0]
 
     def _diagram_spec(self, theory: Theory, check: CheckSpec) -> DiagramSpec:
         prediction = self._prediction(theory, check)

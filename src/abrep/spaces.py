@@ -33,7 +33,20 @@ class PhysicalSpace:
     """Marker base for spaces of simulated device configurations."""
 
 
-@dataclass(frozen=True)
+def _space(cls: type) -> type:
+    """``cls`` as a frozen dataclass hashed by its ``id`` alone.
+
+    States hash their space at every set or dict lookup, and a hash of every
+    field would walk a long ``bounds`` tuple each time. A string caches its
+    own hash, so this one is computed once and costs no storage. Equal spaces
+    have equal ids, and equality is the dataclass's own.
+    """
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = lambda self: hash(self.id)
+    return cls
+
+
+@_space
 class LabelSpace(AbstractSpace):
     """A finite set of named values, enumerated in declaration order."""
 
@@ -44,7 +57,7 @@ class LabelSpace(AbstractSpace):
         _check_labels(self)
 
 
-@dataclass(frozen=True)
+@_space
 class BitSpace(AbstractSpace):
     """Bitstrings of a fixed width, written most significant bit first."""
 
@@ -56,7 +69,7 @@ class BitSpace(AbstractSpace):
             raise DeclarationError(f"space {self.id!r}: bitstring width must be >= 1")
 
 
-@dataclass(frozen=True)
+@_space
 class IntSpace(AbstractSpace):
     """Integers in the inclusive range [lo, hi]."""
 
@@ -69,7 +82,7 @@ class IntSpace(AbstractSpace):
             raise DeclarationError(f"space {self.id!r}: lo must not exceed hi")
 
 
-@dataclass(frozen=True)
+@_space
 class TupleSpace(AbstractSpace):
     """An ordered product of abstract component spaces."""
 
@@ -80,7 +93,7 @@ class TupleSpace(AbstractSpace):
         _check_components(self, AbstractSpace)
 
 
-@dataclass(frozen=True)
+@_space
 class PhysicalLabelSpace(PhysicalSpace):
     """A finite set of named device configurations."""
 
@@ -91,7 +104,7 @@ class PhysicalLabelSpace(PhysicalSpace):
         _check_labels(self)
 
 
-@dataclass(frozen=True)
+@_space
 class RealVectorSpace(PhysicalSpace):
     """Real-valued device coordinates with inclusive per-coordinate bounds.
 
@@ -121,7 +134,7 @@ class RealVectorSpace(PhysicalSpace):
         return len(self.bounds)
 
 
-@dataclass(frozen=True)
+@_space
 class PhysicalTupleSpace(PhysicalSpace):
     """An ordered product of physical component spaces."""
 

@@ -21,6 +21,7 @@ from .dynamics import (
     AbstractDynamics,
     PhysicalDynamics,
     TrialSeed,
+    _trial_outcomes,
     derive_seed,
     evolve_abstract,
     evolve_physical,
@@ -40,6 +41,7 @@ from .spaces import (
     Metric,
     PhysicalState,
     _finite,
+    _trusted,
     distance,
 )
 
@@ -102,23 +104,27 @@ def _square(
     """Run the seeded trials of one square's lower path and grade them.
 
     Each trial evolves ``start`` on the device, reads the outcome through
-    ``relation`` when one is given, and measures it against ``upper``.
+    ``relation`` when one is given, and measures it against ``upper``. Both
+    are pure functions of the outcome, so each distinct outcome is read and
+    measured once.
     """
     device = spec.physical_dynamics
-    lowers: list[AbstractState | PhysicalState] = []
-    distances: list[float] = []
-    for k in range(spec.trials):
-        outcome = evolve_physical(device, start, derive_seed(base_seed, k))
-        if relation is not None:
-            outcome = represent(relation, outcome)
-        lowers.append(outcome)
-        distances.append(distance(metric, outcome, upper))
+    graded: dict = {}
+    trials = []
+    for value in _trial_outcomes(device, start, base_seed, spec.trials):
+        if value not in graded:
+            lower = _trusted(PhysicalState, device.space, value)
+            if relation is not None:
+                lower = represent(relation, lower)
+            graded[value] = (lower, distance(metric, lower, upper))
+        trials.append(graded[value])
+    lowers, distances = zip(*trials)
     fraction = sum(1 for d in distances if d <= spec.epsilon) / len(distances)
     return CommutationReport(
         initial_physical=start,
         upper_path_result=upper,
-        lower_path_results=tuple(lowers),
-        distances=tuple(distances),
+        lower_path_results=lowers,
+        distances=distances,
         success_fraction=fraction,
         passed=fraction >= spec.required_success,
         epsilon=spec.epsilon,

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 
+import abrep.dynamics
+import abrep.relations
 from abrep import (
     AbstractDynamics,
     BitSpace,
@@ -28,6 +31,29 @@ from abrep import (
     enumerate_values,
     identity_dynamics,
 )
+
+
+def count_device_work(monkeypatch) -> dict:
+    """Count device-rule applications (``rule``) and reads (``read``) from here on.
+
+    Patches ``abrep.dynamics._apply_physical`` and every ``abrep`` module's
+    binding of ``represent``, so each call is counted wherever it is made.
+    """
+    counts = {"rule": 0, "read": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    rule, read = abrep.dynamics._apply_physical, abrep.relations.represent
+    monkeypatch.setattr(abrep.dynamics, "_apply_physical", counted("rule", rule))
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "abrep" and getattr(module, "represent", None) is read:
+            monkeypatch.setattr(module, "represent", counted("read", read))
+    return counts
 
 
 def random_deterministic_theory(rng: random.Random, tag: str) -> Theory:

@@ -302,6 +302,18 @@ def test_numbers_and_flags_are_checked_not_coerced(mutate, path):
     assert str(err.value).startswith(f"{path}: expected")
 
 
+@pytest.mark.parametrize("side", ["abstract", "physical"])
+@pytest.mark.parametrize(
+    "labels, at", [([["a"], "b"], 0), ([1, 2], 0), (["a", True], 1)], ids=["list", "int", "bool"]
+)
+def test_labels_are_checked_at_their_own_path(side, labels, at):
+    bad = json.loads(emit_scenario(BUILTIN_SCENARIOS["social-machine"]()))
+    bad["spaces"][side][1]["labels"] = labels
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(bad))
+    assert str(err.value) == f"spaces.{side}[1].labels[{at}]: expected a string label"
+
+
 def test_infinite_vector_bounds_are_rejected():
     bad = _adder_doc()
     bad["spaces"]["physical"][0]["bounds"][0][1] = float("inf")
@@ -357,7 +369,10 @@ def test_default_prediction_of_a_theory_without_predictions_is_a_check_error():
     del bad["checks"][2]["prediction"]
     report = run_checks(parse_scenario(json.dumps(bad)))
     assert report.results[2].status == "error"
-    assert report.results[2].error["type"] == "UnknownReference"
+    assert report.results[2].error == {
+        "type": "EmptyDomain", "message": "theory 'swap' declares no predictions"
+    }
+    assert "None" not in report.results[2].error["message"]
 
 
 #: A value of the wrong JSON type for each field kind of the format table.

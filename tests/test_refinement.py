@@ -3,6 +3,7 @@ import math
 import pytest
 
 from abrep import (
+    BUILTIN_SCENARIOS,
     AbstractState,
     DISCRETE,
     RefinementLayer,
@@ -16,12 +17,14 @@ from abrep import (
     enumerate_values,
     evolve_abstract,
     instantiate,
+    run_checks,
     run_compute_cycle,
     validate_theory,
 )
 from abrep.dynamics import AbstractDynamics, BuiltinRule
 from abrep.errors import DeclarationError
 from abrep.refinement import reachable_bottom_states
+from support import count_device_work
 
 SEED = TrialSeed(0)
 
@@ -187,3 +190,11 @@ def test_simulation_relation_must_be_total_with_images_in_lower_space():
     entries.pop((0, 0, 0))
     with pytest.raises(DeclarationError):
         SimulationRelation("partial", dec, binl, entries)
+
+
+def test_stack_check_scans_the_seeds_once(monkeypatch):
+    """Gate: one scan of the 128 seeds prepares every reachable bottom state."""
+    counts = count_device_work(monkeypatch)
+    report = run_checks(BUILTIN_SCENARIOS["refinement-stack"]())
+    assert report.exit_code == 0
+    assert counts["rule"] <= 239  # 7,280 when each bottom state rescanned the seeds

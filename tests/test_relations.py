@@ -3,8 +3,10 @@ import math
 import pytest
 
 from abrep import (
+    AbstractDynamics,
     AbstractState,
     BitSpace,
+    BuiltinRule,
     InstantiationProcedure,
     IntSpace,
     LabelSpace,
@@ -30,7 +32,8 @@ from abrep import (
     represent,
 )
 from abrep.errors import DeclarationError
-from abrep.relations import Validity
+from abrep.relations import Validity, _prepare
+from support import count_device_work
 
 
 def test_threshold_reads_high_voltage_as_one():
@@ -156,8 +159,6 @@ def _tiny_theory(seed_labels=("a", "b"), with_instantiation=True):
     read = RepresentationRelation("read", cells, modes, LookupRule({"a": "x", "b": "y"}))
     hold = identity_dynamics("hold", cells)
     keep = PhysicalDynamics("keep", cells, TableRule({"a": "a", "b": "b"}))
-    from abrep import AbstractDynamics, BuiltinRule
-
     ident = AbstractDynamics("ident", modes, BuiltinRule("identity"))
     states = tuple(PhysicalState(cells, l) for l in ("a", "b"))
     inst = None
@@ -196,6 +197,30 @@ def test_instantiate_rejects_targets_outside_codomain():
     foreign = AbstractState(LabelSpace("other", ("x",)), "x")
     with pytest.raises(OutOfDomain):
         instantiate(theory, foreign)
+
+
+def test_preparation_resumes_one_scan_and_fails_at_the_target_without_a_seed(monkeypatch):
+    cells = PhysicalLabelSpace("cells", ("a", "b1", "b2", "c", "d"))
+    modes = LabelSpace("modes", ("x", "y", "z", "w"))
+    read = RepresentationRelation(
+        "read", cells, modes, LookupRule({"a": "x", "b1": "y", "b2": "y", "c": "z", "d": "w"})
+    )
+    seeds = tuple(PhysicalState(cells, l) for l in ("b2", "a", "b1", "c"))
+    ident = AbstractDynamics("ident", modes, BuiltinRule("identity"))
+    hold = identity_dynamics("hold", cells)
+    theory = Theory(
+        "prep", read, seeds, (Prediction("hold", ident, hold),), InstantiationProcedure(seeds, hold)
+    )
+    x, y, z, w = (AbstractState(modes, m) for m in ("x", "y", "z", "w"))
+    counts = count_device_work(monkeypatch)
+    prepared = [p.value for p in _prepare(theory, (y, z, x, y))]
+    assert prepared == ["b2", "c", "a", "b2"]  # the first seed that reads y wins
+    assert prepared == [instantiate(theory, t).value for t in (y, z, x, y)]
+    assert counts["rule"] == 4 + (1 + 4 + 2 + 1)  # one scan, then each target alone
+    preparation = _prepare(theory, (x, w, y))
+    assert next(preparation).value == "a"
+    with pytest.raises(NotInstantiable, match="no seed prepares 'w'"):
+        next(preparation)
 
 
 def test_instantiate_matches_exhaustive_seed_search_on_adder():

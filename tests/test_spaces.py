@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -111,6 +112,29 @@ def test_declarations_given_as_lists_are_stored_as_hashable_tuples():
     pair = TupleSpace("pair", [BITS2, SMALL_INT])
     assert pair.components == (BITS2, SMALL_INT)
     assert hash(AbstractState(pair, ("01", 3))) == hash(AbstractState(PAIR, ("01", 3)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LabelSpace("switch", ("up", "down")),
+        lambda: BitSpace("b2", 2),
+        lambda: IntSpace("n", 0, 5),
+        lambda: TupleSpace("pair", (BitSpace("b2", 2), IntSpace("n", 0, 5))),
+        lambda: PhysicalLabelSpace("cells", ("lo", "hi")),
+        lambda: RealVectorSpace("v3", ((0.0, 5.0),) * 3),
+        lambda: PhysicalTupleSpace("pair", (RealVectorSpace("v1", ((0.0, 5.0),)),) * 2),
+    ],
+    ids=["labels", "bits", "ints", "tuple", "physical-labels", "vector", "physical-tuple"],
+)
+def test_equal_spaces_declared_apart_hash_equal(build):
+    space, twin = build(), build()
+    assert space is not twin and space == twin and hash(space) == hash(twin)
+    assert hash(space) == hash(space.id)  # a string caches its hash: no field walk
+    renamed = dataclasses.replace(space, id="renamed")
+    assert renamed != space and renamed.id == "renamed"
+    assert dataclasses.replace(renamed, id=space.id) == space
+    assert hash(dataclasses.replace(renamed, id=space.id)) == hash(space)
 
 
 @pytest.mark.parametrize(

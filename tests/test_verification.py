@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import abrep.dynamics
 import abrep.spaces
 from abrep import (
+    BUILTIN_SCENARIOS,
     AbstractDynamics,
     AbstractState,
     BinarySumUpdate,
@@ -32,13 +34,16 @@ from abrep import (
     build_voltage_adder,
     check_commutation,
     check_history,
+    derive_seed,
+    evolve_physical,
     identity_dynamics,
     instantiate,
     represent,
+    run_checks,
     run_compute_cycle,
     validate_theory,
 )
-from support import random_deterministic_theory
+from support import count_device_work, random_deterministic_theory
 
 SEED = TrialSeed(0)
 
@@ -345,3 +350,36 @@ def test_validation_cost_per_cell_does_not_grow_with_the_domain(monkeypatch, bui
     assert evidence.all_passed and evidence.coverage == len(theory.domain)
     assert counts["normalize_value"] == 0
     assert counts["__eq__"] <= evidence.coverage
+
+
+def test_each_trial_outcome_is_the_device_run_at_its_seed():
+    """Applying the rule once per square leaves every trial's outcome as it was."""
+    _, theory, pred = adder_pieces(flip=0.2)
+    spec = DiagramSpec(theory, pred.abstract, pred.physical, trials=40, required_success=0.1)
+    m = machine_state(theory, ("01", "11", "000"))
+    start = instantiate(theory, m)
+    runs = [evolve_physical(pred.physical, start, derive_seed(SEED, k)) for k in range(40)]
+    assert len(set(runs)) > 1
+    report = check_commutation(spec, start, SEED)
+    assert report.lower_path_results == tuple(represent(theory.representation, p) for p in runs)
+    history = check_history(spec, m, MAX_COORDINATE, SEED)
+    assert history.lower_path_results == tuple(runs)
+
+
+def test_noise_free_square_applies_the_rule_once(monkeypatch):
+    _, theory, pred = adder_pieces()
+    spec = DiagramSpec(theory, pred.abstract, pred.physical, trials=50)
+    counts = count_device_work(monkeypatch)
+    monkeypatch.setattr(abrep.dynamics, "derive_seed", None)  # a call would fail
+    report = check_commutation(spec, theory.domain[0], SEED)
+    assert report.passed and len(report.distances) == 50
+    assert counts == {"rule": 1, "read": 2}  # one read per path
+
+
+def test_noisy_adder_reads_each_distinct_outcome_once(monkeypatch):
+    """Gate: the noisy adder's 8 flip patterns per cell bound its device work, not its trials."""
+    counts = count_device_work(monkeypatch)
+    report = run_checks(BUILTIN_SCENARIOS["voltage-adder-noisy"]())
+    assert report.exit_code == 0
+    assert counts["rule"] <= 66  # 7,449 when every trial applied the rule
+    assert counts["read"] <= 192  # 7,466 when every trial was read
