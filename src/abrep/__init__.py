@@ -76,7 +76,6 @@ from .relations import (
     Theory,
     ThresholdRule,
     TupleWiseRule,
-    Validity,
     instantiate,
     represent,
 )

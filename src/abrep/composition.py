@@ -82,7 +82,7 @@ class JointSystem:
     joint_space: PhysicalTupleSpace
     joint_representation: RepresentationRelation
     joint_dynamics: AbstractDynamics
-    provenance: str  # composed-parallel | composed-sequential | declared
+    provenance: str  # composed-parallel | declared
 
     def __post_init__(self):
         expected = (
@@ -102,7 +102,7 @@ class JointSystem:
             raise NotProductSpace(
                 f"joint {self.id!r}: joint dynamics do not act on the joint codomain"
             )
-        if self.provenance not in ("composed-parallel", "composed-sequential", "declared"):
+        if self.provenance not in ("composed-parallel", "declared"):
             raise NotProductSpace(f"joint {self.id!r}: unknown provenance")
 
 
@@ -124,39 +124,36 @@ class CompositionClass:
     witness: FactorizationWitness
 
 
-def componentwise_joint(
-    joint_id: str, a: Component, b: Component, provenance: str
-) -> JointSystem:
+def componentwise_joint(id: str, left: Component, right: Component) -> JointSystem:
     """Product space, paired representation, coordinate-wise dynamics."""
-    rep_a, rep_b = a.theory.representation, b.theory.representation
-    space = PhysicalTupleSpace(f"{joint_id}.space", (rep_a.domain, rep_b.domain))
-    codomain = TupleSpace(f"{joint_id}.values", (rep_a.codomain, rep_b.codomain))
+    rep_a, rep_b = left.theory.representation, right.theory.representation
+    space = PhysicalTupleSpace(f"{id}.space", (rep_a.domain, rep_b.domain))
+    codomain = TupleSpace(f"{id}.values", (rep_a.codomain, rep_b.codomain))
     joint_rep = RepresentationRelation(
-        f"{joint_id}.representation", space, codomain, TupleWiseRule((rep_a, rep_b))
+        f"{id}.representation", space, codomain, TupleWiseRule((rep_a, rep_b))
     )
-    entries = {}
-    for va in enumerate_values(rep_a.codomain):
-        fa = evolve_abstract(a.dynamics, AbstractState(rep_a.codomain, va)).value
-        for vb in enumerate_values(rep_b.codomain):
-            fb = evolve_abstract(b.dynamics, AbstractState(rep_b.codomain, vb)).value
-            entries[(va, vb)] = (fa, fb)
-    joint_dyn = AbstractDynamics(f"{joint_id}.dynamics", codomain, TableRule(entries))
-    return JointSystem(joint_id, a, b, space, joint_rep, joint_dyn, provenance)
+    images_a, images_b = _images(left.dynamics), _images(right.dynamics)
+    entries = {(va, vb): (fa, fb) for va, fa in images_a.items() for vb, fb in images_b.items()}
+    joint_dyn = AbstractDynamics(f"{id}.dynamics", codomain, TableRule(entries))
+    return JointSystem(id, left, right, space, joint_rep, joint_dyn, "composed-parallel")
 
 
-def _require_validated(joint_id: str, *components: Component) -> None:
-    for comp in components:
-        if not comp.theory.is_valid:
-            raise TheoryNotValidated(
-                f"joint {joint_id!r}: component theory {comp.theory.id!r} is not"
-                " validated"
-            )
+def _images(dynamics: AbstractDynamics) -> dict[Value, Value]:
+    """Each value of ``dynamics``' space, in canonical order, mapped to its image once."""
+    return {
+        v: evolve_abstract(dynamics, AbstractState(dynamics.space, v)).value
+        for v in enumerate_values(dynamics.space)
+    }
 
 
 def compose_parallel(a: Component, b: Component, joint_id: str = "parallel") -> JointSystem:
     """Run both computations side by side on the composed input."""
-    _require_validated(joint_id, a, b)
-    return componentwise_joint(joint_id, a, b, "composed-parallel")
+    for comp in (a, b):
+        if not comp.theory.is_valid:
+            raise TheoryNotValidated(
+                f"joint {joint_id!r}: component theory {comp.theory.id!r} is not validated"
+            )
+    return componentwise_joint(joint_id, a, b)
 
 
 def _product_states(space: PhysicalTupleSpace) -> tuple[list[PhysicalState], list[PhysicalState]]:
@@ -208,11 +205,14 @@ def factorize_representation(j: JointSystem) -> tuple[dict, dict] | None:
     )
     if split is None:
         return None
-    space_x, space_y = codomain.components
-    fmap, gmap = split
-    return (
-        {k: AbstractState(space_x, v) for k, v in fmap.items()},
-        {k: AbstractState(space_y, v) for k, v in gmap.items()},
+    return _as_states(split, codomain)
+
+
+def _as_states(maps: tuple[dict, dict], codomain: TupleSpace) -> tuple[dict, dict]:
+    """Each value-keyed map of ``maps`` with its images as states of its half of ``codomain``."""
+    return tuple(
+        {k: AbstractState(space, v) for k, v in table.items()}
+        for table, space in zip(maps, codomain.components)
     )
 
 
@@ -256,6 +256,11 @@ def classify(j: JointSystem) -> CompositionClass:
         dyn_factors = factorize_dynamics(j.joint_dynamics)
     except NotProductSpace:
         dyn_factors = None
+    return _verdict(j, rep_factors, dyn_factors)
+
+
+def _verdict(j: JointSystem, rep_factors, dyn_factors) -> CompositionClass:
+    """Hybrid iff both factorizations exist and the reading's factors are the declared ones."""
     hybrid = (
         rep_factors is not None
         and dyn_factors is not None
@@ -343,10 +348,7 @@ def brute_force_classify(j: JointSystem) -> CompositionClass:
             observed_rep,
         )
         if pair is not None:
-            rep_factors = (
-                {k: AbstractState(space_x, v) for k, v in pair[0].items()},
-                {k: AbstractState(space_y, v) for k, v in pair[1].items()},
-            )
+            rep_factors = _as_states(pair, codomain)
 
     dyn_factors = None
     dspace = j.joint_dynamics.space
@@ -360,13 +362,4 @@ def brute_force_classify(j: JointSystem) -> CompositionClass:
             for b in bvals
         }
         dyn_factors = _search_reproducing_pair(avals, bvals, avals, bvals, observed_dyn)
-
-    hybrid = (
-        rep_factors is not None
-        and dyn_factors is not None
-        and _factors_match_declared(j, rep_factors)
-    )
-    return CompositionClass(
-        HYBRID if hybrid else HETEROTIC,
-        FactorizationWitness(rep_factors, dyn_factors),
-    )
+    return _verdict(j, rep_factors, dyn_factors)

@@ -358,16 +358,6 @@ def _tag(key: str, noun: str, choices: dict) -> _F:
     return _F(key, "tag", arg=(noun, choices))
 
 
-def _check_spec(**fields) -> CheckSpec:
-    if fields["kind"] == "history" and fields["physical_metric"] is None:
-        raise DeclarationError("history checks must declare a physical metric")
-    return CheckSpec(**fields)
-
-
-def _composed(mode: str) -> Callable:
-    return lambda id, left, right: componentwise_joint(id, left, right, f"composed-{mode}")
-
-
 _ID = _F("id", "name")
 _LABELS = _F("labels", "list", arg=(str, "a string label"))
 _COMPONENTS = _F("components", "refs", arg="spaces")
@@ -469,8 +459,7 @@ _COMPONENT = _Decl(Component, (
 _COMPOSITION = _Decl(None, (
     _ID,
     _tag("mode", "composition mode", {
-        "parallel": _Decl(_composed("parallel"), ()),
-        "sequential": _Decl(_composed("sequential"), ()),
+        "parallel": _Decl(componentwise_joint, ()),
         "declared": _Decl(partial(JointSystem, provenance="declared"), (
             _F("joint_space", "ref", arg="spaces"),
             _F("joint_representation", "ref", arg="relations"),
@@ -480,7 +469,7 @@ _COMPOSITION = _Decl(None, (
     _F("left", "one", arg=_COMPONENT),
     _F("right", "one", arg=_COMPONENT),
 ), ("joints",), tag_of=lambda joint: joint.provenance.removeprefix("composed-"))
-_CHECK = _Decl(_check_spec, (
+_CHECK = _Decl(CheckSpec, (
     _F("name", "name"),
     _F("kind", "enum", arg=("check kind", CHECK_KINDS)),
     # Checks name the objects they use, and resolve them at run time.

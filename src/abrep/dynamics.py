@@ -24,6 +24,7 @@ from .spaces import (
     TupleSpace,
     Value,
     _finite,
+    _integer,
     _trusted,
     check_total_table,
     contains,
@@ -54,7 +55,7 @@ class TrialSeed:
     value: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.value <= _MASK64):
+        if not (0 <= _integer("trial seed", self.value) <= _MASK64):
             raise DeclarationError("trial seed must fit in 64 bits")
 
 
@@ -348,9 +349,7 @@ class PhysicalDynamics:
 def _check_lines(dyn_id: str, space: RealVectorSpace, lines, *levels: float) -> None:
     """Each line must index a coordinate, and each level must fit its bounds."""
     for line in lines:
-        if isinstance(line, bool) or not isinstance(line, int):
-            raise DeclarationError(f"dynamics {dyn_id!r}: line {line!r} is not an integer")
-        if not (0 <= line < space.dimension):
+        if not (0 <= _integer(f"dynamics {dyn_id!r}: line", line) < space.dimension):
             raise DeclarationError(f"dynamics {dyn_id!r}: line {line} out of range")
         lo, hi = space.bounds[line]
         for level in levels:

@@ -204,31 +204,13 @@ class Prediction:
     physical: PhysicalDynamics
 
 
-UNTESTED = "untested"
-VALID = "valid"
-INVALID = "invalid"
-
-
-@dataclass(frozen=True)
-class Validity:
-    """Machine-managed verification status of a theory."""
-
-    status: str = UNTESTED
-    evidence: "ValidityReport | None" = None
-
-    def __post_init__(self):
-        if self.status not in (UNTESTED, VALID, INVALID):
-            raise DeclarationError(f"unknown validity status {self.status!r}")
-        if self.status != UNTESTED and self.evidence is None:
-            raise DeclarationError("valid/invalid status requires evidence")
-
-
 @dataclass(frozen=True)
 class Theory:
     """A device theory: representation, asserted domain, and predictions.
 
-    ``validity`` starts untested and is only ever set by theory validation,
-    which returns a new Theory value rather than mutating this one.
+    ``evidence`` is the report that grades the theory. Only theory
+    validation sets it, on the new Theory value it returns; any other
+    construction, ``dataclasses.replace`` included, starts untested.
     """
 
     id: str
@@ -236,7 +218,7 @@ class Theory:
     domain: tuple[PhysicalState, ...]
     predictions: tuple[Prediction, ...]
     instantiation: InstantiationProcedure | None = None
-    validity: Validity = field(default_factory=Validity)
+    evidence: ValidityReport | None = field(init=False, default=None)
 
     def __post_init__(self):
         space = self.representation.domain
@@ -277,7 +259,14 @@ class Theory:
 
     @property
     def is_valid(self) -> bool:
-        return self.validity.status == VALID
+        return self.evidence is not None and self.evidence.all_passed
+
+    @property
+    def validity(self) -> str:
+        """``"untested"``, ``"valid"`` or ``"invalid"``, read off the evidence."""
+        if self.evidence is None:
+            return "untested"
+        return "valid" if self.evidence.all_passed else "invalid"
 
     def prediction(self, name: str) -> Prediction:
         for pred in self.predictions:

@@ -23,7 +23,7 @@ from .dynamics import (
     TableRule,
     identity_dynamics,
 )
-from .errors import DuplicateIdentifier, UnknownReference
+from .errors import DeclarationError, DuplicateIdentifier, UnknownReference
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
     InstantiationProcedure,
@@ -35,10 +35,13 @@ from .relations import (
     TupleWiseRule,
 )
 from .spaces import (
+    METRIC_KINDS,
+    AbstractSpace,
     BitSpace,
     IntSpace,
     LabelSpace,
     PhysicalLabelSpace,
+    PhysicalSpace,
     PhysicalState,
     PhysicalTupleSpace,
     RealVectorSpace,
@@ -50,9 +53,24 @@ from .spaces import (
 FORMAT_VERSION = "1"
 
 
+CHECK_KINDS = (
+    "commutation",
+    "experiment",
+    "history",
+    "validate-theory",
+    "compute",
+    "layer",
+    "stack",
+    "classify",
+)
+
+
 @dataclass(frozen=True)
 class CheckSpec:
-    """One declared check; unset tolerances fall back to the strict defaults."""
+    """One declared check; unset tolerances fall back to the strict defaults.
+
+    Its kind and metrics are checked here, the objects it names when it runs.
+    """
 
     name: str
     kind: str
@@ -72,17 +90,15 @@ class CheckSpec:
     trials: int = 1
     required_success: float = 1.0
 
-
-CHECK_KINDS = (
-    "commutation",
-    "experiment",
-    "history",
-    "validate-theory",
-    "compute",
-    "layer",
-    "stack",
-    "classify",
-)
+    def __post_init__(self):
+        if self.kind not in CHECK_KINDS:
+            raise DeclarationError(f"unknown check kind {self.kind!r}")
+        if self.metric not in METRIC_KINDS:
+            raise DeclarationError(f"unknown metric {self.metric!r}")
+        if self.physical_metric not in (None, *METRIC_KINDS):
+            raise DeclarationError(f"unknown metric {self.physical_metric!r}")
+        if self.kind == "history" and self.physical_metric is None:
+            raise DeclarationError("history checks must declare a physical metric")
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,28 @@ class ScenarioBundle:
 
     def joint(self, joint_id: str) -> JointSystem:
         return self._find("joints", joint_id)
+
+
+#: The type of declaration each bundle section holds, in section order.
+_SECTION_TYPES = {
+    "abstract_spaces": AbstractSpace,
+    "physical_spaces": PhysicalSpace,
+    "relations": RepresentationRelation,
+    "abstract_dynamics": AbstractDynamics,
+    "physical_dynamics": PhysicalDynamics,
+    "theories": Theory,
+    "stacks": RefinementStack,
+    "joints": JointSystem,
+}
+
+
+def _bundle(checks: tuple, *declared) -> ScenarioBundle:
+    """A bundle of ``checks`` and ``declared``, each in the section for its type, in order."""
+    sections = {
+        field: tuple(obj for obj in declared if isinstance(obj, kind))
+        for field, kind in _SECTION_TYPES.items()
+    }
+    return ScenarioBundle(FORMAT_VERSION, checks=checks, **sections)
 
 
 def _bits(n: int, width: int) -> str:
@@ -239,18 +277,7 @@ def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) ->
             square("history-01-10", "history", physical_metric="max-coordinate"),
         )
 
-    return ScenarioBundle(
-        format_version=FORMAT_VERSION,
-        abstract_spaces=(register, out_register, machine),
-        physical_spaces=(lines,),
-        relations=(read,),
-        abstract_dynamics=(add,),
-        physical_dynamics=(volts, hold),
-        theories=(theory,),
-        stacks=(),
-        joints=(),
-        checks=checks,
-    )
+    return _bundle(checks, register, out_register, machine, lines, read, add, volts, hold, theory)
 
 
 def build_refinement_stack(mis_declared: bool = False) -> ScenarioBundle:
@@ -338,17 +365,9 @@ def build_refinement_stack(mis_declared: bool = False) -> ScenarioBundle:
         CheckSpec(name="end-to-end", kind="stack", stack="stack.adder"),
     )
 
-    return ScenarioBundle(
-        format_version=FORMAT_VERSION,
-        abstract_spaces=(digit, total, dec_space, register, out_register, bin_space, word),
-        physical_spaces=(lines,),
-        relations=(read_word,),
-        abstract_dynamics=(dec_add, bin_add, asm_add),
-        physical_dynamics=(volts, hold),
-        theories=(device_theory,),
-        stacks=(stack,),
-        joints=(),
-        checks=checks,
+    return _bundle(
+        checks, digit, total, dec_space, register, out_register, bin_space, word, lines,
+        read_word, dec_add, bin_add, asm_add, volts, hold, device_theory, stack,
     )
 
 
@@ -404,17 +423,8 @@ def build_swap_device() -> ScenarioBundle:
         ),
     )
 
-    return ScenarioBundle(
-        format_version=FORMAT_VERSION,
-        abstract_spaces=(number, pair),
-        physical_spaces=(digits, registers),
-        relations=(read_digit, read),
-        abstract_dynamics=(swap,),
-        physical_dynamics=(exchange, hold),
-        theories=(theory,),
-        stacks=(),
-        joints=(),
-        checks=checks,
+    return _bundle(
+        checks, number, pair, digits, registers, read_digit, read, swap, exchange, hold, theory
     )
 
 
@@ -499,7 +509,6 @@ def build_social_machine() -> ScenarioBundle:
         "social.side-by-side",
         Component(human, hold_tags),
         Component(machine, hold_tallies),
-        "composed-parallel",
     )
 
     checks = (
@@ -521,17 +530,10 @@ def build_social_machine() -> ScenarioBundle:
         ),
     )
 
-    return ScenarioBundle(
-        format_version=FORMAT_VERSION,
-        abstract_spaces=(tags, tallies, classes),
-        physical_spaces=(pictures, memory, floor),
-        relations=(human_read, machine_read, catalogue_read),
-        abstract_dynamics=(hold_tags, hold_tallies, publish),
-        physical_dynamics=(human_settle, machine_settle),
-        theories=(human, machine),
-        stacks=(),
-        joints=(galaxy_zoo, side_by_side),
-        checks=checks,
+    return _bundle(
+        checks, tags, tallies, classes, pictures, memory, floor, human_read, machine_read,
+        catalogue_read, hold_tags, hold_tallies, publish, human_settle, machine_settle,
+        human, machine, galaxy_zoo, side_by_side,
     )
 
 
@@ -588,17 +590,9 @@ def build_xor_joint() -> ScenarioBundle:
         ),
     )
 
-    return ScenarioBundle(
-        format_version=FORMAT_VERSION,
-        abstract_spaces=(bit, pair),
-        physical_spaces=(left_cell, right_cell, cells),
-        relations=(left_read, right_read, read_pair),
-        abstract_dynamics=(keep_bit, joint_dyn),
-        physical_dynamics=(left_hold, right_hold),
-        theories=(left_theory, right_theory),
-        stacks=(),
-        joints=(joint,),
-        checks=checks,
+    return _bundle(
+        checks, bit, pair, left_cell, right_cell, cells, left_read, right_read, read_pair,
+        keep_bit, joint_dyn, left_hold, right_hold, left_theory, right_theory, joint,
     )
 
 

@@ -65,7 +65,7 @@ class BitSpace(AbstractSpace):
     width: int
 
     def __post_init__(self):
-        if self.width < 1:
+        if _integer(f"space {self.id!r}: width", self.width) < 1:
             raise DeclarationError(f"space {self.id!r}: bitstring width must be >= 1")
 
 
@@ -78,7 +78,8 @@ class IntSpace(AbstractSpace):
     hi: int
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        lo = _integer(f"space {self.id!r}: lo", self.lo)
+        if lo > _integer(f"space {self.id!r}: hi", self.hi):
             raise DeclarationError(f"space {self.id!r}: lo must not exceed hi")
 
 
@@ -116,7 +117,7 @@ class RealVectorSpace(PhysicalSpace):
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not self.bounds:
+        if not _items(f"space {self.id!r}: bounds", self.bounds):
             raise DeclarationError(f"space {self.id!r}: vector space needs a dimension")
         bounds = []
         for i, pair in enumerate(self.bounds):
@@ -172,20 +173,39 @@ def _finite(owner: str, value) -> float:
     raise DeclarationError(f"{owner}: {value!r} is not a finite number")
 
 
+def _integer(owner: str, value) -> int:
+    """``value`` itself; DeclarationError unless it is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DeclarationError(f"{owner} {value!r} is not an integer")
+    return value
+
+
+def _items(owner: str, value) -> tuple:
+    """``value`` as a tuple; DeclarationError unless it is a list or a tuple."""
+    if not isinstance(value, (tuple, list)):
+        raise DeclarationError(f"{owner} {value!r} is not a list")
+    return tuple(value)
+
+
 def _check_components(space, family: type) -> None:
-    if not space.components:
+    components = _items(f"space {space.id!r}: components", space.components)
+    if not components:
         raise DeclarationError(f"space {space.id!r}: tuple space needs components")
-    for comp in space.components:
+    for comp in components:
         require_family(f"space {space.id!r}", comp, family)
-    object.__setattr__(space, "components", tuple(space.components))
+    object.__setattr__(space, "components", components)
 
 
 def _check_labels(space) -> None:
-    if not space.labels:
+    labels = _items(f"space {space.id!r}: labels", space.labels)
+    if not labels:
         raise DeclarationError(f"space {space.id!r}: label set must be non-empty")
-    if len(set(space.labels)) != len(space.labels):
+    for label in labels:
+        if not isinstance(label, str):
+            raise DeclarationError(f"space {space.id!r}: label {label!r} is not a string")
+    if len(set(labels)) != len(labels):
         raise DeclarationError(f"space {space.id!r}: duplicate labels")
-    object.__setattr__(space, "labels", tuple(space.labels))
+    object.__setattr__(space, "labels", labels)
 
 
 def normalize_value(space: Space, value) -> Value:
@@ -281,19 +301,14 @@ def _trusted(cls: type, space: Space, value: Value) -> State:
     return state
 
 
-def contains(space: Space, state) -> bool:
-    """True iff ``state`` (a State or a raw value) is a member of ``space``.
+def contains(space: Space, state: State) -> bool:
+    """True iff ``state`` is a state of ``space``.
 
-    A tagged state is a member exactly when its space is ``space``: its
-    constructor already normalized the value against that space.
+    A state is a member exactly when its space is ``space``: its constructor
+    already normalized the value against that space. Anything else, a raw
+    value included, is not; ``normalize_value`` tests raw values.
     """
-    if isinstance(state, (AbstractState, PhysicalState)):
-        return state.space == space
-    try:
-        normalize_value(space, state)
-    except OutOfDomain:
-        return False
-    return True
+    return isinstance(state, (AbstractState, PhysicalState)) and state.space == space
 
 
 def is_finite(space: Space) -> bool:

@@ -28,11 +28,9 @@ from .dynamics import (
 )
 from .errors import DeclarationError, EmptyDomain, OutOfDomain, TheoryNotValidated
 from .relations import (
-    INVALID,
-    VALID,
     RepresentationRelation,
     Theory,
-    Validity,
+    _prepare,
     instantiate,
     represent,
 )
@@ -41,6 +39,7 @@ from .spaces import (
     Metric,
     PhysicalState,
     _finite,
+    _integer,
     _trusted,
     distance,
 )
@@ -66,9 +65,7 @@ class DiagramSpec:
     def __post_init__(self):
         if _finite("epsilon", self.epsilon) < 0:
             raise DeclarationError("epsilon must be non-negative")
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
-            raise DeclarationError(f"trials {self.trials!r} is not an integer")
-        if self.trials < 1:
+        if _integer("trials", self.trials) < 1:
             raise DeclarationError("at least one trial is required")
         if not (0.0 < _finite("required success", self.required_success) <= 1.0):
             raise DeclarationError("required success must lie in (0, 1]")
@@ -159,11 +156,11 @@ def check_history(
 
     Both paths end in the physical domain: prepare-then-evolve must land on
     the same configuration as evolve-then-prepare, measured by a metric on
-    physical states. This is the technology use of the theory.
+    physical states. This is the technology use of the theory. Both ends
+    are prepared in one scan of the seeds.
     """
-    theory = spec.theory
-    start = instantiate(theory, m)
-    target = instantiate(theory, evolve_abstract(spec.abstract_dynamics, m))
+    evolved = evolve_abstract(spec.abstract_dynamics, m)
+    start, target = _prepare(spec.theory, (m, evolved))
     return _square(spec, start, target, physical_metric, base_seed)
 
 
@@ -196,8 +193,8 @@ def validate_theory(
 ) -> tuple[Theory, ValidityReport]:
     """Check every (domain state, prediction) square and grade the theory.
 
-    Returns a new Theory whose validity records the evidence; the input
-    value is left untouched. Validity is relative to exactly this grid:
+    Returns a new Theory that carries the evidence; the input value is
+    left untouched. Validity is relative to exactly this grid:
     coverage is reported, extrapolation is never assumed.
     """
     if not theory.domain:
@@ -221,16 +218,14 @@ def validate_theory(
         for pi, (pred, spec) in enumerate(zip(theory.predictions, specs)):
             report = check_commutation(spec, state, derive_seed(base_seed, si, pi))
             cells.append(ValidityCell(state, pred.name, report))
-    all_passed = all(cell.report.passed for cell in cells)
     evidence = ValidityReport(
         theory_id=theory.id,
         cells=tuple(cells),
-        all_passed=all_passed,
+        all_passed=all(cell.report.passed for cell in cells),
         coverage=len(cells),
     )
-    graded = replace(
-        theory, validity=Validity(VALID if all_passed else INVALID, evidence)
-    )
+    graded = replace(theory)
+    object.__setattr__(graded, "evidence", evidence)
     return graded, evidence
 
 
@@ -261,7 +256,7 @@ def run_compute_cycle(
     """
     if not theory.is_valid:
         raise TheoryNotValidated(
-            f"theory {theory.id!r} has validity {theory.validity.status!r};"
+            f"theory {theory.id!r} has validity {theory.validity!r};"
             " validate it before computing"
         )
     if h != theory.prediction(program).physical:

@@ -132,7 +132,7 @@ def test_criterion_3_fault_sensitivity():
         assert failing_inputs(sound) == set()
 
         graded, evidence = validate_theory(faulted, 0.0, DISCRETE, 1, 1.0, SEED)
-        assert graded.validity.status == "invalid"
+        assert graded.validity == "invalid"
         assert not evidence.all_passed
 
 

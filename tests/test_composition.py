@@ -201,13 +201,33 @@ def test_classify_composed_outputs_are_hybrid():
     left, right, _ = xor_components()
     joints = (
         compose_parallel(left, right, "par"),
-        componentwise_joint("seq", left, right, "composed-sequential"),
+        componentwise_joint("side-by-side", left, right),
     )
     for joint in joints:
         decision = classify(joint)
         assert decision.value == HYBRID
         assert decision.witness.representation_factors is not None
         assert decision.witness.dynamics_factors is not None
+
+
+def test_componentwise_joint_evolves_each_value_of_each_half_once(monkeypatch):
+    import abrep.composition
+
+    swap = build_swap_device().theory("swap")
+    comp = Component(swap, swap.predictions[0].abstract)
+    calls = []
+
+    def counted(dynamics, state):
+        calls.append(state.value)
+        return evolve_abstract(dynamics, state)
+
+    monkeypatch.setattr(abrep.composition, "evolve_abstract", counted)
+    joint = componentwise_joint("swap-x-swap", comp, comp)
+    assert len(calls) == 200  # 10,100 when each right value was evolved once per left value
+    values = list(enumerate_values(comp.dynamics.space))
+    entries = joint.joint_dynamics.rule.entries
+    assert list(entries) == list(itertools.product(values, values))
+    assert all(entries[(a, b)] == ((a[1], a[0]), (b[1], b[0])) for a, b in entries)
 
 
 def test_classify_xor_joint_is_heterotic():
@@ -299,7 +319,7 @@ def test_brute_force_rejects_large_component_spaces():
         predictions=(Prediction("keep", keep, hold),),
     )
     comp = Component(theory, keep)
-    joint = componentwise_joint("wide-joint", comp, comp, "declared")
+    joint = componentwise_joint("wide-joint", comp, comp)
     with pytest.raises(TooLarge):
         brute_force_classify(joint)
 
@@ -322,7 +342,7 @@ def test_brute_force_rejects_unenumerable_candidate_counts():
         predictions=(Prediction("keep", keep, identity_dynamics("hold", cells)),),
     )
     comp = Component(theory, keep)
-    joint = componentwise_joint("wide-physical-joint", comp, comp, "declared")
+    joint = componentwise_joint("wide-physical-joint", comp, comp)
     assert classify(joint).value == "Hybrid"
     with pytest.raises(TooLarge):
         brute_force_classify(joint)

@@ -161,8 +161,10 @@ def test_history_checks_must_declare_a_physical_metric():
     bad["checks"].append(
         {"name": "h", "kind": "history", "theory": "cell-theory", "input": "0"}
     )
-    with pytest.raises(ScenarioSyntaxError):
+    with pytest.raises(ScenarioSyntaxError) as err:
         parse_scenario(json.dumps(bad))
+    at = len(bad["checks"]) - 1
+    assert str(err.value) == f"checks[{at}]: history checks must declare a physical metric"
 
 
 def test_partial_lookup_table_is_a_parse_diagnostic():
@@ -227,6 +229,10 @@ def test_composed_joint_round_trips_through_mode():
     }
     parsed = parse_scenario(text)
     assert parsed.joint("social.side-by-side").provenance == "composed-parallel"
+    data["compositions"][1]["mode"] = "sequential"  # the parallel joint under another name
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(data))
+    assert str(err.value) == "compositions[1].mode: unknown composition mode 'sequential'"
 
 
 def _adder_doc() -> dict:

@@ -32,7 +32,7 @@ from abrep import (
     represent,
 )
 from abrep.errors import DeclarationError
-from abrep.relations import Validity, _prepare
+from abrep.relations import _prepare
 from support import count_device_work
 
 
@@ -267,9 +267,16 @@ def test_theory_declaration_validation():
         )
 
 
-def test_validity_starts_untested_and_requires_evidence():
+def test_validity_starts_untested_and_cannot_be_declared():
     theory = _tiny_theory()
-    assert theory.validity.status == "untested"
-    assert not theory.is_valid
-    with pytest.raises(DeclarationError):
-        Validity("valid", None)
+    assert theory.validity == "untested"
+    assert theory.evidence is None and not theory.is_valid
+    fields = dict(
+        id=theory.id,
+        representation=theory.representation,
+        domain=theory.domain,
+        predictions=theory.predictions,
+    )
+    for declared in ("validity", "evidence"):
+        with pytest.raises(TypeError):
+            Theory(**fields, **{declared: None})

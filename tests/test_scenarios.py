@@ -5,6 +5,8 @@ import pytest
 from abrep import (
     BUILTIN_SCENARIOS,
     DISCRETE,
+    CheckSpec,
+    DeclarationError,
     DuplicateIdentifier,
     ModelError,
     TrialSeed,
@@ -126,3 +128,20 @@ def test_stack_relations_connect_declared_layers():
     assert stack.relations[0].upper is stack.layers[0]
     assert stack.relations[1].lower is stack.layers[2]
     assert stack.layers[-1].space == stack.theory.representation.codomain
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "probe"},
+        {"kind": "history"},
+        {"kind": "history", "physical_metric": "bogus"},
+        {"kind": "commutation", "metric": "bogus"},
+        {"kind": "commutation", "metric": ["hamming"]},
+    ],
+    ids=["unknown-kind", "history-without-metric", "bad-physical-metric", "bad-metric", "list-metric"],
+)
+def test_check_spec_checks_its_own_rules(fields):
+    """A check built in Python is rejected where it is declared, not with a KeyError when it runs."""
+    with pytest.raises(DeclarationError):
+        CheckSpec("h", theory="adder", prediction="add", input=("01", "10", "000"), **fields)

@@ -21,13 +21,20 @@ from abrep import (
     PhysicalState,
     PhysicalTupleSpace,
     RealVectorSpace,
+    TrialSeed,
     TupleSpace,
+    build_voltage_adder,
     cardinality,
     contains,
     distance,
     enumerate_states,
     enumerate_values,
+    evolve_abstract,
+    evolve_physical,
+    instantiate,
+    represent,
 )
+from abrep.spaces import normalize_value
 from abrep.errors import DeclarationError
 
 BITS2 = BitSpace("b2", 2)
@@ -38,14 +45,62 @@ VOLTS = RealVectorSpace("v3", ((0.0, 5.0),) * 3)
 
 
 def test_contains_bitstring_membership():
-    assert contains(BITS2, "01")
-    assert not contains(BITS2, "011")
-    assert not contains(BITS2, "0x")
+    assert contains(BITS2, AbstractState(BITS2, "01"))
+    for raw in ("01", "011", "0x"):  # raw values are not states
+        assert not contains(BITS2, raw)
+    assert normalize_value(BITS2, "01") == "01"
+    with pytest.raises(OutOfDomain):
+        normalize_value(BITS2, "011")
 
 
 def test_contains_label_lookup():
-    assert contains(UPDOWN, "up")
-    assert not contains(UPDOWN, "sideways")
+    assert contains(UPDOWN, AbstractState(UPDOWN, "up"))
+    assert not contains(UPDOWN, "up")
+    with pytest.raises(OutOfDomain):
+        AbstractState(UPDOWN, "sideways")
+
+
+_ADDER = build_voltage_adder().theory("adder")
+_ADD = _ADDER.predictions[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: represent(_ADDER.representation, (5.0,) * 7),
+        lambda: instantiate(_ADDER, ("01", "10", "000")),
+        lambda: evolve_abstract(_ADD.abstract, ("01", "10", "000")),
+        lambda: evolve_physical(_ADD.physical, (0.0,) * 7, TrialSeed(0)),
+    ],
+    ids=["represent", "instantiate", "evolve_abstract", "evolve_physical"],
+)
+def test_primitives_reject_raw_values(call):
+    with pytest.raises(OutOfDomain):
+        call()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BitSpace("x", "2"),
+        lambda: BitSpace("x", True),
+        lambda: IntSpace("n", 0, "5"),
+        lambda: IntSpace("n", 0.0, 5),
+        lambda: LabelSpace("l", [["a"]]),
+        lambda: LabelSpace("l", "ab"),
+        lambda: PhysicalLabelSpace("l", ("a", 1)),
+        lambda: TupleSpace("t", BITS2),
+        lambda: RealVectorSpace("v", 3),
+        lambda: TrialSeed("1"),
+    ],
+    ids=[
+        "str-width", "bool-width", "str-hi", "float-lo", "list-label", "str-labels",
+        "int-label", "bare-component", "int-bounds", "str-seed",
+    ],
+)
+def test_constructors_type_check_their_fields(build):
+    with pytest.raises(DeclarationError):
+        build()
 
 
 def test_contains_checks_space_reference():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from abrep import (
     DeclarationError,
     DiagramSpec,
     EmptyDomain,
+    InstantiationProcedure,
     MAX_COORDINATE,
     OutOfDomain,
     PhysicalDynamics,
@@ -151,7 +153,7 @@ def test_validate_theory_passes_all_sixteen_cells():
     assert evidence.all_passed
     assert evidence.coverage == 16
     assert graded.is_valid
-    assert graded.validity.evidence is evidence
+    assert graded.evidence is evidence and graded.validity == "valid"
     # the input theory is untouched
     assert not theory.is_valid
 
@@ -170,7 +172,7 @@ def test_noisy_adder_fails_validation_at_high_confidence():
     _, theory, _ = adder_pieces(flip=0.1)
     graded, evidence = validate_theory(theory, 0.0, DISCRETE, 300, 0.99, SEED)
     assert not evidence.all_passed
-    assert graded.validity.status == "invalid"
+    assert graded.validity == "invalid"
     # per-cell success hovers near the analytic 0.9**3
     fractions = [cell.report.success_fraction for cell in evidence.cells]
     assert all(f < 0.99 for f in fractions)
@@ -195,16 +197,41 @@ def test_compute_cycle_predicts_addition_without_running_it():
     assert result.output == represent(graded.representation, result.final_physical)
 
 
-def test_compute_cycle_runs_only_the_validated_device_update():
-    _, theory, pred = adder_pieces()
-    graded, _ = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
-    stuck = PhysicalDynamics(
+def _stuck_line_6(pred: Prediction) -> PhysicalDynamics:
+    """The adder's device update with its least significant output line stuck at 0 V."""
+    return PhysicalDynamics(
         "stuck-line-6",
         pred.physical.space,
         CoordinateUpdateRule(pred.physical.rule.assignments + (ConstantUpdate((6,), (0.0,)),)),
     )
+
+
+def test_compute_cycle_runs_only_the_validated_device_update():
+    _, theory, pred = adder_pieces()
+    graded, _ = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    stuck = _stuck_line_6(pred)
     with pytest.raises(TheoryNotValidated):
         run_compute_cycle(graded, machine_state(graded, ("01", "10", "000")), "add", stuck, SEED)
+
+
+def test_only_validation_makes_a_theory_valid():
+    """Validity is the evidence: a theory built any other way is untested and cannot compute.
+
+    Replacing the prediction of a validated adder by a faulted device would
+    otherwise compute 1 + 2 as 2 under the validated status.
+    """
+    _, theory, pred = adder_pieces()
+    graded, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    faulted = replace(graded, predictions=(Prediction("add", pred.abstract, _stuck_line_6(pred)),))
+    rebuilt = Theory(graded.id, graded.representation, graded.domain, graded.predictions)
+    for other in (faulted, rebuilt, replace(graded)):
+        assert other.validity == "untested" and other.evidence is None and not other.is_valid
+        state = machine_state(other, ("01", "10", "000"))
+        with pytest.raises(TheoryNotValidated):
+            run_compute_cycle(other, state, "add", other.prediction("add").physical, SEED)
+    assert graded.is_valid and graded.evidence is evidence
+    with pytest.raises(ValueError):
+        replace(graded, evidence=evidence)
 
 
 def test_compute_cycle_on_swap_device():
@@ -323,6 +350,27 @@ def _adder_theory(width: int) -> Theory:
         for i in range(1 << (2 * width))
     )
     return Theory(f"adder{width}", read, domain, (Prediction("add", add, volts),))
+
+
+def test_history_square_prepares_both_ends_in_one_seed_scan(monkeypatch):
+    """Gate: the start and the target share one scan of the 3-bit adder's 1,024-seed grid."""
+    theory = _adder_theory(3)
+    lines = theory.representation.domain
+    grid = tuple(
+        PhysicalState(lines, tuple(5.0 if c == "1" else 0.0 for c in format(i, "010b")))
+        for i in range(1024)
+    )
+    seeded = replace(theory, instantiation=InstantiationProcedure(grid, identity_dynamics("hold", lines)))
+    pred = seeded.predictions[0]
+    counts = count_device_work(monkeypatch)
+    report = check_history(
+        DiagramSpec(seeded, pred.abstract, pred.physical),
+        machine_state(seeded, ("111", "111", "0000")),
+        MAX_COORDINATE,
+        SEED,
+    )
+    assert report.passed
+    assert counts["rule"] <= len(grid) + 1  # 2,033 when each end scanned from the first seed
 
 
 @pytest.mark.parametrize(
