@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dynamics import AbstractDynamics, TableRule, evolve_abstract
+from .dynamics import AbstractDynamics, ProductRule, _apply_abstract, evolve_abstract
 from .errors import (
     DeclarationError,
     NotEnumerable,
@@ -31,6 +31,7 @@ from .relations import (
     RepresentationRelation,
     Theory,
     TupleWiseRule,
+    _apply,
     represent,
 )
 from .spaces import (
@@ -103,7 +104,7 @@ class JointSystem:
                 f"joint {self.id!r}: joint dynamics do not act on the joint codomain"
             )
         if self.provenance not in ("composed-parallel", "declared"):
-            raise NotProductSpace(f"joint {self.id!r}: unknown provenance")
+            raise DeclarationError(f"joint {self.id!r}: unknown provenance {self.provenance!r}")
 
 
 @dataclass(frozen=True)
@@ -132,18 +133,10 @@ def componentwise_joint(id: str, left: Component, right: Component) -> JointSyst
     joint_rep = RepresentationRelation(
         f"{id}.representation", space, codomain, TupleWiseRule((rep_a, rep_b))
     )
-    images_a, images_b = _images(left.dynamics), _images(right.dynamics)
-    entries = {(va, vb): (fa, fb) for va, fa in images_a.items() for vb, fb in images_b.items()}
-    joint_dyn = AbstractDynamics(f"{id}.dynamics", codomain, TableRule(entries))
+    joint_dyn = AbstractDynamics(
+        f"{id}.dynamics", codomain, ProductRule((left.dynamics, right.dynamics))
+    )
     return JointSystem(id, left, right, space, joint_rep, joint_dyn, "composed-parallel")
-
-
-def _images(dynamics: AbstractDynamics) -> dict[Value, Value]:
-    """Each value of ``dynamics``' space, in canonical order, mapped to its image once."""
-    return {
-        v: evolve_abstract(dynamics, AbstractState(dynamics.space, v)).value
-        for v in enumerate_values(dynamics.space)
-    }
 
 
 def compose_parallel(a: Component, b: Component, joint_id: str = "parallel") -> JointSystem:
@@ -197,11 +190,11 @@ def factorize_representation(j: JointSystem) -> tuple[dict, dict] | None:
     codomain = j.joint_representation.codomain
     if not (isinstance(codomain, TupleSpace) and len(codomain.components) == 2):
         return None
-    relation, space = j.joint_representation, j.joint_space
+    relation = j.joint_representation
     split = _split_coordinates(
         [p.value for p in lefts],
         [q.value for q in rights],
-        lambda a, b: represent(relation, PhysicalState(space, (a, b))).value,
+        lambda a, b: _apply(relation, (a, b)),  # enumerated members of the declared domain
     )
     if split is None:
         return None
@@ -229,7 +222,7 @@ def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
     return _split_coordinates(
         list(enumerate_values(space_a)),
         list(enumerate_values(space_b)),
-        lambda a, b: evolve_abstract(d, AbstractState(space, (a, b))).value,
+        lambda a, b: _apply_abstract(d.rule, space, (a, b)),  # enumerated members of its space
     )
 
 

@@ -316,7 +316,12 @@ def _write(decl: _Decl, obj: Any, outer: tuple = ()) -> dict:
             if decl.tag_of:
                 tag = decl.tag_of(obj)
             else:
-                tag = next(t for t, d in choices.items() if type(obj) is d.build)
+                tag = next((t for t, d in choices.items() if type(obj) is d.build), None)
+            if tag not in choices:
+                owner = next(s.id for s in scopes if hasattr(s, "id"))
+                raise DeclarationError(
+                    f"declaration {owner!r}: no {f.arg[0]} writes a {type(obj).__name__}"
+                )
             out[f.key] = tag
             fields += choices[tag].fields
             continue

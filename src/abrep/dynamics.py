@@ -25,6 +25,7 @@ from .spaces import (
     Value,
     _finite,
     _integer,
+    _items,
     _trusted,
     check_total_table,
     contains,
@@ -100,14 +101,37 @@ class BuiltinRule:
             raise DeclarationError(f"unknown builtin dynamics {self.name!r}")
 
 
+def _check_parts(rule, kind: type) -> None:
+    """Store ``rule``'s parts as a tuple; DeclarationError unless each is a ``kind``."""
+    owner = type(rule).__name__
+    parts = _items(f"{owner} parts", rule.parts)
+    for part in parts:
+        if not isinstance(part, kind):
+            raise DeclarationError(f"{owner}: part {part!r} is not {kind.__name__}")
+    object.__setattr__(rule, "parts", parts)
+
+
 @dataclass(frozen=True)
 class ChainRule:
     """Apply component dynamics left to right."""
 
     parts: tuple["AbstractDynamics", ...]
 
+    def __post_init__(self):
+        _check_parts(self, AbstractDynamics)
 
-AbstractRule = Union[TableRule, BuiltinRule, ChainRule]
+
+@dataclass(frozen=True)
+class ProductRule:
+    """Apply component dynamics to the components of a product state."""
+
+    parts: tuple["AbstractDynamics", ...]
+
+    def __post_init__(self):
+        _check_parts(self, AbstractDynamics)
+
+
+AbstractRule = Union[TableRule, BuiltinRule, ChainRule, ProductRule]
 
 
 @dataclass(frozen=True)
@@ -132,6 +156,13 @@ class AbstractDynamics:
                         f"dynamics {self.id!r}: chain part {part.id!r} acts on a"
                         " different space"
                     )
+        elif isinstance(rule, ProductRule):
+            spaces = tuple(part.space for part in rule.parts)
+            if not (isinstance(self.space, TupleSpace) and self.space.components == spaces):
+                raise DeclarationError(
+                    f"dynamics {self.id!r}: product parts must act on the components"
+                    " of its space, in order"
+                )
         else:
             raise DeclarationError(f"dynamics {self.id!r}: unknown rule type")
 
@@ -193,6 +224,10 @@ def _apply_abstract(rule: AbstractRule, space: AbstractSpace, value: Value) -> V
         for part in rule.parts:
             value = _apply_abstract(part.rule, part.space, value)
         return value
+    if isinstance(rule, ProductRule):
+        return tuple(
+            _apply_abstract(part.rule, part.space, v) for part, v in zip(rule.parts, value)
+        )
     name = rule.name
     if name == "identity":
         return value

@@ -19,6 +19,7 @@ from .dynamics import (
     AbstractDynamics,
     PhysicalDynamics,
     TrialSeed,
+    _check_parts,
     evolve_physical,
 )
 from .errors import (
@@ -76,6 +77,9 @@ class TupleWiseRule:
     """Apply component relations to the components of a product state."""
 
     parts: tuple["RepresentationRelation", ...]
+
+    def __post_init__(self):
+        _check_parts(self, RepresentationRelation)
 
 
 RepresentationRule = Union[LookupRule, ThresholdRule, TupleWiseRule]

@@ -16,6 +16,7 @@ scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .dynamics import (
     AbstractDynamics,
@@ -175,12 +176,21 @@ class ValidityCell:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Evidence from exhaustively checking the declared validation grid."""
+    """Evidence from exhaustively checking the declared validation grid.
+
+    The verdict and the coverage are read off the cells, once each.
+    """
 
     theory_id: str
     cells: tuple[ValidityCell, ...]
-    all_passed: bool
-    coverage: int
+
+    @cached_property
+    def all_passed(self) -> bool:
+        return all(cell.report.passed for cell in self.cells)
+
+    @cached_property
+    def coverage(self) -> int:
+        return len(self.cells)
 
 
 def validate_theory(
@@ -218,12 +228,7 @@ def validate_theory(
         for pi, (pred, spec) in enumerate(zip(theory.predictions, specs)):
             report = check_commutation(spec, state, derive_seed(base_seed, si, pi))
             cells.append(ValidityCell(state, pred.name, report))
-    evidence = ValidityReport(
-        theory_id=theory.id,
-        cells=tuple(cells),
-        all_passed=all(cell.report.passed for cell in cells),
-        coverage=len(cells),
-    )
+    evidence = ValidityReport(theory.id, tuple(cells))
     graded = replace(theory)
     object.__setattr__(graded, "evidence", evidence)
     return graded, evidence

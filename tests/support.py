@@ -33,13 +33,13 @@ from abrep import (
 )
 
 
-def count_device_work(monkeypatch) -> dict:
-    """Count device-rule applications (``rule``) and reads (``read``) from here on.
+def count_calls(monkeypatch, **targets) -> dict:
+    """Count the calls of each ``abrep`` function in ``targets`` from here on, by keyword.
 
-    Patches ``abrep.dynamics._apply_physical`` and every ``abrep`` module's
-    binding of ``represent``, so each call is counted wherever it is made.
+    Each function is patched in every ``abrep`` module that binds it, so each
+    call is counted wherever it is made.
     """
-    counts = {"rule": 0, "read": 0}
+    counts = dict.fromkeys(targets, 0)
 
     def counted(key, fn):
         def wrapper(*args):
@@ -48,12 +48,21 @@ def count_device_work(monkeypatch) -> dict:
 
         return wrapper
 
-    rule, read = abrep.dynamics._apply_physical, abrep.relations.represent
-    monkeypatch.setattr(abrep.dynamics, "_apply_physical", counted("rule", rule))
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "abrep" and getattr(module, "represent", None) is read:
-            monkeypatch.setattr(module, "represent", counted("read", read))
+    modules = [m for n, m in list(sys.modules.items()) if n.partition(".")[0] == "abrep"]
+    for key, fn in targets.items():
+        wrapper = counted(key, fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
     return counts
+
+
+def count_device_work(monkeypatch) -> dict:
+    """Count device-rule applications (``rule``) and reads (``read``) from here on."""
+    return count_calls(
+        monkeypatch, rule=abrep.dynamics._apply_physical, read=abrep.relations.represent
+    )
 
 
 def random_deterministic_theory(rng: random.Random, tag: str) -> Theory:

@@ -1,14 +1,18 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+import abrep.dynamics
+import abrep.spaces
 from abrep import (
     AbstractDynamics,
     AbstractState,
     BitSpace,
     Component,
     DISCRETE,
+    DeclarationError,
     HETEROTIC,
     HYBRID,
     JointSystem,
@@ -41,7 +45,7 @@ from abrep import (
     represent,
     validate_theory,
 )
-from support import random_joint_system, xor_joint_variant
+from support import count_calls, random_joint_system, xor_joint_variant
 
 SEED = TrialSeed(0)
 
@@ -210,24 +214,78 @@ def test_classify_composed_outputs_are_hybrid():
         assert decision.witness.dynamics_factors is not None
 
 
-def test_componentwise_joint_evolves_each_value_of_each_half_once(monkeypatch):
-    import abrep.composition
-
+def swap_component():
     swap = build_swap_device().theory("swap")
-    comp = Component(swap, swap.predictions[0].abstract)
-    calls = []
+    return Component(validated(swap), swap.predictions[0].abstract)
 
-    def counted(dynamics, state):
-        calls.append(state.value)
-        return evolve_abstract(dynamics, state)
 
-    monkeypatch.setattr(abrep.composition, "evolve_abstract", counted)
+def test_componentwise_joint_pairs_the_halves_without_evaluating_them(monkeypatch):
+    comp = swap_component()
+    counts = count_calls(
+        monkeypatch,
+        evolve=abrep.dynamics.evolve_abstract,
+        normalize=abrep.spaces.normalize_value,
+    )
     joint = componentwise_joint("swap-x-swap", comp, comp)
-    assert len(calls) == 200  # 10,100 when each right value was evolved once per left value
-    values = list(enumerate_values(comp.dynamics.space))
-    entries = joint.joint_dynamics.rule.entries
-    assert list(entries) == list(itertools.product(values, values))
-    assert all(entries[(a, b)] == ((a[1], a[0]), (b[1], b[0])) for a, b in entries)
+    assert counts == {"evolve": 0, "normalize": 0}  # 200 and 70,600 with a product table
+    space = joint.joint_dynamics.space
+    for a, b in enumerate_values(space):
+        image = evolve_abstract(joint.joint_dynamics, AbstractState(space, (a, b)))
+        assert image.value == (
+            evolve_abstract(comp.dynamics, AbstractState(comp.dynamics.space, a)).value,
+            evolve_abstract(comp.dynamics, AbstractState(comp.dynamics.space, b)).value,
+        )
+
+
+def test_classify_reads_enumerated_values_straight_through_the_rules(monkeypatch):
+    """Gate: on swap x swap, only the per-half states classify builds are normalized."""
+    comp = swap_component()
+    joint = compose_parallel(comp, comp, "swap-x-swap")
+    counts = count_calls(monkeypatch, normalize=abrep.spaces.normalize_value)
+    assert classify(joint).value == HYBRID
+    assert counts["normalize"] <= 1_800  # 141,800 when each pair was built as a state
+
+
+def validated_components() -> list[Component]:
+    """The five components of the built-in joints, each over its validated theory."""
+    xor = build_xor_joint().joint("xor.joint")
+    social = build_social_machine()
+    galaxy = social.joint("social.galaxy-zoo")
+    return [
+        Component(validated(xor.left.theory), xor.left.dynamics),
+        Component(validated(xor.right.theory), xor.right.dynamics),
+        swap_component(),
+        Component(validated(social.theory("social.human")), galaxy.left.dynamics),
+        Component(validated(social.theory("social.machine")), galaxy.right.dynamics),
+    ]
+
+
+def test_classify_composed_joint_as_its_materialized_table():
+    """The product rule classifies exactly as the product table it replaces: verdict and witness."""
+    parts = validated_components()
+    for left, right in itertools.product(parts, repeat=2):
+        joint = compose_parallel(left, right, f"{left.theory.id}*{right.theory.id}")
+        space = joint.joint_dynamics.space
+        table = {
+            v: evolve_abstract(joint.joint_dynamics, AbstractState(space, v)).value
+            for v in enumerate_values(space)
+        }
+        tabled = replace(
+            joint, joint_dynamics=AbstractDynamics("tabled", space, TableRule(table))
+        )
+        decision, reference = classify(joint), classify(tabled)
+        assert decision == reference, joint.id
+        for ours, theirs in (
+            (decision.witness.representation_factors, reference.witness.representation_factors),
+            (decision.witness.dynamics_factors, reference.witness.dynamics_factors),
+        ):
+            assert [list(m) for m in ours] == [list(m) for m in theirs], joint.id
+
+
+def test_unknown_provenance_is_a_declaration_error():
+    joint = build_xor_joint().joint("xor.joint")
+    with pytest.raises(DeclarationError, match="provenance"):
+        replace(joint, provenance="composed-sequential")
 
 
 def test_classify_xor_joint_is_heterotic():

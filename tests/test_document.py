@@ -1,15 +1,18 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from abrep import (
     BUILTIN_SCENARIOS,
+    DeclarationError,
     DuplicateIdentifier,
     ScenarioError,
     ScenarioSyntaxError,
     UnknownReference,
     VersionUnsupported,
+    build_social_machine,
     emit_scenario,
     enumerate_values,
     parse_scenario,
@@ -359,6 +362,15 @@ def test_compute_expect_outside_the_codomain_is_a_check_error():
     assert result.status == "error"
     assert result.error["type"] == "OutOfDomain"
     assert report.overall == "error"
+
+
+def test_emitting_a_rule_the_format_cannot_write_names_its_declaration():
+    """A composed joint's product dynamics have no document kind; its mode says how it was made."""
+    bundle = build_social_machine()
+    product = bundle.joint("social.side-by-side").joint_dynamics
+    listed = replace(bundle, abstract_dynamics=(*bundle.abstract_dynamics, product))
+    with pytest.raises(DeclarationError, match="'social.side-by-side.dynamics'"):
+        emit_scenario(listed)
 
 
 def test_embeddings_section_is_no_longer_accepted():

@@ -10,6 +10,7 @@ from abrep import (
     BinarySumUpdate,
     BitSpace,
     BuiltinRule,
+    ChainRule,
     ConstantUpdate,
     CoordinateFlipNoise,
     CoordinateUpdateRule,
@@ -25,6 +26,7 @@ from abrep import (
     TableRule,
     TrialSeed,
     TupleSpace,
+    TupleWiseRule,
     compose_dynamics,
     derive_seed,
     enumerate_states,
@@ -33,6 +35,7 @@ from abrep import (
     evolve_physical,
     identity_dynamics,
 )
+from abrep.dynamics import ProductRule
 from abrep.errors import DeclarationError
 
 
@@ -128,6 +131,55 @@ def test_compose_rejects_space_mismatch():
     b = AbstractDynamics("b", BitSpace("b2", 2), BuiltinRule("identity"))
     with pytest.raises(SpaceMismatch):
         compose_dynamics(a, b)
+
+
+def test_product_rule_maps_each_part_over_its_component():
+    bit = BitSpace("b1", 1)
+    pair = BitSpace("b2", 2)
+    flip = AbstractDynamics("flip", bit, BuiltinRule("bit-not"))
+    spin = AbstractDynamics("spin", pair, BuiltinRule("bit-not"))
+    both = AbstractDynamics("both", TupleSpace("pair", (bit, pair)), ProductRule((flip, spin)))
+    for state in enumerate_states(both.space):
+        a, b = state.value
+        image = evolve_abstract(both, state).value
+        assert image == (
+            evolve_abstract(flip, AbstractState(bit, a)).value,
+            evolve_abstract(spin, AbstractState(pair, b)).value,
+        )
+
+
+def test_product_parts_must_act_on_the_components_in_order():
+    flip = AbstractDynamics("flip", BitSpace("b1", 1), BuiltinRule("bit-not"))
+    spin = AbstractDynamics("spin", BitSpace("b2", 2), BuiltinRule("bit-not"))
+    for space, parts in (
+        (TupleSpace("pair", (flip.space, spin.space)), (spin, flip)),
+        (TupleSpace("pair", (flip.space, spin.space)), (flip,)),
+        (TupleSpace("triple", (flip.space,) * 3), (flip, flip)),
+        (flip.space, (flip,)),
+    ):
+        with pytest.raises(DeclarationError):
+            AbstractDynamics("bad", space, ProductRule(parts))
+
+
+@pytest.mark.parametrize(
+    "declare",
+    [
+        lambda: AbstractDynamics("x", BitSpace("b", 1), ChainRule(("a",))),
+        lambda: ChainRule(5),
+        lambda: ProductRule(("a",)),
+        lambda: ProductRule(None),
+        lambda: TupleWiseRule(("z",)),
+        lambda: TupleWiseRule((identity_dynamics("hold", PhysicalLabelSpace("c", ("a",))),)),
+        lambda: ChainRule((identity_dynamics("hold", PhysicalLabelSpace("c", ("a",))),)),
+    ],
+    ids=[
+        "chain-of-str", "chain-of-int", "product-of-str", "product-of-none",
+        "tuple-wise-of-str", "tuple-wise-of-dynamics", "chain-of-physical",
+    ],
+)
+def test_rule_parts_are_type_checked(declare):
+    with pytest.raises(DeclarationError):
+        declare()
 
 
 def test_builtin_shape_validation():

@@ -32,6 +32,7 @@ from abrep import (
     ThresholdRule,
     TrialSeed,
     TupleSpace,
+    ValidityReport,
     build_swap_device,
     build_voltage_adder,
     check_commutation,
@@ -156,6 +157,18 @@ def test_validate_theory_passes_all_sixteen_cells():
     assert graded.evidence is evidence and graded.validity == "valid"
     # the input theory is untouched
     assert not theory.is_valid
+
+
+def test_validity_report_reads_its_verdict_and_coverage_off_its_cells():
+    _, evidence = validate_theory(adder_pieces(flip=0.05)[1], 0.0, DISCRETE, 5, 1.0, SEED)
+    assert not evidence.all_passed and evidence.coverage == 16
+    passed = tuple(cell for cell in evidence.cells if cell.report.passed)
+    assert len(passed) == 7  # 5 trials at flip probability 0.05
+    assert replace(evidence, cells=passed).all_passed
+    assert replace(evidence, cells=passed).coverage == 7
+    assert ValidityReport("t", cells=()).coverage == 0
+    with pytest.raises(TypeError):
+        ValidityReport("t", cells=(), all_passed=True, coverage=5)
 
 
 def test_validate_theory_requires_nonempty_grid():
