@@ -40,6 +40,8 @@ from .spaces import (
     PhysicalTupleSpace,
     TupleSpace,
     Value,
+    _trusted,
+    _typed,
     cardinality,
     enumerate_states,
     enumerate_values,
@@ -66,6 +68,8 @@ class Component:
     dynamics: AbstractDynamics
 
     def __post_init__(self):
+        _typed("component theory", self.theory, Theory)
+        _typed("component dynamics", self.dynamics, AbstractDynamics)
         if self.dynamics.space != self.theory.representation.codomain:
             raise DeclarationError(
                 f"component over theory {self.theory.id!r}: dynamics"
@@ -86,6 +90,12 @@ class JointSystem:
     provenance: str  # composed-parallel | declared
 
     def __post_init__(self):
+        owner = f"joint {self.id!r}:"
+        _typed(f"{owner} left", self.left, Component)
+        _typed(f"{owner} right", self.right, Component)
+        _typed(f"{owner} joint space", self.joint_space, PhysicalTupleSpace)
+        _typed(f"{owner} joint representation", self.joint_representation, RepresentationRelation)
+        _typed(f"{owner} joint dynamics", self.joint_dynamics, AbstractDynamics)
         expected = (
             self.left.theory.representation.domain,
             self.right.theory.representation.domain,
@@ -202,9 +212,12 @@ def factorize_representation(j: JointSystem) -> tuple[dict, dict] | None:
 
 
 def _as_states(maps: tuple[dict, dict], codomain: TupleSpace) -> tuple[dict, dict]:
-    """Each value-keyed map of ``maps`` with its images as states of its half of ``codomain``."""
+    """Each value-keyed map of ``maps`` with its images as states of its half of ``codomain``.
+
+    The images are canonical: readings through a declared relation, or enumerated values.
+    """
     return tuple(
-        {k: AbstractState(space, v) for k, v in table.items()}
+        {k: _trusted(AbstractState, space, v) for k, v in table.items()}
         for table, space in zip(maps, codomain.components)
     )
 
@@ -227,12 +240,13 @@ def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
 
 
 def _factors_match_declared(j: JointSystem, factors: tuple[dict, dict]) -> bool:
-    fmap, gmap = factors
-    for p in enumerate_states(j.left.theory.representation.domain):
-        if fmap[p.value] != represent(j.left.theory.representation, p):
-            return False
-    for q in enumerate_states(j.right.theory.representation.domain):
-        if gmap[q.value] != represent(j.right.theory.representation, q):
+    """True iff each reading factor is its half's declared representation, value for value."""
+    halves = zip(factors, j.joint_representation.codomain.components, (j.left, j.right))
+    for table, space, half in halves:
+        relation = half.theory.representation
+        if space != relation.codomain or any(
+            table[v].value != _apply(relation, v) for v in enumerate_values(relation.domain)
+        ):
             return False
     return True
 

@@ -9,8 +9,9 @@ isolation and independent trials may run concurrently.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import DeclarationError, OutOfDomain, SpaceMismatch
 from .spaces import (
@@ -27,6 +28,7 @@ from .spaces import (
     _integer,
     _items,
     _trusted,
+    _typed,
     check_total_table,
     contains,
     enumerate_values,
@@ -34,6 +36,7 @@ from .spaces import (
 )
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _splitmix(z: int) -> int:
@@ -43,7 +46,7 @@ def _splitmix(z: int) -> int:
 
 
 def _blend(*words: int) -> int:
-    h = 0x9E3779B97F4A7C15
+    h = _GOLDEN
     for w in words:
         h = _splitmix((h + (w & _MASK64)) & _MASK64)
     return h
@@ -82,6 +85,9 @@ class TableRule:
 
     entries: Mapping[Value, Value]
 
+    def __post_init__(self):
+        _typed("table rule entries", self.entries, Mapping)
+
 
 @dataclass(frozen=True)
 class BuiltinRule:
@@ -105,10 +111,7 @@ def _check_parts(rule, kind: type) -> None:
     """Store ``rule``'s parts as a tuple; DeclarationError unless each is a ``kind``."""
     owner = type(rule).__name__
     parts = _items(f"{owner} parts", rule.parts)
-    for part in parts:
-        if not isinstance(part, kind):
-            raise DeclarationError(f"{owner}: part {part!r} is not {kind.__name__}")
-    object.__setattr__(rule, "parts", parts)
+    object.__setattr__(rule, "parts", tuple(_typed(f"{owner}: part", p, kind) for p in parts))
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,8 @@ class AbstractDynamics:
 def _canonical_table(dyn) -> None:
     """Check a dynamics' table rule for totality and store it in canonical form."""
     entries = check_total_table(f"dynamics {dyn.id!r}", dyn.rule.entries, dyn.space, dyn.space)
-    object.__setattr__(dyn, "rule", TableRule(entries))
+    if entries is not dyn.rule.entries:
+        object.__setattr__(dyn, "rule", TableRule(entries))
 
 
 def _check_builtin_shape(dyn_id: str, space: AbstractSpace, name: str) -> None:
@@ -443,7 +447,7 @@ def evolve_physical(h: PhysicalDynamics, p: PhysicalState, t: TrialSeed) -> Phys
     """
     value = _rule_image(h, p)
     if h.noise is not None:
-        value = _apply_noise(h.noise, value, t)
+        (value,) = _noisy(h.noise, value, (t.value,))
     return _trusted(PhysicalState, h.space, value)
 
 
@@ -452,12 +456,14 @@ def _trial_outcomes(h: PhysicalDynamics, p: PhysicalState, base: TrialSeed, tria
 
     Trial k's value is that of ``evolve_physical(h, p, derive_seed(base, k))``.
     The rule ignores the seed, so it runs once and only the noise is drawn
-    per trial; a noise-free device repeats its one outcome and derives no seed.
+    per trial, with ``base`` mixed into the seeds once; a noise-free device
+    repeats its one outcome and derives no seed.
     """
     value = _rule_image(h, p)
     if h.noise is None:
         return [value] * trials
-    return [_apply_noise(h.noise, value, derive_seed(base, k)) for k in range(trials)]
+    head = _splitmix((_GOLDEN + base.value) & _MASK64)
+    return _noisy(h.noise, value, (_splitmix((head + k) & _MASK64) for k in range(trials)))
 
 
 def _rule_image(h: PhysicalDynamics, p: PhysicalState) -> Value:
@@ -491,18 +497,27 @@ def _register_int(coords: list[float], lines: tuple[int, ...], threshold: float)
     return n
 
 
-def _apply_noise(noise: Noise, value: Value, t: TrialSeed) -> Value:
-    if isinstance(noise, CoordinateFlipNoise):
+def _noisy(noise: Noise, value: Value, seeds: Iterable[int]) -> list:
+    """``value`` after ``noise`` in each trial whose seed value is in ``seeds``, in order.
+
+    Line i flips in trial t when ``unit_draw(TrialSeed(t), i) < probability``.
+    That draw's first mixing step depends on t alone, so it is done once per
+    trial, and the draw is compared unscaled, as ``(x >> 11) < probability *
+    2**53``: both sides are exact, so each decision is the same. A line listed
+    twice flips twice, each time from the working value.
+    """
+    cut = noise.probability * (1 << 53)
+    heads = (_splitmix((_GOLDEN + t) & _MASK64) for t in seeds)
+    if isinstance(noise, LabelFlipNoise):
+        return [noise.partners[value] if _splitmix(u) >> 11 < cut else value for u in heads]
+    outcomes = []
+    for u in heads:
         working = list(value)
         for line in noise.coordinates:
-            if unit_draw(t, line) < noise.probability:
-                working[line] = (
-                    noise.low if working[line] >= noise.threshold else noise.high
-                )
-        return tuple(working)
-    if unit_draw(t, 0) < noise.probability:
-        return noise.partners[value]
-    return value
+            if _splitmix((u + line) & _MASK64) >> 11 < cut:
+                working[line] = noise.low if working[line] >= noise.threshold else noise.high
+        outcomes.append(tuple(working))
+    return outcomes
 
 
 def identity_dynamics(dyn_id: str, space: PhysicalSpace) -> PhysicalDynamics:

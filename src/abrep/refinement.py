@@ -25,6 +25,7 @@ from .spaces import (
     Metric,
     Value,
     _finite,
+    _trusted,
     check_total_table,
     distance,
     enumerate_states,
@@ -63,7 +64,7 @@ class SimulationRelation:
         object.__setattr__(self, "entries", entries)
 
     def map_state(self, state: AbstractState) -> AbstractState:
-        return AbstractState(self.lower.space, self.entries[state.value])
+        return _trusted(AbstractState, self.lower.space, self.entries[state.value])
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ engineering dynamics, which keeps preparation decidable and reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Union
 
 from .dynamics import (
     AbstractDynamics,
@@ -40,7 +41,9 @@ from .spaces import (
     TupleSpace,
     Value,
     _finite,
+    _items,
     _trusted,
+    _typed,
     check_total_table,
     contains,
     require_family,
@@ -58,6 +61,9 @@ class LookupRule:
     """
 
     entries: Mapping[Value, Value]
+
+    def __post_init__(self):
+        _typed("lookup rule entries", self.entries, Mapping)
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,8 @@ class RepresentationRelation:
             entries = check_total_table(
                 f"relation {self.id!r}", rule.entries, self.domain, self.codomain
             )
-            object.__setattr__(self, "rule", LookupRule(entries))
+            if entries is not rule.entries:
+                object.__setattr__(self, "rule", LookupRule(entries))
         elif isinstance(rule, ThresholdRule):
             if not isinstance(self.domain, RealVectorSpace):
                 raise DeclarationError(
@@ -198,6 +205,11 @@ class InstantiationProcedure:
     seeds: tuple[PhysicalState, ...]
     engineering: PhysicalDynamics
 
+    def __post_init__(self):
+        seeds = _items("instantiation seeds", self.seeds)
+        object.__setattr__(self, "seeds", tuple(_typed("seed", s, PhysicalState) for s in seeds))
+        _typed("engineering dynamics", self.engineering, PhysicalDynamics)
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -206,6 +218,10 @@ class Prediction:
     name: str
     abstract: AbstractDynamics
     physical: PhysicalDynamics
+
+    def __post_init__(self):
+        _typed(f"prediction {self.name!r}: program", self.abstract, AbstractDynamics)
+        _typed(f"prediction {self.name!r}: device update", self.physical, PhysicalDynamics)
 
 
 @dataclass(frozen=True)
@@ -225,36 +241,32 @@ class Theory:
     evidence: ValidityReport | None = field(init=False, default=None)
 
     def __post_init__(self):
-        space = self.representation.domain
+        owner = f"theory {self.id!r}:"
+        relation = _typed(f"{owner} representation", self.representation, RepresentationRelation)
+        space = relation.domain
+        object.__setattr__(self, "domain", _items(f"{owner} domain", self.domain))
+        object.__setattr__(self, "predictions", _items(f"{owner} predictions", self.predictions))
         for state in self.domain:
-            if state.space != space:
-                raise DeclarationError(
-                    f"theory {self.id!r}: domain state outside the represented space"
-                )
-        names = [p.name for p in self.predictions]
+            if not isinstance(state, PhysicalState) or state.space != space:
+                raise DeclarationError(f"{owner} domain state outside the represented space")
+        names = [_typed(f"{owner} prediction", p, Prediction).name for p in self.predictions]
         if len(set(names)) != len(names):
-            raise DeclarationError(f"theory {self.id!r}: duplicate prediction names")
+            raise DeclarationError(f"{owner} duplicate prediction names")
         for pred in self.predictions:
-            if pred.abstract.space != self.representation.codomain:
+            if pred.abstract.space != relation.codomain:
                 raise DeclarationError(
-                    f"theory {self.id!r}: prediction {pred.name!r} does not act on"
-                    " the representation codomain"
+                    f"{owner} prediction {pred.name!r} does not act on the representation codomain"
                 )
             if pred.physical.space != space:
                 raise DeclarationError(
-                    f"theory {self.id!r}: prediction {pred.name!r} device dynamics"
-                    " act on the wrong space"
+                    f"{owner} prediction {pred.name!r} device dynamics act on the wrong space"
                 )
         if self.instantiation is not None:
+            _typed(f"{owner} instantiation", self.instantiation, InstantiationProcedure)
             if self.instantiation.engineering.space != space:
-                raise DeclarationError(
-                    f"theory {self.id!r}: engineering dynamics act on the wrong space"
-                )
-            for seed in self.instantiation.seeds:
-                if seed.space != space:
-                    raise DeclarationError(
-                        f"theory {self.id!r}: seed outside the represented space"
-                    )
+                raise DeclarationError(f"{owner} engineering dynamics act on the wrong space")
+            if any(seed.space != space for seed in self.instantiation.seeds):
+                raise DeclarationError(f"{owner} seed outside the represented space")
 
     @cached_property
     def _domain_set(self) -> frozenset:

@@ -180,6 +180,13 @@ def _integer(owner: str, value) -> int:
     return value
 
 
+def _typed(owner: str, value, kind: type):
+    """``value`` itself; DeclarationError unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise DeclarationError(f"{owner} {value!r} is not {kind.__name__}")
+    return value
+
+
 def _items(owner: str, value) -> tuple:
     """``value`` as a tuple; DeclarationError unless it is a list or a tuple."""
     if not isinstance(value, (tuple, list)):
@@ -291,9 +298,10 @@ State = Union[AbstractState, PhysicalState]
 def _trusted(cls: type, space: Space, value: Value) -> State:
     """A ``cls`` state of ``value``, built without normalizing it.
 
-    Only for values already canonical in ``space``: the images of
-    declarations whose tables and levels were normalized when declared. The
-    public constructors, the API boundary, always normalize.
+    Only for values already canonical in ``space``: the values
+    ``enumerate_values`` yields, and the images of declarations whose tables,
+    simulation maps and levels were normalized when declared. The public
+    constructors, the API boundary, always normalize.
     """
     state = object.__new__(cls)
     object.__setattr__(state, "space", space)
@@ -389,7 +397,7 @@ def check_total_table(owner: str, entries, keys: Space, values: Space) -> Mappin
 def enumerate_states(space: Space) -> list[State]:
     """All states of a finite space, in the canonical enumeration order."""
     make = AbstractState if isinstance(space, AbstractSpace) else PhysicalState
-    return [make(space, v) for v in enumerate_values(space)]
+    return [_trusted(make, space, v) for v in enumerate_values(space)]
 
 
 @dataclass(frozen=True)

@@ -238,12 +238,12 @@ def test_componentwise_joint_pairs_the_halves_without_evaluating_them(monkeypatc
 
 
 def test_classify_reads_enumerated_values_straight_through_the_rules(monkeypatch):
-    """Gate: on swap x swap, only the per-half states classify builds are normalized."""
+    """Gate: on swap x swap, classify normalizes no value: each is enumerated or read."""
     comp = swap_component()
     joint = compose_parallel(comp, comp, "swap-x-swap")
     counts = count_calls(monkeypatch, normalize=abrep.spaces.normalize_value)
     assert classify(joint).value == HYBRID
-    assert counts["normalize"] <= 1_800  # 141,800 when each pair was built as a state
+    assert counts["normalize"] == 0  # 1,800 with a state per enumerated value, 141,800 per pair
 
 
 def validated_components() -> list[Component]:
@@ -280,6 +280,24 @@ def test_classify_composed_joint_as_its_materialized_table():
             (decision.witness.dynamics_factors, reference.witness.dynamics_factors),
         ):
             assert [list(m) for m in ours] == [list(m) for m in theirs], joint.id
+
+
+def test_component_references_are_type_checked():
+    theory = build_xor_joint().theory("xor.left")
+    with pytest.raises(DeclarationError, match="component theory"):
+        Component("t", "d")
+    with pytest.raises(DeclarationError, match="component dynamics"):
+        Component(theory, "d")
+
+
+@pytest.mark.parametrize(
+    "field", ["left", "right", "joint_space", "joint_representation", "joint_dynamics"]
+)
+def test_joint_references_are_type_checked(field):
+    joint = build_xor_joint().joint("xor.joint")
+    wrong = joint.left.theory.representation.domain  # a physical space, but no product
+    with pytest.raises(DeclarationError, match="joint 'xor.joint'"):
+        replace(joint, **{field: wrong})
 
 
 def test_unknown_provenance_is_a_declaration_error():

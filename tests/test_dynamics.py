@@ -35,7 +35,7 @@ from abrep import (
     evolve_physical,
     identity_dynamics,
 )
-from abrep.dynamics import ProductRule
+from abrep.dynamics import ProductRule, _trial_outcomes, unit_draw
 from abrep.errors import DeclarationError
 
 
@@ -190,6 +190,12 @@ def test_builtin_shape_validation():
     uneven = TupleSpace("u", (BitSpace("x", 2), BitSpace("y", 2), BitSpace("z", 2)))
     with pytest.raises(DeclarationError):
         AbstractDynamics("bad", uneven, BuiltinRule("ripple-add"))
+
+
+@pytest.mark.parametrize("entries", [5, [("0", "1"), ("1", "0")]], ids=["int", "pairs"])
+def test_table_entries_must_be_a_mapping(entries):
+    with pytest.raises(DeclarationError, match="table rule entries"):
+        TableRule(entries)
 
 
 def test_table_rule_must_be_total_without_extras():
@@ -379,6 +385,74 @@ def test_label_noise_flips_to_partner():
         LabelFlipNoise(1.0, {"a": "b", "b": "a"}),
     )
     assert evolve_physical(noisy, PhysicalState(cells, "a"), TrialSeed(0)).value == "b"
+
+
+def noise_by_definition(noise, value, seed: TrialSeed):
+    """One trial of ``noise`` on ``value``, drawn line by line through ``unit_draw``."""
+    if isinstance(noise, LabelFlipNoise):
+        return noise.partners[value] if unit_draw(seed, 0) < noise.probability else value
+    working = list(value)
+    for line in noise.coordinates:
+        if unit_draw(seed, line) < noise.probability:
+            working[line] = noise.low if working[line] >= noise.threshold else noise.high
+    return tuple(working)
+
+
+CELLS = PhysicalLabelSpace("cells", ("a", "b", "c"))
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def noisy_starts(draw):
+    """A noisy hold device, either noise kind, and a start state on it."""
+    probability = draw(probabilities)
+    if draw(st.booleans()):
+        lines = draw(st.lists(st.integers(0, 6), max_size=10))  # repeats allowed
+        noise = CoordinateFlipNoise(probability, tuple(lines), 2.5, 0.0, 5.0)
+        levels = draw(st.lists(st.sampled_from([0.0, 2.5, 5.0]), min_size=7, max_size=7))
+        device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
+        return device, PhysicalState(VOLTS, tuple(levels))
+    partners = dict(zip(CELLS.labels, draw(st.permutations(CELLS.labels))))
+    noise = LabelFlipNoise(probability, partners)
+    device = PhysicalDynamics("noisy", CELLS, TableRule({l: l for l in CELLS.labels}), noise)
+    return device, PhysicalState(CELLS, draw(st.sampled_from(CELLS.labels)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=noisy_starts(), base=st.integers(0, 2**64 - 1), trials=st.integers(1, 30))
+def test_trial_outcomes_follow_the_draws_by_definition(case, base, trials):
+    device, start = case
+    seeds = [derive_seed(TrialSeed(base), k) for k in range(trials)]
+    expected = [noise_by_definition(device.noise, start.value, seed) for seed in seeds]
+    assert _trial_outcomes(device, start, TrialSeed(base), trials) == expected
+    assert [evolve_physical(device, start, seed).value for seed in seeds] == expected
+
+
+@pytest.mark.parametrize("kind", ["coordinate", "label"])
+def test_a_line_does_not_flip_at_a_probability_equal_to_its_draw(kind):
+    base, line = TrialSeed(7), 3 if kind == "coordinate" else 0
+    draw = unit_draw(derive_seed(base, 0), line)
+
+    def flips_at(probability) -> bool:
+        if kind == "coordinate":
+            noise = CoordinateFlipNoise(probability, (line,), 2.5, 0.0, 5.0)
+            device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
+            start = PhysicalState(VOLTS, (0.0,) * 7)
+        else:
+            noise = LabelFlipNoise(probability, {"a": "b", "b": "a", "c": "c"})
+            device = PhysicalDynamics("noisy", CELLS, TableRule({l: l for l in CELLS.labels}), noise)
+            start = PhysicalState(CELLS, "a")
+        return _trial_outcomes(device, start, base, 1) != [start.value]
+
+    assert not flips_at(draw)  # the comparison is strict
+    assert flips_at(math.nextafter(draw, 1.0))
+
+
+def test_a_repeated_line_flips_twice():
+    noise = CoordinateFlipNoise(1.0, (2, 2, 4), 2.5, 0.0, 5.0)
+    device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
+    start = PhysicalState(VOLTS, (0.0,) * 7)
+    assert _trial_outcomes(device, start, TrialSeed(1), 2) == [(0.0,) * 4 + (5.0, 0.0, 0.0)] * 2
 
 
 def test_noise_on_tuple_space_is_rejected():

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import abrep.spaces
+
 from abrep import (
     BUILTIN_SCENARIOS,
     AbstractState,
@@ -24,7 +26,7 @@ from abrep import (
 from abrep.dynamics import AbstractDynamics, BuiltinRule
 from abrep.errors import DeclarationError
 from abrep.refinement import reachable_bottom_states
-from support import count_device_work
+from support import count_calls, count_device_work
 
 SEED = TrialSeed(0)
 
@@ -198,3 +200,11 @@ def test_stack_check_scans_the_seeds_once(monkeypatch):
     report = run_checks(BUILTIN_SCENARIOS["refinement-stack"]())
     assert report.exit_code == 0
     assert counts["rule"] <= 239  # 7,280 when each bottom state rescanned the seeds
+
+
+def test_stack_check_normalizes_no_value(monkeypatch):
+    """Gate: enumerated and layer-mapped states are canonical already, so none is re-checked."""
+    bundle = BUILTIN_SCENARIOS["refinement-stack"]()
+    counts = count_calls(monkeypatch, normalize=abrep.spaces.normalize_value)
+    assert run_checks(bundle).exit_code == 0
+    assert counts["normalize"] == 0  # 5,232 when each was built through its constructor

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -265,6 +266,49 @@ def test_theory_declaration_validation():
             domain=(PhysicalState(cells, "a"),),
             predictions=(Prediction("p", wrong_space, keep),),
         )
+
+
+@pytest.mark.parametrize("entries", [5, [("a", "x"), ("b", "y")]], ids=["int", "pairs"])
+def test_lookup_entries_must_be_a_mapping(entries):
+    with pytest.raises(DeclarationError, match="lookup rule entries"):
+        LookupRule(entries)
+
+
+@pytest.mark.parametrize("field", ["abstract", "physical"])
+def test_prediction_references_are_type_checked(field):
+    pred = _tiny_theory().predictions[0]
+    with pytest.raises(DeclarationError, match=f"prediction 'hold'"):
+        replace(pred, **{field: "dyn"})
+    with pytest.raises(DeclarationError):  # each slot takes its own family of dynamics
+        Prediction("swapped", pred.physical, pred.abstract)
+
+
+@pytest.mark.parametrize(
+    "seeds, engineering",
+    [(5, None), (("a",), "hold"), ((5,), "hold"), ("seed", "hold"), ("good", None)],
+)
+def test_instantiation_references_are_type_checked(seeds, engineering):
+    procedure = _tiny_theory().instantiation
+    seeds = procedure.seeds if seeds == "good" else seeds
+    engineering = procedure.engineering if engineering == "hold" else engineering
+    with pytest.raises(DeclarationError):
+        InstantiationProcedure(seeds, engineering)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("representation", "read"),
+        ("domain", 5),
+        ("domain", ("a",)),
+        ("predictions", "hold"),
+        ("predictions", ("hold",)),
+        ("instantiation", 5),
+    ],
+)
+def test_theory_references_are_type_checked(field, value):
+    with pytest.raises(DeclarationError, match="theory 'tiny'"):
+        replace(_tiny_theory(), **{field: value})
 
 
 def test_validity_starts_untested_and_cannot_be_declared():

@@ -386,6 +386,16 @@ def test_history_square_prepares_both_ends_in_one_seed_scan(monkeypatch):
     assert counts["rule"] <= len(grid) + 1  # 2,033 when each end scanned from the first seed
 
 
+def test_noisy_squares_draw_their_trials_without_a_seed_object_each(monkeypatch):
+    """Gate: the noisy adder's 7,400 trials derive their seeds inside the noise kernel."""
+    bundle = BUILTIN_SCENARIOS["voltage-adder-noisy"]()
+    made = []
+    post_init = TrialSeed.__post_init__
+    monkeypatch.setattr(TrialSeed, "__post_init__", lambda seed: made.append(post_init(seed)))
+    assert run_checks(bundle).exit_code == 0
+    assert len(made) <= 100  # 7,418 with one TrialSeed per trial
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: adder_pieces()[1], lambda: _adder_theory(3)],
