@@ -34,7 +34,6 @@ from .dynamics import (
     PhysicalDynamics,
     TableRule,
     TrialSeed,
-    compose_dynamics,
     derive_seed,
     evolve_abstract,
     evolve_physical,

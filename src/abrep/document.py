@@ -11,8 +11,11 @@ of poisoning the whole document.
 The field tables below, walked from ``_SECTIONS``, are the one description
 of the format. Each declaration kind lists its fields in document order:
 JSON key, kind of value, the attribute it fills and its default. One reader
-(``_read``) and one writer (``_write``) walk them, so every field is checked
-at its own document path, and what parses is exactly what is emitted.
+(``_read``) and one writer (``_write``) walk them, so what parses is exactly
+what is emitted. The reader checks only what JSON alone decides: shapes,
+identifiers, tags, references and state values. Each constructor checks its
+own fields and names the one it rejects, and the reader reports that field
+at its document path.
 """
 
 from __future__ import annotations
@@ -57,19 +60,17 @@ from .relations import (
     ThresholdRule,
     TupleWiseRule,
 )
-from .scenarios import CHECK_KINDS, CheckSpec, ScenarioBundle
+from .scenarios import CheckSpec, ScenarioBundle
 from .spaces import (
     BitSpace,
     IntSpace,
     LabelSpace,
-    METRICS,
     PhysicalLabelSpace,
     PhysicalState,
     PhysicalTupleSpace,
     RealVectorSpace,
     TupleSpace,
     Value,
-    _finite,
     enumerate_values,
     normalize_value,
 )
@@ -97,31 +98,6 @@ def _expect(obj: Any, path: str, kind: type, what: str) -> Any:
     return obj
 
 
-#: JSON scalar kinds other than numbers: the Python type a field of that kind
-#: accepts, and how a diagnostic names it. Flags are never integers.
-_SCALARS = {
-    "integer": (int, "an integer"),
-    "flag": (bool, "true or false"),
-}
-
-
-def _scalar(value: Any, path: str, kind: str = "number") -> Any:
-    """``value`` checked, never coerced, as a JSON number, integer or flag.
-
-    Numbers must be finite, and come back as float, so ``1`` and ``1.0``
-    declare the same thing; ``NaN`` and ``Infinity`` are rejected.
-    """
-    if kind == "number":
-        try:
-            return _finite(path, value)
-        except DeclarationError:
-            raise ScenarioSyntaxError(f"{path}: expected a finite number") from None
-    types, what = _SCALARS[kind]
-    if isinstance(value, bool) != (kind == "flag") or not isinstance(value, types):
-        raise ScenarioSyntaxError(f"{path}: expected {what}")
-    return value
-
-
 def resolve(table: dict, ident: Any, path: str) -> Any:
     """The object ``table`` declares as ``ident``, or UnknownReference at ``path``."""
     if not isinstance(ident, str) or ident not in table:
@@ -129,9 +105,9 @@ def resolve(table: dict, ident: Any, path: str) -> Any:
     return table[ident]
 
 
-def _pair(pair: Any, path: str, what: str) -> list:
+def _pair(pair: Any, path: str) -> list:
     if not (isinstance(pair, list) and len(pair) == 2):
-        raise ScenarioSyntaxError(f"{path}: expected a {what} pair")
+        raise ScenarioSyntaxError(f"{path}: expected a [key, value] pair")
     return pair
 
 
@@ -145,11 +121,9 @@ def _state_value(space, encoded: Any, path: str) -> Value:
 def _parse_entries(entries: Any, key_space, value_space, path: str) -> dict:
     table = {}
     for i, pair in enumerate(_expect(entries, path, list, "a list of pairs")):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ScenarioSyntaxError(f"{path}[{i}]: expected a [key, value] pair")
-        k = _state_value(key_space, pair[0], f"{path}[{i}][0]")
-        v = _state_value(value_space, pair[1], f"{path}[{i}][1]")
-        table[k] = v
+        k, v = _pair(pair, f"{path}[{i}]")
+        k = _state_value(key_space, k, f"{path}[{i}][0]")
+        table[k] = _state_value(value_space, v, f"{path}[{i}][1]")
     return table
 
 
@@ -165,21 +139,20 @@ class _F(NamedTuple):
     ``arg`` depends on the kind:
 
     - ``name``: a string identifier; ``arg``, if set, lists reserved names.
-    - ``number``, ``integer``, ``flag``: a JSON scalar, checked and never
-      coerced. A flag is emitted only when it is true.
-    - ``enum``: a string in ``arg = (noun, choices)``.
-    - ``tag``: as ``enum``, but ``choices`` maps each tag to the ``_Decl``
-      that builds the object; that declaration's fields follow the others.
+    - ``tag``: a string in ``arg = (noun, choices)``, where ``choices`` maps
+      each tag to the ``_Decl`` that builds the object; that declaration's
+      fields follow the others.
     - ``ref``, ``refs``: an identifier, or an array of them, declared in
       the registry table ``arg``.
-    - ``list``, ``numbers``: an array, kept as a tuple; numbers are checked,
-      and so is each element of a list whose ``arg`` is ``(type, what)``.
-    - ``bounds``, ``pairs``: an array of ``[lo, hi]`` number pairs, or of
-      ``[key, value]`` pairs read into a dict and emitted sorted.
+    - ``pairs``: an array of ``[key, value]`` pairs, read into a dict and
+      emitted sorted.
     - ``states``: state values of the space named by ``arg``.
     - ``entries``: a total table between the spaces ``arg = (keys, values)``.
-    - ``raw``: any JSON value, arrays read as tuples.
     - ``one``, ``many``: the ``_Decl`` ``arg``, or an array of them.
+    - ``raw``: any JSON value, arrays read as tuples.
+    - ``number``, ``integer``, ``flag`` (emitted only when true), ``enum``,
+      ``list``, ``numbers`` and ``bounds`` (``[lo, hi]`` number pairs):
+      passed as read to the constructor, which checks them.
 
     Space names in ``arg`` are dotted attribute paths, looked up in the
     declaration and then in the declarations enclosing it.
@@ -220,16 +193,16 @@ def _find(scopes: tuple, dotted: str) -> Any:
 def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any:
     """Build and declare the object ``obj`` declares at ``path``.
 
-    Model errors and shape errors become diagnostics at ``path``; every
-    field is checked at its own path first.
+    Model errors and shape errors become diagnostics at ``path``, or at the
+    path of the field of this declaration that a DeclarationError names.
     """
+    build, fields = decl.build, list(decl.fields)
     try:
         _expect(obj, path, dict, "an object")
         if decl.fresh:
             reg[decl.fresh] = {}
         scope = SimpleNamespace()
         scopes = (scope, *outer)
-        build, fields = decl.build, list(decl.fields)
         for f in fields:  # a tag appends its declaration's fields
             if f.key not in obj:
                 if f.default is _REQUIRED:
@@ -247,8 +220,11 @@ def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any
         built = build(**vars(scope))
     except ScenarioError:
         raise
-    except ModelError as err:
-        raise ScenarioSyntaxError(f"{path}: {err}") from err
+    except ModelError as err:  # at the path of the field of this declaration it names, if any
+        attr, bracket, index = (getattr(err, "field", None) or "").partition("[")
+        key = next((f.key for f in fields if attr == (f.attr or f.key)), None)
+        where = f"{path}: {err}" if key is None else f"{path}.{key}{bracket}{index}: {err.reason}"
+        raise ScenarioSyntaxError(where) from err
     except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as err:
         raise ScenarioSyntaxError(f"{path}: malformed declaration ({err})") from err
     if decl.tables:
@@ -262,33 +238,27 @@ def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any
 def _value(f: _F, v: Any, path: str, reg: dict, scopes: tuple) -> Any:
     """Field ``f`` read from the JSON value ``v`` at ``path``."""
     kind, arg = f.kind, f.arg
-    if kind in ("number", "integer", "flag"):
-        return _scalar(v, path, kind)
     if kind == "name":
         _expect(v, path, str, "a string identifier")
         if arg and v in arg:
             raise ScenarioSyntaxError(f"{path}: {v!r} is a reserved builtin name")
         return v
-    if kind in ("enum", "tag"):
+    if kind == "tag":
         noun, choices = arg
         if not isinstance(v, str) or v not in choices:
             raise ScenarioSyntaxError(f"{path}: unknown {noun} {v!r}")
-        return choices[v] if kind == "tag" else v
+        return choices[v]
     if kind == "ref":
         return resolve(reg[arg], v, path)
-    if kind == "raw":
-        return raw_value(v)
     if kind == "one":
         return _read(arg, v, path, reg, scopes)
     if kind == "entries":
         return _parse_entries(v, *(_find(scopes, space) for space in arg), path)
+    if kind not in ("refs", "many", "states", "pairs"):
+        return raw_value(v) if kind == "raw" else v  # the constructor checks the others
     items = enumerate(_expect(v, path, list, "a list"))
-    if kind == "list":
-        return tuple(_expect(x, f"{path}[{i}]", *arg) if arg else x for i, x in items)
     if kind == "refs":
         return tuple(resolve(reg[arg], x, f"{path}[{i}]") for i, x in items)
-    if kind == "numbers":
-        return tuple(_scalar(x, f"{path}[{i}]") for i, x in items)
     if kind == "many":
         return tuple(_read(arg, x, f"{path}[{i}]", reg, scopes) for i, x in items)
     if kind == "states":
@@ -296,13 +266,7 @@ def _value(f: _F, v: Any, path: str, reg: dict, scopes: tuple) -> Any:
         return tuple(
             PhysicalState(space, _state_value(space, x, f"{path}[{i}]")) for i, x in items
         )
-    if kind == "bounds":
-        pairs = [_pair(x, f"{path}[{i}]", "[lo, hi]") for i, x in items]
-        return tuple(
-            (_scalar(lo, f"{path}[{i}][0]"), _scalar(hi, f"{path}[{i}][1]"))
-            for i, (lo, hi) in enumerate(pairs)
-        )
-    return dict(_pair(x, f"{path}[{i}]", "[key, value]") for i, x in items)  # pairs
+    return dict(_pair(x, f"{path}[{i}]") for i, x in items)  # pairs
 
 
 def _write(decl: _Decl, obj: Any, outer: tuple = ()) -> dict:
@@ -338,10 +302,6 @@ def _json(f: _F, value: Any, scopes: tuple) -> Any:
         return value.id
     if kind == "refs":
         return [v.id for v in value]
-    if kind in ("list", "numbers"):
-        return list(value)
-    if kind == "bounds":
-        return [list(b) for b in value]
     if kind == "pairs":
         return [[k, value[k]] for k in sorted(value)]
     if kind == "states":
@@ -349,13 +309,11 @@ def _json(f: _F, value: Any, scopes: tuple) -> Any:
     if kind == "entries":
         keys = enumerate_values(_find(scopes, f.arg[0]))
         return [[value_to_json(k), value_to_json(value[k])] for k in keys]
-    if kind == "raw":
-        return value_to_json(value)
     if kind == "one":
         return _write(f.arg, value, scopes)
     if kind == "many":
         return [_write(f.arg, v, scopes) for v in value]
-    return value
+    return value_to_json(value)
 
 
 def _tag(key: str, noun: str, choices: dict) -> _F:
@@ -364,7 +322,7 @@ def _tag(key: str, noun: str, choices: dict) -> _F:
 
 
 _ID = _F("id", "name")
-_LABELS = _F("labels", "list", arg=(str, "a string label"))
+_LABELS = _F("labels", "list")
 _COMPONENTS = _F("components", "refs", arg="spaces")
 _TABLE = _Decl(TableRule, (_F("entries", "entries", arg=("space", "space")),))
 _DYNAMICS_ID = _F("id", "name", arg=BUILTIN_NAMES)
@@ -398,7 +356,7 @@ _ABSTRACT_DYNAMICS = _Decl(AbstractDynamics, (
     _F("space", "ref", arg="spaces"),
     _F("rule", "one", arg=_Decl(None, (_tag("kind", "rule kind", {
         "table": _TABLE,
-        "builtin": _Decl(BuiltinRule, (_F("name", "enum", arg=("builtin dynamics", BUILTIN_NAMES)),)),
+        "builtin": _Decl(BuiltinRule, (_F("name", "enum"),)),
         "chain": _Decl(ChainRule, (_F("parts", "refs", arg="abstract_dynamics"),)),
     }),))),
 ), ("abstract_dynamics", "physical_dynamics"))
@@ -476,16 +434,16 @@ _COMPOSITION = _Decl(None, (
 ), ("joints",), tag_of=lambda joint: joint.provenance.removeprefix("composed-"))
 _CHECK = _Decl(CheckSpec, (
     _F("name", "name"),
-    _F("kind", "enum", arg=("check kind", CHECK_KINDS)),
+    _F("kind", "enum"),
     # Checks name the objects they use, and resolve them at run time.
     *(_OPTIONAL(key, "name") for key in (
         "theory", "prediction", "stack", "relation", "joint", "expect_class",
     )),
-    _OPTIONAL("physical_metric", "enum", arg=("metric", METRICS)),
+    _OPTIONAL("physical_metric", "enum"),
     *(_OPTIONAL(key, "raw") for key in ("state", "input", "expect")),
     _F("oracle", "flag", default=False),
     _F("epsilon", "number", default=0.0),
-    _F("metric", "enum", default="discrete", arg=("metric", METRICS)),
+    _F("metric", "enum", default="discrete"),
     _F("trials", "integer", default=1),
     _F("required_success", "number", default=1.0),
 ), ("checks",))

@@ -24,6 +24,7 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _field_error,
     _finite,
     _integer,
     _items,
@@ -59,7 +60,7 @@ class TrialSeed:
     value: int = 0
 
     def __post_init__(self):
-        if not (0 <= _integer("trial seed", self.value) <= _MASK64):
+        if not (0 <= _integer("trial seed", "value", self.value) <= _MASK64):
             raise DeclarationError("trial seed must fit in 64 bits")
 
 
@@ -104,13 +105,13 @@ class BuiltinRule:
 
     def __post_init__(self):
         if self.name not in BUILTIN_NAMES:
-            raise DeclarationError(f"unknown builtin dynamics {self.name!r}")
+            raise _field_error("builtin rule", "name", f"unknown builtin dynamics {self.name!r}")
 
 
 def _check_parts(rule, kind: type) -> None:
     """Store ``rule``'s parts as a tuple; DeclarationError unless each is a ``kind``."""
     owner = type(rule).__name__
-    parts = _items(f"{owner} parts", rule.parts)
+    parts = _items(owner, "parts", rule.parts)
     object.__setattr__(rule, "parts", tuple(_typed(f"{owner}: part", p, kind) for p in parts))
 
 
@@ -255,26 +256,21 @@ def _apply_abstract(rule: AbstractRule, space: AbstractSpace, value: Value) -> V
     raise DeclarationError(f"unknown builtin {name!r}")
 
 
-def compose_dynamics(first: AbstractDynamics, second: AbstractDynamics) -> AbstractDynamics:
-    """A chain acting as ``second`` after ``first`` on every state.
-
-    Raises SpaceMismatch when the two act on different spaces.
-    """
-    return AbstractDynamics(
-        id=f"{first.id}>>{second.id}",
-        space=first.space,
-        rule=ChainRule((first, second)),
-    )
-
-
 def _store_floats(decl, owner: str, *names: str) -> None:
     """Check the named numeric fields of ``decl`` and store them as floats."""
     for name in names:
-        object.__setattr__(decl, name, _finite(f"{owner} {name}", getattr(decl, name)))
+        object.__setattr__(decl, name, _finite(owner, name, getattr(decl, name)))
 
 
-def _check_probability(probability) -> None:
-    if not (0.0 <= _finite("flip probability", probability) <= 1.0):
+def _store_lines(decl, owner: str, *names: str) -> None:
+    """Check that the named line fields of ``decl`` list integers, and store them as tuples."""
+    for name in names:
+        object.__setattr__(decl, name, _items(owner, name, getattr(decl, name), _integer))
+
+
+def _check_probability(noise, owner: str) -> None:
+    _store_floats(noise, owner, "probability")
+    if not (0.0 <= noise.probability <= 1.0):
         raise DeclarationError("flip probability must lie in [0, 1]")
 
 
@@ -296,6 +292,7 @@ class BinarySumUpdate:
     high: float
 
     def __post_init__(self):
+        _store_lines(self, "binary-sum update", "a_lines", "b_lines", "out_lines")
         _store_floats(self, "binary-sum update", "threshold", "low", "high")
 
 
@@ -307,10 +304,11 @@ class ConstantUpdate:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        owner = "constant update"
+        _store_lines(self, owner, "lines")
+        object.__setattr__(self, "values", _items(owner, "values", self.values, _finite))
         if len(self.lines) != len(self.values):
-            raise DeclarationError("constant update: lines and values differ in length")
-        values = tuple(_finite("constant update", v) for v in self.values)
-        object.__setattr__(self, "values", values)
+            raise DeclarationError(f"{owner}: lines and values differ in length")
 
 
 @dataclass(frozen=True)
@@ -322,6 +320,12 @@ class CoordinateUpdateRule:
     """
 
     assignments: tuple[Union[BinarySumUpdate, ConstantUpdate], ...] = ()
+
+    def __post_init__(self):
+        assignments = _items("coordinate-update rule", "assignments", self.assignments)
+        if not all(isinstance(u, (BinarySumUpdate, ConstantUpdate)) for u in assignments):
+            raise DeclarationError("coordinate-update rule: an assignment is not an update")
+        object.__setattr__(self, "assignments", assignments)
 
 
 PhysicalRule = Union[TableRule, CoordinateUpdateRule]
@@ -342,8 +346,9 @@ class CoordinateFlipNoise:
     high: float
 
     def __post_init__(self):
+        _store_lines(self, "coordinate-flip noise", "coordinates")
         _store_floats(self, "coordinate-flip noise", "threshold", "low", "high")
-        _check_probability(self.probability)
+        _check_probability(self, "coordinate-flip noise")
 
 
 @dataclass(frozen=True)
@@ -354,7 +359,8 @@ class LabelFlipNoise:
     partners: Mapping[str, str]
 
     def __post_init__(self):
-        _check_probability(self.probability)
+        _typed("label-flip noise partners", self.partners, Mapping)
+        _check_probability(self, "label-flip noise")
 
 
 Noise = Union[CoordinateFlipNoise, LabelFlipNoise]
@@ -388,7 +394,7 @@ class PhysicalDynamics:
 def _check_lines(dyn_id: str, space: RealVectorSpace, lines, *levels: float) -> None:
     """Each line must index a coordinate, and each level must fit its bounds."""
     for line in lines:
-        if not (0 <= _integer(f"dynamics {dyn_id!r}: line", line) < space.dimension):
+        if not (0 <= line < space.dimension):
             raise DeclarationError(f"dynamics {dyn_id!r}: line {line} out of range")
         lo, hi = space.bounds[line]
         for level in levels:
@@ -403,11 +409,9 @@ def _check_update_levels(dyn_id: str, space: RealVectorSpace, rule: CoordinateUp
         if isinstance(upd, BinarySumUpdate):
             _check_lines(dyn_id, space, upd.a_lines + upd.b_lines)
             _check_lines(dyn_id, space, upd.out_lines, upd.low, upd.high)
-        elif isinstance(upd, ConstantUpdate):
+        else:
             for line, value in zip(upd.lines, upd.values):
                 _check_lines(dyn_id, space, (line,), value)
-        else:
-            raise DeclarationError(f"dynamics {dyn_id!r}: unknown update type")
 
 
 def _check_noise(dyn_id: str, space: PhysicalSpace, noise: Noise | None) -> None:

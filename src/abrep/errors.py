@@ -6,7 +6,15 @@ class ModelError(Exception):
 
 
 class DeclarationError(ModelError):
-    """A space, relation, or dynamics declaration is malformed."""
+    """A space, relation, or dynamics declaration is malformed.
+
+    ``field``, when set, is the path of the rejected field inside the
+    declaration, such as ``"bounds[2][1]"``, and ``reason`` what was expected.
+    """
+
+    def __init__(self, message: str, field: str | None = None, reason: str | None = None):
+        super().__init__(message)
+        self.field, self.reason = field, reason
 
 
 class OutOfDomain(ModelError):

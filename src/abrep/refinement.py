@@ -14,10 +14,11 @@ commutation check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .dynamics import AbstractDynamics, PhysicalDynamics, TrialSeed, derive_seed, evolve_abstract
-from .errors import DeclarationError
+from .errors import DeclarationError, OutOfDomain
 from .relations import Theory, _prepare
 from .spaces import (
     AbstractSpace,
@@ -25,8 +26,11 @@ from .spaces import (
     Metric,
     Value,
     _finite,
+    _items,
     _trusted,
+    _typed,
     check_total_table,
+    contains,
     distance,
     enumerate_states,
 )
@@ -42,10 +46,9 @@ class RefinementLayer:
     dynamics: AbstractDynamics
 
     def __post_init__(self):
+        _typed(f"layer {self.id!r}: dynamics", self.dynamics, AbstractDynamics)
         if self.dynamics.space != self.space:
-            raise DeclarationError(
-                f"layer {self.id!r}: dynamics act on a different space"
-            )
+            raise DeclarationError(f"layer {self.id!r}: dynamics act on a different space")
 
 
 @dataclass(frozen=True)
@@ -58,12 +61,16 @@ class SimulationRelation:
     entries: Mapping[Value, Value]
 
     def __post_init__(self):
+        for side in ("upper", "lower"):
+            _typed(f"simulation {self.id!r}: {side}", getattr(self, side), RefinementLayer)
         entries = check_total_table(
             f"simulation {self.id!r}", self.entries, self.upper.space, self.lower.space
         )
         object.__setattr__(self, "entries", entries)
 
     def map_state(self, state: AbstractState) -> AbstractState:
+        if not contains(self.upper.space, state):
+            raise OutOfDomain(f"state is not in the upper layer of simulation {self.id!r}")
         return _trusted(AbstractState, self.lower.space, self.entries[state.value])
 
 
@@ -80,15 +87,20 @@ class LayerCheckEntry:
 
 @dataclass(frozen=True)
 class LayerReport:
+    """Every upper state's entry; the verdict is read off the entries."""
+
     relation_id: str
     entries: tuple[LayerCheckEntry, ...]
-    passed: bool
     epsilon: float
+
+    @cached_property
+    def passed(self) -> bool:
+        return all(e.passed for e in self.entries)
 
 
 def check_layer(s: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
     """Check one adjacent layer pair over every upper state."""
-    if _finite("epsilon", epsilon) < 0:
+    if _finite("layer check", "epsilon", epsilon) < 0:
         raise DeclarationError("epsilon must be non-negative")
     entries: list[LayerCheckEntry] = []
     for state in enumerate_states(s.upper.space):
@@ -96,12 +108,7 @@ def check_layer(s: SimulationRelation, epsilon: float, metric: Metric) -> LayerR
         via_lower = evolve_abstract(s.lower.dynamics, s.map_state(state))
         d = distance(metric, via_upper, via_lower)
         entries.append(LayerCheckEntry(state, via_upper, via_lower, d, d <= epsilon))
-    return LayerReport(
-        relation_id=s.id,
-        entries=tuple(entries),
-        passed=all(e.passed for e in entries),
-        epsilon=epsilon,
-    )
+    return LayerReport(relation_id=s.id, entries=tuple(entries), epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -119,27 +126,28 @@ class RefinementStack:
     device: PhysicalDynamics
 
     def __post_init__(self):
+        owner = f"stack {self.id!r}"
+        for name, kind in (("layers", RefinementLayer), ("relations", SimulationRelation)):
+            parts = _items(owner, name, getattr(self, name))
+            object.__setattr__(self, name, tuple(_typed(f"{owner}: {name}", p, kind) for p in parts))
+        _typed(f"{owner}: theory", self.theory, Theory)
+        _typed(f"{owner}: device", self.device, PhysicalDynamics)
         if not self.layers:
-            raise DeclarationError(f"stack {self.id!r}: at least one layer required")
+            raise DeclarationError(f"{owner}: at least one layer required")
         if len(self.relations) != len(self.layers) - 1:
-            raise DeclarationError(
-                f"stack {self.id!r}: need one simulation relation per adjacent pair"
-            )
+            raise DeclarationError(f"{owner}: need one simulation relation per adjacent pair")
         for i, rel in enumerate(self.relations):
             if rel.upper != self.layers[i] or rel.lower != self.layers[i + 1]:
                 raise DeclarationError(
-                    f"stack {self.id!r}: relation {rel.id!r} does not connect"
+                    f"{owner}: relation {rel.id!r} does not connect"
                     f" layers {self.layers[i].id!r} and {self.layers[i + 1].id!r}"
                 )
         if self.layers[-1].space != self.theory.representation.codomain:
             raise DeclarationError(
-                f"stack {self.id!r}: bottom layer space must equal the theory's"
-                " representation codomain"
+                f"{owner}: bottom layer space must equal the theory's representation codomain"
             )
         if self.device.space != self.theory.representation.domain:
-            raise DeclarationError(
-                f"stack {self.id!r}: device dynamics act on the wrong space"
-            )
+            raise DeclarationError(f"{owner}: device dynamics act on the wrong space")
 
 
 @dataclass(frozen=True)
@@ -152,10 +160,17 @@ class DeviceCheckEntry:
 
 @dataclass(frozen=True)
 class StackReport:
+    """Each layer's report and each device square; the verdict is read off them."""
+
     stack_id: str
     layer_reports: tuple[LayerReport, ...]
     device_entries: tuple[DeviceCheckEntry, ...]
-    passed: bool
+
+    @cached_property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.layer_reports) and all(
+            e.report.passed for e in self.device_entries
+        )
 
 
 def reachable_bottom_states(stack: RefinementStack) -> list[AbstractState]:
@@ -203,12 +218,4 @@ def check_stack_to_device(
     for i, (bottom, prepared) in enumerate(zip(bottoms, _prepare(stack.theory, bottoms))):
         report = check_commutation(spec, prepared, derive_seed(base_seed, i))
         device_entries.append(DeviceCheckEntry(bottom, report))
-    passed = all(r.passed for r in layer_reports) and all(
-        e.report.passed for e in device_entries
-    )
-    return StackReport(
-        stack_id=stack.id,
-        layer_reports=layer_reports,
-        device_entries=tuple(device_entries),
-        passed=passed,
-    )
+    return StackReport(stack.id, layer_reports, tuple(device_entries))

@@ -77,6 +77,10 @@ class ThresholdRule:
 
     thresholds: tuple[float, ...]
 
+    def __post_init__(self):
+        thresholds = _items("threshold rule", "thresholds", self.thresholds, _finite)
+        object.__setattr__(self, "thresholds", thresholds)
+
 
 @dataclass(frozen=True)
 class TupleWiseRule:
@@ -123,8 +127,6 @@ class RepresentationRelation:
                 raise DeclarationError(
                     f"relation {self.id!r}: one threshold per coordinate required"
                 )
-            for th in rule.thresholds:
-                _finite(f"relation {self.id!r}: threshold", th)
             widths = _register_widths(self.codomain)
             if widths is None:
                 raise DeclarationError(
@@ -206,7 +208,7 @@ class InstantiationProcedure:
     engineering: PhysicalDynamics
 
     def __post_init__(self):
-        seeds = _items("instantiation seeds", self.seeds)
+        seeds = _items("instantiation", "seeds", self.seeds)
         object.__setattr__(self, "seeds", tuple(_typed("seed", s, PhysicalState) for s in seeds))
         _typed("engineering dynamics", self.engineering, PhysicalDynamics)
 
@@ -244,8 +246,8 @@ class Theory:
         owner = f"theory {self.id!r}:"
         relation = _typed(f"{owner} representation", self.representation, RepresentationRelation)
         space = relation.domain
-        object.__setattr__(self, "domain", _items(f"{owner} domain", self.domain))
-        object.__setattr__(self, "predictions", _items(f"{owner} predictions", self.predictions))
+        for name in ("domain", "predictions"):
+            object.__setattr__(self, name, _items(f"theory {self.id!r}", name, getattr(self, name)))
         for state in self.domain:
             if not isinstance(state, PhysicalState) or state.space != space:
                 raise DeclarationError(f"{owner} domain state outside the represented space")

@@ -47,6 +47,9 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _field_error,
+    _finite,
+    _integer,
     enumerate_values,
 )
 
@@ -69,7 +72,8 @@ CHECK_KINDS = (
 class CheckSpec:
     """One declared check; unset tolerances fall back to the strict defaults.
 
-    Its kind and metrics are checked here, the objects it names when it runs.
+    Its own fields are checked here, the objects it names when it runs.
+    Tolerances are stored as floats.
     """
 
     name: str
@@ -91,12 +95,17 @@ class CheckSpec:
     required_success: float = 1.0
 
     def __post_init__(self):
+        owner = f"check {self.name!r}"
         if self.kind not in CHECK_KINDS:
-            raise DeclarationError(f"unknown check kind {self.kind!r}")
-        if self.metric not in METRIC_KINDS:
-            raise DeclarationError(f"unknown metric {self.metric!r}")
-        if self.physical_metric not in (None, *METRIC_KINDS):
-            raise DeclarationError(f"unknown metric {self.physical_metric!r}")
+            raise _field_error(owner, "kind", f"unknown check kind {self.kind!r}")
+        for name, choices in (("physical_metric", (None, *METRIC_KINDS)), ("metric", METRIC_KINDS)):
+            if getattr(self, name) not in choices:
+                raise _field_error(owner, name, f"unknown metric {getattr(self, name)!r}")
+        if not isinstance(self.oracle, bool):
+            raise _field_error(owner, "oracle", "expected true or false")
+        _integer(owner, "trials", self.trials)
+        for name in ("epsilon", "required_success"):
+            object.__setattr__(self, name, _finite(owner, name, getattr(self, name)))
         if self.kind == "history" and self.physical_metric is None:
             raise DeclarationError("history checks must declare a physical metric")
 

@@ -65,7 +65,7 @@ class BitSpace(AbstractSpace):
     width: int
 
     def __post_init__(self):
-        if _integer(f"space {self.id!r}: width", self.width) < 1:
+        if _integer(f"space {self.id!r}", "width", self.width) < 1:
             raise DeclarationError(f"space {self.id!r}: bitstring width must be >= 1")
 
 
@@ -78,8 +78,8 @@ class IntSpace(AbstractSpace):
     hi: int
 
     def __post_init__(self):
-        lo = _integer(f"space {self.id!r}: lo", self.lo)
-        if lo > _integer(f"space {self.id!r}: hi", self.hi):
+        lo = _integer(f"space {self.id!r}", "lo", self.lo)
+        if lo > _integer(f"space {self.id!r}", "hi", self.hi):
             raise DeclarationError(f"space {self.id!r}: lo must not exceed hi")
 
 
@@ -117,16 +117,16 @@ class RealVectorSpace(PhysicalSpace):
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not _items(f"space {self.id!r}: bounds", self.bounds):
-            raise DeclarationError(f"space {self.id!r}: vector space needs a dimension")
+        owner = f"space {self.id!r}"
+        if not _items(owner, "bounds", self.bounds):
+            raise DeclarationError(f"{owner}: vector space needs a dimension")
         bounds = []
         for i, pair in enumerate(self.bounds):
-            owner = f"space {self.id!r}: coordinate {i} bounds"
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-                raise DeclarationError(f"{owner} must be a (lo, hi) pair")
-            lo, hi = (_finite(owner, v) for v in pair)
+                raise _field_error(owner, f"bounds[{i}]", "expected a [lo, hi] pair")
+            lo, hi = (_finite(owner, f"bounds[{i}][{j}]", v) for j, v in enumerate(pair))
             if lo > hi:
-                raise DeclarationError(f"{owner} must have lo <= hi")
+                raise DeclarationError(f"{owner}: coordinate {i} bounds must have lo <= hi")
             bounds.append((lo, hi))
         object.__setattr__(self, "bounds", tuple(bounds))
 
@@ -156,11 +156,17 @@ def require_family(owner: str, space, family: type) -> None:
         raise DeclarationError(f"{owner}: {getattr(space, 'id', space)!r} is not {side} space")
 
 
-def _finite(owner: str, value) -> float:
+def _field_error(owner: str, field: str, reason: str) -> DeclarationError:
+    """The error rejecting ``owner``'s ``field``: ``reason`` says what was expected."""
+    return DeclarationError(f"{owner}: {field}: {reason}", field, reason)
+
+
+def _finite(owner: str, field: str, value) -> float:
     """``value`` as a float; DeclarationError unless it is a finite int or float.
 
     Every numeric field of a declaration goes through here, so a bool, a
-    string or a NaN never reaches a comparison or a state.
+    string or a NaN never reaches a comparison or a state, and ``1`` and
+    ``1.0`` declare the same thing.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -170,13 +176,13 @@ def _finite(owner: str, value) -> float:
         else:
             if math.isfinite(value):
                 return value
-    raise DeclarationError(f"{owner}: {value!r} is not a finite number")
+    raise _field_error(owner, field, "expected a finite number")
 
 
-def _integer(owner: str, value) -> int:
+def _integer(owner: str, field: str, value) -> int:
     """``value`` itself; DeclarationError unless it is an int (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DeclarationError(f"{owner} {value!r} is not an integer")
+        raise _field_error(owner, field, "expected an integer")
     return value
 
 
@@ -187,15 +193,21 @@ def _typed(owner: str, value, kind: type):
     return value
 
 
-def _items(owner: str, value) -> tuple:
-    """``value`` as a tuple; DeclarationError unless it is a list or a tuple."""
+def _items(owner: str, field: str, value, each=None) -> tuple:
+    """``value`` as a tuple; DeclarationError unless it is a list or a tuple.
+
+    ``each``, when given, checks element i as ``each(owner, "field[i]",
+    element)``, and the tuple holds what it returns.
+    """
     if not isinstance(value, (tuple, list)):
-        raise DeclarationError(f"{owner} {value!r} is not a list")
-    return tuple(value)
+        raise _field_error(owner, field, "expected a list")
+    if each is None:
+        return tuple(value)
+    return tuple(each(owner, f"{field}[{i}]", v) for i, v in enumerate(value))
 
 
 def _check_components(space, family: type) -> None:
-    components = _items(f"space {space.id!r}: components", space.components)
+    components = _items(f"space {space.id!r}", "components", space.components)
     if not components:
         raise DeclarationError(f"space {space.id!r}: tuple space needs components")
     for comp in components:
@@ -204,12 +216,12 @@ def _check_components(space, family: type) -> None:
 
 
 def _check_labels(space) -> None:
-    labels = _items(f"space {space.id!r}: labels", space.labels)
+    labels = _items(f"space {space.id!r}", "labels", space.labels)
     if not labels:
         raise DeclarationError(f"space {space.id!r}: label set must be non-empty")
-    for label in labels:
+    for i, label in enumerate(labels):
         if not isinstance(label, str):
-            raise DeclarationError(f"space {space.id!r}: label {label!r} is not a string")
+            raise _field_error(f"space {space.id!r}", f"labels[{i}]", "expected a string label")
     if len(set(labels)) != len(labels):
         raise DeclarationError(f"space {space.id!r}: duplicate labels")
     object.__setattr__(space, "labels", labels)

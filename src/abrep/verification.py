@@ -64,11 +64,11 @@ class DiagramSpec:
     required_success: float = 1.0
 
     def __post_init__(self):
-        if _finite("epsilon", self.epsilon) < 0:
+        if _finite("diagram", "epsilon", self.epsilon) < 0:
             raise DeclarationError("epsilon must be non-negative")
-        if _integer("trials", self.trials) < 1:
+        if _integer("diagram", "trials", self.trials) < 1:
             raise DeclarationError("at least one trial is required")
-        if not (0.0 < _finite("required success", self.required_success) <= 1.0):
+        if not (0.0 < _finite("diagram", "required_success", self.required_success) <= 1.0):
             raise DeclarationError("required success must lie in (0, 1]")
 
 

@@ -1,4 +1,4 @@
-"""Seeded random model generators shared by property and acceptance tests."""
+"""Seeded random model generators, call counters and document walkers shared by tests."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import sys
 
 import abrep.dynamics
 import abrep.relations
+from abrep import document
 from abrep import (
     AbstractDynamics,
     BitSpace,
@@ -236,3 +237,40 @@ def xor_joint_variant(rule: str) -> JointSystem:
     else:
         dynamics = AbstractDynamics("xor.keep-pair", pair, BuiltinRule("identity"))
     return dataclasses.replace(joint, joint_dynamics=dynamics)
+
+
+def field_sites(data: dict):
+    """Each declaration of the document ``data`` with each field of its kind.
+
+    Walks the format table from ``document._SECTIONS`` and yields, in
+    document order, (path of the declaration, the field), such as
+    ``("checks[1]", oracle)``; a field is yielded whether or not the
+    declaration writes it.
+    """
+
+    def walk(decl, obj, path):
+        fields = list(decl.fields)
+        for f in fields:
+            if f.kind == "tag":
+                fields += f.arg[1][obj[f.key]].fields
+        for f in fields:
+            yield path, f
+            where, nested = f"{path}.{f.key}", obj.get(f.key)
+            if f.kind == "one" and nested is not None:
+                yield from walk(f.arg, nested, where)
+            elif f.kind == "many":
+                for i, item in enumerate(nested):
+                    yield from walk(f.arg, item, f"{where}[{i}]")
+
+    for _, path, decl in document._SECTIONS:
+        section, _, part = path.partition(".")
+        decls = data[section][part] if part else data[section]
+        for i, obj in enumerate(decls):
+            yield from walk(decl, obj, f"{path}[{i}]")
+
+
+def at(data: dict, path: str) -> dict:
+    """The object at a document path such as ``checks[1].rule``."""
+    for part in path.replace("[", ".").replace("]", "").split("."):
+        data = data[int(part)] if part.isdigit() else data[part]
+    return data

@@ -6,10 +6,16 @@ import pytest
 
 from abrep import (
     BUILTIN_SCENARIOS,
+    BitSpace,
+    CheckSpec,
+    CoordinateFlipNoise,
+    CoordinateUpdateRule,
     DeclarationError,
     DuplicateIdentifier,
     ScenarioError,
+    LabelFlipNoise,
     ScenarioSyntaxError,
+    ThresholdRule,
     UnknownReference,
     VersionUnsupported,
     build_social_machine,
@@ -17,10 +23,10 @@ from abrep import (
     enumerate_values,
     parse_scenario,
 )
-from abrep import document
 from abrep.document import raw_value, value_to_json
 from abrep.runner import run_checks
 from abrep.spaces import is_finite, normalize_value
+from support import at, field_sites
 
 MINIMAL = {
     "format_version": "1",
@@ -409,46 +415,64 @@ def _field_sites():
     path with its indices dropped; ``raw`` fields take any value.
     """
     seen = set()
-
-    def walk(decl, obj, path):
-        fields = list(decl.fields)
-        for f in fields:
-            if f.kind == "tag":
-                fields += f.arg[1][obj[f.key]].fields
-        for f in fields:
-            where = f"{path}.{f.key}"
-            template = "".join(c for c in where if not c.isdigit())
-            if f.kind != "raw" and template not in seen:
-                seen.add(template)
-                yield path, f
-            nested = obj.get(f.key)
-            if f.kind == "one" and nested is not None:
-                yield from walk(f.arg, nested, where)
-            elif f.kind == "many":
-                for i, item in enumerate(nested):
-                    yield from walk(f.arg, item, f"{where}[{i}]")
-
     for name in sorted(BUILTIN_SCENARIOS):
         data = json.loads(emit_scenario(BUILTIN_SCENARIOS[name]()))
-        for _, path, decl in document._SECTIONS:
-            section, _, part = path.partition(".")
-            decls = data[section][part] if part else data[section]
-            for i, obj in enumerate(decls):
-                for site, field in walk(decl, obj, f"{path}[{i}]"):
-                    yield pytest.param(name, site, field, id=f"{name}:{site}.{field.key}")
+        for path, field in field_sites(data):
+            template = "".join(c for c in f"{path}.{field.key}" if not c.isdigit())
+            if field.kind != "raw" and template not in seen:
+                seen.add(template)
+                yield pytest.param(name, path, field, id=f"{name}:{path}.{field.key}")
 
 
-def _at(data: dict, path: str) -> dict:
-    """The object at a document path such as ``checks[1].rule``."""
-    for part in path.replace("[", ".").replace("]", "").split("."):
-        data = data[int(part)] if part.isdigit() else data[part]
-    return data
+#: The kinds the reader passes on as read: their constructors check them.
+_CONSTRUCTOR_CHECKED = {"number", "integer", "flag", "enum", "list", "numbers", "bounds"}
 
 
 @pytest.mark.parametrize("name, path, field", list(_field_sites()))
 def test_every_field_is_checked_at_its_path(name, path, field):
     bad = json.loads(emit_scenario(BUILTIN_SCENARIOS[name]()))
-    _at(bad, path)[field.key] = _WRONG[field.kind]
+    at(bad, path)[field.key] = _WRONG[field.kind]
     with pytest.raises(ScenarioError) as err:
         parse_scenario(json.dumps(bad))
     assert str(err.value).startswith(f"{path}.{field.key}: ")
+    if field.kind in _CONSTRUCTOR_CHECKED:
+        cause = err.value.__cause__
+        assert isinstance(cause, DeclarationError)
+        assert cause.field.partition("[")[0] == (field.attr or field.key)
+
+
+@pytest.mark.parametrize(
+    "declare, field",
+    [
+        (lambda: CoordinateFlipNoise(0.5, 5, 2.5, 0.0, 5.0), "coordinates"),
+        (lambda: LabelFlipNoise(0.5, 5), None),
+        (lambda: CoordinateUpdateRule(5), "assignments"),
+        (lambda: ThresholdRule((1, "a")), "thresholds[1]"),
+        (lambda: CheckSpec("c", "commutation", trials=2.9), "trials"),
+    ],
+    ids=["flip-lines", "label-partners", "assignments", "threshold", "trials"],
+)
+def test_constructors_check_the_fields_the_reader_passes_on(declare, field):
+    with pytest.raises(DeclarationError) as err:
+        declare()
+    assert err.value.field == field
+
+
+def test_a_rejected_field_is_named_in_the_api_message_too():
+    with pytest.raises(DeclarationError) as err:
+        BitSpace("x", "2")
+    assert str(err.value) == "space 'x': width: expected an integer"
+    assert (err.value.field, err.value.reason) == ("width", "expected an integer")
+
+
+def test_numbers_read_as_integers_are_stored_and_emitted_as_floats():
+    data = json.loads(emit_scenario(BUILTIN_SCENARIOS["voltage-adder-noisy"]()))
+    data["dynamics"]["physical"][0]["noise"].update(probability=1, low=0)
+    data["relations"][0]["rule"]["thresholds"][0] = 2
+    data["checks"][1]["epsilon"] = 0
+    bundle = parse_scenario(json.dumps(data))
+    noise = bundle.physical_dynamics[0].noise
+    numbers = (noise.probability, noise.low, bundle.relations[0].rule.thresholds[0])
+    assert all(type(n) is float for n in (*numbers, bundle.checks[1].epsilon))
+    emitted = emit_scenario(bundle)
+    assert '"probability": 1.0' in emitted and '"epsilon": 0.0' in emitted

@@ -27,7 +27,6 @@ from abrep import (
     TrialSeed,
     TupleSpace,
     TupleWiseRule,
-    compose_dynamics,
     derive_seed,
     enumerate_states,
     enumerate_values,
@@ -88,7 +87,7 @@ def test_and_xor_builtins_match_bit_arithmetic():
 def test_bit_not_is_an_involution():
     bits = BitSpace("b3", 3)
     flip = AbstractDynamics("f", bits, BuiltinRule("bit-not"))
-    chained = compose_dynamics(flip, flip)
+    chained = AbstractDynamics("f>>f", bits, ChainRule((flip, flip)))
     for state in enumerate_states(bits):
         assert evolve_abstract(chained, state) == state
 
@@ -97,7 +96,7 @@ def test_compose_identity_is_neutral():
     bits = BitSpace("b2", 2)
     ident = AbstractDynamics("i", bits, BuiltinRule("identity"))
     flip = AbstractDynamics("f", bits, BuiltinRule("bit-not"))
-    composed = compose_dynamics(ident, flip)
+    composed = AbstractDynamics("i>>f", bits, ChainRule((ident, flip)))
     for state in enumerate_states(bits):
         assert evolve_abstract(composed, state) == evolve_abstract(flip, state)
 
@@ -120,7 +119,7 @@ def test_staged_ripple_add_chain_equals_direct_table():
             }
         ),
     )
-    chained = compose_dynamics(stage1, stage2)
+    chained = AbstractDynamics("park>>accumulate", space, ChainRule((stage1, stage2)))
     direct = AbstractDynamics("add", space, BuiltinRule("ripple-add"))
     for state in enumerate_states(space):
         assert evolve_abstract(chained, state) == evolve_abstract(direct, state)
@@ -130,7 +129,7 @@ def test_compose_rejects_space_mismatch():
     a = AbstractDynamics("a", BitSpace("b1", 1), BuiltinRule("identity"))
     b = AbstractDynamics("b", BitSpace("b2", 2), BuiltinRule("identity"))
     with pytest.raises(SpaceMismatch):
-        compose_dynamics(a, b)
+        AbstractDynamics("a>>b", a.space, ChainRule((a, b)))
 
 
 def test_product_rule_maps_each_part_over_its_component():

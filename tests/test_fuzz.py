@@ -2,7 +2,9 @@
 
 A mutated document either parses or is rejected with a ModelError; a parsed
 one runs its checks without raising; and ``abrep check`` exits with the
-report's code, 0, 1 or 2, and with 2 for every rejected document.
+report's code, 0, 1 or 2, and with 2 for every rejected document. One kind of
+mutation writes a value of another type into a field picked from the
+format table, so every kind of field the table has is reached.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from abrep import BUILTIN_SCENARIOS, ModelError, emit_scenario, parse_scenario, run_checks
 from abrep.cli import main
+from support import at, field_sites
 
 TEXTS = {name: emit_scenario(build()) for name, build in BUILTIN_SCENARIOS.items()}
 
@@ -68,6 +71,13 @@ def _sites(doc):
 
 SITES = {name: _sites(json.loads(text)) for name, text in TEXTS.items()}
 
+#: Each field kind of the format table: the (document, declaration path, key)
+#: of every field of that kind in the built-in documents.
+FIELDS: dict = {}
+for _name, _text in sorted(TEXTS.items()):
+    for _path, _field in field_sites(json.loads(_text)):
+        FIELDS.setdefault(_field.kind, []).append((_name, _path, _field.key))
+
 
 def _parent(doc, path):
     for key in path[:-1]:
@@ -75,7 +85,17 @@ def _parent(doc, path):
     return doc
 
 
-def _mutate(data, name):
+def _mutate(data):
+    """A mutated built-in document: its name, the document and the mutated path."""
+    if data.draw(st.booleans()):  # a value of another type, for a field of any kind
+        sites = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+        name, path, key = data.draw(st.sampled_from(sites))
+        doc = json.loads(TEXTS[name])
+        obj = at(doc, path)
+        wrong = [v for v in SCALARS if type(v) is not type(obj.get(key))]
+        obj[key] = data.draw(st.sampled_from(wrong))
+        return name, doc, (path, key)
+    name = data.draw(st.sampled_from(sorted(TEXTS)))
     doc = json.loads(TEXTS[name])
     paths, declarations, references, idents = SITES[name]
     kind = data.draw(st.sampled_from(("declaration", "reference", "replace", "delete")))
@@ -87,7 +107,7 @@ def _mutate(data, name):
         for use, value in list(_nodes(doc)):
             if value == old:
                 _parent(doc, use)[use[-1]] = new
-        return doc, path
+        return name, doc, path
     if kind == "reference":
         path = data.draw(st.sampled_from(references))
         value = data.draw(st.sampled_from(idents))
@@ -98,14 +118,13 @@ def _mutate(data, name):
         del _parent(doc, path)[path[-1]]
     else:
         _parent(doc, path)[path[-1]] = value
-    return doc, path
+    return name, doc, path
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(data=st.data())
 def test_mutated_documents_fail_only_with_model_errors(tmp_path_factory, data):
-    name = data.draw(st.sampled_from(sorted(TEXTS)))
-    doc, path = _mutate(data, name)
+    name, doc, path = _mutate(data)
     text = json.dumps(doc)
     try:
         bundle = parse_scenario(text)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,10 @@ import abrep.spaces
 from abrep import (
     BUILTIN_SCENARIOS,
     AbstractState,
+    BitSpace,
     DISCRETE,
+    LabelSpace,
+    OutOfDomain,
     RefinementLayer,
     RefinementStack,
     SimulationRelation,
@@ -25,7 +29,7 @@ from abrep import (
 )
 from abrep.dynamics import AbstractDynamics, BuiltinRule
 from abrep.errors import DeclarationError
-from abrep.refinement import reachable_bottom_states
+from abrep.refinement import LayerReport, StackReport, reachable_bottom_states
 from support import count_calls, count_device_work
 
 SEED = TrialSeed(0)
@@ -183,6 +187,67 @@ def test_stack_declaration_invariants():
         RefinementStack(
             "bad", (stack.layers[0],), (), stack.theory, stack.device
         )
+
+
+def test_layer_references_are_type_checked():
+    _, stack = stack_pieces()
+    with pytest.raises(DeclarationError):
+        RefinementLayer("l", BitSpace("b", 1), "dyn")
+    with pytest.raises(DeclarationError):
+        RefinementLayer("l", stack.device.space, stack.layers[0].dynamics)
+
+
+def test_simulation_references_are_type_checked():
+    _, stack = stack_pieces()
+    with pytest.raises(DeclarationError):
+        SimulationRelation("s", "up", "low", {})
+    with pytest.raises(DeclarationError):
+        SimulationRelation("s", stack.layers[0], "low", {})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        lambda s: {"layers": 5},
+        lambda s: {"layers": (s.layers[0], "x")},
+        lambda s: {"relations": ("r",)},
+        lambda s: {"theory": "t"},
+        lambda s: {"device": s.layers[0].dynamics},
+    ],
+    ids=["layers-int", "layer-str", "relation-str", "theory-str", "abstract-device"],
+)
+def test_stack_references_are_type_checked(fields):
+    _, stack = stack_pieces()
+    with pytest.raises(DeclarationError):
+        replace(stack, **fields(stack))
+
+
+def test_map_state_rejects_a_state_of_another_space():
+    _, stack = stack_pieces()
+    relation = stack.relations[0]
+    with pytest.raises(OutOfDomain):
+        relation.map_state(AbstractState(LabelSpace("z", ("q",)), "q"))
+    with pytest.raises(OutOfDomain):
+        relation.map_state(next(iter(relation.entries)))  # a raw value is not a state
+    # A value the table maps, in a space that is not the upper layer's.
+    twin = replace(relation.upper.space, id="twin")
+    with pytest.raises(OutOfDomain):
+        relation.map_state(AbstractState(twin, next(iter(relation.entries))))
+
+
+def test_layer_and_stack_reports_read_their_verdicts_off_their_entries():
+    _, stack = stack_pieces(mis_declared=True)
+    report = check_stack_to_device(stack, 0.0, DISCRETE, SEED)
+    first = report.layer_reports[0]
+    assert not first.passed and not report.passed
+    passing = tuple(e for e in first.entries if e.passed)
+    fixed = replace(first, entries=passing)
+    assert fixed.passed
+    assert replace(report, layer_reports=(fixed, *report.layer_reports[1:])).passed
+    with pytest.raises(TypeError):
+        LayerReport("r", entries=(), epsilon=0.0, passed=True)
+    with pytest.raises(TypeError):
+        StackReport("s", layer_reports=(), device_entries=(), passed=True)
 
 
 def test_simulation_relation_must_be_total_with_images_in_lower_space():
