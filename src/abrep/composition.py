@@ -40,6 +40,7 @@ from .spaces import (
     PhysicalTupleSpace,
     TupleSpace,
     Value,
+    _identifier,
     _trusted,
     _typed,
     cardinality,
@@ -90,12 +91,12 @@ class JointSystem:
     provenance: str  # composed-parallel | declared
 
     def __post_init__(self):
-        owner = f"joint {self.id!r}:"
-        _typed(f"{owner} left", self.left, Component)
-        _typed(f"{owner} right", self.right, Component)
-        _typed(f"{owner} joint space", self.joint_space, PhysicalTupleSpace)
-        _typed(f"{owner} joint representation", self.joint_representation, RepresentationRelation)
-        _typed(f"{owner} joint dynamics", self.joint_dynamics, AbstractDynamics)
+        owner = _identifier("joint", self)
+        _typed(f"{owner}: left", self.left, Component)
+        _typed(f"{owner}: right", self.right, Component)
+        _typed(f"{owner}: joint space", self.joint_space, PhysicalTupleSpace)
+        _typed(f"{owner}: joint representation", self.joint_representation, RepresentationRelation)
+        _typed(f"{owner}: joint dynamics", self.joint_dynamics, AbstractDynamics)
         expected = (
             self.left.theory.representation.domain,
             self.right.theory.representation.domain,

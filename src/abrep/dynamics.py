@@ -9,7 +9,8 @@ isolation and independent trials may run concurrently.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Union
 
@@ -26,6 +27,7 @@ from .spaces import (
     Value,
     _field_error,
     _finite,
+    _identifier,
     _integer,
     _items,
     _trusted,
@@ -38,18 +40,24 @@ from .spaces import (
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+#: Trials per pass of the noise kernel. ``_ONES`` holds 1, and ``_RAMP`` k, in 128-bit slot k.
+_BLOCK = 1024
+_ONES = int.from_bytes(b"\1".ljust(16, b"\0") * _BLOCK, "little")
+_RAMP = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(_BLOCK)), "little")
 
 
-def _splitmix(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+def _mix(z: int, mask: int) -> int:
+    """SplitMix64's mix of each 64-bit word that ``mask`` keeps in ``z`` (see ``_noisy``)."""
+    z &= mask
+    z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
+    return (z ^ z >> 31) & mask
 
 
 def _blend(*words: int) -> int:
     h = _GOLDEN
     for w in words:
-        h = _splitmix((h + (w & _MASK64)) & _MASK64)
+        h = _mix(h + w, _MASK64)
     return h
 
 
@@ -61,7 +69,7 @@ class TrialSeed:
 
     def __post_init__(self):
         if not (0 <= _integer("trial seed", "value", self.value) <= _MASK64):
-            raise DeclarationError("trial seed must fit in 64 bits")
+            raise _field_error("trial seed", "value", "must fit in 64 bits")
 
 
 def derive_seed(base: TrialSeed, *counters: int) -> TrialSeed:
@@ -147,40 +155,39 @@ class AbstractDynamics:
     rule: AbstractRule
 
     def __post_init__(self):
-        require_family(f"dynamics {self.id!r}", self.space, AbstractSpace)
+        owner = _identifier("dynamics", self)
+        require_family(owner, self.space, AbstractSpace)
         rule = self.rule
         if isinstance(rule, TableRule):
-            _canonical_table(self)
+            _canonical_table(self, owner)
         elif isinstance(rule, BuiltinRule):
-            _check_builtin_shape(self.id, self.space, rule.name)
+            _check_builtin_shape(owner, self.space, rule.name)
         elif isinstance(rule, ChainRule):
             for part in rule.parts:
                 if part.space != self.space:
                     raise SpaceMismatch(
-                        f"dynamics {self.id!r}: chain part {part.id!r} acts on a"
-                        " different space"
+                        f"{owner}: chain part {part.id!r} acts on a different space"
                     )
         elif isinstance(rule, ProductRule):
             spaces = tuple(part.space for part in rule.parts)
             if not (isinstance(self.space, TupleSpace) and self.space.components == spaces):
                 raise DeclarationError(
-                    f"dynamics {self.id!r}: product parts must act on the components"
-                    " of its space, in order"
+                    f"{owner}: product parts must act on the components of its space, in order"
                 )
         else:
-            raise DeclarationError(f"dynamics {self.id!r}: unknown rule type")
+            raise DeclarationError(f"{owner}: unknown rule type")
 
 
-def _canonical_table(dyn) -> None:
+def _canonical_table(dyn, owner: str) -> None:
     """Check a dynamics' table rule for totality and store it in canonical form."""
-    entries = check_total_table(f"dynamics {dyn.id!r}", dyn.rule.entries, dyn.space, dyn.space)
+    entries = check_total_table(owner, dyn.rule.entries, dyn.space, dyn.space)
     if entries is not dyn.rule.entries:
         object.__setattr__(dyn, "rule", TableRule(entries))
 
 
-def _check_builtin_shape(dyn_id: str, space: AbstractSpace, name: str) -> None:
+def _check_builtin_shape(owner: str, space: AbstractSpace, name: str) -> None:
     def fail(requirement: str):
-        raise DeclarationError(f"dynamics {dyn_id!r}: builtin {name!r} needs {requirement}")
+        raise DeclarationError(f"{owner}: builtin {name!r} needs {requirement}")
 
     if name == "identity":
         return
@@ -271,7 +278,7 @@ def _store_lines(decl, owner: str, *names: str) -> None:
 def _check_probability(noise, owner: str) -> None:
     _store_floats(noise, owner, "probability")
     if not (0.0 <= noise.probability <= 1.0):
-        raise DeclarationError("flip probability must lie in [0, 1]")
+        raise _field_error(owner, "probability", "must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -376,71 +383,61 @@ class PhysicalDynamics:
     noise: Noise | None = None
 
     def __post_init__(self):
-        require_family(f"dynamics {self.id!r}", self.space, PhysicalSpace)
+        owner = _identifier("dynamics", self)
+        require_family(owner, self.space, PhysicalSpace)
         rule = self.rule
         if isinstance(rule, TableRule):
-            _canonical_table(self)
+            _canonical_table(self, owner)
         elif isinstance(rule, CoordinateUpdateRule):
             if not isinstance(self.space, RealVectorSpace):
-                raise DeclarationError(
-                    f"dynamics {self.id!r}: coordinate updates need a real-vector space"
-                )
-            _check_update_levels(self.id, self.space, rule)
+                raise DeclarationError(f"{owner}: coordinate updates need a real-vector space")
+            _check_update_levels(owner, self.space, rule)
         else:
-            raise DeclarationError(f"dynamics {self.id!r}: unknown rule type")
-        _check_noise(self.id, self.space, self.noise)
+            raise DeclarationError(f"{owner}: unknown rule type")
+        _check_noise(owner, self.space, self.noise)
 
 
-def _check_lines(dyn_id: str, space: RealVectorSpace, lines, *levels: float) -> None:
+def _check_lines(owner: str, space: RealVectorSpace, lines, *levels: float) -> None:
     """Each line must index a coordinate, and each level must fit its bounds."""
     for line in lines:
         if not (0 <= line < space.dimension):
-            raise DeclarationError(f"dynamics {dyn_id!r}: line {line} out of range")
+            raise DeclarationError(f"{owner}: line {line} out of range")
         lo, hi = space.bounds[line]
         for level in levels:
             if not (lo <= level <= hi):
-                raise DeclarationError(
-                    f"dynamics {dyn_id!r}: level {level} leaves the bounds of line {line}"
-                )
+                raise DeclarationError(f"{owner}: level {level} leaves the bounds of line {line}")
 
 
-def _check_update_levels(dyn_id: str, space: RealVectorSpace, rule: CoordinateUpdateRule):
+def _check_update_levels(owner: str, space: RealVectorSpace, rule: CoordinateUpdateRule):
     for upd in rule.assignments:
         if isinstance(upd, BinarySumUpdate):
-            _check_lines(dyn_id, space, upd.a_lines + upd.b_lines)
-            _check_lines(dyn_id, space, upd.out_lines, upd.low, upd.high)
+            _check_lines(owner, space, upd.a_lines + upd.b_lines)
+            _check_lines(owner, space, upd.out_lines, upd.low, upd.high)
         else:
             for line, value in zip(upd.lines, upd.values):
-                _check_lines(dyn_id, space, (line,), value)
+                _check_lines(owner, space, (line,), value)
 
 
-def _check_noise(dyn_id: str, space: PhysicalSpace, noise: Noise | None) -> None:
+def _check_noise(owner: str, space: PhysicalSpace, noise: Noise | None) -> None:
     if noise is None:
         return
     if isinstance(noise, CoordinateFlipNoise):
         if not isinstance(space, RealVectorSpace):
-            raise DeclarationError(
-                f"dynamics {dyn_id!r}: coordinate-flip noise needs a real-vector space"
-            )
-        _check_lines(dyn_id, space, noise.coordinates, noise.low, noise.high)
+            raise DeclarationError(f"{owner}: coordinate-flip noise needs a real-vector space")
+        _check_lines(owner, space, noise.coordinates, noise.low, noise.high)
     elif isinstance(noise, LabelFlipNoise):
         if not isinstance(space, PhysicalLabelSpace):
-            raise DeclarationError(
-                f"dynamics {dyn_id!r}: label-flip noise needs a labeled space"
-            )
+            raise DeclarationError(f"{owner}: label-flip noise needs a labeled space")
         missing = [l for l in space.labels if l not in noise.partners]
         if missing:
-            raise DeclarationError(
-                f"dynamics {dyn_id!r}: labels without noise partners: {missing}"
-            )
+            raise DeclarationError(f"{owner}: labels without noise partners: {missing}")
         for label, partner in noise.partners.items():
             if label not in space.labels or partner not in space.labels:
                 raise DeclarationError(
-                    f"dynamics {dyn_id!r}: noise partner pair {label!r} -> {partner!r}"
-                    " leaves the space"
+                    f"{owner}: noise partner pair {label!r} -> {partner!r} leaves the space"
                 )
     else:
-        raise DeclarationError(f"dynamics {dyn_id!r}: unknown noise type")
+        raise DeclarationError(f"{owner}: unknown noise type")
 
 
 def evolve_physical(h: PhysicalDynamics, p: PhysicalState, t: TrialSeed) -> PhysicalState:
@@ -451,7 +448,7 @@ def evolve_physical(h: PhysicalDynamics, p: PhysicalState, t: TrialSeed) -> Phys
     """
     value = _rule_image(h, p)
     if h.noise is not None:
-        (value,) = _noisy(h.noise, value, (t.value,))
+        (value,) = _noisy(h.noise, value, t.value, 1)
     return _trusted(PhysicalState, h.space, value)
 
 
@@ -459,15 +456,21 @@ def _trial_outcomes(h: PhysicalDynamics, p: PhysicalState, base: TrialSeed, tria
     """The outcome values of ``trials`` runs of ``h`` from ``p``, in trial order.
 
     Trial k's value is that of ``evolve_physical(h, p, derive_seed(base, k))``.
-    The rule ignores the seed, so it runs once and only the noise is drawn
-    per trial, with ``base`` mixed into the seeds once; a noise-free device
-    repeats its one outcome and derives no seed.
+    The rule ignores the seed, so it runs once and only the noise is drawn,
+    ``_BLOCK`` trials per kernel pass, with ``base`` mixed into the seeds
+    once; a noise-free device repeats its one outcome and derives no seed.
     """
     value = _rule_image(h, p)
     if h.noise is None:
         return [value] * trials
-    head = _splitmix((_GOLDEN + base.value) & _MASK64)
-    return _noisy(h.noise, value, (_splitmix((head + k) & _MASK64) for k in range(trials)))
+    head = _mix(_GOLDEN + base.value, _MASK64)
+    outcomes = []
+    for start in range(0, trials, _BLOCK):
+        count = min(_BLOCK, trials - start)
+        ones, ramp = _ONES >> 128 * (_BLOCK - count), _RAMP & ((1 << 128 * count) - 1)
+        seeds = _mix((head + start) * ones + ramp, _MASK64 * ones)
+        outcomes += _noisy(h.noise, value, seeds, count)
+    return outcomes
 
 
 def _rule_image(h: PhysicalDynamics, p: PhysicalState) -> Value:
@@ -501,27 +504,39 @@ def _register_int(coords: list[float], lines: tuple[int, ...], threshold: float)
     return n
 
 
-def _noisy(noise: Noise, value: Value, seeds: Iterable[int]) -> list:
-    """``value`` after ``noise`` in each trial whose seed value is in ``seeds``, in order.
+def _noisy(noise: Noise, value: Value, seeds: int, count: int) -> list:
+    """``value`` after ``noise`` in ``count`` trials, whose seeds ``seeds`` packs, in order.
 
-    Line i flips in trial t when ``unit_draw(TrialSeed(t), i) < probability``.
-    That draw's first mixing step depends on t alone, so it is done once per
-    trial, and the draw is compared unscaled, as ``(x >> 11) < probability *
-    2**53``: both sides are exact, so each decision is the same. A line listed
-    twice flips twice, each time from the working value.
+    Trial k's seed is the 64-bit word in 128-bit slot k, and each SplitMix
+    step runs on all slots at once: a word times a word stays in its slot,
+    and the masks clear what a shift pulls in from the next. With p the
+    flip probability, line i flips in trial t when ``unit_draw(TrialSeed(t),
+    i) < p``, that is, when the draw's word x has ``x >> 11 < p * 2**53``:
+    exactly ``x < cut``, with ``cut = ceil(p * 2**53) << 11 <= 2**64``. So
+    each slot adds ``2**64 - cut``, and its bit 64 (in byte 8) is set when
+    the line keeps its level. Each distinct pattern of flags is applied once,
+    in line order: a line listed twice flips twice.
     """
-    cut = noise.probability * (1 << 53)
-    heads = (_splitmix((_GOLDEN + t) & _MASK64) for t in seeds)
+    ones = _ONES >> 128 * (_BLOCK - count)
+    mask, size = _MASK64 * ones, 16 * count
+    bias = ((1 << 64) - (math.ceil(noise.probability * (1 << 53)) << 11)) * ones
+    heads = _mix(seeds + _GOLDEN * ones, mask)
+    lines = (0,) if isinstance(noise, LabelFlipNoise) else noise.coordinates
+    kept = [(_mix(heads + i * ones, mask) + bias).to_bytes(size, "little")[8::16] for i in lines]
+    patterns = list(zip(*kept)) or [()] * count
+    outcomes = {keeps: _flip(noise, value, keeps) for keeps in set(patterns)}
+    return [outcomes[keeps] for keeps in patterns]
+
+
+def _flip(noise: Noise, value: Value, keeps: tuple) -> Value:
+    """``value`` after ``noise`` flips each line whose flag in ``keeps`` is 0."""
     if isinstance(noise, LabelFlipNoise):
-        return [noise.partners[value] if _splitmix(u) >> 11 < cut else value for u in heads]
-    outcomes = []
-    for u in heads:
-        working = list(value)
-        for line in noise.coordinates:
-            if _splitmix((u + line) & _MASK64) >> 11 < cut:
-                working[line] = noise.low if working[line] >= noise.threshold else noise.high
-        outcomes.append(tuple(working))
-    return outcomes
+        return value if keeps[0] else noise.partners[value]
+    working = list(value)
+    for line, keep in zip(noise.coordinates, keeps):
+        if not keep:
+            working[line] = noise.low if working[line] >= noise.threshold else noise.high
+    return tuple(working)
 
 
 def identity_dynamics(dyn_id: str, space: PhysicalSpace) -> PhysicalDynamics:

@@ -25,7 +25,9 @@ from .spaces import (
     AbstractState,
     Metric,
     Value,
+    _field_error,
     _finite,
+    _identifier,
     _items,
     _trusted,
     _typed,
@@ -46,9 +48,10 @@ class RefinementLayer:
     dynamics: AbstractDynamics
 
     def __post_init__(self):
-        _typed(f"layer {self.id!r}: dynamics", self.dynamics, AbstractDynamics)
+        owner = _identifier("layer", self)
+        _typed(f"{owner}: dynamics", self.dynamics, AbstractDynamics)
         if self.dynamics.space != self.space:
-            raise DeclarationError(f"layer {self.id!r}: dynamics act on a different space")
+            raise DeclarationError(f"{owner}: dynamics act on a different space")
 
 
 @dataclass(frozen=True)
@@ -61,11 +64,10 @@ class SimulationRelation:
     entries: Mapping[Value, Value]
 
     def __post_init__(self):
+        owner = _identifier("simulation", self)
         for side in ("upper", "lower"):
-            _typed(f"simulation {self.id!r}: {side}", getattr(self, side), RefinementLayer)
-        entries = check_total_table(
-            f"simulation {self.id!r}", self.entries, self.upper.space, self.lower.space
-        )
+            _typed(f"{owner}: {side}", getattr(self, side), RefinementLayer)
+        entries = check_total_table(owner, self.entries, self.upper.space, self.lower.space)
         object.__setattr__(self, "entries", entries)
 
     def map_state(self, state: AbstractState) -> AbstractState:
@@ -101,7 +103,7 @@ class LayerReport:
 def check_layer(s: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
     """Check one adjacent layer pair over every upper state."""
     if _finite("layer check", "epsilon", epsilon) < 0:
-        raise DeclarationError("epsilon must be non-negative")
+        raise _field_error("layer check", "epsilon", "must be non-negative")
     entries: list[LayerCheckEntry] = []
     for state in enumerate_states(s.upper.space):
         via_upper = s.map_state(evolve_abstract(s.upper.dynamics, state))
@@ -126,7 +128,7 @@ class RefinementStack:
     device: PhysicalDynamics
 
     def __post_init__(self):
-        owner = f"stack {self.id!r}"
+        owner = _identifier("stack", self)
         for name, kind in (("layers", RefinementLayer), ("relations", SimulationRelation)):
             parts = _items(owner, name, getattr(self, name))
             object.__setattr__(self, name, tuple(_typed(f"{owner}: {name}", p, kind) for p in parts))

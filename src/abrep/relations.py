@@ -41,6 +41,7 @@ from .spaces import (
     TupleSpace,
     Value,
     _finite,
+    _identifier,
     _items,
     _trusted,
     _typed,
@@ -109,34 +110,27 @@ class RepresentationRelation:
     rule: RepresentationRule
 
     def __post_init__(self):
-        require_family(f"relation {self.id!r}", self.domain, PhysicalSpace)
-        require_family(f"relation {self.id!r}", self.codomain, AbstractSpace)
+        owner = _identifier("relation", self)
+        require_family(owner, self.domain, PhysicalSpace)
+        require_family(owner, self.codomain, AbstractSpace)
         rule = self.rule
         if isinstance(rule, LookupRule):
-            entries = check_total_table(
-                f"relation {self.id!r}", rule.entries, self.domain, self.codomain
-            )
+            entries = check_total_table(owner, rule.entries, self.domain, self.codomain)
             if entries is not rule.entries:
                 object.__setattr__(self, "rule", LookupRule(entries))
         elif isinstance(rule, ThresholdRule):
             if not isinstance(self.domain, RealVectorSpace):
-                raise DeclarationError(
-                    f"relation {self.id!r}: threshold rules need a real-vector domain"
-                )
+                raise DeclarationError(f"{owner}: threshold rules need a real-vector domain")
             if len(rule.thresholds) != self.domain.dimension:
-                raise DeclarationError(
-                    f"relation {self.id!r}: one threshold per coordinate required"
-                )
+                raise DeclarationError(f"{owner}: one threshold per coordinate required")
             widths = _register_widths(self.codomain)
             if widths is None:
                 raise DeclarationError(
-                    f"relation {self.id!r}: codomain must be a bitstring register"
+                    f"{owner}: codomain must be a bitstring register"
                     " or a tuple of bitstring registers"
                 )
             if sum(widths) != self.domain.dimension:
-                raise DeclarationError(
-                    f"relation {self.id!r}: register widths must sum to the dimension"
-                )
+                raise DeclarationError(f"{owner}: register widths must sum to the dimension")
             # Where each register's bits sit in the row of thresholded lines.
             ends = tuple(accumulate(widths))
             object.__setattr__(self, "_registers", tuple(zip((0,) + ends, ends)))
@@ -148,19 +142,17 @@ class RepresentationRelation:
                 and len(rule.parts) == len(self.codomain.components)
             )
             if not ok:
-                raise DeclarationError(
-                    f"relation {self.id!r}: tuple-wise rules need matching products"
-                )
+                raise DeclarationError(f"{owner}: tuple-wise rules need matching products")
             for part, dom, cod in zip(
                 rule.parts, self.domain.components, self.codomain.components
             ):
                 if part.domain != dom or part.codomain != cod:
                     raise DeclarationError(
-                        f"relation {self.id!r}: part {part.id!r} does not line up"
+                        f"{owner}: part {part.id!r} does not line up"
                         " with the product components"
                     )
         else:
-            raise DeclarationError(f"relation {self.id!r}: unknown rule type")
+            raise DeclarationError(f"{owner}: unknown rule type")
 
 
 def _register_widths(codomain: AbstractSpace) -> tuple[int, ...] | None:
@@ -222,8 +214,9 @@ class Prediction:
     physical: PhysicalDynamics
 
     def __post_init__(self):
-        _typed(f"prediction {self.name!r}: program", self.abstract, AbstractDynamics)
-        _typed(f"prediction {self.name!r}: device update", self.physical, PhysicalDynamics)
+        owner = _identifier("prediction", self, "name")
+        _typed(f"{owner}: program", self.abstract, AbstractDynamics)
+        _typed(f"{owner}: device update", self.physical, PhysicalDynamics)
 
 
 @dataclass(frozen=True)
@@ -243,32 +236,32 @@ class Theory:
     evidence: ValidityReport | None = field(init=False, default=None)
 
     def __post_init__(self):
-        owner = f"theory {self.id!r}:"
-        relation = _typed(f"{owner} representation", self.representation, RepresentationRelation)
+        owner = _identifier("theory", self)
+        relation = _typed(f"{owner}: representation", self.representation, RepresentationRelation)
         space = relation.domain
         for name in ("domain", "predictions"):
-            object.__setattr__(self, name, _items(f"theory {self.id!r}", name, getattr(self, name)))
+            object.__setattr__(self, name, _items(owner, name, getattr(self, name)))
         for state in self.domain:
             if not isinstance(state, PhysicalState) or state.space != space:
-                raise DeclarationError(f"{owner} domain state outside the represented space")
-        names = [_typed(f"{owner} prediction", p, Prediction).name for p in self.predictions]
+                raise DeclarationError(f"{owner}: domain state outside the represented space")
+        names = [_typed(f"{owner}: prediction", p, Prediction).name for p in self.predictions]
         if len(set(names)) != len(names):
-            raise DeclarationError(f"{owner} duplicate prediction names")
+            raise DeclarationError(f"{owner}: duplicate prediction names")
         for pred in self.predictions:
             if pred.abstract.space != relation.codomain:
                 raise DeclarationError(
-                    f"{owner} prediction {pred.name!r} does not act on the representation codomain"
+                    f"{owner}: prediction {pred.name!r} does not act on the representation codomain"
                 )
             if pred.physical.space != space:
                 raise DeclarationError(
-                    f"{owner} prediction {pred.name!r} device dynamics act on the wrong space"
+                    f"{owner}: prediction {pred.name!r} device dynamics act on the wrong space"
                 )
         if self.instantiation is not None:
-            _typed(f"{owner} instantiation", self.instantiation, InstantiationProcedure)
+            _typed(f"{owner}: instantiation", self.instantiation, InstantiationProcedure)
             if self.instantiation.engineering.space != space:
-                raise DeclarationError(f"{owner} engineering dynamics act on the wrong space")
+                raise DeclarationError(f"{owner}: engineering dynamics act on the wrong space")
             if any(seed.space != space for seed in self.instantiation.seeds):
-                raise DeclarationError(f"{owner} seed outside the represented space")
+                raise DeclarationError(f"{owner}: seed outside the represented space")
 
     @cached_property
     def _domain_set(self) -> frozenset:

@@ -49,6 +49,7 @@ from .spaces import (
     Value,
     _field_error,
     _finite,
+    _identifier,
     _integer,
     enumerate_values,
 )
@@ -95,7 +96,7 @@ class CheckSpec:
     required_success: float = 1.0
 
     def __post_init__(self):
-        owner = f"check {self.name!r}"
+        owner = _identifier("check", self, "name")
         if self.kind not in CHECK_KINDS:
             raise _field_error(owner, "kind", f"unknown check kind {self.kind!r}")
         for name, choices in (("physical_metric", (None, *METRIC_KINDS)), ("metric", METRIC_KINDS)):

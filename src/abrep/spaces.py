@@ -39,8 +39,16 @@ def _space(cls: type) -> type:
     States hash their space at every set or dict lookup, and a hash of every
     field would walk a long ``bounds`` tuple each time. A string caches its
     own hash, so this one is computed once and costs no storage. Equal spaces
-    have equal ids, and equality is the dataclass's own.
+    have equal ids, and equality is the dataclass's own. The id is checked
+    before the space's own fields.
     """
+    check_fields = cls.__post_init__
+
+    def __post_init__(self):
+        _identifier("space", self)
+        check_fields(self)
+
+    cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True)(cls)
     cls.__hash__ = lambda self: hash(self.id)
     return cls
@@ -66,7 +74,7 @@ class BitSpace(AbstractSpace):
 
     def __post_init__(self):
         if _integer(f"space {self.id!r}", "width", self.width) < 1:
-            raise DeclarationError(f"space {self.id!r}: bitstring width must be >= 1")
+            raise _field_error(f"space {self.id!r}", "width", "must be at least 1")
 
 
 @_space
@@ -159,6 +167,14 @@ def require_family(owner: str, space, family: type) -> None:
 def _field_error(owner: str, field: str, reason: str) -> DeclarationError:
     """The error rejecting ``owner``'s ``field``: ``reason`` says what was expected."""
     return DeclarationError(f"{owner}: {field}: {reason}", field, reason)
+
+
+def _identifier(kind: str, decl, field: str = "id") -> str:
+    """``decl``, a ``kind``, as messages name it; DeclarationError unless its ``field`` is a str."""
+    name = getattr(decl, field)
+    if not isinstance(name, str):
+        raise _field_error(f"{kind} {name!r}", field, "expected a string identifier")
+    return f"{kind} {name!r}"
 
 
 def _finite(owner: str, field: str, value) -> float:

@@ -27,7 +27,7 @@ from .dynamics import (
     evolve_abstract,
     evolve_physical,
 )
-from .errors import DeclarationError, EmptyDomain, OutOfDomain, TheoryNotValidated
+from .errors import EmptyDomain, OutOfDomain, TheoryNotValidated
 from .relations import (
     RepresentationRelation,
     Theory,
@@ -39,6 +39,7 @@ from .spaces import (
     AbstractState,
     Metric,
     PhysicalState,
+    _field_error,
     _finite,
     _integer,
     _trusted,
@@ -65,11 +66,11 @@ class DiagramSpec:
 
     def __post_init__(self):
         if _finite("diagram", "epsilon", self.epsilon) < 0:
-            raise DeclarationError("epsilon must be non-negative")
+            raise _field_error("diagram", "epsilon", "must be non-negative")
         if _integer("diagram", "trials", self.trials) < 1:
-            raise DeclarationError("at least one trial is required")
+            raise _field_error("diagram", "trials", "must be at least 1")
         if not (0.0 < _finite("diagram", "required_success", self.required_success) <= 1.0):
-            raise DeclarationError("required success must lie in (0, 1]")
+            raise _field_error("diagram", "required_success", "must lie in (0, 1]")
 
 
 @dataclass(frozen=True)

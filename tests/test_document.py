@@ -6,19 +6,29 @@ import pytest
 
 from abrep import (
     BUILTIN_SCENARIOS,
+    DISCRETE,
     BitSpace,
     CheckSpec,
     CoordinateFlipNoise,
     CoordinateUpdateRule,
     DeclarationError,
+    DiagramSpec,
     DuplicateIdentifier,
     ScenarioError,
+    IntSpace,
     LabelFlipNoise,
+    LabelSpace,
+    PhysicalLabelSpace,
+    PhysicalTupleSpace,
+    RealVectorSpace,
     ScenarioSyntaxError,
     ThresholdRule,
+    TrialSeed,
+    TupleSpace,
     UnknownReference,
     VersionUnsupported,
     build_social_machine,
+    check_layer,
     emit_scenario,
     enumerate_values,
     parse_scenario,
@@ -463,6 +473,94 @@ def test_a_rejected_field_is_named_in_the_api_message_too():
         BitSpace("x", "2")
     assert str(err.value) == "space 'x': width: expected an integer"
     assert (err.value.field, err.value.reason) == ("width", "expected an integer")
+
+
+def _diagram(**fields) -> DiagramSpec:
+    theory = BUILTIN_SCENARIOS["voltage-adder"]().theories[0]
+    pred = theory.predictions[0]
+    return DiagramSpec(theory, pred.abstract, pred.physical, **fields)
+
+
+@pytest.mark.parametrize(
+    "declare, message",
+    [
+        (lambda: CoordinateFlipNoise(1.5, (0,), 2.5, 0.0, 5.0),
+         "coordinate-flip noise: probability: must lie in [0, 1]"),
+        (lambda: LabelFlipNoise(-0.5, {"a": "a"}), "label-flip noise: probability: must lie in [0, 1]"),
+        (lambda: TrialSeed(2**64), "trial seed: value: must fit in 64 bits"),
+        (lambda: TrialSeed(-1), "trial seed: value: must fit in 64 bits"),
+        (lambda: _diagram(epsilon=-0.1), "diagram: epsilon: must be non-negative"),
+        (lambda: _diagram(trials=0), "diagram: trials: must be at least 1"),
+        (lambda: _diagram(required_success=0.0), "diagram: required_success: must lie in (0, 1]"),
+        (lambda: _diagram(required_success=1.5), "diagram: required_success: must lie in (0, 1]"),
+        (lambda: BitSpace("x", 0), "space 'x': width: must be at least 1"),
+        (lambda: check_layer(BUILTIN_SCENARIOS["refinement-stack"]().stacks[0].relations[0], -1, DISCRETE),
+         "layer check: epsilon: must be non-negative"),
+    ],
+    ids=[
+        "flip-probability", "label-probability", "seed-too-large", "seed-negative", "epsilon",
+        "trials", "success-zero", "success-above-one", "width", "layer-epsilon",
+    ],
+)
+def test_range_errors_name_their_field(declare, message):
+    with pytest.raises(DeclarationError) as err:
+        declare()
+    assert str(err.value) == message
+    assert (err.value.field, err.value.reason) == tuple(message.split(": ")[1:])
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["dynamics"]["physical"][0]["noise"].__setitem__("probability", 1.5),
+         "dynamics.physical[0].noise.probability: must lie in [0, 1]"),
+        (lambda d: d["spaces"]["abstract"][0].__setitem__("width", 0),
+         "spaces.abstract[0].width: must be at least 1"),
+    ],
+    ids=["probability", "width"],
+)
+def test_a_document_reports_a_range_error_at_its_field(mutate, message):
+    bad = json.loads(emit_scenario(BUILTIN_SCENARIOS["voltage-adder-noisy"]()))
+    mutate(bad)
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(bad))
+    assert str(err.value) == message
+
+
+def _identified():
+    """One declaration of each kind that has an identifier, and that identifier's field."""
+    adder = BUILTIN_SCENARIOS["voltage-adder"]()
+    theory, stack = adder.theories[0], BUILTIN_SCENARIOS["refinement-stack"]().stacks[0]
+    bit, cell = BitSpace("b", 1), PhysicalLabelSpace("c", ("a",))
+    declarations = [
+        (LabelSpace("s", ("a",)), "id"), (bit, "id"), (IntSpace("s", 0, 1), "id"),
+        (TupleSpace("s", (bit,)), "id"), (cell, "id"), (RealVectorSpace("s", ((0, 1),)), "id"),
+        (PhysicalTupleSpace("s", (cell,)), "id"), (adder.relations[0], "id"),
+        (adder.abstract_dynamics[0], "id"), (adder.physical_dynamics[0], "id"), (theory, "id"),
+        (theory.predictions[0], "name"), (adder.checks[0], "name"), (stack, "id"),
+        (stack.layers[0], "id"), (stack.relations[0], "id"),
+        (BUILTIN_SCENARIOS["xor-joint"]().joints[0], "id"),
+    ]
+    for decl, field in declarations:
+        yield pytest.param(decl, field, id=type(decl).__name__)
+
+
+@pytest.mark.parametrize("decl, field", list(_identified()))
+def test_every_constructor_checks_its_identifier(decl, field):
+    with pytest.raises(DeclarationError) as err:
+        replace(decl, **{field: 5})
+    assert (err.value.field, err.value.reason) == (field, "expected a string identifier")
+
+
+def test_numbers_are_not_identifiers():
+    """A number as a space id or a check name fails where it is declared, as a ModelError."""
+    with pytest.raises(DeclarationError) as err:
+        BitSpace(5, 2)
+    assert str(err.value) == "space 5: id: expected a string identifier"
+    bundle = BUILTIN_SCENARIOS["voltage-adder"]()
+    with pytest.raises(DeclarationError) as err:  # it used to fail in fnmatch, at name_filter
+        replace(bundle.checks[0], name=5)
+    assert str(err.value) == "check 5: name: expected a string identifier"
 
 
 def test_numbers_read_as_integers_are_stored_and_emitted_as_floats():

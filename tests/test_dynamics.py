@@ -34,7 +34,7 @@ from abrep import (
     evolve_physical,
     identity_dynamics,
 )
-from abrep.dynamics import ProductRule, _trial_outcomes, unit_draw
+from abrep.dynamics import _BLOCK, ProductRule, _trial_outcomes, unit_draw
 from abrep.errors import DeclarationError
 
 
@@ -398,6 +398,22 @@ def noise_by_definition(noise, value, seed: TrialSeed):
 
 
 CELLS = PhysicalLabelSpace("cells", ("a", "b", "c"))
+
+
+def noisy_hold(kind: str, probability: float, lines: tuple[int, ...]):
+    """A device that holds its state under ``kind`` noise, and a start state it can flip.
+
+    Label noise draws on line 0 alone; coordinate noise on ``lines``.
+    """
+    if kind == "coordinate":
+        noise = CoordinateFlipNoise(probability, lines, 2.5, 0.0, 5.0)
+        device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
+        return device, PhysicalState(VOLTS, (0.0,) * 7)
+    noise = LabelFlipNoise(probability, {"a": "b", "b": "a", "c": "c"})
+    device = PhysicalDynamics("noisy", CELLS, TableRule({l: l for l in CELLS.labels}), noise)
+    return device, PhysicalState(CELLS, "a")
+
+
 probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -433,15 +449,39 @@ def test_a_line_does_not_flip_at_a_probability_equal_to_its_draw(kind):
     draw = unit_draw(derive_seed(base, 0), line)
 
     def flips_at(probability) -> bool:
-        if kind == "coordinate":
-            noise = CoordinateFlipNoise(probability, (line,), 2.5, 0.0, 5.0)
-            device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
-            start = PhysicalState(VOLTS, (0.0,) * 7)
-        else:
-            noise = LabelFlipNoise(probability, {"a": "b", "b": "a", "c": "c"})
-            device = PhysicalDynamics("noisy", CELLS, TableRule({l: l for l in CELLS.labels}), noise)
-            start = PhysicalState(CELLS, "a")
+        device, start = noisy_hold(kind, probability, (line,))
         return _trial_outcomes(device, start, base, 1) != [start.value]
+
+    assert not flips_at(draw)  # the comparison is strict
+    assert flips_at(math.nextafter(draw, 1.0))
+
+
+#: Trial counts: one and two lanes, 127 to 129 lanes, and each side of a full kernel pass.
+LANE_COUNTS = sorted({1, 2, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1})
+
+
+@pytest.mark.parametrize("trials", LANE_COUNTS)
+@pytest.mark.parametrize("probability", [0.0, 1.0, 0.3])
+@pytest.mark.parametrize("kind", ["coordinate", "label"])
+def test_every_lane_of_every_pass_follows_the_draws_by_definition(kind, probability, trials):
+    device, start = noisy_hold(kind, probability, (2, 5, 2))  # line 2 flips twice or not at all
+    base = TrialSeed(0x5EED)
+    seeds = [derive_seed(base, k) for k in range(trials)]
+    expected = [noise_by_definition(device.noise, start.value, seed) for seed in seeds]
+    assert _trial_outcomes(device, start, base, trials) == expected
+    if 0.0 < probability < 1.0 and trials > 2:
+        assert len(set(expected)) > 1
+
+
+@pytest.mark.parametrize("lane", [1, 129, _BLOCK + 1])
+@pytest.mark.parametrize("kind", ["coordinate", "label"])
+def test_a_lane_does_not_flip_at_a_probability_equal_to_its_draw(kind, lane):
+    base, line = TrialSeed(7), 3 if kind == "coordinate" else 0
+    draw = unit_draw(derive_seed(base, lane), line)
+
+    def flips_at(probability) -> bool:
+        device, start = noisy_hold(kind, probability, (line,))
+        return _trial_outcomes(device, start, base, lane + 1)[lane] != start.value
 
     assert not flips_at(draw)  # the comparison is strict
     assert flips_at(math.nextafter(draw, 1.0))

@@ -1,12 +1,16 @@
-"""The runtime depends on the standard library alone, and uses what it imports."""
+"""The runtime depends on the standard library alone, uses what it imports, and parses as the
+oldest Python it supports."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "abrep").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "abrep").glob("*.py"))
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -42,3 +46,12 @@ def test_module_uses_every_top_level_import(path):
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
             assert name in used, f"{path.name}:{node.lineno} imports {name!r} and never uses it"
+
+
+#: The oldest Python that pyproject.toml's ``requires-python`` admits, as (3, minor).
+OLDEST = (3, int(re.search(r'requires-python = ">=3\.(\d+)"', PYPROJECT.read_text())[1]))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_parses_as_the_oldest_supported_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=OLDEST)

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -21,6 +23,7 @@ from abrep import (
     EmptyDomain,
     InstantiationProcedure,
     MAX_COORDINATE,
+    METRICS,
     OutOfDomain,
     PhysicalDynamics,
     PhysicalState,
@@ -190,6 +193,47 @@ def test_noisy_adder_fails_validation_at_high_confidence():
     fractions = [cell.report.success_fraction for cell in evidence.cells]
     assert all(f < 0.99 for f in fractions)
     assert abs(sum(fractions) / len(fractions) - 0.729) < 0.05
+
+
+def binomial_interval(n: int, p: float, mass: float = 0.999) -> tuple[int, int]:
+    """The central ``mass`` interval of Binomial(n, p): its two tail quantiles."""
+    pmf = (math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1))
+    cdf = list(itertools.accumulate(pmf))
+    tail = (1 - mass) / 2
+    return bisect.bisect_left(cdf, tail), bisect.bisect_left(cdf, 1 - tail)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_noisy_adder_success_counts_are_calibrated(seed):
+    """Gate: the sampler's success counts sit in the 99.9% interval around the exact value.
+
+    A trial succeeds when none of the adder's 3 output lines flips, so its
+    exact success probability is 0.9**3 = 0.729 on every cell.
+    """
+    bundle = BUILTIN_SCENARIOS["voltage-adder-noisy"]()
+    validate, estimate = bundle.checks
+    noise = bundle.theory(validate.theory).prediction(estimate.prediction).physical.noise
+    assert noise.probability == 0.1 and len(set(noise.coordinates)) == len(noise.coordinates) == 3
+    exact = (1 - noise.probability) ** 3
+
+    assert binomial_interval(validate.trials, exact) == (262, 320)
+    lo, hi = binomial_interval(validate.trials, exact)
+    _, evidence = validate_theory(
+        bundle.theory(validate.theory),
+        validate.epsilon,
+        METRICS[validate.metric],
+        validate.trials,
+        validate.required_success,
+        derive_seed(TrialSeed(seed), 0),  # what run_checks gives its first check
+    )
+    for cell in evidence.cells:
+        assert lo <= sum(d <= validate.epsilon for d in cell.report.distances) <= hi
+
+    assert binomial_interval(estimate.trials, exact) == (682, 774)
+    lo, hi = binomial_interval(estimate.trials, exact)
+    distances = run_checks(bundle, TrialSeed(seed)).results[1].detail["distances"]
+    assert len(distances) == estimate.trials
+    assert lo <= sum(d <= estimate.epsilon for d in distances) <= hi
 
 
 def test_compute_cycle_requires_validated_theory():
