@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dynamics import AbstractDynamics, ProductRule, _apply_abstract, evolve_abstract
+from .dynamics import AbstractDynamics, ProductRule, evolve_abstract
 from .errors import (
     DeclarationError,
     NotEnumerable,
@@ -31,7 +31,6 @@ from .relations import (
     RepresentationRelation,
     Theory,
     TupleWiseRule,
-    _apply,
     represent,
 )
 from .spaces import (
@@ -44,7 +43,6 @@ from .spaces import (
     _trusted,
     _typed,
     cardinality,
-    enumerate_states,
     enumerate_values,
     is_finite,
 )
@@ -160,17 +158,17 @@ def compose_parallel(a: Component, b: Component, joint_id: str = "parallel") -> 
     return componentwise_joint(joint_id, a, b)
 
 
-def _product_states(space: PhysicalTupleSpace) -> tuple[list[PhysicalState], list[PhysicalState]]:
+def _product_values(space: PhysicalTupleSpace) -> tuple[list[Value], list[Value]]:
     if len(space.components) != 2:
         raise NotProductSpace(f"space {space.id!r} is not a two-part product")
     left, right = space.components
     if not (is_finite(left) and is_finite(right)):
         raise NotEnumerable(f"space {space.id!r} has a continuous component")
-    return enumerate_states(left), enumerate_states(right)
+    return list(enumerate_values(left)), list(enumerate_values(right))
 
 
 def _split_coordinates(avals: list, bvals: list, joint) -> tuple[dict, dict] | None:
-    """Maps (f, g) with joint(a, b) == (f[a], g[b]) for every pair, or None.
+    """Maps (f, g) with joint((a, b)) == (f[a], g[b]) for every pair, or None.
 
     ``joint`` is evaluated once per pair, row by row, so a first coordinate
     that depends on ``b`` is caught before the rest of the table is read.
@@ -178,7 +176,7 @@ def _split_coordinates(avals: list, bvals: list, joint) -> tuple[dict, dict] | N
     fmap: dict[Value, Value] = {}
     seconds: list[set] = [set() for _ in bvals]
     for a in avals:
-        row = [joint(a, b) for b in bvals]
+        row = [joint((a, b)) for b in bvals]
         firsts = {v[0] for v in row}
         if len(firsts) != 1:
             return None
@@ -197,16 +195,12 @@ def factorize_representation(j: JointSystem) -> tuple[dict, dict] | None:
     coordinate ignores the right half and whose second ignores the left.
     Returns value-keyed maps onto component abstract states, or None.
     """
-    lefts, rights = _product_states(j.joint_space)
+    lefts, rights = _product_values(j.joint_space)
     codomain = j.joint_representation.codomain
     if not (isinstance(codomain, TupleSpace) and len(codomain.components) == 2):
         return None
-    relation = j.joint_representation
-    split = _split_coordinates(
-        [p.value for p in lefts],
-        [q.value for q in rights],
-        lambda a, b: _apply(relation, (a, b)),  # enumerated members of the declared domain
-    )
+    # Enumerated pairs are members of the declared domain.
+    split = _split_coordinates(lefts, rights, j.joint_representation._apply)
     if split is None:
         return None
     return _as_states(split, codomain)
@@ -232,12 +226,8 @@ def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
     space = d.space
     if not (isinstance(space, TupleSpace) and len(space.components) == 2):
         raise NotProductSpace(f"dynamics {d.id!r} do not act on a two-part product")
-    space_a, space_b = space.components
-    return _split_coordinates(
-        list(enumerate_values(space_a)),
-        list(enumerate_values(space_b)),
-        lambda a, b: _apply_abstract(d.rule, space, (a, b)),  # enumerated members of its space
-    )
+    values = [list(enumerate_values(half)) for half in space.components]
+    return _split_coordinates(*values, d._apply)  # enumerated members of its space
 
 
 def _factors_match_declared(j: JointSystem, factors: tuple[dict, dict]) -> bool:
@@ -245,8 +235,9 @@ def _factors_match_declared(j: JointSystem, factors: tuple[dict, dict]) -> bool:
     halves = zip(factors, j.joint_representation.codomain.components, (j.left, j.right))
     for table, space, half in halves:
         relation = half.theory.representation
+        read = relation._apply
         if space != relation.codomain or any(
-            table[v].value != _apply(relation, v) for v in enumerate_values(relation.domain)
+            table[v].value != read(v) for v in enumerate_values(relation.domain)
         ):
             return False
     return True
@@ -325,16 +316,14 @@ def brute_force_classify(j: JointSystem) -> CompositionClass:
             f"joint {j.id!r}: component abstract spaces exceed the oracle bound"
             f" of {_ORACLE_SIZE_BOUND}"
         )
-    lefts, rights = _product_states(j.joint_space)
+    lefts, rights = _product_values(j.joint_space)
     codomain = j.joint_representation.codomain
 
     rep_factors = None
     if isinstance(codomain, TupleSpace) and len(codomain.components) == 2:
         space_x, space_y = codomain.components
         if cardinality(space_x) > _ORACLE_SIZE_BOUND or cardinality(space_y) > _ORACLE_SIZE_BOUND:
-            raise TooLarge(
-                f"joint {j.id!r}: joint codomain halves exceed the oracle bound"
-            )
+            raise TooLarge(f"joint {j.id!r}: joint codomain halves exceed the oracle bound")
         for keys, outs in ((lefts, space_x), (rights, space_y)):
             if cardinality(outs) ** len(keys) > _CANDIDATE_CAP:
                 raise TooLarge(
@@ -342,15 +331,13 @@ def brute_force_classify(j: JointSystem) -> CompositionClass:
                     " enumerate"
                 )
         observed_rep = {
-            (p.value, q.value): represent(
-                j.joint_representation, PhysicalState(j.joint_space, (p.value, q.value))
-            ).value
+            (p, q): represent(j.joint_representation, PhysicalState(j.joint_space, (p, q))).value
             for p in lefts
             for q in rights
         }
         pair = _search_reproducing_pair(
-            [p.value for p in lefts],
-            [q.value for q in rights],
+            lefts,
+            rights,
             list(enumerate_values(space_x)),
             list(enumerate_values(space_y)),
             observed_rep,

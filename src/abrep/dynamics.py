@@ -5,13 +5,18 @@ are modeled as chains. Physical dynamics may carry a noise model whose
 randomness is counter-based: every random draw is a pure function of the
 trial seed and a draw index, so trial k of a batch can be reproduced in
 isolation and independent trials may run concurrently.
+
+Each dynamics is compiled once, on first use, to a function on member
+values (the device's without its noise), and every step goes through it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+import operator
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Union
 
 from .errors import DeclarationError, OutOfDomain, SpaceMismatch
@@ -177,6 +182,43 @@ class AbstractDynamics:
         else:
             raise DeclarationError(f"{owner}: unknown rule type")
 
+    @cached_property
+    def _apply(self) -> Callable[[Value], Value]:
+        """The program as a function on member values, compiled on first use."""
+        rule = self.rule
+        if isinstance(rule, TableRule):
+            return rule.entries.__getitem__
+        if isinstance(rule, BuiltinRule):
+            return _builtin(rule.name, self.space)
+        steps = tuple(part._apply for part in rule.parts)
+        if isinstance(rule, ProductRule):
+            return _each(steps)
+        return reduce(lambda f, g: lambda v: g(f(v)), steps, lambda v: v)  # left to right
+
+
+def _each(steps: tuple) -> Callable[[tuple], tuple]:
+    """``steps`` applied to the components of a product value, one each."""
+    return lambda value: tuple([step(v) for step, v in zip(steps, value)])
+
+
+_NOT = str.maketrans("01", "10")
+
+
+def _builtin(name: str, space: AbstractSpace) -> Callable[[Value], Value]:
+    """The builtin ``name`` on ``space``, whose shape was checked where it was declared."""
+    if name == "identity":
+        return lambda value: value
+    if name == "bit-not":
+        return lambda value: value.translate(_NOT)
+    if name == "swap-pair":
+        return lambda value: (value[1], value[0])
+    width = space.components[-1].width
+    mask, fmt = (1 << width) - 1, f"0{width}b"
+    if name == "ripple-add":
+        return lambda v: (v[0], v[1], format(int(v[0], 2) + int(v[1], 2) & mask, fmt))
+    op = operator.and_ if name == "and" else operator.xor
+    return lambda v: (format(op(int(v[0], 2), int(v[1], 2)), fmt), v[1])
+
 
 def _canonical_table(dyn, owner: str) -> None:
     """Check a dynamics' table rule for totality and store it in canonical form."""
@@ -186,81 +228,30 @@ def _canonical_table(dyn, owner: str) -> None:
 
 
 def _check_builtin_shape(owner: str, space: AbstractSpace, name: str) -> None:
-    def fail(requirement: str):
+    parts = space.components if isinstance(space, TupleSpace) else ()
+    widths = [c.width for c in parts if isinstance(c, BitSpace)]
+    widths = widths if len(widths) == len(parts) else []  # the widths of a tuple of registers
+    pair = len(widths) == 2 and widths[0] == widths[1], "a pair of equal-width bitstring registers"
+    ok, requirement = {
+        "identity": (True, ""),
+        "bit-not": (isinstance(space, BitSpace), "a bitstring space"),
+        "and": pair,
+        "xor": pair,
+        "ripple-add": (
+            len(widths) == 3 and widths[0] == widths[1] == widths[2] - 1,
+            "registers of widths (w, w, w+1)",
+        ),
+        "swap-pair": (len(parts) == 2 and parts[0] == parts[1], "a pair of like component spaces"),
+    }[name]
+    if not ok:
         raise DeclarationError(f"{owner}: builtin {name!r} needs {requirement}")
-
-    if name == "identity":
-        return
-    if name == "bit-not":
-        if not isinstance(space, BitSpace):
-            fail("a bitstring space")
-    elif name in ("and", "xor"):
-        if not (
-            isinstance(space, TupleSpace)
-            and len(space.components) == 2
-            and all(isinstance(c, BitSpace) for c in space.components)
-            and space.components[0].width == space.components[1].width
-        ):
-            fail("a pair of equal-width bitstring registers")
-    elif name == "ripple-add":
-        ok = (
-            isinstance(space, TupleSpace)
-            and len(space.components) == 3
-            and all(isinstance(c, BitSpace) for c in space.components)
-        )
-        if ok:
-            x, y, out = space.components
-            ok = x.width == y.width and out.width == x.width + 1
-        if not ok:
-            fail("registers of widths (w, w, w+1)")
-    elif name == "swap-pair":
-        if not (
-            isinstance(space, TupleSpace)
-            and len(space.components) == 2
-            and space.components[0] == space.components[1]
-        ):
-            fail("a pair of like component spaces")
 
 
 def evolve_abstract(c: AbstractDynamics, m: AbstractState) -> AbstractState:
     """Image of ``m`` under the program ``c``."""
     if not contains(c.space, m):
         raise OutOfDomain(f"state is not in the space of dynamics {c.id!r}")
-    return _trusted(AbstractState, c.space, _apply_abstract(c.rule, c.space, m.value))
-
-
-def _apply_abstract(rule: AbstractRule, space: AbstractSpace, value: Value) -> Value:
-    if isinstance(rule, TableRule):
-        return rule.entries[value]
-    if isinstance(rule, ChainRule):
-        for part in rule.parts:
-            value = _apply_abstract(part.rule, part.space, value)
-        return value
-    if isinstance(rule, ProductRule):
-        return tuple(
-            _apply_abstract(part.rule, part.space, v) for part, v in zip(rule.parts, value)
-        )
-    name = rule.name
-    if name == "identity":
-        return value
-    if name == "bit-not":
-        return "".join("1" if c == "0" else "0" for c in value)
-    if name in ("and", "xor"):
-        a, b = value
-        if name == "and":
-            combined = "".join("1" if x == "1" and y == "1" else "0" for x, y in zip(a, b))
-        else:
-            combined = "".join("1" if x != y else "0" for x, y in zip(a, b))
-        return (combined, b)
-    if name == "ripple-add":
-        x, y, _ = value
-        out_width = space.components[2].width
-        total = int(x, 2) + int(y, 2)
-        return (x, y, format(total % (1 << out_width), f"0{out_width}b"))
-    if name == "swap-pair":
-        a, b = value
-        return (b, a)
-    raise DeclarationError(f"unknown builtin {name!r}")
+    return _trusted(AbstractState, c.space, c._apply(m.value))
 
 
 def _store_floats(decl, owner: str, *names: str) -> None:
@@ -396,6 +387,38 @@ class PhysicalDynamics:
             raise DeclarationError(f"{owner}: unknown rule type")
         _check_noise(owner, self.space, self.noise)
 
+    @cached_property
+    def _apply(self) -> Callable[[Value], Value]:
+        """The rule, without the noise, as a function on member values, compiled on first use."""
+        if isinstance(self.rule, TableRule):
+            return self.rule.entries.__getitem__
+        updates = tuple(map(_update, self.rule.assignments))
+
+        def step(value):
+            working = list(value)
+            for update in updates:
+                for line, level in update(working):
+                    working[line] = level
+            return tuple(working)
+
+        return step
+
+
+def _update(upd: BinarySumUpdate | ConstantUpdate) -> Callable[[list], Iterable]:
+    """``upd`` as a function from the working levels to the (line, level) pairs it assigns."""
+    if isinstance(upd, ConstantUpdate):
+        pins = tuple(zip(upd.lines, upd.values))
+        return lambda working: pins
+    a_lines, b_lines, out_lines, cut = upd.a_lines, upd.b_lines, upd.out_lines, upd.threshold
+    width, levels = len(out_lines), {"0": upd.low, "1": upd.high}
+    mask, fmt = (1 << width) - 1, f"0{width}b"
+
+    def add(working):
+        total = _register_int(working, a_lines, cut) + _register_int(working, b_lines, cut)
+        return zip(out_lines, map(levels.__getitem__, format(total & mask, fmt)))
+
+    return add
+
 
 def _check_lines(owner: str, space: RealVectorSpace, lines, *levels: float) -> None:
     """Each line must index a coordinate, and each level must fit its bounds."""
@@ -444,57 +467,37 @@ def evolve_physical(h: PhysicalDynamics, p: PhysicalState, t: TrialSeed) -> Phys
     """Image of configuration ``p`` under device update ``h`` for trial ``t``.
 
     The output is a pure function of (h, p, t); noise-free dynamics ignore
-    the seed entirely.
+    the seed's value.
     """
-    value = _rule_image(h, p)
+    _typed("evolve_physical", t, TrialSeed, "seed")
+    if not contains(h.space, p):
+        raise OutOfDomain(f"configuration is not in the space of dynamics {h.id!r}")
+    value = h._apply(p.value)
     if h.noise is not None:
         (value,) = _noisy(h.noise, value, t.value, 1)
     return _trusted(PhysicalState, h.space, value)
 
 
-def _trial_outcomes(h: PhysicalDynamics, p: PhysicalState, base: TrialSeed, trials: int) -> list:
-    """The outcome values of ``trials`` runs of ``h`` from ``p``, in trial order.
+def _trial_outcomes(h: PhysicalDynamics, value: Value, base: TrialSeed | None, trials: int) -> list:
+    """The outcome values of ``trials`` runs of ``h`` from the member value ``value``, in order.
 
-    Trial k's value is that of ``evolve_physical(h, p, derive_seed(base, k))``.
-    The rule ignores the seed, so it runs once and only the noise is drawn,
-    ``_BLOCK`` trials per kernel pass, with ``base`` mixed into the seeds
-    once; a noise-free device repeats its one outcome and derives no seed.
+    Trial k's value is that of ``evolve_physical(h, p, derive_seed(base, k))``
+    for the state p of ``value``. The rule ignores the seed, so it runs once
+    and only the noise is drawn, ``_BLOCK`` trials per kernel pass, with
+    ``base`` mixed into the seeds once; a noise-free device repeats its one
+    outcome and reads no seed, so its ``base`` may be None.
     """
-    value = _rule_image(h, p)
+    image = h._apply(value)
     if h.noise is None:
-        return [value] * trials
+        return [image] * trials
     head = _mix(_GOLDEN + base.value, _MASK64)
     outcomes = []
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)
         ones, ramp = _ONES >> 128 * (_BLOCK - count), _RAMP & ((1 << 128 * count) - 1)
         seeds = _mix((head + start) * ones + ramp, _MASK64 * ones)
-        outcomes += _noisy(h.noise, value, seeds, count)
+        outcomes += _noisy(h.noise, image, seeds, count)
     return outcomes
-
-
-def _rule_image(h: PhysicalDynamics, p: PhysicalState) -> Value:
-    if not contains(h.space, p):
-        raise OutOfDomain(f"configuration is not in the space of dynamics {h.id!r}")
-    return _apply_physical(h.rule, p.value)
-
-
-def _apply_physical(rule: PhysicalRule, value: Value) -> Value:
-    if isinstance(rule, TableRule):
-        return rule.entries[value]
-    working = list(value)
-    for upd in rule.assignments:
-        if isinstance(upd, BinarySumUpdate):
-            a = _register_int(working, upd.a_lines, upd.threshold)
-            b = _register_int(working, upd.b_lines, upd.threshold)
-            width = len(upd.out_lines)
-            bits = format((a + b) % (1 << width), f"0{width}b")
-            for line, bit in zip(upd.out_lines, bits):
-                working[line] = upd.high if bit == "1" else upd.low
-        else:
-            for line, level in zip(upd.lines, upd.values):
-                working[line] = level
-    return tuple(working)
 
 
 def _register_int(coords: list[float], lines: tuple[int, ...], threshold: float) -> int:

@@ -205,19 +205,13 @@ def check_stack_to_device(
     validated: the boundary checks themselves stand in for validation on the
     reachable set.
     """
+    _typed("check_stack_to_device", base_seed, TrialSeed, "seed")
     layer_reports = tuple(check_layer(rel, epsilon, metric) for rel in stack.relations)
     device_entries: list[DeviceCheckEntry] = []
-    spec = DiagramSpec(
-        theory=stack.theory,
-        abstract_dynamics=stack.layers[-1].dynamics,
-        physical_dynamics=stack.device,
-        epsilon=epsilon,
-        metric=metric,
-        trials=trials,
-        required_success=required_success,
-    )
+    theory, program = stack.theory, stack.layers[-1].dynamics
+    spec = DiagramSpec(theory, program, stack.device, epsilon, metric, trials, required_success)
     bottoms = reachable_bottom_states(stack)
-    for i, (bottom, prepared) in enumerate(zip(bottoms, _prepare(stack.theory, bottoms))):
+    for i, (bottom, prepared) in enumerate(zip(bottoms, _prepare(theory, bottoms))):
         report = check_commutation(spec, prepared, derive_seed(base_seed, i))
         device_entries.append(DeviceCheckEntry(bottom, report))
     return StackReport(stack.id, layer_reports, tuple(device_entries))

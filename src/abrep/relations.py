@@ -6,14 +6,19 @@ configurations to abstract states. Running it backwards, to *prepare* a
 configuration that represents a wanted abstract state, is realized here as
 an exhaustive search over declared seed configurations driven through an
 engineering dynamics, which keeps preparation decidable and reproducible.
+
+Each relation is compiled once, on first use, to a function from member
+values to readings; every read goes through it, and only ``represent``
+checks membership.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from operator import ge, itemgetter
 from typing import TYPE_CHECKING, Union
 
 from .dynamics import (
@@ -21,6 +26,7 @@ from .dynamics import (
     PhysicalDynamics,
     TrialSeed,
     _check_parts,
+    _each,
     evolve_physical,
 )
 from .errors import (
@@ -131,9 +137,6 @@ class RepresentationRelation:
                 )
             if sum(widths) != self.domain.dimension:
                 raise DeclarationError(f"{owner}: register widths must sum to the dimension")
-            # Where each register's bits sit in the row of thresholded lines.
-            ends = tuple(accumulate(widths))
-            object.__setattr__(self, "_registers", tuple(zip((0,) + ends, ends)))
         elif isinstance(rule, TupleWiseRule):
             ok = (
                 isinstance(self.domain, PhysicalTupleSpace)
@@ -154,6 +157,28 @@ class RepresentationRelation:
         else:
             raise DeclarationError(f"{owner}: unknown rule type")
 
+    @cached_property
+    def _apply(self) -> Callable[[Value], Value]:
+        """The relation as a function from member values to readings, compiled on first use.
+
+        A threshold reading compares every line in one pass, as bytes 0 and
+        1, and cuts the row of bits into its registers.
+        """
+        rule = self.rule
+        if isinstance(rule, LookupRule):
+            return rule.entries.__getitem__
+        if isinstance(rule, TupleWiseRule):
+            return _each(tuple(part._apply for part in rule.parts))
+        ends = tuple(accumulate(_register_widths(self.codomain)))
+        split = itemgetter(*map(slice, (0,) + ends, ends))  # one register: its bits, untupled
+        if isinstance(self.codomain, TupleSpace) and len(ends) == 1:
+            split = lambda bits: (bits,)
+        thresholds = rule.thresholds
+        return lambda value: split(bytes(map(ge, value, thresholds)).translate(_BITS).decode())
+
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
 
 def _register_widths(codomain: AbstractSpace) -> tuple[int, ...] | None:
     if isinstance(codomain, BitSpace):
@@ -168,24 +193,8 @@ def _register_widths(codomain: AbstractSpace) -> tuple[int, ...] | None:
 def represent(relation: RepresentationRelation, p: PhysicalState) -> AbstractState:
     """The abstract state assigned to configuration ``p``."""
     if not contains(relation.domain, p):
-        raise OutOfDomain(
-            f"configuration is not in the domain of relation {relation.id!r}"
-        )
-    return _trusted(AbstractState, relation.codomain, _apply(relation, p.value))
-
-
-def _apply(relation: RepresentationRelation, value: Value) -> Value:
-    rule = relation.rule
-    if isinstance(rule, LookupRule):
-        return rule.entries[value]
-    if isinstance(rule, ThresholdRule):
-        bits = "".join(
-            "1" if v >= th else "0" for v, th in zip(value, rule.thresholds)
-        )
-        if isinstance(relation.codomain, BitSpace):
-            return bits
-        return tuple(bits[start:end] for start, end in relation._registers)
-    return tuple(_apply(part, v) for part, v in zip(rule.parts, value))
+        raise OutOfDomain(f"configuration is not in the domain of relation {relation.id!r}")
+    return _trusted(AbstractState, relation.codomain, relation._apply(p.value))
 
 
 @dataclass(frozen=True)
@@ -308,23 +317,20 @@ def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[Physi
     order that per-target ``instantiate`` calls would raise them.
     """
     if theory.instantiation is None:
-        raise MissingInstantiation(
-            f"theory {theory.id!r} declares no instantiation procedure"
-        )
+        raise MissingInstantiation(f"theory {theory.id!r} declares no instantiation procedure")
     relation = theory.representation
+    read = relation._apply  # prepared configurations are in its domain: checked at declaration
     engineering = theory.instantiation.engineering
     seeds = iter(theory.instantiation.seeds)
     first: dict[Value, PhysicalState] = {}
     for target in targets:
         if not contains(relation.codomain, target):
-            raise OutOfDomain(
-                f"target is not in the codomain of relation {relation.id!r}"
-            )
+            raise OutOfDomain(f"target is not in the codomain of relation {relation.id!r}")
         goal = target.value
         if goal not in first:
             for seed in seeds:
                 prepared = evolve_physical(engineering, seed, _ENGINEERING_SEED)
-                reading = _apply(relation, prepared.value)  # in the domain: checked at declaration
+                reading = read(prepared.value)
                 first.setdefault(reading, prepared)
                 if reading == goal:
                     break

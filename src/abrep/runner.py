@@ -26,7 +26,7 @@ from .errors import EmptyDomain, ModelError, UnknownReference
 from .refinement import check_layer, check_stack_to_device
 from .relations import Prediction, Theory, instantiate
 from .scenarios import CheckSpec, ScenarioBundle
-from .spaces import METRICS, AbstractState, PhysicalState, normalize_value
+from .spaces import METRICS, AbstractState, PhysicalState, _typed, normalize_value
 from .verification import (
     CommutationReport,
     DiagramSpec,
@@ -148,12 +148,7 @@ class _Run:
     def _run_validate(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
         theory = resolve(self.theories, check.theory, f"check {check.name!r}")
         graded, evidence = validate_theory(
-            theory,
-            check.epsilon,
-            METRICS[check.metric],
-            check.trials,
-            check.required_success,
-            seed,
+            theory, check.epsilon, METRICS[check.metric], check.trials, check.required_success, seed
         )
         self.theories[theory.id] = graded
         self._count_coverage(theory.id, evidence.coverage)
@@ -288,6 +283,7 @@ def run_checks(
     ``name_filter`` is a glob pattern on check names; filtered runs report
     exactly the matching subset, in declaration order.
     """
+    _typed("run_checks", seed, TrialSeed, "seed")
     run = _Run(bundle)
     selected = []
     source = bundle.checks if checks is None else checks

@@ -48,11 +48,10 @@ from .spaces import (
     TupleSpace,
     Value,
     _field_error,
-    _finite,
     _identifier,
-    _integer,
     enumerate_values,
 )
+from .verification import _check_tolerances
 
 FORMAT_VERSION = "1"
 
@@ -73,8 +72,8 @@ CHECK_KINDS = (
 class CheckSpec:
     """One declared check; unset tolerances fall back to the strict defaults.
 
-    Its own fields are checked here, the objects it names when it runs.
-    Tolerances are stored as floats.
+    Its own fields are checked here, as a diagram checks them, and the
+    objects it names when it runs. Tolerances are stored as floats.
     """
 
     name: str
@@ -104,9 +103,7 @@ class CheckSpec:
                 raise _field_error(owner, name, f"unknown metric {getattr(self, name)!r}")
         if not isinstance(self.oracle, bool):
             raise _field_error(owner, "oracle", "expected true or false")
-        _integer(owner, "trials", self.trials)
-        for name in ("epsilon", "required_success"):
-            object.__setattr__(self, name, _finite(owner, name, getattr(self, name)))
+        _check_tolerances(self, owner)
         if self.kind == "history" and self.physical_metric is None:
             raise DeclarationError("history checks must declare a physical metric")
 

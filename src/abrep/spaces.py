@@ -202,9 +202,11 @@ def _integer(owner: str, field: str, value) -> int:
     return value
 
 
-def _typed(owner: str, value, kind: type):
-    """``value`` itself; DeclarationError unless it is a ``kind``."""
+def _typed(owner: str, value, kind: type, field: str | None = None):
+    """``value`` itself; DeclarationError unless it is a ``kind``, naming ``field`` when given."""
     if not isinstance(value, kind):
+        if field is not None:
+            raise _field_error(owner, field, f"expected a {kind.__name__}")
         raise DeclarationError(f"{owner} {value!r} is not {kind.__name__}")
     return value
 

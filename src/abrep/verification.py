@@ -15,7 +15,9 @@ scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from copy import copy
+from dataclasses import dataclass
 from functools import cached_property
 
 from .dynamics import (
@@ -27,7 +29,7 @@ from .dynamics import (
     evolve_abstract,
     evolve_physical,
 )
-from .errors import EmptyDomain, OutOfDomain, TheoryNotValidated
+from .errors import DeclarationError, EmptyDomain, OutOfDomain, TheoryNotValidated
 from .relations import (
     RepresentationRelation,
     Theory,
@@ -39,11 +41,12 @@ from .spaces import (
     AbstractState,
     Metric,
     PhysicalState,
+    _distance_value,
     _field_error,
     _finite,
     _integer,
     _trusted,
-    distance,
+    _typed,
 )
 
 
@@ -65,12 +68,27 @@ class DiagramSpec:
     required_success: float = 1.0
 
     def __post_init__(self):
-        if _finite("diagram", "epsilon", self.epsilon) < 0:
-            raise _field_error("diagram", "epsilon", "must be non-negative")
-        if _integer("diagram", "trials", self.trials) < 1:
-            raise _field_error("diagram", "trials", "must be at least 1")
-        if not (0.0 < _finite("diagram", "required_success", self.required_success) <= 1.0):
-            raise _field_error("diagram", "required_success", "must lie in (0, 1]")
+        relation = _typed("diagram: theory", self.theory, Theory).representation
+        program = _typed("diagram: program", self.abstract_dynamics, AbstractDynamics)
+        device = _typed("diagram: device update", self.physical_dynamics, PhysicalDynamics)
+        if program.space != relation.codomain or device.space != relation.domain:
+            raise DeclarationError("diagram: its dynamics do not act on the theory's spaces")
+        _check_tolerances(self, "diagram")
+
+
+def _check_tolerances(decl, owner: str) -> None:
+    """Range-check ``decl``'s epsilon, trials and required_success; store both tolerances as floats.
+
+    ``owner`` names ``decl`` in the DeclarationError, whose field is the one out of range.
+    """
+    if _finite(owner, "epsilon", decl.epsilon) < 0:
+        raise _field_error(owner, "epsilon", "must be non-negative")
+    if _integer(owner, "trials", decl.trials) < 1:
+        raise _field_error(owner, "trials", "must be at least 1")
+    if not (0.0 < _finite(owner, "required_success", decl.required_success) <= 1.0):
+        raise _field_error(owner, "required_success", "must lie in (0, 1]")
+    for name in ("epsilon", "required_success"):
+        object.__setattr__(decl, name, float(getattr(decl, name)))
 
 
 @dataclass(frozen=True)
@@ -97,37 +115,38 @@ def _square(
     start: PhysicalState,
     upper: AbstractState | PhysicalState,
     metric: Metric,
-    base_seed: TrialSeed,
+    base_seed: TrialSeed | None,
     relation: RepresentationRelation | None = None,
 ) -> CommutationReport:
     """Run the seeded trials of one square's lower path and grade them.
 
     Each trial evolves ``start`` on the device, reads the outcome through
     ``relation`` when one is given, and measures it against ``upper``. Both
-    are pure functions of the outcome, so each distinct outcome is read and
-    measured once.
+    are pure functions of the outcome, so each distinct outcome is read,
+    measured and graded once, with its count of trials. A noise-free device
+    reads no ``base_seed``.
     """
-    device = spec.physical_dynamics
-    graded: dict = {}
-    trials = []
-    for value in _trial_outcomes(device, start, base_seed, spec.trials):
-        if value not in graded:
-            lower = _trusted(PhysicalState, device.space, value)
-            if relation is not None:
-                lower = represent(relation, lower)
-            graded[value] = (lower, distance(metric, lower, upper))
-        trials.append(graded[value])
-    lowers, distances = zip(*trials)
-    fraction = sum(1 for d in distances if d <= spec.epsilon) / len(distances)
+    device, trials = spec.physical_dynamics, spec.trials
+    outcomes = _trial_outcomes(device, start.value, base_seed, trials)
+    counts = Counter(outcomes) if device.noise is not None else {outcomes[0]: trials}
+    space = device.space if relation is None else relation.codomain
+    graded, successes = {}, 0
+    for value, count in counts.items():
+        if relation is None:
+            lower = _trusted(PhysicalState, space, value)
+        else:
+            lower = _trusted(AbstractState, space, relation._apply(value))
+        d = _distance_value(metric.kind, space, lower.value, upper.value)
+        graded[value] = lower, d
+        successes += count if d <= spec.epsilon else 0
+    if len(graded) == 1:
+        lowers, distances = (lower,) * trials, (d,) * trials
+    else:
+        lowers, distances = zip(*map(graded.__getitem__, outcomes))
+    fraction = successes / trials
+    passed = fraction >= spec.required_success
     return CommutationReport(
-        initial_physical=start,
-        upper_path_result=upper,
-        lower_path_results=lowers,
-        distances=distances,
-        success_fraction=fraction,
-        passed=fraction >= spec.required_success,
-        epsilon=spec.epsilon,
-        required_success=spec.required_success,
+        start, upper, lowers, distances, fraction, passed, spec.epsilon, spec.required_success
     )
 
 
@@ -139,6 +158,7 @@ def check_commutation(
     Representing both ends and comparing abstractly is the scientific use of
     the theory: the program's answer is the prediction the device must hit.
     """
+    _typed("check_commutation", base_seed, TrialSeed, "seed")
     if not isinstance(p, PhysicalState) or p not in spec.theory._domain_set:
         raise OutOfDomain(
             f"configuration is outside the declared domain of theory {spec.theory.id!r}"
@@ -161,6 +181,7 @@ def check_history(
     physical states. This is the technology use of the theory. Both ends
     are prepared in one scan of the seeds.
     """
+    _typed("check_history", base_seed, TrialSeed, "seed")
     evolved = evolve_abstract(spec.abstract_dynamics, m)
     start, target = _prepare(spec.theory, (m, evolved))
     return _square(spec, start, target, physical_metric, base_seed)
@@ -212,25 +233,23 @@ def validate_theory(
         raise EmptyDomain(f"theory {theory.id!r} declares no domain states")
     if not theory.predictions:
         raise EmptyDomain(f"theory {theory.id!r} declares no predictions")
+    _typed("validate_theory", base_seed, TrialSeed, "seed")
     specs = [
-        DiagramSpec(
-            theory=theory,
-            abstract_dynamics=pred.abstract,
-            physical_dynamics=pred.physical,
-            epsilon=epsilon,
-            metric=metric,
-            trials=trials,
-            required_success=required_success,
-        )
+        DiagramSpec(theory, pred.abstract, pred.physical, epsilon, metric, trials, required_success)
         for pred in theory.predictions
     ]
+    relation = theory.representation
+    read, codomain = relation._apply, relation.codomain
     cells: list[ValidityCell] = []
     for si, state in enumerate(theory.domain):
+        reading = read(state.value)  # domain states are the relation's: checked at declaration
         for pi, (pred, spec) in enumerate(zip(theory.predictions, specs)):
-            report = check_commutation(spec, state, derive_seed(base_seed, si, pi))
+            upper = _trusted(AbstractState, codomain, pred.abstract._apply(reading))
+            seed = None if pred.physical.noise is None else derive_seed(base_seed, si, pi)
+            report = _square(spec, state, upper, metric, seed, relation)
             cells.append(ValidityCell(state, pred.name, report))
     evidence = ValidityReport(theory.id, tuple(cells))
-    graded = replace(theory)
+    graded = copy(theory)
     object.__setattr__(graded, "evidence", evidence)
     return graded, evidence
 
@@ -260,6 +279,7 @@ def run_compute_cycle(
     not been validated cannot be used this way, and ``h`` must be the device
     update that validation checked for ``program``.
     """
+    _typed("run_compute_cycle", seed, TrialSeed, "seed")
     if not theory.is_valid:
         raise TheoryNotValidated(
             f"theory {theory.id!r} has validity {theory.validity!r};"
@@ -273,10 +293,4 @@ def run_compute_cycle(
     prepared = instantiate(theory, input_state)
     final = evolve_physical(h, prepared, seed)
     output = represent(theory.representation, final)
-    return ComputeResult(
-        input=input_state,
-        prepared=prepared,
-        final_physical=final,
-        output=output,
-        program=program,
-    )
+    return ComputeResult(input_state, prepared, final, output, program)

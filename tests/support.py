@@ -6,8 +6,6 @@ import dataclasses
 import random
 import sys
 
-import abrep.dynamics
-import abrep.relations
 from abrep import document
 from abrep import (
     AbstractDynamics,
@@ -60,10 +58,30 @@ def count_calls(monkeypatch, **targets) -> dict:
 
 
 def count_device_work(monkeypatch) -> dict:
-    """Count device-rule applications (``rule``) and reads (``read``) from here on."""
-    return count_calls(
-        monkeypatch, rule=abrep.dynamics._apply_physical, read=abrep.relations.represent
-    )
+    """Count device-rule applications (``rule``) and reads (``read``) from here on.
+
+    They are the calls of the compiled evaluators, ``PhysicalDynamics._apply``
+    and ``RepresentationRelation._apply``, wherever they are made. Each is a
+    cached property; a property patched over it on the class hands out the
+    compiled function, built or cached as usual, wrapped in a counter. A
+    tuple-wise relation first compiled while counting keeps its parts'
+    wrapped functions, so its later reads still add to this dict.
+    """
+    counts = {"rule": 0, "read": 0}
+    for key, cls in (("rule", PhysicalDynamics), ("read", RepresentationRelation)):
+        compiled = vars(cls)["_apply"]
+
+        def counting(decl, key=key, compiled=compiled):
+            apply = compiled.__get__(decl, type(decl))
+
+            def counted(value):
+                counts[key] += 1
+                return apply(value)
+
+            return counted
+
+        monkeypatch.setattr(cls, "_apply", property(counting))
+    return counts
 
 
 def random_deterministic_theory(rng: random.Random, tag: str) -> Theory:

@@ -171,6 +171,19 @@ def test_epsilon_and_trials_overrides_apply(tmp_path, capsys):
     assert main(["check", path, "--epsilon", "1.0", "--filter", "add-*"]) == 0
 
 
+def test_a_check_with_no_trials_is_refused_before_any_check_runs(tmp_path, capsys):
+    data = json.loads(emit_scenario(BUILTIN_SCENARIOS["voltage-adder-noisy"]()))
+    data["checks"][1]["trials"] = 0
+    path = tmp_path / "no-trials.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ScenarioSyntaxError: checks[1].trials: must be at least 1\n"
+    assert main(["check", write_scenario(tmp_path, "voltage-adder"), "--trials", "0"]) == 2
+    assert "trials: must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, flags, check",
     [

@@ -496,10 +496,17 @@ def _diagram(**fields) -> DiagramSpec:
         (lambda: BitSpace("x", 0), "space 'x': width: must be at least 1"),
         (lambda: check_layer(BUILTIN_SCENARIOS["refinement-stack"]().stacks[0].relations[0], -1, DISCRETE),
          "layer check: epsilon: must be non-negative"),
+        (lambda: CheckSpec("c", "compute", trials=0), "check 'c': trials: must be at least 1"),
+        (lambda: CheckSpec("c", "stack", epsilon=-1), "check 'c': epsilon: must be non-negative"),
+        (lambda: CheckSpec("c", "experiment", required_success=0),
+         "check 'c': required_success: must lie in (0, 1]"),
+        (lambda: CheckSpec("c", "experiment", required_success=1.01),
+         "check 'c': required_success: must lie in (0, 1]"),
     ],
     ids=[
         "flip-probability", "label-probability", "seed-too-large", "seed-negative", "epsilon",
-        "trials", "success-zero", "success-above-one", "width", "layer-epsilon",
+        "trials", "success-zero", "success-above-one", "width", "layer-epsilon", "check-trials",
+        "check-epsilon", "check-success-zero", "check-success-above-one",
     ],
 )
 def test_range_errors_name_their_field(declare, message):
@@ -516,8 +523,11 @@ def test_range_errors_name_their_field(declare, message):
          "dynamics.physical[0].noise.probability: must lie in [0, 1]"),
         (lambda d: d["spaces"]["abstract"][0].__setitem__("width", 0),
          "spaces.abstract[0].width: must be at least 1"),
+        (lambda d: d["checks"][1].__setitem__("trials", 0), "checks[1].trials: must be at least 1"),
+        (lambda d: d["checks"][0].__setitem__("required_success", 0),
+         "checks[0].required_success: must lie in (0, 1]"),
     ],
-    ids=["probability", "width"],
+    ids=["probability", "width", "check-trials", "check-success"],
 )
 def test_a_document_reports_a_range_error_at_its_field(mutate, message):
     bad = json.loads(emit_scenario(BUILTIN_SCENARIOS["voltage-adder-noisy"]()))

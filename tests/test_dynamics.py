@@ -84,12 +84,34 @@ def test_and_xor_builtins_match_bit_arithmetic():
         assert evolve_abstract(parity, state).value == (str(int(a) ^ int(b)), b)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_bitwise_builtins_follow_their_definitions(width):
+    bits = BitSpace(f"b{width}", width)
+    pair = TupleSpace(f"bp{width}", (bits, bits))
+    flip = AbstractDynamics("not", bits, BuiltinRule("bit-not"))
+    for state in enumerate_states(bits):
+        assert evolve_abstract(flip, state).value == "".join("10"[int(c)] for c in state.value)
+    for name, bit in (("and", lambda x, y: x == y == "1"), ("xor", lambda x, y: x != y)):
+        dynamics = AbstractDynamics(name, pair, BuiltinRule(name))
+        for state in enumerate_states(pair):
+            a, b = state.value
+            combined = "".join("1" if bit(x, y) else "0" for x, y in zip(a, b))
+            assert evolve_abstract(dynamics, state).value == (combined, b)
+
+
 def test_bit_not_is_an_involution():
     bits = BitSpace("b3", 3)
     flip = AbstractDynamics("f", bits, BuiltinRule("bit-not"))
     chained = AbstractDynamics("f>>f", bits, ChainRule((flip, flip)))
     for state in enumerate_states(bits):
         assert evolve_abstract(chained, state) == state
+
+
+def test_an_empty_chain_is_the_identity():
+    bits = BitSpace("b2", 2)
+    empty = AbstractDynamics("none", bits, ChainRule(()))
+    for state in enumerate_states(bits):
+        assert evolve_abstract(empty, state) == state
 
 
 def test_compose_identity_is_neutral():
@@ -234,6 +256,46 @@ def test_constant_update_overrides_in_order():
     start = PhysicalState(VOLTS, encode("01" + "10" + "000"))
     out = evolve_physical(device, start, TrialSeed(0))
     assert out.value == encode("01" + "10" + "010")
+
+
+def updated_by_definition(rule: CoordinateUpdateRule, levels: tuple) -> tuple:
+    """The levels after ``rule``'s assignments, in order, one line at a time, as documented."""
+    working = list(levels)
+    for upd in rule.assignments:
+        if isinstance(upd, ConstantUpdate):
+            for line, level in zip(upd.lines, upd.values):
+                working[line] = level
+            continue
+        a, b = (
+            sum(2**k for k, line in enumerate(reversed(lines)) if working[line] >= upd.threshold)
+            for lines in (upd.a_lines, upd.b_lines)
+        )
+        width = len(upd.out_lines)
+        total = (a + b) % 2**width
+        for k, line in enumerate(upd.out_lines):
+            working[line] = upd.high if total >> (width - 1 - k) & 1 else upd.low
+    return tuple(working)
+
+
+_LEVELS = st.sampled_from([0.0, 1.0, 2.5, 4.0, 5.0])
+_LINES = st.lists(st.integers(0, 5), max_size=4).map(tuple)
+_UPDATES = st.one_of(
+    st.builds(BinarySumUpdate, _LINES, _LINES, _LINES, _LEVELS, _LEVELS, _LEVELS),
+    st.lists(st.tuples(st.integers(0, 5), _LEVELS), max_size=3).map(
+        lambda pins: ConstantUpdate(tuple(p[0] for p in pins), tuple(p[1] for p in pins))
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_UPDATES, max_size=3), st.tuples(*[_LEVELS] * 6))
+def test_coordinate_updates_follow_their_definition(assignments, levels):
+    """Overlapping lines included: later assignments read and override earlier ones."""
+    lines = RealVectorSpace("v6", ((0.0, 5.0),) * 6)
+    rule = CoordinateUpdateRule(tuple(assignments))
+    device = PhysicalDynamics("update", lines, rule)
+    out = evolve_physical(device, PhysicalState(lines, levels), TrialSeed(0))
+    assert out.value == updated_by_definition(rule, levels)
 
 
 @pytest.mark.parametrize(
@@ -439,7 +501,7 @@ def test_trial_outcomes_follow_the_draws_by_definition(case, base, trials):
     device, start = case
     seeds = [derive_seed(TrialSeed(base), k) for k in range(trials)]
     expected = [noise_by_definition(device.noise, start.value, seed) for seed in seeds]
-    assert _trial_outcomes(device, start, TrialSeed(base), trials) == expected
+    assert _trial_outcomes(device, start.value, TrialSeed(base), trials) == expected
     assert [evolve_physical(device, start, seed).value for seed in seeds] == expected
 
 
@@ -450,7 +512,7 @@ def test_a_line_does_not_flip_at_a_probability_equal_to_its_draw(kind):
 
     def flips_at(probability) -> bool:
         device, start = noisy_hold(kind, probability, (line,))
-        return _trial_outcomes(device, start, base, 1) != [start.value]
+        return _trial_outcomes(device, start.value, base, 1) != [start.value]
 
     assert not flips_at(draw)  # the comparison is strict
     assert flips_at(math.nextafter(draw, 1.0))
@@ -468,7 +530,7 @@ def test_every_lane_of_every_pass_follows_the_draws_by_definition(kind, probabil
     base = TrialSeed(0x5EED)
     seeds = [derive_seed(base, k) for k in range(trials)]
     expected = [noise_by_definition(device.noise, start.value, seed) for seed in seeds]
-    assert _trial_outcomes(device, start, base, trials) == expected
+    assert _trial_outcomes(device, start.value, base, trials) == expected
     if 0.0 < probability < 1.0 and trials > 2:
         assert len(set(expected)) > 1
 
@@ -481,7 +543,7 @@ def test_a_lane_does_not_flip_at_a_probability_equal_to_its_draw(kind, lane):
 
     def flips_at(probability) -> bool:
         device, start = noisy_hold(kind, probability, (line,))
-        return _trial_outcomes(device, start, base, lane + 1)[lane] != start.value
+        return _trial_outcomes(device, start.value, base, lane + 1)[lane] != start.value
 
     assert not flips_at(draw)  # the comparison is strict
     assert flips_at(math.nextafter(draw, 1.0))
@@ -491,7 +553,8 @@ def test_a_repeated_line_flips_twice():
     noise = CoordinateFlipNoise(1.0, (2, 2, 4), 2.5, 0.0, 5.0)
     device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
     start = PhysicalState(VOLTS, (0.0,) * 7)
-    assert _trial_outcomes(device, start, TrialSeed(1), 2) == [(0.0,) * 4 + (5.0, 0.0, 0.0)] * 2
+    outcomes = _trial_outcomes(device, start.value, TrialSeed(1), 2)
+    assert outcomes == [(0.0,) * 4 + (5.0, 0.0, 0.0)] * 2
 
 
 def test_noise_on_tuple_space_is_rejected():

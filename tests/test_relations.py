@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abrep import (
     AbstractDynamics,
@@ -51,6 +52,26 @@ def test_threshold_groups_into_registers():
     read = RepresentationRelation("read", lines, pair, ThresholdRule((2.5,) * 4))
     state = PhysicalState(lines, (5.0, 0.0, 0.0, 5.0))
     assert represent(read, state).value == ("10", "01")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_threshold_reads_follow_the_definition(data):
+    """Levels equal to their threshold read as 1; the row of bits fills the registers in order."""
+    widths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    registers = tuple(BitSpace(f"r{w}", w) for w in widths)
+    single = len(widths) == 1 and data.draw(st.booleans())
+    codomain = registers[0] if single else TupleSpace("registers", registers)
+    n = sum(widths)
+    cuts = st.sampled_from([0.0, 1.0, 2.5, 5.0])
+    thresholds = data.draw(st.lists(cuts, min_size=n, max_size=n))
+    levels = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.9, 5.0]), min_size=n, max_size=n))
+    lines = RealVectorSpace(f"v{n}", ((0.0, 5.0),) * n)
+    read = RepresentationRelation("read", lines, codomain, ThresholdRule(tuple(thresholds)))
+    bits = "".join("1" if v >= t else "0" for v, t in zip(levels, thresholds))
+    starts = [sum(widths[:i]) for i in range(len(widths))]
+    expected = bits if single else tuple(bits[s : s + w] for s, w in zip(starts, widths))
+    assert represent(read, PhysicalState(lines, tuple(levels))).value == expected
 
 
 def test_switch_lookup_reads_binary_digit():

@@ -8,6 +8,7 @@ import pytest
 
 import abrep.dynamics
 import abrep.spaces
+import abrep.verification
 from abrep import (
     BUILTIN_SCENARIOS,
     AbstractDynamics,
@@ -24,6 +25,7 @@ from abrep import (
     InstantiationProcedure,
     MAX_COORDINATE,
     METRICS,
+    MetricMismatch,
     OutOfDomain,
     PhysicalDynamics,
     PhysicalState,
@@ -40,6 +42,7 @@ from abrep import (
     build_voltage_adder,
     check_commutation,
     check_history,
+    check_stack_to_device,
     derive_seed,
     evolve_physical,
     identity_dynamics,
@@ -498,3 +501,117 @@ def test_noisy_adder_reads_each_distinct_outcome_once(monkeypatch):
     assert report.exit_code == 0
     assert counts["rule"] <= 66  # 7,449 when every trial applied the rule
     assert counts["read"] <= 192  # 7,466 when every trial was read
+
+
+def _validation_subjects():
+    """Every built-in theory, a random noise-free one, the 3-bit adder, and two predictions."""
+    for name, build in sorted(BUILTIN_SCENARIOS.items()):
+        for theory in build().theories:
+            yield pytest.param(theory, id=f"{name}:{theory.id}")
+    yield pytest.param(random_deterministic_theory(random.Random(5), "rand"), id="random")
+    yield pytest.param(_adder_theory(3), id="3-bit-adder")
+    noisy = build_voltage_adder(0.2).theory("adder")
+    keep = AbstractDynamics("keep", noisy.representation.codomain, BuiltinRule("identity"))
+    hold = Prediction("hold", keep, identity_dynamics("still", noisy.representation.domain))
+    yield pytest.param(replace(noisy, predictions=(hold, *noisy.predictions)), id="two-predictions")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("theory", list(_validation_subjects()))
+def test_validation_cells_are_the_public_squares(theory, seed):
+    """Differential: validation on values gives each cell the report of the public square."""
+    base = TrialSeed(seed)
+    noisy = any(pred.physical.noise is not None for pred in theory.predictions)
+    trials, required = (40, 0.5) if noisy else (1, 1.0)
+    _, evidence = validate_theory(theory, 0.0, DISCRETE, trials, required, base)
+    squares = []
+    for si, state in enumerate(theory.domain):
+        for pi, pred in enumerate(theory.predictions):
+            spec = DiagramSpec(theory, pred.abstract, pred.physical, 0.0, DISCRETE, trials)
+            spec = replace(spec, required_success=required)
+            report = check_commutation(spec, state, derive_seed(base, si, pi))
+            squares.append((state, pred.name, report))
+    assert [(cell.state, cell.prediction, cell.report) for cell in evidence.cells] == squares
+
+
+def test_noise_free_validation_derives_no_seed(monkeypatch):
+    """Gate: a noise-free device reads no seed, so validating its theory derives none."""
+    for module in (abrep.dynamics, abrep.verification):
+        monkeypatch.setattr(module, "derive_seed", None)  # a call would fail
+    _, evidence = validate_theory(_adder_theory(3), 0.0, DISCRETE, 1, 1.0, SEED)
+    assert evidence.all_passed and evidence.coverage == 64
+
+
+def test_two_validations_compile_each_evaluator_once(monkeypatch):
+    """Gate: the relation, the program and the device rule are each compiled on first use only."""
+    builds = dict.fromkeys(("RepresentationRelation", "AbstractDynamics", "PhysicalDynamics"), 0)
+    for cls in (RepresentationRelation, AbstractDynamics, PhysicalDynamics):
+        compiled = vars(cls)["_apply"]
+
+        def counting(decl, build=compiled.func, name=cls.__name__):
+            builds[name] += 1
+            return build(decl)
+
+        monkeypatch.setattr(compiled, "func", counting)
+    theory = _adder_theory(3)  # new declarations, none compiled yet
+    for seed in (TrialSeed(1), TrialSeed(2)):
+        assert validate_theory(theory, 0.0, DISCRETE, 1, 1.0, seed)[1].all_passed
+    assert builds == dict.fromkeys(builds, 1)
+
+
+def _seeded_calls() -> dict:
+    """Each API function that takes a seed, on the built-in voltage adder or stack, by name."""
+    bundle, theory, pred = adder_pieces()
+    spec = DiagramSpec(theory, pred.abstract, pred.physical)
+    graded, _ = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    stack = BUILTIN_SCENARIOS["refinement-stack"]().stacks[0]
+    m = machine_state(theory, ("01", "10", "000"))
+    return {
+        "run_checks": lambda seed: run_checks(bundle, seed),
+        "validate_theory": lambda seed: validate_theory(theory, 0.0, DISCRETE, 1, 1.0, seed),
+        "check_commutation": lambda seed: check_commutation(spec, theory.domain[0], seed),
+        "check_history": lambda seed: check_history(spec, m, MAX_COORDINATE, seed),
+        "check_stack_to_device": lambda seed: check_stack_to_device(stack, 0.0, DISCRETE, seed),
+        "run_compute_cycle": lambda seed: run_compute_cycle(graded, m, "add", pred.physical, seed),
+        "evolve_physical": lambda seed: evolve_physical(pred.physical, theory.domain[0], seed),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 7, None, "0"], ids=["zero", "int", "none", "str"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        "run_checks", "validate_theory", "check_commutation", "check_history",
+        "check_stack_to_device", "run_compute_cycle", "evolve_physical",
+    ],
+)
+def test_seeds_are_type_checked_at_the_api(call, seed):
+    """A seed that is not a TrialSeed is a DeclarationError naming the field, even noise-free."""
+    with pytest.raises(DeclarationError) as err:
+        _seeded_calls()[call](seed)
+    assert str(err.value) == f"{call}: seed: expected a TrialSeed"
+    assert (err.value.field, err.value.reason) == ("seed", "expected a TrialSeed")
+
+
+def test_a_diagram_rejects_dynamics_on_other_spaces():
+    """A square's program and device are checked against the theory once, where it is built."""
+    _, theory, pred = adder_pieces()
+    swap = build_swap_device().theory("swap").predictions[0]
+    for program, device in ((swap.abstract, pred.physical), (pred.abstract, swap.physical)):
+        with pytest.raises(DeclarationError, match="dynamics do not act on the theory's spaces"):
+            DiagramSpec(theory, program, device)
+    with pytest.raises(DeclarationError, match="diagram: program .* is not AbstractDynamics"):
+        DiagramSpec(theory, pred.physical, pred.physical)
+
+
+@pytest.mark.parametrize("flip", [0.0, 0.2], ids=["noise-free", "noisy"])
+@pytest.mark.parametrize("metric", ["hamming", "absolute-difference"])
+def test_a_metric_that_does_not_apply_fails_validation_as_the_square_does(metric, flip):
+    _, theory, pred = adder_pieces(flip)
+    spec = DiagramSpec(theory, pred.abstract, pred.physical, metric=METRICS[metric], trials=5)
+    with pytest.raises(MetricMismatch) as square:
+        check_commutation(spec, theory.domain[0], derive_seed(SEED, 0, 0))
+    with pytest.raises(MetricMismatch) as validation:
+        validate_theory(theory, 0.0, METRICS[metric], 5, 1.0, SEED)
+    message = f"{metric} does not apply to space 'adder.machine'"
+    assert str(validation.value) == str(square.value) == message
