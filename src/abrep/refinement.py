@@ -8,16 +8,16 @@ closes the loop from the topmost description down to simulated hardware.
 
 Layers are deterministic, so only the downward direction is checked at layer
 level; the prediction direction is exercised at the device boundary by the
-commutation check.
+commutation square. Both run on values, and build states only for reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping
 
-from .dynamics import AbstractDynamics, PhysicalDynamics, TrialSeed, derive_seed, evolve_abstract
+from .dynamics import AbstractDynamics, PhysicalDynamics, TrialSeed, derive_seed
 from .errors import DeclarationError, OutOfDomain
 from .relations import Theory, _prepare
 from .spaces import (
@@ -25,6 +25,7 @@ from .spaces import (
     AbstractState,
     Metric,
     Value,
+    _distance_value,
     _field_error,
     _finite,
     _identifier,
@@ -33,10 +34,9 @@ from .spaces import (
     _typed,
     check_total_table,
     contains,
-    distance,
-    enumerate_states,
+    enumerate_values,
 )
-from .verification import CommutationReport, DiagramSpec, check_commutation
+from .verification import CommutationReport, DiagramSpec, _in_domain, _square
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,19 @@ class LayerReport:
 
 def check_layer(s: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
     """Check one adjacent layer pair over every upper state."""
+    _typed("check_layer", s, SimulationRelation, "relation")
     if _finite("layer check", "epsilon", epsilon) < 0:
         raise _field_error("layer check", "epsilon", "must be non-negative")
+    kind = _typed("check_layer", metric, Metric, "metric").kind
+    upper, lower = s.upper.space, s.lower.space
+    up, low, down = s.upper.dynamics._apply, s.lower.dynamics._apply, s.entries.__getitem__
+    state = partial(_trusted, AbstractState)
     entries: list[LayerCheckEntry] = []
-    for state in enumerate_states(s.upper.space):
-        via_upper = s.map_state(evolve_abstract(s.upper.dynamics, state))
-        via_lower = evolve_abstract(s.lower.dynamics, s.map_state(state))
-        d = distance(metric, via_upper, via_lower)
-        entries.append(LayerCheckEntry(state, via_upper, via_lower, d, d <= epsilon))
+    for value in enumerate_values(upper):
+        via_upper, via_lower = down(up(value)), low(down(value))
+        d = _distance_value(kind, lower, via_upper, via_lower)
+        mapped = state(upper, value), state(lower, via_upper), state(lower, via_lower)
+        entries.append(LayerCheckEntry(*mapped, d, d <= epsilon))
     return LayerReport(relation_id=s.id, entries=tuple(entries), epsilon=epsilon)
 
 
@@ -177,16 +182,10 @@ class StackReport:
 
 def reachable_bottom_states(stack: RefinementStack) -> list[AbstractState]:
     """Bottom-layer images of every top-layer state, first occurrence order."""
-    states = enumerate_states(stack.layers[0].space)
+    values = enumerate_values(stack.layers[0].space)
     for rel in stack.relations:
-        states = [rel.map_state(s) for s in states]
-    seen: set = set()
-    out: list[AbstractState] = []
-    for s in states:
-        if s.value not in seen:
-            seen.add(s.value)
-            out.append(s)
-    return out
+        values = map(rel.entries.__getitem__, values)
+    return [_trusted(AbstractState, stack.layers[-1].space, v) for v in dict.fromkeys(values)]
 
 
 def check_stack_to_device(
@@ -205,13 +204,25 @@ def check_stack_to_device(
     validated: the boundary checks themselves stand in for validation on the
     reachable set.
     """
+    _typed("check_stack_to_device", stack, RefinementStack, "stack")
     _typed("check_stack_to_device", base_seed, TrialSeed, "seed")
     layer_reports = tuple(check_layer(rel, epsilon, metric) for rel in stack.relations)
-    device_entries: list[DeviceCheckEntry] = []
+    return _ground(stack, layer_reports, epsilon, metric, base_seed, trials, required_success)
+
+
+def _ground(
+    stack: RefinementStack, layer_reports: tuple[LayerReport, ...], epsilon: float,
+    metric: Metric, base_seed: TrialSeed, trials: int, required_success: float,
+) -> StackReport:
+    """The stack's report: ``layer_reports``, and a square per reachable bottom state."""
     theory, program = stack.theory, stack.layers[-1].dynamics
     spec = DiagramSpec(theory, program, stack.device, epsilon, metric, trials, required_success)
+    device_entries: list[DeviceCheckEntry] = []
     bottoms = reachable_bottom_states(stack)
     for i, (bottom, prepared) in enumerate(zip(bottoms, _prepare(theory, bottoms))):
-        report = check_commutation(spec, prepared, derive_seed(base_seed, i))
+        _in_domain(theory, prepared)  # it reads as ``bottom``: _prepare chose it so
+        upper = _trusted(AbstractState, bottom.space, program._apply(bottom.value))
+        seed = None if stack.device.noise is None else derive_seed(base_seed, i)
+        report = _square(spec, prepared, upper, metric, seed, theory.representation)
         device_entries.append(DeviceCheckEntry(bottom, report))
     return StackReport(stack.id, layer_reports, tuple(device_entries))

@@ -27,7 +27,7 @@ from .dynamics import (
     TrialSeed,
     _check_parts,
     _each,
-    evolve_physical,
+    _noisy,
 )
 from .errors import (
     DeclarationError,
@@ -321,19 +321,22 @@ def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[Physi
     relation = theory.representation
     read = relation._apply  # prepared configurations are in its domain: checked at declaration
     engineering = theory.instantiation.engineering
+    step, noise = engineering._apply, engineering.noise  # seeds are in its space: checked too
     seeds = iter(theory.instantiation.seeds)
-    first: dict[Value, PhysicalState] = {}
+    first: dict[Value, Value] = {}
     for target in targets:
         if not contains(relation.codomain, target):
             raise OutOfDomain(f"target is not in the codomain of relation {relation.id!r}")
         goal = target.value
         if goal not in first:
             for seed in seeds:
-                prepared = evolve_physical(engineering, seed, _ENGINEERING_SEED)
-                reading = read(prepared.value)
-                first.setdefault(reading, prepared)
+                value = step(seed.value)
+                if noise is not None:
+                    (value,) = _noisy(noise, value, _ENGINEERING_SEED.value, 1)
+                reading = read(value)
+                first.setdefault(reading, value)
                 if reading == goal:
                     break
             else:
                 raise NotInstantiable(f"theory {theory.id!r}: no seed prepares {goal!r}")
-        yield first[goal]
+        yield _trusted(PhysicalState, engineering.space, first[goal])

@@ -23,7 +23,7 @@ from .composition import FactorizationWitness, brute_force_classify, classify
 from .document import resolve, value_to_json
 from .dynamics import TrialSeed, derive_seed
 from .errors import EmptyDomain, ModelError, UnknownReference
-from .refinement import check_layer, check_stack_to_device
+from .refinement import LayerReport, SimulationRelation, _ground, check_layer
 from .relations import Prediction, Theory, instantiate
 from .scenarios import CheckSpec, ScenarioBundle
 from .spaces import METRICS, AbstractState, PhysicalState, _typed, normalize_value
@@ -87,6 +87,7 @@ class _Run:
         self.stacks = {s.id: s for s in bundle.stacks}
         self.joints = {j.id: j for j in bundle.joints}
         self.coverage: dict[str, int] = {}
+        self.layers: dict[tuple[int, float, str], LayerReport] = {}  # by id(relation)
 
     def _count_coverage(self, theory_id: str, cells: int) -> None:
         self.coverage[theory_id] = self.coverage.get(theory_id, 0) + cells
@@ -109,6 +110,12 @@ class _Run:
             trials=check.trials,
             required_success=check.required_success,
         )
+
+    def _layer(self, relation: SimulationRelation, check: CheckSpec) -> LayerReport:
+        key = (id(relation), check.epsilon, check.metric)
+        if key not in self.layers:
+            self.layers[key] = check_layer(relation, check.epsilon, METRICS[check.metric])
+        return self.layers[key]
 
     def _initial_state(self, theory: Theory, check: CheckSpec) -> PhysicalState:
         relation = theory.representation
@@ -185,7 +192,7 @@ class _Run:
         stack = resolve(self.stacks, check.stack, f"check {check.name!r}")
         relations = {r.id: r for r in stack.relations}
         relation = resolve(relations, check.relation, f"check {check.name!r}")
-        report = check_layer(relation, check.epsilon, METRICS[check.metric])
+        report = self._layer(relation, check)
         failing = [
             {
                 "state": _state_json(e.state),
@@ -201,24 +208,15 @@ class _Run:
 
     def _run_stack(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
         stack = resolve(self.stacks, check.stack, f"check {check.name!r}")
-        report = check_stack_to_device(
-            stack,
-            check.epsilon,
-            METRICS[check.metric],
-            seed,
-            trials=check.trials,
-            required_success=check.required_success,
-        )
+        layers = tuple(self._layer(rel, check) for rel in stack.relations)
+        metric = METRICS[check.metric]
+        report = _ground(stack, layers, check.epsilon, metric, seed, check.trials, check.required_success)
         self._count_coverage(stack.theory.id, len(report.device_entries))
         detail = {
-            "layers": {
-                r.relation_id: r.passed for r in report.layer_reports
-            },
+            "layers": {r.relation_id: r.passed for r in report.layer_reports},
             "device_states": len(report.device_entries),
             "device_failures": [
-                _state_json(e.state)
-                for e in report.device_entries
-                if not e.report.passed
+                _state_json(e.state) for e in report.device_entries if not e.report.passed
             ],
         }
         return (PASS if report.passed else FAIL), detail

@@ -73,6 +73,7 @@ class DiagramSpec:
         device = _typed("diagram: device update", self.physical_dynamics, PhysicalDynamics)
         if program.space != relation.codomain or device.space != relation.domain:
             raise DeclarationError("diagram: its dynamics do not act on the theory's spaces")
+        _typed("diagram", self.metric, Metric, "metric")
         _check_tolerances(self, "diagram")
 
 
@@ -150,6 +151,11 @@ def _square(
     )
 
 
+def _in_domain(theory: Theory, p: PhysicalState) -> None:
+    if not isinstance(p, PhysicalState) or p not in theory._domain_set:
+        raise OutOfDomain(f"configuration is outside the declared domain of theory {theory.id!r}")
+
+
 def check_commutation(
     spec: DiagramSpec, p: PhysicalState, base_seed: TrialSeed
 ) -> CommutationReport:
@@ -159,10 +165,7 @@ def check_commutation(
     the theory: the program's answer is the prediction the device must hit.
     """
     _typed("check_commutation", base_seed, TrialSeed, "seed")
-    if not isinstance(p, PhysicalState) or p not in spec.theory._domain_set:
-        raise OutOfDomain(
-            f"configuration is outside the declared domain of theory {spec.theory.id!r}"
-        )
+    _in_domain(spec.theory, p)
     relation = spec.theory.representation
     upper = evolve_abstract(spec.abstract_dynamics, represent(relation, p))
     return _square(spec, p, upper, spec.metric, base_seed, relation)
@@ -182,6 +185,7 @@ def check_history(
     are prepared in one scan of the seeds.
     """
     _typed("check_history", base_seed, TrialSeed, "seed")
+    _typed("check_history", physical_metric, Metric, "physical_metric")
     evolved = evolve_abstract(spec.abstract_dynamics, m)
     start, target = _prepare(spec.theory, (m, evolved))
     return _square(spec, start, target, physical_metric, base_seed)
@@ -229,7 +233,7 @@ def validate_theory(
     left untouched. Validity is relative to exactly this grid:
     coverage is reported, extrapolation is never assumed.
     """
-    if not theory.domain:
+    if not _typed("validate_theory", theory, Theory, "theory").domain:
         raise EmptyDomain(f"theory {theory.id!r} declares no domain states")
     if not theory.predictions:
         raise EmptyDomain(f"theory {theory.id!r} declares no predictions")

@@ -3,14 +3,21 @@ from dataclasses import replace
 
 import pytest
 
+import abrep.dynamics
+import abrep.refinement
+import abrep.relations
 import abrep.spaces
+import abrep.verification
 
 from abrep import (
     BUILTIN_SCENARIOS,
     AbstractState,
     BitSpace,
+    CoordinateFlipNoise,
     DISCRETE,
     LabelSpace,
+    METRICS,
+    NotInstantiable,
     OutOfDomain,
     RefinementLayer,
     RefinementStack,
@@ -19,9 +26,11 @@ from abrep import (
     build_refinement_stack,
     check_layer,
     check_stack_to_device,
+    derive_seed,
     enumerate_states,
     enumerate_values,
     evolve_abstract,
+    evolve_physical,
     instantiate,
     run_checks,
     run_compute_cycle,
@@ -30,6 +39,7 @@ from abrep import (
 from abrep.dynamics import AbstractDynamics, BuiltinRule
 from abrep.errors import DeclarationError
 from abrep.refinement import LayerReport, StackReport, reachable_bottom_states
+import reference
 from support import count_calls, count_device_work
 
 SEED = TrialSeed(0)
@@ -273,3 +283,103 @@ def test_stack_check_normalizes_no_value(monkeypatch):
     counts = count_calls(monkeypatch, normalize=abrep.spaces.normalize_value)
     assert run_checks(bundle).exit_code == 0
     assert counts["normalize"] == 0  # 5,232 when each was built through its constructor
+
+
+def test_a_stack_run_evaluates_each_layer_once(monkeypatch):
+    """Gate: the stack check reuses the layer checks' reports, within one run only."""
+    bundle = BUILTIN_SCENARIOS["refinement-stack"]()
+    counts = count_calls(monkeypatch, layer=abrep.refinement.check_layer)
+    assert run_checks(bundle).exit_code == 0
+    assert counts["layer"] == 2  # 4 when the stack check evaluated its layers again
+    assert run_checks(bundle).exit_code == 0
+    assert counts["layer"] == 4
+
+
+def test_layer_and_stack_checks_run_on_values(monkeypatch):
+    """Gate: the layer and stack checks step, read and grade values, not states."""
+    bundle = BUILTIN_SCENARIOS["refinement-stack"]()
+    assert {check.kind for check in bundle.checks} == {"layer", "stack"}
+    counts = count_calls(
+        monkeypatch,
+        evolve_abstract=abrep.dynamics.evolve_abstract,
+        represent=abrep.relations.represent,
+        evolve_physical=abrep.dynamics.evolve_physical,
+        check_commutation=abrep.verification.check_commutation,
+    )
+    assert run_checks(bundle).exit_code == 0
+    assert counts == dict.fromkeys(counts, 0)  # 1,072, 112, 127 and 112 through the public squares
+
+
+def test_a_noise_free_device_boundary_derives_no_seed(monkeypatch):
+    """Gate: a noise-free device reads no trial seed, so its stack check derives none."""
+    _, stack = stack_pieces()
+    assert stack.device.noise is None
+    counts = count_calls(monkeypatch, derive=abrep.dynamics.derive_seed)
+    assert check_stack_to_device(stack, 0.0, DISCRETE, SEED).passed
+    assert counts["derive"] == 0  # 112 with one per reachable bottom state
+
+
+def _stack_variants():
+    """Both built-in stacks, and the first with flips on its device's sum lines."""
+    stack = stack_pieces()[1]
+    device = replace(stack.device, noise=CoordinateFlipNoise(0.2, (4, 5, 6), 2.5, 0.0, 5.0))
+    return {
+        "stack": stack,
+        "miswired": stack_pieces(mis_declared=True)[1],
+        "noisy-device": replace(stack, device=device),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("variant", ["stack", "miswired", "noisy-device"])
+def test_layer_and_stack_reports_are_the_reference_reports(variant, seed):
+    """Differential: layers and squares on values report what the state-level definition does."""
+    stack = _stack_variants()[variant]
+    trials, required = (20, 0.5) if stack.device.noise is not None else (1, 1.0)
+    for relation in stack.relations:
+        assert check_layer(relation, 0.0, DISCRETE) == reference.check_layer(relation, 0.0, DISCRETE)
+    assert reachable_bottom_states(stack) == reference.reachable_bottom_states(stack)
+    report = check_stack_to_device(stack, 0.0, DISCRETE, TrialSeed(seed), trials, required)
+    expected = reference.check_stack_to_device(stack, 0.0, DISCRETE, TrialSeed(seed), trials, required)
+    assert report == expected
+
+
+def test_noisy_engineering_prepares_what_the_reference_prepares():
+    """Differential: preparation on values keeps the first seed that reads as each target.
+
+    Half the grid seeds the device, and flips on the addend lines move what
+    they reach, so some words have no seed.
+    """
+    stack = stack_pieces()[1]
+    procedure = stack.theory.instantiation
+    flips = CoordinateFlipNoise(0.5, (0, 1, 2, 3), 2.5, 0.0, 5.0)
+    engineering = replace(procedure.engineering, noise=flips)
+    seeds = procedure.seeds[::2]
+    assert evolve_physical(engineering, seeds[1], TrialSeed(0)) != seeds[1]
+    theory = replace(stack.theory, instantiation=replace(procedure, seeds=seeds, engineering=engineering))
+
+    def outcome(prepare, target):
+        try:
+            return prepare(theory, target)
+        except NotInstantiable as err:
+            return str(err)
+
+    words = enumerate_states(stack.layers[-1].space)
+    outcomes = [outcome(instantiate, word) for word in words]
+    assert outcomes == [outcome(reference.instantiate, word) for word in words]
+    assert 0 < sum(isinstance(o, str) for o in outcomes) < len(words)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["refinement-stack", "refinement-stack-miswired"])
+def test_the_runner_reports_the_public_stack_check(name, seed):
+    """The runner's stack detail, from the layer checks' reports, is that of the public check."""
+    bundle = BUILTIN_SCENARIOS[name]()
+    report = run_checks(bundle, TrialSeed(seed))
+    for index, (check, result) in enumerate(zip(bundle.checks, report.results)):
+        if check.kind == "stack":
+            public = check_stack_to_device(
+                bundle.stack(check.stack), check.epsilon, METRICS[check.metric],
+                derive_seed(TrialSeed(seed), index), check.trials, check.required_success,
+            )
+            assert result.detail == reference.stack_detail(public)

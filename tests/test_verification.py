@@ -42,6 +42,7 @@ from abrep import (
     build_voltage_adder,
     check_commutation,
     check_history,
+    check_layer,
     check_stack_to_device,
     derive_seed,
     evolve_physical,
@@ -591,6 +592,65 @@ def test_seeds_are_type_checked_at_the_api(call, seed):
         _seeded_calls()[call](seed)
     assert str(err.value) == f"{call}: seed: expected a TrialSeed"
     assert (err.value.field, err.value.reason) == ("seed", "expected a TrialSeed")
+
+
+def _mistyped_calls() -> dict:
+    """API calls with a string where a declaration belongs, by the owner and field they name."""
+    _, theory, pred = adder_pieces()
+    spec = DiagramSpec(theory, pred.abstract, pred.physical)
+    stack = BUILTIN_SCENARIOS["refinement-stack"]().stacks[0]
+    m = machine_state(theory, ("01", "10", "000"))
+    return {
+        "validate_theory-theory": (
+            "validate_theory", "theory", "Theory",
+            lambda: validate_theory("adder", 0.0, DISCRETE, 1, 1.0, SEED),
+        ),
+        "validate_theory-metric": (
+            "diagram", "metric", "Metric",
+            lambda: validate_theory(theory, 0.0, "discrete", 1, 1.0, SEED),
+        ),
+        "diagram-metric": (
+            "diagram", "metric", "Metric",
+            lambda: DiagramSpec(theory, pred.abstract, pred.physical, metric="hamming"),
+        ),
+        "check_history-physical_metric": (
+            "check_history", "physical_metric", "Metric",
+            lambda: check_history(spec, m, "max-coordinate", SEED),
+        ),
+        "check_layer-relation": (
+            "check_layer", "relation", "SimulationRelation",
+            lambda: check_layer("stack.dec-to-bin", 0.0, DISCRETE),
+        ),
+        "check_layer-metric": (
+            "check_layer", "metric", "Metric",
+            lambda: check_layer(stack.relations[0], 0.0, "discrete"),
+        ),
+        "check_stack_to_device-stack": (
+            "check_stack_to_device", "stack", "RefinementStack",
+            lambda: check_stack_to_device("stack.adder", 0.0, DISCRETE, SEED),
+        ),
+        "check_stack_to_device-metric": (
+            "check_layer", "metric", "Metric",
+            lambda: check_stack_to_device(stack, 0.0, "discrete", SEED),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "validate_theory-theory", "validate_theory-metric", "diagram-metric",
+        "check_history-physical_metric", "check_layer-relation", "check_layer-metric",
+        "check_stack_to_device-stack", "check_stack_to_device-metric",
+    ],
+)
+def test_metrics_theories_relations_and_stacks_are_type_checked_at_the_api(case):
+    """A string where a declaration belongs is a DeclarationError naming the field."""
+    owner, field, kind, call = _mistyped_calls()[case]
+    with pytest.raises(DeclarationError) as err:
+        call()
+    assert str(err.value) == f"{owner}: {field}: expected a {kind}"
+    assert (err.value.field, err.value.reason) == (field, f"expected a {kind}")
 
 
 def test_a_diagram_rejects_dynamics_on_other_spaces():
