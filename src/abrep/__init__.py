@@ -44,7 +44,6 @@ from .errors import (
     DuplicateIdentifier,
     EmptyDomain,
     MetricMismatch,
-    MissingInstantiation,
     ModelError,
     NotEnumerable,
     NotInstantiable,
@@ -52,7 +51,6 @@ from .errors import (
     OutOfDomain,
     ScenarioError,
     ScenarioSyntaxError,
-    SpaceMismatch,
     TheoryNotValidated,
     TooLarge,
     UnknownReference,

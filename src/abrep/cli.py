@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -50,19 +49,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _finite_real(text: str) -> float:
-    """A real-number flag value; NaN and the infinities are usage errors (exit 2)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
-
-
 def _tolerance_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--epsilon", type=_finite_real, default=None, help="tolerance override")
+    sub.add_argument("--epsilon", type=float, default=None, help="tolerance override")
     sub.add_argument("--trials", type=int, default=None, help="trial-count override")
 
 
@@ -80,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("file")
     validate.add_argument("--theory", required=True)
     validate.add_argument("--metric", choices=sorted(METRICS), default="discrete")
-    validate.add_argument("--required-success", type=_finite_real, default=1.0)
+    validate.add_argument("--required-success", type=float, default=1.0)
     _tolerance_flags(validate)
     _common_flags(validate)
 

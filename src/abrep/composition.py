@@ -100,20 +100,15 @@ class JointSystem:
             self.right.theory.representation.domain,
         )
         if self.joint_space.components != expected:
-            raise NotProductSpace(
-                f"joint {self.id!r}: joint space is not the ordered product of the"
-                " component spaces"
+            raise DeclarationError(
+                f"{owner}: joint space is not the ordered product of the component spaces"
             )
         if self.joint_representation.domain != self.joint_space:
-            raise NotProductSpace(
-                f"joint {self.id!r}: joint representation does not read the product"
-            )
+            raise DeclarationError(f"{owner}: joint representation does not read the product")
         if self.joint_dynamics.space != self.joint_representation.codomain:
-            raise NotProductSpace(
-                f"joint {self.id!r}: joint dynamics do not act on the joint codomain"
-            )
+            raise DeclarationError(f"{owner}: joint dynamics do not act on the joint codomain")
         if self.provenance not in ("composed-parallel", "declared"):
-            raise DeclarationError(f"joint {self.id!r}: unknown provenance {self.provenance!r}")
+            raise DeclarationError(f"{owner}: unknown provenance {self.provenance!r}")
 
 
 @dataclass(frozen=True)
@@ -159,9 +154,7 @@ def compose_parallel(a: Component, b: Component, joint_id: str = "parallel") -> 
 
 
 def _product_values(space: PhysicalTupleSpace) -> tuple[list[Value], list[Value]]:
-    if len(space.components) != 2:
-        raise NotProductSpace(f"space {space.id!r} is not a two-part product")
-    left, right = space.components
+    left, right = space.components  # two: a joint space is the product of its two halves
     if not (is_finite(left) and is_finite(right)):
         raise NotEnumerable(f"space {space.id!r} has a continuous component")
     return list(enumerate_values(left)), list(enumerate_values(right))

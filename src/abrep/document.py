@@ -47,8 +47,8 @@ from .errors import (
     OutOfDomain,
     ScenarioError,
     ScenarioSyntaxError,
-    UnknownReference,
     VersionUnsupported,
+    resolve,
 )
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
@@ -71,6 +71,7 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _typed,
     enumerate_values,
     normalize_value,
 )
@@ -96,13 +97,6 @@ def _expect(obj: Any, path: str, kind: type, what: str) -> Any:
     if not isinstance(obj, kind):
         raise ScenarioSyntaxError(f"{path}: expected {what}")
     return obj
-
-
-def resolve(table: dict, ident: Any, path: str) -> Any:
-    """The object ``table`` declares as ``ident``, or UnknownReference at ``path``."""
-    if not isinstance(ident, str) or ident not in table:
-        raise UnknownReference(path, str(ident))
-    return table[ident]
 
 
 def _pair(pair: Any, path: str) -> list:
@@ -471,7 +465,7 @@ def parse_scenario(text: str) -> ScenarioBundle:
     problems, the document path otherwise) and the offending identifier.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(_typed("parse_scenario", text, str, "text"))
     except json.JSONDecodeError as err:
         raise ScenarioSyntaxError(err.msg, err.lineno, err.colno) from err
     _expect(doc, "document", dict, "a JSON object")
@@ -498,6 +492,7 @@ def parse_scenario(text: str) -> ScenarioBundle:
 
 def emit_scenario(bundle: ScenarioBundle) -> str:
     """Serialize a bundle as document text that parses back equal."""
+    _typed("emit_scenario", bundle, ScenarioBundle, "bundle")
     doc: dict[str, Any] = {"format_version": bundle.format_version}
     for field, path, decl in _SECTIONS:
         section, _, part = path.partition(".")

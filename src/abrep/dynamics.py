@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Union
 
-from .errors import DeclarationError, OutOfDomain, SpaceMismatch
+from .errors import DeclarationError, OutOfDomain
 from .spaces import (
     AbstractSpace,
     AbstractState,
@@ -35,6 +35,7 @@ from .spaces import (
     _identifier,
     _integer,
     _items,
+    _register_widths,
     _trusted,
     _typed,
     check_total_table,
@@ -164,13 +165,13 @@ class AbstractDynamics:
         require_family(owner, self.space, AbstractSpace)
         rule = self.rule
         if isinstance(rule, TableRule):
-            _canonical_table(self, owner)
+            _canonical_table(self, owner, self.space, self.space)
         elif isinstance(rule, BuiltinRule):
             _check_builtin_shape(owner, self.space, rule.name)
         elif isinstance(rule, ChainRule):
             for part in rule.parts:
                 if part.space != self.space:
-                    raise SpaceMismatch(
+                    raise DeclarationError(
                         f"{owner}: chain part {part.id!r} acts on a different space"
                     )
         elif isinstance(rule, ProductRule):
@@ -220,17 +221,16 @@ def _builtin(name: str, space: AbstractSpace) -> Callable[[Value], Value]:
     return lambda v: (format(op(int(v[0], 2), int(v[1], 2)), fmt), v[1])
 
 
-def _canonical_table(dyn, owner: str) -> None:
-    """Check a dynamics' table rule for totality and store it in canonical form."""
-    entries = check_total_table(owner, dyn.rule.entries, dyn.space, dyn.space)
-    if entries is not dyn.rule.entries:
-        object.__setattr__(dyn, "rule", TableRule(entries))
+def _canonical_table(decl, owner: str, keys, values) -> None:
+    """Check ``decl``'s table rule from ``keys`` into ``values``; store it in canonical form."""
+    entries = check_total_table(owner, decl.rule.entries, keys, values)
+    if entries is not decl.rule.entries:
+        object.__setattr__(decl, "rule", type(decl.rule)(entries))
 
 
 def _check_builtin_shape(owner: str, space: AbstractSpace, name: str) -> None:
     parts = space.components if isinstance(space, TupleSpace) else ()
-    widths = [c.width for c in parts if isinstance(c, BitSpace)]
-    widths = widths if len(widths) == len(parts) else []  # the widths of a tuple of registers
+    widths = _register_widths(space) or ()
     pair = len(widths) == 2 and widths[0] == widths[1], "a pair of equal-width bitstring registers"
     ok, requirement = {
         "identity": (True, ""),
@@ -378,7 +378,7 @@ class PhysicalDynamics:
         require_family(owner, self.space, PhysicalSpace)
         rule = self.rule
         if isinstance(rule, TableRule):
-            _canonical_table(self, owner)
+            _canonical_table(self, owner, self.space, self.space)
         elif isinstance(rule, CoordinateUpdateRule):
             if not isinstance(self.space, RealVectorSpace):
                 raise DeclarationError(f"{owner}: coordinate updates need a real-vector space")

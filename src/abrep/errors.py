@@ -1,4 +1,4 @@
-"""Exception types shared across the framework."""
+"""Exception types shared across the framework, and the identifier lookup that raises one."""
 
 
 class ModelError(Exception):
@@ -29,16 +29,8 @@ class NotEnumerable(ModelError):
     """Enumeration was requested for a continuous space."""
 
 
-class SpaceMismatch(ModelError):
-    """Two objects that must share a space do not."""
-
-
 class NotInstantiable(ModelError):
-    """No declared seed prepares a physical state for the target."""
-
-
-class MissingInstantiation(ModelError):
-    """The theory declares no instantiation procedure."""
+    """The theory declares no instantiation procedure, or no declared seed prepares the target."""
 
 
 class TheoryNotValidated(ModelError):
@@ -72,23 +64,32 @@ class ScenarioSyntaxError(ScenarioError):
         super().__init__(message)
 
 
-class UnknownReference(ScenarioError):
+class _IdentifierError(ScenarioError):
+    """An ``identifier`` at ``path``, which the subclass's ``problem`` says is wrong."""
+
+    def __init__(self, path: str, identifier: str):
+        self.path, self.identifier = path, identifier
+        super().__init__(f"{path}: {self.problem} identifier {identifier!r}")
+
+
+class UnknownReference(_IdentifierError):
     """An identifier is used before, or without, being declared."""
 
-    def __init__(self, path: str, identifier: str):
-        self.path = path
-        self.identifier = identifier
-        super().__init__(f"{path}: unknown identifier {identifier!r}")
+    problem = "unknown"
 
 
-class DuplicateIdentifier(ScenarioError):
+class DuplicateIdentifier(_IdentifierError):
     """The same identifier is declared twice in one section."""
 
-    def __init__(self, path: str, identifier: str):
-        self.path = path
-        self.identifier = identifier
-        super().__init__(f"{path}: duplicate identifier {identifier!r}")
+    problem = "duplicate"
 
 
 class VersionUnsupported(ScenarioError):
     """The document format version is not recognized."""
+
+
+def resolve(table: dict, ident, path: str):
+    """The object ``table`` declares as ``ident``, or UnknownReference at ``path``."""
+    if not isinstance(ident, str) or ident not in table:
+        raise UnknownReference(path, str(ident))
+    return table[ident]

@@ -25,21 +25,15 @@ from .dynamics import (
     AbstractDynamics,
     PhysicalDynamics,
     TrialSeed,
+    _canonical_table,
     _check_parts,
     _each,
     _noisy,
 )
-from .errors import (
-    DeclarationError,
-    MissingInstantiation,
-    NotInstantiable,
-    OutOfDomain,
-    UnknownReference,
-)
+from .errors import DeclarationError, NotInstantiable, OutOfDomain, resolve
 from .spaces import (
     AbstractSpace,
     AbstractState,
-    BitSpace,
     PhysicalSpace,
     PhysicalState,
     PhysicalTupleSpace,
@@ -49,9 +43,9 @@ from .spaces import (
     _finite,
     _identifier,
     _items,
+    _register_widths,
     _trusted,
     _typed,
-    check_total_table,
     contains,
     require_family,
 )
@@ -121,9 +115,7 @@ class RepresentationRelation:
         require_family(owner, self.codomain, AbstractSpace)
         rule = self.rule
         if isinstance(rule, LookupRule):
-            entries = check_total_table(owner, rule.entries, self.domain, self.codomain)
-            if entries is not rule.entries:
-                object.__setattr__(self, "rule", LookupRule(entries))
+            _canonical_table(self, owner, self.domain, self.codomain)
         elif isinstance(rule, ThresholdRule):
             if not isinstance(self.domain, RealVectorSpace):
                 raise DeclarationError(f"{owner}: threshold rules need a real-vector domain")
@@ -178,16 +170,6 @@ class RepresentationRelation:
 
 
 _BITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _register_widths(codomain: AbstractSpace) -> tuple[int, ...] | None:
-    if isinstance(codomain, BitSpace):
-        return (codomain.width,)
-    if isinstance(codomain, TupleSpace) and all(
-        isinstance(c, BitSpace) for c in codomain.components
-    ):
-        return tuple(c.width for c in codomain.components)
-    return None
 
 
 def represent(relation: RepresentationRelation, p: PhysicalState) -> AbstractState:
@@ -289,10 +271,7 @@ class Theory:
         return "valid" if self.evidence.all_passed else "invalid"
 
     def prediction(self, name: str) -> Prediction:
-        for pred in self.predictions:
-            if pred.name == name:
-                return pred
-        raise UnknownReference(f"theory {self.id!r}", str(name))
+        return resolve({p.name: p for p in self.predictions}, name, f"theory {self.id!r}")
 
 
 # Engineering dynamics run with a fixed seed so preparation is a pure
@@ -317,7 +296,7 @@ def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[Physi
     order that per-target ``instantiate`` calls would raise them.
     """
     if theory.instantiation is None:
-        raise MissingInstantiation(f"theory {theory.id!r} declares no instantiation procedure")
+        raise NotInstantiable(f"theory {theory.id!r} declares no instantiation procedure")
     relation = theory.representation
     read = relation._apply  # prepared configurations are in its domain: checked at declaration
     engineering = theory.instantiation.engineering

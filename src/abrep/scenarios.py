@@ -23,7 +23,7 @@ from .dynamics import (
     TableRule,
     identity_dynamics,
 )
-from .errors import DeclarationError, DuplicateIdentifier, UnknownReference
+from .errors import DeclarationError, DuplicateIdentifier, resolve
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
     InstantiationProcedure,
@@ -140,10 +140,7 @@ class ScenarioBundle:
                 seen.add(ident)
 
     def _find(self, section: str, wanted: str):
-        for obj in getattr(self, section):
-            if obj.id == wanted:
-                return obj
-        raise UnknownReference(f"bundle {section}", str(wanted))
+        return resolve({obj.id: obj for obj in getattr(self, section)}, wanted, f"bundle {section}")
 
     def theory(self, theory_id: str) -> Theory:
         return self._find("theories", theory_id)

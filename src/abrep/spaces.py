@@ -424,6 +424,15 @@ def check_total_table(owner: str, entries, keys: Space, values: Space) -> Mappin
     return {**entries, **changed} if changed else entries
 
 
+def _register_widths(space: AbstractSpace) -> tuple[int, ...] | None:
+    """The register widths of a bit space, or of a tuple of them; None for any other space."""
+    if isinstance(space, BitSpace):
+        return (space.width,)
+    if isinstance(space, TupleSpace) and all(isinstance(c, BitSpace) for c in space.components):
+        return tuple(c.width for c in space.components)
+    return None
+
+
 def enumerate_states(space: Space) -> list[State]:
     """All states of a finite space, in the canonical enumeration order."""
     make = AbstractState if isinstance(space, AbstractSpace) else PhysicalState
@@ -450,18 +459,8 @@ class Metric:
 
 
 METRIC_KINDS = ("discrete", "hamming", "absolute-difference", "max-coordinate")
-
-DISCRETE = Metric("discrete")
-HAMMING = Metric("hamming")
-ABSOLUTE_DIFFERENCE = Metric("absolute-difference")
-MAX_COORDINATE = Metric("max-coordinate")
-
-METRICS = {
-    "discrete": DISCRETE,
-    "hamming": HAMMING,
-    "absolute-difference": ABSOLUTE_DIFFERENCE,
-    "max-coordinate": MAX_COORDINATE,
-}
+METRICS = {kind: Metric(kind) for kind in METRIC_KINDS}
+DISCRETE, HAMMING, ABSOLUTE_DIFFERENCE, MAX_COORDINATE = METRICS.values()
 
 
 def distance(metric: Metric, a: State, b: State) -> float:

@@ -213,20 +213,20 @@ def test_single_check_commands_run_the_equivalent_check(tmp_path, capsys, name, 
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, field",
     [
-        ["check", "--epsilon", "nan"],
-        ["check", "--epsilon=-inf"],
-        ["validate-theory", "--theory", "adder", "--required-success", "nan"],
+        (["check", "--epsilon", "nan"], "epsilon"),
+        (["check", "--epsilon=-inf"], "epsilon"),
+        (["validate-theory", "--theory", "adder", "--required-success", "nan"], "required_success"),
     ],
     ids=["nan-epsilon", "inf-epsilon", "nan-success"],
 )
-def test_non_finite_flag_values_are_usage_errors(tmp_path, capsys, flags):
+def test_non_finite_flag_values_are_usage_errors(tmp_path, capsys, flags, field):
     path = write_scenario(tmp_path, "voltage-adder")
-    with pytest.raises(SystemExit) as exit_:
-        main([flags[0], path, *flags[1:]])
-    assert exit_.value.code == 2
-    assert "is not a finite number" in capsys.readouterr().err
+    assert main([flags[0], path, *flags[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DeclarationError: check '")
+    assert f": {field}: expected a finite number" in err
 
 
 @pytest.mark.parametrize(

@@ -426,7 +426,7 @@ def test_brute_force_rejects_unenumerable_candidate_counts():
 
 def test_degenerate_joint_space_is_rejected():
     left, right, base = xor_components()
-    with pytest.raises(NotProductSpace):
+    with pytest.raises(DeclarationError, match="not the ordered product"):
         JointSystem(
             "bad",
             base.left,

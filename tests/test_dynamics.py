@@ -22,7 +22,6 @@ from abrep import (
     PhysicalState,
     PhysicalTupleSpace,
     RealVectorSpace,
-    SpaceMismatch,
     TableRule,
     TrialSeed,
     TupleSpace,
@@ -150,7 +149,7 @@ def test_staged_ripple_add_chain_equals_direct_table():
 def test_compose_rejects_space_mismatch():
     a = AbstractDynamics("a", BitSpace("b1", 1), BuiltinRule("identity"))
     b = AbstractDynamics("b", BitSpace("b2", 2), BuiltinRule("identity"))
-    with pytest.raises(SpaceMismatch):
+    with pytest.raises(DeclarationError, match="chain part 'b' acts on a different space"):
         AbstractDynamics("a>>b", a.space, ChainRule((a, b)))
 
 

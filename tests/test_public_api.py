@@ -1,0 +1,35 @@
+"""The names the ``abrep`` package exports, pinned so that any addition or removal shows."""
+
+import types
+
+import abrep
+
+EXPORTS = """
+    ABSOLUTE_DIFFERENCE AbstractDynamics AbstractSpace AbstractState BUILTIN_SCENARIOS
+    BinarySumUpdate BitSpace BuiltinRule ChainRule CheckSpec CommutationReport Component
+    CompositionClass ComputeResult ConstantUpdate CoordinateFlipNoise CoordinateUpdateRule
+    DISCRETE DeclarationError DiagramSpec DuplicateIdentifier EmptyDomain FactorizationWitness
+    HAMMING HETEROTIC HYBRID InstantiationProcedure IntSpace JointSystem LabelFlipNoise
+    LabelSpace LayerReport LookupRule MAX_COORDINATE METRICS Metric MetricMismatch ModelError
+    NotEnumerable NotInstantiable NotProductSpace OutOfDomain PhysicalDynamics
+    PhysicalLabelSpace PhysicalSpace PhysicalState PhysicalTupleSpace Prediction
+    RealVectorSpace RefinementLayer RefinementStack RepresentationRelation RunReport
+    ScenarioBundle ScenarioError ScenarioSyntaxError SimulationRelation StackReport TableRule
+    Theory TheoryNotValidated ThresholdRule TooLarge TrialSeed TupleSpace TupleWiseRule
+    UnknownReference ValidityReport VersionUnsupported brute_force_classify
+    build_refinement_stack build_social_machine build_swap_device build_voltage_adder
+    build_xor_joint cardinality check_commutation check_history check_layer
+    check_stack_to_device classify componentwise_joint compose_parallel contains derive_seed
+    distance emit_scenario enumerate_states enumerate_values evolve_abstract evolve_physical
+    factorize_dynamics factorize_representation identity_dynamics instantiate parse_scenario
+    report_to_json represent run_checks run_compute_cycle validate_theory
+""".split()
+
+
+def test_the_package_exports_exactly_the_pinned_names():
+    exported = sorted(
+        name
+        for name, value in vars(abrep).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == EXPORTS

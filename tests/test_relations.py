@@ -13,7 +13,6 @@ from abrep import (
     IntSpace,
     LabelSpace,
     LookupRule,
-    MissingInstantiation,
     NotInstantiable,
     OutOfDomain,
     PhysicalDynamics,
@@ -210,7 +209,7 @@ def test_instantiate_with_empty_seed_set_is_not_instantiable():
 
 def test_instantiate_without_procedure_raises():
     theory = _tiny_theory(with_instantiation=False)
-    with pytest.raises(MissingInstantiation):
+    with pytest.raises(NotInstantiable, match="declares no instantiation procedure"):
         instantiate(theory, AbstractState(theory.representation.codomain, "x"))
 
 

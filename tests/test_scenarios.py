@@ -8,8 +8,8 @@ from abrep import (
     CheckSpec,
     DeclarationError,
     DuplicateIdentifier,
-    ModelError,
     TrialSeed,
+    UnknownReference,
     build_refinement_stack,
     build_swap_device,
     build_voltage_adder,
@@ -108,14 +108,23 @@ def test_bundles_built_through_the_api_reject_duplicate_identifiers():
     assert err.value.identifier == "validate-left"
 
 
-def test_unknown_identifiers_in_api_lookups_are_model_errors():
-    bundle = build_xor_joint()
-    with pytest.raises(ModelError):
-        bundle.theory("nope")
-    with pytest.raises(ModelError):
-        bundle.joint("nope")
-    with pytest.raises(ModelError):
-        bundle.theory("xor.left").prediction("nope")
+@pytest.mark.parametrize("ident", ["nope", 5], ids=["missing", "not-a-string"])
+@pytest.mark.parametrize(
+    "path, lookup",
+    [
+        ("bundle theories", lambda bundle: bundle.theory),
+        ("bundle stacks", lambda bundle: bundle.stack),
+        ("bundle joints", lambda bundle: bundle.joint),
+        ("theory 'xor.left'", lambda bundle: bundle.theory("xor.left").prediction),
+    ],
+    ids=["theory", "stack", "joint", "prediction"],
+)
+def test_unknown_identifiers_in_api_lookups_are_model_errors(path, lookup, ident):
+    """Every lookup by identifier raises UnknownReference in the one form the reader uses."""
+    with pytest.raises(UnknownReference) as err:
+        lookup(build_xor_joint())(ident)
+    assert str(err.value) == f"{path}: unknown identifier {str(ident)!r}"
+    assert (err.value.path, err.value.identifier) == (path, str(ident))
 
 
 def test_stack_relations_connect_declared_layers():

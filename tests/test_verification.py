@@ -45,9 +45,12 @@ from abrep import (
     check_layer,
     check_stack_to_device,
     derive_seed,
+    emit_scenario,
     evolve_physical,
     identity_dynamics,
     instantiate,
+    parse_scenario,
+    report_to_json,
     represent,
     run_checks,
     run_compute_cycle,
@@ -595,8 +598,8 @@ def test_seeds_are_type_checked_at_the_api(call, seed):
 
 
 def _mistyped_calls() -> dict:
-    """API calls with a string where a declaration belongs, by the owner and field they name."""
-    _, theory, pred = adder_pieces()
+    """API calls with an argument of the wrong type, by the owner, field and type they name."""
+    bundle, theory, pred = adder_pieces()
     spec = DiagramSpec(theory, pred.abstract, pred.physical)
     stack = BUILTIN_SCENARIOS["refinement-stack"]().stacks[0]
     m = machine_state(theory, ("01", "10", "000"))
@@ -633,6 +636,23 @@ def _mistyped_calls() -> dict:
             "check_layer", "metric", "Metric",
             lambda: check_stack_to_device(stack, 0.0, "discrete", SEED),
         ),
+        "run_checks-bundle": ("run_checks", "bundle", "ScenarioBundle", lambda: run_checks("b")),
+        "run_checks-checks": (
+            "run_checks", "checks", "list", lambda: run_checks(bundle, checks="abc"),
+        ),
+        "run_checks-check": (
+            "run_checks", "checks[0]", "CheckSpec", lambda: run_checks(bundle, checks=("abc",)),
+        ),
+        "run_checks-name_filter": (
+            "run_checks", "name_filter", "str", lambda: run_checks(bundle, SEED, 5),
+        ),
+        "parse_scenario-text": ("parse_scenario", "text", "str", lambda: parse_scenario(5)),
+        "emit_scenario-bundle": (
+            "emit_scenario", "bundle", "ScenarioBundle", lambda: emit_scenario("b"),
+        ),
+        "report_to_json-report": (
+            "report_to_json", "report", "RunReport", lambda: report_to_json("r"),
+        ),
     }
 
 
@@ -642,10 +662,12 @@ def _mistyped_calls() -> dict:
         "validate_theory-theory", "validate_theory-metric", "diagram-metric",
         "check_history-physical_metric", "check_layer-relation", "check_layer-metric",
         "check_stack_to_device-stack", "check_stack_to_device-metric",
+        "run_checks-bundle", "run_checks-checks", "run_checks-check", "run_checks-name_filter",
+        "parse_scenario-text", "emit_scenario-bundle", "report_to_json-report",
     ],
 )
-def test_metrics_theories_relations_and_stacks_are_type_checked_at_the_api(case):
-    """A string where a declaration belongs is a DeclarationError naming the field."""
+def test_arguments_are_type_checked_at_the_api(case):
+    """An argument of the wrong type is a DeclarationError naming the field."""
     owner, field, kind, call = _mistyped_calls()[case]
     with pytest.raises(DeclarationError) as err:
         call()
