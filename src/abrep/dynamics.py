@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -53,7 +54,7 @@ _RAMP = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(_BLOCK))
 
 
 def _mix(z: int, mask: int) -> int:
-    """SplitMix64's mix of each 64-bit word that ``mask`` keeps in ``z`` (see ``_noisy``)."""
+    """SplitMix64's mix of each 64-bit word that ``mask`` keeps in ``z`` (see ``_flag_codes``)."""
     z &= mask
     z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
     z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
@@ -474,30 +475,31 @@ def evolve_physical(h: PhysicalDynamics, p: PhysicalState, t: TrialSeed) -> Phys
         raise OutOfDomain(f"configuration is not in the space of dynamics {h.id!r}")
     value = h._apply(p.value)
     if h.noise is not None:
-        (value,) = _noisy(h.noise, value, t.value, 1)
+        value = _flip(h.noise, value, _flag_codes(h.noise, t.value, 1)[0])
     return _trusted(PhysicalState, h.space, value)
 
 
-def _trial_outcomes(h: PhysicalDynamics, value: Value, base: TrialSeed | None, trials: int) -> list:
-    """The outcome values of ``trials`` runs of ``h`` from the member value ``value``, in order.
+def _trial_outcomes(h: PhysicalDynamics, value: Value, base: TrialSeed | None, trials: int) -> tuple:
+    """The rule's image of member value ``value``, and the flag code of each of ``trials`` runs.
 
-    Trial k's value is that of ``evolve_physical(h, p, derive_seed(base, k))``
-    for the state p of ``value``. The rule ignores the seed, so it runs once
-    and only the noise is drawn, ``_BLOCK`` trials per kernel pass, with
-    ``base`` mixed into the seeds once; a noise-free device repeats its one
-    outcome and reads no seed, so its ``base`` may be None.
+    Trial k's outcome, that of ``evolve_physical(h, p, derive_seed(base, k))``
+    for the state p of ``value``, is ``_flip(h.noise, image, codes[k])``. The
+    rule ignores the seed, so it runs once and only the noise is drawn,
+    ``_BLOCK`` trials per kernel pass, with ``base`` mixed into the seeds
+    once. A noise-free device's codes are all 0 and it reads no seed, so its
+    ``base`` may be None.
     """
     image = h._apply(value)
     if h.noise is None:
-        return [image] * trials
+        return image, (0,) * trials
     head = _mix(_GOLDEN + base.value, _MASK64)
-    outcomes = []
+    codes = ()
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)
         ones, ramp = _ONES >> 128 * (_BLOCK - count), _RAMP & ((1 << 128 * count) - 1)
         seeds = _mix((head + start) * ones + ramp, _MASK64 * ones)
-        outcomes += _noisy(h.noise, image, seeds, count)
-    return outcomes
+        codes += _flag_codes(h.noise, seeds, count)
+    return image, codes
 
 
 def _register_int(coords: list[float], lines: tuple[int, ...], threshold: float) -> int:
@@ -507,8 +509,8 @@ def _register_int(coords: list[float], lines: tuple[int, ...], threshold: float)
     return n
 
 
-def _noisy(noise: Noise, value: Value, seeds: int, count: int) -> list:
-    """``value`` after ``noise`` in ``count`` trials, whose seeds ``seeds`` packs, in order.
+def _flag_codes(noise: Noise, seeds: int, count: int) -> tuple[int, ...]:
+    """One flag code per trial of ``noise``, for the ``count`` seeds that ``seeds`` packs, in order.
 
     Trial k's seed is the 64-bit word in 128-bit slot k, and each SplitMix
     step runs on all slots at once: a word times a word stays in its slot,
@@ -516,28 +518,34 @@ def _noisy(noise: Noise, value: Value, seeds: int, count: int) -> list:
     flip probability, line i flips in trial t when ``unit_draw(TrialSeed(t),
     i) < p``, that is, when the draw's word x has ``x >> 11 < p * 2**53``:
     exactly ``x < cut``, with ``cut = ceil(p * 2**53) << 11 <= 2**64``. So
-    each slot adds ``2**64 - cut``, and its bit 64 (in byte 8) is set when
-    the line keeps its level. Each distinct pattern of flags is applied once,
-    in line order: a line listed twice flips twice.
+    each slot adds ``2**64 - cut``, and its bit 64 is set when the line
+    keeps its level. Bit j of a trial's code is that flag for the j-th
+    listed line (line 0 alone for label noise), so a line listed twice has
+    two equal bits. The flags of 64 lines at a time are shifted into the
+    top word of each slot, and the top words are unpacked, one per trial.
     """
     ones = _ONES >> 128 * (_BLOCK - count)
-    mask, size = _MASK64 * ones, 16 * count
+    mask, carries = _MASK64 * ones, ones << 64
     bias = ((1 << 64) - (math.ceil(noise.probability * (1 << 53)) << 11)) * ones
     heads = _mix(seeds + _GOLDEN * ones, mask)
     lines = (0,) if isinstance(noise, LabelFlipNoise) else noise.coordinates
-    kept = [(_mix(heads + i * ones, mask) + bias).to_bytes(size, "little")[8::16] for i in lines]
-    patterns = list(zip(*kept)) or [()] * count
-    outcomes = {keeps: _flip(noise, value, keeps) for keeps in set(patterns)}
-    return [outcomes[keeps] for keeps in patterns]
+    codes = (0,) * count
+    for first in range(0, len(lines), 64):
+        flags = 0
+        for j, line in enumerate(lines[first : first + 64]):
+            flags |= (_mix(heads + line * ones, mask) + bias & carries) << j
+        tops = struct.unpack(f"<{2 * count}Q", flags.to_bytes(16 * count, "little"))[1::2]
+        codes = tuple(map(lambda code, top: code | top << first, codes, tops)) if first else tops
+    return codes
 
 
-def _flip(noise: Noise, value: Value, keeps: tuple) -> Value:
-    """``value`` after ``noise`` flips each line whose flag in ``keeps`` is 0."""
+def _flip(noise: Noise, value: Value, code: int) -> Value:
+    """``value`` after ``noise`` flips, in order, each listed line whose bit in ``code`` is 0."""
     if isinstance(noise, LabelFlipNoise):
-        return value if keeps[0] else noise.partners[value]
+        return value if code & 1 else noise.partners[value]
     working = list(value)
-    for line, keep in zip(noise.coordinates, keeps):
-        if not keep:
+    for j, line in enumerate(noise.coordinates):
+        if not code >> j & 1:
             working[line] = noise.low if working[line] >= noise.threshold else noise.high
     return tuple(working)
 

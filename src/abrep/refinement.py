@@ -36,7 +36,7 @@ from .spaces import (
     contains,
     enumerate_values,
 )
-from .verification import CommutationReport, DiagramSpec, _in_domain, _square
+from .verification import CommutationReport, DiagramSpec, _assemble, _Deferred, _in_domain, _square
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,11 @@ class LayerCheckEntry:
 
 
 @dataclass(frozen=True)
-class LayerReport:
-    """Every upper state's entry; the verdict is read off the entries."""
+class LayerReport(_Deferred):
+    """Every upper state's entry; the verdict is read off the entries.
+
+    ``check_layer`` reads it off rows of values, and builds ``entries`` on first read.
+    """
 
     relation_id: str
     entries: tuple[LayerCheckEntry, ...]
@@ -98,6 +101,14 @@ class LayerReport:
     @cached_property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
+
+    def _view(self, name: str, upper: AbstractSpace, lower: AbstractSpace, rows: list) -> tuple:
+        """The entries of ``rows``: each upper value, both paths' images and their distance."""
+        state = partial(_trusted, AbstractState)
+        return tuple(
+            LayerCheckEntry(state(upper, v), state(lower, a), state(lower, b), d, d <= self.epsilon)
+            for v, a, b, d in rows
+        )
 
 
 def check_layer(s: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
@@ -108,14 +119,15 @@ def check_layer(s: SimulationRelation, epsilon: float, metric: Metric) -> LayerR
     kind = _typed("check_layer", metric, Metric, "metric").kind
     upper, lower = s.upper.space, s.lower.space
     up, low, down = s.upper.dynamics._apply, s.lower.dynamics._apply, s.entries.__getitem__
-    state = partial(_trusted, AbstractState)
-    entries: list[LayerCheckEntry] = []
+    rows = []
     for value in enumerate_values(upper):
         via_upper, via_lower = down(up(value)), low(down(value))
         d = _distance_value(kind, lower, via_upper, via_lower)
-        mapped = state(upper, value), state(lower, via_upper), state(lower, via_lower)
-        entries.append(LayerCheckEntry(*mapped, d, d <= epsilon))
-    return LayerReport(relation_id=s.id, entries=tuple(entries), epsilon=epsilon)
+        rows.append((value, via_upper, via_lower, d))
+    passed = all(d <= epsilon for *_, d in rows)
+    return _assemble(
+        LayerReport, (upper, lower, rows), relation_id=s.id, epsilon=epsilon, passed=passed
+    )
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ from .dynamics import (
     _canonical_table,
     _check_parts,
     _each,
-    _noisy,
+    _flag_codes,
+    _flip,
 )
 from .errors import DeclarationError, NotInstantiable, OutOfDomain, resolve
 from .spaces import (
@@ -301,6 +302,7 @@ def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[Physi
     read = relation._apply  # prepared configurations are in its domain: checked at declaration
     engineering = theory.instantiation.engineering
     step, noise = engineering._apply, engineering.noise  # seeds are in its space: checked too
+    code = None if noise is None else _flag_codes(noise, _ENGINEERING_SEED.value, 1)[0]
     seeds = iter(theory.instantiation.seeds)
     first: dict[Value, Value] = {}
     for target in targets:
@@ -311,7 +313,7 @@ def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[Physi
             for seed in seeds:
                 value = step(seed.value)
                 if noise is not None:
-                    (value,) = _noisy(noise, value, _ENGINEERING_SEED.value, 1)
+                    value = _flip(noise, value, code)
                 reading = read(value)
                 first.setdefault(reading, value)
                 if reading == goal:

@@ -159,7 +159,7 @@ class _Run:
         )
         self.theories[theory.id] = graded
         self._count_coverage(theory.id, evidence.coverage)
-        failing = [
+        failing = [] if evidence.all_passed else [
             {"state": _state_json(cell.state), "prediction": cell.prediction}
             for cell in evidence.cells
             if not cell.report.passed
@@ -193,7 +193,7 @@ class _Run:
         relations = {r.id: r for r in stack.relations}
         relation = resolve(relations, check.relation, f"check {check.name!r}")
         report = self._layer(relation, check)
-        failing = [
+        failing = [] if report.passed else [
             {
                 "state": _state_json(e.state),
                 "via_upper": _state_json(e.mapped_after_upper),
@@ -203,7 +203,7 @@ class _Run:
             for e in report.entries
             if not e.passed
         ]
-        detail = {"states": len(report.entries), "failing": failing}
+        detail = {"states": len(relation.entries), "failing": failing}  # the table is total
         return (PASS if report.passed else FAIL), detail
 
     def _run_stack(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:

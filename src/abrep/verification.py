@@ -19,11 +19,13 @@ from collections import Counter
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .dynamics import (
     AbstractDynamics,
     PhysicalDynamics,
     TrialSeed,
+    _flip,
     _trial_outcomes,
     derive_seed,
     evolve_abstract,
@@ -92,13 +94,37 @@ def _check_tolerances(decl, owner: str) -> None:
         object.__setattr__(decl, name, float(getattr(decl, name)))
 
 
+class _Deferred:
+    """A report built by a check: the fields it leaves out come from ``_view``, on first read.
+
+    ``_assemble`` stores every other field, and the ``_source`` that
+    ``_view`` builds the missing ones from. Public construction sets every
+    field, so such a report never calls ``_view``.
+    """
+
+    def __getattr__(self, name: str):
+        source = vars(self).get("_source")
+        if source is None or name not in self.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = vars(self)[name] = self._view(name, *source)
+        return value
+
+
+def _assemble(cls: type, source: tuple, **fields):
+    """A ``cls`` of trusted ``fields``, whose other fields ``cls._view`` builds from ``source``."""
+    report = object.__new__(cls)
+    vars(report).update(fields, _source=source)
+    return report
+
+
 @dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(_Deferred):
     """Both paths of one square, per-trial distances, and the verdict.
 
     A trial succeeds when its distance is at most epsilon; the square passes
     when the success fraction reaches the required fraction. For history
-    checks the endpoints are physical rather than abstract states.
+    checks the endpoints are physical rather than abstract states. A check
+    builds ``lower_path_results`` and ``distances`` on their first read.
     """
 
     initial_physical: PhysicalState
@@ -109,6 +135,13 @@ class CommutationReport:
     passed: bool
     epsilon: float
     required_success: float
+
+    def _view(self, name: str, kind: type, space, codes: tuple, graded: dict) -> tuple:
+        """Trial by trial, from each trial's code: its lower state, or its distance."""
+        if name == "distances":
+            return tuple([graded[code][1] for code in codes])
+        states = {code: _trusted(kind, space, lower) for code, (lower, _) in graded.items()}
+        return tuple(map(states.__getitem__, codes))
 
 
 def _square(
@@ -123,31 +156,30 @@ def _square(
 
     Each trial evolves ``start`` on the device, reads the outcome through
     ``relation`` when one is given, and measures it against ``upper``. Both
-    are pure functions of the outcome, so each distinct outcome is read,
-    measured and graded once, with its count of trials. A noise-free device
-    reads no ``base_seed``.
+    are pure functions of the trial's flag code, so each distinct code is
+    flipped, read, measured and graded once, with its count of trials. The
+    report keeps the codes, and builds its per-trial fields from them on
+    first read. A noise-free device reads no ``base_seed``.
     """
     device, trials = spec.physical_dynamics, spec.trials
-    outcomes = _trial_outcomes(device, start.value, base_seed, trials)
-    counts = Counter(outcomes) if device.noise is not None else {outcomes[0]: trials}
+    noise = device.noise
+    image, codes = _trial_outcomes(device, start.value, base_seed, trials)
     space = device.space if relation is None else relation.codomain
     graded, successes = {}, 0
-    for value, count in counts.items():
-        if relation is None:
-            lower = _trusted(PhysicalState, space, value)
-        else:
-            lower = _trusted(AbstractState, space, relation._apply(value))
-        d = _distance_value(metric.kind, space, lower.value, upper.value)
-        graded[value] = lower, d
+    for code, count in (Counter(codes) if noise is not None else {0: trials}).items():
+        lower = image if noise is None else _flip(noise, image, code)
+        if relation is not None:
+            lower = relation._apply(lower)
+        d = _distance_value(metric.kind, space, lower, upper.value)
+        graded[code] = lower, d
         successes += count if d <= spec.epsilon else 0
-    if len(graded) == 1:
-        lowers, distances = (lower,) * trials, (d,) * trials
-    else:
-        lowers, distances = zip(*map(graded.__getitem__, outcomes))
+    kind = PhysicalState if relation is None else AbstractState
     fraction = successes / trials
-    passed = fraction >= spec.required_success
-    return CommutationReport(
-        start, upper, lowers, distances, fraction, passed, spec.epsilon, spec.required_success
+    return _assemble(
+        CommutationReport, (kind, space, codes, graded), initial_physical=start,
+        upper_path_result=upper, success_fraction=fraction,
+        passed=fraction >= spec.required_success,
+        epsilon=spec.epsilon, required_success=spec.required_success,
     )
 
 
@@ -201,10 +233,11 @@ class ValidityCell:
 
 
 @dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(_Deferred):
     """Evidence from exhaustively checking the declared validation grid.
 
-    The verdict and the coverage are read off the cells, once each.
+    The verdict and the coverage are read off the cells, once each;
+    ``validate_theory`` reads them off its squares, and builds ``cells`` on first read.
     """
 
     theory_id: str
@@ -217,6 +250,11 @@ class ValidityReport:
     @cached_property
     def coverage(self) -> int:
         return len(self.cells)
+
+    def _view(self, name: str, domain: tuple, predictions: list, reports: list) -> tuple:
+        """The cells of ``domain`` by the prediction names, in order, with their ``reports``."""
+        grid = product(domain, predictions)
+        return tuple(ValidityCell(state, pred, r) for (state, pred), r in zip(grid, reports))
 
 
 def validate_theory(
@@ -244,15 +282,18 @@ def validate_theory(
     ]
     relation = theory.representation
     read, codomain = relation._apply, relation.codomain
-    cells: list[ValidityCell] = []
+    reports = []
     for si, state in enumerate(theory.domain):
         reading = read(state.value)  # domain states are the relation's: checked at declaration
         for pi, (pred, spec) in enumerate(zip(theory.predictions, specs)):
             upper = _trusted(AbstractState, codomain, pred.abstract._apply(reading))
             seed = None if pred.physical.noise is None else derive_seed(base_seed, si, pi)
-            report = _square(spec, state, upper, metric, seed, relation)
-            cells.append(ValidityCell(state, pred.name, report))
-    evidence = ValidityReport(theory.id, tuple(cells))
+            reports.append(_square(spec, state, upper, metric, seed, relation))
+    names = [pred.name for pred in theory.predictions]
+    evidence = _assemble(
+        ValidityReport, (theory.domain, names, reports), theory_id=theory.id,
+        all_passed=all(r.passed for r in reports), coverage=len(reports),
+    )
     graded = copy(theory)
     object.__setattr__(graded, "evidence", evidence)
     return graded, evidence

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +34,7 @@ from abrep import (
     evolve_physical,
     identity_dynamics,
 )
-from abrep.dynamics import _BLOCK, ProductRule, _trial_outcomes, unit_draw
+from abrep.dynamics import _BLOCK, ProductRule, _flip, _trial_outcomes, unit_draw
 from abrep.errors import DeclarationError
 
 
@@ -458,7 +459,29 @@ def noise_by_definition(noise, value, seed: TrialSeed):
     return tuple(working)
 
 
+def trial_values(device, start, base: TrialSeed, trials: int) -> list:
+    """The outcome value of each trial, from the noise kernel's image and per-trial flag codes."""
+    image, codes = _trial_outcomes(device, start.value, base, trials)
+    assert len(codes) == trials
+    return [_flip(device.noise, image, code) for code in codes]
+
+
 CELLS = PhysicalLabelSpace("cells", ("a", "b", "c"))
+
+
+@pytest.mark.parametrize(
+    "space, partners, message",
+    [
+        (VOLTS, {"a": "b"}, "label-flip noise needs a labeled space"),
+        (CELLS, {"a": "b", "b": "z", "c": "c"}, "noise partner pair 'b' -> 'z' leaves the space"),
+        (CELLS, {"a": "b", "b": "a", "c": "c", "z": "a"}, "noise partner pair 'z' -> 'a' leaves the space"),
+    ],
+    ids=["vector-space", "partner-outside", "label-outside"],
+)
+def test_label_noise_errors_name_the_dynamics(space, partners, message):
+    rule = CoordinateUpdateRule(()) if space is VOLTS else TableRule({l: l for l in CELLS.labels})
+    with pytest.raises(DeclarationError, match=re.escape(f"dynamics 'noisy': {message}")):
+        PhysicalDynamics("noisy", space, rule, LabelFlipNoise(0.5, partners))
 
 
 def noisy_hold(kind: str, probability: float, lines: tuple[int, ...]):
@@ -500,7 +523,7 @@ def test_trial_outcomes_follow_the_draws_by_definition(case, base, trials):
     device, start = case
     seeds = [derive_seed(TrialSeed(base), k) for k in range(trials)]
     expected = [noise_by_definition(device.noise, start.value, seed) for seed in seeds]
-    assert _trial_outcomes(device, start.value, TrialSeed(base), trials) == expected
+    assert trial_values(device, start, TrialSeed(base), trials) == expected
     assert [evolve_physical(device, start, seed).value for seed in seeds] == expected
 
 
@@ -511,7 +534,7 @@ def test_a_line_does_not_flip_at_a_probability_equal_to_its_draw(kind):
 
     def flips_at(probability) -> bool:
         device, start = noisy_hold(kind, probability, (line,))
-        return _trial_outcomes(device, start.value, base, 1) != [start.value]
+        return trial_values(device, start, base, 1) != [start.value]
 
     assert not flips_at(draw)  # the comparison is strict
     assert flips_at(math.nextafter(draw, 1.0))
@@ -529,7 +552,7 @@ def test_every_lane_of_every_pass_follows_the_draws_by_definition(kind, probabil
     base = TrialSeed(0x5EED)
     seeds = [derive_seed(base, k) for k in range(trials)]
     expected = [noise_by_definition(device.noise, start.value, seed) for seed in seeds]
-    assert _trial_outcomes(device, start.value, base, trials) == expected
+    assert trial_values(device, start, base, trials) == expected
     if 0.0 < probability < 1.0 and trials > 2:
         assert len(set(expected)) > 1
 
@@ -542,17 +565,43 @@ def test_a_lane_does_not_flip_at_a_probability_equal_to_its_draw(kind, lane):
 
     def flips_at(probability) -> bool:
         device, start = noisy_hold(kind, probability, (line,))
-        return _trial_outcomes(device, start.value, base, lane + 1)[lane] != start.value
+        return trial_values(device, start, base, lane + 1)[lane] != start.value
 
     assert not flips_at(draw)  # the comparison is strict
     assert flips_at(math.nextafter(draw, 1.0))
+
+
+#: 9 listed lines, past one byte of flags, and 70, past one 64-bit word, each with repeats.
+WIDE = RealVectorSpace("v66", ((0.0, 5.0),) * 66)
+WIDE_LINES = {
+    9: (0, 3, 7, 3, 11, 2, 9, 0, 8),
+    70: tuple(range(64)) + (5, 64, 63, 65, 0, 64),
+}
+
+
+@pytest.mark.parametrize("trials", LANE_COUNTS)
+@pytest.mark.parametrize("listed", sorted(WIDE_LINES))
+def test_wide_noise_follows_the_draws_by_definition(listed, trials):
+    """Every flag of every lane, past 8 and 64 listed lines, is the draw's, and so is every run."""
+    lines = WIDE_LINES[listed]
+    assert len(lines) == listed and len(set(lines)) < listed
+    noise = CoordinateFlipNoise(0.3, lines, 2.5, 0.0, 5.0)
+    device = PhysicalDynamics("noisy", WIDE, CoordinateUpdateRule(()), noise)
+    start = PhysicalState(WIDE, tuple((0.0, 2.5, 5.0)[i % 3] for i in range(66)))
+    base = TrialSeed(0xC0DE + listed)
+    seeds = [derive_seed(base, k) for k in range(trials)]
+    expected = [noise_by_definition(noise, start.value, seed) for seed in seeds]
+    assert trial_values(device, start, base, trials) == expected
+    assert [evolve_physical(device, start, seed).value for seed in seeds] == expected
+    if trials > 2:
+        assert len(set(expected)) > 1
 
 
 def test_a_repeated_line_flips_twice():
     noise = CoordinateFlipNoise(1.0, (2, 2, 4), 2.5, 0.0, 5.0)
     device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
     start = PhysicalState(VOLTS, (0.0,) * 7)
-    outcomes = _trial_outcomes(device, start.value, TrialSeed(1), 2)
+    outcomes = trial_values(device, start, TrialSeed(1), 2)
     assert outcomes == [(0.0,) * 4 + (5.0, 0.0, 0.0)] * 2
 
 

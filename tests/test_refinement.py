@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from abrep import (
     METRICS,
     NotInstantiable,
     OutOfDomain,
+    RealVectorSpace,
     RefinementLayer,
     RefinementStack,
     SimulationRelation,
@@ -31,6 +33,7 @@ from abrep import (
     enumerate_values,
     evolve_abstract,
     evolve_physical,
+    identity_dynamics,
     instantiate,
     run_checks,
     run_compute_cycle,
@@ -197,6 +200,27 @@ def test_stack_declaration_invariants():
         RefinementStack(
             "bad", (stack.layers[0],), (), stack.theory, stack.device
         )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (lambda s: {"layers": (), "relations": ()}, "at least one layer required"),
+        (
+            lambda s: {"relations": s.relations[::-1]},
+            "relation 'stack.bin-to-asm' does not connect layers 'stack.dec-layer' and 'stack.bin-layer'",
+        ),
+        (
+            lambda s: {"device": identity_dynamics("hold", RealVectorSpace("v2", ((0.0, 5.0),) * 2))},
+            "device dynamics act on the wrong space",
+        ),
+    ],
+    ids=["no-layers", "miswired-relations", "device-space"],
+)
+def test_stack_shape_errors_name_the_stack(fields, message):
+    _, stack = stack_pieces()
+    with pytest.raises(DeclarationError, match=re.escape(f"stack 'stack.adder': {message}")):
+        replace(stack, **fields(stack))
 
 
 def test_layer_references_are_type_checked():
