@@ -122,4 +122,11 @@ from .verification import (
     validate_theory,
 )
 
+from types import FunctionType as _FunctionType
+
+from .spaces import _checked
+
+# Each exported function checks its arguments; the modules call each other's unwrapped ones.
+globals().update({n: _checked(f) for n, f in tuple(globals().items()) if type(f) is _FunctionType})
+
 __version__ = "0.1.0"

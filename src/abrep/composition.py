@@ -39,9 +39,8 @@ from .spaces import (
     PhysicalTupleSpace,
     TupleSpace,
     Value,
-    _identifier,
+    _declaration,
     _trusted,
-    _typed,
     cardinality,
     enumerate_values,
     is_finite,
@@ -59,16 +58,14 @@ _ORACLE_SIZE_BOUND = 6
 _CANDIDATE_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
+@_declaration("component", name=None)
 class Component:
     """One half of a joint system: a device theory plus its computation."""
 
     theory: Theory
     dynamics: AbstractDynamics
 
-    def __post_init__(self):
-        _typed("component theory", self.theory, Theory)
-        _typed("component dynamics", self.dynamics, AbstractDynamics)
+    def __post_init__(self, owner):
         if self.dynamics.space != self.theory.representation.codomain:
             raise DeclarationError(
                 f"component over theory {self.theory.id!r}: dynamics"
@@ -76,7 +73,7 @@ class Component:
             )
 
 
-@dataclass(frozen=True)
+@_declaration("joint")
 class JointSystem:
     """A product device with a joint representation and joint dynamics."""
 
@@ -88,13 +85,7 @@ class JointSystem:
     joint_dynamics: AbstractDynamics
     provenance: str  # composed-parallel | declared
 
-    def __post_init__(self):
-        owner = _identifier("joint", self)
-        _typed(f"{owner}: left", self.left, Component)
-        _typed(f"{owner}: right", self.right, Component)
-        _typed(f"{owner}: joint space", self.joint_space, PhysicalTupleSpace)
-        _typed(f"{owner}: joint representation", self.joint_representation, RepresentationRelation)
-        _typed(f"{owner}: joint dynamics", self.joint_dynamics, AbstractDynamics)
+    def __post_init__(self, owner):
         expected = (
             self.left.theory.representation.domain,
             self.right.theory.representation.domain,

@@ -31,18 +31,16 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _declaration,
     _field_error,
     _finite,
-    _identifier,
     _integer,
     _items,
     _register_widths,
     _trusted,
-    _typed,
     check_total_table,
     contains,
     enumerate_values,
-    require_family,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -92,7 +90,7 @@ def unit_draw(seed: TrialSeed, *counters: int) -> float:
 BUILTIN_NAMES = ("identity", "bit-not", "and", "xor", "ripple-add", "swap-pair")
 
 
-@dataclass(frozen=True)
+@_declaration("table rule", name=None)
 class TableRule:
     """A total lookup from state value to state value.
 
@@ -101,11 +99,8 @@ class TableRule:
 
     entries: Mapping[Value, Value]
 
-    def __post_init__(self):
-        _typed("table rule entries", self.entries, Mapping)
 
-
-@dataclass(frozen=True)
+@_declaration("builtin rule", name=None)
 class BuiltinRule:
     """One of the named built-in evolutions.
 
@@ -118,42 +113,29 @@ class BuiltinRule:
 
     name: str
 
-    def __post_init__(self):
+    def __post_init__(self, owner):
         if self.name not in BUILTIN_NAMES:
-            raise _field_error("builtin rule", "name", f"unknown builtin dynamics {self.name!r}")
+            raise _field_error(owner, "name", f"unknown builtin dynamics {self.name!r}")
 
 
-def _check_parts(rule, kind: type) -> None:
-    """Store ``rule``'s parts as a tuple; DeclarationError unless each is a ``kind``."""
-    owner = type(rule).__name__
-    parts = _items(owner, "parts", rule.parts)
-    object.__setattr__(rule, "parts", tuple(_typed(f"{owner}: part", p, kind) for p in parts))
-
-
-@dataclass(frozen=True)
+@_declaration("chain rule", name=None)
 class ChainRule:
     """Apply component dynamics left to right."""
 
-    parts: tuple["AbstractDynamics", ...]
-
-    def __post_init__(self):
-        _check_parts(self, AbstractDynamics)
+    parts: tuple[AbstractDynamics, ...]
 
 
-@dataclass(frozen=True)
+@_declaration("product rule", name=None)
 class ProductRule:
     """Apply component dynamics to the components of a product state."""
 
-    parts: tuple["AbstractDynamics", ...]
-
-    def __post_init__(self):
-        _check_parts(self, AbstractDynamics)
+    parts: tuple[AbstractDynamics, ...]
 
 
 AbstractRule = Union[TableRule, BuiltinRule, ChainRule, ProductRule]
 
 
-@dataclass(frozen=True)
+@_declaration("dynamics")
 class AbstractDynamics:
     """A total endomap on an abstract space."""
 
@@ -161,9 +143,7 @@ class AbstractDynamics:
     space: AbstractSpace
     rule: AbstractRule
 
-    def __post_init__(self):
-        owner = _identifier("dynamics", self)
-        require_family(owner, self.space, AbstractSpace)
+    def __post_init__(self, owner):
         rule = self.rule
         if isinstance(rule, TableRule):
             _canonical_table(self, owner, self.space, self.space)
@@ -175,14 +155,12 @@ class AbstractDynamics:
                     raise DeclarationError(
                         f"{owner}: chain part {part.id!r} acts on a different space"
                     )
-        elif isinstance(rule, ProductRule):
+        else:
             spaces = tuple(part.space for part in rule.parts)
             if not (isinstance(self.space, TupleSpace) and self.space.components == spaces):
                 raise DeclarationError(
                     f"{owner}: product parts must act on the components of its space, in order"
                 )
-        else:
-            raise DeclarationError(f"{owner}: unknown rule type")
 
     @cached_property
     def _apply(self) -> Callable[[Value], Value]:
@@ -273,7 +251,7 @@ def _check_probability(noise, owner: str) -> None:
         raise _field_error(owner, "probability", "must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@_declaration("binary-sum update", name=None)
 class BinarySumUpdate:
     """Write the binary sum of two voltage registers into a target register.
 
@@ -290,27 +268,26 @@ class BinarySumUpdate:
     low: float
     high: float
 
-    def __post_init__(self):
-        _store_lines(self, "binary-sum update", "a_lines", "b_lines", "out_lines")
-        _store_floats(self, "binary-sum update", "threshold", "low", "high")
+    def __post_init__(self, owner):
+        _store_lines(self, owner, "a_lines", "b_lines", "out_lines")
+        _store_floats(self, owner, "threshold", "low", "high")
 
 
-@dataclass(frozen=True)
+@_declaration("constant update", name=None)
 class ConstantUpdate:
     """Pin coordinates to fixed levels (the stuck-at fault primitive)."""
 
     lines: tuple[int, ...]
     values: tuple[float, ...]
 
-    def __post_init__(self):
-        owner = "constant update"
+    def __post_init__(self, owner):
         _store_lines(self, owner, "lines")
         object.__setattr__(self, "values", _items(owner, "values", self.values, _finite))
         if len(self.lines) != len(self.values):
             raise DeclarationError(f"{owner}: lines and values differ in length")
 
 
-@dataclass(frozen=True)
+@_declaration("coordinate-update rule", name=None)
 class CoordinateUpdateRule:
     """Ordered coordinate assignments on a real-vector space.
 
@@ -320,17 +297,11 @@ class CoordinateUpdateRule:
 
     assignments: tuple[Union[BinarySumUpdate, ConstantUpdate], ...] = ()
 
-    def __post_init__(self):
-        assignments = _items("coordinate-update rule", "assignments", self.assignments)
-        if not all(isinstance(u, (BinarySumUpdate, ConstantUpdate)) for u in assignments):
-            raise DeclarationError("coordinate-update rule: an assignment is not an update")
-        object.__setattr__(self, "assignments", assignments)
-
 
 PhysicalRule = Union[TableRule, CoordinateUpdateRule]
 
 
-@dataclass(frozen=True)
+@_declaration("coordinate-flip noise", name=None)
 class CoordinateFlipNoise:
     """Independent per-coordinate flips across a voltage threshold.
 
@@ -344,28 +315,27 @@ class CoordinateFlipNoise:
     low: float
     high: float
 
-    def __post_init__(self):
-        _store_lines(self, "coordinate-flip noise", "coordinates")
-        _store_floats(self, "coordinate-flip noise", "threshold", "low", "high")
-        _check_probability(self, "coordinate-flip noise")
+    def __post_init__(self, owner):
+        _store_lines(self, owner, "coordinates")
+        _store_floats(self, owner, "threshold", "low", "high")
+        _check_probability(self, owner)
 
 
-@dataclass(frozen=True)
+@_declaration("label-flip noise", name=None)
 class LabelFlipNoise:
     """Relabeling noise for finite devices; every label needs a partner."""
 
     probability: float
     partners: Mapping[str, str]
 
-    def __post_init__(self):
-        _typed("label-flip noise partners", self.partners, Mapping)
-        _check_probability(self, "label-flip noise")
+    def __post_init__(self, owner):
+        _check_probability(self, owner)
 
 
 Noise = Union[CoordinateFlipNoise, LabelFlipNoise]
 
 
-@dataclass(frozen=True)
+@_declaration("dynamics")
 class PhysicalDynamics:
     """A device update: a total endomap on a physical space, plus noise."""
 
@@ -374,18 +344,13 @@ class PhysicalDynamics:
     rule: PhysicalRule
     noise: Noise | None = None
 
-    def __post_init__(self):
-        owner = _identifier("dynamics", self)
-        require_family(owner, self.space, PhysicalSpace)
-        rule = self.rule
-        if isinstance(rule, TableRule):
+    def __post_init__(self, owner):
+        if isinstance(self.rule, TableRule):
             _canonical_table(self, owner, self.space, self.space)
-        elif isinstance(rule, CoordinateUpdateRule):
+        else:
             if not isinstance(self.space, RealVectorSpace):
                 raise DeclarationError(f"{owner}: coordinate updates need a real-vector space")
-            _check_update_levels(owner, self.space, rule)
-        else:
-            raise DeclarationError(f"{owner}: unknown rule type")
+            _check_update_levels(owner, self.space, self.rule)
         _check_noise(owner, self.space, self.noise)
 
     @cached_property
@@ -449,7 +414,7 @@ def _check_noise(owner: str, space: PhysicalSpace, noise: Noise | None) -> None:
         if not isinstance(space, RealVectorSpace):
             raise DeclarationError(f"{owner}: coordinate-flip noise needs a real-vector space")
         _check_lines(owner, space, noise.coordinates, noise.low, noise.high)
-    elif isinstance(noise, LabelFlipNoise):
+    else:
         if not isinstance(space, PhysicalLabelSpace):
             raise DeclarationError(f"{owner}: label-flip noise needs a labeled space")
         missing = [l for l in space.labels if l not in noise.partners]
@@ -460,22 +425,19 @@ def _check_noise(owner: str, space: PhysicalSpace, noise: Noise | None) -> None:
                 raise DeclarationError(
                     f"{owner}: noise partner pair {label!r} -> {partner!r} leaves the space"
                 )
-    else:
-        raise DeclarationError(f"{owner}: unknown noise type")
 
 
-def evolve_physical(h: PhysicalDynamics, p: PhysicalState, t: TrialSeed) -> PhysicalState:
-    """Image of configuration ``p`` under device update ``h`` for trial ``t``.
+def evolve_physical(h: PhysicalDynamics, p: PhysicalState, seed: TrialSeed) -> PhysicalState:
+    """Image of configuration ``p`` under device update ``h`` for trial ``seed``.
 
-    The output is a pure function of (h, p, t); noise-free dynamics ignore
+    The output is a pure function of (h, p, seed); noise-free dynamics ignore
     the seed's value.
     """
-    _typed("evolve_physical", t, TrialSeed, "seed")
     if not contains(h.space, p):
         raise OutOfDomain(f"configuration is not in the space of dynamics {h.id!r}")
     value = h._apply(p.value)
     if h.noise is not None:
-        value = _flip(h.noise, value, _flag_codes(h.noise, t.value, 1)[0])
+        value = _flip(h.noise, value, _flag_codes(h.noise, seed.value, 1)[0])
     return _trusted(PhysicalState, h.space, value)
 
 

@@ -25,13 +25,11 @@ from .spaces import (
     AbstractState,
     Metric,
     Value,
+    _declaration,
     _distance_value,
     _field_error,
     _finite,
-    _identifier,
-    _items,
     _trusted,
-    _typed,
     check_total_table,
     contains,
     enumerate_values,
@@ -39,7 +37,7 @@ from .spaces import (
 from .verification import CommutationReport, DiagramSpec, _assemble, _Deferred, _in_domain, _square
 
 
-@dataclass(frozen=True)
+@_declaration("layer")
 class RefinementLayer:
     """One level of abstraction: a space and the dynamics acting on it."""
 
@@ -47,14 +45,12 @@ class RefinementLayer:
     space: AbstractSpace
     dynamics: AbstractDynamics
 
-    def __post_init__(self):
-        owner = _identifier("layer", self)
-        _typed(f"{owner}: dynamics", self.dynamics, AbstractDynamics)
+    def __post_init__(self, owner):
         if self.dynamics.space != self.space:
             raise DeclarationError(f"{owner}: dynamics act on a different space")
 
 
-@dataclass(frozen=True)
+@_declaration("simulation")
 class SimulationRelation:
     """A total downward map from an upper layer's states to a lower layer's."""
 
@@ -63,10 +59,7 @@ class SimulationRelation:
     lower: RefinementLayer
     entries: Mapping[Value, Value]
 
-    def __post_init__(self):
-        owner = _identifier("simulation", self)
-        for side in ("upper", "lower"):
-            _typed(f"{owner}: {side}", getattr(self, side), RefinementLayer)
+    def __post_init__(self, owner):
         entries = check_total_table(owner, self.entries, self.upper.space, self.lower.space)
         object.__setattr__(self, "entries", entries)
 
@@ -111,14 +104,13 @@ class LayerReport(_Deferred):
         )
 
 
-def check_layer(s: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
+def check_layer(relation: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
     """Check one adjacent layer pair over every upper state."""
-    _typed("check_layer", s, SimulationRelation, "relation")
     if _finite("layer check", "epsilon", epsilon) < 0:
         raise _field_error("layer check", "epsilon", "must be non-negative")
-    kind = _typed("check_layer", metric, Metric, "metric").kind
-    upper, lower = s.upper.space, s.lower.space
-    up, low, down = s.upper.dynamics._apply, s.lower.dynamics._apply, s.entries.__getitem__
+    upper, lower, kind = relation.upper.space, relation.lower.space, metric.kind
+    up, low = relation.upper.dynamics._apply, relation.lower.dynamics._apply
+    down = relation.entries.__getitem__
     rows = []
     for value in enumerate_values(upper):
         via_upper, via_lower = down(up(value)), low(down(value))
@@ -126,11 +118,11 @@ def check_layer(s: SimulationRelation, epsilon: float, metric: Metric) -> LayerR
         rows.append((value, via_upper, via_lower, d))
     passed = all(d <= epsilon for *_, d in rows)
     return _assemble(
-        LayerReport, (upper, lower, rows), relation_id=s.id, epsilon=epsilon, passed=passed
+        LayerReport, (upper, lower, rows), relation_id=relation.id, epsilon=epsilon, passed=passed
     )
 
 
-@dataclass(frozen=True)
+@_declaration("stack")
 class RefinementStack:
     """Ordered layers, top to bottom, grounded in a device theory.
 
@@ -144,13 +136,7 @@ class RefinementStack:
     theory: Theory
     device: PhysicalDynamics
 
-    def __post_init__(self):
-        owner = _identifier("stack", self)
-        for name, kind in (("layers", RefinementLayer), ("relations", SimulationRelation)):
-            parts = _items(owner, name, getattr(self, name))
-            object.__setattr__(self, name, tuple(_typed(f"{owner}: {name}", p, kind) for p in parts))
-        _typed(f"{owner}: theory", self.theory, Theory)
-        _typed(f"{owner}: device", self.device, PhysicalDynamics)
+    def __post_init__(self, owner):
         if not self.layers:
             raise DeclarationError(f"{owner}: at least one layer required")
         if len(self.relations) != len(self.layers) - 1:
@@ -204,7 +190,7 @@ def check_stack_to_device(
     stack: RefinementStack,
     epsilon: float,
     metric: Metric,
-    base_seed: TrialSeed,
+    seed: TrialSeed,
     trials: int = 1,
     required_success: float = 1.0,
 ) -> StackReport:
@@ -216,10 +202,8 @@ def check_stack_to_device(
     validated: the boundary checks themselves stand in for validation on the
     reachable set.
     """
-    _typed("check_stack_to_device", stack, RefinementStack, "stack")
-    _typed("check_stack_to_device", base_seed, TrialSeed, "seed")
     layer_reports = tuple(check_layer(rel, epsilon, metric) for rel in stack.relations)
-    return _ground(stack, layer_reports, epsilon, metric, base_seed, trials, required_success)
+    return _ground(stack, layer_reports, epsilon, metric, seed, trials, required_success)
 
 
 def _ground(

@@ -15,7 +15,7 @@ checks membership.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from itertools import accumulate
 from operator import ge, itemgetter
@@ -26,7 +26,6 @@ from .dynamics import (
     PhysicalDynamics,
     TrialSeed,
     _canonical_table,
-    _check_parts,
     _each,
     _flag_codes,
     _flip,
@@ -41,21 +40,19 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _declaration,
     _finite,
-    _identifier,
     _items,
     _register_widths,
     _trusted,
-    _typed,
     contains,
-    require_family,
 )
 
 if TYPE_CHECKING:
     from .verification import ValidityReport
 
 
-@dataclass(frozen=True)
+@_declaration("lookup rule", name=None)
 class LookupRule:
     """A total table from physical values to abstract values.
 
@@ -64,11 +61,8 @@ class LookupRule:
 
     entries: Mapping[Value, Value]
 
-    def __post_init__(self):
-        _typed("lookup rule entries", self.entries, Mapping)
 
-
-@dataclass(frozen=True)
+@_declaration("threshold rule", name=None)
 class ThresholdRule:
     """One bit per real coordinate: level >= threshold reads as 1.
 
@@ -79,25 +73,22 @@ class ThresholdRule:
 
     thresholds: tuple[float, ...]
 
-    def __post_init__(self):
-        thresholds = _items("threshold rule", "thresholds", self.thresholds, _finite)
+    def __post_init__(self, owner):
+        thresholds = _items(owner, "thresholds", self.thresholds, _finite)
         object.__setattr__(self, "thresholds", thresholds)
 
 
-@dataclass(frozen=True)
+@_declaration("tuple-wise rule", name=None)
 class TupleWiseRule:
     """Apply component relations to the components of a product state."""
 
-    parts: tuple["RepresentationRelation", ...]
-
-    def __post_init__(self):
-        _check_parts(self, RepresentationRelation)
+    parts: tuple[RepresentationRelation, ...]
 
 
 RepresentationRule = Union[LookupRule, ThresholdRule, TupleWiseRule]
 
 
-@dataclass(frozen=True)
+@_declaration("relation")
 class RepresentationRelation:
     """The directed map from device configurations to abstract states.
 
@@ -110,10 +101,7 @@ class RepresentationRelation:
     codomain: AbstractSpace
     rule: RepresentationRule
 
-    def __post_init__(self):
-        owner = _identifier("relation", self)
-        require_family(owner, self.domain, PhysicalSpace)
-        require_family(owner, self.codomain, AbstractSpace)
+    def __post_init__(self, owner):
         rule = self.rule
         if isinstance(rule, LookupRule):
             _canonical_table(self, owner, self.domain, self.codomain)
@@ -130,7 +118,7 @@ class RepresentationRelation:
                 )
             if sum(widths) != self.domain.dimension:
                 raise DeclarationError(f"{owner}: register widths must sum to the dimension")
-        elif isinstance(rule, TupleWiseRule):
+        else:
             ok = (
                 isinstance(self.domain, PhysicalTupleSpace)
                 and isinstance(self.codomain, TupleSpace)
@@ -147,8 +135,6 @@ class RepresentationRelation:
                         f"{owner}: part {part.id!r} does not line up"
                         " with the product components"
                     )
-        else:
-            raise DeclarationError(f"{owner}: unknown rule type")
 
     @cached_property
     def _apply(self) -> Callable[[Value], Value]:
@@ -180,7 +166,7 @@ def represent(relation: RepresentationRelation, p: PhysicalState) -> AbstractSta
     return _trusted(AbstractState, relation.codomain, relation._apply(p.value))
 
 
-@dataclass(frozen=True)
+@_declaration("instantiation", name=None)
 class InstantiationProcedure:
     """Seeded preparation: candidate start states plus engineering dynamics.
 
@@ -191,13 +177,8 @@ class InstantiationProcedure:
     seeds: tuple[PhysicalState, ...]
     engineering: PhysicalDynamics
 
-    def __post_init__(self):
-        seeds = _items("instantiation", "seeds", self.seeds)
-        object.__setattr__(self, "seeds", tuple(_typed("seed", s, PhysicalState) for s in seeds))
-        _typed("engineering dynamics", self.engineering, PhysicalDynamics)
 
-
-@dataclass(frozen=True)
+@_declaration("prediction", name="name")
 class Prediction:
     """A named pairing of a program with the device update meant to run it."""
 
@@ -205,13 +186,8 @@ class Prediction:
     abstract: AbstractDynamics
     physical: PhysicalDynamics
 
-    def __post_init__(self):
-        owner = _identifier("prediction", self, "name")
-        _typed(f"{owner}: program", self.abstract, AbstractDynamics)
-        _typed(f"{owner}: device update", self.physical, PhysicalDynamics)
 
-
-@dataclass(frozen=True)
+@_declaration("theory")
 class Theory:
     """A device theory: representation, asserted domain, and predictions.
 
@@ -227,16 +203,12 @@ class Theory:
     instantiation: InstantiationProcedure | None = None
     evidence: ValidityReport | None = field(init=False, default=None)
 
-    def __post_init__(self):
-        owner = _identifier("theory", self)
-        relation = _typed(f"{owner}: representation", self.representation, RepresentationRelation)
+    def __post_init__(self, owner):
+        relation = self.representation
         space = relation.domain
-        for name in ("domain", "predictions"):
-            object.__setattr__(self, name, _items(owner, name, getattr(self, name)))
-        for state in self.domain:
-            if not isinstance(state, PhysicalState) or state.space != space:
-                raise DeclarationError(f"{owner}: domain state outside the represented space")
-        names = [_typed(f"{owner}: prediction", p, Prediction).name for p in self.predictions]
+        if any(state.space != space for state in self.domain):
+            raise DeclarationError(f"{owner}: domain state outside the represented space")
+        names = [p.name for p in self.predictions]
         if len(set(names)) != len(names):
             raise DeclarationError(f"{owner}: duplicate prediction names")
         for pred in self.predictions:
@@ -249,7 +221,6 @@ class Theory:
                     f"{owner}: prediction {pred.name!r} device dynamics act on the wrong space"
                 )
         if self.instantiation is not None:
-            _typed(f"{owner}: instantiation", self.instantiation, InstantiationProcedure)
             if self.instantiation.engineering.space != space:
                 raise DeclarationError(f"{owner}: engineering dynamics act on the wrong space")
             if any(seed.space != space for seed in self.instantiation.seeds):

@@ -26,7 +26,7 @@ from .errors import EmptyDomain, ModelError, UnknownReference, resolve
 from .refinement import LayerReport, SimulationRelation, _ground, check_layer
 from .relations import Prediction, Theory, instantiate
 from .scenarios import CheckSpec, ScenarioBundle
-from .spaces import METRICS, AbstractState, PhysicalState, _items, _typed, normalize_value
+from .spaces import METRICS, AbstractState, PhysicalState, normalize_value
 from .verification import (
     CommutationReport,
     DiagramSpec,
@@ -281,14 +281,9 @@ def run_checks(
     ``name_filter`` is a glob pattern on check names; filtered runs report
     exactly the matching subset, in declaration order.
     """
-    run = _Run(_typed("run_checks", bundle, ScenarioBundle, "bundle"))
-    _typed("run_checks", seed, TrialSeed, "seed")
-    if name_filter is not None:
-        _typed("run_checks", name_filter, str, "name_filter")
+    run = _Run(bundle)
     selected = []
-    source = bundle.checks if checks is None else _items("run_checks", "checks", checks)
-    for index, check in enumerate(source):
-        _typed("run_checks", check, CheckSpec, f"checks[{index}]")
+    for index, check in enumerate(bundle.checks if checks is None else checks):
         if name_filter is not None and not fnmatch.fnmatch(check.name, name_filter):
             continue
         selected.append(run.execute(check, derive_seed(seed, index)))
@@ -335,7 +330,6 @@ def report_to_dict(report: RunReport) -> dict:
 
 def report_to_json(report: RunReport) -> str:
     """Canonical machine-readable serialization; byte-stable per (bundle, seed)."""
-    _typed("report_to_json", report, RunReport, "report")
     return render_report(report_to_dict(report), "json")
 
 

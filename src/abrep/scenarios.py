@@ -9,7 +9,8 @@ double as format documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import get_type_hints
 
 from .composition import Component, JointSystem, componentwise_joint
 from .dynamics import (
@@ -47,8 +48,9 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _declaration,
     _field_error,
-    _identifier,
+    _rules,
     enumerate_values,
 )
 from .verification import _check_tolerances
@@ -68,7 +70,7 @@ CHECK_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@_declaration("check", name="name")
 class CheckSpec:
     """One declared check; unset tolerances fall back to the strict defaults.
 
@@ -94,8 +96,7 @@ class CheckSpec:
     trials: int = 1
     required_success: float = 1.0
 
-    def __post_init__(self):
-        owner = _identifier("check", self, "name")
+    def __post_init__(self, owner):
         if self.kind not in CHECK_KINDS:
             raise _field_error(owner, "kind", f"unknown check kind {self.kind!r}")
         for name, choices in (("physical_metric", (None, *METRIC_KINDS)), ("metric", METRIC_KINDS)):
@@ -108,22 +109,22 @@ class CheckSpec:
             raise DeclarationError("history checks must declare a physical metric")
 
 
-@dataclass(frozen=True)
+@_declaration("bundle", name=None)
 class ScenarioBundle:
     """Everything needed to run verification with no further input."""
 
     format_version: str
-    abstract_spaces: tuple
-    physical_spaces: tuple
-    relations: tuple
-    abstract_dynamics: tuple
-    physical_dynamics: tuple
-    theories: tuple
-    stacks: tuple
-    joints: tuple
-    checks: tuple
+    abstract_spaces: tuple[AbstractSpace, ...]
+    physical_spaces: tuple[PhysicalSpace, ...]
+    relations: tuple[RepresentationRelation, ...]
+    abstract_dynamics: tuple[AbstractDynamics, ...]
+    physical_dynamics: tuple[PhysicalDynamics, ...]
+    theories: tuple[Theory, ...]
+    stacks: tuple[RefinementStack, ...]
+    joints: tuple[JointSystem, ...]
+    checks: tuple[CheckSpec, ...]
 
-    def __post_init__(self):
+    def __post_init__(self, owner):
         for section, ids in (
             ("spaces", [o.id for o in (*self.abstract_spaces, *self.physical_spaces)]),
             ("relations", [o.id for o in self.relations]),
@@ -152,26 +153,14 @@ class ScenarioBundle:
         return self._find("joints", joint_id)
 
 
-#: The type of declaration each bundle section holds, in section order.
-_SECTION_TYPES = {
-    "abstract_spaces": AbstractSpace,
-    "physical_spaces": PhysicalSpace,
-    "relations": RepresentationRelation,
-    "abstract_dynamics": AbstractDynamics,
-    "physical_dynamics": PhysicalDynamics,
-    "theories": Theory,
-    "stacks": RefinementStack,
-    "joints": JointSystem,
-}
-
-
 def _bundle(checks: tuple, *declared) -> ScenarioBundle:
-    """A bundle of ``checks`` and ``declared``, each in the section for its type, in order."""
+    """A bundle of ``checks`` and ``declared``, each in the section its type is annotated on."""
+    hints = get_type_hints(ScenarioBundle)
     sections = {
-        field: tuple(obj for obj in declared if isinstance(obj, kind))
-        for field, kind in _SECTION_TYPES.items()
+        field: tuple(obj for obj in (*declared, *checks) if isinstance(obj, each))
+        for field, _, each in _rules(hints, list(hints))
     }
-    return ScenarioBundle(FORMAT_VERSION, checks=checks, **sections)
+    return ScenarioBundle(FORMAT_VERSION, **sections)
 
 
 def _bits(n: int, width: int) -> str:

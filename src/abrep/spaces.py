@@ -15,8 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+import sys
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, fields
+from functools import wraps
+from inspect import signature
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import DeclarationError, MetricMismatch, NotEnumerable, OutOfDomain
 
@@ -33,51 +38,161 @@ class PhysicalSpace:
     """Marker base for spaces of simulated device configurations."""
 
 
-def _space(cls: type) -> type:
-    """``cls`` as a frozen dataclass hashed by its ``id`` alone.
+def _field_error(owner: str, field: str, reason: str) -> DeclarationError:
+    """The error rejecting ``owner``'s ``field``: ``reason`` says what was expected."""
+    return DeclarationError(f"{owner}: {field}: {reason}", field, reason)
 
-    States hash their space at every set or dict lookup, and a hash of every
-    field would walk a long ``bounds`` tuple each time. A string caches its
-    own hash, so this one is computed once and costs no storage. Equal spaces
-    have equal ids, and equality is the dataclass's own. The id is checked
-    before the space's own fields.
+
+def _declaration(kind: str, name: str | None = "id"):
+    """A class decorator: the class as a frozen dataclass of declarations of ``kind``.
+
+    Construction checks, in order: that the identifier field ``name`` (None
+    for kinds without one) holds a string; that each field ``_rule`` covers
+    holds what its annotation names, a list stored as a tuple; and the
+    class's own ``__post_init__(self, owner)``, where ``owner`` names the
+    declaration, as in ``space 'bits'``. Annotations are read on first use.
+
+    A space hashes by its id alone: states hash their space at every lookup,
+    and a string caches its own hash. Equal spaces have equal ids.
     """
-    check_fields = cls.__post_init__
 
-    def __post_init__(self):
-        _identifier("space", self)
-        check_fields(self)
+    def declare(cls: type) -> type:
+        own, checks = cls.__dict__.get("__post_init__"), None
 
-    cls.__post_init__ = __post_init__
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = lambda self: hash(self.id)
-    return cls
+        def __post_init__(self):
+            nonlocal checks
+            owner = kind
+            if name is not None:
+                ident = getattr(self, name)
+                if not isinstance(ident, str):
+                    raise _field_error(f"{kind} {ident!r}", name, "expected a string identifier")
+                owner = f"{kind} {ident!r}"
+            if checks is None:
+                hints = get_type_hints(cls, localns=vars(sys.modules[__package__]))
+                checks = _rules(hints, [f.name for f in fields(cls) if f.init])
+            for field, kinds, each in checks:
+                value = getattr(self, field)
+                if each is None and isinstance(value, kinds):
+                    continue
+                checked = _check(owner, field, value, kinds, each)
+                if checked is not value:
+                    object.__setattr__(self, field, checked)
+            if own is not None:
+                own(self, owner)
+
+        cls.__post_init__ = __post_init__
+        cls = dataclass(frozen=True)(cls)
+        if issubclass(cls, (AbstractSpace, PhysicalSpace)):
+            cls.__hash__ = lambda self: hash(self.id)
+        return cls
+
+    return declare
 
 
-@_space
+def _rule(hint, scalars: tuple = ()) -> tuple[tuple, tuple | None] | None:
+    """What a value annotated ``hint`` must be, ``(kinds, each)``; None if the rule skips it.
+
+    The rule covers ``abrep`` classes, ``Mapping``, ``scalars``, None, unions
+    of them, and ``tuple[X, ...]`` of those: a tuple or a list, whose items
+    are each one of ``each``.
+    """
+    kinds, each = [], None
+    for member in get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,):
+        origin, args = get_origin(member) or member, get_args(member)
+        if origin is tuple:
+            inner = _rule(args[0], scalars) if args[1:] == (...,) else None
+            if inner is None or inner[1] is not None:
+                return None
+            kinds, each = kinds + [tuple, list], inner[0]
+        elif origin in (NoneType, Mapping, *scalars) or (
+            isinstance(origin, type) and origin.__module__.startswith(f"{__package__}.")
+        ):
+            kinds.append(origin)
+        else:
+            return None
+    return tuple(kinds), each
+
+
+def _rules(hints: dict, names: list, scalars: tuple = ()) -> list:
+    """``(name, kinds, each)`` for each of ``names`` whose annotation ``_rule`` covers."""
+    rules = ((n, _rule(hints.get(n), scalars)) for n in names)
+    return [(n, *rule) for n, rule in rules if rule is not None]
+
+
+def _check(owner: str, field: str, value, kinds: tuple, each: tuple | None):
+    """``value``, a list as a tuple; DeclarationError naming ``field`` unless it fits ``_rule``."""
+    if not isinstance(value, kinds):
+        raise _mistyped(owner, field, value, kinds)
+    if each is None or value is None:
+        return value
+    for i, item in enumerate(value):
+        if not isinstance(item, each):
+            raise _mistyped(owner, f"{field}[{i}]", item, each)
+    return tuple(value)
+
+
+def _mistyped(owner: str, field: str, value, kinds: tuple) -> DeclarationError:
+    """The error rejecting ``value`` for ``owner``'s ``field``; it names a space's wrong family."""
+    if kinds in ((AbstractSpace,), (PhysicalSpace,)):
+        side = "an abstract" if kinds[0] is AbstractSpace else "a physical"
+        reason = f"{getattr(value, 'id', value)!r} is not {side} space"
+        return DeclarationError(f"{owner}: {reason}", field, reason)
+    names = ["list"] if list in kinds else [k.__name__ for k in kinds if k is not NoneType]
+    return _field_error(owner, field, f"expected a {' or '.join(names)}")
+
+
+def _checked(function):
+    """``function``, checking first each argument ``_rule`` covers, with ``str``; or itself if none.
+
+    A state argument is left to the function, which raises OutOfDomain for a
+    non-member. Only exports are wrapped, so calls inside the package pay nothing.
+    """
+    params = list(signature(function).parameters)
+    rules = [
+        (params.index(name), name, kinds, each)
+        for name, kinds, each in _rules(get_type_hints(function), params, (str,))
+        if not set(kinds) <= {AbstractState, PhysicalState}
+    ]
+    if not rules:
+        return function
+    owner = function.__name__
+
+    @wraps(function)
+    def checked(*args, **kwargs):
+        for i, name, kinds, each in rules:
+            if i < len(args):
+                _check(owner, name, args[i], kinds, each)
+            elif name in kwargs:
+                _check(owner, name, kwargs[name], kinds, each)
+        return function(*args, **kwargs)
+
+    return checked
+
+
+@_declaration("space")
 class LabelSpace(AbstractSpace):
     """A finite set of named values, enumerated in declaration order."""
 
     id: str
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        _check_labels(self)
+    def __post_init__(self, owner):
+        _check_labels(self, owner)
 
 
-@_space
+@_declaration("space")
 class BitSpace(AbstractSpace):
     """Bitstrings of a fixed width, written most significant bit first."""
 
     id: str
     width: int
 
-    def __post_init__(self):
-        if _integer(f"space {self.id!r}", "width", self.width) < 1:
-            raise _field_error(f"space {self.id!r}", "width", "must be at least 1")
+    def __post_init__(self, owner):
+        if _integer(owner, "width", self.width) < 1:
+            raise _field_error(owner, "width", "must be at least 1")
 
 
-@_space
+@_declaration("space")
 class IntSpace(AbstractSpace):
     """Integers in the inclusive range [lo, hi]."""
 
@@ -85,35 +200,35 @@ class IntSpace(AbstractSpace):
     lo: int
     hi: int
 
-    def __post_init__(self):
-        lo = _integer(f"space {self.id!r}", "lo", self.lo)
-        if lo > _integer(f"space {self.id!r}", "hi", self.hi):
-            raise DeclarationError(f"space {self.id!r}: lo must not exceed hi")
+    def __post_init__(self, owner):
+        if _integer(owner, "lo", self.lo) > _integer(owner, "hi", self.hi):
+            raise DeclarationError(f"{owner}: lo must not exceed hi")
 
 
-@_space
+@_declaration("space")
 class TupleSpace(AbstractSpace):
     """An ordered product of abstract component spaces."""
 
     id: str
     components: tuple[AbstractSpace, ...]
 
-    def __post_init__(self):
-        _check_components(self, AbstractSpace)
+    def __post_init__(self, owner):
+        if not self.components:
+            raise DeclarationError(f"{owner}: tuple space needs components")
 
 
-@_space
+@_declaration("space")
 class PhysicalLabelSpace(PhysicalSpace):
     """A finite set of named device configurations."""
 
     id: str
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        _check_labels(self)
+    def __post_init__(self, owner):
+        _check_labels(self, owner)
 
 
-@_space
+@_declaration("space")
 class RealVectorSpace(PhysicalSpace):
     """Real-valued device coordinates with inclusive per-coordinate bounds.
 
@@ -124,8 +239,7 @@ class RealVectorSpace(PhysicalSpace):
     id: str
     bounds: tuple[tuple[float, float], ...]
 
-    def __post_init__(self):
-        owner = f"space {self.id!r}"
+    def __post_init__(self, owner):
         if not _items(owner, "bounds", self.bounds):
             raise DeclarationError(f"{owner}: vector space needs a dimension")
         bounds = []
@@ -143,38 +257,19 @@ class RealVectorSpace(PhysicalSpace):
         return len(self.bounds)
 
 
-@_space
+@_declaration("space")
 class PhysicalTupleSpace(PhysicalSpace):
     """An ordered product of physical component spaces."""
 
     id: str
     components: tuple[PhysicalSpace, ...]
 
-    def __post_init__(self):
-        _check_components(self, PhysicalSpace)
+    def __post_init__(self, owner):
+        if not self.components:
+            raise DeclarationError(f"{owner}: tuple space needs components")
 
 
 Space = Union[AbstractSpace, PhysicalSpace]
-
-
-def require_family(owner: str, space, family: type) -> None:
-    """Raise DeclarationError unless ``space`` is of ``family``: AbstractSpace or PhysicalSpace."""
-    if not isinstance(space, family):
-        side = "an abstract" if family is AbstractSpace else "a physical"
-        raise DeclarationError(f"{owner}: {getattr(space, 'id', space)!r} is not {side} space")
-
-
-def _field_error(owner: str, field: str, reason: str) -> DeclarationError:
-    """The error rejecting ``owner``'s ``field``: ``reason`` says what was expected."""
-    return DeclarationError(f"{owner}: {field}: {reason}", field, reason)
-
-
-def _identifier(kind: str, decl, field: str = "id") -> str:
-    """``decl``, a ``kind``, as messages name it; DeclarationError unless its ``field`` is a str."""
-    name = getattr(decl, field)
-    if not isinstance(name, str):
-        raise _field_error(f"{kind} {name!r}", field, "expected a string identifier")
-    return f"{kind} {name!r}"
 
 
 def _finite(owner: str, field: str, value) -> float:
@@ -202,15 +297,6 @@ def _integer(owner: str, field: str, value) -> int:
     return value
 
 
-def _typed(owner: str, value, kind: type, field: str | None = None):
-    """``value`` itself; DeclarationError unless it is a ``kind``, naming ``field`` when given."""
-    if not isinstance(value, kind):
-        if field is not None:
-            raise _field_error(owner, field, f"expected a {kind.__name__}")
-        raise DeclarationError(f"{owner} {value!r} is not {kind.__name__}")
-    return value
-
-
 def _items(owner: str, field: str, value, each=None) -> tuple:
     """``value`` as a tuple; DeclarationError unless it is a list or a tuple.
 
@@ -224,24 +310,15 @@ def _items(owner: str, field: str, value, each=None) -> tuple:
     return tuple(each(owner, f"{field}[{i}]", v) for i, v in enumerate(value))
 
 
-def _check_components(space, family: type) -> None:
-    components = _items(f"space {space.id!r}", "components", space.components)
-    if not components:
-        raise DeclarationError(f"space {space.id!r}: tuple space needs components")
-    for comp in components:
-        require_family(f"space {space.id!r}", comp, family)
-    object.__setattr__(space, "components", components)
-
-
-def _check_labels(space) -> None:
-    labels = _items(f"space {space.id!r}", "labels", space.labels)
+def _check_labels(space, owner: str) -> None:
+    labels = _items(owner, "labels", space.labels)
     if not labels:
-        raise DeclarationError(f"space {space.id!r}: label set must be non-empty")
+        raise DeclarationError(f"{owner}: label set must be non-empty")
     for i, label in enumerate(labels):
         if not isinstance(label, str):
-            raise _field_error(f"space {space.id!r}", f"labels[{i}]", "expected a string label")
+            raise _field_error(owner, f"labels[{i}]", "expected a string label")
     if len(set(labels)) != len(labels):
-        raise DeclarationError(f"space {space.id!r}: duplicate labels")
+        raise DeclarationError(f"{owner}: duplicate labels")
     object.__setattr__(space, "labels", labels)
 
 
@@ -306,7 +383,7 @@ class AbstractState:
     value: Value
 
     def __post_init__(self):
-        require_family("abstract state", self.space, AbstractSpace)
+        _check("abstract state", "space", self.space, (AbstractSpace,), None)
         object.__setattr__(self, "value", normalize_value(self.space, self.value))
 
 
@@ -318,7 +395,7 @@ class PhysicalState:
     value: Value
 
     def __post_init__(self):
-        require_family("physical state", self.space, PhysicalSpace)
+        _check("physical state", "space", self.space, (PhysicalSpace,), None)
         object.__setattr__(self, "value", normalize_value(self.space, self.value))
 
 
@@ -468,8 +545,10 @@ def distance(metric: Metric, a: State, b: State) -> float:
 
     Comparing states from different spaces is forbidden rather than guessed
     at; it raises MetricMismatch, as does applying a metric to a space kind
-    it does not measure.
+    it does not measure. A raw value is not a state, and raises OutOfDomain.
     """
+    if not all(isinstance(s, (AbstractState, PhysicalState)) for s in (a, b)):
+        raise OutOfDomain("distance compares states, not raw values")
     if a.space != b.space:
         raise MetricMismatch(
             f"cannot compare states from spaces {a.space.id!r} and {b.space.id!r}"

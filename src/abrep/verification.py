@@ -43,16 +43,16 @@ from .spaces import (
     AbstractState,
     Metric,
     PhysicalState,
+    _declaration,
     _distance_value,
     _field_error,
     _finite,
     _integer,
     _trusted,
-    _typed,
 )
 
 
-@dataclass(frozen=True)
+@_declaration("diagram", name=None)
 class DiagramSpec:
     """Everything needed to test one commuting square.
 
@@ -69,14 +69,14 @@ class DiagramSpec:
     trials: int = 1
     required_success: float = 1.0
 
-    def __post_init__(self):
-        relation = _typed("diagram: theory", self.theory, Theory).representation
-        program = _typed("diagram: program", self.abstract_dynamics, AbstractDynamics)
-        device = _typed("diagram: device update", self.physical_dynamics, PhysicalDynamics)
-        if program.space != relation.codomain or device.space != relation.domain:
-            raise DeclarationError("diagram: its dynamics do not act on the theory's spaces")
-        _typed("diagram", self.metric, Metric, "metric")
-        _check_tolerances(self, "diagram")
+    def __post_init__(self, owner):
+        relation = self.theory.representation
+        if (
+            self.abstract_dynamics.space != relation.codomain
+            or self.physical_dynamics.space != relation.domain
+        ):
+            raise DeclarationError(f"{owner}: its dynamics do not act on the theory's spaces")
+        _check_tolerances(self, owner)
 
 
 def _check_tolerances(decl, owner: str) -> None:
@@ -188,26 +188,23 @@ def _in_domain(theory: Theory, p: PhysicalState) -> None:
         raise OutOfDomain(f"configuration is outside the declared domain of theory {theory.id!r}")
 
 
-def check_commutation(
-    spec: DiagramSpec, p: PhysicalState, base_seed: TrialSeed
-) -> CommutationReport:
+def check_commutation(spec: DiagramSpec, p: PhysicalState, seed: TrialSeed) -> CommutationReport:
     """Test the square at configuration ``p`` in the prediction direction.
 
     Representing both ends and comparing abstractly is the scientific use of
     the theory: the program's answer is the prediction the device must hit.
     """
-    _typed("check_commutation", base_seed, TrialSeed, "seed")
     _in_domain(spec.theory, p)
     relation = spec.theory.representation
     upper = evolve_abstract(spec.abstract_dynamics, represent(relation, p))
-    return _square(spec, p, upper, spec.metric, base_seed, relation)
+    return _square(spec, p, upper, spec.metric, seed, relation)
 
 
 def check_history(
     spec: DiagramSpec,
     m: AbstractState,
     physical_metric: Metric,
-    base_seed: TrialSeed,
+    seed: TrialSeed,
 ) -> CommutationReport:
     """Test the square at abstract state ``m`` in the engineering direction.
 
@@ -216,11 +213,9 @@ def check_history(
     physical states. This is the technology use of the theory. Both ends
     are prepared in one scan of the seeds.
     """
-    _typed("check_history", base_seed, TrialSeed, "seed")
-    _typed("check_history", physical_metric, Metric, "physical_metric")
     evolved = evolve_abstract(spec.abstract_dynamics, m)
     start, target = _prepare(spec.theory, (m, evolved))
-    return _square(spec, start, target, physical_metric, base_seed)
+    return _square(spec, start, target, physical_metric, seed)
 
 
 @dataclass(frozen=True)
@@ -263,7 +258,7 @@ def validate_theory(
     metric: Metric,
     trials: int,
     required_success: float,
-    base_seed: TrialSeed,
+    seed: TrialSeed,
 ) -> tuple[Theory, ValidityReport]:
     """Check every (domain state, prediction) square and grade the theory.
 
@@ -271,11 +266,10 @@ def validate_theory(
     left untouched. Validity is relative to exactly this grid:
     coverage is reported, extrapolation is never assumed.
     """
-    if not _typed("validate_theory", theory, Theory, "theory").domain:
+    if not theory.domain:
         raise EmptyDomain(f"theory {theory.id!r} declares no domain states")
     if not theory.predictions:
         raise EmptyDomain(f"theory {theory.id!r} declares no predictions")
-    _typed("validate_theory", base_seed, TrialSeed, "seed")
     specs = [
         DiagramSpec(theory, pred.abstract, pred.physical, epsilon, metric, trials, required_success)
         for pred in theory.predictions
@@ -287,8 +281,8 @@ def validate_theory(
         reading = read(state.value)  # domain states are the relation's: checked at declaration
         for pi, (pred, spec) in enumerate(zip(theory.predictions, specs)):
             upper = _trusted(AbstractState, codomain, pred.abstract._apply(reading))
-            seed = None if pred.physical.noise is None else derive_seed(base_seed, si, pi)
-            reports.append(_square(spec, state, upper, metric, seed, relation))
+            cell_seed = None if pred.physical.noise is None else derive_seed(seed, si, pi)
+            reports.append(_square(spec, state, upper, metric, cell_seed, relation))
     names = [pred.name for pred in theory.predictions]
     evidence = _assemble(
         ValidityReport, (theory.domain, names, reports), theory_id=theory.id,
@@ -324,7 +318,6 @@ def run_compute_cycle(
     not been validated cannot be used this way, and ``h`` must be the device
     update that validation checked for ``program``.
     """
-    _typed("run_compute_cycle", seed, TrialSeed, "seed")
     if not theory.is_valid:
         raise TheoryNotValidated(
             f"theory {theory.id!r} has validity {theory.validity!r};"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -284,9 +285,9 @@ def test_classify_composed_joint_as_its_materialized_table():
 
 def test_component_references_are_type_checked():
     theory = build_xor_joint().theory("xor.left")
-    with pytest.raises(DeclarationError, match="component theory"):
+    with pytest.raises(DeclarationError, match="component: theory: expected a Theory"):
         Component("t", "d")
-    with pytest.raises(DeclarationError, match="component dynamics"):
+    with pytest.raises(DeclarationError, match="component: dynamics: expected a AbstractDynamics"):
         Component(theory, "d")
 
 
@@ -298,6 +299,21 @@ def test_joint_references_are_type_checked(field):
     wrong = joint.left.theory.representation.domain  # a physical space, but no product
     with pytest.raises(DeclarationError, match="joint 'xor.joint'"):
         replace(joint, **{field: wrong})
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("joint_representation", "joint representation does not read the product"),
+        ("joint_dynamics", "joint dynamics do not act on the joint codomain"),
+    ],
+)
+def test_joint_shape_errors_name_the_joint(field, message):
+    joint = build_xor_joint().joint("xor.joint")
+    half = {"joint_representation": joint.left.theory.representation}
+    half["joint_dynamics"] = joint.left.dynamics
+    with pytest.raises(DeclarationError, match=re.escape(f"joint 'xor.joint': {message}")):
+        replace(joint, **{field: half[field]})
 
 
 def test_unknown_provenance_is_a_declaration_error():

@@ -455,7 +455,7 @@ def test_every_field_is_checked_at_its_path(name, path, field):
     "declare, field",
     [
         (lambda: CoordinateFlipNoise(0.5, 5, 2.5, 0.0, 5.0), "coordinates"),
-        (lambda: LabelFlipNoise(0.5, 5), None),
+        (lambda: LabelFlipNoise(0.5, 5), "partners"),
         (lambda: CoordinateUpdateRule(5), "assignments"),
         (lambda: ThresholdRule((1, "a")), "thresholds[1]"),
         (lambda: CheckSpec("c", "commutation", trials=2.9), "trials"),

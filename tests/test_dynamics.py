@@ -215,7 +215,7 @@ def test_builtin_shape_validation():
 
 @pytest.mark.parametrize("entries", [5, [("0", "1"), ("1", "0")]], ids=["int", "pairs"])
 def test_table_entries_must_be_a_mapping(entries):
-    with pytest.raises(DeclarationError, match="table rule entries"):
+    with pytest.raises(DeclarationError, match="table rule: entries: expected a Mapping"):
         TableRule(entries)
 
 
@@ -651,3 +651,28 @@ def test_update_levels_validated_against_bounds():
             VOLTS,
             CoordinateUpdateRule((BinarySumUpdate((0, 9), (2, 3), (4, 5, 6), 2.5, 0.0, 5.0),)),
         )
+
+
+@pytest.mark.parametrize(
+    "declare, message",
+    [
+        (
+            lambda: ConstantUpdate((6,), (0.0, 5.0)),
+            "constant update: lines and values differ in length",
+        ),
+        (
+            lambda: PhysicalDynamics(
+                "d", PhysicalLabelSpace("cells", ("a",)), CoordinateUpdateRule(())
+            ),
+            "dynamics 'd': coordinate updates need a real-vector space",
+        ),
+        (
+            lambda: PhysicalDynamics("d", RealVectorSpace("v", ((0.0, 5.0),)), TableRule({})),
+            "dynamics 'd': a table needs a finite key space",
+        ),
+    ],
+    ids=["constant-lengths", "update-space", "table-keys"],
+)
+def test_update_shape_errors_name_their_owner(declare, message):
+    with pytest.raises(DeclarationError, match=re.escape(message)):
+        declare()

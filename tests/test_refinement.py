@@ -231,6 +231,14 @@ def test_layer_references_are_type_checked():
         RefinementLayer("l", stack.device.space, stack.layers[0].dynamics)
 
 
+def test_a_layer_whose_dynamics_act_elsewhere_names_the_layer():
+    _, stack = stack_pieces()
+    top, middle = stack.layers[:2]
+    message = f"layer {top.id!r}: dynamics act on a different space"
+    with pytest.raises(DeclarationError, match=re.escape(message)):
+        replace(top, dynamics=middle.dynamics)
+
+
 def test_simulation_references_are_type_checked():
     _, stack = stack_pieces()
     with pytest.raises(DeclarationError):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,7 @@ from abrep import (
     ThresholdRule,
     TupleSpace,
     TupleWiseRule,
+    build_swap_device,
     build_voltage_adder,
     enumerate_states,
     identity_dynamics,
@@ -290,7 +292,7 @@ def test_theory_declaration_validation():
 
 @pytest.mark.parametrize("entries", [5, [("a", "x"), ("b", "y")]], ids=["int", "pairs"])
 def test_lookup_entries_must_be_a_mapping(entries):
-    with pytest.raises(DeclarationError, match="lookup rule entries"):
+    with pytest.raises(DeclarationError, match="lookup rule: entries: expected a Mapping"):
         LookupRule(entries)
 
 
@@ -344,3 +346,64 @@ def test_validity_starts_untested_and_cannot_be_declared():
     for declared in ("validity", "evidence"):
         with pytest.raises(TypeError):
             Theory(**fields, **{declared: None})
+
+
+def _adder_shapes():
+    """Shape errors of the built-in adder's relation and theory: fields to replace, message."""
+    theory = build_voltage_adder().theory("adder")
+    read, pred, inst = theory.representation, theory.predictions[0], theory.instantiation
+    cells = PhysicalLabelSpace("cells", ("a", "b"))
+    stray = (PhysicalState(cells, "a"),)
+    return {
+        "threshold-domain": (read, {"domain": cells}, "threshold rules need a real-vector domain"),
+        "threshold-count": (
+            read, {"rule": ThresholdRule((2.5,) * 6)}, "one threshold per coordinate required"
+        ),
+        "threshold-codomain": (
+            read,
+            {"codomain": LabelSpace("modes", ("x", "y"))},
+            "codomain must be a bitstring register or a tuple of bitstring registers",
+        ),
+        "domain": (theory, {"domain": stray}, "domain state outside the represented space"),
+        "duplicate-predictions": (
+            theory, {"predictions": (pred, pred)}, "duplicate prediction names"
+        ),
+        "prediction-device": (
+            theory,
+            {"predictions": (Prediction("add", pred.abstract, identity_dynamics("hold", cells)),)},
+            "prediction 'add' device dynamics act on the wrong space",
+        ),
+        "engineering": (
+            theory,
+            {"instantiation": InstantiationProcedure(inst.seeds, identity_dynamics("h", cells))},
+            "engineering dynamics act on the wrong space",
+        ),
+        "seed": (
+            theory,
+            {"instantiation": InstantiationProcedure(stray, inst.engineering)},
+            "seed outside the represented space",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_adder_shapes()))
+def test_relation_and_theory_shape_errors_name_their_owner(case):
+    decl, fields, message = _adder_shapes()[case]
+    owner = "theory 'adder'" if isinstance(decl, Theory) else "relation 'adder.read'"
+    with pytest.raises(DeclarationError, match=re.escape(f"{owner}: {message}")):
+        replace(decl, **fields)
+
+
+def test_a_tuple_wise_rule_needs_matching_products():
+    read = build_swap_device().theory("swap").representation
+    with pytest.raises(
+        DeclarationError, match="relation 'swap.read': tuple-wise rules need matching products"
+    ):
+        replace(read, rule=TupleWiseRule(read.rule.parts[:1]))
+
+
+def test_a_table_image_outside_the_codomain_names_the_relation():
+    cells = PhysicalLabelSpace("cells", ("a", "b"))
+    modes = LabelSpace("modes", ("x", "y"))
+    with pytest.raises(DeclarationError, match="relation 'r': image of 'a' leaves 'modes'"):
+        RepresentationRelation("r", cells, modes, LookupRule({"a": "z", "b": "x"}))

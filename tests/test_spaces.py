@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -100,6 +101,20 @@ def test_primitives_reject_raw_values(call):
 )
 def test_constructors_type_check_their_fields(build):
     with pytest.raises(DeclarationError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RealVectorSpace("v", ()), "space 'v': vector space needs a dimension"),
+        (lambda: TupleSpace("t", ()), "space 't': tuple space needs components"),
+        (lambda: PhysicalTupleSpace("t", []), "space 't': tuple space needs components"),
+    ],
+    ids=["vector", "tuple", "physical-tuple"],
+)
+def test_empty_spaces_name_the_space(build, message):
+    with pytest.raises(DeclarationError, match=re.escape(message)):
         build()
 
 

@@ -1,0 +1,188 @@
+"""Misuse sweeps: every argument and field an annotation types rejects a value of the wrong type.
+
+Both sweeps read the functions, classes, parameters and fields from the
+package's exports and annotations, so a new one is covered without editing
+this file. A value is typed when its annotation names only ``abrep`` classes,
+``Mapping``, None (and ``str``, for a function's parameter), unions of them,
+or ``tuple[X, ...]`` of those. A wrong-typed value is a DeclarationError
+that names the parameter or field; a raw value for a state is OutOfDomain.
+"""
+
+import dataclasses
+import functools
+import inspect
+import types
+import typing
+from collections.abc import Mapping
+
+import pytest
+
+import abrep
+from abrep import (
+    BUILTIN_SCENARIOS,
+    DISCRETE,
+    AbstractState,
+    ChainRule,
+    DeclarationError,
+    DiagramSpec,
+    LabelFlipNoise,
+    OutOfDomain,
+    PhysicalState,
+    TrialSeed,
+    validate_theory,
+)
+
+STATES = (AbstractState, PhysicalState)
+
+
+def _members(hint) -> tuple:
+    """The classes a typed annotation names, or None if it is not typed."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        parts = [_members(a) for a in args]
+        return None if None in parts else sum(parts, ())
+    if typing.get_origin(hint) is tuple:
+        return _members(args[0]) if args[1:] == (...,) else None
+    return ((typing.get_origin(hint) or hint),)
+
+
+def _typed(hint, scalars=()) -> bool:
+    classes = _members(hint)
+    return classes is not None and all(
+        c in (type(None), Mapping, *scalars) or getattr(c, "__module__", "").startswith("abrep.")
+        for c in classes
+    )
+
+
+def _wrong(hint):
+    """A value of the wrong type for ``hint``: ``"x"``, or 5 where a str is allowed."""
+    return 5 if str in _members(hint) else "x"
+
+
+@functools.cache
+def _valid() -> dict:
+    """A valid value of each type an exported function takes, on the built-in voltage adder."""
+    bundle = BUILTIN_SCENARIOS["voltage-adder"]()
+    theory = bundle.theory("adder")
+    pred = theory.predictions[0]
+    graded, _ = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, TrialSeed(0))
+    stack = BUILTIN_SCENARIOS["refinement-stack"]().stacks[0]
+    joint = BUILTIN_SCENARIOS["xor-joint"]().joints[0]
+    return {
+        abrep.Theory: graded,
+        abrep.AbstractDynamics: pred.abstract,
+        abrep.PhysicalDynamics: pred.physical,
+        abrep.RepresentationRelation: theory.representation,
+        abrep.DiagramSpec: DiagramSpec(theory, pred.abstract, pred.physical),
+        abrep.Metric: DISCRETE,
+        TrialSeed: TrialSeed(0),
+        abrep.SimulationRelation: stack.relations[0],
+        abrep.RefinementStack: stack,
+        abrep.ScenarioBundle: bundle,
+        abrep.RunReport: abrep.run_checks(bundle),
+        abrep.JointSystem: joint,
+        abrep.Component: joint.left,
+        abrep.PhysicalSpace: theory.representation.domain,
+        abrep.AbstractSpace: theory.representation.codomain,
+        AbstractState: AbstractState(theory.representation.codomain, ("01", "10", "000")),
+        PhysicalState: theory.domain[0],
+        str: "add",
+        float: 1.0,
+        int: 1,
+    }
+
+
+def _argument_sites():
+    for name, function in sorted(vars(abrep).items()):
+        if not isinstance(function, types.FunctionType):
+            continue
+        hints = typing.get_type_hints(function)
+        for param in inspect.signature(function).parameters.values():
+            if param.kind is not param.VAR_POSITIONAL and _typed(hints.get(param.name), (str,)):
+                yield name, param.name
+
+
+@pytest.mark.parametrize("name, param", list(_argument_sites()))
+def test_every_typed_argument_is_checked(name, param):
+    function = vars(abrep)[name]
+    hints = typing.get_type_hints(function)
+    args = {
+        p.name: _valid()[_members(hints[p.name])[0]]
+        for p in inspect.signature(function).parameters.values()
+        if p.default is p.empty and p.kind is not p.VAR_POSITIONAL
+    }
+    args[param] = _wrong(hints[param])
+    if set(_members(hints[param])) <= set(STATES):
+        if hints["return"] is bool:  # a predicate: a raw value is not a member
+            assert function(**args) is False
+        else:
+            with pytest.raises(OutOfDomain):
+                function(**args)
+        return
+    with pytest.raises(DeclarationError) as err:
+        function(**args)
+    assert err.value.field == param
+    assert str(err.value).startswith(f"{name}: ")
+
+
+#: The exported dataclasses that are states, reports, results or plain values.
+NOT_DECLARATIONS = {
+    "AbstractState", "PhysicalState", "TrialSeed", "Metric", "CommutationReport",
+    "ValidityReport", "LayerReport", "StackReport", "RunReport", "ComputeResult",
+    "CompositionClass", "FactorizationWitness",
+}
+
+
+@functools.cache
+def _declarations() -> dict:
+    """One instance of each declaration class: from the built-ins, and the few they lack."""
+    found: dict = {}
+    seen: dict = {}  # by id, holding each object so that no id is reused
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen[id(obj)] = obj
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            if type(obj).__name__ not in NOT_DECLARATIONS:
+                found.setdefault(type(obj), obj)
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name))
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                walk(item)
+
+    theory = BUILTIN_SCENARIOS["voltage-adder"]().theory("adder")
+    pred = theory.predictions[0]
+    for build in BUILTIN_SCENARIOS.values():
+        walk(build())
+    walk(DiagramSpec(theory, pred.abstract, pred.physical))
+    walk(ChainRule((pred.abstract,)))
+    walk(LabelFlipNoise(0.5, {"a": "b", "b": "a"}))
+    return found
+
+
+def test_the_sweep_has_an_instance_of_every_exported_declaration():
+    exported = {
+        name for name, cls in vars(abrep).items()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    }
+    covered = {cls.__name__ for cls in _declarations()}
+    assert exported - NOT_DECLARATIONS <= covered
+
+
+def _field_sites():
+    for cls in sorted(_declarations(), key=lambda c: c.__name__):
+        hints = typing.get_type_hints(cls, localns=vars(abrep))
+        for f in dataclasses.fields(cls):
+            if f.init and _typed(hints[f.name]):
+                yield cls.__name__, f.name
+
+
+@pytest.mark.parametrize("bad", ["x", 5], ids=["str", "int"])
+@pytest.mark.parametrize("cls, field", list(_field_sites()))
+def test_every_typed_field_is_checked(cls, field, bad):
+    instance = next(obj for c, obj in _declarations().items() if c.__name__ == cls)
+    with pytest.raises(DeclarationError) as err:
+        dataclasses.replace(instance, **{field: bad})
+    assert err.value.field.startswith(field)

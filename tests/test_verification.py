@@ -609,7 +609,7 @@ def _mistyped_calls() -> dict:
             lambda: validate_theory("adder", 0.0, DISCRETE, 1, 1.0, SEED),
         ),
         "validate_theory-metric": (
-            "diagram", "metric", "Metric",
+            "validate_theory", "metric", "Metric",
             lambda: validate_theory(theory, 0.0, "discrete", 1, 1.0, SEED),
         ),
         "diagram-metric": (
@@ -633,7 +633,7 @@ def _mistyped_calls() -> dict:
             lambda: check_stack_to_device("stack.adder", 0.0, DISCRETE, SEED),
         ),
         "check_stack_to_device-metric": (
-            "check_layer", "metric", "Metric",
+            "check_stack_to_device", "metric", "Metric",
             lambda: check_stack_to_device(stack, 0.0, "discrete", SEED),
         ),
         "run_checks-bundle": ("run_checks", "bundle", "ScenarioBundle", lambda: run_checks("b")),
@@ -682,7 +682,8 @@ def test_a_diagram_rejects_dynamics_on_other_spaces():
     for program, device in ((swap.abstract, pred.physical), (pred.abstract, swap.physical)):
         with pytest.raises(DeclarationError, match="dynamics do not act on the theory's spaces"):
             DiagramSpec(theory, program, device)
-    with pytest.raises(DeclarationError, match="diagram: program .* is not AbstractDynamics"):
+    message = "diagram: abstract_dynamics: expected a AbstractDynamics"
+    with pytest.raises(DeclarationError, match=message):
         DiagramSpec(theory, pred.physical, pred.physical)
 
 
