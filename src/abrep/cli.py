@@ -19,13 +19,12 @@ input triple of machine registers reads as '["01","10","000"]'.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
-from .document import emit_scenario, parse_scenario, raw_value
+from .document import _loads, emit_scenario, parse_scenario, raw_value
 from .dynamics import TrialSeed
-from .errors import ModelError, ScenarioSyntaxError
+from .errors import ModelError
 from .runner import render_report, report_to_dict, run_checks
 from .scenarios import BUILTIN_SCENARIOS, CheckSpec
 from .spaces import METRICS
@@ -33,10 +32,7 @@ from .spaces import METRICS
 
 def parse_state_literal(text: str):
     """Read a command-line state value, written as JSON, into a raw canonical value."""
-    try:
-        return raw_value(json.loads(text))
-    except json.JSONDecodeError as err:
-        raise ScenarioSyntaxError(f"state value: {err.msg}", err.lineno, err.colno) from err
+    return raw_value(_loads(text, "state value: "))
 
 
 def _load_bundle(path: str):

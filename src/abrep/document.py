@@ -457,16 +457,23 @@ _SECTIONS = (
 _TOP_LEVEL = {"format_version"} | {path.partition(".")[0] for _, path, _ in _SECTIONS}
 
 
+def _loads(text: str, what: str = ""):
+    """``text`` read as JSON, or a ScenarioSyntaxError whose message starts with ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ScenarioSyntaxError(f"{what}{err.msg}", err.lineno, err.colno) from err
+    except ValueError as err:  # an integer literal past the interpreter's digit limit
+        raise ScenarioSyntaxError(f"{what}{err}") from err
+
+
 def parse_scenario(text: str) -> ScenarioBundle:
     """Parse document text into a fully resolved bundle.
 
     Raises a diagnostic carrying the position (line and column for syntax
     problems, the document path otherwise) and the offending identifier.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ScenarioSyntaxError(err.msg, err.lineno, err.colno) from err
+    doc = _loads(text)
     _expect(doc, "document", dict, "a JSON object")
     for key in doc:
         if key not in _TOP_LEVEL:

@@ -17,7 +17,7 @@ import operator
 import struct
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Union
 
 from .errors import DeclarationError, OutOfDomain
@@ -379,11 +379,11 @@ def _update(upd: BinarySumUpdate | ConstantUpdate) -> Callable[[list], Iterable]
     width, levels = len(out_lines), {"0": upd.low, "1": upd.high}
     mask, fmt = (1 << width) - 1, f"0{width}b"
 
-    def add(working):
-        total = _register_int(working, a_lines, cut) + _register_int(working, b_lines, cut)
-        return zip(out_lines, map(levels.__getitem__, format(total & mask, fmt)))
+    @lru_cache(maxsize=1 << 12)  # every sum of a target of up to 12 lines, built once
+    def pairs(total: int) -> tuple:
+        return tuple(zip(out_lines, map(levels.__getitem__, format(total, fmt))))
 
-    return add
+    return lambda w: pairs(_register_int(w, a_lines, cut) + _register_int(w, b_lines, cut) & mask)
 
 
 def _check_lines(owner: str, space: RealVectorSpace, lines, *levels: float) -> None:
@@ -441,19 +441,16 @@ def evolve_physical(h: PhysicalDynamics, p: PhysicalState, seed: TrialSeed) -> P
     return _trusted(PhysicalState, h.space, value)
 
 
-def _trial_outcomes(h: PhysicalDynamics, value: Value, base: TrialSeed | None, trials: int) -> tuple:
+def _trial_outcomes(h: PhysicalDynamics, value: Value, base: TrialSeed, trials: int) -> tuple:
     """The rule's image of member value ``value``, and the flag code of each of ``trials`` runs.
 
     Trial k's outcome, that of ``evolve_physical(h, p, derive_seed(base, k))``
     for the state p of ``value``, is ``_flip(h.noise, image, codes[k])``. The
     rule ignores the seed, so it runs once and only the noise is drawn,
     ``_BLOCK`` trials per kernel pass, with ``base`` mixed into the seeds
-    once. A noise-free device's codes are all 0 and it reads no seed, so its
-    ``base`` may be None.
+    once. ``h`` must be noisy.
     """
     image = h._apply(value)
-    if h.noise is None:
-        return image, (0,) * trials
     head = _mix(_GOLDEN + base.value, _MASK64)
     codes = ()
     for start in range(0, trials, _BLOCK):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import count
 from typing import Mapping
 
 from .dynamics import AbstractDynamics, PhysicalDynamics, TrialSeed, derive_seed
@@ -34,7 +35,9 @@ from .spaces import (
     contains,
     enumerate_values,
 )
-from .verification import CommutationReport, DiagramSpec, _assemble, _Deferred, _in_domain, _square
+from .verification import (
+    CommutationReport, DiagramSpec, _assemble, _Deferred, _grade, _in_domain, _reports,
+)
 
 
 @_declaration("layer")
@@ -118,7 +121,8 @@ def check_layer(relation: SimulationRelation, epsilon: float, metric: Metric) ->
         rows.append((value, via_upper, via_lower, d))
     passed = all(d <= epsilon for *_, d in rows)
     return _assemble(
-        LayerReport, (upper, lower, rows), relation_id=relation.id, epsilon=epsilon, passed=passed
+        LayerReport, _source=(upper, lower, rows), relation_id=relation.id, epsilon=epsilon,
+        passed=passed,
     )
 
 
@@ -210,15 +214,14 @@ def _ground(
     stack: RefinementStack, layer_reports: tuple[LayerReport, ...], epsilon: float,
     metric: Metric, base_seed: TrialSeed, trials: int, required_success: float,
 ) -> StackReport:
-    """The stack's report: ``layer_reports``, and a square per reachable bottom state."""
+    """The stack's report: ``layer_reports`` and one column of reachable bottom states' squares."""
     theory, program = stack.theory, stack.layers[-1].dynamics
     spec = DiagramSpec(theory, program, stack.device, epsilon, metric, trials, required_success)
-    device_entries: list[DeviceCheckEntry] = []
     bottoms = reachable_bottom_states(stack)
-    for i, (bottom, prepared) in enumerate(zip(bottoms, _prepare(theory, bottoms))):
-        _in_domain(theory, prepared)  # it reads as ``bottom``: _prepare chose it so
-        upper = _trusted(AbstractState, bottom.space, program._apply(bottom.value))
-        seed = None if stack.device.noise is None else derive_seed(base_seed, i)
-        report = _square(spec, prepared, upper, metric, seed, theory.representation)
-        device_entries.append(DeviceCheckEntry(bottom, report))
-    return StackReport(stack.id, layer_reports, tuple(device_entries))
+    # Each prepared state reads as its bottom state: _prepare chose it so.
+    starts = [_in_domain(theory, prepared) for prepared in _prepare(theory, bottoms)]
+    uppers = [program._apply(bottom.value) for bottom in bottoms]
+    seeds = (derive_seed(base_seed, i) for i in count())
+    column = _grade(spec, [p.value for p in starts], uppers, metric, seeds, theory.representation)
+    entries = tuple(map(DeviceCheckEntry, bottoms, _reports(starts, column)))
+    return StackReport(stack.id, layer_reports, entries)

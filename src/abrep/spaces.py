@@ -18,7 +18,7 @@ import operator
 import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
-from functools import wraps
+from functools import cached_property, wraps
 from inspect import signature
 from types import NoneType, UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -51,6 +51,7 @@ def _declaration(kind: str, name: str | None = "id"):
     holds what its annotation names, a list stored as a tuple; and the
     class's own ``__post_init__(self, owner)``, where ``owner`` names the
     declaration, as in ``space 'bits'``. Annotations are read on first use.
+    Copies and pickles leave out cached properties, which are rebuilt on first use.
 
     A space hashes by its id alone: states hash their space at every lookup,
     and a string caches its own hash. Equal spaces have equal ids.
@@ -81,6 +82,8 @@ def _declaration(kind: str, name: str | None = "id"):
                 own(self, owner)
 
         cls.__post_init__ = __post_init__
+        cached = {n for n, v in vars(cls).items() if isinstance(v, cached_property)}  # _apply
+        cls.__getstate__ = lambda self: {k: v for k, v in vars(self).items() if k not in cached}
         cls = dataclass(frozen=True)(cls)
         if issubclass(cls, (AbstractSpace, PhysicalSpace)):
             cls.__hash__ = lambda self: hash(self.id)
@@ -135,7 +138,7 @@ def _mistyped(owner: str, field: str, value, kinds: tuple) -> DeclarationError:
     """The error rejecting ``value`` for ``owner``'s ``field``; it names a space's wrong family."""
     if kinds in ((AbstractSpace,), (PhysicalSpace,)):
         side = "an abstract" if kinds[0] is AbstractSpace else "a physical"
-        reason = f"{getattr(value, 'id', value)!r} is not {side} space"
+        reason = f"{_shown(getattr(value, 'id', value))} is not {side} space"
         return DeclarationError(f"{owner}: {reason}", field, reason)
     names = ["list"] if list in kinds else [k.__name__ for k in kinds if k is not NoneType]
     return _field_error(owner, field, f"expected a {' or '.join(names)}")
@@ -346,12 +349,10 @@ def normalize_value(space: Space, value) -> Value:
         if isinstance(value, (tuple, list)) and len(value) == space.dimension:
             coords = []
             for v, (lo, hi) in zip(value, space.bounds):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                # Compared before float(v), which overflows on a huge int; bounds are floats.
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not lo <= v <= hi:
                     break
-                v = float(v)
-                if not (lo <= v <= hi):
-                    break
-                coords.append(v)
+                coords.append(float(v))
             else:
                 return tuple(coords)
     elif isinstance(space, (TupleSpace, PhysicalTupleSpace)):
@@ -362,7 +363,15 @@ def normalize_value(space: Space, value) -> Value:
             )
     else:
         raise DeclarationError(f"unknown space type {type(space).__name__}")
-    raise OutOfDomain(f"value {value!r} is not a member of space {space.id!r}")
+    raise OutOfDomain(f"value {_shown(value)} is not a member of space {space.id!r}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or a stand-in when an int in it has too many digits to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to show>"
 
 
 def _reuse(value, canonical: tuple) -> tuple:
@@ -569,16 +578,15 @@ def _distance_value(kind: str, space: Space, a: Value, b: Value) -> float:
                 f"absolute-difference does not apply to space {space.id!r}"
             )
         return float(abs(a - b))
-    if kind == "max-coordinate":
-        if isinstance(space, RealVectorSpace):
-            return max(abs(x - y) for x, y in zip(a, b))
-        if isinstance(space, (TupleSpace, PhysicalTupleSpace)):
-            return max(
-                _distance_value(_leaf_kind(comp), comp, x, y)
-                for comp, x, y in zip(space.components, a, b)
-            )
-        raise MetricMismatch(f"max-coordinate does not apply to space {space.id!r}")
-    raise MetricMismatch(f"unknown metric kind {kind!r}")
+    # Every kind is checked where it is declared, so the last one is max-coordinate.
+    if isinstance(space, RealVectorSpace):
+        return max(abs(x - y) for x, y in zip(a, b))
+    if isinstance(space, (TupleSpace, PhysicalTupleSpace)):
+        return max(
+            _distance_value(_leaf_kind(comp), comp, x, y)
+            for comp, x, y in zip(space.components, a, b)
+        )
+    raise MetricMismatch(f"max-coordinate does not apply to space {space.id!r}")
 
 
 def _leaf_kind(space: Space) -> str:

@@ -16,10 +16,11 @@ scheduled.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from copy import copy
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cached_property, partial
+from itertools import count
 
 from .dynamics import (
     AbstractDynamics,
@@ -110,10 +111,10 @@ class _Deferred:
         return value
 
 
-def _assemble(cls: type, source: tuple, **fields):
-    """A ``cls`` of trusted ``fields``, whose other fields ``cls._view`` builds from ``source``."""
+def _assemble(cls: type, **fields):
+    """A ``cls`` of trusted ``fields``, without ``__init__``; a deferring one has ``_source``."""
     report = object.__new__(cls)
-    vars(report).update(fields, _source=source)
+    vars(report).update(fields)
     return report
 
 
@@ -124,7 +125,7 @@ class CommutationReport(_Deferred):
     A trial succeeds when its distance is at most epsilon; the square passes
     when the success fraction reaches the required fraction. For history
     checks the endpoints are physical rather than abstract states. A check
-    builds ``lower_path_results`` and ``distances`` on their first read.
+    builds both paths' results and ``distances`` on their first read.
     """
 
     initial_physical: PhysicalState
@@ -136,56 +137,72 @@ class CommutationReport(_Deferred):
     epsilon: float
     required_success: float
 
-    def _view(self, name: str, kind: type, space, codes: tuple, graded: dict) -> tuple:
-        """Trial by trial, from each trial's code: its lower state, or its distance."""
+    def _view(self, name: str, kind: type, space, upper, codes: tuple, graded: dict):
+        """The upper state, or per trial, from the trial's code: its lower state or distance."""
+        if name == "upper_path_result":
+            return _trusted(kind, space, upper)
         if name == "distances":
             return tuple([graded[code][1] for code in codes])
         states = {code: _trusted(kind, space, lower) for code, (lower, _) in graded.items()}
         return tuple(map(states.__getitem__, codes))
 
 
-def _square(
-    spec: DiagramSpec,
-    start: PhysicalState,
-    upper: AbstractState | PhysicalState,
-    metric: Metric,
-    base_seed: TrialSeed | None,
+def _grade(
+    spec: DiagramSpec, starts: list, uppers: list, metric: Metric, seeds: Iterable,
     relation: RepresentationRelation | None = None,
-) -> CommutationReport:
-    """Run the seeded trials of one square's lower path and grade them.
+) -> tuple:
+    """Grade a column of squares on values: the one place a square passes or fails.
 
-    Each trial evolves ``start`` on the device, reads the outcome through
-    ``relation`` when one is given, and measures it against ``upper``. Both
-    are pure functions of the trial's flag code, so each distinct code is
-    flipped, read, measured and graded once, with its count of trials. The
-    report keeps the codes, and builds its per-trial fields from them on
-    first read. A noise-free device reads no ``base_seed``.
+    Square i runs the device from member value ``starts[i]``, reads the
+    outcome through ``relation`` if given, and measures it against
+    ``uppers[i]``. Noise-free, each compiled map runs once over the column,
+    and ``seeds`` is not read. Noisy, each distinct flag code that square i
+    draws from its seed is flipped, read and measured once, with its count of
+    trials. The column is returned as ``_reports`` reads it, verdicts first.
     """
-    device, trials = spec.physical_dynamics, spec.trials
-    noise = device.noise
-    image, codes = _trial_outcomes(device, start.value, base_seed, trials)
-    space = device.space if relation is None else relation.codomain
-    graded, successes = {}, 0
-    for code, count in (Counter(codes) if noise is not None else {0: trials}).items():
-        lower = image if noise is None else _flip(noise, image, code)
-        if relation is not None:
-            lower = relation._apply(lower)
-        d = _distance_value(metric.kind, space, lower, upper.value)
-        graded[code] = lower, d
-        successes += count if d <= spec.epsilon else 0
-    kind = PhysicalState if relation is None else AbstractState
-    fraction = successes / trials
-    return _assemble(
-        CommutationReport, (kind, space, codes, graded), initial_physical=start,
-        upper_path_result=upper, success_fraction=fraction,
-        passed=fraction >= spec.required_success,
-        epsilon=spec.epsilon, required_success=spec.required_success,
-    )
+    device, trials, epsilon = spec.physical_dynamics, spec.trials, spec.epsilon
+    kind, space, read = PhysicalState, device.space, lambda value: value
+    if relation is not None:
+        kind, space, read = AbstractState, relation.codomain, relation._apply
+    measure = partial(_distance_value, metric.kind, space)
+    if device.noise is None:
+        lowers = list(map(read, map(device._apply, starts)))
+        distances = list(map(measure, lowers, uppers))
+        codes = [(0,) * trials] * len(lowers)
+        graded = [{0: pair} for pair in zip(lowers, distances)]
+        fractions = [1.0 if d <= epsilon else 0.0 for d in distances]
+    else:
+        codes, graded, fractions = [], [], []
+        for value, upper, seed in zip(starts, uppers, seeds):
+            image, drawn = _trial_outcomes(device, value, seed, trials)
+            outcomes, successes = {}, 0
+            for code, count in Counter(drawn).items():
+                lower = read(_flip(device.noise, image, code))
+                d = measure(lower, upper)
+                outcomes[code] = lower, d
+                successes += count if d <= epsilon else 0
+            codes.append(drawn)
+            graded.append(outcomes)
+            fractions.append(successes / trials)
+    required = spec.required_success
+    passed = [fraction >= required for fraction in fractions]
+    return passed, fractions, epsilon, required, kind, space, uppers, codes, graded
 
 
-def _in_domain(theory: Theory, p: PhysicalState) -> None:
+def _reports(starts, column: tuple) -> Iterator[CommutationReport]:
+    """The report of each square in a ``column`` that ``_grade`` graded, run from ``starts``."""
+    passed, fractions, epsilon, required, kind, space, *per_square = column
+    for start, ok, fraction, upper, codes, graded in zip(starts, passed, fractions, *per_square):
+        yield _assemble(
+            CommutationReport, _source=(kind, space, upper, codes, graded), initial_physical=start,
+            success_fraction=fraction, passed=ok, epsilon=epsilon, required_success=required,
+        )
+
+
+def _in_domain(theory: Theory, p: PhysicalState) -> PhysicalState:
     if not isinstance(p, PhysicalState) or p not in theory._domain_set:
         raise OutOfDomain(f"configuration is outside the declared domain of theory {theory.id!r}")
+    return p
 
 
 def check_commutation(spec: DiagramSpec, p: PhysicalState, seed: TrialSeed) -> CommutationReport:
@@ -196,8 +213,8 @@ def check_commutation(spec: DiagramSpec, p: PhysicalState, seed: TrialSeed) -> C
     """
     _in_domain(spec.theory, p)
     relation = spec.theory.representation
-    upper = evolve_abstract(spec.abstract_dynamics, represent(relation, p))
-    return _square(spec, p, upper, spec.metric, seed, relation)
+    upper = spec.abstract_dynamics._apply(relation._apply(p.value))
+    return next(_reports([p], _grade(spec, [p.value], [upper], spec.metric, [seed], relation)))
 
 
 def check_history(
@@ -215,7 +232,8 @@ def check_history(
     """
     evolved = evolve_abstract(spec.abstract_dynamics, m)
     start, target = _prepare(spec.theory, (m, evolved))
-    return _square(spec, start, target, physical_metric, seed)
+    column = _grade(spec, [start.value], [target.value], physical_metric, [seed])
+    return next(_reports([start], column))
 
 
 @dataclass(frozen=True)
@@ -232,7 +250,7 @@ class ValidityReport(_Deferred):
     """Evidence from exhaustively checking the declared validation grid.
 
     The verdict and the coverage are read off the cells, once each;
-    ``validate_theory`` reads them off its squares, and builds ``cells`` on first read.
+    ``validate_theory`` reads them off its columns, and builds ``cells`` on first read.
     """
 
     theory_id: str
@@ -246,10 +264,14 @@ class ValidityReport(_Deferred):
     def coverage(self) -> int:
         return len(self.cells)
 
-    def _view(self, name: str, domain: tuple, predictions: list, reports: list) -> tuple:
-        """The cells of ``domain`` by the prediction names, in order, with their ``reports``."""
-        grid = product(domain, predictions)
-        return tuple(ValidityCell(state, pred, r) for (state, pred), r in zip(grid, reports))
+    def _view(self, name: str, domain: tuple, names: list, columns: list) -> tuple:
+        """The cells of ``domain`` by the prediction names, in order, each from its graded column."""
+        rows = zip(domain, *(_reports(domain, column) for column in columns))
+        return tuple(
+            _assemble(ValidityCell, state=state, prediction=pred, report=report)
+            for state, *reports in rows
+            for pred, report in zip(names, reports)
+        )
 
 
 def validate_theory(
@@ -264,29 +286,26 @@ def validate_theory(
 
     Returns a new Theory that carries the evidence; the input value is
     left untouched. Validity is relative to exactly this grid:
-    coverage is reported, extrapolation is never assumed.
+    coverage is reported, extrapolation is never assumed. Each
+    prediction's squares are graded as one column.
     """
     if not theory.domain:
         raise EmptyDomain(f"theory {theory.id!r} declares no domain states")
     if not theory.predictions:
         raise EmptyDomain(f"theory {theory.id!r} declares no predictions")
-    specs = [
-        DiagramSpec(theory, pred.abstract, pred.physical, epsilon, metric, trials, required_success)
-        for pred in theory.predictions
-    ]
     relation = theory.representation
-    read, codomain = relation._apply, relation.codomain
-    reports = []
-    for si, state in enumerate(theory.domain):
-        reading = read(state.value)  # domain states are the relation's: checked at declaration
-        for pi, (pred, spec) in enumerate(zip(theory.predictions, specs)):
-            upper = _trusted(AbstractState, codomain, pred.abstract._apply(reading))
-            cell_seed = None if pred.physical.noise is None else derive_seed(seed, si, pi)
-            reports.append(_square(spec, state, upper, metric, cell_seed, relation))
+    values = [state.value for state in theory.domain]  # the relation's: checked at declaration
+    readings = list(map(relation._apply, values))
+    columns, tolerances = [], (epsilon, metric, trials, required_success)
+    for pi, pred in enumerate(theory.predictions):
+        spec = DiagramSpec(theory, pred.abstract, pred.physical, *tolerances)
+        seeds = (derive_seed(seed, si, pi) for si in count())
+        uppers = list(map(pred.abstract._apply, readings))
+        columns.append(_grade(spec, values, uppers, metric, seeds, relation))
     names = [pred.name for pred in theory.predictions]
     evidence = _assemble(
-        ValidityReport, (theory.domain, names, reports), theory_id=theory.id,
-        all_passed=all(r.passed for r in reports), coverage=len(reports),
+        ValidityReport, _source=(theory.domain, names, columns), theory_id=theory.id,
+        coverage=len(values) * len(names), all_passed=all(all(column[0]) for column in columns),
     )
     graded = copy(theory)
     object.__setattr__(graded, "evidence", evidence)

@@ -9,9 +9,11 @@ import sys
 from abrep import document
 from abrep import (
     AbstractDynamics,
+    BinarySumUpdate,
     BitSpace,
     BuiltinRule,
     Component,
+    CoordinateUpdateRule,
     InstantiationProcedure,
     JointSystem,
     LabelSpace,
@@ -21,9 +23,11 @@ from abrep import (
     PhysicalState,
     PhysicalTupleSpace,
     Prediction,
+    RealVectorSpace,
     RepresentationRelation,
     TableRule,
     Theory,
+    ThresholdRule,
     TupleSpace,
     TupleWiseRule,
     build_xor_joint,
@@ -57,18 +61,18 @@ def count_calls(monkeypatch, **targets) -> dict:
     return counts
 
 
-def count_device_work(monkeypatch) -> dict:
-    """Count device-rule applications (``rule``) and reads (``read``) from here on.
+def count_compiled(monkeypatch, **classes) -> dict:
+    """Count the calls of each class's compiled evaluator from here on, by keyword.
 
-    They are the calls of the compiled evaluators, ``PhysicalDynamics._apply``
-    and ``RepresentationRelation._apply``, wherever they are made. Each is a
-    cached property; a property patched over it on the class hands out the
-    compiled function, built or cached as usual, wrapped in a counter. A
-    tuple-wise relation first compiled while counting keeps its parts'
-    wrapped functions, so its later reads still add to this dict.
+    The evaluator is the cached property ``_apply``, and its calls are
+    counted wherever they are made. A property patched over it on the class
+    hands out the compiled function, built or cached as usual, wrapped in a
+    counter. A tuple-wise relation or a chain first compiled while counting
+    keeps its parts' wrapped functions, so its later calls still add to this
+    dict.
     """
-    counts = {"rule": 0, "read": 0}
-    for key, cls in (("rule", PhysicalDynamics), ("read", RepresentationRelation)):
+    counts = dict.fromkeys(classes, 0)
+    for key, cls in classes.items():
         compiled = vars(cls)["_apply"]
 
         def counting(decl, key=key, compiled=compiled):
@@ -82,6 +86,37 @@ def count_device_work(monkeypatch) -> dict:
 
         monkeypatch.setattr(cls, "_apply", property(counting))
     return counts
+
+
+def count_device_work(monkeypatch) -> dict:
+    """Count device-rule applications (``rule``) and reads (``read``) from here on."""
+    return count_compiled(monkeypatch, rule=PhysicalDynamics, read=RepresentationRelation)
+
+
+def adder_theory(width: int) -> Theory:
+    """A noise-free voltage adder of two ``width``-bit registers, every input pair in its domain.
+
+    Its 3w+1 lines hold both addends and a (w+1)-bit sum, read at 2.5 V and
+    written by one binary-sum update, as in the benchmark's adder family.
+    """
+    n = 3 * width + 1
+    lines = RealVectorSpace(f"adder{width}.lines", ((0.0, 5.0),) * n)
+    register = BitSpace(f"adder{width}.register", width)
+    machine = TupleSpace(
+        f"adder{width}.machine", (register, register, BitSpace(f"adder{width}.out", width + 1))
+    )
+    read = RepresentationRelation(f"adder{width}.read", lines, machine, ThresholdRule((2.5,) * n))
+    add = AbstractDynamics(f"adder{width}.add", machine, BuiltinRule("ripple-add"))
+    update = BinarySumUpdate(
+        tuple(range(width)), tuple(range(width, 2 * width)), tuple(range(2 * width, n)), 2.5, 0.0, 5.0
+    )
+    volts = PhysicalDynamics(f"adder{width}.volts", lines, CoordinateUpdateRule((update,)))
+    inputs = (format(i, f"0{2 * width}b") for i in range(1 << (2 * width)))
+    domain = tuple(
+        PhysicalState(lines, tuple(5.0 if c == "1" else 0.0 for c in bits) + (0.0,) * (width + 1))
+        for bits in inputs
+    )
+    return Theory(f"adder{width}", read, domain, (Prediction("add", add, volts),))
 
 
 def random_deterministic_theory(rng: random.Random, tag: str) -> Theory:

@@ -63,6 +63,16 @@ def test_check_command_rejects_invalid_input_file(tmp_path, capsys):
     assert "ScenarioSyntaxError" in err
 
 
+def test_an_integer_past_the_digit_limit_is_a_syntax_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"format_version": 1, "spaces": ' + "7" * 5000 + "}", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ScenarioSyntaxError: Exceeds the limit (4300 digits)")
+    with pytest.raises(ScenarioSyntaxError, match="^state value: Exceeds the limit"):
+        parse_state_literal("7" * 5000)
+
+
 def test_filter_selects_matching_checks_in_order(tmp_path, capsys):
     path = write_scenario(tmp_path, "voltage-adder")
     assert main(["check", path, "--filter", "add-*", "--format", "json"]) == 0

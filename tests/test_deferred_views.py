@@ -12,6 +12,8 @@ import pickle
 import pytest
 
 import abrep.dynamics
+import abrep.refinement
+import abrep.verification
 import reference
 from abrep import (
     BUILTIN_SCENARIOS,
@@ -128,7 +130,11 @@ def test_every_view_is_the_reference_view(name, seed):
 
 
 def count_builds(monkeypatch, *classes) -> dict:
-    """Count the objects of each of ``classes`` built from here on, by class name."""
+    """Count the objects of each of ``classes`` built from here on, by class name.
+
+    An object is built through its ``__init__``, or by a check through
+    ``verification._assemble``, which is patched in both modules that call it.
+    """
     counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
     for cls in classes:
         init = cls.__init__
@@ -138,6 +144,15 @@ def count_builds(monkeypatch, *classes) -> dict:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
+    assemble = abrep.verification._assemble
+
+    def assembling(cls, **fields):
+        if cls.__name__ in counts:
+            counts[cls.__name__] += 1
+        return assemble(cls, **fields)
+
+    for module in (abrep.verification, abrep.refinement):
+        monkeypatch.setattr(module, "_assemble", assembling)
     return counts
 
 

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ from abrep import (
     classify,
     validate_theory,
 )
-from abrep.runner import run_checks
+from abrep.runner import report_to_json, run_checks
 from support import xor_joint_variant
 
 SEED = TrialSeed(0)
@@ -26,6 +27,18 @@ SEED = TrialSeed(0)
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_builders_are_reproducible(name):
     assert BUILTIN_SCENARIOS[name]() == BUILTIN_SCENARIOS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_a_bundle_pickles_after_its_checks_ran(name):
+    """Compiled evaluators stay out of the pickle, and the copy compiles its own on first use."""
+    bundle = BUILTIN_SCENARIOS[name]()
+    expected = report_to_json(run_checks(bundle, SEED))
+    copy = pickle.loads(pickle.dumps(bundle))
+    assert copy == bundle and report_to_json(run_checks(copy, SEED)) == expected
+    graded, _ = validate_theory(bundle.theories[0], 0.0, DISCRETE, 1, 1.0, SEED)
+    again = pickle.loads(pickle.dumps(graded))
+    assert again == graded and again.validity == graded.validity
 
 
 @pytest.mark.parametrize(

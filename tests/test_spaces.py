@@ -134,6 +134,21 @@ def test_state_construction_rejects_non_members():
         AbstractState(SMALL_INT, True)
 
 
+def test_huge_integers_are_out_of_domain_and_ordinary_messages_keep_their_bytes():
+    """An int too large for a float, or past the digit limit of ``repr``, is just a non-member."""
+    line = RealVectorSpace("v", ((0.0, 5.0),))
+    with pytest.raises(OutOfDomain, match=r"^value \(1000000000000000000000\d*,\) is not a member"):
+        PhysicalState(line, (10**400,))
+    with pytest.raises(OutOfDomain, match=r"^value <tuple too large to show> is not a member of space 'v'$"):
+        PhysicalState(line, (10**5000,))
+    with pytest.raises(OutOfDomain, match=r"^value <int too large to show> is not a member of space 'i'$"):
+        AbstractState(IntSpace("i", 0, 10), 10**5000)
+    with pytest.raises(OutOfDomain) as ordinary:
+        PhysicalState(line, (6,))
+    assert str(ordinary.value) == "value (6,) is not a member of space 'v'"
+    assert PhysicalState(line, (5,)).value == (5.0,)
+
+
 def test_space_declaration_invariants():
     with pytest.raises(DeclarationError):
         LabelSpace("empty", ())

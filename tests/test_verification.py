@@ -13,8 +13,6 @@ from abrep import (
     BUILTIN_SCENARIOS,
     AbstractDynamics,
     AbstractState,
-    BinarySumUpdate,
-    BitSpace,
     BuiltinRule,
     ConstantUpdate,
     CoordinateUpdateRule,
@@ -30,13 +28,10 @@ from abrep import (
     PhysicalDynamics,
     PhysicalState,
     Prediction,
-    RealVectorSpace,
     RepresentationRelation,
     Theory,
     TheoryNotValidated,
-    ThresholdRule,
     TrialSeed,
-    TupleSpace,
     ValidityReport,
     build_swap_device,
     build_voltage_adder,
@@ -56,7 +51,7 @@ from abrep import (
     run_compute_cycle,
     validate_theory,
 )
-from support import count_device_work, random_deterministic_theory
+from support import adder_theory, count_compiled, count_device_work, random_deterministic_theory
 
 SEED = TrialSeed(0)
 
@@ -395,30 +390,9 @@ def test_diagram_spec_numbers_are_checked(field, value):
         DiagramSpec(theory, pred.abstract, pred.physical, **{field: value})
 
 
-def _adder_theory(width: int) -> Theory:
-    """A noise-free voltage adder of two ``width``-bit registers, every input pair in its domain."""
-    n = 3 * width + 1
-    lines = RealVectorSpace(f"adder{width}.lines", ((0.0, 5.0),) * n)
-    register = BitSpace(f"adder{width}.register", width)
-    machine = TupleSpace(
-        f"adder{width}.machine", (register, register, BitSpace(f"adder{width}.out", width + 1))
-    )
-    read = RepresentationRelation(f"adder{width}.read", lines, machine, ThresholdRule((2.5,) * n))
-    add = AbstractDynamics(f"adder{width}.add", machine, BuiltinRule("ripple-add"))
-    update = BinarySumUpdate(
-        tuple(range(width)), tuple(range(width, 2 * width)), tuple(range(2 * width, n)), 2.5, 0.0, 5.0
-    )
-    volts = PhysicalDynamics(f"adder{width}.volts", lines, CoordinateUpdateRule((update,)))
-    domain = tuple(
-        PhysicalState(lines, tuple(5.0 if c == "1" else 0.0 for c in format(i, f"0{2 * width}b")) + (0.0,) * (width + 1))
-        for i in range(1 << (2 * width))
-    )
-    return Theory(f"adder{width}", read, domain, (Prediction("add", add, volts),))
-
-
 def test_history_square_prepares_both_ends_in_one_seed_scan(monkeypatch):
     """Gate: the start and the target share one scan of the 3-bit adder's 1,024-seed grid."""
-    theory = _adder_theory(3)
+    theory = adder_theory(3)
     lines = theory.representation.domain
     grid = tuple(
         PhysicalState(lines, tuple(5.0 if c == "1" else 0.0 for c in format(i, "010b")))
@@ -449,7 +423,7 @@ def test_noisy_squares_draw_their_trials_without_a_seed_object_each(monkeypatch)
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: adder_pieces()[1], lambda: _adder_theory(3)],
+    [lambda: adder_pieces()[1], lambda: adder_theory(3)],
     ids=["voltage-adder", "3-bit-adder"],
 )
 def test_validation_cost_per_cell_does_not_grow_with_the_domain(monkeypatch, build):
@@ -472,6 +446,19 @@ def test_validation_cost_per_cell_does_not_grow_with_the_domain(monkeypatch, bui
     assert evidence.all_passed and evidence.coverage == len(theory.domain)
     assert counts["normalize_value"] == 0
     assert counts["__eq__"] <= evidence.coverage
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_noise_free_validation_cost_law(monkeypatch, width):
+    """Gate: per cell, one device step, one program step, and two reads: its state and its image."""
+    theory = adder_theory(width)
+    counts = count_compiled(
+        monkeypatch, rule=PhysicalDynamics, read=RepresentationRelation, program=AbstractDynamics
+    )
+    _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    cells = evidence.coverage
+    assert evidence.all_passed and cells == 4**width
+    assert counts == {"rule": cells, "read": 2 * cells, "program": cells}
 
 
 def test_each_trial_outcome_is_the_device_run_at_its_seed():
@@ -513,7 +500,7 @@ def _validation_subjects():
         for theory in build().theories:
             yield pytest.param(theory, id=f"{name}:{theory.id}")
     yield pytest.param(random_deterministic_theory(random.Random(5), "rand"), id="random")
-    yield pytest.param(_adder_theory(3), id="3-bit-adder")
+    yield pytest.param(adder_theory(3), id="3-bit-adder")
     noisy = build_voltage_adder(0.2).theory("adder")
     keep = AbstractDynamics("keep", noisy.representation.codomain, BuiltinRule("identity"))
     hold = Prediction("hold", keep, identity_dynamics("still", noisy.representation.domain))
@@ -542,7 +529,7 @@ def test_noise_free_validation_derives_no_seed(monkeypatch):
     """Gate: a noise-free device reads no seed, so validating its theory derives none."""
     for module in (abrep.dynamics, abrep.verification):
         monkeypatch.setattr(module, "derive_seed", None)  # a call would fail
-    _, evidence = validate_theory(_adder_theory(3), 0.0, DISCRETE, 1, 1.0, SEED)
+    _, evidence = validate_theory(adder_theory(3), 0.0, DISCRETE, 1, 1.0, SEED)
     assert evidence.all_passed and evidence.coverage == 64
 
 
@@ -557,7 +544,7 @@ def test_two_validations_compile_each_evaluator_once(monkeypatch):
             return build(decl)
 
         monkeypatch.setattr(compiled, "func", counting)
-    theory = _adder_theory(3)  # new declarations, none compiled yet
+    theory = adder_theory(3)  # new declarations, none compiled yet
     for seed in (TrialSeed(1), TrialSeed(2)):
         assert validate_theory(theory, 0.0, DISCRETE, 1, 1.0, seed)[1].all_passed
     assert builds == dict.fromkeys(builds, 1)
