@@ -26,6 +26,7 @@ from .errors import (
     NotProductSpace,
     TheoryNotValidated,
     TooLarge,
+    _shown,
 )
 from .relations import (
     RepresentationRelation,
@@ -99,7 +100,7 @@ class JointSystem:
         if self.joint_dynamics.space != self.joint_representation.codomain:
             raise DeclarationError(f"{owner}: joint dynamics do not act on the joint codomain")
         if self.provenance not in ("composed-parallel", "declared"):
-            raise DeclarationError(f"{owner}: unknown provenance {self.provenance!r}")
+            raise DeclarationError(f"{owner}: unknown provenance {_shown(self.provenance)}")
 
 
 @dataclass(frozen=True)

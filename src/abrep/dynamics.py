@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Union
 
-from .errors import DeclarationError, OutOfDomain
+from .errors import DeclarationError, OutOfDomain, _shown
 from .spaces import (
     AbstractSpace,
     AbstractState,
@@ -31,11 +31,9 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _check,
     _declaration,
     _field_error,
-    _finite,
-    _integer,
-    _items,
     _register_widths,
     _trusted,
     check_total_table,
@@ -73,7 +71,7 @@ class TrialSeed:
     value: int = 0
 
     def __post_init__(self):
-        if not (0 <= _integer("trial seed", "value", self.value) <= _MASK64):
+        if not (0 <= _check("trial seed", "value", self.value, (int,), None) <= _MASK64):
             raise _field_error("trial seed", "value", "must fit in 64 bits")
 
 
@@ -115,7 +113,7 @@ class BuiltinRule:
 
     def __post_init__(self, owner):
         if self.name not in BUILTIN_NAMES:
-            raise _field_error(owner, "name", f"unknown builtin dynamics {self.name!r}")
+            raise _field_error(owner, "name", f"unknown builtin dynamics {_shown(self.name)}")
 
 
 @_declaration("chain rule", name=None)
@@ -233,20 +231,7 @@ def evolve_abstract(c: AbstractDynamics, m: AbstractState) -> AbstractState:
     return _trusted(AbstractState, c.space, c._apply(m.value))
 
 
-def _store_floats(decl, owner: str, *names: str) -> None:
-    """Check the named numeric fields of ``decl`` and store them as floats."""
-    for name in names:
-        object.__setattr__(decl, name, _finite(owner, name, getattr(decl, name)))
-
-
-def _store_lines(decl, owner: str, *names: str) -> None:
-    """Check that the named line fields of ``decl`` list integers, and store them as tuples."""
-    for name in names:
-        object.__setattr__(decl, name, _items(owner, name, getattr(decl, name), _integer))
-
-
 def _check_probability(noise, owner: str) -> None:
-    _store_floats(noise, owner, "probability")
     if not (0.0 <= noise.probability <= 1.0):
         raise _field_error(owner, "probability", "must lie in [0, 1]")
 
@@ -268,10 +253,6 @@ class BinarySumUpdate:
     low: float
     high: float
 
-    def __post_init__(self, owner):
-        _store_lines(self, owner, "a_lines", "b_lines", "out_lines")
-        _store_floats(self, owner, "threshold", "low", "high")
-
 
 @_declaration("constant update", name=None)
 class ConstantUpdate:
@@ -281,8 +262,6 @@ class ConstantUpdate:
     values: tuple[float, ...]
 
     def __post_init__(self, owner):
-        _store_lines(self, owner, "lines")
-        object.__setattr__(self, "values", _items(owner, "values", self.values, _finite))
         if len(self.lines) != len(self.values):
             raise DeclarationError(f"{owner}: lines and values differ in length")
 
@@ -316,8 +295,6 @@ class CoordinateFlipNoise:
     high: float
 
     def __post_init__(self, owner):
-        _store_lines(self, owner, "coordinates")
-        _store_floats(self, owner, "threshold", "low", "high")
         _check_probability(self, owner)
 
 
@@ -390,7 +367,7 @@ def _check_lines(owner: str, space: RealVectorSpace, lines, *levels: float) -> N
     """Each line must index a coordinate, and each level must fit its bounds."""
     for line in lines:
         if not (0 <= line < space.dimension):
-            raise DeclarationError(f"{owner}: line {line} out of range")
+            raise DeclarationError(f"{owner}: line {_shown(line)} out of range")
         lo, hi = space.bounds[line]
         for level in levels:
             if not (lo <= level <= hi):
@@ -423,7 +400,7 @@ def _check_noise(owner: str, space: PhysicalSpace, noise: Noise | None) -> None:
         for label, partner in noise.partners.items():
             if label not in space.labels or partner not in space.labels:
                 raise DeclarationError(
-                    f"{owner}: noise partner pair {label!r} -> {partner!r} leaves the space"
+                    f"{owner}: noise partner pair {_shown(label)} -> {_shown(partner)} leaves the space"
                 )
 
 

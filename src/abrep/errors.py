@@ -1,4 +1,4 @@
-"""Exception types shared across the framework, and the identifier lookup that raises one."""
+"""Exception types shared across the framework, the identifier lookup, and how messages show values."""
 
 
 class ModelError(Exception):
@@ -91,5 +91,13 @@ class VersionUnsupported(ScenarioError):
 def resolve(table: dict, ident, path: str):
     """The object ``table`` declares as ``ident``, or UnknownReference at ``path``."""
     if not isinstance(ident, str) or ident not in table:
-        raise UnknownReference(path, str(ident))
+        raise UnknownReference(path, ident if isinstance(ident, str) else _shown(ident))
     return table[ident]
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or a stand-in when an int in it has too many digits to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to show>"

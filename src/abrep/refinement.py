@@ -29,7 +29,6 @@ from .spaces import (
     _declaration,
     _distance_value,
     _field_error,
-    _finite,
     _trusted,
     check_total_table,
     contains,
@@ -109,7 +108,7 @@ class LayerReport(_Deferred):
 
 def check_layer(relation: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
     """Check one adjacent layer pair over every upper state."""
-    if _finite("layer check", "epsilon", epsilon) < 0:
+    if epsilon < 0:
         raise _field_error("layer check", "epsilon", "must be non-negative")
     upper, lower, kind = relation.upper.space, relation.lower.space, metric.kind
     up, low = relation.upper.dynamics._apply, relation.lower.dynamics._apply

@@ -41,8 +41,6 @@ from .spaces import (
     TupleSpace,
     Value,
     _declaration,
-    _finite,
-    _items,
     _register_widths,
     _trusted,
     contains,
@@ -72,10 +70,6 @@ class ThresholdRule:
     """
 
     thresholds: tuple[float, ...]
-
-    def __post_init__(self, owner):
-        thresholds = _items(owner, "thresholds", self.thresholds, _finite)
-        object.__setattr__(self, "thresholds", thresholds)
 
 
 @_declaration("tuple-wise rule", name=None)

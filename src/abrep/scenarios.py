@@ -24,7 +24,7 @@ from .dynamics import (
     TableRule,
     identity_dynamics,
 )
-from .errors import DeclarationError, DuplicateIdentifier, resolve
+from .errors import DeclarationError, DuplicateIdentifier, _shown, resolve
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
     InstantiationProcedure,
@@ -98,12 +98,10 @@ class CheckSpec:
 
     def __post_init__(self, owner):
         if self.kind not in CHECK_KINDS:
-            raise _field_error(owner, "kind", f"unknown check kind {self.kind!r}")
+            raise _field_error(owner, "kind", f"unknown check kind {_shown(self.kind)}")
         for name, choices in (("physical_metric", (None, *METRIC_KINDS)), ("metric", METRIC_KINDS)):
             if getattr(self, name) not in choices:
-                raise _field_error(owner, name, f"unknown metric {getattr(self, name)!r}")
-        if not isinstance(self.oracle, bool):
-            raise _field_error(owner, "oracle", "expected true or false")
+                raise _field_error(owner, name, f"unknown metric {_shown(getattr(self, name))}")
         _check_tolerances(self, owner)
         if self.kind == "history" and self.physical_metric is None:
             raise DeclarationError("history checks must declare a physical metric")
@@ -158,7 +156,7 @@ def _bundle(checks: tuple, *declared) -> ScenarioBundle:
     hints = get_type_hints(ScenarioBundle)
     sections = {
         field: tuple(obj for obj in (*declared, *checks) if isinstance(obj, each))
-        for field, _, each in _rules(hints, list(hints))
+        for field, _, each, _ in _rules(hints, list(hints))
     }
     return ScenarioBundle(FORMAT_VERSION, **sections)
 

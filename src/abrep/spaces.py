@@ -13,7 +13,6 @@ All types here are immutable and all operations are pure.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import sys
 from collections.abc import Iterator, Mapping
@@ -23,7 +22,7 @@ from inspect import signature
 from types import NoneType, UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .errors import DeclarationError, MetricMismatch, NotEnumerable, OutOfDomain
+from .errors import DeclarationError, MetricMismatch, NotEnumerable, OutOfDomain, _shown
 
 #: Canonical state values: labels and bitstrings are str, integers int,
 #: real vectors tuples of float, tuple-space values tuples of member values.
@@ -48,7 +47,7 @@ def _declaration(kind: str, name: str | None = "id"):
 
     Construction checks, in order: that the identifier field ``name`` (None
     for kinds without one) holds a string; that each field ``_rule`` covers
-    holds what its annotation names, a list stored as a tuple; and the
+    holds what its annotation names, stored as ``_check`` stores it; and the
     class's own ``__post_init__(self, owner)``, where ``owner`` names the
     declaration, as in ``space 'bits'``. Annotations are read on first use.
     Copies and pickles leave out cached properties, which are rebuilt on first use.
@@ -66,18 +65,17 @@ def _declaration(kind: str, name: str | None = "id"):
             if name is not None:
                 ident = getattr(self, name)
                 if not isinstance(ident, str):
-                    raise _field_error(f"{kind} {ident!r}", name, "expected a string identifier")
+                    raise _field_error(f"{kind} {_shown(ident)}", name, "expected a string identifier")
                 owner = f"{kind} {ident!r}"
             if checks is None:
                 hints = get_type_hints(cls, localns=vars(sys.modules[__package__]))
                 checks = _rules(hints, [f.name for f in fields(cls) if f.init])
-            for field, kinds, each in checks:
+            for field, kinds, each, plain in checks:
                 value = getattr(self, field)
-                if each is None and isinstance(value, kinds):
-                    continue
-                checked = _check(owner, field, value, kinds, each)
-                if checked is not value:
-                    object.__setattr__(self, field, checked)
+                if not isinstance(value, plain):
+                    checked = _check(owner, field, value, kinds, each)
+                    if checked is not value:
+                        object.__setattr__(self, field, checked)
             if own is not None:
                 own(self, owner)
 
@@ -92,12 +90,19 @@ def _declaration(kind: str, name: str | None = "id"):
     return declare
 
 
-def _rule(hint, scalars: tuple = ()) -> tuple[tuple, tuple | None] | None:
-    """What a value annotated ``hint`` must be, ``(kinds, each)``; None if the rule skips it.
+#: The scalar annotations the rule covers, and the reason that rejects a value for each.
+_SCALARS = {
+    float: "expected a finite number", int: "expected an integer", bool: "expected true or false",
+}
 
-    The rule covers ``abrep`` classes, ``Mapping``, ``scalars``, None, unions
-    of them, and ``tuple[X, ...]`` of those: a tuple or a list, whose items
-    are each one of ``each``.
+
+def _rule(hint, scalars: tuple = ()) -> tuple[tuple, tuple | None, tuple] | None:
+    """What a value annotated ``hint`` must be, ``(kinds, each, plain)``; None if the rule skips it.
+
+    The rule covers ``abrep`` classes, ``Mapping``, ``float``, ``int``,
+    ``bool``, ``scalars``, None, unions of them, and ``tuple[X, ...]`` of
+    those: a tuple or a list, whose items are each one of ``each``. ``plain``
+    is ``kinds`` when an instance of one is stored as it is, else ``()``.
     """
     kinds, each = [], None
     for member in get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,):
@@ -107,31 +112,51 @@ def _rule(hint, scalars: tuple = ()) -> tuple[tuple, tuple | None] | None:
             if inner is None or inner[1] is not None:
                 return None
             kinds, each = kinds + [tuple, list], inner[0]
-        elif origin in (NoneType, Mapping, *scalars) or (
+        elif origin in (NoneType, Mapping, *_SCALARS, *scalars) or (
             isinstance(origin, type) and origin.__module__.startswith(f"{__package__}.")
         ):
             kinds.append(origin)
         else:
             return None
-    return tuple(kinds), each
+    kinds = tuple(kinds)
+    return kinds, each, () if each or not _SCALARS.keys().isdisjoint(kinds) else kinds
 
 
 def _rules(hints: dict, names: list, scalars: tuple = ()) -> list:
-    """``(name, kinds, each)`` for each of ``names`` whose annotation ``_rule`` covers."""
+    """``(name, kinds, each, plain)`` for each of ``names`` whose annotation ``_rule`` covers."""
     rules = ((n, _rule(hints.get(n), scalars)) for n in names)
     return [(n, *rule) for n, rule in rules if rule is not None]
 
 
 def _check(owner: str, field: str, value, kinds: tuple, each: tuple | None):
-    """``value``, a list as a tuple; DeclarationError naming ``field`` unless it fits ``_rule``."""
+    """``value`` as stored, a list as a tuple and an int under ``float`` as a float.
+
+    DeclarationError names ``field``, or ``field[i]`` for an item, unless it fits ``_rule``.
+    """
+    if isinstance(value, (int, float)):
+        if not _fits(value, kinds):
+            raise _mistyped(owner, field, value, kinds)
+        return float(value) if float in kinds else value
     if not isinstance(value, kinds):
         raise _mistyped(owner, field, value, kinds)
     if each is None or value is None:
         return value
-    for i, item in enumerate(value):
-        if not isinstance(item, each):
-            raise _mistyped(owner, f"{field}[{i}]", item, each)
+    for item in value:  # items that are all class instances are stored as they are
+        if isinstance(item, (int, float)) or not isinstance(item, each):
+            return tuple(_check(owner, f"{field}[{i}]", v, each, None) for i, v in enumerate(value))
     return tuple(value)
+
+
+def _fits(number, kinds: tuple) -> bool:
+    """Whether an int, float or bool fits ``kinds``: the one place that decides it for a scalar.
+
+    A bool is not a number, and ``float`` takes a number only when a float holds it finite.
+    """
+    if isinstance(number, bool):
+        return bool in kinds
+    if float in kinds:
+        return abs(number) <= sys.float_info.max  # False for NaN, infinities and huge ints
+    return isinstance(number, kinds)
 
 
 def _mistyped(owner: str, field: str, value, kinds: tuple) -> DeclarationError:
@@ -141,19 +166,23 @@ def _mistyped(owner: str, field: str, value, kinds: tuple) -> DeclarationError:
         reason = f"{_shown(getattr(value, 'id', value))} is not {side} space"
         return DeclarationError(f"{owner}: {reason}", field, reason)
     names = ["list"] if list in kinds else [k.__name__ for k in kinds if k is not NoneType]
-    return _field_error(owner, field, f"expected a {' or '.join(names)}")
+    return _field_error(owner, field, _SCALARS.get(kinds[0]) or f"expected a {' or '.join(names)}")
 
 
 def _checked(function):
     """``function``, checking first each argument ``_rule`` covers, with ``str``; or itself if none.
 
-    A state argument is left to the function, which raises OutOfDomain for a
-    non-member. Only exports are wrapped, so calls inside the package pay nothing.
+    ``*counters: int`` is checked as a tuple of ints. A state argument is left
+    to the function, which raises OutOfDomain for a non-member. Only exports
+    are wrapped, so calls inside the package pay nothing.
     """
-    params = list(signature(function).parameters)
+    params, hints = signature(function).parameters, get_type_hints(function)
+    rest = next((p.name for p in params.values() if p.kind is p.VAR_POSITIONAL), None)
+    if rest in hints:
+        hints[rest] = tuple[hints[rest], ...]
     rules = [
-        (params.index(name), name, kinds, each)
-        for name, kinds, each in _rules(get_type_hints(function), params, (str,))
+        (list(params).index(name), name, kinds, each)
+        for name, kinds, each, _ in _rules(hints, list(params), (str,))
         if not set(kinds) <= {AbstractState, PhysicalState}
     ]
     if not rules:
@@ -163,8 +192,8 @@ def _checked(function):
     @wraps(function)
     def checked(*args, **kwargs):
         for i, name, kinds, each in rules:
-            if i < len(args):
-                _check(owner, name, args[i], kinds, each)
+            if i < len(args) or name == rest:
+                _check(owner, name, args[i:] if name == rest else args[i], kinds, each)
             elif name in kwargs:
                 _check(owner, name, kwargs[name], kinds, each)
         return function(*args, **kwargs)
@@ -191,7 +220,7 @@ class BitSpace(AbstractSpace):
     width: int
 
     def __post_init__(self, owner):
-        if _integer(owner, "width", self.width) < 1:
+        if self.width < 1:
             raise _field_error(owner, "width", "must be at least 1")
 
 
@@ -204,7 +233,7 @@ class IntSpace(AbstractSpace):
     hi: int
 
     def __post_init__(self, owner):
-        if _integer(owner, "lo", self.lo) > _integer(owner, "hi", self.hi):
+        if self.lo > self.hi:
             raise DeclarationError(f"{owner}: lo must not exceed hi")
 
 
@@ -243,13 +272,13 @@ class RealVectorSpace(PhysicalSpace):
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self, owner):
-        if not _items(owner, "bounds", self.bounds):
+        if not _check(owner, "bounds", self.bounds, (tuple, list), None):
             raise DeclarationError(f"{owner}: vector space needs a dimension")
         bounds = []
         for i, pair in enumerate(self.bounds):
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
                 raise _field_error(owner, f"bounds[{i}]", "expected a [lo, hi] pair")
-            lo, hi = (_finite(owner, f"bounds[{i}][{j}]", v) for j, v in enumerate(pair))
+            lo, hi = _check(owner, f"bounds[{i}]", pair, (tuple, list), (float,))
             if lo > hi:
                 raise DeclarationError(f"{owner}: coordinate {i} bounds must have lo <= hi")
             bounds.append((lo, hi))
@@ -275,46 +304,8 @@ class PhysicalTupleSpace(PhysicalSpace):
 Space = Union[AbstractSpace, PhysicalSpace]
 
 
-def _finite(owner: str, field: str, value) -> float:
-    """``value`` as a float; DeclarationError unless it is a finite int or float.
-
-    Every numeric field of a declaration goes through here, so a bool, a
-    string or a NaN never reaches a comparison or a state, and ``1`` and
-    ``1.0`` declare the same thing.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:
-            pass
-        else:
-            if math.isfinite(value):
-                return value
-    raise _field_error(owner, field, "expected a finite number")
-
-
-def _integer(owner: str, field: str, value) -> int:
-    """``value`` itself; DeclarationError unless it is an int (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _field_error(owner, field, "expected an integer")
-    return value
-
-
-def _items(owner: str, field: str, value, each=None) -> tuple:
-    """``value`` as a tuple; DeclarationError unless it is a list or a tuple.
-
-    ``each``, when given, checks element i as ``each(owner, "field[i]",
-    element)``, and the tuple holds what it returns.
-    """
-    if not isinstance(value, (tuple, list)):
-        raise _field_error(owner, field, "expected a list")
-    if each is None:
-        return tuple(value)
-    return tuple(each(owner, f"{field}[{i}]", v) for i, v in enumerate(value))
-
-
 def _check_labels(space, owner: str) -> None:
-    labels = _items(owner, "labels", space.labels)
+    labels = tuple(_check(owner, "labels", space.labels, (tuple, list), None))
     if not labels:
         raise DeclarationError(f"{owner}: label set must be non-empty")
     for i, label in enumerate(labels):
@@ -364,14 +355,6 @@ def normalize_value(space: Space, value) -> Value:
     else:
         raise DeclarationError(f"unknown space type {type(space).__name__}")
     raise OutOfDomain(f"value {_shown(value)} is not a member of space {space.id!r}")
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or a stand-in when an int in it has too many digits to print."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<{type(value).__name__} too large to show>"
 
 
 def _reuse(value, canonical: tuple) -> tuple:
@@ -541,7 +524,7 @@ class Metric:
 
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
-            raise DeclarationError(f"unknown metric kind {self.kind!r}")
+            raise DeclarationError(f"unknown metric kind {_shown(self.kind)}")
 
 
 METRIC_KINDS = ("discrete", "hamming", "absolute-difference", "max-coordinate")

@@ -47,8 +47,6 @@ from .spaces import (
     _declaration,
     _distance_value,
     _field_error,
-    _finite,
-    _integer,
     _trusted,
 )
 
@@ -81,18 +79,13 @@ class DiagramSpec:
 
 
 def _check_tolerances(decl, owner: str) -> None:
-    """Range-check ``decl``'s epsilon, trials and required_success; store both tolerances as floats.
-
-    ``owner`` names ``decl`` in the DeclarationError, whose field is the one out of range.
-    """
-    if _finite(owner, "epsilon", decl.epsilon) < 0:
+    """Range-check ``decl``'s tolerances, which their annotations type; ``owner`` names ``decl``."""
+    if decl.epsilon < 0:
         raise _field_error(owner, "epsilon", "must be non-negative")
-    if _integer(owner, "trials", decl.trials) < 1:
+    if decl.trials < 1:
         raise _field_error(owner, "trials", "must be at least 1")
-    if not (0.0 < _finite(owner, "required_success", decl.required_success) <= 1.0):
+    if not (0.0 < decl.required_success <= 1.0):
         raise _field_error(owner, "required_success", "must lie in (0, 1]")
-    for name in ("epsilon", "required_success"):
-        object.__setattr__(decl, name, float(getattr(decl, name)))
 
 
 class _Deferred:

@@ -1,5 +1,6 @@
 """The names the ``abrep`` package exports, pinned so that any addition or removal shows."""
 
+import pathlib
 import types
 
 import abrep
@@ -33,3 +34,14 @@ def test_the_package_exports_exactly_the_pinned_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == EXPORTS
+
+
+#: The most lines ``src/abrep/*.py`` may hold, counted as ``wc -l`` counts them. A change that
+#: grows ``src/`` raises this number and says why in CHANGES.md; one that shrinks it lowers it.
+MAX_SOURCE_LINES = 4153
+
+
+def test_the_source_does_not_grow_past_its_line_count():
+    package = pathlib.Path(abrep.__file__).parent
+    lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    assert lines <= MAX_SOURCE_LINES

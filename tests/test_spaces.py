@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+import abrep
 from abrep import (
     ABSOLUTE_DIFFERENCE,
     AbstractState,
@@ -149,6 +150,64 @@ def test_huge_integers_are_out_of_domain_and_ordinary_messages_keep_their_bytes(
     assert PhysicalState(line, (5,)).value == (5.0,)
 
 
+def _shows_a_user_int():
+    """Calls whose error message shows an int ``n`` the caller gave, and that message for n = 7."""
+    adder = build_voltage_adder()
+    theory = adder.theory("adder")
+    lines = RealVectorSpace("v", ((0.0, 5.0), (0.0, 5.0)))
+    cells = PhysicalLabelSpace("c", ("a", "b"))
+    joint = abrep.BUILTIN_SCENARIOS["xor-joint"]().joints[0]
+
+    def device(*updates, noise=None):
+        return abrep.PhysicalDynamics("d", lines, abrep.CoordinateUpdateRule(updates), noise)
+
+    return {
+        "prediction": (theory.prediction, "theory 'adder': unknown identifier '7'"),
+        "bundle-theory": (adder.theory, "bundle theories: unknown identifier '7'"),
+        "flip-line": (
+            lambda n: device(noise=abrep.CoordinateFlipNoise(0.5, (n,), 2.5, 0.0, 5.0)),
+            "dynamics 'd': line 7 out of range",
+        ),
+        "constant-line": (
+            lambda n: device(abrep.ConstantUpdate((n,), (1.0,))), "dynamics 'd': line 7 out of range"
+        ),
+        "sum-line": (
+            lambda n: device(abrep.BinarySumUpdate((n,), (0,), (1,), 2.5, 0.0, 5.0)),
+            "dynamics 'd': line 7 out of range",
+        ),
+        "builtin": (abrep.BuiltinRule, "builtin rule: name: unknown builtin dynamics 7"),
+        "metric": (abrep.Metric, "unknown metric kind 7"),
+        "check-kind": (lambda n: abrep.CheckSpec("c", n), "check 'c': kind: unknown check kind 7"),
+        "check-metric": (
+            lambda n: abrep.CheckSpec("c", "compute", metric=n), "check 'c': metric: unknown metric 7"
+        ),
+        "provenance": (
+            lambda n: dataclasses.replace(joint, provenance=n),
+            "joint 'xor.joint': unknown provenance 7",
+        ),
+        "partner": (
+            lambda n: abrep.PhysicalDynamics(
+                "d", cells, abrep.TableRule({"a": "a", "b": "b"}),
+                abrep.LabelFlipNoise(0.5, {"a": "b", "b": "a", n: "a"}),
+            ),
+            "dynamics 'd': noise partner pair 7 -> 'a' leaves the space",
+        ),
+        "identifier": (lambda n: LabelSpace(n, ("a",)), "space 7: id: expected a string identifier"),
+    }
+
+
+@pytest.mark.parametrize("call", list(_shows_a_user_int()))
+def test_a_message_shows_an_int_past_the_digit_limit_by_a_stand_in(call):
+    """No int a caller gives ends in the digit limit's ValueError; ordinary messages keep their bytes."""
+    function, ordinary = _shows_a_user_int()[call]
+    with pytest.raises(abrep.ModelError) as err:
+        function(7)
+    assert str(err.value) == ordinary
+    with pytest.raises(abrep.ModelError) as err:
+        function(10**5000)
+    assert str(err.value) == ordinary.replace("7", "<int too large to show>", 1)
+
+
 def test_space_declaration_invariants():
     with pytest.raises(DeclarationError):
         LabelSpace("empty", ())
@@ -174,12 +233,29 @@ def test_vector_bounds_must_be_finite(bounds):
 
 @pytest.mark.parametrize(
     "bounds",
-    [(("a", "b"),), ((0.0, True),), ((0.0,),), ((0, 10**400),)],
-    ids=["str-bounds", "bool-bound", "one-bound", "huge-int-bound"],
+    [(("a", "b"),), ((0.0, True),), ((0.0,),), ((0, 10**400),), ((0, 2**1024 - 1),)],
+    ids=["str-bounds", "bool-bound", "one-bound", "huge-int-bound", "overflow-bound"],
 )
 def test_vector_bounds_must_be_number_pairs(bounds):
     with pytest.raises(DeclarationError):
         RealVectorSpace("v", bounds)
+
+
+@pytest.mark.parametrize(
+    "declare, field",
+    [
+        (lambda n: RealVectorSpace("v", ((0, n),)), "bounds[0][1]"),
+        (lambda n: abrep.ThresholdRule((n,)), "thresholds[0]"),
+        (lambda n: abrep.CheckSpec("c", "compute", epsilon=n), "epsilon"),
+        (build_voltage_adder, "flip_probability"),
+    ],
+    ids=["bound", "threshold", "check-epsilon", "build_voltage_adder"],
+)
+def test_an_int_past_the_float_range_is_not_a_finite_number(declare, field):
+    """``float(2**1024 - 1)`` overflows: the rule rejects the int, and raises no OverflowError."""
+    with pytest.raises(DeclarationError) as err:
+        declare(2**1024 - 1)
+    assert (err.value.field, err.value.reason) == (field, "expected a finite number")
 
 
 def test_declarations_given_as_lists_are_stored_as_hashable_tuples():

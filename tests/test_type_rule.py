@@ -3,14 +3,19 @@
 Both sweeps read the functions, classes, parameters and fields from the
 package's exports and annotations, so a new one is covered without editing
 this file. A value is typed when its annotation names only ``abrep`` classes,
-``Mapping``, None (and ``str``, for a function's parameter), unions of them,
-or ``tuple[X, ...]`` of those. A wrong-typed value is a DeclarationError
-that names the parameter or field; a raw value for a state is OutOfDomain.
+``Mapping``, ``float``, ``int``, ``bool``, None (and ``str``, for a
+function's parameter), unions of them, or ``tuple[X, ...]`` of those; a
+function's ``*counters: int`` is a tuple of ints. Each site gets every value
+of ``BAD`` that its annotation does not admit, and a list field or argument
+also gets a one-item list of each value its items do not admit. A wrong-typed
+value is a DeclarationError that names the parameter or field (``field[i]``
+for an item); a raw value for a state is OutOfDomain.
 """
 
 import dataclasses
 import functools
 import inspect
+import math
 import types
 import typing
 from collections.abc import Mapping
@@ -49,14 +54,35 @@ def _members(hint) -> tuple:
 def _typed(hint, scalars=()) -> bool:
     classes = _members(hint)
     return classes is not None and all(
-        c in (type(None), Mapping, *scalars) or getattr(c, "__module__", "").startswith("abrep.")
+        c in (type(None), Mapping, float, int, bool, *scalars)
+        or getattr(c, "__module__", "").startswith("abrep.")
         for c in classes
     )
 
 
-def _wrong(hint):
-    """A value of the wrong type for ``hint``: ``"x"``, or 5 where a str is allowed."""
-    return 5 if str in _members(hint) else "x"
+def _is_list(hint) -> bool:
+    """Whether ``hint`` is ``tuple[X, ...]``, or a union with one."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_is_list(a) for a in typing.get_args(hint))
+    return typing.get_origin(hint) is tuple
+
+
+#: The wrong-type candidates, by id, each with the scalar annotations that admit it.
+BAD = {
+    "str": ("x", {str}), "int": (5, {int, float}), "bool": (True, {bool}), "nan": (math.nan, set()),
+}
+
+
+def _wrong(hint) -> list:
+    """``(id, value, item)`` for each value of ``BAD``, or one-item list, that ``hint`` rejects.
+
+    ``item`` is True when the value is a list whose one item is the wrong one.
+    """
+    members = set(_members(hint))
+    wrong = [(i, v, False) for i, (v, fits) in BAD.items() if _is_list(hint) or not fits & members]
+    if _is_list(hint):
+        wrong += [(f"item-{i}", [v], True) for i, (v, fits) in BAD.items() if not fits & members]
+    return wrong
 
 
 @functools.cache
@@ -89,6 +115,7 @@ def _valid() -> dict:
         str: "add",
         float: 1.0,
         int: 1,
+        bool: False,
     }
 
 
@@ -98,30 +125,39 @@ def _argument_sites():
             continue
         hints = typing.get_type_hints(function)
         for param in inspect.signature(function).parameters.values():
-            if param.kind is not param.VAR_POSITIONAL and _typed(hints.get(param.name), (str,)):
-                yield name, param.name
+            hint = hints.get(param.name)
+            if _typed(hint, (str,)):  # for *counters, the hint of each item
+                for bad, value, item in _wrong(hint):
+                    yield pytest.param(name, param.name, value, item, id=f"{name}-{param.name}-{bad}")
 
 
-@pytest.mark.parametrize("name, param", list(_argument_sites()))
-def test_every_typed_argument_is_checked(name, param):
+@pytest.mark.parametrize("name, param, bad, item", list(_argument_sites()))
+def test_every_typed_argument_is_checked(name, param, bad, item):
     function = vars(abrep)[name]
     hints = typing.get_type_hints(function)
+    params = inspect.signature(function).parameters
     args = {
         p.name: _valid()[_members(hints[p.name])[0]]
-        for p in inspect.signature(function).parameters.values()
+        for p in params.values()
         if p.default is p.empty and p.kind is not p.VAR_POSITIONAL
     }
-    args[param] = _wrong(hints[param])
+    field = f"{param}[0]" if item else param
+    if params[param].kind is params[param].VAR_POSITIONAL:  # the second item is the wrong one
+        before = [args.pop(p) for p in list(params)[: list(params).index(param)]]
+        call = functools.partial(function, *before, _valid()[hints[param]], bad)
+        field = f"{param}[1]"
+    else:
+        call = functools.partial(function, **{**args, param: bad})
     if set(_members(hints[param])) <= set(STATES):
         if hints["return"] is bool:  # a predicate: a raw value is not a member
-            assert function(**args) is False
+            assert call() is False
         else:
             with pytest.raises(OutOfDomain):
-                function(**args)
+                call()
         return
     with pytest.raises(DeclarationError) as err:
-        function(**args)
-    assert err.value.field == param
+        call()
+    assert err.value.field == field
     assert str(err.value).startswith(f"{name}: ")
 
 
@@ -176,13 +212,14 @@ def _field_sites():
         hints = typing.get_type_hints(cls, localns=vars(abrep))
         for f in dataclasses.fields(cls):
             if f.init and _typed(hints[f.name]):
-                yield cls.__name__, f.name
+                for bad, value, item in _wrong(hints[f.name]):
+                    ident = f"{cls.__name__}-{f.name}-{bad}"
+                    yield pytest.param(cls.__name__, f.name, value, item, id=ident)
 
 
-@pytest.mark.parametrize("bad", ["x", 5], ids=["str", "int"])
-@pytest.mark.parametrize("cls, field", list(_field_sites()))
-def test_every_typed_field_is_checked(cls, field, bad):
+@pytest.mark.parametrize("cls, field, bad, item", list(_field_sites()))
+def test_every_typed_field_is_checked(cls, field, bad, item):
     instance = next(obj for c, obj in _declarations().items() if c.__name__ == cls)
     with pytest.raises(DeclarationError) as err:
         dataclasses.replace(instance, **{field: bad})
-    assert err.value.field.startswith(field)
+    assert err.value.field == (f"{field}[0]" if item else field)
