@@ -32,7 +32,7 @@ from .spaces import METRICS
 
 def parse_state_literal(text: str):
     """Read a command-line state value, written as JSON, into a raw canonical value."""
-    return raw_value(_loads(text, "state value: "))
+    return _loads(text, "state value: ", raw_value)
 
 
 def _load_bundle(path: str):

@@ -218,7 +218,7 @@ def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any
         key = next((f.key for f in fields if attr == (f.attr or f.key)), None)
         where = f"{path}: {err}" if key is None else f"{path}.{key}{bracket}{index}: {err.reason}"
         raise ScenarioSyntaxError(where) from err
-    except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as err:
+    except (TypeError, ValueError, AttributeError, KeyError, OverflowError, RecursionError) as err:
         raise ScenarioSyntaxError(f"{path}: malformed declaration ({err})") from err
     if decl.tables:
         ident = getattr(scope, decl.fields[0].key)
@@ -457,13 +457,13 @@ _SECTIONS = (
 _TOP_LEVEL = {"format_version"} | {path.partition(".")[0] for _, path, _ in _SECTIONS}
 
 
-def _loads(text: str, what: str = ""):
-    """``text`` read as JSON, or a ScenarioSyntaxError whose message starts with ``what``."""
+def _loads(text: str, what: str = "", convert: Callable = lambda doc: doc):
+    """``text`` read as JSON and ``convert``ed, or a ScenarioSyntaxError starting with ``what``."""
     try:
-        return json.loads(text)
+        return convert(json.loads(text))
     except json.JSONDecodeError as err:
         raise ScenarioSyntaxError(f"{what}{err.msg}", err.lineno, err.colno) from err
-    except ValueError as err:  # an integer literal past the interpreter's digit limit
+    except (ValueError, RecursionError) as err:  # past the digit limit, or nested past the stack
         raise ScenarioSyntaxError(f"{what}{err}") from err
 
 

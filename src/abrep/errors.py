@@ -96,8 +96,8 @@ def resolve(table: dict, ident, path: str):
 
 
 def _shown(value) -> str:
-    """``repr(value)``, or a stand-in when an int in it has too many digits to print."""
+    """``repr(value)``, or a stand-in when an int in it has too many digits or it nests too deep."""
     try:
         return repr(value)
-    except ValueError:
+    except (ValueError, RecursionError):
         return f"<{type(value).__name__} too large to show>"

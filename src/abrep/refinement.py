@@ -13,7 +13,7 @@ commutation square. Both run on values, and build states only for reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count
 from typing import Mapping
@@ -34,9 +34,7 @@ from .spaces import (
     contains,
     enumerate_values,
 )
-from .verification import (
-    CommutationReport, DiagramSpec, _assemble, _Deferred, _grade, _in_domain, _reports,
-)
+from .verification import CommutationReport, DiagramSpec, _grade, _in_domain, _reports
 
 
 @_declaration("layer")
@@ -83,22 +81,21 @@ class LayerCheckEntry:
 
 
 @dataclass(frozen=True)
-class LayerReport(_Deferred):
-    """Every upper state's entry; the verdict is read off the entries.
+class LayerReport:
+    """One layer pair's verdict; ``check_layer`` keeps its rows of values in ``_rows``.
 
-    ``check_layer`` reads it off rows of values, and builds ``entries`` on first read.
+    ``entries`` is built from the rows on first read.
     """
 
     relation_id: str
-    entries: tuple[LayerCheckEntry, ...]
     epsilon: float
+    passed: bool
+    _rows: tuple = field(repr=False, hash=False)
 
     @cached_property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def _view(self, name: str, upper: AbstractSpace, lower: AbstractSpace, rows: list) -> tuple:
-        """The entries of ``rows``: each upper value, both paths' images and their distance."""
+    def entries(self) -> tuple[LayerCheckEntry, ...]:
+        """Each upper value's entry: both paths' images and their distance."""
+        upper, lower, rows = self._rows
         state = partial(_trusted, AbstractState)
         return tuple(
             LayerCheckEntry(state(upper, v), state(lower, a), state(lower, b), d, d <= self.epsilon)
@@ -119,10 +116,7 @@ def check_layer(relation: SimulationRelation, epsilon: float, metric: Metric) ->
         d = _distance_value(kind, lower, via_upper, via_lower)
         rows.append((value, via_upper, via_lower, d))
     passed = all(d <= epsilon for *_, d in rows)
-    return _assemble(
-        LayerReport, _source=(upper, lower, rows), relation_id=relation.id, epsilon=epsilon,
-        passed=passed,
-    )
+    return LayerReport(relation.id, epsilon, passed, (upper, lower, rows))
 
 
 @_declaration("stack")

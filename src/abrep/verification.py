@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import count
+from itertools import chain, count, repeat
 
 from .dynamics import (
     AbstractDynamics,
@@ -88,56 +88,40 @@ def _check_tolerances(decl, owner: str) -> None:
         raise _field_error(owner, "required_success", "must lie in (0, 1]")
 
 
-class _Deferred:
-    """A report built by a check: the fields it leaves out come from ``_view``, on first read.
-
-    ``_assemble`` stores every other field, and the ``_source`` that
-    ``_view`` builds the missing ones from. Public construction sets every
-    field, so such a report never calls ``_view``.
-    """
-
-    def __getattr__(self, name: str):
-        source = vars(self).get("_source")
-        if source is None or name not in self.__dataclass_fields__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = vars(self)[name] = self._view(name, *source)
-        return value
-
-
-def _assemble(cls: type, **fields):
-    """A ``cls`` of trusted ``fields``, without ``__init__``; a deferring one has ``_source``."""
-    report = object.__new__(cls)
-    vars(report).update(fields)
-    return report
-
-
 @dataclass(frozen=True)
-class CommutationReport(_Deferred):
+class CommutationReport:
     """Both paths of one square, per-trial distances, and the verdict.
 
     A trial succeeds when its distance is at most epsilon; the square passes
     when the success fraction reaches the required fraction. For history
-    checks the endpoints are physical rather than abstract states. A check
-    builds both paths' results and ``distances`` on their first read.
+    checks the endpoints are physical rather than abstract states. Only a
+    check builds one: it keeps each trial's flag code and each distinct
+    code's graded outcome in ``_trials``, and both paths' results and
+    ``distances`` are built from them on first read.
     """
 
     initial_physical: PhysicalState
-    upper_path_result: AbstractState | PhysicalState
-    lower_path_results: tuple[AbstractState | PhysicalState, ...]
-    distances: tuple[float, ...]
     success_fraction: float
     passed: bool
     epsilon: float
     required_success: float
+    _trials: tuple = field(repr=False, hash=False)
 
-    def _view(self, name: str, kind: type, space, upper, codes: tuple, graded: dict):
-        """The upper state, or per trial, from the trial's code: its lower state or distance."""
-        if name == "upper_path_result":
-            return _trusted(kind, space, upper)
-        if name == "distances":
-            return tuple([graded[code][1] for code in codes])
+    @cached_property
+    def upper_path_result(self) -> AbstractState | PhysicalState:
+        kind, space, upper, _, _ = self._trials
+        return _trusted(kind, space, upper)
+
+    @cached_property
+    def lower_path_results(self) -> tuple[AbstractState | PhysicalState, ...]:
+        kind, space, _, codes, graded = self._trials
         states = {code: _trusted(kind, space, lower) for code, (lower, _) in graded.items()}
         return tuple(map(states.__getitem__, codes))
+
+    @cached_property
+    def distances(self) -> tuple[float, ...]:
+        *_, codes, graded = self._trials
+        return tuple([graded[code][1] for code in codes])
 
 
 def _grade(
@@ -185,11 +169,9 @@ def _grade(
 def _reports(starts, column: tuple) -> Iterator[CommutationReport]:
     """The report of each square in a ``column`` that ``_grade`` graded, run from ``starts``."""
     passed, fractions, epsilon, required, kind, space, *per_square = column
-    for start, ok, fraction, upper, codes, graded in zip(starts, passed, fractions, *per_square):
-        yield _assemble(
-            CommutationReport, _source=(kind, space, upper, codes, graded), initial_physical=start,
-            success_fraction=fraction, passed=ok, epsilon=epsilon, required_success=required,
-        )
+    trials = zip(repeat(kind), repeat(space), *per_square)
+    tolerances = repeat(epsilon), repeat(required)
+    return map(CommutationReport, starts, fractions, passed, *tolerances, trials)
 
 
 def _in_domain(theory: Theory, p: PhysicalState) -> PhysicalState:
@@ -239,32 +221,27 @@ class ValidityCell:
 
 
 @dataclass(frozen=True)
-class ValidityReport(_Deferred):
+class ValidityReport:
     """Evidence from exhaustively checking the declared validation grid.
 
-    The verdict and the coverage are read off the cells, once each;
-    ``validate_theory`` reads them off its columns, and builds ``cells`` on first read.
+    ``validate_theory`` grades each prediction's squares as one column and
+    keeps the columns in ``_columns``; ``cells`` is built from them on first read.
     """
 
     theory_id: str
-    cells: tuple[ValidityCell, ...]
+    all_passed: bool
+    coverage: int
+    _columns: tuple = field(repr=False, hash=False)
 
     @cached_property
-    def all_passed(self) -> bool:
-        return all(cell.report.passed for cell in self.cells)
-
-    @cached_property
-    def coverage(self) -> int:
-        return len(self.cells)
-
-    def _view(self, name: str, domain: tuple, names: list, columns: list) -> tuple:
-        """The cells of ``domain`` by the prediction names, in order, each from its graded column."""
-        rows = zip(domain, *(_reports(domain, column) for column in columns))
-        return tuple(
-            _assemble(ValidityCell, state=state, prediction=pred, report=report)
-            for state, *reports in rows
-            for pred, report in zip(names, reports)
-        )
+    def cells(self) -> tuple[ValidityCell, ...]:
+        """The domain's cells by the prediction names, in order, each from its graded column."""
+        domain, names, columns = self._columns
+        per_prediction = [
+            map(ValidityCell, domain, repeat(name), _reports(domain, column))
+            for name, column in zip(names, columns)
+        ]
+        return tuple(chain.from_iterable(zip(*per_prediction)))
 
 
 def validate_theory(
@@ -296,9 +273,9 @@ def validate_theory(
         uppers = list(map(pred.abstract._apply, readings))
         columns.append(_grade(spec, values, uppers, metric, seeds, relation))
     names = [pred.name for pred in theory.predictions]
-    evidence = _assemble(
-        ValidityReport, _source=(theory.domain, names, columns), theory_id=theory.id,
-        coverage=len(values) * len(names), all_passed=all(all(column[0]) for column in columns),
+    all_passed = all(all(column[0]) for column in columns)
+    evidence = ValidityReport(
+        theory.id, all_passed, len(values) * len(names), (theory.domain, names, columns)
     )
     graded = copy(theory)
     object.__setattr__(graded, "evidence", evidence)

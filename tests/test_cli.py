@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -147,6 +148,42 @@ def test_compute_command_rejects_values_that_are_not_json(tmp_path, capsys, valu
     err = capsys.readouterr().err
     assert "ScenarioSyntaxError" in err
     assert "Traceback" not in err
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+#: Deeper than a value's reader can recurse, and deeper than the JSON decoder can.
+NESTINGS = [sys.getrecursionlimit() // 2 + 10, 100 * sys.getrecursionlimit()]
+
+
+@pytest.mark.parametrize("depth", NESTINGS, ids=["reader", "decoder"])
+@pytest.mark.parametrize("flag", ["--input", "--expect"])
+def test_compute_command_rejects_values_nested_too_deeply(tmp_path, capsys, flag, depth):
+    path = write_scenario(tmp_path, "voltage-adder")
+    values = {"--input": '["01","10","000"]', flag: _nested(depth)}  # a deep input replaces the first
+    assert main(["compute", path, "--theory", "adder", *sum(values.items(), ())]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ScenarioSyntaxError: state value: maximum recursion depth exceeded")
+    with pytest.raises(ScenarioSyntaxError, match="^state value: maximum recursion depth exceeded"):
+        parse_state_literal(_nested(depth))
+
+
+@pytest.mark.parametrize("depth", NESTINGS, ids=["reader", "decoder"])
+def test_check_command_rejects_documents_nested_too_deeply(tmp_path, capsys, depth):
+    text = emit_scenario(BUILTIN_SCENARIOS["voltage-adder"]())
+    path = tmp_path / "deep.json"
+    path.write_text(text.replace('"input": [', f'"input": [{_nested(depth)}, ', 1), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ScenarioSyntaxError: ") and "maximum recursion depth" in err
+
+
+def test_check_command_on_a_missing_file_exits_2(tmp_path, capsys):
+    assert main(["check", str(tmp_path / "absent.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory") and "absent.json" in err
 
 
 def test_check_stack_command(tmp_path, capsys):

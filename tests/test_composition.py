@@ -11,11 +11,13 @@ from abrep import (
     AbstractDynamics,
     AbstractState,
     BitSpace,
+    BuiltinRule,
     Component,
     DISCRETE,
     DeclarationError,
     HETEROTIC,
     HYBRID,
+    IntSpace,
     JointSystem,
     LabelSpace,
     LookupRule,
@@ -438,6 +440,21 @@ def test_brute_force_rejects_unenumerable_candidate_counts():
     assert classify(joint).value == "Hybrid"
     with pytest.raises(TooLarge):
         brute_force_classify(joint)
+
+
+def test_brute_force_rejects_a_declared_joint_codomain_half_past_its_bound():
+    joint = build_xor_joint().joint("xor.joint")
+    wide = TupleSpace("wide", (IntSpace("seven", 0, 6), BitSpace("bit", 1)))
+    read = RepresentationRelation(
+        "wide.read", joint.joint_space, wide,
+        LookupRule({p: (0, "0") for p in enumerate_values(joint.joint_space)}),
+    )
+    keep = AbstractDynamics("wide.keep", wide, BuiltinRule("identity"))
+    declared = replace(
+        joint, joint_representation=read, joint_dynamics=keep, provenance="declared"
+    )
+    with pytest.raises(TooLarge, match="joint codomain halves exceed the oracle bound"):
+        brute_force_classify(declared)
 
 
 def test_degenerate_joint_space_is_rejected():

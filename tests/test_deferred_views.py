@@ -1,9 +1,9 @@
 """Reports built on first read: every view against the reference, and what is built before it.
 
 Squares, validation and layer checks grade on values and keep only what
-rebuilds their per-trial, per-cell and per-entry fields. These tests compare
-each such field with the state-by-state reference in ``reference.py``, and
-count the objects and flips the fast paths make.
+rebuilds their per-trial, per-cell and per-entry views. These tests compare
+each view and verdict with the state-by-state reference in ``reference.py``,
+and count the objects and flips the fast paths make.
 """
 
 import copy
@@ -12,8 +12,6 @@ import pickle
 import pytest
 
 import abrep.dynamics
-import abrep.refinement
-import abrep.verification
 import reference
 from abrep import (
     BUILTIN_SCENARIOS,
@@ -41,9 +39,9 @@ from abrep.refinement import LayerCheckEntry
 from abrep.verification import ValidityCell
 from support import count_calls
 
-#: The fields each report builds on first read when a check made it.
+#: The views each report builds on first read, and the reports it holds.
 VIEWS = {
-    CommutationReport: ("distances", "lower_path_results"),
+    CommutationReport: ("distances", "lower_path_results", "upper_path_result"),
     ValidityReport: ("cells",),
     LayerReport: ("entries",),
     StackReport: ("device_entries",),
@@ -122,19 +120,14 @@ def test_every_view_is_the_reference_view(name, seed):
         if made is None:
             continue
         public, expected, detail = made
-        assert _read_views(public) == _read_views(expected)
-        assert public == expected
+        reference.assert_same(public, expected)
         assert result.detail == detail(expected)
         compared += 1
     assert compared == sum(c.kind not in ("compute", "classify") for c in bundle.checks) > 0
 
 
 def count_builds(monkeypatch, *classes) -> dict:
-    """Count the objects of each of ``classes`` built from here on, by class name.
-
-    An object is built through its ``__init__``, or by a check through
-    ``verification._assemble``, which is patched in both modules that call it.
-    """
+    """Count the objects of each of ``classes`` built from here on, by class name."""
     counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
     for cls in classes:
         init = cls.__init__
@@ -144,15 +137,6 @@ def count_builds(monkeypatch, *classes) -> dict:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
-    assemble = abrep.verification._assemble
-
-    def assembling(cls, **fields):
-        if cls.__name__ in counts:
-            counts[cls.__name__] += 1
-        return assemble(cls, **fields)
-
-    for module in (abrep.verification, abrep.refinement):
-        monkeypatch.setattr(module, "_assemble", assembling)
     return counts
 
 
@@ -173,6 +157,27 @@ def test_passing_checks_build_no_entry_or_cell_until_read(monkeypatch):
     _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, TrialSeed(0))
     assert evidence.all_passed and evidence.coverage == 16 and made["ValidityCell"] == 0
     assert len(evidence.cells) == made["ValidityCell"] == 16
+
+
+def test_a_report_equals_the_same_square_checked_alone():
+    """Equality compares the verdicts and what the check kept, however the square was batched."""
+    base = TrialSeed(4)
+    theory = BUILTIN_SCENARIOS["voltage-adder-noisy"]().theory("adder")
+    pred = theory.predictions[0]
+    spec = DiagramSpec(theory, pred.abstract, pred.physical, 0.0, DISCRETE, 20, 0.5)
+    _, evidence = validate_theory(theory, 0.0, DISCRETE, 20, 0.5, base)
+    for si, cell in enumerate(evidence.cells):
+        alone = check_commutation(spec, cell.state, derive_seed(base, si, 0))
+        assert alone == cell.report and hash(alone) == hash(cell.report)
+    assert alone != check_commutation(spec, cell.state, derive_seed(base, si, 1))
+
+    stack = BUILTIN_SCENARIOS["refinement-stack"]().stack("stack.adder")
+    report = check_stack_to_device(stack, 0.0, DISCRETE, base)
+    spec = DiagramSpec(stack.theory, stack.layers[-1].dynamics, stack.device)
+    for i, entry in enumerate(report.device_entries):
+        prepared = instantiate(stack.theory, entry.state)
+        assert check_commutation(spec, prepared, derive_seed(base, i)) == entry.report
+    assert report.layer_reports == tuple(check_layer(r, 0.0, DISCRETE) for r in stack.relations)
 
 
 @pytest.mark.parametrize("trials", [400, 1000])

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -584,3 +585,70 @@ def test_numbers_read_as_integers_are_stored_and_emitted_as_floats():
     assert all(type(n) is float for n in (*numbers, bundle.checks[1].epsilon))
     emitted = emit_scenario(bundle)
     assert '"probability": 1.0' in emitted and '"epsilon": 0.0' in emitted
+
+
+def test_a_commutation_check_runs_from_a_declared_state_or_reports_it_missing():
+    """A commutation check starts from ``state`` when it has no ``input``, and errors with neither."""
+    bad = json.loads(doc())
+    bad["checks"] += [
+        {"name": "from-state", "kind": "commutation", "theory": "cell-theory", "state": "on"},
+        {"name": "from-nothing", "kind": "commutation", "theory": "cell-theory"},
+    ]
+    report = run_checks(parse_scenario(json.dumps(bad)))
+    state, nothing = report.results[1:]
+    assert state.status == "pass" and state.detail["initial"] == {"space": "cell", "value": "on"}
+    assert nothing.status == "error" and nothing.error == {
+        "type": "UnknownReference",
+        "message": "check 'from-nothing': unknown identifier '<state or input>'",
+    }
+
+
+def test_label_flip_partners_round_trip_through_a_document():
+    data = json.loads(doc())
+    noise = {"kind": "label-flip", "probability": 0.25, "partners": [["off", "on"], ["on", "off"]]}
+    data["dynamics"]["physical"][0]["noise"] = noise
+    bundle = parse_scenario(json.dumps(data))
+    assert bundle.physical_dynamics[0].noise == LabelFlipNoise(0.25, {"off": "on", "on": "off"})
+    assert json.loads(emit_scenario(bundle))["dynamics"]["physical"][0]["noise"] == noise
+    assert parse_scenario(emit_scenario(bundle)) == bundle
+
+
+def test_an_unhashable_partner_is_a_malformed_declaration_at_the_noise():
+    data = json.loads(doc())
+    partners = [[["off"], "on"]]
+    noise = {"kind": "label-flip", "probability": 0.5, "partners": partners}
+    data["dynamics"]["physical"][0]["noise"] = noise
+    with pytest.raises(
+        ScenarioSyntaxError,
+        match=r"^dynamics\.physical\[0\]\.noise: malformed declaration \(unhashable type: 'list'\)$",
+    ):
+        parse_scenario(json.dumps(data))
+
+
+def test_a_missing_required_key_is_named_at_its_declaration():
+    data = json.loads(doc())
+    del data["checks"][0]["kind"]
+    with pytest.raises(ScenarioSyntaxError, match=r"^checks\[0\]: missing key 'kind'$"):
+        parse_scenario(json.dumps(data))
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("depth", [4 * sys.getrecursionlimit(), 100 * sys.getrecursionlimit()])
+def test_a_document_nested_past_the_recursion_limit_is_a_syntax_error(depth):
+    with pytest.raises(ScenarioSyntaxError, match="maximum recursion depth exceeded"):
+        parse_scenario(_nested(depth))
+
+
+def test_a_value_nested_past_the_recursion_limit_is_reported_at_its_declaration():
+    """Each nested array costs the reader more than one frame, so half the limit is too deep."""
+    text = doc().replace('"kind": "validate-theory"', '"input": %s, "kind": "compute"' % _nested(
+        sys.getrecursionlimit() // 2 + 10
+    ))
+    with pytest.raises(
+        ScenarioSyntaxError,
+        match=r"^checks\[0\]: malformed declaration \(maximum recursion depth exceeded",
+    ):
+        parse_scenario(text)

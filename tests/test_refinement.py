@@ -41,7 +41,7 @@ from abrep import (
 )
 from abrep.dynamics import AbstractDynamics, BuiltinRule
 from abrep.errors import DeclarationError
-from abrep.refinement import LayerReport, StackReport, reachable_bottom_states
+from abrep.refinement import StackReport, reachable_bottom_states
 import reference
 from support import count_calls, count_device_work
 
@@ -277,17 +277,25 @@ def test_map_state_rejects_a_state_of_another_space():
         relation.map_state(AbstractState(twin, next(iter(relation.entries))))
 
 
-def test_layer_and_stack_reports_read_their_verdicts_off_their_entries():
+@pytest.mark.parametrize("mis_declared", [False, True], ids=["stack", "miswired"])
+def test_layer_and_stack_verdicts_agree_with_their_entries(mis_declared):
+    _, stack = stack_pieces(mis_declared)
+    report = check_stack_to_device(stack, 0.0, DISCRETE, SEED)
+    for layer in report.layer_reports:
+        assert layer.passed == all(e.passed for e in layer.entries)
+    assert report.passed == (
+        all(r.passed for r in report.layer_reports)
+        and all(e.report.passed for e in report.device_entries)
+    )
+    assert report.passed != mis_declared and report.layer_reports[0].passed != mis_declared
+
+
+def test_a_stack_report_reads_its_verdict_off_its_parts():
     _, stack = stack_pieces(mis_declared=True)
     report = check_stack_to_device(stack, 0.0, DISCRETE, SEED)
-    first = report.layer_reports[0]
-    assert not first.passed and not report.passed
-    passing = tuple(e for e in first.entries if e.passed)
-    fixed = replace(first, entries=passing)
-    assert fixed.passed
+    fixed = check_layer(stack_pieces()[1].relations[0], 0.0, DISCRETE)
+    assert not report.passed and fixed.passed
     assert replace(report, layer_reports=(fixed, *report.layer_reports[1:])).passed
-    with pytest.raises(TypeError):
-        LayerReport("r", entries=(), epsilon=0.0, passed=True)
     with pytest.raises(TypeError):
         StackReport("s", layer_reports=(), device_entries=(), passed=True)
 
@@ -369,11 +377,12 @@ def test_layer_and_stack_reports_are_the_reference_reports(variant, seed):
     stack = _stack_variants()[variant]
     trials, required = (20, 0.5) if stack.device.noise is not None else (1, 1.0)
     for relation in stack.relations:
-        assert check_layer(relation, 0.0, DISCRETE) == reference.check_layer(relation, 0.0, DISCRETE)
+        layer = check_layer(relation, 0.0, DISCRETE)
+        reference.assert_same(layer, reference.check_layer(relation, 0.0, DISCRETE))
     assert reachable_bottom_states(stack) == reference.reachable_bottom_states(stack)
     report = check_stack_to_device(stack, 0.0, DISCRETE, TrialSeed(seed), trials, required)
     expected = reference.check_stack_to_device(stack, 0.0, DISCRETE, TrialSeed(seed), trials, required)
-    assert report == expected
+    reference.assert_same(report, expected)
 
 
 def test_noisy_engineering_prepares_what_the_reference_prepares():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -208,6 +209,16 @@ def test_a_message_shows_an_int_past_the_digit_limit_by_a_stand_in(call):
     assert str(err.value) == ordinary.replace("7", "<int too large to show>", 1)
 
 
+def test_a_message_shows_a_value_nested_past_the_recursion_limit_by_a_stand_in():
+    deep = ()
+    for _ in range(3 * sys.getrecursionlimit()):
+        deep = (deep,)
+    with pytest.raises(OutOfDomain, match="^value <tuple too large to show> is not a member"):
+        AbstractState(BitSpace("b", 2), deep)
+    with pytest.raises(DeclarationError, match="^space <tuple too large to show>: id: expected"):
+        BitSpace(deep, 2)
+
+
 def test_space_declaration_invariants():
     with pytest.raises(DeclarationError):
         LabelSpace("empty", ())
@@ -341,6 +352,31 @@ def test_max_coordinate_on_vectors_and_tuples():
     pair_a = AbstractState(PAIR, ("01", 2))
     pair_b = AbstractState(PAIR, ("10", 5))
     assert distance(MAX_COORDINATE, pair_a, pair_b) == 3.0
+
+
+def test_max_coordinate_reads_label_components_discretely_and_nested_tuples_by_coordinate():
+    nested = TupleSpace("nested", (UPDOWN, PAIR))
+    a = AbstractState(nested, ("up", ("01", 2)))
+    assert distance(MAX_COORDINATE, a, AbstractState(nested, ("down", ("01", 2)))) == 1.0
+    assert distance(MAX_COORDINATE, a, AbstractState(nested, ("up", ("10", 5)))) == 3.0
+    assert distance(MAX_COORDINATE, a, a) == 0.0
+
+
+def test_a_vector_space_has_no_cardinality():
+    with pytest.raises(NotEnumerable, match="^space 'v3' is continuous$"):
+        cardinality(VOLTS)
+
+
+def test_a_space_of_an_unknown_kind_is_a_declaration_error():
+    """``AbstractSpace`` is a marker: a subclass the package does not define holds no values."""
+
+    class Odd(abrep.AbstractSpace):
+        id = "odd"
+
+    with pytest.raises(DeclarationError, match="^unknown space type Odd$"):
+        normalize_value(Odd(), "x")
+    with pytest.raises(DeclarationError, match="^unknown space type Odd$"):
+        AbstractState(Odd(), "x")
 
 
 def test_enumerate_examples():

@@ -32,7 +32,6 @@ from abrep import (
     Theory,
     TheoryNotValidated,
     TrialSeed,
-    ValidityReport,
     build_swap_device,
     build_voltage_adder,
     check_commutation,
@@ -164,16 +163,13 @@ def test_validate_theory_passes_all_sixteen_cells():
     assert not theory.is_valid
 
 
-def test_validity_report_reads_its_verdict_and_coverage_off_its_cells():
-    _, evidence = validate_theory(adder_pieces(flip=0.05)[1], 0.0, DISCRETE, 5, 1.0, SEED)
-    assert not evidence.all_passed and evidence.coverage == 16
-    passed = tuple(cell for cell in evidence.cells if cell.report.passed)
-    assert len(passed) == 7  # 5 trials at flip probability 0.05
-    assert replace(evidence, cells=passed).all_passed
-    assert replace(evidence, cells=passed).coverage == 7
-    assert ValidityReport("t", cells=()).coverage == 0
-    with pytest.raises(TypeError):
-        ValidityReport("t", cells=(), all_passed=True, coverage=5)
+@pytest.mark.parametrize("flip", [0.0, 0.05])
+def test_validity_verdict_and_coverage_agree_with_its_cells(flip):
+    _, evidence = validate_theory(adder_pieces(flip=flip)[1], 0.0, DISCRETE, 5, 1.0, SEED)
+    assert evidence.all_passed == all(cell.report.passed for cell in evidence.cells)
+    assert evidence.coverage == len(evidence.cells) == 16
+    passed = [cell for cell in evidence.cells if cell.report.passed]
+    assert len(passed) == (16 if flip == 0.0 else 7)  # 5 trials at flip probability 0.05
 
 
 def test_validate_theory_requires_nonempty_grid():
