@@ -17,13 +17,23 @@ from abrep import (
     BUILTIN_SCENARIOS,
     DISCRETE,
     METRICS,
+    AbstractDynamics,
     AbstractState,
     CommutationReport,
     DiagramSpec,
+    LabelFlipNoise,
+    LabelSpace,
     LayerReport,
+    LookupRule,
     MetricMismatch,
+    PhysicalDynamics,
+    PhysicalLabelSpace,
     PhysicalState,
+    Prediction,
+    RepresentationRelation,
     StackReport,
+    TableRule,
+    Theory,
     TrialSeed,
     ValidityReport,
     check_commutation,
@@ -178,6 +188,32 @@ def test_a_report_equals_the_same_square_checked_alone():
         prepared = instantiate(stack.theory, entry.state)
         assert check_commutation(spec, prepared, derive_seed(base, i)) == entry.report
     assert report.layer_reports == tuple(check_layer(r, 0.0, DISCRETE) for r in stack.relations)
+
+
+def test_reports_whose_trials_drew_other_flag_codes_differ_though_their_views_agree():
+    """Equality compares the flag codes each trial drew, not only what the views show.
+
+    The device's noise swaps two labels that the relation reads alike, so every
+    trial reads the same and only the drawn codes tell two seeds apart.
+    """
+    cells = PhysicalLabelSpace("eq.cells", ("a", "b"))
+    reading = LabelSpace("eq.reading", ("x",))
+    read = RepresentationRelation("eq.read", cells, reading, LookupRule({"a": "x", "b": "x"}))
+    program = AbstractDynamics("eq.program", reading, TableRule({"x": "x"}))
+    noise = LabelFlipNoise(0.5, {"a": "b", "b": "a"})
+    device = PhysicalDynamics("eq.device", cells, TableRule({"a": "a", "b": "b"}), noise)
+    start = PhysicalState(cells, "a")
+    theory = Theory("eq", read, (start,), (Prediction("p", program, device),))
+    spec = DiagramSpec(theory, program, device, trials=8)
+    first, *others = [check_commutation(spec, start, TrialSeed(s)) for s in range(4)]
+    for other in others:
+        for name in ("passed", "success_fraction", *VIEWS[CommutationReport]):
+            assert getattr(other, name) == getattr(first, name)
+        assert (other == first) is (other._trials == first._trials)
+    assert any(other != first for other in others)
+    seeded = [validate_theory(theory, 0.0, DISCRETE, 8, 1.0, TrialSeed(s))[1] for s in range(4)]
+    assert len({(e.all_passed, e.coverage, hash(e)) for e in seeded}) == 1
+    assert any(e != seeded[0] for e in seeded[1:])
 
 
 @pytest.mark.parametrize("trials", [400, 1000])
