@@ -497,13 +497,28 @@ def parse_scenario(text: str) -> ScenarioBundle:
 
 
 def emit_scenario(bundle: ScenarioBundle) -> str:
-    """Serialize a bundle as document text that parses back equal."""
+    """Serialize a bundle as document text that parses back equal.
+
+    A value nested past the stack is a DeclarationError naming its declaration.
+    """
     doc: dict[str, Any] = {"format_version": bundle.format_version}
     for field, path, decl in _SECTIONS:
         section, _, part = path.partition(".")
-        decls = [_write(decl, obj) for obj in getattr(bundle, field)]
+        decls = [_emitted(decl, obj, f"{path}[{i}]") for i, obj in enumerate(getattr(bundle, field))]
         if part:
             doc.setdefault(section, {})[part] = decls
         else:
             doc[section] = decls
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    except RecursionError as err:  # the encoder takes a few more frames than _write
+        raise DeclarationError(f"document: a value nests too deeply to write ({err})") from None
+
+
+def _emitted(decl: _Decl, obj: Any, path: str) -> dict:
+    """``_write``'s object for the declaration ``obj`` at ``path``."""
+    try:
+        return _write(decl, obj)
+    except RecursionError as err:
+        ident = getattr(obj, "id", None) or obj.name
+        raise DeclarationError(f"{path}: {ident!r} nests a value too deeply to write ({err})") from None

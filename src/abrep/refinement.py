@@ -27,8 +27,8 @@ from .spaces import (
     Metric,
     Value,
     _declaration,
-    _distance_value,
     _field_error,
+    _metric,
     _trusted,
     check_total_table,
     contains,
@@ -107,14 +107,13 @@ def check_layer(relation: SimulationRelation, epsilon: float, metric: Metric) ->
     """Check one adjacent layer pair over every upper state."""
     if epsilon < 0:
         raise _field_error("layer check", "epsilon", "must be non-negative")
-    upper, lower, kind = relation.upper.space, relation.lower.space, metric.kind
+    upper, lower = relation.upper.space, relation.lower.space
     up, low = relation.upper.dynamics._apply, relation.lower.dynamics._apply
-    down = relation.entries.__getitem__
+    down, measure = relation.entries.__getitem__, _metric(metric.kind, lower)
     rows = []
     for value in enumerate_values(upper):
         via_upper, via_lower = down(up(value)), low(down(value))
-        d = _distance_value(kind, lower, via_upper, via_lower)
-        rows.append((value, via_upper, via_lower, d))
+        rows.append((value, via_upper, via_lower, measure(via_upper, via_lower)))
     passed = all(d <= epsilon for *_, d in rows)
     return LayerReport(relation.id, epsilon, passed, (upper, lower, rows))
 

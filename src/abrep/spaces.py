@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property, wraps
 from inspect import signature
@@ -545,38 +545,20 @@ def distance(metric: Metric, a: State, b: State) -> float:
         raise MetricMismatch(
             f"cannot compare states from spaces {a.space.id!r} and {b.space.id!r}"
         )
-    return _distance_value(metric.kind, a.space, a.value, b.value)
+    return _metric(metric.kind, a.space)(a.value, b.value)
 
 
-def _distance_value(kind: str, space: Space, a: Value, b: Value) -> float:
-    if kind == "discrete":
-        return 0.0 if a == b else 1.0
-    if kind == "hamming":
-        if not isinstance(space, BitSpace):
-            raise MetricMismatch(f"hamming does not apply to space {space.id!r}")
-        return float(sum(1 for x, y in zip(a, b) if x != y))
-    if kind == "absolute-difference":
-        if not isinstance(space, IntSpace):
-            raise MetricMismatch(
-                f"absolute-difference does not apply to space {space.id!r}"
-            )
-        return float(abs(a - b))
-    # Every kind is checked where it is declared, so the last one is max-coordinate.
-    if isinstance(space, RealVectorSpace):
-        return max(abs(x - y) for x, y in zip(a, b))
-    if isinstance(space, (TupleSpace, PhysicalTupleSpace)):
-        return max(
-            _distance_value(_leaf_kind(comp), comp, x, y)
-            for comp, x, y in zip(space.components, a, b)
-        )
-    raise MetricMismatch(f"max-coordinate does not apply to space {space.id!r}")
-
-
-def _leaf_kind(space: Space) -> str:
-    if isinstance(space, BitSpace):
-        return "hamming"
-    if isinstance(space, IntSpace):
-        return "absolute-difference"
-    if isinstance(space, (TupleSpace, PhysicalTupleSpace, RealVectorSpace)):
-        return "max-coordinate"
-    return "discrete"
+def _metric(kind: str | None, space: Space) -> Callable[[Value, Value], float]:
+    """The distance ``kind`` measures on ``space``'s values, decided once; None: the leaf metric."""
+    if kind == "discrete" or kind is None and isinstance(space, (LabelSpace, PhysicalLabelSpace)):
+        return lambda a, b: 0.0 if a == b else 1.0
+    if kind in ("hamming", None) and isinstance(space, BitSpace):
+        return lambda a, b: float(sum(map(operator.ne, a, b)))
+    if kind in ("absolute-difference", None) and isinstance(space, IntSpace):
+        return lambda a, b: float(abs(a - b))
+    if kind in ("max-coordinate", None) and isinstance(space, RealVectorSpace):
+        return lambda a, b: max(abs(x - y) for x, y in zip(a, b))
+    if kind in ("max-coordinate", None) and isinstance(space, (TupleSpace, PhysicalTupleSpace)):
+        measures = [_metric(None, c) for c in space.components]
+        return lambda a, b: max(m(x, y) for m, x, y in zip(measures, a, b))
+    raise MetricMismatch(f"{kind} does not apply to space {space.id!r}")

@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, count, repeat
 
 from .dynamics import (
@@ -45,8 +45,8 @@ from .spaces import (
     Metric,
     PhysicalState,
     _declaration,
-    _distance_value,
     _field_error,
+    _metric,
     _trusted,
 )
 
@@ -141,7 +141,7 @@ def _grade(
     kind, space, read = PhysicalState, device.space, lambda value: value
     if relation is not None:
         kind, space, read = AbstractState, relation.codomain, relation._apply
-    measure = partial(_distance_value, metric.kind, space)
+    measure = _metric(metric.kind, space)
     if device.noise is None:
         lowers = list(map(read, map(device._apply, starts)))
         distances = list(map(measure, lowers, uppers))
@@ -304,8 +304,9 @@ def run_compute_cycle(
 
     The program itself is never executed: the input is encoded into the
     device, the device evolves, and the result is decoded. A theory that has
-    not been validated cannot be used this way, and ``h`` must be the device
-    update that validation checked for ``program``.
+    not been validated cannot be used this way, ``h`` must be the device
+    update that validation checked for ``program``, and the configuration
+    prepared for ``input_state`` (its first seed) must be a domain state.
     """
     if not theory.is_valid:
         raise TheoryNotValidated(
@@ -317,7 +318,7 @@ def run_compute_cycle(
             f"theory {theory.id!r}: the device update given is not the one"
             f" validated for program {program!r}"
         )
-    prepared = instantiate(theory, input_state)
+    prepared = _in_domain(theory, instantiate(theory, input_state))
     final = evolve_physical(h, prepared, seed)
     output = represent(theory.representation, final)
     return ComputeResult(input_state, prepared, final, output, program)

@@ -134,6 +134,19 @@ def test_compute_command_flags_wrong_expectation(tmp_path, capsys):
     assert code == 1
 
 
+def test_compute_command_errors_on_an_input_prepared_outside_the_domain(tmp_path, capsys):
+    """The first seed for this input prepares a configuration that validation never checked."""
+    path = write_scenario(tmp_path, "voltage-adder")
+    code = main(
+        ["compute", path, "--theory", "adder", "--input", '["01","10","111"]', "--format", "json"]
+    )
+    assert code == 2
+    compute = json.loads(capsys.readouterr().out)["checks"][1]
+    assert compute["status"] == "error" and compute["detail"] == {}
+    message = "configuration is outside the declared domain of theory 'adder'"
+    assert compute["error"] == {"type": "OutOfDomain", "message": message}
+
+
 @pytest.mark.parametrize(
     "values",
     [

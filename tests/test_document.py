@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,7 @@ from abrep import (
     DeclarationError,
     DiagramSpec,
     DuplicateIdentifier,
+    ScenarioBundle,
     ScenarioError,
     IntSpace,
     LabelFlipNoise,
@@ -29,11 +31,13 @@ from abrep import (
     UnknownReference,
     VersionUnsupported,
     build_social_machine,
+    build_voltage_adder,
     check_layer,
     emit_scenario,
     enumerate_values,
     parse_scenario,
 )
+from abrep import document
 from abrep.document import raw_value, value_to_json
 from abrep.runner import run_checks
 from abrep.spaces import is_finite, normalize_value
@@ -652,3 +656,51 @@ def test_a_value_nested_past_the_recursion_limit_is_reported_at_its_declaration(
         match=r"^checks\[0\]: malformed declaration \(maximum recursion depth exceeded",
     ):
         parse_scenario(text)
+
+
+def _deep_check(depth: int, bundle=None):
+    """``bundle``, the voltage adder by default, with one compute check whose input nests ``depth`` deep."""
+    value = "0"
+    for _ in range(depth):
+        value = (value,)
+    check = CheckSpec("deep", "compute", theory="adder", input=value)
+    return replace(bundle or build_voltage_adder(), checks=(check,))
+
+
+@pytest.mark.parametrize("factor", [3, 100])
+def test_emitting_a_check_value_nested_past_the_recursion_limit_names_the_check(factor):
+    bundle = _deep_check(factor * sys.getrecursionlimit())
+    message = r"^checks\[0\]: 'deep' nests a value too deeply to write \(maximum recursion depth exceeded"
+    with pytest.raises(DeclarationError, match=message):
+        emit_scenario(bundle)
+    assert run_checks(bundle, TrialSeed(0)).results[0].error["type"] == "OutOfDomain"
+
+
+def test_emitting_a_check_value_up_to_the_recursion_limit_ends_in_text_or_a_declaration_error():
+    """Near the limit, whichever of the writer and the JSON encoder runs out first is caught."""
+    limit, bare = sys.getrecursionlimit(), ScenarioBundle("1", (), (), (), (), (), (), (), (), ())
+    for depth in range(limit - 100, limit + 1):
+        try:
+            emit_scenario(_deep_check(depth, bare))
+        except DeclarationError as err:
+            assert "nests a value too deeply to write" in str(err)
+
+
+def test_running_out_of_stack_in_the_writer_or_the_encoder_is_a_declaration_error(monkeypatch):
+    """Both handlers, reached on a shallow stack: a line tracer is unset where the stack runs out."""
+
+    def exhausted(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    bundle = build_voltage_adder()
+    with monkeypatch.context() as patch:
+        patch.setattr(document, "value_to_json", exhausted)
+        with pytest.raises(DeclarationError) as writer:
+            emit_scenario(bundle)
+    with monkeypatch.context() as patch:
+        patch.setattr(document, "json", SimpleNamespace(dumps=exhausted))
+        with pytest.raises(DeclarationError) as encoder:
+            emit_scenario(bundle)
+    reason = "a value too deeply to write (maximum recursion depth exceeded)"
+    assert str(writer.value) == f"spaces.abstract[0]: {bundle.abstract_spaces[0].id!r} nests {reason}"
+    assert str(encoder.value) == "document: a value nests too deeply to write (maximum recursion depth exceeded)"

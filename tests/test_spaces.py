@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -360,6 +361,75 @@ def test_max_coordinate_reads_label_components_discretely_and_nested_tuples_by_c
     assert distance(MAX_COORDINATE, a, AbstractState(nested, ("down", ("01", 2)))) == 1.0
     assert distance(MAX_COORDINATE, a, AbstractState(nested, ("up", ("10", 5)))) == 3.0
     assert distance(MAX_COORDINATE, a, a) == 0.0
+
+
+_LABELS = LabelSpace("table.labels", ("x", "y", "z"))
+_BITS = BitSpace("table.bits", 3)
+_INTS = IntSpace("table.ints", -3, 4)
+_VECTOR = RealVectorSpace("table.vector", ((0.0, 5.0), (0.0, 5.0)))
+_PHYSICAL_LABELS = PhysicalLabelSpace("table.physical-labels", ("lo", "hi"))
+
+#: Each space shape, two of its values, and each kind's distance between them (None: MetricMismatch).
+METRIC_TABLE = {
+    "labels": (_LABELS, "x", "z", (1.0, None, None, None)),
+    "physical-labels": (_PHYSICAL_LABELS, "lo", "hi", (1.0, None, None, None)),
+    "bits": (_BITS, "011", "110", (1.0, 2.0, None, None)),
+    "ints": (_INTS, -2, 3, (1.0, None, 5.0, None)),
+    "vector": (_VECTOR, (1.0, 4.0), (3.5, 3.0), (1.0, None, None, 2.5)),
+    "tuple": (TupleSpace("table.tuple", (_BITS, _INTS)), ("011", -2), ("110", 3), (1.0, None, None, 5.0)),
+    "physical-tuple": (
+        PhysicalTupleSpace("table.physical-tuple", (_PHYSICAL_LABELS, _VECTOR)),
+        ("lo", (1.0, 4.0)), ("hi", (3.5, 3.0)), (1.0, None, None, 2.5),
+    ),
+    "nested-tuple": (  # hamming on the bits: a discrete leaf would read 1
+        TupleSpace("table.nested", (TupleSpace("table.inner", (_LABELS, _BITS)), _INTS)),
+        (("x", "011"), -2), (("z", "100"), -2), (1.0, None, None, 3.0),
+    ),
+}
+
+
+def _via_layer(space, a, b, metric):
+    """``check_layer``'s distance: the map sends the upper value to ``a``, the lower step ``a`` to ``b``."""
+    top = LabelSpace("top", ("u",))
+    still = abrep.AbstractDynamics("top.still", top, abrep.BuiltinRule("identity"))
+    step = abrep.TableRule({v: v for v in enumerate_values(space)} | {a: b})
+    lower = abrep.RefinementLayer("low", space, abrep.AbstractDynamics("low.step", space, step))
+    relation = abrep.SimulationRelation("down", abrep.RefinementLayer("top", top, still), lower, {"u": a})
+    (entry,) = abrep.check_layer(relation, 0.0, metric).entries
+    return entry.distance
+
+
+def _via_validation(space, a, b, metric):
+    """``validate_theory``'s distance: the program keeps the reading ``a``, the device moves to read ``b``."""
+    device = PhysicalLabelSpace("device", ("p", "q"))
+    read = abrep.RepresentationRelation("read", device, space, abrep.LookupRule({"p": a, "q": b}))
+    program = abrep.AbstractDynamics("still", space, abrep.BuiltinRule("identity"))
+    move = abrep.PhysicalDynamics("move", device, abrep.TableRule({"p": "q", "q": "q"}))
+    predictions = (abrep.Prediction("run", program, move),)
+    theory = abrep.Theory("t", read, (PhysicalState(device, "p"),), predictions)
+    (cell,) = abrep.validate_theory(theory, 0.0, metric, 1, 1.0, TrialSeed(0))[1].cells
+    return cell.report.distances[0]
+
+
+@pytest.mark.parametrize("kind", list(abrep.METRICS))
+@pytest.mark.parametrize("shape", list(METRIC_TABLE))
+def test_every_metric_on_every_space_shape(shape, kind):
+    """Each kind's distance or exact MetricMismatch, through every entry point the shape allows."""
+    space, a, b, expected = METRIC_TABLE[shape]
+    metric, want = abrep.METRICS[kind], expected[list(abrep.METRICS).index(kind)]
+    make = AbstractState if isinstance(space, abrep.AbstractSpace) else PhysicalState
+    measures = [lambda metric: distance(metric, make(space, a), make(space, b))]
+    if make is AbstractState:
+        measures += [partial(_via_layer, space, a, b), partial(_via_validation, space, a, b)]
+    for measure in measures:
+        if want is None:
+            with pytest.raises(MetricMismatch) as err:
+                measure(metric)
+            assert str(err.value) == f"{kind} does not apply to space {space.id!r}"
+        else:
+            assert measure(metric) == want
+    if want is not None:
+        assert distance(metric, make(space, a), make(space, a)) == 0.0
 
 
 def test_a_vector_space_has_no_cardinality():

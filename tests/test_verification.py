@@ -24,6 +24,7 @@ from abrep import (
     MAX_COORDINATE,
     METRICS,
     MetricMismatch,
+    NotInstantiable,
     OutOfDomain,
     PhysicalDynamics,
     PhysicalState,
@@ -40,6 +41,7 @@ from abrep import (
     check_stack_to_device,
     derive_seed,
     emit_scenario,
+    enumerate_states,
     evolve_physical,
     identity_dynamics,
     instantiate,
@@ -50,7 +52,13 @@ from abrep import (
     run_compute_cycle,
     validate_theory,
 )
-from support import adder_theory, count_compiled, count_device_work, random_deterministic_theory
+from support import (
+    adder_theory,
+    count_calls,
+    count_compiled,
+    count_device_work,
+    random_deterministic_theory,
+)
 
 SEED = TrialSeed(0)
 
@@ -289,6 +297,44 @@ def test_only_validation_makes_a_theory_valid():
         replace(graded, evidence=evidence)
 
 
+def test_compute_cycle_refuses_an_input_prepared_outside_the_validated_domain():
+    """Validation looked at 16 configurations; the first seed for this input is none of them."""
+    _, theory, pred = adder_pieces()
+    graded, _ = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    m = machine_state(graded, ("01", "10", "111"))
+    prepared = instantiate(graded, m)
+    assert prepared.value == (0.0, 5.0, 5.0, 0.0, 5.0, 5.0, 5.0)
+    assert prepared not in graded.domain
+    message = "^configuration is outside the declared domain of theory 'adder'$"
+    with pytest.raises(OutOfDomain, match=message):
+        run_compute_cycle(graded, m, "add", pred.physical, SEED)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_every_compute_cycle_runs_from_a_validated_configuration(name):
+    """Sweep: each instantiable input either computes from a domain state or raises OutOfDomain."""
+    ran = refused = 0
+    for theory in BUILTIN_SCENARIOS[name]().theories:
+        graded, _ = validate_theory(theory, 1.0, DISCRETE, 1, 1.0, SEED)  # every square passes
+        assert graded.is_valid
+        for pred, m in itertools.product(graded.predictions, enumerate_states(graded.representation.codomain)):
+            try:
+                prepared = instantiate(graded, m)
+            except NotInstantiable:
+                continue
+            if prepared in graded.domain:
+                result = run_compute_cycle(graded, m, pred.name, pred.physical, SEED)
+                assert result.prepared == prepared
+                ran += 1
+            else:
+                with pytest.raises(OutOfDomain):
+                    run_compute_cycle(graded, m, pred.name, pred.physical, SEED)
+                refused += 1
+    assert ran > 0
+    if name.startswith("voltage-adder"):
+        assert (ran, refused) == (16, 112)
+
+
 def test_compute_cycle_on_swap_device():
     bundle = build_swap_device()
     theory = bundle.theory("swap")
@@ -455,6 +501,20 @@ def test_noise_free_validation_cost_law(monkeypatch, width):
     cells = evidence.coverage
     assert evidence.all_passed and cells == 4**width
     assert counts == {"rule": cells, "read": 2 * cells, "program": cells}
+
+
+def test_validation_compiles_the_metric_once_per_prediction_column(monkeypatch):
+    """Gate: the 5-bit adder's 2 x 1,024 cells compile max-coordinate once per column.
+
+    Each compile also compiles the leaf metric of the machine's 3 registers.
+    """
+    theory = adder_theory(5)
+    pred = theory.predictions[0]
+    theory = Theory(theory.id, theory.representation, theory.domain, (pred, replace(pred, name="again")))
+    counts = count_calls(monkeypatch, metric=abrep.spaces._metric)
+    _, evidence = validate_theory(theory, 0.0, MAX_COORDINATE, 1, 1.0, SEED)
+    assert evidence.all_passed and evidence.coverage == 2 * 4**5
+    assert counts == {"metric": 2 * (1 + 3)}
 
 
 def test_each_trial_outcome_is_the_device_run_at_its_seed():
