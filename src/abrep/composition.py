@@ -41,7 +41,6 @@ from .spaces import (
     TupleSpace,
     Value,
     _declaration,
-    _trusted,
     cardinality,
     enumerate_values,
     is_finite,
@@ -107,8 +106,8 @@ class JointSystem:
 class FactorizationWitness:
     """Component maps that reproduce the joint representation and dynamics.
 
-    Factor tables are keyed by component values; when present they reproduce
-    the joint maps exactly on every enumerable state.
+    Both pairs of factor tables map component values to values; when present
+    they reproduce the joint maps exactly on every enumerable state.
     """
 
     representation_factors: tuple[dict, dict] | None
@@ -178,28 +177,14 @@ def factorize_representation(j: JointSystem) -> tuple[dict, dict] | None:
 
     Succeeds exactly when the codomain is a two-part product whose first
     coordinate ignores the right half and whose second ignores the left.
-    Returns value-keyed maps onto component abstract states, or None.
+    Returns value tables (f, g) from each half's physical to abstract values, or None.
     """
     lefts, rights = _product_values(j.joint_space)
     codomain = j.joint_representation.codomain
     if not (isinstance(codomain, TupleSpace) and len(codomain.components) == 2):
         return None
     # Enumerated pairs are members of the declared domain.
-    split = _split_coordinates(lefts, rights, j.joint_representation._apply)
-    if split is None:
-        return None
-    return _as_states(split, codomain)
-
-
-def _as_states(maps: tuple[dict, dict], codomain: TupleSpace) -> tuple[dict, dict]:
-    """Each value-keyed map of ``maps`` with its images as states of its half of ``codomain``.
-
-    The images are canonical: readings through a declared relation, or enumerated values.
-    """
-    return tuple(
-        {k: _trusted(AbstractState, space, v) for k, v in table.items()}
-        for table, space in zip(maps, codomain.components)
-    )
+    return _split_coordinates(lefts, rights, j.joint_representation._apply)
 
 
 def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
@@ -216,16 +201,13 @@ def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
 
 
 def _factors_match_declared(j: JointSystem, factors: tuple[dict, dict]) -> bool:
-    """True iff each reading factor is its half's declared representation, value for value."""
-    halves = zip(factors, j.joint_representation.codomain.components, (j.left, j.right))
-    for table, space, half in halves:
-        relation = half.theory.representation
-        read = relation._apply
-        if space != relation.codomain or any(
-            table[v].value != read(v) for v in enumerate_values(relation.domain)
-        ):
-            return False
-    return True
+    """True iff each reading factor, keyed by its half's domain values, is its declared reading."""
+    spaces = j.joint_representation.codomain.components
+    relations = (j.left.theory.representation, j.right.theory.representation)
+    return all(
+        space == rel.codomain and all(table[v] == rel._apply(v) for v in table)
+        for table, space, rel in zip(factors, spaces, relations)
+    )
 
 
 def classify(j: JointSystem) -> CompositionClass:
@@ -320,15 +302,13 @@ def brute_force_classify(j: JointSystem) -> CompositionClass:
             for p in lefts
             for q in rights
         }
-        pair = _search_reproducing_pair(
+        rep_factors = _search_reproducing_pair(
             lefts,
             rights,
             list(enumerate_values(space_x)),
             list(enumerate_values(space_y)),
             observed_rep,
         )
-        if pair is not None:
-            rep_factors = _as_states(pair, codomain)
 
     dyn_factors = None
     dspace = j.joint_dynamics.space

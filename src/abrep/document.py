@@ -76,6 +76,7 @@ from .spaces import (
 )
 
 SUPPORTED_VERSIONS = ("1",)
+_ENCODE = json.JSONEncoder(indent=2).encode  # encodes as json.dumps(doc, indent=2) does
 
 
 def value_to_json(value: Value) -> Any:
@@ -512,13 +513,18 @@ def emit_scenario(bundle: ScenarioBundle) -> str:
     try:
         return json.dumps(doc, indent=2) + "\n"
     except RecursionError as err:  # the encoder takes a few more frames than _write
+        for field, path, decl in _SECTIONS:  # name the first declaration it cannot write in place
+            section, _, part = path.partition(".")
+            for i, obj in enumerate(getattr(bundle, field)):
+                _emitted(decl, obj, f"{path}[{i}]", lambda w: {section: {part: [w]} if part else [w]})
         raise DeclarationError(f"document: a value nests too deeply to write ({err})") from None
 
 
-def _emitted(decl: _Decl, obj: Any, path: str) -> dict:
-    """``_write``'s object for the declaration ``obj`` at ``path``."""
+def _emitted(decl: _Decl, obj: Any, path: str, place: Callable | None = None) -> Any:
+    """``_write``'s object for the declaration ``obj`` at ``path``; given ``place``, encoded as placed."""
     try:
-        return _write(decl, obj)
+        written = _write(decl, obj)
+        return written if place is None else _ENCODE(place(written))
     except RecursionError as err:
         ident = getattr(obj, "id", None) or obj.name
         raise DeclarationError(f"{path}: {ident!r} nests a value too deeply to write ({err})") from None

@@ -140,6 +140,7 @@ class AbstractDynamics:
     id: str
     space: AbstractSpace
     rule: AbstractRule
+    noise = None  # a program is noise-free; unannotated, so not a field
 
     def __post_init__(self, owner):
         rule = self.rule

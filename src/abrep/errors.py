@@ -1,5 +1,11 @@
 """Exception types shared across the framework, the identifier lookup, and how messages show values."""
 
+from contextlib import suppress
+
+#: Containers nested this deep show as a stand-in: a walk decides, not where ``repr`` runs out of stack.
+_SHOWN_DEPTH = 100
+_CONTAINERS = (tuple, list, set, frozenset, dict)
+
 
 class ModelError(Exception):
     """Base class for all errors raised by this package."""
@@ -97,7 +103,11 @@ def resolve(table: dict, ident, path: str):
 
 def _shown(value) -> str:
     """``repr(value)``, or a stand-in when an int in it has too many digits or it nests too deep."""
-    try:
-        return repr(value)
-    except (ValueError, RecursionError):
-        return f"<{type(value).__name__} too large to show>"
+    level = [value]
+    for _ in range(_SHOWN_DEPTH):  # a level per pass, each object once; a dict's items are pairs
+        level = [v.items() if isinstance(v, dict) else v for v in level if isinstance(v, _CONTAINERS)]
+        level = list({id(x): x for v in level for x in v}.values())
+    with suppress(ValueError, RecursionError):  # an int past the digit limit; an object's own deep repr
+        if not level:
+            return repr(value)
+    return f"<{type(value).__name__} too large to show>"

@@ -7,8 +7,8 @@ The lowest layer is bound to a device by a theory, so a full stack check
 closes the loop from the topmost description down to simulated hardware.
 
 Layers are deterministic, so only the downward direction is checked at layer
-level; the prediction direction is exercised at the device boundary by the
-commutation square. Both run on values, and build states only for reports.
+level, in squares whose device is the upper program and whose reading is the
+map down. The device boundary checks the prediction direction. Both grade values.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count
+from types import SimpleNamespace
 from typing import Mapping
 
 from .dynamics import AbstractDynamics, PhysicalDynamics, TrialSeed, derive_seed
@@ -27,14 +28,14 @@ from .spaces import (
     Metric,
     Value,
     _declaration,
-    _field_error,
-    _metric,
     _trusted,
     check_total_table,
     contains,
     enumerate_values,
 )
-from .verification import CommutationReport, DiagramSpec, _grade, _in_domain, _reports
+from .verification import (
+    CommutationReport, DiagramSpec, _check_tolerances, _grade, _in_domain, _reports
+)
 
 
 @_declaration("layer")
@@ -58,6 +59,8 @@ class SimulationRelation:
     upper: RefinementLayer
     lower: RefinementLayer
     entries: Mapping[Value, Value]
+    codomain = property(lambda self: self.lower.space)
+    _apply = property(lambda self: self.entries.__getitem__)
 
     def __post_init__(self, owner):
         entries = check_total_table(owner, self.entries, self.upper.space, self.lower.space)
@@ -82,40 +85,32 @@ class LayerCheckEntry:
 
 @dataclass(frozen=True)
 class LayerReport:
-    """One layer pair's verdict; ``check_layer`` keeps its rows of values in ``_rows``.
-
-    ``entries`` is built from the rows on first read.
-    """
+    """One layer pair's verdict; ``entries`` is built on first read from its graded ``_column``."""
 
     relation_id: str
     epsilon: float
     passed: bool
-    _rows: tuple = field(repr=False, hash=False)
+    _column: tuple = field(repr=False, hash=False)
 
     @cached_property
     def entries(self) -> tuple[LayerCheckEntry, ...]:
         """Each upper value's entry: both paths' images and their distance."""
-        upper, lower, rows = self._rows
+        upper, values, (passed, *_, lower, expected, _, graded) = self._column
         state = partial(_trusted, AbstractState)
         return tuple(
-            LayerCheckEntry(state(upper, v), state(lower, a), state(lower, b), d, d <= self.epsilon)
-            for v, a, b, d in rows
+            LayerCheckEntry(state(upper, v), state(lower, g[0][0]), state(lower, b), g[0][1], ok)
+            for v, b, g, ok in zip(values, expected, graded, passed)
         )
 
 
 def check_layer(relation: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
-    """Check one adjacent layer pair over every upper state."""
-    if epsilon < 0:
-        raise _field_error("layer check", "epsilon", "must be non-negative")
-    upper, lower = relation.upper.space, relation.lower.space
-    up, low = relation.upper.dynamics._apply, relation.lower.dynamics._apply
-    down, measure = relation.entries.__getitem__, _metric(metric.kind, lower)
-    rows = []
-    for value in enumerate_values(upper):
-        via_upper, via_lower = down(up(value)), low(down(value))
-        rows.append((value, via_upper, via_lower, measure(via_upper, via_lower)))
-    passed = all(d <= epsilon for *_, d in rows)
-    return LayerReport(relation.id, epsilon, passed, (upper, lower, rows))
+    """Check one adjacent layer pair over every upper state, as one column of squares."""
+    spec = SimpleNamespace(epsilon=epsilon, trials=1, required_success=1.0)
+    _check_tolerances(spec, "layer check")
+    upper, values = relation.upper, list(enumerate_values(relation.upper.space))
+    expected = list(map(relation.lower.dynamics._apply, map(relation._apply, values)))
+    column = _grade(spec, upper.dynamics, values, expected, metric, (), relation)
+    return LayerReport(relation.id, epsilon, all(column[0]), (upper.space, values, column))
 
 
 @_declaration("stack")
@@ -214,6 +209,7 @@ def _ground(
     starts = [_in_domain(theory, prepared) for prepared in _prepare(theory, bottoms)]
     uppers = [program._apply(bottom.value) for bottom in bottoms]
     seeds = (derive_seed(base_seed, i) for i in count())
-    column = _grade(spec, [p.value for p in starts], uppers, metric, seeds, theory.representation)
+    values = [p.value for p in starts]
+    column = _grade(spec, stack.device, values, uppers, metric, seeds, theory.representation)
     entries = tuple(map(DeviceCheckEntry, bottoms, _reports(starts, column)))
     return StackReport(stack.id, layer_reports, entries)

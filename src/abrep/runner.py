@@ -252,21 +252,12 @@ _HANDLERS = {
 
 
 def _witness_json(witness: FactorizationWitness) -> dict:
-    rep = witness.representation_factors
-    if rep is not None:
-        rep = tuple({k: v.value for k, v in table.items()} for table in rep)
     return {
-        "representation_factors": _factors_json(rep),
-        "dynamics_factors": _factors_json(witness.dynamics_factors),
-    }
-
-
-def _factors_json(factors: tuple[dict, dict] | None) -> dict | None:
-    if factors is None:
-        return None
-    return {
-        side: [[value_to_json(k), value_to_json(v)] for k, v in table.items()]
-        for side, table in zip(("left", "right"), factors)
+        name: None if factors is None else {
+            side: [[value_to_json(k), value_to_json(v)] for k, v in table.items()]
+            for side, table in zip(("left", "right"), factors)
+        }
+        for name, factors in vars(witness).items()
     }
 
 
@@ -287,12 +278,8 @@ def run_checks(
         if name_filter is not None and not fnmatch.fnmatch(check.name, name_filter):
             continue
         selected.append(run.execute(check, derive_seed(seed, index)))
-    if any(r.status == ERROR for r in selected):
-        overall = ERROR
-    elif any(r.status == FAIL for r in selected):
-        overall = FAIL
-    else:
-        overall = PASS
+    statuses = {r.status for r in selected}
+    overall = next((status for status in (ERROR, FAIL) if status in statuses), PASS)
     return RunReport(
         format_version=bundle.format_version,
         seed=seed.value,

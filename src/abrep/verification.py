@@ -125,19 +125,20 @@ class CommutationReport:
 
 
 def _grade(
-    spec: DiagramSpec, starts: list, uppers: list, metric: Metric, seeds: Iterable,
-    relation: RepresentationRelation | None = None,
+    spec: DiagramSpec, device: PhysicalDynamics | AbstractDynamics, starts: list, uppers: list,
+    metric: Metric, seeds: Iterable, relation: RepresentationRelation | None = None,
 ) -> tuple:
     """Grade a column of squares on values: the one place a square passes or fails.
 
-    Square i runs the device from member value ``starts[i]``, reads the
-    outcome through ``relation`` if given, and measures it against
-    ``uppers[i]``. Noise-free, each compiled map runs once over the column,
-    and ``seeds`` is not read. Noisy, each distinct flag code that square i
-    draws from its seed is flipped, read and measured once, with its count of
-    trials. The column is returned as ``_reports`` reads it, verdicts first.
+    Square i runs ``device``, a device update or a layer's upper program, from
+    member value ``starts[i]``, reads the outcome through ``relation`` if given,
+    and measures it against ``uppers[i]`` with ``spec``'s tolerances. Noise-free,
+    as a program is, each compiled map runs once over the column and ``seeds``
+    is not read. Noisy, each distinct flag code that square i draws from its
+    seed is flipped, read and measured once, with its count of trials. The
+    column is returned as ``_reports`` reads it, verdicts first.
     """
-    device, trials, epsilon = spec.physical_dynamics, spec.trials, spec.epsilon
+    trials, epsilon = spec.trials, spec.epsilon
     kind, space, read = PhysicalState, device.space, lambda value: value
     if relation is not None:
         kind, space, read = AbstractState, relation.codomain, relation._apply
@@ -189,7 +190,8 @@ def check_commutation(spec: DiagramSpec, p: PhysicalState, seed: TrialSeed) -> C
     _in_domain(spec.theory, p)
     relation = spec.theory.representation
     upper = spec.abstract_dynamics._apply(relation._apply(p.value))
-    return next(_reports([p], _grade(spec, [p.value], [upper], spec.metric, [seed], relation)))
+    column = _grade(spec, spec.physical_dynamics, [p.value], [upper], spec.metric, [seed], relation)
+    return next(_reports([p], column))
 
 
 def check_history(
@@ -206,9 +208,9 @@ def check_history(
     are prepared in one scan of the seeds.
     """
     evolved = evolve_abstract(spec.abstract_dynamics, m)
-    start, target = _prepare(spec.theory, (m, evolved))
-    column = _grade(spec, [start.value], [target.value], physical_metric, [seed])
-    return next(_reports([start], column))
+    p, q = _prepare(spec.theory, (m, evolved))
+    column = _grade(spec, spec.physical_dynamics, [p.value], [q.value], physical_metric, [seed])
+    return next(_reports([p], column))
 
 
 @dataclass(frozen=True)
@@ -271,7 +273,7 @@ def validate_theory(
         spec = DiagramSpec(theory, pred.abstract, pred.physical, *tolerances)
         seeds = (derive_seed(seed, si, pi) for si in count())
         uppers = list(map(pred.abstract._apply, readings))
-        columns.append(_grade(spec, values, uppers, metric, seeds, relation))
+        columns.append(_grade(spec, pred.physical, values, uppers, metric, seeds, relation))
     names = [pred.name for pred in theory.predictions]
     all_passed = all(all(column[0]) for column in columns)
     evidence = ValidityReport(

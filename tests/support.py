@@ -36,6 +36,15 @@ from abrep import (
 )
 
 
+def _patch_everywhere(monkeypatch, fn, wrapper) -> None:
+    """Replace ``fn`` by ``wrapper`` in every ``abrep`` module that binds it."""
+    modules = [m for n, m in list(sys.modules.items()) if n.partition(".")[0] == "abrep"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, wrapper)
+
+
 def count_calls(monkeypatch, **targets) -> dict:
     """Count the calls of each ``abrep`` function in ``targets`` from here on, by keyword.
 
@@ -51,14 +60,25 @@ def count_calls(monkeypatch, **targets) -> dict:
 
         return wrapper
 
-    modules = [m for n, m in list(sys.modules.items()) if n.partition(".")[0] == "abrep"]
     for key, fn in targets.items():
-        wrapper = counted(key, fn)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, wrapper)
+        _patch_everywhere(monkeypatch, fn, counted(key, fn))
     return counts
+
+
+def record_calls(monkeypatch, fn) -> list:
+    """The positional arguments of each call of the ``abrep`` function ``fn`` from here on.
+
+    ``fn`` is patched as ``count_calls`` patches it, so each call is recorded
+    wherever it is made; an iterator argument is recorded as it is, unread.
+    """
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    _patch_everywhere(monkeypatch, fn, wrapper)
+    return calls
 
 
 def count_compiled(monkeypatch, **classes) -> dict:

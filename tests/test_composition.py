@@ -143,9 +143,9 @@ def test_factorize_representation_of_componentwise_joint():
     assert factors is not None
     fmap, gmap = factors
     for p in enumerate_states(left.theory.representation.domain):
-        assert fmap[p.value] == represent(left.theory.representation, p)
+        assert fmap[p.value] == represent(left.theory.representation, p).value
     for q in enumerate_states(right.theory.representation.domain):
-        assert gmap[q.value] == represent(right.theory.representation, q)
+        assert gmap[q.value] == represent(right.theory.representation, q).value
 
 
 def test_xor_coupled_representation_does_not_factor():
@@ -333,7 +333,7 @@ def test_classify_xor_joint_is_heterotic():
     fmap, gmap = decision.witness.representation_factors
     for p in enumerate_states(joint.joint_space):
         reading = represent(joint.joint_representation, p)
-        assert reading.value == (fmap[p.value[0]].value, gmap[p.value[1]].value)
+        assert reading.value == (fmap[p.value[0]], gmap[p.value[1]])
 
 
 def test_classify_social_machine_is_heterotic():
@@ -350,7 +350,7 @@ def test_witness_reproduces_joint_maps_exactly():
     fmap, gmap = decision.witness.representation_factors
     for p in enumerate_states(joint.joint_space):
         reading = represent(joint.joint_representation, p)
-        assert reading.value == (fmap[p.value[0]].value, gmap[p.value[1]].value)
+        assert reading.value == (fmap[p.value[0]], gmap[p.value[1]])
     fdyn, gdyn = decision.witness.dynamics_factors
     for m in enumerate_states(joint.joint_dynamics.space):
         image = evolve_abstract(joint.joint_dynamics, m)

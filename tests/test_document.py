@@ -686,6 +686,36 @@ def test_emitting_a_check_value_up_to_the_recursion_limit_ends_in_text_or_a_decl
             assert "nests a value too deeply to write" in str(err)
 
 
+def test_emitting_a_check_value_near_the_recursion_limit_names_the_check_or_writes_it():
+    """The writer or the encoder may run out first, by the Python; either way the check is named."""
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 100, limit + 1):
+        try:
+            emit_scenario(_deep_check(depth))
+        except DeclarationError as err:
+            assert str(err).startswith("checks[0]: 'deep' nests a value too deeply to write"), depth
+
+
+def test_an_encoder_out_of_stack_names_the_first_declaration_it_cannot_write_in_place(monkeypatch):
+    """When the document does not encode, the first declaration that does not encode where it sits is named."""
+
+    def exhausted(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    def encode(placed):
+        if "checks" in placed and placed["checks"][0].get("name") == "deep":
+            exhausted()
+        return json.dumps(placed, indent=2)
+
+    bundle = _deep_check(3)
+    monkeypatch.setattr(document, "json", SimpleNamespace(dumps=exhausted))
+    monkeypatch.setattr(document, "_ENCODE", encode)
+    with pytest.raises(DeclarationError) as err:
+        emit_scenario(bundle)
+    reason = "nests a value too deeply to write (maximum recursion depth exceeded)"
+    assert str(err.value) == f"checks[0]: 'deep' {reason}"
+
+
 def test_running_out_of_stack_in_the_writer_or_the_encoder_is_a_declaration_error(monkeypatch):
     """Both handlers, reached on a shallow stack: a line tracer is unset where the stack runs out."""
 

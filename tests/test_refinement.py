@@ -43,7 +43,7 @@ from abrep.dynamics import AbstractDynamics, BuiltinRule
 from abrep.errors import DeclarationError
 from abrep.refinement import StackReport, reachable_bottom_states
 import reference
-from support import count_calls, count_device_work
+from support import count_calls, count_device_work, record_calls
 
 SEED = TrialSeed(0)
 
@@ -333,6 +333,27 @@ def test_a_stack_run_evaluates_each_layer_once(monkeypatch):
     assert counts["layer"] == 2  # 4 when the stack check evaluated its layers again
     assert run_checks(bundle).exit_code == 0
     assert counts["layer"] == 4
+
+
+def test_a_stack_run_grades_every_square_in_the_one_grader(monkeypatch):
+    """Gate and cost law: one column per layer pair, one per device boundary, all through ``_grade``.
+
+    A layer column holds one square per upper value, and the device column one
+    per distinct reachable bottom value; each column compiles its metric once.
+    """
+    bundle = BUILTIN_SCENARIOS["refinement-stack"]()
+    stack = bundle.stack("stack.adder")
+    columns = record_calls(monkeypatch, abrep.verification._grade)
+    counts = count_calls(monkeypatch, metric=abrep.spaces._metric)
+    assert run_checks(bundle).exit_code == 0
+    assert len(columns) == 3 and counts["metric"] == 3  # 1 column when layers graded on their own
+    for relation, (_, device, starts, *_, read) in zip(stack.relations, columns[:2]):
+        assert device is relation.upper.dynamics and read is relation
+        assert starts == list(enumerate_values(relation.upper.space))
+    _, device, starts, *_, read = columns[2]
+    assert device is stack.device and read is stack.theory.representation
+    bottoms = {state.value for state in reachable_bottom_states(stack)}
+    assert [len(column[2]) for column in columns] == [112, 128, len(bottoms)] == [112, 128, 112]
 
 
 def test_layer_and_stack_checks_run_on_values(monkeypatch):

@@ -220,6 +220,37 @@ def test_a_message_shows_a_value_nested_past_the_recursion_limit_by_a_stand_in()
         BitSpace(deep, 2)
 
 
+def test_a_deep_compute_input_gives_the_same_message_on_every_python():
+    """The stand-in is decided by a walk of the value, not by where ``repr`` runs out of stack."""
+    adder, deep = abrep.build_voltage_adder(), "x"
+    for _ in range(3 * sys.getrecursionlimit()):
+        deep = (deep,)
+    check = abrep.CheckSpec("deep", "compute", theory="adder", input=deep)
+    report = abrep.run_checks(dataclasses.replace(adder, checks=(adder.checks[0], check)))
+    error = report.results[1].error
+    assert error == {
+        "type": "OutOfDomain",
+        "message": "value <tuple too large to show> is not a member of space 'adder.machine'",
+    }
+    assert len(error["message"]) == 72
+
+
+def test_a_message_shows_a_value_in_full_up_to_the_depth_bound():
+    """Containers nested ``_SHOWN_DEPTH - 1`` deep show in full; one level more, or a cycle, does not."""
+    shown, depth = abrep.errors._shown, abrep.errors._SHOWN_DEPTH
+    value = "x"
+    for _ in range(depth - 1):
+        value = (value,)
+    assert shown(value) == repr(value)
+    assert shown([value]) == "<list too large to show>"
+    assert shown({"key": value}) == "<dict too large to show>"  # a dict's items are pairs
+    assert shown(frozenset({value})) == "<frozenset too large to show>"
+    cycle = []
+    cycle += [cycle, cycle]
+    assert shown(cycle) == "<list too large to show>"
+    assert shown(10**5000) == "<int too large to show>" and shown({"a": 1}) == "{'a': 1}"
+
+
 def test_space_declaration_invariants():
     with pytest.raises(DeclarationError):
         LabelSpace("empty", ())
