@@ -47,7 +47,6 @@ from .errors import (
     ModelError,
     NotEnumerable,
     NotInstantiable,
-    NotProductSpace,
     OutOfDomain,
     ScenarioError,
     ScenarioSyntaxError,

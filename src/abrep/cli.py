@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .document import _loads, emit_scenario, parse_scenario, raw_value
 from .dynamics import TrialSeed
@@ -97,14 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override_checks(checks, epsilon, trials):
-    """``checks`` with each of the ``--epsilon`` and ``--trials`` values that was given."""
-    overrides = {}
-    if epsilon is not None:
-        overrides["epsilon"] = epsilon
-    if trials is not None:
-        overrides["trials"] = trials
-    return tuple(replace(check, **overrides) for check in checks)
+#: Each one-check command: its check's name prefix, the check's kind, and the flag naming its object.
+_ONE_CHECK_COMMANDS = {
+    "validate-theory": ("validate", "validate-theory", "theory"),
+    "compute": ("compute", "compute", "theory"),
+    "check-stack": ("stack", "stack", "stack"),
+    "classify": ("classify", "classify", "joint"),
+}
+
+#: The ``CheckSpec`` fields that a given flag with the same dest fills.
+_CHECK_FIELDS = {f.name for f in fields(CheckSpec)} - {"name", "kind"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,39 +135,18 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     bundle = _load_bundle(args.file)
+    given = {name: v for name, v in vars(args).items() if name in _CHECK_FIELDS and v is not None}
+    for name in ("input", "expect"):  # compute's state values, read in this order
+        if name in given:
+            given[name] = parse_state_literal(given[name])
     if args.command == "check":
-        checks = bundle.checks
-    elif args.command == "validate-theory":
-        checks = (
-            CheckSpec(
-                f"validate:{args.theory}",
-                "validate-theory",
-                theory=args.theory,
-                metric=args.metric,
-                required_success=args.required_success,
-            ),
-        )
-    elif args.command == "compute":
-        checks = (
-            CheckSpec(f"validate:{args.theory}", "validate-theory", theory=args.theory),
-            CheckSpec(
-                f"compute:{args.theory}",
-                "compute",
-                theory=args.theory,
-                prediction=args.prediction,
-                input=parse_state_literal(args.input),
-                expect=None if args.expect is None else parse_state_literal(args.expect),
-            ),
-        )
-    elif args.command == "check-stack":
-        checks = (CheckSpec(f"stack:{args.stack}", "stack", stack=args.stack, metric=args.metric),)
+        checks = tuple(replace(check, **given) for check in bundle.checks)
     else:
-        checks = (
-            CheckSpec(f"classify:{args.joint}", "classify", joint=args.joint, oracle=args.oracle),
-        )
-    flags = vars(args)  # compute and classify have no tolerance flags; only check filters
-    checks = _override_checks(checks, flags.get("epsilon"), flags.get("trials"))
-    report = run_checks(bundle, TrialSeed(args.seed), name_filter=flags.get("filter"), checks=checks)
+        prefix, kind, target = _ONE_CHECK_COMMANDS[args.command]
+        checks = (CheckSpec(f"{prefix}:{given[target]}", kind, **given),)
+    if args.command == "compute":
+        checks = (CheckSpec(f"validate:{args.theory}", "validate-theory", theory=args.theory), *checks)
+    report = run_checks(bundle, TrialSeed(args.seed), name_filter=vars(args).get("filter"), checks=checks)
     sys.stdout.write(render_report(report_to_dict(report), args.format))
     return report.exit_code
 

@@ -23,7 +23,6 @@ from .dynamics import AbstractDynamics, ProductRule, evolve_abstract
 from .errors import (
     DeclarationError,
     NotEnumerable,
-    NotProductSpace,
     TheoryNotValidated,
     TooLarge,
     _shown,
@@ -191,11 +190,12 @@ def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
     """Split dynamics on a two-part product into independent actions.
 
     Returns value-keyed endomap tables (f, g) with d(a, b) = (f(a), g(b)) on
-    every state, or None when the coordinates are coupled.
+    every state, or None when the coordinates are coupled or the space is not
+    a two-part product.
     """
     space = d.space
     if not (isinstance(space, TupleSpace) and len(space.components) == 2):
-        raise NotProductSpace(f"dynamics {d.id!r} do not act on a two-part product")
+        return None
     values = [list(enumerate_values(half)) for half in space.components]
     return _split_coordinates(*values, d._apply)  # enumerated members of its space
 
@@ -217,12 +217,7 @@ def classify(j: JointSystem) -> CompositionClass:
     declared component representations and the joint dynamics to factor into
     some pair of independent component actions. Anything else is heterotic.
     """
-    rep_factors = factorize_representation(j)
-    try:
-        dyn_factors = factorize_dynamics(j.joint_dynamics)
-    except NotProductSpace:
-        dyn_factors = None
-    return _verdict(j, rep_factors, dyn_factors)
+    return _verdict(j, factorize_representation(j), factorize_dynamics(j.joint_dynamics))
 
 
 def _verdict(j: JointSystem, rep_factors, dyn_factors) -> CompositionClass:

@@ -47,10 +47,6 @@ class EmptyDomain(ModelError):
     """Theory validation needs a non-empty domain and prediction family."""
 
 
-class NotProductSpace(ModelError):
-    """A factorization was requested over a space that is not a two-part product."""
-
-
 class TooLarge(ModelError):
     """The brute-force search bound was exceeded."""
 

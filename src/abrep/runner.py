@@ -302,16 +302,7 @@ def report_to_dict(report: RunReport) -> dict:
         "overall": report.overall,
         "summary": counts,
         "coverage": report.coverage,
-        "checks": [
-            {
-                "name": r.name,
-                "kind": r.kind,
-                "status": r.status,
-                "detail": r.detail,
-                "error": r.error,
-            }
-            for r in report.results
-        ],
+        "checks": [dict(vars(r)) for r in report.results],  # CheckResult's field names are the keys
     }
 
 

@@ -15,6 +15,7 @@ scheduled.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from copy import copy
@@ -84,6 +85,8 @@ def _check_tolerances(decl, owner: str) -> None:
         raise _field_error(owner, "epsilon", "must be non-negative")
     if decl.trials < 1:
         raise _field_error(owner, "trials", "must be at least 1")
+    if decl.trials > sys.maxsize:  # past it, a column of trials cannot be indexed
+        raise _field_error(owner, "trials", f"must be at most {sys.maxsize}")
     if not (0.0 < decl.required_success <= 1.0):
         raise _field_error(owner, "required_success", "must lie in (0, 1]")
 

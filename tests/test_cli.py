@@ -1,9 +1,11 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
+from abrep import DISCRETE, DeclarationError, validate_theory
 from abrep.cli import main, parse_state_literal
 from abrep.document import emit_scenario
 from abrep.errors import ScenarioSyntaxError
@@ -244,30 +246,82 @@ def test_a_check_with_no_trials_is_refused_before_any_check_runs(tmp_path, capsy
     assert "trials: must be at least 1" in capsys.readouterr().err
 
 
+def test_a_trial_count_past_the_index_range_is_refused(tmp_path, capsys):
+    too_many = sys.maxsize + 1  # ``(0,) * trials`` would raise OverflowError
+    data = json.loads(emit_scenario(BUILTIN_SCENARIOS["voltage-adder"]()))
+    data["checks"][0]["trials"] = too_many
+    path = tmp_path / "too-many-trials.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: ScenarioSyntaxError: checks[0].trials: must be at most {sys.maxsize}\n"
+    )
+    path = write_scenario(tmp_path, "voltage-adder")
+    assert main(["check", path, "--trials", str(too_many)]) == 2
+    assert f"trials: must be at most {sys.maxsize}\n" in capsys.readouterr().err
+    theory = BUILTIN_SCENARIOS["voltage-adder"]().theories[0]
+    with pytest.raises(DeclarationError, match=f"trials: must be at most {sys.maxsize}$"):
+        validate_theory(theory, 0.0, DISCRETE, too_many, 1.0, TrialSeed(0))
+
+
 @pytest.mark.parametrize(
-    "name, flags, check",
+    "name, flags, checks, name_filter",
     [
         (
             "voltage-adder-noisy",
             ["validate-theory", "--theory", "adder", "--trials", "3", "--epsilon", "0.5",
              "--metric", "hamming", "--required-success", "0.5"],
-            CheckSpec("validate:adder", "validate-theory", theory="adder", epsilon=0.5,
-                      metric="hamming", trials=3, required_success=0.5),
+            lambda bundle: (
+                CheckSpec("validate:adder", "validate-theory", theory="adder", epsilon=0.5,
+                          metric="hamming", trials=3, required_success=0.5),
+            ),
+            None,
+        ),
+        (
+            "voltage-adder",
+            ["compute", "--theory", "adder", "--input", '["01","10","000"]', "--prediction", "add",
+             "--expect", '["01","10","011"]'],
+            lambda bundle: (
+                CheckSpec("validate:adder", "validate-theory", theory="adder"),
+                CheckSpec("compute:adder", "compute", theory="adder", prediction="add",
+                          input=("01", "10", "000"), expect=("01", "10", "011")),
+            ),
+            None,
         ),
         (
             "refinement-stack",
             ["check-stack", "--stack", "stack.adder", "--trials", "2", "--epsilon", "1",
              "--metric", "discrete"],
-            CheckSpec("stack:stack.adder", "stack", stack="stack.adder", epsilon=1.0,
-                      metric="discrete", trials=2),
+            lambda bundle: (
+                CheckSpec("stack:stack.adder", "stack", stack="stack.adder", epsilon=1.0,
+                          metric="discrete", trials=2),
+            ),
+            None,
+        ),
+        (
+            "xor-joint",
+            ["classify", "--joint", "xor.joint", "--oracle"],
+            lambda bundle: (CheckSpec("classify:xor.joint", "classify", joint="xor.joint", oracle=True),),
+            None,
+        ),
+        (
+            "voltage-adder-faulted",
+            ["check", "--epsilon", "1", "--trials", "2", "--filter", "add-*"],
+            lambda bundle: tuple(replace(c, epsilon=1.0, trials=2) for c in bundle.checks),
+            "add-*",
         ),
     ],
-    ids=["validate-theory", "check-stack"],
+    ids=["validate-theory", "compute", "check-stack", "classify", "check"],
 )
-def test_single_check_commands_run_the_equivalent_check(tmp_path, capsys, name, flags, check):
+def test_single_check_commands_run_the_equivalent_check(
+    tmp_path, capsys, name, flags, checks, name_filter
+):
     path = write_scenario(tmp_path, name)
     code = main([flags[0], path, *flags[1:], "--seed", "5", "--format", "json"])
-    report = run_checks(BUILTIN_SCENARIOS[name](), TrialSeed(5), checks=(check,))
+    bundle = BUILTIN_SCENARIOS[name]()
+    report = run_checks(bundle, TrialSeed(5), name_filter, checks(bundle))
     assert capsys.readouterr().out == report_to_json(report)
     assert code == report.exit_code
 

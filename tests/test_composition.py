@@ -22,7 +22,6 @@ from abrep import (
     LabelSpace,
     LookupRule,
     NotEnumerable,
-    NotProductSpace,
     PhysicalLabelSpace,
     PhysicalState,
     PhysicalTupleSpace,
@@ -200,8 +199,7 @@ def test_factorize_dynamics_examples():
     xor = AbstractDynamics("xor", pair, BuiltinRule("xor"))
     assert factorize_dynamics(xor) is None
 
-    with pytest.raises(NotProductSpace):
-        factorize_dynamics(AbstractDynamics("flat", bit, BuiltinRule("identity")))
+    assert factorize_dynamics(AbstractDynamics("flat", bit, BuiltinRule("identity"))) is None
 
 
 def test_classify_composed_outputs_are_hybrid():

@@ -12,7 +12,7 @@ EXPORTS = """
     DISCRETE DeclarationError DiagramSpec DuplicateIdentifier EmptyDomain FactorizationWitness
     HAMMING HETEROTIC HYBRID InstantiationProcedure IntSpace JointSystem LabelFlipNoise
     LabelSpace LayerReport LookupRule MAX_COORDINATE METRICS Metric MetricMismatch ModelError
-    NotEnumerable NotInstantiable NotProductSpace OutOfDomain PhysicalDynamics
+    NotEnumerable NotInstantiable OutOfDomain PhysicalDynamics
     PhysicalLabelSpace PhysicalSpace PhysicalState PhysicalTupleSpace Prediction
     RealVectorSpace RefinementLayer RefinementStack RepresentationRelation RunReport
     ScenarioBundle ScenarioError ScenarioSyntaxError SimulationRelation StackReport TableRule
@@ -38,7 +38,7 @@ def test_the_package_exports_exactly_the_pinned_names():
 
 #: The most lines ``src/abrep/*.py`` may hold, counted as ``wc -l`` counts them. A change that
 #: grows ``src/`` raises this number and says why in CHANGES.md; one that shrinks it lowers it.
-MAX_SOURCE_LINES = 4103
+MAX_SOURCE_LINES = 4068
 
 
 def test_the_source_does_not_grow_past_its_line_count():
