@@ -24,7 +24,7 @@ import json
 from collections import defaultdict
 from functools import partial
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from .composition import Component, JointSystem, componentwise_joint
 from .dynamics import (
@@ -71,6 +71,8 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
+    _canonical,
+    _trusted,
     enumerate_values,
     normalize_value,
 )
@@ -99,25 +101,31 @@ def _expect(obj: Any, path: str, kind: type, what: str) -> Any:
     return obj
 
 
-def _pair(pair: Any, path: str) -> list:
+def _pair(pair: Any, path: str, i: int) -> list:
     if not (isinstance(pair, list) and len(pair) == 2):
-        raise ScenarioSyntaxError(f"{path}: expected a [key, value] pair")
+        raise ScenarioSyntaxError(f"{path}[{i}]: expected a [key, value] pair")
     return pair
 
 
-def _state_value(space, encoded: Any, path: str) -> Value:
+def _reject(space, encoded: Any, path: str) -> NoReturn:
+    """Raise the diagnostic at ``path`` for the JSON value ``encoded``: not in ``space``, or a repeated key."""
     try:
-        return normalize_value(space, raw_value(encoded))
+        key = normalize_value(space, raw_value(encoded))
     except OutOfDomain as err:
         raise ScenarioSyntaxError(f"{path}: {err}") from err
+    raise ScenarioSyntaxError(f"{path}: duplicate key {key!r}")
 
 
 def _parse_entries(entries: Any, key_space, value_space, path: str) -> dict:
-    table = {}
+    """A table's pairs as canonical members of its spaces, each space's rule looked up once."""
+    table, key_of, image_of = {}, _canonical(key_space), _canonical(value_space)
     for i, pair in enumerate(_expect(entries, path, list, "a list of pairs")):
-        k, v = _pair(pair, f"{path}[{i}]")
-        k = _state_value(key_space, k, f"{path}[{i}][0]")
-        table[k] = _state_value(value_space, v, f"{path}[{i}][1]")
+        k, v = _pair(pair, path, i)
+        if (key := key_of(key_space, k)) is None or key in table:
+            _reject(key_space, k, f"{path}[{i}][0]")
+        if (image := image_of(value_space, v)) is None:
+            _reject(value_space, v, f"{path}[{i}][1]")
+        table[key] = image
     return table
 
 
@@ -257,10 +265,15 @@ def _value(f: _F, v: Any, path: str, reg: dict, scopes: tuple) -> Any:
         return tuple(_read(arg, x, f"{path}[{i}]", reg, scopes) for i, x in items)
     if kind == "states":
         space = _find(scopes, arg)
-        return tuple(
-            PhysicalState(space, _state_value(space, x, f"{path}[{i}]")) for i, x in items
-        )
-    return dict(_pair(x, f"{path}[{i}]") for i, x in items)  # pairs
+        values = list(map(_canonical(space), [space] * len(v), v))
+        if None in values:
+            _reject(space, v[values.index(None)], f"{path}[{values.index(None)}]")
+        return tuple([_trusted(PhysicalState, space, x) for x in values])
+    pairs = dict(_pair(x, path, i) for i, x in items)
+    if len(pairs) < len(v):  # name the first key that repeats one before it
+        i = next(i for i, (key, _) in enumerate(v) if key in dict(v[:i]))
+        raise ScenarioSyntaxError(f"{path}[{i}][0]: duplicate key {v[i][0]!r}")
+    return pairs
 
 
 def _write(decl: _Decl, obj: Any, outer: tuple = ()) -> dict:
@@ -299,10 +312,9 @@ def _json(f: _F, value: Any, scopes: tuple) -> Any:
     if kind == "pairs":
         return [[k, value[k]] for k in sorted(value)]
     if kind == "states":
-        return [value_to_json(s.value) for s in value]
+        return [s.value for s in value]  # tuples are written as arrays
     if kind == "entries":
-        keys = enumerate_values(_find(scopes, f.arg[0]))
-        return [[value_to_json(k), value_to_json(value[k])] for k in keys]
+        return [(k, value[k]) for k in enumerate_values(_find(scopes, f.arg[0]))]
     if kind == "one":
         return _write(f.arg, value, scopes)
     if kind == "many":

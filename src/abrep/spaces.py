@@ -311,60 +311,73 @@ def _check_labels(space, owner: str) -> None:
     for i, label in enumerate(labels):
         if not isinstance(label, str):
             raise _field_error(owner, f"labels[{i}]", "expected a string label")
-    if len(set(labels)) != len(labels):
-        raise DeclarationError(f"{owner}: duplicate labels")
     object.__setattr__(space, "labels", labels)
+    object.__setattr__(space, "_members", frozenset(labels))  # _labels' membership test
+    if len(space._members) != len(labels):
+        raise DeclarationError(f"{owner}: duplicate labels")
+
+
+def _labels(space, value):
+    if isinstance(value, str) and value in space._members:
+        return value
+
+
+def _bits(space, value):
+    if isinstance(value, str) and len(value) == space.width and not value.strip("01"):
+        return value
+
+
+def _ints(space, value):
+    if isinstance(value, int) and not isinstance(value, bool) and space.lo <= value <= space.hi:
+        return value
+
+
+def _vector(space, value):
+    if isinstance(value, (tuple, list)) and len(value) == len(space.bounds):
+        for v, (lo, hi) in zip(value, space.bounds):
+            # Compared before float(v), which overflows on a huge int; bounds are floats.
+            number = type(v) is float or isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (number and lo <= v <= hi):
+                return None
+        return tuple(map(float, value))
+
+
+def _product(space, value):
+    """``value`` itself when it already is canonical element for element, so tables are not copied."""
+    if isinstance(value, (tuple, list)) and len(value) == len(space.components):
+        parts = [(_SHAPES.get(type(c)) or _canonical(c))(c, v) for c, v in zip(space.components, value)]
+        if None not in parts:
+            return value if type(value) is tuple and all(map(operator.is_, value, parts)) else tuple(parts)
+
+
+#: Each space class's membership rule, the one place it is stated: ``(space, value)``
+#: to the canonical value, or None for a non-member. An array reads as a tuple.
+_SHAPES = {
+    LabelSpace: _labels, PhysicalLabelSpace: _labels, BitSpace: _bits, IntSpace: _ints,
+    RealVectorSpace: _vector, TupleSpace: _product, PhysicalTupleSpace: _product,
+}
+
+
+def _canonical(space: Space) -> Callable[[Space, object], Value | None]:
+    """``space``'s membership rule, to be looked up once per table; a subclass's is its base's."""
+    for cls in type(space).__mro__:
+        if cls in _SHAPES:
+            return _SHAPES[cls]
+    raise DeclarationError(f"unknown space type {type(space).__name__}")
 
 
 def normalize_value(space: Space, value) -> Value:
     """Coerce ``value`` into canonical form for ``space`` or raise OutOfDomain.
 
     A tuple-space value already in canonical form is returned as it is, not
-    copied.
+    copied. A product's error names the first component value that is not a member.
     """
-    if isinstance(space, (LabelSpace, PhysicalLabelSpace)):
-        if isinstance(value, str) and value in space.labels:
-            return value
-    elif isinstance(space, BitSpace):
-        if (
-            isinstance(value, str)
-            and len(value) == space.width
-            and all(c in "01" for c in value)
-        ):
-            return value
-    elif isinstance(space, IntSpace):
-        if isinstance(value, int) and not isinstance(value, bool):
-            if space.lo <= value <= space.hi:
-                return value
-    elif isinstance(space, RealVectorSpace):
-        if isinstance(value, (tuple, list)) and len(value) == space.dimension:
-            coords = []
-            for v, (lo, hi) in zip(value, space.bounds):
-                # Compared before float(v), which overflows on a huge int; bounds are floats.
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not lo <= v <= hi:
-                    break
-                coords.append(float(v))
-            else:
-                return tuple(coords)
-    elif isinstance(space, (TupleSpace, PhysicalTupleSpace)):
-        if isinstance(value, (tuple, list)) and len(value) == len(space.components):
-            return _reuse(
-                value,
-                tuple(normalize_value(comp, v) for comp, v in zip(space.components, value)),
-            )
-    else:
-        raise DeclarationError(f"unknown space type {type(space).__name__}")
+    shape = _SHAPES.get(type(space)) or _canonical(space)
+    if (canonical := shape(space, value)) is not None:
+        return canonical
+    if shape is _product and isinstance(value, (tuple, list)) and len(value) == len(space.components):
+        tuple(map(normalize_value, space.components, value))
     raise OutOfDomain(f"value {_shown(value)} is not a member of space {space.id!r}")
-
-
-def _reuse(value, canonical: tuple) -> tuple:
-    """``value`` itself when it already is ``canonical`` element for element.
-
-    So a table whose images are canonical is kept as declared, not copied.
-    """
-    if type(value) is tuple and all(map(operator.is_, value, canonical)):
-        return value
-    return canonical
 
 
 @dataclass(frozen=True)
@@ -398,8 +411,9 @@ def _trusted(cls: type, space: Space, value: Value) -> State:
     """A ``cls`` state of ``value``, built without normalizing it.
 
     Only for values already canonical in ``space``: the values
-    ``enumerate_values`` yields, and the images of declarations whose tables,
-    simulation maps and levels were normalized when declared. The public
+    ``enumerate_values`` yields, the images of declarations whose tables,
+    simulation maps and levels were normalized when declared, and the values
+    the document reader has just checked. The public
     constructors, the API boundary, always normalize.
     """
     state = object.__new__(cls)
@@ -473,22 +487,16 @@ def check_total_table(owner: str, entries, keys: Space, values: Space) -> Mappin
     """
     if not is_finite(keys):
         raise DeclarationError(f"{owner}: a table needs a finite key space")
-    seen = 0
-    changed = {}
+    changed, member = {}, _canonical(values)
     for value in enumerate_values(keys):
         if value not in entries:
             raise DeclarationError(f"{owner}: no image for {value!r}")
         image = entries[value]
-        try:
-            canonical = normalize_value(values, image)
-        except OutOfDomain:
-            raise DeclarationError(
-                f"{owner}: image of {value!r} leaves {values.id!r}"
-            ) from None
+        if (canonical := member(values, image)) is None:
+            raise DeclarationError(f"{owner}: image of {value!r} leaves {values.id!r}")
         if canonical is not image:
             changed[value] = canonical
-        seen += 1
-    if len(entries) != seen:
+    if len(entries) != cardinality(keys):
         raise DeclarationError(f"{owner}: extraneous table keys")
     return {**entries, **changed} if changed else entries
 

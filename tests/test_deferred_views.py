@@ -8,6 +8,7 @@ and count the objects and flips the fast paths make.
 
 import copy
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -216,16 +217,27 @@ def test_reports_whose_trials_drew_other_flag_codes_differ_though_their_views_ag
     assert any(e != seeded[0] for e in seeded[1:])
 
 
-@pytest.mark.parametrize("trials", [400, 1000])
-def test_a_noisy_square_flips_each_distinct_flag_code_once(monkeypatch, trials):
-    """Gate: the noisy adder's 3 listed lines give at most 2**3 flips per square, not one per trial."""
+@pytest.mark.parametrize("listed", [1, 2, 3, 4])
+@pytest.mark.parametrize("many", [False, True], ids=["fewer-trials-than-codes", "400-trials"])
+def test_a_noisy_square_flips_each_distinct_flag_code_once(monkeypatch, listed, many):
+    """Law: a square whose noise lists k lines flips at most min(trials, 2**k) codes, not one per trial.
+
+    The noisy adder's device lists its 3 output lines. Here it lists the
+    first k of (4, 5, 6, 0), output lines and then an input line, each
+    flipped with probability 0.5, so 400 trials draw every one of the 2**k
+    codes.
+    """
     theory = BUILTIN_SCENARIOS["voltage-adder-noisy"]().theory("adder")
     pred = theory.predictions[0]
-    listed = len(pred.physical.noise.coordinates)
-    spec = DiagramSpec(theory, pred.abstract, pred.physical, 0.0, DISCRETE, trials, 0.5)
+    noise = replace(pred.physical.noise, probability=0.5, coordinates=(4, 5, 6, 0)[:listed])
+    device = replace(pred.physical, noise=noise)
+    theory = replace(theory, predictions=(replace(pred, physical=device),))
+    trials = 400 if many else 2**listed - 1
+    spec = DiagramSpec(theory, pred.abstract, device, 0.0, DISCRETE, trials, 0.5)
     counts = count_calls(monkeypatch, flip=abrep.dynamics._flip)
     report = check_commutation(spec, theory.domain[5], TrialSeed(trials))
-    assert listed == 3 and 1 < counts["flip"] <= min(trials, 2**listed)
+    assert 1 <= counts["flip"] <= min(trials, 2**listed)
+    assert counts["flip"] == 2**listed or not many
     assert len(report.distances) == trials and counts["flip"] <= 2**listed  # reading views flips none
 
 

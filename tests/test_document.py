@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import sys
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -21,9 +23,11 @@ from abrep import (
     IntSpace,
     LabelFlipNoise,
     LabelSpace,
+    LookupRule,
     PhysicalLabelSpace,
     PhysicalTupleSpace,
     RealVectorSpace,
+    RepresentationRelation,
     ScenarioSyntaxError,
     ThresholdRule,
     TrialSeed,
@@ -37,11 +41,13 @@ from abrep import (
     enumerate_values,
     parse_scenario,
 )
-from abrep import document
+from abrep import document, spaces
+from abrep.cli import main
 from abrep.document import raw_value, value_to_json
 from abrep.runner import run_checks
+from abrep.scenarios import _bundle
 from abrep.spaces import is_finite, normalize_value
-from support import at, field_sites
+from support import adder_theory, at, field_sites
 
 MINIMAL = {
     "format_version": "1",
@@ -734,3 +740,154 @@ def test_running_out_of_stack_in_the_writer_or_the_encoder_is_a_declaration_erro
     reason = "a value too deeply to write (maximum recursion depth exceeded)"
     assert str(writer.value) == f"spaces.abstract[0]: {bundle.abstract_spaces[0].id!r} nests {reason}"
     assert str(encoder.value) == "document: a value nests too deeply to write (maximum recursion depth exceeded)"
+
+
+def _swap_doc() -> dict:
+    return json.loads(emit_scenario(BUILTIN_SCENARIOS["swap-device"]()))
+
+
+def _replaced(data: dict, path: str, value) -> str:
+    """``data`` as text, its item at a document path such as ``theories[0].domain[0]`` replaced."""
+    holder, _, index = path.rpartition("[")
+    at(data, holder)[int(index[:-1])] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (
+            "dynamics.physical[0].rule.entries[1][0]",
+            ["0", "1", "2"],
+            "value ('0', '1', '2') is not a member of space 'swap.registers'",
+        ),
+        (
+            "dynamics.physical[0].rule.entries[1][1]",
+            ["0", "x"],
+            "value 'x' is not a member of space 'swap.digits'",
+        ),
+        ("theories[0].domain[0]", [7, "0"], "value 7 is not a member of space 'swap.digits'"),
+    ],
+    ids=["table-key", "table-image", "state"],
+)
+def test_a_value_outside_its_space_is_named_at_its_path(path, value, message):
+    """An array shows as a tuple, and a product's value names its first part that is not a member."""
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(_replaced(_swap_doc(), path, value))
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "table, pair, message",
+    [
+        ("relations[0].rule.entries", ["3", 7], "relations[0].rule.entries[10][0]: duplicate key '3'"),
+        (
+            "dynamics.physical[0].rule.entries",
+            [["0", "1"], ["0", "1"]],
+            "dynamics.physical[0].rule.entries[100][0]: duplicate key ('0', '1')",
+        ),
+    ],
+    ids=["lookup", "table"],
+)
+def test_a_repeated_table_key_is_refused_at_its_path(tmp_path, capsys, table, pair, message):
+    """The second pair with a key is refused, not kept over the first, and ``abrep check`` exits 2."""
+    data = _swap_doc()
+    at(data, table).append(pair)
+    with pytest.raises(ScenarioSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_scenario(json.dumps(data))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_table_keys_are_compared_as_members_of_their_space():
+    """``[0, 5]`` and ``[0.0, 5.0]`` are one vector: the second is refused before the table is checked."""
+    data = json.loads(doc())
+    data["spaces"]["physical"].append({"id": "v2", "kind": "vector", "bounds": [[0, 5], [0, 5]]})
+    entries = [[[0, 5], "0"], [[0.0, 5.0], "1"]]
+    rule = {"kind": "lookup", "entries": entries}
+    data["relations"].append({"id": "dial", "domain": "v2", "codomain": "bit", "rule": rule})
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(data))
+    assert str(err.value) == "relations[1].rule.entries[1][0]: duplicate key (0.0, 5.0)"
+
+
+@pytest.mark.parametrize(
+    "partners, message",
+    [
+        ([["off", "on"], ["on", "off"], ["off", "off"]], r"partners\[2\]\[0\]: duplicate key 'off'"),
+        ([[0, "on"], ["on", "off"], [0.0, "off"]], r"partners\[2\]\[0\]: duplicate key 0\.0"),
+    ],
+    ids=["label", "equal-numbers"],
+)
+def test_a_repeated_noise_partner_is_refused_at_its_path(partners, message):
+    data = json.loads(doc())
+    noise = {"kind": "label-flip", "probability": 0.5, "partners": partners}
+    data["dynamics"]["physical"][0]["noise"] = noise
+    with pytest.raises(ScenarioSyntaxError, match=rf"^dynamics\.physical\[0\]\.noise\.{message}$"):
+        parse_scenario(json.dumps(data))
+
+
+def _reading_family(width: int) -> tuple[str, SimpleNamespace]:
+    """A document around the ``width``-bit adder, and what its reading cost grows with.
+
+    Its theory lists 4**width line states; a lookup table maps 2**width cell
+    labels onto the register's values; and ``width`` compute checks each
+    write an ``input`` and an ``expect``.
+    """
+    theory = adder_theory(width)
+    read, pred = theory.representation, theory.predictions[0]
+    register, _, out = read.codomain.components
+    words = tuple(enumerate_values(register))
+    cells = PhysicalLabelSpace(f"adder{width}.cells", tuple(f"c{w}" for w in words))
+    label = RepresentationRelation(
+        f"adder{width}.label", cells, register, LookupRule({f"c{w}": w for w in words})
+    )
+    checks = tuple(
+        CheckSpec(f"add-{w}", "compute", theory=theory.id, input=(w, w, "0" + w), expect=(w, w, w + "0"))
+        for w in words[:width]
+    )
+    declared_spaces = (register, out, read.codomain, read.domain, cells)
+    text = emit_scenario(_bundle(checks, *declared_spaces, read, label, pred.abstract, pred.physical, theory))
+    return text, SimpleNamespace(
+        lines=read.domain.id, cells=cells.id, register=register.id,
+        states=len(theory.domain), keys=len(words), raw=2 * len(checks),
+    )
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_reading_cost_law(monkeypatch, width):
+    """One membership check per state literal and table key, at most two per table image.
+
+    The reader checks each value once, and a table's declaration checks its
+    images again. ``raw_value`` walks each ``raw`` check field once and never
+    a state or a table, whose values it only shows in a message.
+    """
+    text, size = _reading_family(width)
+    checks, raws, depth = Counter(), [0], [0]
+    for cls, rule in list(spaces._SHAPES.items()):
+
+        def counted(space, value, rule=rule):
+            checks[space.id] += 1
+            return rule(space, value)
+
+        monkeypatch.setitem(spaces._SHAPES, cls, counted)
+    walk = document.raw_value
+
+    def outermost(value):
+        raws[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return walk(value)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(document, "raw_value", outermost)
+    bundle = parse_scenario(text)
+    assert len(bundle.theories[0].domain) == size.states == 4**width
+    assert raws[0] == size.raw == 2 * width
+    assert checks[size.lines] == size.states
+    assert checks[size.cells] == size.keys == 2**width
+    assert size.keys <= checks[size.register] <= 2 * size.keys
+    assert set(checks) == {size.lines, size.cells, size.register}

@@ -480,6 +480,25 @@ def test_a_space_of_an_unknown_kind_is_a_declaration_error():
         AbstractState(Odd(), "x")
 
 
+def test_a_subclass_of_a_space_class_normalizes_as_its_base():
+    """The membership rules are keyed by space class, and a subclass takes its base's rule."""
+
+    class Dial(IntSpace):
+        pass
+
+    class Panel(TupleSpace):
+        pass
+
+    dial = Dial("dial", 0, 3)
+    panel = Panel("panel", (dial, UPDOWN))
+    assert normalize_value(dial, 2) == 2 and AbstractState(dial, 3).value == 3
+    assert normalize_value(panel, [1, "up"]) == (1, "up")
+    with pytest.raises(OutOfDomain, match="^value 4 is not a member of space 'dial'$"):
+        normalize_value(panel, (4, "up"))
+    with pytest.raises(OutOfDomain, match=r"^value \[1\] is not a member of space 'panel'$"):
+        normalize_value(panel, [1])
+
+
 def test_enumerate_examples():
     assert list(enumerate_values(BITS2)) == ["00", "01", "10", "11"]
     assert list(enumerate_values(UPDOWN)) == ["up", "down"]
