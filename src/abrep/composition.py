@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .dynamics import AbstractDynamics, ProductRule, evolve_abstract
 from .errors import (
     DeclarationError,
-    NotEnumerable,
     TheoryNotValidated,
     TooLarge,
     _shown,
@@ -42,7 +41,6 @@ from .spaces import (
     _declaration,
     cardinality,
     enumerate_values,
-    is_finite,
 )
 
 HYBRID = "Hybrid"
@@ -145,8 +143,6 @@ def compose_parallel(a: Component, b: Component, joint_id: str = "parallel") -> 
 
 def _product_values(space: PhysicalTupleSpace) -> tuple[list[Value], list[Value]]:
     left, right = space.components  # two: a joint space is the product of its two halves
-    if not (is_finite(left) and is_finite(right)):
-        raise NotEnumerable(f"space {space.id!r} has a continuous component")
     return list(enumerate_values(left)), list(enumerate_values(right))
 
 

@@ -70,7 +70,6 @@ from .spaces import (
     PhysicalTupleSpace,
     RealVectorSpace,
     TupleSpace,
-    Value,
     _canonical,
     _trusted,
     enumerate_values,
@@ -79,13 +78,6 @@ from .spaces import (
 
 SUPPORTED_VERSIONS = ("1",)
 _ENCODE = json.JSONEncoder(indent=2).encode  # encodes as json.dumps(doc, indent=2) does
-
-
-def value_to_json(value: Value) -> Any:
-    """Encode a canonical state value as a JSON value (tuples become arrays)."""
-    if isinstance(value, tuple):
-        return [value_to_json(v) for v in value]
-    return value
 
 
 def raw_value(v: Any) -> Any:
@@ -101,12 +93,6 @@ def _expect(obj: Any, path: str, kind: type, what: str) -> Any:
     return obj
 
 
-def _pair(pair: Any, path: str, i: int) -> list:
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise ScenarioSyntaxError(f"{path}[{i}]: expected a [key, value] pair")
-    return pair
-
-
 def _reject(space, encoded: Any, path: str) -> NoReturn:
     """Raise the diagnostic at ``path`` for the JSON value ``encoded``: not in ``space``, or a repeated key."""
     try:
@@ -120,7 +106,9 @@ def _parse_entries(entries: Any, key_space, value_space, path: str) -> dict:
     """A table's pairs as canonical members of its spaces, each space's rule looked up once."""
     table, key_of, image_of = {}, _canonical(key_space), _canonical(value_space)
     for i, pair in enumerate(_expect(entries, path, list, "a list of pairs")):
-        k, v = _pair(pair, path, i)
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ScenarioSyntaxError(f"{path}[{i}]: expected a [key, value] pair")
+        k, v = pair
         if (key := key_of(key_space, k)) is None or key in table:
             _reject(key_space, k, f"{path}[{i}][0]")
         if (image := image_of(value_space, v)) is None:
@@ -146,10 +134,10 @@ class _F(NamedTuple):
       fields follow the others.
     - ``ref``, ``refs``: an identifier, or an array of them, declared in
       the registry table ``arg``.
-    - ``pairs``: an array of ``[key, value]`` pairs, read into a dict and
-      emitted sorted.
     - ``states``: state values of the space named by ``arg``.
-    - ``entries``: a total table between the spaces ``arg = (keys, values)``.
+    - ``entries``: an array of ``[key, value]`` pairs, read into a dict of
+      members of the spaces ``arg = (keys, values)`` and emitted in the key
+      space's order.
     - ``one``, ``many``: the ``_Decl`` ``arg``, or an array of them.
     - ``raw``: any JSON value, arrays read as tuples.
     - ``number``, ``integer``, ``flag`` (emitted only when true), ``enum``,
@@ -256,24 +244,18 @@ def _value(f: _F, v: Any, path: str, reg: dict, scopes: tuple) -> Any:
         return _read(arg, v, path, reg, scopes)
     if kind == "entries":
         return _parse_entries(v, *(_find(scopes, space) for space in arg), path)
-    if kind not in ("refs", "many", "states", "pairs"):
+    if kind not in ("refs", "many", "states"):
         return raw_value(v) if kind == "raw" else v  # the constructor checks the others
     items = enumerate(_expect(v, path, list, "a list"))
     if kind == "refs":
         return tuple(resolve(reg[arg], x, f"{path}[{i}]") for i, x in items)
     if kind == "many":
         return tuple(_read(arg, x, f"{path}[{i}]", reg, scopes) for i, x in items)
-    if kind == "states":
-        space = _find(scopes, arg)
-        values = list(map(_canonical(space), [space] * len(v), v))
-        if None in values:
-            _reject(space, v[values.index(None)], f"{path}[{values.index(None)}]")
-        return tuple([_trusted(PhysicalState, space, x) for x in values])
-    pairs = dict(_pair(x, path, i) for i, x in items)
-    if len(pairs) < len(v):  # name the first key that repeats one before it
-        i = next(i for i, (key, _) in enumerate(v) if key in dict(v[:i]))
-        raise ScenarioSyntaxError(f"{path}[{i}][0]: duplicate key {v[i][0]!r}")
-    return pairs
+    space = _find(scopes, arg)  # states
+    values = list(map(_canonical(space), [space] * len(v), v))
+    if None in values:
+        _reject(space, v[values.index(None)], f"{path}[{values.index(None)}]")
+    return tuple([_trusted(PhysicalState, space, x) for x in values])
 
 
 def _write(decl: _Decl, obj: Any, outer: tuple = ()) -> dict:
@@ -309,17 +291,15 @@ def _json(f: _F, value: Any, scopes: tuple) -> Any:
         return value.id
     if kind == "refs":
         return [v.id for v in value]
-    if kind == "pairs":
-        return [[k, value[k]] for k in sorted(value)]
     if kind == "states":
-        return [s.value for s in value]  # tuples are written as arrays
+        return [s.value for s in value]  # the encoder writes tuples as arrays
     if kind == "entries":
         return [(k, value[k]) for k in enumerate_values(_find(scopes, f.arg[0]))]
     if kind == "one":
         return _write(f.arg, value, scopes)
     if kind == "many":
         return [_write(f.arg, v, scopes) for v in value]
-    return value_to_json(value)
+    return value
 
 
 def _tag(key: str, noun: str, choices: dict) -> _F:
@@ -376,7 +356,7 @@ _ASSIGNMENT = _Decl(None, (_tag("op", "assignment op", {
 _NOISE = _Decl(None, (
     _tag("kind", "noise kind", {
         "coordinate-flip": _Decl(CoordinateFlipNoise, (_F("coordinates", "list"), *_LEVELS)),
-        "label-flip": _Decl(LabelFlipNoise, (_F("partners", "pairs"),)),
+        "label-flip": _Decl(LabelFlipNoise, (_F("partners", "entries", arg=("space", "space")),)),
     }),
     _F("probability", "number"),
 ))
@@ -517,26 +497,28 @@ def emit_scenario(bundle: ScenarioBundle) -> str:
     doc: dict[str, Any] = {"format_version": bundle.format_version}
     for field, path, decl in _SECTIONS:
         section, _, part = path.partition(".")
-        decls = [_emitted(decl, obj, f"{path}[{i}]") for i, obj in enumerate(getattr(bundle, field))]
+        decls = [_write(decl, obj) for obj in getattr(bundle, field)]
         if part:
             doc.setdefault(section, {})[part] = decls
         else:
             doc[section] = decls
     try:
-        return json.dumps(doc, indent=2) + "\n"
-    except RecursionError as err:  # the encoder takes a few more frames than _write
-        for field, path, decl in _SECTIONS:  # name the first declaration it cannot write in place
-            section, _, part = path.partition(".")
-            for i, obj in enumerate(getattr(bundle, field)):
-                _emitted(decl, obj, f"{path}[{i}]", lambda w: {section: {part: [w]} if part else [w]})
+        return _ENCODE(doc) + "\n"
+    except RecursionError as err:
+        _name_too_deep(bundle, doc)  # a frame deeper: what failed fails again, a tracer unset or not
         raise DeclarationError(f"document: a value nests too deeply to write ({err})") from None
 
 
-def _emitted(decl: _Decl, obj: Any, path: str, place: Callable | None = None) -> Any:
-    """``_write``'s object for the declaration ``obj`` at ``path``; given ``place``, encoded as placed."""
-    try:
-        written = _write(decl, obj)
-        return written if place is None else _ENCODE(place(written))
-    except RecursionError as err:
-        ident = getattr(obj, "id", None) or obj.name
-        raise DeclarationError(f"{path}: {ident!r} nests a value too deeply to write ({err})") from None
+def _name_too_deep(bundle: ScenarioBundle, doc: dict) -> None:
+    """Raise naming the first declaration that does not encode where it sits in ``doc``."""
+    for field, path, _ in _SECTIONS:
+        section, _, part = path.partition(".")
+        written = doc[section][part] if part else doc[section]
+        for i, (obj, w) in enumerate(zip(getattr(bundle, field), written)):
+            try:
+                _ENCODE({section: {part: [w]} if part else [w]})
+            except RecursionError as err:
+                ident = getattr(obj, "id", None) or obj.name
+                raise DeclarationError(
+                    f"{path}[{i}]: {ident!r} nests a value too deeply to write ({err})"
+                ) from None

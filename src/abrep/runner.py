@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from .composition import FactorizationWitness, brute_force_classify, classify
-from .document import value_to_json
 from .dynamics import TrialSeed, derive_seed
 from .errors import EmptyDomain, ModelError, UnknownReference, resolve
 from .refinement import LayerReport, SimulationRelation, _ground, check_layer
@@ -66,7 +65,7 @@ class RunReport:
 
 
 def _state_json(state: AbstractState | PhysicalState) -> dict:
-    return {"space": state.space.id, "value": value_to_json(state.value)}
+    return {"space": state.space.id, "value": state.value}  # the encoder writes tuples as arrays
 
 
 def _commutation_detail(report: CommutationReport) -> dict:
@@ -185,7 +184,7 @@ class _Run:
         }
         if expect is None:
             return PASS, detail
-        detail["expected"] = value_to_json(expect)
+        detail["expected"] = expect
         return (PASS if result.output.value == expect else FAIL), detail
 
     def _run_layer(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
@@ -253,10 +252,7 @@ _HANDLERS = {
 
 def _witness_json(witness: FactorizationWitness) -> dict:
     return {
-        name: None if factors is None else {
-            side: [[value_to_json(k), value_to_json(v)] for k, v in table.items()]
-            for side, table in zip(("left", "right"), factors)
-        }
+        name: None if factors is None else dict(zip(("left", "right"), (list(t.items()) for t in factors)))
         for name, factors in vars(witness).items()
     }
 

@@ -210,7 +210,7 @@ def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) ->
 
     Lines 0-1 and 2-3 carry the addends, lines 4-6 the sum; a high line reads
     as 1 at the 2.5 V threshold. The third register is one bit wider than the
-    inputs so no sum is truncated. With ``flip_probability`` > 0 each output
+    inputs so no sum is truncated. With ``flip_probability`` in (0, 1] each output
     line flips across the threshold independently after the update. With
     ``faulted`` the least significant output line is stuck at 0 V, so the
     declared checks fail on every input pair whose sum is odd; the zero-sum
@@ -218,7 +218,7 @@ def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) ->
     """
     stuck = (ConstantUpdate((6,), (0.0,)),) if faulted else ()
     noise = None
-    if flip_probability > 0:
+    if flip_probability != 0:  # the noise checks the probability's range
         noise = CoordinateFlipNoise(flip_probability, (4, 5, 6), 2.5, 0.0, 5.0)
     lines, volts, hold, seeds = _voltage_lines("adder", stuck, noise)
     register = BitSpace("adder.register", 2)
@@ -248,7 +248,7 @@ def build_voltage_adder(flip_probability: float = 0.0, faulted: bool = False) ->
     def square(name: str, kind: str, input=("01", "10", "000"), **fields) -> CheckSpec:
         return CheckSpec(name, kind, theory="adder", prediction="add", input=input, **fields)
 
-    if flip_probability > 0:
+    if noise is not None:
         checks = (
             replace(validate, trials=400, required_success=0.6),
             square("estimate-success", "experiment", trials=1000, required_success=0.5),

@@ -432,14 +432,6 @@ def contains(space: Space, state: State) -> bool:
     return isinstance(state, (AbstractState, PhysicalState)) and state.space == space
 
 
-def is_finite(space: Space) -> bool:
-    if isinstance(space, RealVectorSpace):
-        return False
-    if isinstance(space, (TupleSpace, PhysicalTupleSpace)):
-        return all(is_finite(c) for c in space.components)
-    return True
-
-
 def cardinality(space: Space) -> int:
     """Analytic size of a finite space."""
     if isinstance(space, (LabelSpace, PhysicalLabelSpace)):
@@ -485,8 +477,10 @@ def check_total_table(owner: str, entries, keys: Space, values: Space) -> Mappin
     when its images already are, else a copy with the others normalized.
     ``owner`` labels the declaration in the DeclarationError raised otherwise.
     """
-    if not is_finite(keys):
-        raise DeclarationError(f"{owner}: a table needs a finite key space")
+    try:
+        size = cardinality(keys)
+    except NotEnumerable:
+        raise DeclarationError(f"{owner}: a table needs a finite key space") from None
     changed, member = {}, _canonical(values)
     for value in enumerate_values(keys):
         if value not in entries:
@@ -496,7 +490,7 @@ def check_total_table(owner: str, entries, keys: Space, values: Space) -> Mappin
             raise DeclarationError(f"{owner}: image of {value!r} leaves {values.id!r}")
         if canonical is not image:
             changed[value] = canonical
-    if len(entries) != cardinality(keys):
+    if len(entries) != size:
         raise DeclarationError(f"{owner}: extraneous table keys")
     return {**entries, **changed} if changed else entries
 

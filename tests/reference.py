@@ -28,7 +28,6 @@ from abrep import (
     evolve_physical,
     represent,
 )
-from abrep.document import value_to_json
 from abrep.refinement import LayerCheckEntry
 
 
@@ -144,7 +143,7 @@ def check_stack_to_device(
 
 
 def state_json(state) -> dict:
-    return {"space": state.space.id, "value": value_to_json(state.value)}
+    return {"space": state.space.id, "value": state.value}
 
 
 def commutation_detail(report) -> dict:

@@ -24,6 +24,7 @@ from abrep import (
     LabelFlipNoise,
     LabelSpace,
     LookupRule,
+    NotEnumerable,
     PhysicalLabelSpace,
     PhysicalTupleSpace,
     RealVectorSpace,
@@ -43,10 +44,10 @@ from abrep import (
 )
 from abrep import document, spaces
 from abrep.cli import main
-from abrep.document import raw_value, value_to_json
+from abrep.document import raw_value
 from abrep.runner import run_checks
 from abrep.scenarios import _bundle
-from abrep.spaces import is_finite, normalize_value
+from abrep.spaces import normalize_value
 from support import adder_theory, at, field_sites
 
 MINIMAL = {
@@ -368,16 +369,25 @@ def test_abstract_dynamics_over_a_physical_space_are_rejected():
         parse_scenario(json.dumps(bad))
 
 
+def _values(space) -> list:
+    """Every value of ``space``, or none when it is continuous."""
+    try:
+        return list(enumerate_values(space))
+    except NotEnumerable:
+        return []
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
-def test_value_to_json_round_trips_every_value(name):
+def test_every_value_round_trips_through_json(name):
+    """The encoder writes a canonical tuple as an array, which reads back as the same member."""
     bundle = BUILTIN_SCENARIOS[name]()
     joint_spaces = [s for j in bundle.joints for s in (j.joint_space, j.joint_dynamics.space)]
     spaces = [*bundle.abstract_spaces, *bundle.physical_spaces, *joint_spaces]
-    cases = [(s, v) for s in spaces if is_finite(s) for v in enumerate_values(s)]
+    cases = [(s, v) for s in spaces for v in _values(s)]
     cases += [(t.representation.domain, p.value) for t in bundle.theories for p in t.domain]
     assert cases
     for space, value in cases:
-        decoded = raw_value(json.loads(json.dumps(value_to_json(value))))
+        decoded = raw_value(json.loads(json.dumps(value)))
         assert normalize_value(space, decoded) == value
 
 
@@ -424,7 +434,7 @@ def test_default_prediction_of_a_theory_without_predictions_is_a_check_error():
 _WRONG = {
     "name": 0, "ref": 0, "number": "0", "integer": "0", "flag": 0, "enum": 0, "tag": 0,
     "one": [], **dict.fromkeys(
-        ("refs", "list", "numbers", "states", "entries", "pairs", "bounds", "many"), ""
+        ("refs", "list", "numbers", "states", "entries", "bounds", "many"), ""
     ),
 }
 
@@ -613,26 +623,48 @@ def test_a_commutation_check_runs_from_a_declared_state_or_reports_it_missing():
     }
 
 
+def _noisy_doc(partners, vector: bool = False) -> dict:
+    """The minimal document, its device flipping labels to ``partners``; with ``vector``, on a vector space."""
+    data = json.loads(doc())
+    device = data["dynamics"]["physical"][0]
+    if vector:
+        data["spaces"]["physical"].append({"id": "v1", "kind": "vector", "bounds": [[0, 5]]})
+        device.update(space="v1", rule={"kind": "coordinate-update", "assignments": []})
+    device["noise"] = {"kind": "label-flip", "probability": 0.5, "partners": partners}
+    return data
+
+
 def test_label_flip_partners_round_trip_through_a_document():
-    data = json.loads(doc())
-    noise = {"kind": "label-flip", "probability": 0.25, "partners": [["off", "on"], ["on", "off"]]}
-    data["dynamics"]["physical"][0]["noise"] = noise
+    """Partners read back equal, and are written in the order the device's labels are declared, not sorted."""
+    data = _noisy_doc([["off", "on"], ["on", "off"]])
+    data["spaces"]["physical"][0]["labels"] = ["on", "off"]
     bundle = parse_scenario(json.dumps(data))
-    assert bundle.physical_dynamics[0].noise == LabelFlipNoise(0.25, {"off": "on", "on": "off"})
-    assert json.loads(emit_scenario(bundle))["dynamics"]["physical"][0]["noise"] == noise
-    assert parse_scenario(emit_scenario(bundle)) == bundle
+    assert bundle.physical_dynamics[0].noise == LabelFlipNoise(0.5, {"off": "on", "on": "off"})
+    text = emit_scenario(bundle)
+    assert json.loads(text)["dynamics"]["physical"][0]["noise"]["partners"] == [["on", "off"], ["off", "on"]]
+    assert parse_scenario(text) == bundle
 
 
-def test_an_unhashable_partner_is_a_malformed_declaration_at_the_noise():
-    data = json.loads(doc())
-    partners = [[["off"], "on"]]
-    noise = {"kind": "label-flip", "probability": 0.5, "partners": partners}
-    data["dynamics"]["physical"][0]["noise"] = noise
-    with pytest.raises(
-        ScenarioSyntaxError,
-        match=r"^dynamics\.physical\[0\]\.noise: malformed declaration \(unhashable type: 'list'\)$",
-    ):
-        parse_scenario(json.dumps(data))
+@pytest.mark.parametrize(
+    "partners, vector, message",
+    [
+        ([["off", "zz"], ["on", "off"]], False, "partners[0][1]: value 'zz' is not a member of space 'cell'"),
+        ([[["off"], "on"]], False, "partners[0][0]: value ('off',) is not a member of space 'cell'"),
+        ([["off", "on"], ["on", "off"]], True, "partners[0][0]: value 'off' is not a member of space 'v1'"),
+    ],
+    ids=["image", "unhashable-key", "vector-device"],
+)
+def test_a_partner_outside_the_device_labels_is_refused_at_its_path(partners, vector, message):
+    """Partners are a table over the device's labels: a non-member is named where it is written."""
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(_noisy_doc(partners, vector)))
+    assert str(err.value) == f"dynamics.physical[0].noise.{message}"
+
+
+def test_a_missing_partner_is_refused_at_the_dynamics():
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(_noisy_doc([["off", "on"]])))
+    assert str(err.value) == "dynamics.physical[0]: dynamics 'hold': labels without noise partners: ['on']"
 
 
 def test_a_missing_required_key_is_named_at_its_declaration():
@@ -714,7 +746,6 @@ def test_an_encoder_out_of_stack_names_the_first_declaration_it_cannot_write_in_
         return json.dumps(placed, indent=2)
 
     bundle = _deep_check(3)
-    monkeypatch.setattr(document, "json", SimpleNamespace(dumps=exhausted))
     monkeypatch.setattr(document, "_ENCODE", encode)
     with pytest.raises(DeclarationError) as err:
         emit_scenario(bundle)
@@ -722,24 +753,35 @@ def test_an_encoder_out_of_stack_names_the_first_declaration_it_cannot_write_in_
     assert str(err.value) == f"checks[0]: 'deep' {reason}"
 
 
-def test_running_out_of_stack_in_the_writer_or_the_encoder_is_a_declaration_error(monkeypatch):
-    """Both handlers, reached on a shallow stack: a line tracer is unset where the stack runs out."""
+def test_running_out_of_stack_in_the_encoder_is_a_declaration_error(monkeypatch):
+    """The handler, reached on a shallow stack: a line tracer is unset where the stack runs out.
 
-    def exhausted(*args, **kwargs):
+    Only the whole document fails to encode, so no declaration is named.
+    """
+
+    def encode(placed):
+        if "format_version" in placed:
+            raise RecursionError("maximum recursion depth exceeded")
+        return json.dumps(placed, indent=2)
+
+    monkeypatch.setattr(document, "_ENCODE", encode)
+    with pytest.raises(DeclarationError) as err:
+        emit_scenario(build_voltage_adder())
+    assert str(err.value) == "document: a value nests too deeply to write (maximum recursion depth exceeded)"
+
+
+def test_running_out_of_stack_in_the_reader_is_a_malformed_declaration(monkeypatch):
+    """The reader's handler, reached on a shallow stack: a line tracer is unset where the stack runs out."""
+
+    def exhausted(value):
         raise RecursionError("maximum recursion depth exceeded")
 
-    bundle = build_voltage_adder()
-    with monkeypatch.context() as patch:
-        patch.setattr(document, "value_to_json", exhausted)
-        with pytest.raises(DeclarationError) as writer:
-            emit_scenario(bundle)
-    with monkeypatch.context() as patch:
-        patch.setattr(document, "json", SimpleNamespace(dumps=exhausted))
-        with pytest.raises(DeclarationError) as encoder:
-            emit_scenario(bundle)
-    reason = "a value too deeply to write (maximum recursion depth exceeded)"
-    assert str(writer.value) == f"spaces.abstract[0]: {bundle.abstract_spaces[0].id!r} nests {reason}"
-    assert str(encoder.value) == "document: a value nests too deeply to write (maximum recursion depth exceeded)"
+    data = json.loads(doc())
+    data["checks"][0]["input"] = "0"
+    monkeypatch.setattr(document, "raw_value", exhausted)
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(data))
+    assert str(err.value) == "checks[0]: malformed declaration (maximum recursion depth exceeded)"
 
 
 def _swap_doc() -> dict:
@@ -817,16 +859,13 @@ def test_table_keys_are_compared_as_members_of_their_space():
     "partners, message",
     [
         ([["off", "on"], ["on", "off"], ["off", "off"]], r"partners\[2\]\[0\]: duplicate key 'off'"),
-        ([[0, "on"], ["on", "off"], [0.0, "off"]], r"partners\[2\]\[0\]: duplicate key 0\.0"),
+        ([[0, "on"], ["on", "off"], [0.0, "off"]], r"partners\[0\]\[0\]: value 0 is not a member of space 'cell'"),
     ],
     ids=["label", "equal-numbers"],
 )
 def test_a_repeated_noise_partner_is_refused_at_its_path(partners, message):
-    data = json.loads(doc())
-    noise = {"kind": "label-flip", "probability": 0.5, "partners": partners}
-    data["dynamics"]["physical"][0]["noise"] = noise
     with pytest.raises(ScenarioSyntaxError, match=rf"^dynamics\.physical\[0\]\.noise\.{message}$"):
-        parse_scenario(json.dumps(data))
+        parse_scenario(json.dumps(_noisy_doc(partners)))
 
 
 def _reading_family(width: int) -> tuple[str, SimpleNamespace]:

@@ -90,6 +90,13 @@ def test_fully_noisy_adder_fails_every_diagram():
     assert all(not cell.report.passed for cell in evidence.cells)
 
 
+@pytest.mark.parametrize("probability", [-0.1, 1.5])
+def test_an_adder_flip_probability_outside_the_unit_interval_is_refused(probability):
+    """Any probability but 0 builds the noise, whose range check refuses it, not a noise-free adder."""
+    with pytest.raises(DeclarationError, match=r"^coordinate-flip noise: probability: must lie in \[0, 1\]$"):
+        build_voltage_adder(probability)
+
+
 def test_swap_scenario_fixed_point_and_exhaustive_validity():
     theory = build_swap_device().theory("swap")
     graded, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
