@@ -215,7 +215,7 @@ def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any
         key = next((f.key for f in fields if attr == (f.attr or f.key)), None)
         where = f"{path}: {err}" if key is None else f"{path}.{key}{bracket}{index}: {err.reason}"
         raise ScenarioSyntaxError(where) from err
-    except (TypeError, ValueError, AttributeError, KeyError, OverflowError, RecursionError) as err:
+    except RecursionError as err:  # raw_value on a JSON value the decoder let through
         raise ScenarioSyntaxError(f"{path}: malformed declaration ({err})") from err
     if decl.tables:
         ident = getattr(scope, decl.fields[0].key)
@@ -490,10 +490,7 @@ def parse_scenario(text: str) -> ScenarioBundle:
 
 
 def emit_scenario(bundle: ScenarioBundle) -> str:
-    """Serialize a bundle as document text that parses back equal.
-
-    A value nested past the stack is a DeclarationError naming its declaration.
-    """
+    """Serialize a bundle as document text that parses back equal."""
     doc: dict[str, Any] = {"format_version": bundle.format_version}
     for field, path, decl in _SECTIONS:
         section, _, part = path.partition(".")
@@ -502,23 +499,4 @@ def emit_scenario(bundle: ScenarioBundle) -> str:
             doc.setdefault(section, {})[part] = decls
         else:
             doc[section] = decls
-    try:
-        return _ENCODE(doc) + "\n"
-    except RecursionError as err:
-        _name_too_deep(bundle, doc)  # a frame deeper: what failed fails again, a tracer unset or not
-        raise DeclarationError(f"document: a value nests too deeply to write ({err})") from None
-
-
-def _name_too_deep(bundle: ScenarioBundle, doc: dict) -> None:
-    """Raise naming the first declaration that does not encode where it sits in ``doc``."""
-    for field, path, _ in _SECTIONS:
-        section, _, part = path.partition(".")
-        written = doc[section][part] if part else doc[section]
-        for i, (obj, w) in enumerate(zip(getattr(bundle, field), written)):
-            try:
-                _ENCODE({section: {part: [w]} if part else [w]})
-            except RecursionError as err:
-                ident = getattr(obj, "id", None) or obj.name
-                raise DeclarationError(
-                    f"{path}[{i}]: {ident!r} nests a value too deeply to write ({err})"
-                ) from None
+    return _ENCODE(doc) + "\n"

@@ -171,13 +171,19 @@ class AbstractDynamics:
             return _builtin(rule.name, self.space)
         steps = tuple(part._apply for part in rule.parts)
         if isinstance(rule, ProductRule):
-            return _each(steps)
+            return _each(len(steps))(*steps)
         return reduce(lambda f, g: lambda v: g(f(v)), steps, lambda v: v)  # left to right
 
 
-def _each(steps: tuple) -> Callable[[tuple], tuple]:
-    """``steps`` applied to the components of a product value, one each."""
-    return lambda value: tuple([step(v) for step, v in zip(steps, value)])
+@lru_cache(maxsize=None)
+def _each(arity: int) -> Callable[..., Callable[[tuple], tuple]]:
+    """``_each(len(steps))(*steps)`` applies ``steps`` to a product value's components, one each.
+
+    Generated from the arity alone (Feeley and Lapalme, 1987), so a call runs one frame and no
+    declaration value reaches the source: ``_each(2)`` is ``lambda f0, f1: lambda v: (f0(v[0]), f1(v[1]), )``.
+    """
+    calls = "".join(f"f{i}(v[{i}]), " for i in range(arity))
+    return eval(f"lambda {', '.join(f'f{i}' for i in range(arity))}: lambda v: ({calls})")
 
 
 _NOT = str.maketrans("01", "10")

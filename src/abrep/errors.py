@@ -2,7 +2,8 @@
 
 from contextlib import suppress
 
-#: Containers nested this deep show as a stand-in: a walk decides, not where ``repr`` runs out of stack.
+#: The nesting bound: a check value nests at most this many containers, and a product space this
+#: many products; a message shows a value nested this deep as a stand-in.
 _SHOWN_DEPTH = 100
 _CONTAINERS = (tuple, list, set, frozenset, dict)
 
@@ -97,13 +98,18 @@ def resolve(table: dict, ident, path: str):
     return table[ident]
 
 
+def _too_deep(value, depth: int = _SHOWN_DEPTH) -> bool:
+    """Whether ``value`` holds anything inside more than ``depth`` nested containers, or a cycle."""
+    level = [value]
+    while level and depth >= 0:  # a level per pass, each object once; a dict's items are pairs
+        level = [v.items() if isinstance(v, dict) else v for v in level if isinstance(v, _CONTAINERS)]
+        level, depth = list({id(x): x for v in level for x in v}.values()), depth - 1
+    return bool(level)
+
+
 def _shown(value) -> str:
     """``repr(value)``, or a stand-in when an int in it has too many digits or it nests too deep."""
-    level = [value]
-    for _ in range(_SHOWN_DEPTH):  # a level per pass, each object once; a dict's items are pairs
-        level = [v.items() if isinstance(v, dict) else v for v in level if isinstance(v, _CONTAINERS)]
-        level = list({id(x): x for v in level for x in v}.values())
     with suppress(ValueError, RecursionError):  # an int past the digit limit; an object's own deep repr
-        if not level:
+        if not _too_deep(value, _SHOWN_DEPTH - 1):
             return repr(value)
     return f"<{type(value).__name__} too large to show>"

@@ -141,7 +141,7 @@ class RepresentationRelation:
         if isinstance(rule, LookupRule):
             return rule.entries.__getitem__
         if isinstance(rule, TupleWiseRule):
-            return _each(tuple(part._apply for part in rule.parts))
+            return _each(len(rule.parts))(*(part._apply for part in rule.parts))
         ends = tuple(accumulate(_register_widths(self.codomain)))
         split = itemgetter(*map(slice, (0,) + ends, ends))  # one register: its bits, untupled
         if isinstance(self.codomain, TupleSpace) and len(ends) == 1:

@@ -24,7 +24,7 @@ from .dynamics import (
     TableRule,
     identity_dynamics,
 )
-from .errors import DeclarationError, DuplicateIdentifier, _shown, resolve
+from .errors import DeclarationError, DuplicateIdentifier, _SHOWN_DEPTH, _shown, _too_deep, resolve
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
     InstantiationProcedure,
@@ -103,6 +103,9 @@ class CheckSpec:
             if getattr(self, name) not in choices:
                 raise _field_error(owner, name, f"unknown metric {_shown(getattr(self, name))}")
         _check_tolerances(self, owner)
+        for name in ("state", "input", "expect"):
+            if _too_deep(getattr(self, name)):
+                raise _field_error(owner, name, f"nests more than {_SHOWN_DEPTH} containers")
         if self.kind == "history" and self.physical_metric is None:
             raise DeclarationError("history checks must declare a physical metric")
 

@@ -22,7 +22,7 @@ from inspect import signature
 from types import NoneType, UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .errors import DeclarationError, MetricMismatch, NotEnumerable, OutOfDomain, _shown
+from .errors import DeclarationError, MetricMismatch, NotEnumerable, OutOfDomain, _SHOWN_DEPTH, _shown
 
 #: Canonical state values: labels and bitstrings are str, integers int,
 #: real vectors tuples of float, tuple-space values tuples of member values.
@@ -245,8 +245,7 @@ class TupleSpace(AbstractSpace):
     components: tuple[AbstractSpace, ...]
 
     def __post_init__(self, owner):
-        if not self.components:
-            raise DeclarationError(f"{owner}: tuple space needs components")
+        _check_components(self, owner)
 
 
 @_declaration("space")
@@ -297,11 +296,19 @@ class PhysicalTupleSpace(PhysicalSpace):
     components: tuple[PhysicalSpace, ...]
 
     def __post_init__(self, owner):
-        if not self.components:
-            raise DeclarationError(f"{owner}: tuple space needs components")
+        _check_components(self, owner)
 
 
 Space = Union[AbstractSpace, PhysicalSpace]
+
+
+def _check_components(space, owner: str) -> None:
+    """Store a product space's depth, 1 plus its deepest component's, where it nests at most ``_SHOWN_DEPTH``."""
+    if not space.components:
+        raise DeclarationError(f"{owner}: tuple space needs components")
+    object.__setattr__(space, "_depth", 1 + max(getattr(c, "_depth", 0) for c in space.components))
+    if space._depth > _SHOWN_DEPTH:
+        raise _field_error(owner, "components", f"nests more than {_SHOWN_DEPTH} tuple spaces")
 
 
 def _check_labels(space, owner: str) -> None:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -245,6 +247,16 @@ def test_classify_reads_enumerated_values_straight_through_the_rules(monkeypatch
     counts = count_calls(monkeypatch, normalize=abrep.spaces.normalize_value)
     assert classify(joint).value == HYBRID
     assert counts["normalize"] == 0  # 1,800 with a state per enumerated value, 141,800 per pair
+
+
+def test_a_joint_copies_and_pickles_after_it_is_classified():
+    """The generated product maps are cached evaluators, so copies leave them out and build their own."""
+    comp = swap_component()
+    joint = compose_parallel(comp, comp, "swap-x-swap")
+    verdict = classify(joint)
+    assert {"_apply"} <= vars(joint.joint_dynamics).keys() & vars(joint.joint_representation).keys()
+    for again in (copy.copy(joint), copy.deepcopy(joint), pickle.loads(pickle.dumps(joint))):
+        assert again == joint and classify(again) == verdict
 
 
 def validated_components() -> list[Component]:

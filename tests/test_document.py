@@ -696,78 +696,84 @@ def test_a_value_nested_past_the_recursion_limit_is_reported_at_its_declaration(
         parse_scenario(text)
 
 
-def _deep_check(depth: int, bundle=None):
-    """``bundle``, the voltage adder by default, with one compute check whose input nests ``depth`` deep."""
+def _deep_check(depth: int, bundle=None, field: str = "input"):
+    """``bundle``, the voltage adder by default, with a compute check whose ``field`` nests ``depth`` deep."""
     value = "0"
     for _ in range(depth):
         value = (value,)
-    check = CheckSpec("deep", "compute", theory="adder", input=value)
+    check = CheckSpec("deep", "compute", theory="adder", **{field: value})
     return replace(bundle or build_voltage_adder(), checks=(check,))
 
 
-@pytest.mark.parametrize("factor", [3, 100])
-def test_emitting_a_check_value_nested_past_the_recursion_limit_names_the_check(factor):
-    bundle = _deep_check(factor * sys.getrecursionlimit())
-    message = r"^checks\[0\]: 'deep' nests a value too deeply to write \(maximum recursion depth exceeded"
-    with pytest.raises(DeclarationError, match=message):
-        emit_scenario(bundle)
-    assert run_checks(bundle, TrialSeed(0)).results[0].error["type"] == "OutOfDomain"
+CHECK_VALUES = ("state", "input", "expect")
 
 
-def test_emitting_a_check_value_up_to_the_recursion_limit_ends_in_text_or_a_declaration_error():
-    """Near the limit, whichever of the writer and the JSON encoder runs out first is caught."""
-    limit, bare = sys.getrecursionlimit(), ScenarioBundle("1", (), (), (), (), (), (), (), (), ())
-    for depth in range(limit - 100, limit + 1):
-        try:
-            emit_scenario(_deep_check(depth, bare))
-        except DeclarationError as err:
-            assert "nests a value too deeply to write" in str(err)
+@pytest.mark.parametrize("depth", [101, 3 * sys.getrecursionlimit()])
+def test_a_check_value_nested_past_the_bound_is_refused_at_its_field(depth):
+    for field in CHECK_VALUES:
+        with pytest.raises(DeclarationError) as err:
+            _deep_check(depth, field=field)
+        assert str(err.value) == f"check 'deep': {field}: nests more than 100 containers"
+        assert err.value.field == field
 
 
-def test_emitting_a_check_value_near_the_recursion_limit_names_the_check_or_writes_it():
-    """The writer or the encoder may run out first, by the Python; either way the check is named."""
-    limit = sys.getrecursionlimit()
-    for depth in range(limit - 100, limit + 1):
-        try:
-            emit_scenario(_deep_check(depth))
-        except DeclarationError as err:
-            assert str(err).startswith("checks[0]: 'deep' nests a value too deeply to write"), depth
+def test_a_check_value_at_the_bound_is_written_and_read_back():
+    bare = ScenarioBundle("1", (), (), (), (), (), (), (), (), ())
+    for field in CHECK_VALUES:
+        bundle = _deep_check(100, bare, field)
+        assert parse_scenario(emit_scenario(bundle)) == bundle
 
 
-def test_an_encoder_out_of_stack_names_the_first_declaration_it_cannot_write_in_place(monkeypatch):
-    """When the document does not encode, the first declaration that does not encode where it sits is named."""
-
-    def exhausted(*args, **kwargs):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    def encode(placed):
-        if "checks" in placed and placed["checks"][0].get("name") == "deep":
-            exhausted()
-        return json.dumps(placed, indent=2)
-
-    bundle = _deep_check(3)
-    monkeypatch.setattr(document, "_ENCODE", encode)
-    with pytest.raises(DeclarationError) as err:
-        emit_scenario(bundle)
-    reason = "nests a value too deeply to write (maximum recursion depth exceeded)"
-    assert str(err.value) == f"checks[0]: 'deep' {reason}"
+def test_a_document_check_value_past_the_bound_is_a_diagnostic_at_its_path(tmp_path, capsys):
+    """At the bound the check runs and its input is no member; one level deeper, the reader names it."""
+    text = emit_scenario(_deep_check(100))
+    assert run_checks(parse_scenario(text), TrialSeed(0)).results[0].error["type"] == "OutOfDomain"
+    data = json.loads(text)
+    deep = [data["checks"][0].pop("input")]
+    for field in CHECK_VALUES:
+        text = json.dumps({**data, "checks": [{**data["checks"][0], field: deep}]})
+        with pytest.raises(ScenarioSyntaxError) as err:
+            parse_scenario(text)
+        assert str(err.value) == f"checks[0].{field}: nests more than 100 containers"
+    (tmp_path / "deep.json").write_text(text, encoding="utf-8")
+    assert main(["check", str(tmp_path / "deep.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: ScenarioSyntaxError: checks[0].expect: nests more than 100 containers\n"
 
 
-def test_running_out_of_stack_in_the_encoder_is_a_declaration_error(monkeypatch):
-    """The handler, reached on a shallow stack: a line tracer is unset where the stack runs out.
+@pytest.mark.parametrize("flag", ["--input", "--expect"])
+def test_a_compute_value_past_the_bound_exits_2_naming_its_field(tmp_path, capsys, flag):
+    path = tmp_path / "adder.json"
+    path.write_text(emit_scenario(build_voltage_adder()), encoding="utf-8")
+    values = {"--input": '["01","10","000"]', flag: "[" * 101 + '"0"' + "]" * 101}
+    assert main(["compute", str(path), "--theory", "adder", *sum(values.items(), ())]) == 2
+    reason = f"{flag.removeprefix('--')}: nests more than 100 containers"
+    assert capsys.readouterr().err == f"error: DeclarationError: check 'compute:adder': {reason}\n"
 
-    Only the whole document fails to encode, so no declaration is named.
-    """
 
-    def encode(placed):
-        if "format_version" in placed:
-            raise RecursionError("maximum recursion depth exceeded")
-        return json.dumps(placed, indent=2)
+def _chain_doc(depth: int) -> dict:
+    """A document of ``depth`` tuple spaces, each the one component of the next, and a table over the last."""
+    spaces = [{"id": "t0", "kind": "labels", "labels": ["a", "b"]}]
+    spaces += [{"id": f"t{i}", "kind": "tuple", "components": [f"t{i - 1}"]} for i in range(1, depth + 1)]
+    values = [json.loads("[" * depth + json.dumps(label) + "]" * depth) for label in "ab"]
+    table = {"kind": "table", "entries": [[values[0], values[1]], [values[1], values[0]]]}
+    dynamics = {"id": "flip", "space": f"t{depth}", "rule": table}
+    return {"format_version": "1", "spaces": {"abstract": spaces}, "dynamics": {"abstract": [dynamics]}}
 
-    monkeypatch.setattr(document, "_ENCODE", encode)
-    with pytest.raises(DeclarationError) as err:
-        emit_scenario(build_voltage_adder())
-    assert str(err.value) == "document: a value nests too deeply to write (maximum recursion depth exceeded)"
+
+def test_a_tuple_space_chain_past_the_bound_is_a_diagnostic_at_its_path(tmp_path, capsys):
+    """A chain 100 deep reads, steps and writes back; a 101st level is refused at its path, and exits 2."""
+    bundle = parse_scenario(json.dumps(_chain_doc(100)))
+    (flip,) = bundle.abstract_dynamics
+    assert [flip._apply(v) for v in enumerate_values(flip.space)] == list(enumerate_values(flip.space))[::-1]
+    assert parse_scenario(emit_scenario(bundle)) == bundle
+    text = json.dumps(_chain_doc(101))
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(text)
+    assert str(err.value) == "spaces.abstract[101].components: nests more than 100 tuple spaces"
+    (tmp_path / "chain.json").write_text(text, encoding="utf-8")
+    assert main(["check", str(tmp_path / "chain.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ScenarioSyntaxError: spaces.abstract[101].components:")
 
 
 def test_running_out_of_stack_in_the_reader_is_a_malformed_declaration(monkeypatch):

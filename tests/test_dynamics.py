@@ -17,12 +17,15 @@ from abrep import (
     CoordinateUpdateRule,
     IntSpace,
     LabelFlipNoise,
+    LabelSpace,
+    LookupRule,
     OutOfDomain,
     PhysicalDynamics,
     PhysicalLabelSpace,
     PhysicalState,
     PhysicalTupleSpace,
     RealVectorSpace,
+    RepresentationRelation,
     TableRule,
     TrialSeed,
     TupleSpace,
@@ -33,8 +36,9 @@ from abrep import (
     evolve_abstract,
     evolve_physical,
     identity_dynamics,
+    represent,
 )
-from abrep.dynamics import _BLOCK, ProductRule, _flip, _trial_outcomes, unit_draw
+from abrep.dynamics import _BLOCK, ProductRule, _each, _flip, _trial_outcomes, unit_draw
 from abrep.errors import DeclarationError
 
 
@@ -181,6 +185,68 @@ def test_product_parts_must_act_on_the_components_in_order():
         with pytest.raises(DeclarationError):
             AbstractDynamics("bad", space, ProductRule(parts))
 
+
+
+def _looped(parts):
+    """A product map as a loop over its parts: the reference for the generated one."""
+    steps = [part._apply for part in parts]
+    return lambda value: tuple([step(v) for step, v in zip(steps, value)])
+
+
+def _products(parts, relations, tag):
+    """The product of abstract ``parts`` and the tuple-wise reading of ``relations``."""
+    space = TupleSpace(f"{tag}.values", tuple(part.space for part in parts))
+    cells = PhysicalTupleSpace(f"{tag}.cells", tuple(r.domain for r in relations))
+    dynamics = AbstractDynamics(f"{tag}.step", space, ProductRule(tuple(parts)))
+    return dynamics, RepresentationRelation(f"{tag}.read", cells, space, TupleWiseRule(tuple(relations)))
+
+
+def _cyclic(labels, tag):
+    """A program that moves each label to the next, and a reading of like-named cells with it."""
+    abstract, physical = LabelSpace(f"{tag}.labels", labels), PhysicalLabelSpace(f"{tag}.cells", labels)
+    after = dict(zip(labels, labels[1:] + labels[:1]))
+    return (
+        AbstractDynamics(f"{tag}.next", abstract, TableRule(after)),
+        RepresentationRelation(f"{tag}.read", physical, abstract, LookupRule(after)),
+    )
+
+
+def _assert_looped(dynamics, relation):
+    """Every step and read of the generated maps is the loop's, through the public calls too."""
+    step, read = _looped(dynamics.rule.parts), _looped(relation.rule.parts)
+    for value in enumerate_values(relation.domain):
+        assert dynamics._apply(read(value)) == step(read(value))
+        image = represent(relation, PhysicalState(relation.domain, value))
+        assert image.value == read(value) == relation._apply(value)
+        assert evolve_abstract(dynamics, image).value == step(read(value))
+
+
+@pytest.mark.parametrize("arity", range(1, 7))
+def test_generated_product_maps_are_the_loop_over_their_parts(arity):
+    """At arities 1 to 6, and nested once more in a pair with a 3-cycle."""
+    parts = [_cyclic(("a", "b") if i % 2 else ("x", "y", "z"), f"c{i}") for i in range(arity)]
+    dynamics, relation = _products(*zip(*parts), f"p{arity}")
+    _assert_looped(dynamics, relation)
+    _assert_looped(*_products((dynamics, parts[0][0]), (relation, parts[0][1]), f"q{arity}"))
+
+
+def test_labels_that_look_like_code_read_and_step_as_data():
+    """Only the arity reaches the generated source: labels and ids that are code stay strings."""
+    labels = ("f0(v[0])", "'", '"', "__import__('os')", "v[1])), (", "lambda v: v")
+    part = _cyclic(labels, "__import__('os')")
+    dynamics, relation = _products((part[0],) * 3, (part[1],) * 3, "f1(v[1])")
+    _assert_looped(dynamics, relation)
+    assert dynamics._apply(("'", '"', "f0(v[0])")) == ('"', "__import__('os')", "'")
+
+
+def test_the_product_maker_is_generated_once_per_arity():
+    bit = BitSpace("b1", 1)
+    flip = AbstractDynamics("flip", bit, BuiltinRule("bit-not"))
+    _each.cache_clear()
+    for n in (2, 3, 2, 3, 2):
+        both = AbstractDynamics(f"flip{n}", TupleSpace(f"bits{n}", (bit,) * n), ProductRule((flip,) * n))
+        assert both._apply(("0",) * n) == ("1",) * n
+    assert (_each.cache_info().misses, _each.cache_info().hits) == (2, 3)
 
 @pytest.mark.parametrize(
     "declare",

@@ -221,9 +221,9 @@ def test_a_message_shows_a_value_nested_past_the_recursion_limit_by_a_stand_in()
 
 
 def test_a_deep_compute_input_gives_the_same_message_on_every_python():
-    """The stand-in is decided by a walk of the value, not by where ``repr`` runs out of stack."""
+    """The nesting bound is decided by a walk of the value, not by where the stack runs out."""
     adder, deep = abrep.build_voltage_adder(), "x"
-    for _ in range(3 * sys.getrecursionlimit()):
+    for _ in range(abrep.errors._SHOWN_DEPTH):
         deep = (deep,)
     check = abrep.CheckSpec("deep", "compute", theory="adder", input=deep)
     report = abrep.run_checks(dataclasses.replace(adder, checks=(adder.checks[0], check)))
@@ -232,7 +232,48 @@ def test_a_deep_compute_input_gives_the_same_message_on_every_python():
         "type": "OutOfDomain",
         "message": "value <tuple too large to show> is not a member of space 'adder.machine'",
     }
-    assert len(error["message"]) == 72
+    for _ in range(3 * sys.getrecursionlimit()):
+        deep = (deep,)
+    with pytest.raises(DeclarationError) as err:
+        abrep.CheckSpec("deep", "compute", theory="adder", input=deep)
+    assert str(err.value) == "check 'deep': input: nests more than 100 containers"
+
+
+def _chain(depth: int, leaf, product=TupleSpace):
+    """``depth`` product spaces, each the one component of the next, over ``leaf``."""
+    for i in range(depth):
+        leaf = product(f"t{i + 1}", (leaf,))
+    return leaf
+
+
+@pytest.mark.parametrize(
+    "state, product, leaf",
+    [
+        (AbstractState, TupleSpace, UPDOWN),
+        (PhysicalState, PhysicalTupleSpace, PhysicalLabelSpace("c", ("a", "b"))),
+    ],
+)
+def test_a_tuple_space_chain_nests_at_most_the_bound(state, product, leaf):
+    """A chain 100 deep works everywhere; a 101st level is refused where it is declared."""
+    chain, labels = _chain(100, leaf, product), list(enumerate_values(leaf))
+    values = list(enumerate_values(chain))
+    assert len(values) == cardinality(chain) == len(labels) and chain._depth == 100
+    for label, value in zip(labels, values):
+        assert value == _chain(100, label, lambda _, v: v)
+        assert state(chain, value).value == normalize_value(chain, list(value)) == value
+    with pytest.raises(DeclarationError) as err:
+        product("t101", (chain,))
+    assert str(err.value) == "space 't101': components: nests more than 100 tuple spaces"
+    assert err.value.field == "components"
+
+
+def test_a_product_space_stores_its_depth_from_its_components():
+    """1 plus the deepest component's, read from each component and not walked again."""
+    deep, shallow = _chain(99, UPDOWN), _chain(3, BITS2)
+    assert TupleSpace("w", (shallow, deep, UPDOWN))._depth == 100
+    assert PAIR._depth == 1 and PhysicalTupleSpace("p", (VOLTS,))._depth == 1
+    with pytest.raises(DeclarationError, match="nests more than 100 tuple spaces"):
+        TupleSpace("w", (UPDOWN, TupleSpace("x", (deep,))))
 
 
 def test_a_message_shows_a_value_in_full_up_to_the_depth_bound():
