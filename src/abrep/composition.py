@@ -8,10 +8,14 @@ the dynamics couples the halves, so that no such factorization reproduces
 them, the composition is happening inside the representation itself and the
 system is *heterotic*.
 
-The classifier decides this structurally, by coordinate-constancy checks and
-factor read-off. ``brute_force_classify`` is its independent oracle: for each
-factor in turn it enumerates every candidate function and takes the first
-that reproduces its coordinate of the joint table.
+The classifier decides this structurally. One splitter walks the pairs of the
+two halves row by row, checks that each coordinate of the joint map depends
+on its own half only, and reads the factor tables off; the reading and the
+dynamics are each one call to it. ``brute_force_classify`` is its independent
+oracle. It observes the joint reading and the joint dynamics once per pair,
+through the public ``represent`` and ``evolve_abstract``, and one search then
+takes for each factor in turn the first candidate function, in canonical
+order, that reproduces its coordinate of the observed table.
 """
 
 from __future__ import annotations
@@ -141,17 +145,16 @@ def compose_parallel(a: Component, b: Component, joint_id: str = "parallel") -> 
     return componentwise_joint(joint_id, a, b)
 
 
-def _product_values(space: PhysicalTupleSpace) -> tuple[list[Value], list[Value]]:
-    left, right = space.components  # two: a joint space is the product of its two halves
-    return list(enumerate_values(left)), list(enumerate_values(right))
+def _split_coordinates(space, codomain, joint) -> tuple[dict, dict] | None:
+    """Maps (f, g) with joint((a, b)) == (f[a], g[b]) on all pairs of ``space``'s halves, or None.
 
-
-def _split_coordinates(avals: list, bvals: list, joint) -> tuple[dict, dict] | None:
-    """Maps (f, g) with joint((a, b)) == (f[a], g[b]) for every pair, or None.
-
-    ``joint`` is evaluated once per pair, row by row, so a first coordinate
-    that depends on ``b`` is caught before the rest of the table is read.
+    None also when ``codomain`` is not a two-part product. ``joint`` is
+    evaluated once per pair, row by row, so a first coordinate that depends
+    on ``b`` is caught before the rest of the table is read.
     """
+    if not (isinstance(codomain, TupleSpace) and len(codomain.components) == 2):
+        return None
+    avals, bvals = (list(enumerate_values(half)) for half in space.components)
     fmap: dict[Value, Value] = {}
     seconds: list[set] = [set() for _ in bvals]
     for a in avals:
@@ -174,12 +177,8 @@ def factorize_representation(j: JointSystem) -> tuple[dict, dict] | None:
     coordinate ignores the right half and whose second ignores the left.
     Returns value tables (f, g) from each half's physical to abstract values, or None.
     """
-    lefts, rights = _product_values(j.joint_space)
-    codomain = j.joint_representation.codomain
-    if not (isinstance(codomain, TupleSpace) and len(codomain.components) == 2):
-        return None
-    # Enumerated pairs are members of the declared domain.
-    return _split_coordinates(lefts, rights, j.joint_representation._apply)
+    rep = j.joint_representation
+    return _split_coordinates(j.joint_space, rep.codomain, rep._apply)  # pairs of domain members
 
 
 def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
@@ -189,11 +188,7 @@ def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
     every state, or None when the coordinates are coupled or the space is not
     a two-part product.
     """
-    space = d.space
-    if not (isinstance(space, TupleSpace) and len(space.components) == 2):
-        return None
-    values = [list(enumerate_values(half)) for half in space.components]
-    return _split_coordinates(*values, d._apply)  # enumerated members of its space
+    return _split_coordinates(d.space, d.space, d._apply)  # its space is its own codomain
 
 
 def _factors_match_declared(j: JointSystem, factors: tuple[dict, dict]) -> bool:
@@ -227,36 +222,26 @@ def _verdict(j: JointSystem, rep_factors, dyn_factors) -> CompositionClass:
     return CompositionClass(HYBRID if hybrid else HETEROTIC, witness)
 
 
-def _all_maps(keys: list[Value], outputs: list[Value]):
-    """Every total map from keys to outputs, in canonical order."""
-    for image in itertools.product(outputs, repeat=len(keys)):
-        yield dict(zip(keys, image))
+def _search_split(keys: list[list], outs: list[list], observe) -> tuple[dict, dict] | None:
+    """Exhaustively find the first (f, g) with observe((a, b)) == (f[a], g[b]), or None.
 
-
-def _search_reproducing_pair(
-    akeys: list[Value],
-    bkeys: list[Value],
-    aouts: list[Value],
-    bouts: list[Value],
-    observed: dict[tuple[Value, Value], tuple[Value, Value]],
-) -> tuple[dict, dict] | None:
-    """Exhaustively find (f, g) with observed[(a, b)] == (f[a], g[b]).
-
-    Each coordinate of the observed table constrains only its own factor, so
-    each side is searched on its own; the first f and the first g found are
-    the first reproducing pair in canonical order.
+    ``keys`` and ``outs`` hold each half's inputs and candidate outputs, and
+    ``observe`` is called once per pair. Each coordinate of the observed
+    table constrains only its own factor, so each side is searched on its
+    own, through every total map in canonical order; the first f and the
+    first g found are the first reproducing pair.
     """
-    found_f = None
-    for f in _all_maps(akeys, aouts):
-        if all(observed[(a, b)][0] == f[a] for a in akeys for b in bkeys):
-            found_f = f
-            break
-    if found_f is None:
-        return None
-    for g in _all_maps(bkeys, bouts):
-        if all(observed[(a, b)][1] == g[b] for a in akeys for b in bkeys):
-            return found_f, g
-    return None
+    observed = {pair: observe(pair) for pair in itertools.product(*keys)}
+    factors = []
+    for side, (half_keys, half_outs) in enumerate(zip(keys, outs)):
+        for image in itertools.product(half_outs, repeat=len(half_keys)):
+            candidate = dict(zip(half_keys, image))
+            if all(v[side] == candidate[pair[side]] for pair, v in observed.items()):
+                factors.append(candidate)
+                break
+        else:
+            return None
+    return tuple(factors)
 
 
 def brute_force_classify(j: JointSystem) -> CompositionClass:
@@ -267,50 +252,28 @@ def brute_force_classify(j: JointSystem) -> CompositionClass:
     and some pair of candidate component actions reproduces the joint
     dynamics. Only usable on small component spaces.
     """
-    left_size = cardinality(j.left.theory.representation.codomain)
-    right_size = cardinality(j.right.theory.representation.codomain)
-    if left_size > _ORACLE_SIZE_BOUND or right_size > _ORACLE_SIZE_BOUND:
+    halves = (j.left.theory.representation.codomain, j.right.theory.representation.codomain)
+    if any(cardinality(half) > _ORACLE_SIZE_BOUND for half in halves):
         raise TooLarge(
             f"joint {j.id!r}: component abstract spaces exceed the oracle bound"
             f" of {_ORACLE_SIZE_BOUND}"
         )
-    lefts, rights = _product_values(j.joint_space)
+    keys = [list(enumerate_values(half)) for half in j.joint_space.components]
     codomain = j.joint_representation.codomain
-
-    rep_factors = None
-    if isinstance(codomain, TupleSpace) and len(codomain.components) == 2:
-        space_x, space_y = codomain.components
-        if cardinality(space_x) > _ORACLE_SIZE_BOUND or cardinality(space_y) > _ORACLE_SIZE_BOUND:
-            raise TooLarge(f"joint {j.id!r}: joint codomain halves exceed the oracle bound")
-        for keys, outs in ((lefts, space_x), (rights, space_y)):
-            if cardinality(outs) ** len(keys) > _CANDIDATE_CAP:
-                raise TooLarge(
-                    f"joint {j.id!r}: too many candidate representation maps to"
-                    " enumerate"
-                )
-        observed_rep = {
-            (p, q): represent(j.joint_representation, PhysicalState(j.joint_space, (p, q))).value
-            for p in lefts
-            for q in rights
-        }
-        rep_factors = _search_reproducing_pair(
-            lefts,
-            rights,
-            list(enumerate_values(space_x)),
-            list(enumerate_values(space_y)),
-            observed_rep,
-        )
-
-    dyn_factors = None
-    dspace = j.joint_dynamics.space
-    if isinstance(dspace, TupleSpace) and len(dspace.components) == 2:
-        space_a, space_b = dspace.components
-        avals = list(enumerate_values(space_a))
-        bvals = list(enumerate_values(space_b))
-        observed_dyn = {
-            (a, b): evolve_abstract(j.joint_dynamics, AbstractState(dspace, (a, b))).value
-            for a in avals
-            for b in bvals
-        }
-        dyn_factors = _search_reproducing_pair(avals, bvals, avals, bvals, observed_dyn)
+    # The joint dynamics act on this codomain, so neither map factors unless it is a pair.
+    if not (isinstance(codomain, TupleSpace) and len(codomain.components) == 2):
+        return _verdict(j, None, None)
+    if any(cardinality(half) > _ORACLE_SIZE_BOUND for half in codomain.components):
+        raise TooLarge(f"joint {j.id!r}: joint codomain halves exceed the oracle bound")
+    outs = [list(enumerate_values(half)) for half in codomain.components]
+    for half_keys, half_outs in zip(keys, outs):
+        if len(half_outs) ** len(half_keys) > _CANDIDATE_CAP:
+            raise TooLarge(f"joint {j.id!r}: too many candidate representation maps to enumerate")
+    rep, dyn = j.joint_representation, j.joint_dynamics
+    rep_factors = _search_split(
+        keys, outs, lambda pair: represent(rep, PhysicalState(j.joint_space, pair)).value
+    )
+    dyn_factors = _search_split(
+        outs, outs, lambda pair: evolve_abstract(dyn, AbstractState(dyn.space, pair)).value
+    )
     return _verdict(j, rep_factors, dyn_factors)

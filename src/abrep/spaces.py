@@ -488,6 +488,8 @@ def check_total_table(owner: str, entries, keys: Space, values: Space) -> Mappin
         size = cardinality(keys)
     except NotEnumerable:
         raise DeclarationError(f"{owner}: a table needs a finite key space") from None
+    if len(entries) != size:  # counted before any key is enumerated
+        raise DeclarationError(f"{owner}: {len(entries)} images for the {size} keys of {keys.id!r}")
     changed, member = {}, _canonical(values)
     for value in enumerate_values(keys):
         if value not in entries:
@@ -497,8 +499,6 @@ def check_total_table(owner: str, entries, keys: Space, values: Space) -> Mappin
             raise DeclarationError(f"{owner}: image of {value!r} leaves {values.id!r}")
         if canonical is not image:
             changed[value] = canonical
-    if len(entries) != size:
-        raise DeclarationError(f"{owner}: extraneous table keys")
     return {**entries, **changed} if changed else entries
 
 

@@ -27,9 +27,13 @@ from abrep import (
     PhysicalLabelSpace,
     PhysicalState,
     PhysicalTupleSpace,
+    Prediction,
+    RealVectorSpace,
     RepresentationRelation,
     TableRule,
+    Theory,
     TheoryNotValidated,
+    ThresholdRule,
     TooLarge,
     TrialSeed,
     TupleSpace,
@@ -46,6 +50,7 @@ from abrep import (
     evolve_abstract,
     factorize_dynamics,
     factorize_representation,
+    identity_dynamics,
     represent,
     validate_theory,
 )
@@ -481,11 +486,40 @@ def test_degenerate_joint_space_is_rejected():
         )
 
 
+def decision(result):
+    """A classification's verdict and witness, each factor as its item list so that order counts."""
+    items = lambda factors: None if factors is None else [list(f.items()) for f in factors]
+    witness = result.witness
+    return result.value, items(witness.representation_factors), items(witness.dynamics_factors)
+
+
 def test_oracle_agrees_on_random_joint_systems():
     rng = random.Random(2024)
     for i in range(60):
         joint = random_joint_system(rng, f"rnd{i}")
-        assert classify(joint).value == brute_force_classify(joint).value
+        assert decision(classify(joint)) == decision(brute_force_classify(joint))
+
+
+@pytest.mark.parametrize(
+    "joint",
+    [build_xor_joint().joint("xor.joint"), build_social_machine().joint("social.galaxy-zoo")],
+    ids=["xor", "social-machine"],
+)
+def test_oracle_finds_the_classifier_s_witness_on_the_builtin_joints(joint):
+    assert decision(classify(joint)) == decision(brute_force_classify(joint))
+
+
+def test_both_classifiers_refuse_continuous_halves():
+    line = RealVectorSpace("line", ((0.0, 5.0),))
+    bit = BitSpace("bit", 1)
+    read = RepresentationRelation("read", line, bit, ThresholdRule((2.5,)))
+    keep = AbstractDynamics("keep", bit, BuiltinRule("identity"))
+    states = (PhysicalState(line, (0.0,)), PhysicalState(line, (5.0,)))
+    theory = Theory("line", read, states, (Prediction("keep", keep, identity_dynamics("hold", line)),))
+    joint = componentwise_joint("lines", Component(theory, keep), Component(theory, keep))
+    for decide in (classify, brute_force_classify):
+        with pytest.raises(NotEnumerable, match="space 'line' is continuous"):
+            decide(joint)
 
 
 def test_classification_is_invariant_under_physical_relabeling():

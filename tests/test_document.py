@@ -206,6 +206,25 @@ def test_partial_lookup_table_is_a_parse_diagnostic():
     assert "relations[0]" in str(err.value)
 
 
+def test_a_table_over_forty_bits_is_refused_at_its_path(tmp_path, capsys):
+    bad = json.loads(doc())
+    bad["spaces"]["abstract"] += [
+        {"id": "w", "kind": "bits", "width": 40},
+        {"id": "t", "kind": "tuple", "components": ["w"]},
+    ]
+    bad["dynamics"]["abstract"].insert(
+        0, {"id": "d", "space": "t", "rule": {"kind": "table", "entries": []}}
+    )
+    message = "dynamics.abstract[0]: dynamics 'd': 0 images for the 1099511627776 keys of 't'"
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(bad))
+    assert str(err.value) == message
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_section_rejected():
     bad = json.loads(doc())
     bad["extras"] = []

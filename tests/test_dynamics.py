@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abrep.spaces
 from abrep import (
     AbstractDynamics,
     AbstractState,
@@ -40,6 +41,7 @@ from abrep import (
 )
 from abrep.dynamics import _BLOCK, ProductRule, _each, _flip, _trial_outcomes, unit_draw
 from abrep.errors import DeclarationError
+from support import count_calls
 
 
 def machine_space(width: int) -> TupleSpace:
@@ -287,10 +289,39 @@ def test_table_entries_must_be_a_mapping(entries):
 
 def test_table_rule_must_be_total_without_extras():
     bits = BitSpace("b1", 1)
-    with pytest.raises(DeclarationError):
+    with pytest.raises(DeclarationError, match=re.escape("1 images for the 2 keys of 'b1'")):
         AbstractDynamics("partial", bits, TableRule({"0": "1"}))
-    with pytest.raises(DeclarationError):
+    with pytest.raises(DeclarationError, match=re.escape("3 images for the 2 keys of 'b1'")):
         AbstractDynamics("extra", bits, TableRule({"0": "1", "1": "0", "x": "0"}))
+
+
+def test_a_table_of_the_wrong_size_is_refused_before_any_key_is_enumerated(monkeypatch):
+    pair = TupleSpace("p", (BitSpace("a", 1), BitSpace("b", 2)))
+    full = {k: k for k in enumerate_values(pair)}
+    short = dict(list(full.items())[:-1])
+    long = {**full, ("x", "00"): ("0", "00")}
+    calls = count_calls(monkeypatch, enumerate=abrep.spaces.enumerate_values)
+    for entries in (short, long):
+        message = f"dynamics 'd': {len(entries)} images for the 8 keys of 'p'"
+        with pytest.raises(DeclarationError, match=re.escape(message)):
+            AbstractDynamics("d", pair, TableRule(entries))
+    assert calls == {"enumerate": 0}
+
+
+def test_a_table_over_forty_bits_is_refused_by_its_size():
+    wide = TupleSpace("t", (BitSpace("w", 40),))
+    message = "dynamics 'd': 0 images for the 1099511627776 keys of 't'"
+    with pytest.raises(DeclarationError, match=f"^{re.escape(message)}$"):
+        AbstractDynamics("d", wide, TableRule({}))
+
+
+def test_a_table_of_the_right_size_names_its_first_missing_key():
+    pair = TupleSpace("p", (BitSpace("a", 1), BitSpace("b", 1)))
+    entries = {k: k for k in enumerate_values(pair)}
+    del entries[("1", "0")]
+    entries[("1", "x")] = ("1", "0")
+    with pytest.raises(DeclarationError, match=re.escape("dynamics 'd': no image for ('1', '0')")):
+        AbstractDynamics("d", pair, TableRule(entries))
 
 
 VOLTS = RealVectorSpace("v7", ((0.0, 5.0),) * 7)
