@@ -22,17 +22,12 @@ import argparse
 import sys
 from dataclasses import fields, replace
 
-from .document import _loads, emit_scenario, parse_scenario, raw_value
+from .document import _loads, emit_scenario, parse_scenario
 from .dynamics import TrialSeed
 from .errors import ModelError
 from .runner import render_report, report_to_dict, run_checks
 from .scenarios import BUILTIN_SCENARIOS, CheckSpec
 from .spaces import METRICS
-
-
-def parse_state_literal(text: str):
-    """Read a command-line state value, written as JSON, into a raw canonical value."""
-    return _loads(text, "state value: ", raw_value)
 
 
 def _load_bundle(path: str):
@@ -138,7 +133,7 @@ def _run(args: argparse.Namespace) -> int:
     given = {name: v for name, v in vars(args).items() if name in _CHECK_FIELDS and v is not None}
     for name in ("input", "expect"):  # compute's state values, read in this order
         if name in given:
-            given[name] = parse_state_literal(given[name])
+            given[name] = _loads(given[name], "state value: ")  # CheckSpec bounds and converts it
     if args.command == "check":
         checks = tuple(replace(check, **given) for check in bundle.checks)
     else:

@@ -80,13 +80,6 @@ SUPPORTED_VERSIONS = ("1",)
 _ENCODE = json.JSONEncoder(indent=2).encode  # encodes as json.dumps(doc, indent=2) does
 
 
-def raw_value(v: Any) -> Any:
-    """Normalize a JSON value structurally (arrays become tuples)."""
-    if isinstance(v, list):
-        return tuple(raw_value(x) for x in v)
-    return v
-
-
 def _expect(obj: Any, path: str, kind: type, what: str) -> Any:
     if not isinstance(obj, kind):
         raise ScenarioSyntaxError(f"{path}: expected {what}")
@@ -96,7 +89,7 @@ def _expect(obj: Any, path: str, kind: type, what: str) -> Any:
 def _reject(space, encoded: Any, path: str) -> NoReturn:
     """Raise the diagnostic at ``path`` for the JSON value ``encoded``: not in ``space``, or a repeated key."""
     try:
-        key = normalize_value(space, raw_value(encoded))
+        key = normalize_value(space, encoded)
     except OutOfDomain as err:
         raise ScenarioSyntaxError(f"{path}: {err}") from err
     raise ScenarioSyntaxError(f"{path}: duplicate key {key!r}")
@@ -139,10 +132,10 @@ class _F(NamedTuple):
       members of the spaces ``arg = (keys, values)`` and emitted in the key
       space's order.
     - ``one``, ``many``: the ``_Decl`` ``arg``, or an array of them.
-    - ``raw``: any JSON value, arrays read as tuples.
-    - ``number``, ``integer``, ``flag`` (emitted only when true), ``enum``,
-      ``list``, ``numbers`` and ``bounds`` (``[lo, hi]`` number pairs):
-      passed as read to the constructor, which checks them.
+    - ``raw`` (any JSON value), ``number``, ``integer``, ``flag`` (emitted
+      only when true), ``enum``, ``list``, ``numbers`` and ``bounds``
+      (``[lo, hi]`` number pairs): passed as read to the constructor, which
+      checks them.
 
     Space names in ``arg`` are dotted attribute paths, looked up in the
     declaration and then in the declarations enclosing it.
@@ -215,8 +208,6 @@ def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any
         key = next((f.key for f in fields if attr == (f.attr or f.key)), None)
         where = f"{path}: {err}" if key is None else f"{path}.{key}{bracket}{index}: {err.reason}"
         raise ScenarioSyntaxError(where) from err
-    except RecursionError as err:  # raw_value on a JSON value the decoder let through
-        raise ScenarioSyntaxError(f"{path}: malformed declaration ({err})") from err
     if decl.tables:
         ident = getattr(scope, decl.fields[0].key)
         if any(ident in reg[table] for table in decl.tables):
@@ -245,7 +236,7 @@ def _value(f: _F, v: Any, path: str, reg: dict, scopes: tuple) -> Any:
     if kind == "entries":
         return _parse_entries(v, *(_find(scopes, space) for space in arg), path)
     if kind not in ("refs", "many", "states"):
-        return raw_value(v) if kind == "raw" else v  # the constructor checks the others
+        return v  # the constructor checks the others
     items = enumerate(_expect(v, path, list, "a list"))
     if kind == "refs":
         return tuple(resolve(reg[arg], x, f"{path}[{i}]") for i, x in items)
@@ -450,10 +441,10 @@ _SECTIONS = (
 _TOP_LEVEL = {"format_version"} | {path.partition(".")[0] for _, path, _ in _SECTIONS}
 
 
-def _loads(text: str, what: str = "", convert: Callable = lambda doc: doc):
-    """``text`` read as JSON and ``convert``ed, or a ScenarioSyntaxError starting with ``what``."""
+def _loads(text: str, what: str = ""):
+    """``text`` read as JSON, or a ScenarioSyntaxError starting with ``what``."""
     try:
-        return convert(json.loads(text))
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioSyntaxError(f"{what}{err.msg}", err.lineno, err.colno) from err
     except (ValueError, RecursionError) as err:  # past the digit limit, or nested past the stack

@@ -17,7 +17,7 @@ import operator
 import struct
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .errors import DeclarationError, OutOfDomain, _shown
@@ -32,6 +32,7 @@ from .spaces import (
     TupleSpace,
     Value,
     _check,
+    _check_depth,
     _declaration,
     _field_error,
     _register_widths,
@@ -149,12 +150,12 @@ class AbstractDynamics:
         elif isinstance(rule, BuiltinRule):
             _check_builtin_shape(owner, self.space, rule.name)
         elif isinstance(rule, ChainRule):
+            _check_depth(self, owner, "rule", rule.parts, "programs")
             for part in rule.parts:
                 if part.space != self.space:
-                    raise DeclarationError(
-                        f"{owner}: chain part {part.id!r} acts on a different space"
-                    )
+                    raise DeclarationError(f"{owner}: chain part {part.id!r} acts on a different space")
         else:
+            _check_depth(self, owner, "rule", rule.parts, "programs")
             spaces = tuple(part.space for part in rule.parts)
             if not (isinstance(self.space, TupleSpace) and self.space.components == spaces):
                 raise DeclarationError(
@@ -172,7 +173,13 @@ class AbstractDynamics:
         steps = tuple(part._apply for part in rule.parts)
         if isinstance(rule, ProductRule):
             return _each(len(steps))(*steps)
-        return reduce(lambda f, g: lambda v: g(f(v)), steps, lambda v: v)  # left to right
+
+        def chain(value):  # left to right, in one frame however long the chain
+            for step in steps:
+                value = step(value)
+            return value
+
+        return chain
 
 
 @lru_cache(maxsize=None)
@@ -401,14 +408,7 @@ def _check_noise(owner: str, space: PhysicalSpace, noise: Noise | None) -> None:
     else:
         if not isinstance(space, PhysicalLabelSpace):
             raise DeclarationError(f"{owner}: label-flip noise needs a labeled space")
-        missing = [l for l in space.labels if l not in noise.partners]
-        if missing:
-            raise DeclarationError(f"{owner}: labels without noise partners: {missing}")
-        for label, partner in noise.partners.items():
-            if label not in space.labels or partner not in space.labels:
-                raise DeclarationError(
-                    f"{owner}: noise partner pair {_shown(label)} -> {_shown(partner)} leaves the space"
-                )
+        check_total_table(owner, noise.partners, space, space)
 
 
 def evolve_physical(h: PhysicalDynamics, p: PhysicalState, seed: TrialSeed) -> PhysicalState:

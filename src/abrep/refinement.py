@@ -171,10 +171,10 @@ class StackReport:
 
 def reachable_bottom_states(stack: RefinementStack) -> list[AbstractState]:
     """Bottom-layer images of every top-layer state, first occurrence order."""
-    values = enumerate_values(stack.layers[0].space)
-    for rel in stack.relations:
-        values = map(rel.entries.__getitem__, values)
-    return [_trusted(AbstractState, stack.layers[-1].space, v) for v in dict.fromkeys(values)]
+    values = dict.fromkeys(enumerate_values(stack.layers[0].space))
+    for rel in stack.relations:  # a layer at a time, so a tall stack nests no iterators
+        values = dict.fromkeys(map(rel.entries.__getitem__, values))
+    return [_trusted(AbstractState, stack.layers[-1].space, v) for v in values]
 
 
 def check_stack_to_device(

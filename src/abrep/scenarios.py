@@ -24,7 +24,7 @@ from .dynamics import (
     TableRule,
     identity_dynamics,
 )
-from .errors import DeclarationError, DuplicateIdentifier, _SHOWN_DEPTH, _shown, _too_deep, resolve
+from .errors import DuplicateIdentifier, _SHOWN_DEPTH, _shown, _too_deep, resolve
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
     InstantiationProcedure,
@@ -75,7 +75,8 @@ class CheckSpec:
     """One declared check; unset tolerances fall back to the strict defaults.
 
     Its own fields are checked here, as a diagram checks them, and the
-    objects it names when it runs. Tolerances are stored as floats.
+    objects it names when it runs. Tolerances are stored as floats, and the
+    check values with their arrays as tuples.
     """
 
     name: str
@@ -106,8 +107,14 @@ class CheckSpec:
         for name in ("state", "input", "expect"):
             if _too_deep(getattr(self, name)):
                 raise _field_error(owner, name, f"nests more than {_SHOWN_DEPTH} containers")
+            object.__setattr__(self, name, _tuples(getattr(self, name)))  # bounded by the test above
         if self.kind == "history" and self.physical_metric is None:
-            raise DeclarationError("history checks must declare a physical metric")
+            raise _field_error(owner, "physical_metric", "history checks must declare a physical metric")
+
+
+def _tuples(value):
+    """``value`` with its arrays, at every level, as tuples; dicts and scalars as given."""
+    return tuple(map(_tuples, value)) if isinstance(value, (list, tuple)) else value
 
 
 @_declaration("bundle", name=None)

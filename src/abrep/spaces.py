@@ -303,12 +303,16 @@ Space = Union[AbstractSpace, PhysicalSpace]
 
 
 def _check_components(space, owner: str) -> None:
-    """Store a product space's depth, 1 plus its deepest component's, where it nests at most ``_SHOWN_DEPTH``."""
     if not space.components:
         raise DeclarationError(f"{owner}: tuple space needs components")
-    object.__setattr__(space, "_depth", 1 + max(getattr(c, "_depth", 0) for c in space.components))
-    if space._depth > _SHOWN_DEPTH:
-        raise _field_error(owner, "components", f"nests more than {_SHOWN_DEPTH} tuple spaces")
+    _check_depth(space, owner, "components", space.components, "tuple spaces")
+
+
+def _check_depth(decl, owner: str, field: str, parts, noun: str) -> None:
+    """Store ``decl``'s depth, 1 plus its deepest part's, where it nests at most ``_SHOWN_DEPTH`` ``noun``."""
+    object.__setattr__(decl, "_depth", 1 + max((getattr(p, "_depth", 0) for p in parts), default=0))
+    if decl._depth > _SHOWN_DEPTH:
+        raise _field_error(owner, field, f"nests more than {_SHOWN_DEPTH} {noun}")
 
 
 def _check_labels(space, owner: str) -> None:
@@ -470,9 +474,7 @@ def enumerate_values(space: Space) -> Iterator[Value]:
     elif isinstance(space, IntSpace):
         yield from range(space.lo, space.hi + 1)
     elif isinstance(space, (TupleSpace, PhysicalTupleSpace)):
-        pools = [list(enumerate_values(c)) for c in space.components]
-        for combo in itertools.product(*pools):
-            yield combo
+        yield from itertools.product(*map(enumerate_values, space.components))
     else:
         raise NotEnumerable(f"space {space.id!r} is continuous")
 

@@ -1,14 +1,14 @@
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
 import pytest
 
 from abrep import DISCRETE, DeclarationError, validate_theory
-from abrep.cli import main, parse_state_literal
+from abrep.cli import main
 from abrep.document import emit_scenario
-from abrep.errors import ScenarioSyntaxError
 from abrep.dynamics import TrialSeed
 from abrep.runner import report_to_json, run_checks
 from abrep.scenarios import BUILTIN_SCENARIOS, CheckSpec
@@ -20,17 +20,23 @@ def write_scenario(tmp_path, name):
     return str(path)
 
 
-def test_parse_state_literal_forms():
-    assert parse_state_literal('["01","10","000"]') == ("01", "10", "000")
-    assert parse_state_literal("[7, 9]") == (7, 9)
-    assert parse_state_literal('"01"') == "01"
-    assert parse_state_literal('"up"') == "up"
-    assert parse_state_literal("42") == 42
-    assert parse_state_literal('[["01","10"], 3]') == (("01", "10"), 3)
-    with pytest.raises(ScenarioSyntaxError):
-        parse_state_literal('["01"')
-    with pytest.raises(ScenarioSyntaxError):
-        parse_state_literal("up")
+def test_parse_state_literal_forms(tmp_path, capsys):
+    """A state value is JSON, and its check holds it with every array as a tuple."""
+    forms = {
+        '["01","10","000"]': ("01", "10", "000"),
+        "[7, 9]": (7, 9),
+        '"01"': "01",
+        '"up"': "up",
+        "42": 42,
+        '[["01","10"], 3]': (("01", "10"), 3),
+    }
+    for text, value in forms.items():
+        check = CheckSpec("c", "compute", input=json.loads(text))
+        assert check.input == value and repr(check.input) == repr(value)
+    path = write_scenario(tmp_path, "voltage-adder")
+    for text in ('["01"', "up"):
+        assert main(["compute", path, "--theory", "adder", "--input", text]) == 2
+        assert capsys.readouterr().err.startswith("error: ScenarioSyntaxError: state value: ")
 
 
 def test_check_command_passes_on_sound_bundle(tmp_path, capsys):
@@ -72,8 +78,10 @@ def test_an_integer_past_the_digit_limit_is_a_syntax_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ScenarioSyntaxError: Exceeds the limit (4300 digits)")
-    with pytest.raises(ScenarioSyntaxError, match="^state value: Exceeds the limit"):
-        parse_state_literal("7" * 5000)
+    path = write_scenario(tmp_path, "voltage-adder")
+    assert main(["compute", path, "--theory", "adder", "--input", "7" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ScenarioSyntaxError: state value: Exceeds the limit (4300 digits)")
 
 
 def test_filter_selects_matching_checks_in_order(tmp_path, capsys):
@@ -169,20 +177,24 @@ def _nested(depth: int) -> str:
     return "[" * depth + "]" * depth
 
 
-#: Deeper than a value's reader can recurse, and deeper than the JSON decoder can.
+#: Past the nesting bound by more than the interpreter's stack allows a recursive walk, and
+#: deeper than the JSON decoder can read.
 NESTINGS = [sys.getrecursionlimit() // 2 + 10, 100 * sys.getrecursionlimit()]
 
 
 @pytest.mark.parametrize("depth", NESTINGS, ids=["reader", "decoder"])
 @pytest.mark.parametrize("flag", ["--input", "--expect"])
 def test_compute_command_rejects_values_nested_too_deeply(tmp_path, capsys, flag, depth):
+    """The bound names the field of a value the decoder reads; the decoder refuses a deeper one."""
     path = write_scenario(tmp_path, "voltage-adder")
     values = {"--input": '["01","10","000"]', flag: _nested(depth)}  # a deep input replaces the first
     assert main(["compute", path, "--theory", "adder", *sum(values.items(), ())]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ScenarioSyntaxError: state value: maximum recursion depth exceeded")
-    with pytest.raises(ScenarioSyntaxError, match="^state value: maximum recursion depth exceeded"):
-        parse_state_literal(_nested(depth))
+    if depth == NESTINGS[0]:
+        reason = f"{flag.removeprefix('--')}: nests more than 100 containers"
+        assert err == f"error: DeclarationError: check 'compute:adder': {reason}\n"
+    else:
+        assert err.startswith("error: ScenarioSyntaxError: state value: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("depth", NESTINGS, ids=["reader", "decoder"])
@@ -192,7 +204,11 @@ def test_check_command_rejects_documents_nested_too_deeply(tmp_path, capsys, dep
     path.write_text(text.replace('"input": [', f'"input": [{_nested(depth)}, ', 1), encoding="utf-8")
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ScenarioSyntaxError: ") and "maximum recursion depth" in err
+    if depth == NESTINGS[0]:
+        reason = r"checks\[\d+\]\.input: nests more than 100 containers"
+        assert re.fullmatch(f"error: ScenarioSyntaxError: {reason}\n", err)
+    else:
+        assert err.startswith("error: ScenarioSyntaxError: ") and "maximum recursion depth" in err
 
 
 def test_check_command_on_a_missing_file_exits_2(tmp_path, capsys):

@@ -42,9 +42,8 @@ from abrep import (
     enumerate_values,
     parse_scenario,
 )
-from abrep import document, spaces
+from abrep import scenarios, spaces
 from abrep.cli import main
-from abrep.document import raw_value
 from abrep.runner import run_checks
 from abrep.scenarios import _bundle
 from abrep.spaces import normalize_value
@@ -195,7 +194,7 @@ def test_history_checks_must_declare_a_physical_metric():
     with pytest.raises(ScenarioSyntaxError) as err:
         parse_scenario(json.dumps(bad))
     at = len(bad["checks"]) - 1
-    assert str(err.value) == f"checks[{at}]: history checks must declare a physical metric"
+    assert str(err.value) == f"checks[{at}].physical_metric: history checks must declare a physical metric"
 
 
 def test_partial_lookup_table_is_a_parse_diagnostic():
@@ -406,7 +405,7 @@ def test_every_value_round_trips_through_json(name):
     cases += [(t.representation.domain, p.value) for t in bundle.theories for p in t.domain]
     assert cases
     for space, value in cases:
-        decoded = raw_value(json.loads(json.dumps(value)))
+        decoded = json.loads(json.dumps(value))
         assert normalize_value(space, decoded) == value
 
 
@@ -668,7 +667,7 @@ def test_label_flip_partners_round_trip_through_a_document():
     "partners, vector, message",
     [
         ([["off", "zz"], ["on", "off"]], False, "partners[0][1]: value 'zz' is not a member of space 'cell'"),
-        ([[["off"], "on"]], False, "partners[0][0]: value ('off',) is not a member of space 'cell'"),
+        ([[["off"], "on"]], False, "partners[0][0]: value ['off'] is not a member of space 'cell'"),
         ([["off", "on"], ["on", "off"]], True, "partners[0][0]: value 'off' is not a member of space 'v1'"),
     ],
     ids=["image", "unhashable-key", "vector-device"],
@@ -683,7 +682,7 @@ def test_a_partner_outside_the_device_labels_is_refused_at_its_path(partners, ve
 def test_a_missing_partner_is_refused_at_the_dynamics():
     with pytest.raises(ScenarioSyntaxError) as err:
         parse_scenario(json.dumps(_noisy_doc([["off", "on"]])))
-    assert str(err.value) == "dynamics.physical[0]: dynamics 'hold': labels without noise partners: ['on']"
+    assert str(err.value) == "dynamics.physical[0]: dynamics 'hold': 1 images for the 2 keys of 'cell'"
 
 
 def test_a_missing_required_key_is_named_at_its_declaration():
@@ -704,15 +703,12 @@ def test_a_document_nested_past_the_recursion_limit_is_a_syntax_error(depth):
 
 
 def test_a_value_nested_past_the_recursion_limit_is_reported_at_its_declaration():
-    """Each nested array costs the reader more than one frame, so half the limit is too deep."""
-    text = doc().replace('"kind": "validate-theory"', '"input": %s, "kind": "compute"' % _nested(
-        sys.getrecursionlimit() // 2 + 10
-    ))
-    with pytest.raises(
-        ScenarioSyntaxError,
-        match=r"^checks\[0\]: malformed declaration \(maximum recursion depth exceeded",
-    ):
-        parse_scenario(text)
+    """A value deeper than a recursive walk could go is refused by the nesting bound, at its field."""
+    for depth in (sys.getrecursionlimit() // 2 + 10, 600):
+        text = doc().replace('"kind": "validate-theory"', f'"input": {_nested(depth)}, "kind": "compute"')
+        with pytest.raises(ScenarioSyntaxError) as err:
+            parse_scenario(text)
+        assert str(err.value) == "checks[0].input: nests more than 100 containers"
 
 
 def _deep_check(depth: int, bundle=None, field: str = "input"):
@@ -770,6 +766,70 @@ def test_a_compute_value_past_the_bound_exits_2_naming_its_field(tmp_path, capsy
     assert capsys.readouterr().err == f"error: DeclarationError: check 'compute:adder': {reason}\n"
 
 
+def test_a_check_value_600_deep_is_refused_on_every_route(tmp_path, capsys):
+    """The API, a document and ``abrep compute`` give the bound's message, however deep the value."""
+    text = "[" * 600 + '"0"' + "]" * 600
+    with pytest.raises(DeclarationError, match="^check 'deep': input: nests more than 100 containers$"):
+        CheckSpec("deep", "compute", theory="adder", input=json.loads(text))
+    with pytest.raises(ScenarioSyntaxError, match=r"^checks\[0\]\.input: nests more than 100 containers$"):
+        parse_scenario(doc().replace('"kind": "validate-theory"', f'"input": {text}, "kind": "compute"'))
+    path = tmp_path / "adder.json"
+    path.write_text(emit_scenario(build_voltage_adder()), encoding="utf-8")
+    assert main(["compute", str(path), "--theory", "adder", "--input", text]) == 2
+    reason = "check 'compute:adder': input: nests more than 100 containers"
+    assert capsys.readouterr().err == f"error: DeclarationError: {reason}\n"
+
+
+def test_a_check_value_holds_tuples_at_every_level():
+    """Arrays become tuples down to the bound; dicts and scalars stay as given."""
+    value = "0"
+    for _ in range(100):
+        value = (value,)
+    check = CheckSpec("deep", "compute", input=json.loads(json.dumps(value)), expect=[{"a": [1]}, 2.5])
+    assert check.input == value and repr(check.input) == repr(value)
+    assert repr(check.expect) == "({'a': [1]}, 2.5)"
+
+
+def _program_doc(steps: int = 1, depth: int = 0) -> dict:
+    """The minimal document, its prediction a chain of ``steps`` bit-nots, inside ``depth`` one-part chains."""
+    data = json.loads(doc())
+    programs = [
+        {"id": "not", "space": "bit", "rule": {"kind": "builtin", "name": "bit-not"}},
+        {"id": "p0", "space": "bit", "rule": {"kind": "chain", "parts": ["not"] * steps}},
+    ]
+    programs += [
+        {"id": f"p{i}", "space": "bit", "rule": {"kind": "chain", "parts": [f"p{i - 1}"]}}
+        for i in range(1, depth + 1)
+    ]
+    data["dynamics"]["abstract"] = programs
+    data["theories"][0]["predictions"][0]["abstract"] = programs[-1]["id"]
+    return data
+
+
+@pytest.mark.parametrize("steps", [1000, 2000])
+def test_a_long_chain_in_a_document_runs(tmp_path, capsys, steps):
+    """An even number of bit-nots holds the bit, as the device does, so the theory validates."""
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_program_doc(steps)), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_a_program_nested_past_the_bound_is_a_diagnostic_at_its_rule(tmp_path, capsys):
+    """Chains 100 deep over a chain of two steps run; one level more is refused at its rule, and exits 2."""
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(_program_doc(2, 99)), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    text = json.dumps(_program_doc(2, 100))
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(text)
+    assert str(err.value) == "dynamics.abstract[101].rule: nests more than 100 programs"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: ScenarioSyntaxError: dynamics.abstract[101].rule: nests more than 100 programs\n"
+
+
 def _chain_doc(depth: int) -> dict:
     """A document of ``depth`` tuple spaces, each the one component of the next, and a table over the last."""
     spaces = [{"id": "t0", "kind": "labels", "labels": ["a", "b"]}]
@@ -795,20 +855,6 @@ def test_a_tuple_space_chain_past_the_bound_is_a_diagnostic_at_its_path(tmp_path
     assert capsys.readouterr().err.startswith("error: ScenarioSyntaxError: spaces.abstract[101].components:")
 
 
-def test_running_out_of_stack_in_the_reader_is_a_malformed_declaration(monkeypatch):
-    """The reader's handler, reached on a shallow stack: a line tracer is unset where the stack runs out."""
-
-    def exhausted(value):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    data = json.loads(doc())
-    data["checks"][0]["input"] = "0"
-    monkeypatch.setattr(document, "raw_value", exhausted)
-    with pytest.raises(ScenarioSyntaxError) as err:
-        parse_scenario(json.dumps(data))
-    assert str(err.value) == "checks[0]: malformed declaration (maximum recursion depth exceeded)"
-
-
 def _swap_doc() -> dict:
     return json.loads(emit_scenario(BUILTIN_SCENARIOS["swap-device"]()))
 
@@ -826,7 +872,7 @@ def _replaced(data: dict, path: str, value) -> str:
         (
             "dynamics.physical[0].rule.entries[1][0]",
             ["0", "1", "2"],
-            "value ('0', '1', '2') is not a member of space 'swap.registers'",
+            "value ['0', '1', '2'] is not a member of space 'swap.registers'",
         ),
         (
             "dynamics.physical[0].rule.entries[1][1]",
@@ -838,7 +884,7 @@ def _replaced(data: dict, path: str, value) -> str:
     ids=["table-key", "table-image", "state"],
 )
 def test_a_value_outside_its_space_is_named_at_its_path(path, value, message):
-    """An array shows as a tuple, and a product's value names its first part that is not a member."""
+    """An array shows as a list, and a product's value names its first part that is not a member."""
     with pytest.raises(ScenarioSyntaxError) as err:
         parse_scenario(_replaced(_swap_doc(), path, value))
     assert str(err.value) == f"{path}: {message}"
@@ -925,8 +971,8 @@ def test_reading_cost_law(monkeypatch, width):
     """One membership check per state literal and table key, at most two per table image.
 
     The reader checks each value once, and a table's declaration checks its
-    images again. ``raw_value`` walks each ``raw`` check field once and never
-    a state or a table, whose values it only shows in a message.
+    images again. ``CheckSpec`` turns the arrays of each check value it is
+    given into tuples once, and the reader converts no state or table.
     """
     text, size = _reading_family(width)
     checks, raws, depth = Counter(), [0], [0]
@@ -937,17 +983,17 @@ def test_reading_cost_law(monkeypatch, width):
             return rule(space, value)
 
         monkeypatch.setitem(spaces._SHAPES, cls, counted)
-    walk = document.raw_value
+    walk = scenarios._tuples
 
     def outermost(value):
-        raws[0] += depth[0] == 0
+        raws[0] += depth[0] == 0 and value is not None
         depth[0] += 1
         try:
             return walk(value)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(document, "raw_value", outermost)
+    monkeypatch.setattr(scenarios, "_tuples", outermost)
     bundle = parse_scenario(text)
     assert len(bundle.theories[0].domain) == size.states == 4**width
     assert raws[0] == size.raw == 2 * width

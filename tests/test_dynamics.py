@@ -120,6 +120,47 @@ def test_an_empty_chain_is_the_identity():
         assert evolve_abstract(empty, state) == state
 
 
+def test_a_long_chain_runs_its_steps_in_order_in_one_loop():
+    """A chain costs no frame per step, so its length is not bounded by the interpreter's stack."""
+    ints = IntSpace("z7", 0, 6)
+    double = AbstractDynamics("double", ints, TableRule({v: 2 * v % 7 for v in range(7)}))
+    succ = AbstractDynamics("succ", ints, TableRule({v: (v + 1) % 7 for v in range(7)}))
+    chain = AbstractDynamics("many", ints, ChainRule((double, succ) * 2500))
+    for start in range(7):
+        expected = start
+        for _ in range(2500):
+            expected = (2 * expected + 1) % 7
+        assert evolve_abstract(chain, AbstractState(ints, start)).value == expected
+
+
+def _nested_programs(depth: int, space) -> AbstractDynamics:
+    """A bit-not program inside ``depth`` one-part chains."""
+    program = AbstractDynamics("p0", space, BuiltinRule("bit-not"))
+    for i in range(1, depth + 1):
+        program = AbstractDynamics(f"p{i}", space, ChainRule((program,)))
+    return program
+
+
+def test_programs_nest_at_most_100_deep():
+    """Chains and products count toward one bound, refused at the rule that passes it."""
+    bit = BitSpace("b1", 1)
+    deep = _nested_programs(100, bit)
+    assert evolve_abstract(deep, AbstractState(bit, "0")).value == "1"
+    one = TupleSpace("one", (bit,))
+    past = [
+        lambda: AbstractDynamics("p101", bit, ChainRule((deep,))),
+        lambda: AbstractDynamics("p101", one, ProductRule((deep,))),
+    ]
+    for declare in past:
+        with pytest.raises(DeclarationError) as err:
+            declare()
+        assert str(err.value) == "dynamics 'p101': rule: nests more than 100 programs"
+        assert err.value.field == "rule"
+    inner = AbstractDynamics("p99", one, ProductRule((_nested_programs(98, bit),)))
+    outer = AbstractDynamics("p100", one, ChainRule((inner,)))
+    assert evolve_abstract(outer, AbstractState(one, ("1",))).value == ("0",)
+
+
 def test_compose_identity_is_neutral():
     bits = BitSpace("b2", 2)
     ident = AbstractDynamics("i", bits, BuiltinRule("identity"))
@@ -570,8 +611,8 @@ CELLS = PhysicalLabelSpace("cells", ("a", "b", "c"))
     "space, partners, message",
     [
         (VOLTS, {"a": "b"}, "label-flip noise needs a labeled space"),
-        (CELLS, {"a": "b", "b": "z", "c": "c"}, "noise partner pair 'b' -> 'z' leaves the space"),
-        (CELLS, {"a": "b", "b": "a", "c": "c", "z": "a"}, "noise partner pair 'z' -> 'a' leaves the space"),
+        (CELLS, {"a": "b", "b": "z", "c": "c"}, "image of 'b' leaves 'cells'"),
+        (CELLS, {"a": "b", "b": "a", "c": "c", "z": "a"}, "4 images for the 3 keys of 'cells'"),
     ],
     ids=["vector-space", "partner-outside", "label-outside"],
 )

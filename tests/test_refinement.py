@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -445,3 +449,33 @@ def test_the_runner_reports_the_public_stack_check(name, seed):
                 derive_seed(TrialSeed(seed), index), check.trials, check.required_success,
             )
             assert result.detail == reference.stack_detail(public)
+
+
+TALL_STACK = """
+from abrep import (
+    AbstractDynamics, BuiltinRule, LabelSpace, LookupRule, PhysicalLabelSpace, RefinementLayer,
+    RefinementStack, RepresentationRelation, SimulationRelation, Theory, identity_dynamics,
+)
+from abrep.refinement import reachable_bottom_states
+word, cell = LabelSpace("word", ("a",)), PhysicalLabelSpace("cell", ("on",))
+keep = AbstractDynamics("keep", word, BuiltinRule("identity"))
+layers = tuple(RefinementLayer(f"l{i}", word, keep) for i in range(20000))
+relations = tuple(SimulationRelation(f"r{i}", a, b, {"a": "a"}) for i, (a, b) in enumerate(zip(layers, layers[1:])))
+theory = Theory("t", RepresentationRelation("read", cell, word, LookupRule({"on": "a"})), (), ())
+stack = RefinementStack("tall", layers, relations, theory, identity_dynamics("hold", cell))
+print(len(reachable_bottom_states(stack)))
+"""
+
+
+def test_a_tall_stack_is_walked_one_layer_at_a_time():
+    """20,000 layers on a 1 MB stack: no layer's map waits inside the next one's."""
+
+    def small_stack():  # in the child only, before it starts Python
+        resource.setrlimit(resource.RLIMIT_STACK, (1 << 20, resource.getrlimit(resource.RLIMIT_STACK)[1]))
+
+    src = os.path.dirname(os.path.dirname(abrep.refinement.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", TALL_STACK], preexec_fn=small_stack, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "1\n", "")

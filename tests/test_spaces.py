@@ -157,7 +157,6 @@ def _shows_a_user_int():
     adder = build_voltage_adder()
     theory = adder.theory("adder")
     lines = RealVectorSpace("v", ((0.0, 5.0), (0.0, 5.0)))
-    cells = PhysicalLabelSpace("c", ("a", "b"))
     joint = abrep.BUILTIN_SCENARIOS["xor-joint"]().joints[0]
 
     def device(*updates, noise=None):
@@ -186,13 +185,6 @@ def _shows_a_user_int():
         "provenance": (
             lambda n: dataclasses.replace(joint, provenance=n),
             "joint 'xor.joint': unknown provenance 7",
-        ),
-        "partner": (
-            lambda n: abrep.PhysicalDynamics(
-                "d", cells, abrep.TableRule({"a": "a", "b": "b"}),
-                abrep.LabelFlipNoise(0.5, {"a": "b", "b": "a", n: "a"}),
-            ),
-            "dynamics 'd': noise partner pair 7 -> 'a' leaves the space",
         ),
         "identifier": (lambda n: LabelSpace(n, ("a",)), "space 7: id: expected a string identifier"),
     }
