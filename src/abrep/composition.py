@@ -22,14 +22,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 from .dynamics import AbstractDynamics, ProductRule, evolve_abstract
-from .errors import (
-    DeclarationError,
-    TheoryNotValidated,
-    TooLarge,
-    _shown,
-)
+from .errors import DeclarationError, TheoryNotValidated, TooLarge
 from .relations import (
     RepresentationRelation,
     Theory,
@@ -47,8 +43,9 @@ from .spaces import (
     enumerate_values,
 )
 
-HYBRID = "Hybrid"
-HETEROTIC = "Heterotic"
+#: A joint system's class.
+Verdict = Literal["Hybrid", "Heterotic"]
+HYBRID, HETEROTIC = get_args(Verdict)
 
 #: Component abstract spaces larger than this make the oracle refuse.
 _ORACLE_SIZE_BOUND = 6
@@ -84,7 +81,7 @@ class JointSystem:
     joint_space: PhysicalTupleSpace
     joint_representation: RepresentationRelation
     joint_dynamics: AbstractDynamics
-    provenance: str  # composed-parallel | declared
+    provenance: Literal["composed-parallel", "declared"]
 
     def __post_init__(self, owner):
         expected = (
@@ -99,8 +96,6 @@ class JointSystem:
             raise DeclarationError(f"{owner}: joint representation does not read the product")
         if self.joint_dynamics.space != self.joint_representation.codomain:
             raise DeclarationError(f"{owner}: joint dynamics do not act on the joint codomain")
-        if self.provenance not in ("composed-parallel", "declared"):
-            raise DeclarationError(f"{owner}: unknown provenance {_shown(self.provenance)}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,7 @@ class FactorizationWitness:
 
 @dataclass(frozen=True)
 class CompositionClass:
-    value: str  # Hybrid | Heterotic
+    value: Verdict
     witness: FactorizationWitness
 
 

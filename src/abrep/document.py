@@ -413,10 +413,8 @@ _CHECK = _Decl(CheckSpec, (
     _F("name", "name"),
     _F("kind", "enum"),
     # Checks name the objects they use, and resolve them at run time.
-    *(_OPTIONAL(key, "name") for key in (
-        "theory", "prediction", "stack", "relation", "joint", "expect_class",
-    )),
-    _OPTIONAL("physical_metric", "enum"),
+    *(_OPTIONAL(key, "name") for key in ("theory", "prediction", "stack", "relation", "joint")),
+    *(_OPTIONAL(key, "enum") for key in ("expect_class", "physical_metric")),
     *(_OPTIONAL(key, "raw") for key in ("state", "input", "expect")),
     _F("oracle", "flag", default=False),
     _F("epsilon", "number", default=0.0),

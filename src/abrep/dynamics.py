@@ -18,7 +18,7 @@ import struct
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Union
+from typing import Literal, Union, get_args
 
 from .errors import DeclarationError, OutOfDomain, _shown
 from .spaces import (
@@ -86,7 +86,8 @@ def unit_draw(seed: TrialSeed, *counters: int) -> float:
     return (_blend(seed.value, *counters) >> 11) / float(1 << 53)
 
 
-BUILTIN_NAMES = ("identity", "bit-not", "and", "xor", "ripple-add", "swap-pair")
+BuiltinName = Literal["identity", "bit-not", "and", "xor", "ripple-add", "swap-pair"]
+BUILTIN_NAMES = get_args(BuiltinName)
 
 
 @_declaration("table rule", name=None)
@@ -110,11 +111,7 @@ class BuiltinRule:
     like spaces.
     """
 
-    name: str
-
-    def __post_init__(self, owner):
-        if self.name not in BUILTIN_NAMES:
-            raise _field_error(owner, "name", f"unknown builtin dynamics {_shown(self.name)}")
+    name: BuiltinName
 
 
 @_declaration("chain rule", name=None)

@@ -30,7 +30,7 @@ from .dynamics import (
     _flag_codes,
     _flip,
 )
-from .errors import DeclarationError, NotInstantiable, OutOfDomain, resolve
+from .errors import DeclarationError, NotInstantiable, OutOfDomain, _shown, resolve
 from .spaces import (
     AbstractSpace,
     AbstractState,
@@ -284,5 +284,5 @@ def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[Physi
                 if reading == goal:
                     break
             else:
-                raise NotInstantiable(f"theory {theory.id!r}: no seed prepares {goal!r}")
+                raise NotInstantiable(f"theory {theory.id!r}: no seed prepares {_shown(goal)}")
         yield _trusted(PhysicalState, engineering.space, first[goal])

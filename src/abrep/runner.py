@@ -25,7 +25,7 @@ from .errors import EmptyDomain, ModelError, UnknownReference, resolve
 from .refinement import LayerReport, SimulationRelation, _ground, check_layer
 from .relations import Prediction, Theory, instantiate
 from .scenarios import CheckSpec, ScenarioBundle
-from .spaces import METRICS, AbstractState, PhysicalState, normalize_value
+from .spaces import AbstractState, PhysicalState, normalize_value
 from .verification import (
     CommutationReport,
     DiagramSpec,
@@ -105,7 +105,7 @@ class _Run:
             abstract_dynamics=prediction.abstract,
             physical_dynamics=prediction.physical,
             epsilon=check.epsilon,
-            metric=METRICS[check.metric],
+            metric=check.metric,
             trials=check.trials,
             required_success=check.required_success,
         )
@@ -113,7 +113,7 @@ class _Run:
     def _layer(self, relation: SimulationRelation, check: CheckSpec) -> LayerReport:
         key = (id(relation), check.epsilon, check.metric)
         if key not in self.layers:
-            self.layers[key] = check_layer(relation, check.epsilon, METRICS[check.metric])
+            self.layers[key] = check_layer(relation, check.epsilon, check.metric)
         return self.layers[key]
 
     def _initial_state(self, theory: Theory, check: CheckSpec) -> PhysicalState:
@@ -148,13 +148,13 @@ class _Run:
         theory = resolve(self.theories, check.theory, f"check {check.name!r}")
         spec = self._diagram_spec(theory, check)
         state = AbstractState(theory.representation.codomain, check.input)
-        report = check_history(spec, state, METRICS[check.physical_metric], seed)
+        report = check_history(spec, state, check.physical_metric, seed)
         return (PASS if report.passed else FAIL), _commutation_detail(report)
 
     def _run_validate(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
         theory = resolve(self.theories, check.theory, f"check {check.name!r}")
         graded, evidence = validate_theory(
-            theory, check.epsilon, METRICS[check.metric], check.trials, check.required_success, seed
+            theory, check.epsilon, check.metric, check.trials, check.required_success, seed
         )
         self.theories[theory.id] = graded
         self._count_coverage(theory.id, evidence.coverage)
@@ -208,8 +208,9 @@ class _Run:
     def _run_stack(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
         stack = resolve(self.stacks, check.stack, f"check {check.name!r}")
         layers = tuple(self._layer(rel, check) for rel in stack.relations)
-        metric = METRICS[check.metric]
-        report = _ground(stack, layers, check.epsilon, metric, seed, check.trials, check.required_success)
+        report = _ground(
+            stack, layers, check.epsilon, check.metric, seed, check.trials, check.required_success
+        )
         self._count_coverage(stack.theory.id, len(report.device_entries))
         detail = {
             "layers": {r.relation_id: r.passed for r in report.layer_reports},

@@ -10,9 +10,9 @@ double as format documentation.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import get_type_hints
+from typing import Literal, get_type_hints
 
-from .composition import Component, JointSystem, componentwise_joint
+from .composition import Component, JointSystem, Verdict, componentwise_joint
 from .dynamics import (
     AbstractDynamics,
     BinarySumUpdate,
@@ -24,7 +24,7 @@ from .dynamics import (
     TableRule,
     identity_dynamics,
 )
-from .errors import DuplicateIdentifier, _SHOWN_DEPTH, _shown, _too_deep, resolve
+from .errors import DuplicateIdentifier, _SHOWN_DEPTH, _too_deep, resolve
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
     InstantiationProcedure,
@@ -36,11 +36,11 @@ from .relations import (
     TupleWiseRule,
 )
 from .spaces import (
-    METRIC_KINDS,
     AbstractSpace,
     BitSpace,
     IntSpace,
     LabelSpace,
+    Metric,
     PhysicalLabelSpace,
     PhysicalSpace,
     PhysicalState,
@@ -58,16 +58,9 @@ from .verification import _check_tolerances
 FORMAT_VERSION = "1"
 
 
-CHECK_KINDS = (
-    "commutation",
-    "experiment",
-    "history",
-    "validate-theory",
-    "compute",
-    "layer",
-    "stack",
-    "classify",
-)
+CheckKind = Literal[
+    "commutation", "experiment", "history", "validate-theory", "compute", "layer", "stack", "classify"
+]
 
 
 @_declaration("check", name="name")
@@ -80,29 +73,24 @@ class CheckSpec:
     """
 
     name: str
-    kind: str
+    kind: CheckKind
     theory: str | None = None
     prediction: str | None = None
     state: Value | None = None
     input: Value | None = None
     expect: Value | None = None
-    physical_metric: str | None = None
+    physical_metric: Metric | None = None
     stack: str | None = None
     relation: str | None = None
     joint: str | None = None
-    expect_class: str | None = None
+    expect_class: Verdict | None = None
     oracle: bool = False
     epsilon: float = 0.0
-    metric: str = "discrete"
+    metric: Metric = "discrete"
     trials: int = 1
     required_success: float = 1.0
 
     def __post_init__(self, owner):
-        if self.kind not in CHECK_KINDS:
-            raise _field_error(owner, "kind", f"unknown check kind {_shown(self.kind)}")
-        for name, choices in (("physical_metric", (None, *METRIC_KINDS)), ("metric", METRIC_KINDS)):
-            if getattr(self, name) not in choices:
-                raise _field_error(owner, name, f"unknown metric {_shown(getattr(self, name))}")
         _check_tolerances(self, owner)
         for name in ("state", "input", "expect"):
             if _too_deep(getattr(self, name)):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property, wraps
 from inspect import signature
 from types import NoneType, UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .errors import DeclarationError, MetricMismatch, NotEnumerable, OutOfDomain, _SHOWN_DEPTH, _shown
 
@@ -100,9 +100,9 @@ def _rule(hint, scalars: tuple = ()) -> tuple[tuple, tuple | None, tuple] | None
     """What a value annotated ``hint`` must be, ``(kinds, each, plain)``; None if the rule skips it.
 
     The rule covers ``abrep`` classes, ``Mapping``, ``float``, ``int``,
-    ``bool``, ``scalars``, None, unions of them, and ``tuple[X, ...]`` of
-    those: a tuple or a list, whose items are each one of ``each``. ``plain``
-    is ``kinds`` when an instance of one is stored as it is, else ``()``.
+    ``bool``, ``scalars``, None, ``Literal`` sets of names, unions of them, and
+    ``tuple[X, ...]`` of those: a tuple or a list, whose items are each one of
+    ``each``. ``plain`` is ``kinds`` when an instance of one is stored as it is, else ``()``.
     """
     kinds, each = [], None
     for member in get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,):
@@ -112,6 +112,8 @@ def _rule(hint, scalars: tuple = ()) -> tuple[tuple, tuple | None, tuple] | None
             if inner is None or inner[1] is not None:
                 return None
             kinds, each = kinds + [tuple, list], inner[0]
+        elif origin is Literal:
+            kinds.append(_OneOf("one of", (), {"names": args}))
         elif origin in (NoneType, Mapping, *_SCALARS, *scalars) or (
             isinstance(origin, type) and origin.__module__.startswith(f"{__package__}.")
         ):
@@ -120,6 +122,13 @@ def _rule(hint, scalars: tuple = ()) -> tuple[tuple, tuple | None, tuple] | None
             return None
     kinds = tuple(kinds)
     return kinds, each, () if each or not _SCALARS.keys().isdisjoint(kinds) else kinds
+
+
+class _OneOf(type):
+    """A ``Literal`` set of names as a class: its instances are its ``names``."""
+
+    def __instancecheck__(cls, value) -> bool:
+        return value in cls.names
 
 
 def _rules(hints: dict, names: list, scalars: tuple = ()) -> list:
@@ -165,6 +174,8 @@ def _mistyped(owner: str, field: str, value, kinds: tuple) -> DeclarationError:
         side = "an abstract" if kinds[0] is AbstractSpace else "a physical"
         reason = f"{_shown(getattr(value, 'id', value))} is not {side} space"
         return DeclarationError(f"{owner}: {reason}", field, reason)
+    if isinstance(kinds[0], _OneOf):
+        return _field_error(owner, field, f"expected one of {', '.join(map(repr, kinds[0].names))}")
     names = ["list"] if list in kinds else [k.__name__ for k in kinds if k is not NoneType]
     return _field_error(owner, field, _SCALARS.get(kinds[0]) or f"expected a {' or '.join(names)}")
 
@@ -491,14 +502,14 @@ def check_total_table(owner: str, entries, keys: Space, values: Space) -> Mappin
     except NotEnumerable:
         raise DeclarationError(f"{owner}: a table needs a finite key space") from None
     if len(entries) != size:  # counted before any key is enumerated
-        raise DeclarationError(f"{owner}: {len(entries)} images for the {size} keys of {keys.id!r}")
+        raise DeclarationError(f"{owner}: {len(entries)} images for the {_shown(size)} keys of {keys.id!r}")
     changed, member = {}, _canonical(values)
     for value in enumerate_values(keys):
         if value not in entries:
-            raise DeclarationError(f"{owner}: no image for {value!r}")
+            raise DeclarationError(f"{owner}: no image for {_shown(value)}")
         image = entries[value]
         if (canonical := member(values, image)) is None:
-            raise DeclarationError(f"{owner}: image of {value!r} leaves {values.id!r}")
+            raise DeclarationError(f"{owner}: image of {_shown(value)} leaves {values.id!r}")
         if canonical is not image:
             changed[value] = canonical
     return {**entries, **changed} if changed else entries
@@ -519,28 +530,15 @@ def enumerate_states(space: Space) -> list[State]:
     return [_trusted(make, space, v) for v in enumerate_values(space)]
 
 
-@dataclass(frozen=True)
-class Metric:
-    """A distance on states, named by kind.
-
-    ``discrete`` is 0 on equal states and 1 otherwise and applies anywhere;
-    ``hamming`` counts differing bits of equal-width bitstrings;
-    ``absolute-difference`` is |a - b| on integers; ``max-coordinate`` takes
-    the maximum over coordinates of a vector or tuple, recursing with the
-    natural leaf metric (hamming on bits, absolute difference on integers,
-    discrete on labels).
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in METRIC_KINDS:
-            raise DeclarationError(f"unknown metric kind {_shown(self.kind)}")
-
-
-METRIC_KINDS = ("discrete", "hamming", "absolute-difference", "max-coordinate")
-METRICS = {kind: Metric(kind) for kind in METRIC_KINDS}
-DISCRETE, HAMMING, ABSOLUTE_DIFFERENCE, MAX_COORDINATE = METRICS.values()
+#: A distance on states, named by kind. ``discrete`` is 0 on equal states and 1
+#: otherwise and applies anywhere; ``hamming`` counts differing bits of
+#: equal-width bitstrings; ``absolute-difference`` is |a - b| on integers;
+#: ``max-coordinate`` takes the maximum over coordinates of a vector or tuple,
+#: recursing with the natural leaf metric (hamming on bits, absolute difference
+#: on integers, discrete on labels).
+Metric = Literal["discrete", "hamming", "absolute-difference", "max-coordinate"]
+METRICS = {kind: kind for kind in get_args(Metric)}
+DISCRETE, HAMMING, ABSOLUTE_DIFFERENCE, MAX_COORDINATE = get_args(Metric)
 
 
 def distance(metric: Metric, a: State, b: State) -> float:
@@ -556,7 +554,7 @@ def distance(metric: Metric, a: State, b: State) -> float:
         raise MetricMismatch(
             f"cannot compare states from spaces {a.space.id!r} and {b.space.id!r}"
         )
-    return _metric(metric.kind, a.space)(a.value, b.value)
+    return _metric(metric, a.space)(a.value, b.value)
 
 
 def _metric(kind: str | None, space: Space) -> Callable[[Value, Value], float]:

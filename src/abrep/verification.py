@@ -65,7 +65,7 @@ class DiagramSpec:
     abstract_dynamics: AbstractDynamics
     physical_dynamics: PhysicalDynamics
     epsilon: float = 0.0
-    metric: Metric = Metric("discrete")
+    metric: Metric = "discrete"
     trials: int = 1
     required_success: float = 1.0
 
@@ -145,7 +145,7 @@ def _grade(
     kind, space, read = PhysicalState, device.space, lambda value: value
     if relation is not None:
         kind, space, read = AbstractState, relation.codomain, relation._apply
-    measure = _metric(metric.kind, space)
+    measure = _metric(metric, space)
     if device.noise is None:
         lowers = list(map(read, map(device._apply, starts)))
         distances = list(map(measure, lowers, uppers))

@@ -84,6 +84,36 @@ def test_an_integer_past_the_digit_limit_is_a_syntax_error(tmp_path, capsys):
     assert err.startswith("error: ScenarioSyntaxError: state value: Exceeds the limit (4300 digits)")
 
 
+def test_a_table_over_keys_too_many_to_show_exits_2(tmp_path, capsys):
+    """A key count past the digit limit is shown by a stand-in, and the document is refused."""
+    document = {
+        "format_version": "1",
+        "spaces": {"abstract": [{"id": "b", "kind": "bits", "width": 20000}], "physical": []},
+        "relations": [],
+        "dynamics": {"abstract": [{"id": "d", "space": "b", "rule": {"kind": "table", "entries": []}}]},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: ScenarioSyntaxError: dynamics.abstract[0]:"
+        " dynamics 'd': 0 images for the <int too large to show> keys of 'b'\n"
+    )
+
+
+def test_a_misspelled_class_is_refused_where_it_is_declared(tmp_path, capsys):
+    """A check cannot expect a class that no joint has: it exits 2 and does not report FAIL."""
+    data = json.loads(emit_scenario(BUILTIN_SCENARIOS["xor-joint"]()))
+    assert data["checks"][2]["expect_class"] == "Heterotic"
+    data["checks"][2]["expect_class"] = "heterotic"
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: ScenarioSyntaxError: checks[2].expect_class: expected one of 'Hybrid', 'Heterotic'\n"
+    )
+
+
 def test_filter_selects_matching_checks_in_order(tmp_path, capsys):
     path = write_scenario(tmp_path, "voltage-adder")
     assert main(["check", path, "--filter", "add-*", "--format", "json"]) == 0

@@ -38,7 +38,7 @@ def test_the_package_exports_exactly_the_pinned_names():
 
 #: The most lines ``src/abrep/*.py`` may hold, counted as ``wc -l`` counts them. A change that
 #: grows ``src/`` raises this number and says why in CHANGES.md; one that shrinks it lowers it.
-MAX_SOURCE_LINES = 4014
+MAX_SOURCE_LINES = 3991
 
 
 def test_the_source_does_not_grow_past_its_line_count():

@@ -1,5 +1,6 @@
 import pickle
 from dataclasses import replace
+from typing import get_args
 
 import pytest
 
@@ -18,7 +19,8 @@ from abrep import (
     classify,
     validate_theory,
 )
-from abrep.runner import report_to_json, run_checks
+from abrep.runner import _HANDLERS, report_to_json, run_checks
+from abrep.scenarios import CheckKind
 from support import xor_joint_variant
 
 SEED = TrialSeed(0)
@@ -167,10 +169,19 @@ def test_stack_relations_connect_declared_layers():
         {"kind": "history", "physical_metric": "bogus"},
         {"kind": "commutation", "metric": "bogus"},
         {"kind": "commutation", "metric": ["hamming"]},
+        {"kind": "classify", "expect_class": "heterotic"},
     ],
-    ids=["unknown-kind", "history-without-metric", "bad-physical-metric", "bad-metric", "list-metric"],
+    ids=[
+        "unknown-kind", "history-without-metric", "bad-physical-metric", "bad-metric", "list-metric",
+        "misspelled-class",
+    ],
 )
 def test_check_spec_checks_its_own_rules(fields):
     """A check built in Python is rejected where it is declared, not with a KeyError when it runs."""
     with pytest.raises(DeclarationError):
         CheckSpec("h", theory="adder", prediction="add", input=("01", "10", "000"), **fields)
+
+
+def test_every_check_kind_has_one_handler():
+    """The runner handles exactly the kinds a check may declare."""
+    assert sorted(_HANDLERS) == sorted(get_args(CheckKind))

@@ -152,12 +152,20 @@ def test_huge_integers_are_out_of_domain_and_ordinary_messages_keep_their_bytes(
     assert PhysicalState(line, (5,)).value == (5.0,)
 
 
+def _one_seed_theory(n):
+    """A theory reading its one configuration as 0 in ``IntSpace("n", 0, n)``, and preparing only it."""
+    device = PhysicalLabelSpace("p", ("lo",))
+    read = abrep.RepresentationRelation("r", device, IntSpace("n", 0, n), abrep.LookupRule({"lo": 0}))
+    seeds = (PhysicalState(device, "lo"),)
+    procedure = abrep.InstantiationProcedure(seeds, abrep.identity_dynamics("e", device))
+    return abrep.Theory("t", read, (), (), procedure)
+
+
 def _shows_a_user_int():
     """Calls whose error message shows an int ``n`` the caller gave, and that message for n = 7."""
     adder = build_voltage_adder()
     theory = adder.theory("adder")
     lines = RealVectorSpace("v", ((0.0, 5.0), (0.0, 5.0)))
-    joint = abrep.BUILTIN_SCENARIOS["xor-joint"]().joints[0]
 
     def device(*updates, noise=None):
         return abrep.PhysicalDynamics("d", lines, abrep.CoordinateUpdateRule(updates), noise)
@@ -176,15 +184,21 @@ def _shows_a_user_int():
             lambda n: device(abrep.BinarySumUpdate((n,), (0,), (1,), 2.5, 0.0, 5.0)),
             "dynamics 'd': line 7 out of range",
         ),
-        "builtin": (abrep.BuiltinRule, "builtin rule: name: unknown builtin dynamics 7"),
-        "metric": (abrep.Metric, "unknown metric kind 7"),
-        "check-kind": (lambda n: abrep.CheckSpec("c", n), "check 'c': kind: unknown check kind 7"),
-        "check-metric": (
-            lambda n: abrep.CheckSpec("c", "compute", metric=n), "check 'c': metric: unknown metric 7"
+        "table-size": (
+            lambda n: abrep.AbstractDynamics("d", IntSpace("s", 1, n), abrep.TableRule({})),
+            "dynamics 'd': 0 images for the 7 keys of 's'",
         ),
-        "provenance": (
-            lambda n: dataclasses.replace(joint, provenance=n),
-            "joint 'xor.joint': unknown provenance 7",
+        "table-key": (
+            lambda n: abrep.AbstractDynamics("d", IntSpace("one", n, n), abrep.TableRule({0: n})),
+            "dynamics 'd': no image for 7",
+        ),
+        "table-image": (
+            lambda n: abrep.AbstractDynamics("d", IntSpace("one", n, n), abrep.TableRule({n: 0})),
+            "dynamics 'd': image of 7 leaves 'one'",
+        ),
+        "unprepared": (
+            lambda n: instantiate(_one_seed_theory(n), AbstractState(IntSpace("n", 0, n), n)),
+            "theory 't': no seed prepares 7",
         ),
         "identifier": (lambda n: LabelSpace(n, ("a",)), "space 7: id: expected a string identifier"),
     }

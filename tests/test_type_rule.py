@@ -4,12 +4,13 @@ Both sweeps read the functions, classes, parameters and fields from the
 package's exports and annotations, so a new one is covered without editing
 this file. A value is typed when its annotation names only ``abrep`` classes,
 ``Mapping``, ``float``, ``int``, ``bool``, None (and ``str``, for a
-function's parameter), unions of them, or ``tuple[X, ...]`` of those; a
-function's ``*counters: int`` is a tuple of ints. Each site gets every value
-of ``BAD`` that its annotation does not admit, and a list field or argument
-also gets a one-item list of each value its items do not admit. A wrong-typed
-value is a DeclarationError that names the parameter or field (``field[i]``
-for an item); a raw value for a state is OutOfDomain.
+function's parameter), ``Literal`` sets of names, unions of them, or
+``tuple[X, ...]`` of those; a function's ``*counters: int`` is a tuple of
+ints. Each site gets every value of ``BAD`` that its annotation does not
+admit, and a list field or argument also gets a one-item list of each value
+its items do not admit. A wrong-typed value is a DeclarationError that
+names the parameter or field (``field[i]`` for an item); a raw value for a
+state is OutOfDomain.
 """
 
 import dataclasses
@@ -41,20 +42,21 @@ STATES = (AbstractState, PhysicalState)
 
 
 def _members(hint) -> tuple:
-    """The classes a typed annotation names, or None if it is not typed."""
+    """The classes and ``Literal`` sets a typed annotation names, or None if it is not typed."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         parts = [_members(a) for a in args]
         return None if None in parts else sum(parts, ())
     if typing.get_origin(hint) is tuple:
         return _members(args[0]) if args[1:] == (...,) else None
-    return ((typing.get_origin(hint) or hint),)
+    return (hint if typing.get_origin(hint) is typing.Literal else typing.get_origin(hint) or hint,)
 
 
 def _typed(hint, scalars=()) -> bool:
     classes = _members(hint)
     return classes is not None and all(
         c in (type(None), Mapping, float, int, bool, *scalars)
+        or typing.get_origin(c) is typing.Literal
         or getattr(c, "__module__", "").startswith("abrep.")
         for c in classes
     )
@@ -85,6 +87,11 @@ def _wrong(hint) -> list:
     return wrong
 
 
+def _valid_of(member):
+    """A valid value of ``member``, a class or a ``Literal`` set: for a set, its first name."""
+    return typing.get_args(member)[0] if typing.get_origin(member) is typing.Literal else _valid()[member]
+
+
 @functools.cache
 def _valid() -> dict:
     """A valid value of each type an exported function takes, on the built-in voltage adder."""
@@ -100,7 +107,6 @@ def _valid() -> dict:
         abrep.PhysicalDynamics: pred.physical,
         abrep.RepresentationRelation: theory.representation,
         abrep.DiagramSpec: DiagramSpec(theory, pred.abstract, pred.physical),
-        abrep.Metric: DISCRETE,
         TrialSeed: TrialSeed(0),
         abrep.SimulationRelation: stack.relations[0],
         abrep.RefinementStack: stack,
@@ -137,7 +143,7 @@ def test_every_typed_argument_is_checked(name, param, bad, item):
     hints = typing.get_type_hints(function)
     params = inspect.signature(function).parameters
     args = {
-        p.name: _valid()[_members(hints[p.name])[0]]
+        p.name: _valid_of(_members(hints[p.name])[0])
         for p in params.values()
         if p.default is p.empty and p.kind is not p.VAR_POSITIONAL
     }
@@ -163,7 +169,7 @@ def test_every_typed_argument_is_checked(name, param, bad, item):
 
 #: The exported dataclasses that are states, reports, results or plain values.
 NOT_DECLARATIONS = {
-    "AbstractState", "PhysicalState", "TrialSeed", "Metric", "CommutationReport",
+    "AbstractState", "PhysicalState", "TrialSeed", "CommutationReport",
     "ValidityReport", "LayerReport", "StackReport", "RunReport", "ComputeResult",
     "CompositionClass", "FactorizationWitness",
 }

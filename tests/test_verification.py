@@ -171,6 +171,15 @@ def test_validate_theory_passes_all_sixteen_cells():
     assert not theory.is_valid
 
 
+@pytest.mark.parametrize("name", ["discrete", "max-coordinate"])
+def test_a_metric_given_by_name_runs(name):
+    """A metric is its name: the name itself grades a theory, as its constant does."""
+    _, theory, _ = adder_pieces()
+    graded, evidence = validate_theory(theory, 0.0, name, 1, 1.0, SEED)
+    assert graded.is_valid and evidence.coverage == 16
+    assert METRICS[name] == name
+
+
 @pytest.mark.parametrize("flip", [0.0, 0.05])
 def test_validity_verdict_and_coverage_agree_with_its_cells(flip):
     _, evidence = validate_theory(adder_pieces(flip=flip)[1], 0.0, DISCRETE, 5, 1.0, SEED)
@@ -640,8 +649,15 @@ def test_seeds_are_type_checked_at_the_api(call, seed):
     assert (err.value.field, err.value.reason) == ("seed", "expected a TrialSeed")
 
 
+#: The reason that refuses a name that is not a metric.
+ONE_OF_METRICS = "one of 'discrete', 'hamming', 'absolute-difference', 'max-coordinate'"
+
+
 def _mistyped_calls() -> dict:
-    """API calls with an argument of the wrong type, by the owner, field and type they name."""
+    """API calls with an argument of the wrong type, by the owner, field and type they name.
+
+    A metric is one of a closed set of names, and the reason names the set.
+    """
     bundle, theory, pred = adder_pieces()
     spec = DiagramSpec(theory, pred.abstract, pred.physical)
     stack = BUILTIN_SCENARIOS["refinement-stack"]().stacks[0]
@@ -652,32 +668,32 @@ def _mistyped_calls() -> dict:
             lambda: validate_theory("adder", 0.0, DISCRETE, 1, 1.0, SEED),
         ),
         "validate_theory-metric": (
-            "validate_theory", "metric", "Metric",
-            lambda: validate_theory(theory, 0.0, "discrete", 1, 1.0, SEED),
+            "validate_theory", "metric", ONE_OF_METRICS,
+            lambda: validate_theory(theory, 0.0, "euclid", 1, 1.0, SEED),
         ),
         "diagram-metric": (
-            "diagram", "metric", "Metric",
-            lambda: DiagramSpec(theory, pred.abstract, pred.physical, metric="hamming"),
+            "diagram", "metric", ONE_OF_METRICS,
+            lambda: DiagramSpec(theory, pred.abstract, pred.physical, metric="euclid"),
         ),
         "check_history-physical_metric": (
-            "check_history", "physical_metric", "Metric",
-            lambda: check_history(spec, m, "max-coordinate", SEED),
+            "check_history", "physical_metric", ONE_OF_METRICS,
+            lambda: check_history(spec, m, "euclid", SEED),
         ),
         "check_layer-relation": (
             "check_layer", "relation", "SimulationRelation",
             lambda: check_layer("stack.dec-to-bin", 0.0, DISCRETE),
         ),
         "check_layer-metric": (
-            "check_layer", "metric", "Metric",
-            lambda: check_layer(stack.relations[0], 0.0, "discrete"),
+            "check_layer", "metric", ONE_OF_METRICS,
+            lambda: check_layer(stack.relations[0], 0.0, "euclid"),
         ),
         "check_stack_to_device-stack": (
             "check_stack_to_device", "stack", "RefinementStack",
             lambda: check_stack_to_device("stack.adder", 0.0, DISCRETE, SEED),
         ),
         "check_stack_to_device-metric": (
-            "check_stack_to_device", "metric", "Metric",
-            lambda: check_stack_to_device(stack, 0.0, "discrete", SEED),
+            "check_stack_to_device", "metric", ONE_OF_METRICS,
+            lambda: check_stack_to_device(stack, 0.0, "euclid", SEED),
         ),
         "run_checks-bundle": ("run_checks", "bundle", "ScenarioBundle", lambda: run_checks("b")),
         "run_checks-checks": (
@@ -712,10 +728,11 @@ def _mistyped_calls() -> dict:
 def test_arguments_are_type_checked_at_the_api(case):
     """An argument of the wrong type is a DeclarationError naming the field."""
     owner, field, kind, call = _mistyped_calls()[case]
+    reason = f"expected {kind}" if kind == ONE_OF_METRICS else f"expected a {kind}"
     with pytest.raises(DeclarationError) as err:
         call()
-    assert str(err.value) == f"{owner}: {field}: expected a {kind}"
-    assert (err.value.field, err.value.reason) == (field, f"expected a {kind}")
+    assert str(err.value) == f"{owner}: {field}: {reason}"
+    assert (err.value.field, err.value.reason) == (field, reason)
 
 
 def test_a_diagram_rejects_dynamics_on_other_spaces():
