@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from typing import get_args
 
 from .document import _loads, emit_scenario, parse_scenario
 from .dynamics import TrialSeed
 from .errors import ModelError
 from .runner import render_report, report_to_dict, run_checks
 from .scenarios import BUILTIN_SCENARIOS, CheckSpec
-from .spaces import METRICS
+from .spaces import Metric
 
 
 def _load_bundle(path: str):
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = commands.add_parser("validate-theory", help="validate one theory")
     validate.add_argument("file")
     validate.add_argument("--theory", required=True)
-    validate.add_argument("--metric", choices=sorted(METRICS), default="discrete")
+    validate.add_argument("--metric", choices=sorted(get_args(Metric)), default="discrete")
     validate.add_argument("--required-success", type=float, default=1.0)
     _tolerance_flags(validate)
     _common_flags(validate)
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     stack = commands.add_parser("check-stack", help="verify a stack down to the device")
     stack.add_argument("file")
     stack.add_argument("--stack", required=True)
-    stack.add_argument("--metric", choices=sorted(METRICS), default="discrete")
+    stack.add_argument("--metric", choices=sorted(get_args(Metric)), default="discrete")
     _tolerance_flags(stack)
     _common_flags(stack)
 

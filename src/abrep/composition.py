@@ -26,12 +26,7 @@ from typing import Literal, get_args
 
 from .dynamics import AbstractDynamics, ProductRule, evolve_abstract
 from .errors import DeclarationError, TheoryNotValidated, TooLarge
-from .relations import (
-    RepresentationRelation,
-    Theory,
-    TupleWiseRule,
-    represent,
-)
+from .relations import RepresentationRelation, Theory, represent
 from .spaces import (
     AbstractState,
     PhysicalState,
@@ -122,7 +117,7 @@ def componentwise_joint(id: str, left: Component, right: Component) -> JointSyst
     space = PhysicalTupleSpace(f"{id}.space", (rep_a.domain, rep_b.domain))
     codomain = TupleSpace(f"{id}.values", (rep_a.codomain, rep_b.codomain))
     joint_rep = RepresentationRelation(
-        f"{id}.representation", space, codomain, TupleWiseRule((rep_a, rep_b))
+        f"{id}.representation", space, codomain, ProductRule((rep_a, rep_b))
     )
     joint_dyn = AbstractDynamics(
         f"{id}.dynamics", codomain, ProductRule((left.dynamics, right.dynamics))

@@ -38,6 +38,7 @@ from .dynamics import (
     CoordinateUpdateRule,
     LabelFlipNoise,
     PhysicalDynamics,
+    ProductRule,
     TableRule,
 )
 from .errors import (
@@ -53,12 +54,10 @@ from .errors import (
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
     InstantiationProcedure,
-    LookupRule,
     Prediction,
     RepresentationRelation,
     Theory,
     ThresholdRule,
-    TupleWiseRule,
 )
 from .scenarios import CheckSpec, ScenarioBundle
 from .spaces import (
@@ -322,9 +321,9 @@ _RELATION = _Decl(RepresentationRelation, (
     _F("domain", "ref", arg="spaces"),
     _F("codomain", "ref", arg="spaces"),
     _F("rule", "one", arg=_Decl(None, (_tag("kind", "rule kind", {
-        "lookup": _Decl(LookupRule, (_F("entries", "entries", arg=("domain", "codomain")),)),
+        "lookup": _Decl(TableRule, (_F("entries", "entries", arg=("domain", "codomain")),)),
         "threshold": _Decl(ThresholdRule, (_F("thresholds", "numbers"),)),
-        "tuple-wise": _Decl(TupleWiseRule, (_F("parts", "refs", arg="relations"),)),
+        "tuple-wise": _Decl(ProductRule, (_F("parts", "refs", arg="relations"),)),
     }),))),
 ), ("relations",))
 # Abstract and physical dynamics share one namespace.

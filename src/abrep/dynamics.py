@@ -8,6 +8,8 @@ isolation and independent trials may run concurrently.
 
 Each dynamics is compiled once, on first use, to a function on member
 values (the device's without its noise), and every step goes through it.
+Representation relations declare their lookups and tuple-wise readings
+with the table and product rules defined here.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ BUILTIN_NAMES = get_args(BuiltinName)
 
 @_declaration("table rule", name=None)
 class TableRule:
-    """A total lookup from state value to state value.
+    """A total lookup: a dynamics' from value to value, or a relation's from configuration to reading.
 
-    The dynamics that owns the rule stores it in canonical form.
+    The dynamics or relation that owns the rule stores it in canonical form.
     """
 
     entries: Mapping[Value, Value]
@@ -123,9 +125,13 @@ class ChainRule:
 
 @_declaration("product rule", name=None)
 class ProductRule:
-    """Apply component dynamics to the components of a product state."""
+    """Apply component maps to the components of a product value, one each.
 
-    parts: tuple[AbstractDynamics, ...]
+    A program's parts are programs, and a relation's (its tuple-wise
+    reading) are relations; the owner checks their kind and line-up.
+    """
+
+    parts: tuple[AbstractDynamics | RepresentationRelation, ...]
 
 
 AbstractRule = Union[TableRule, BuiltinRule, ChainRule, ProductRule]
@@ -153,7 +159,7 @@ class AbstractDynamics:
                     raise DeclarationError(f"{owner}: chain part {part.id!r} acts on a different space")
         else:
             _check_depth(self, owner, "rule", rule.parts, "programs")
-            spaces = tuple(part.space for part in rule.parts)
+            spaces = tuple(part.space if isinstance(part, AbstractDynamics) else None for part in rule.parts)
             if not (isinstance(self.space, TupleSpace) and self.space.components == spaces):
                 raise DeclarationError(
                     f"{owner}: product parts must act on the components of its space, in order"

@@ -14,16 +14,18 @@ checks membership.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import field
 from functools import cached_property
 from itertools import accumulate
 from operator import ge, itemgetter
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 from .dynamics import (
     AbstractDynamics,
     PhysicalDynamics,
+    ProductRule,
+    TableRule,
     TrialSeed,
     _canonical_table,
     _each,
@@ -46,19 +48,6 @@ from .spaces import (
     contains,
 )
 
-if TYPE_CHECKING:
-    from .verification import ValidityReport
-
-
-@_declaration("lookup rule", name=None)
-class LookupRule:
-    """A total table from physical values to abstract values.
-
-    The relation that owns the rule stores it in canonical form.
-    """
-
-    entries: Mapping[Value, Value]
-
 
 @_declaration("threshold rule", name=None)
 class ThresholdRule:
@@ -72,14 +61,9 @@ class ThresholdRule:
     thresholds: tuple[float, ...]
 
 
-@_declaration("tuple-wise rule", name=None)
-class TupleWiseRule:
-    """Apply component relations to the components of a product state."""
-
-    parts: tuple[RepresentationRelation, ...]
-
-
-RepresentationRule = Union[LookupRule, ThresholdRule, TupleWiseRule]
+#: A lookup is a table rule, and a tuple-wise reading a product rule of relations.
+RepresentationRule = Union[TableRule, ThresholdRule, ProductRule]
+LookupRule, TupleWiseRule = TableRule, ProductRule  # earlier names, which perfbench/joints.py imports
 
 
 @_declaration("relation")
@@ -97,7 +81,7 @@ class RepresentationRelation:
 
     def __post_init__(self, owner):
         rule = self.rule
-        if isinstance(rule, LookupRule):
+        if isinstance(rule, TableRule):
             _canonical_table(self, owner, self.domain, self.codomain)
         elif isinstance(rule, ThresholdRule):
             if not isinstance(self.domain, RealVectorSpace):
@@ -121,13 +105,10 @@ class RepresentationRelation:
             )
             if not ok:
                 raise DeclarationError(f"{owner}: tuple-wise rules need matching products")
-            for part, dom, cod in zip(
-                rule.parts, self.domain.components, self.codomain.components
-            ):
-                if part.domain != dom or part.codomain != cod:
+            for part, dom, cod in zip(rule.parts, self.domain.components, self.codomain.components):
+                if not (isinstance(part, RepresentationRelation) and (part.domain, part.codomain) == (dom, cod)):
                     raise DeclarationError(
-                        f"{owner}: part {part.id!r} does not line up"
-                        " with the product components"
+                        f"{owner}: part {part.id!r} does not line up with the product components"
                     )
 
     @cached_property
@@ -138,9 +119,9 @@ class RepresentationRelation:
         1, and cuts the row of bits into its registers.
         """
         rule = self.rule
-        if isinstance(rule, LookupRule):
+        if isinstance(rule, TableRule):
             return rule.entries.__getitem__
-        if isinstance(rule, TupleWiseRule):
+        if isinstance(rule, ProductRule):
             return _each(len(rule.parts))(*(part._apply for part in rule.parts))
         ends = tuple(accumulate(_register_widths(self.codomain)))
         split = itemgetter(*map(slice, (0,) + ends, ends))  # one register: its bits, untupled

@@ -21,6 +21,7 @@ from .dynamics import (
     CoordinateFlipNoise,
     CoordinateUpdateRule,
     PhysicalDynamics,
+    ProductRule,
     TableRule,
     identity_dynamics,
 )
@@ -28,12 +29,10 @@ from .errors import DuplicateIdentifier, _SHOWN_DEPTH, _too_deep, resolve
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
 from .relations import (
     InstantiationProcedure,
-    LookupRule,
     Prediction,
     RepresentationRelation,
     Theory,
     ThresholdRule,
-    TupleWiseRule,
 )
 from .spaces import (
     AbstractSpace,
@@ -371,10 +370,10 @@ def build_swap_device() -> ScenarioBundle:
         "swap.read-digit",
         digits,
         number,
-        LookupRule({str(d): d for d in range(10)}),
+        TableRule({str(d): d for d in range(10)}),
     )
     read = RepresentationRelation(
-        "swap.read", registers, pair, TupleWiseRule((read_digit, read_digit))
+        "swap.read", registers, pair, ProductRule((read_digit, read_digit))
     )
     exchange = PhysicalDynamics(
         "swap.exchange",
@@ -441,7 +440,7 @@ def build_social_machine() -> ScenarioBundle:
         "social.human-read",
         pictures,
         tags,
-        LookupRule(
+        TableRule(
             {
                 "whirl-1": "round",
                 "whirl-2": "round",
@@ -456,7 +455,7 @@ def build_social_machine() -> ScenarioBundle:
         "social.machine-read",
         memory,
         tallies,
-        LookupRule({"mem0": "none", "mem1": "few", "mem2": "few", "mem3": "many"}),
+        TableRule({"mem0": "none", "mem1": "few", "mem2": "few", "mem3": "many"}),
     )
 
     def catalogue(pic: str, mem: str) -> str:
@@ -471,7 +470,7 @@ def build_social_machine() -> ScenarioBundle:
         "social.catalogue-read",
         floor,
         classes,
-        LookupRule({(p, m): catalogue(p, m) for (p, m) in enumerate_values(floor)}),
+        TableRule({(p, m): catalogue(p, m) for (p, m) in enumerate_values(floor)}),
     )
 
     human_settle = identity_dynamics("social.human-settle", pictures)
@@ -540,13 +539,13 @@ def build_xor_joint() -> ScenarioBundle:
     pair = TupleSpace("xor.pair", (bit, bit))
 
     left_read = RepresentationRelation(
-        "xor.left.read", left_cell, bit, LookupRule({"off": "0", "on": "1"})
+        "xor.left.read", left_cell, bit, TableRule({"off": "0", "on": "1"})
     )
     right_read = RepresentationRelation(
-        "xor.right.read", right_cell, bit, LookupRule({"off": "0", "on": "1"})
+        "xor.right.read", right_cell, bit, TableRule({"off": "0", "on": "1"})
     )
     read_pair = RepresentationRelation(
-        "xor.read-pair", cells, pair, TupleWiseRule((left_read, right_read))
+        "xor.read-pair", cells, pair, ProductRule((left_read, right_read))
     )
 
     left_hold = identity_dynamics("xor.left.hold", left_cell)

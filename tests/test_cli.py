@@ -114,6 +114,33 @@ def test_a_misspelled_class_is_refused_where_it_is_declared(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (
+            ["xor.right.read", "xor.left.read"],
+            "ScenarioSyntaxError: relations[2]: relation 'xor.read-pair':"
+            " part 'xor.right.read' does not line up with the product components",
+        ),
+        (
+            ["xor.left.read", "xor.keep-bit"],
+            "UnknownReference: relations[2].rule.parts[1]: unknown identifier 'xor.keep-bit'",
+        ),
+    ],
+    ids=["swapped", "a-program"],
+)
+def test_a_tuple_wise_reading_of_the_wrong_parts_exits_2(tmp_path, capsys, parts, message):
+    """A document's tuple-wise parts name relations only, each reading its own component."""
+    data = json.loads(emit_scenario(BUILTIN_SCENARIOS["xor-joint"]()))
+    rule = data["relations"][2]["rule"]
+    assert rule == {"kind": "tuple-wise", "parts": ["xor.left.read", "xor.right.read"]}
+    rule["parts"] = parts
+    path = tmp_path / "misread.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_filter_selects_matching_checks_in_order(tmp_path, capsys):
     path = write_scenario(tmp_path, "voltage-adder")
     assert main(["check", path, "--filter", "add-*", "--format", "json"]) == 0

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -19,9 +20,11 @@ from abrep import (
     PhysicalDynamics,
     PhysicalLabelSpace,
     PhysicalState,
+    PhysicalTupleSpace,
     Prediction,
     RealVectorSpace,
     RepresentationRelation,
+    ScenarioBundle,
     TableRule,
     Theory,
     ThresholdRule,
@@ -29,11 +32,14 @@ from abrep import (
     TupleWiseRule,
     build_swap_device,
     build_voltage_adder,
+    emit_scenario,
     enumerate_states,
     identity_dynamics,
     instantiate,
+    parse_scenario,
     represent,
 )
+from abrep.dynamics import ProductRule
 from abrep.errors import DeclarationError
 from abrep.relations import _prepare
 from support import count_device_work
@@ -159,6 +165,44 @@ def test_tuple_wise_parts_must_line_up():
     wrong_codomain = TupleSpace("wrong", (modes, LabelSpace("z", ("z",))))
     with pytest.raises(DeclarationError):
         RepresentationRelation("pairread", product, wrong_codomain, TupleWiseRule((part, part)))
+
+
+def _pair_reading(lookup, tuple_wise):
+    """A cell's reading and the tuple-wise reading of a pair of cells, through the given rules."""
+    cell, bit = PhysicalLabelSpace("cell", ("off", "on")), BitSpace("bit", 1)
+    cells, bits = PhysicalTupleSpace("cells", (cell, cell)), TupleSpace("bits", (bit, bit))
+    read = RepresentationRelation("read", cell, bit, lookup({"off": "0", "on": "1"}))
+    return read, RepresentationRelation("read-pair", cells, bits, tuple_wise((read, read)))
+
+
+def test_a_lookup_is_a_table_rule_and_a_tuple_wise_reading_a_product_rule():
+    """Both pairs of names declare equal relations, emitted under the same tags and parsed back equal."""
+    assert LookupRule is TableRule and TupleWiseRule is ProductRule
+    old, new = _pair_reading(LookupRule, TupleWiseRule), _pair_reading(TableRule, ProductRule)
+    assert old == new
+    assert represent(new[1], PhysicalState(new[1].domain, ("on", "off"))).value == ("1", "0")
+    spaces = (new[0].codomain, new[1].codomain), (new[0].domain, new[1].domain)
+    bundles = [ScenarioBundle("1", *spaces, rels, (), (), (), (), (), ()) for rels in (old, new)]
+    text = emit_scenario(bundles[0])
+    assert emit_scenario(bundles[1]) == text
+    assert [r["rule"]["kind"] for r in json.loads(text)["relations"]] == ["lookup", "tuple-wise"]
+    assert parse_scenario(text) == bundles[0] == bundles[1]
+
+
+@pytest.mark.parametrize("parts", ["programs", "mixed"])
+def test_a_product_rule_of_the_wrong_kind_of_parts_is_a_declaration_error(parts):
+    """A relation's product reads through relations and a program's runs programs, not the other."""
+    read, read_pair = _pair_reading(TableRule, ProductRule)
+    flip = AbstractDynamics("flip", read.codomain, BuiltinRule("bit-not"))
+    relation_parts, program_parts = {
+        "programs": ((flip, flip), (read, read)), "mixed": ((read, flip), (flip, read)),
+    }[parts]
+    message = "relation 'read-pair': part 'flip' does not line up with the product components"
+    with pytest.raises(DeclarationError, match=re.escape(message)):
+        replace(read_pair, rule=ProductRule(relation_parts))
+    message = "dynamics 'both': product parts must act on the components of its space, in order"
+    with pytest.raises(DeclarationError, match=re.escape(message)):
+        AbstractDynamics("both", read_pair.codomain, ProductRule(program_parts))
 
 
 def test_representation_is_total_and_deterministic_on_builtins():
@@ -292,7 +336,7 @@ def test_theory_declaration_validation():
 
 @pytest.mark.parametrize("entries", [5, [("a", "x"), ("b", "y")]], ids=["int", "pairs"])
 def test_lookup_entries_must_be_a_mapping(entries):
-    with pytest.raises(DeclarationError, match="lookup rule: entries: expected a Mapping"):
+    with pytest.raises(DeclarationError, match="table rule: entries: expected a Mapping"):
         LookupRule(entries)
 
 

@@ -205,8 +205,8 @@ def _declarations() -> dict:
 
 
 def test_the_sweep_has_an_instance_of_every_exported_declaration():
-    exported = {
-        name for name, cls in vars(abrep).items()
+    exported = {  # by class name: an alias is its class
+        cls.__name__ for cls in vars(abrep).values()
         if isinstance(cls, type) and dataclasses.is_dataclass(cls)
     }
     covered = {cls.__name__ for cls in _declarations()}
@@ -214,18 +214,20 @@ def test_the_sweep_has_an_instance_of_every_exported_declaration():
 
 
 def _field_sites():
-    for cls in sorted(_declarations(), key=lambda c: c.__name__):
+    """Each typed field of each declaration class, under its class name and each exported alias."""
+    names = {cls.__name__: cls for cls in _declarations()}
+    names |= {name: cls for name, cls in vars(abrep).items() if cls in names.values()}
+    for name, cls in sorted(names.items()):
         hints = typing.get_type_hints(cls, localns=vars(abrep))
         for f in dataclasses.fields(cls):
             if f.init and _typed(hints[f.name]):
                 for bad, value, item in _wrong(hints[f.name]):
-                    ident = f"{cls.__name__}-{f.name}-{bad}"
-                    yield pytest.param(cls.__name__, f.name, value, item, id=ident)
+                    yield pytest.param(cls, f.name, value, item, id=f"{name}-{f.name}-{bad}")
 
 
 @pytest.mark.parametrize("cls, field, bad, item", list(_field_sites()))
 def test_every_typed_field_is_checked(cls, field, bad, item):
-    instance = next(obj for c, obj in _declarations().items() if c.__name__ == cls)
+    instance = _declarations()[cls]
     with pytest.raises(DeclarationError) as err:
         dataclasses.replace(instance, **{field: bad})
     assert err.value.field == (f"{field}[0]" if item else field)
