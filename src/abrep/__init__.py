@@ -19,7 +19,6 @@ from .composition import (
     componentwise_joint,
     compose_parallel,
     factorize_dynamics,
-    factorize_representation,
 )
 from .document import emit_scenario, parse_scenario
 from .dynamics import (
@@ -32,6 +31,7 @@ from .dynamics import (
     CoordinateUpdateRule,
     LabelFlipNoise,
     PhysicalDynamics,
+    ProductRule,
     TableRule,
     TrialSeed,
     derive_seed,
@@ -87,12 +87,10 @@ from .scenarios import (
     build_xor_joint,
 )
 from .spaces import (
-    ABSOLUTE_DIFFERENCE,
     AbstractSpace,
     AbstractState,
     BitSpace,
     DISCRETE,
-    HAMMING,
     IntSpace,
     LabelSpace,
     MAX_COORDINATE,

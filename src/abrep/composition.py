@@ -160,17 +160,6 @@ def _split_coordinates(space, codomain, joint) -> tuple[dict, dict] | None:
     return fmap, {b: column.pop() for b, column in zip(bvals, seconds)}
 
 
-def factorize_representation(j: JointSystem) -> tuple[dict, dict] | None:
-    """Split the joint representation into independent per-half readings.
-
-    Succeeds exactly when the codomain is a two-part product whose first
-    coordinate ignores the right half and whose second ignores the left.
-    Returns value tables (f, g) from each half's physical to abstract values, or None.
-    """
-    rep = j.joint_representation
-    return _split_coordinates(j.joint_space, rep.codomain, rep._apply)  # pairs of domain members
-
-
 def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
     """Split dynamics on a two-part product into independent actions.
 
@@ -198,7 +187,9 @@ def classify(j: JointSystem) -> CompositionClass:
     declared component representations and the joint dynamics to factor into
     some pair of independent component actions. Anything else is heterotic.
     """
-    return _verdict(j, factorize_representation(j), factorize_dynamics(j.joint_dynamics))
+    rep = j.joint_representation
+    rep_factors = _split_coordinates(j.joint_space, rep.codomain, rep._apply)  # pairs of domain members
+    return _verdict(j, rep_factors, factorize_dynamics(j.joint_dynamics))
 
 
 def _verdict(j: JointSystem, rep_factors, dyn_factors) -> CompositionClass:

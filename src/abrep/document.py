@@ -24,7 +24,7 @@ import json
 from collections import defaultdict
 from functools import partial
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple, NoReturn
+from typing import Any, Callable, NamedTuple, NoReturn, get_args
 
 from .composition import Component, JointSystem, componentwise_joint
 from .dynamics import (
@@ -59,7 +59,7 @@ from .relations import (
     Theory,
     ThresholdRule,
 )
-from .scenarios import CheckSpec, ScenarioBundle
+from .scenarios import CheckSpec, FormatVersion, ScenarioBundle
 from .spaces import (
     BitSpace,
     IntSpace,
@@ -74,9 +74,6 @@ from .spaces import (
     enumerate_values,
     normalize_value,
 )
-
-SUPPORTED_VERSIONS = ("1",)
-_ENCODE = json.JSONEncoder(indent=2).encode  # encodes as json.dumps(doc, indent=2) does
 
 
 def _expect(obj: Any, path: str, kind: type, what: str) -> Any:
@@ -448,6 +445,14 @@ def _loads(text: str, what: str = ""):
         raise ScenarioSyntaxError(f"{what}{err}") from err
 
 
+def _json_text(doc: Any, sort_keys: bool = False) -> str:
+    """``doc`` as JSON text indented by 2, with a final newline, as both writers write it."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+    except ValueError as err:  # an int past the digit limit, which _loads refuses too
+        raise DeclarationError(f"an integer is too large to write: {err}") from err
+
+
 def parse_scenario(text: str) -> ScenarioBundle:
     """Parse document text into a fully resolved bundle.
 
@@ -460,7 +465,7 @@ def parse_scenario(text: str) -> ScenarioBundle:
         if key not in _TOP_LEVEL:
             raise ScenarioSyntaxError(f"document: unknown section {key!r}")
     version = doc.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version not in get_args(FormatVersion):
         raise VersionUnsupported(f"unsupported format version {version!r}")
 
     reg: dict = defaultdict(dict)  # registry table -> identifier -> object
@@ -487,4 +492,4 @@ def emit_scenario(bundle: ScenarioBundle) -> str:
             doc.setdefault(section, {})[part] = decls
         else:
             doc[section] = decls
-    return _ENCODE(doc) + "\n"
+    return _json_text(doc)

@@ -422,10 +422,16 @@ def evolve_physical(h: PhysicalDynamics, p: PhysicalState, seed: TrialSeed) -> P
     """
     if not contains(h.space, p):
         raise OutOfDomain(f"configuration is not in the space of dynamics {h.id!r}")
-    value = h._apply(p.value)
-    if h.noise is not None:
-        value = _flip(h.noise, value, _flag_codes(h.noise, seed.value, 1)[0])
-    return _trusted(PhysicalState, h.space, value)
+    return _trusted(PhysicalState, h.space, _trial_step(h, seed)(p.value))
+
+
+def _trial_step(h: PhysicalDynamics, seed: TrialSeed) -> Callable[[Value], Value]:
+    """``h``'s update for trial ``seed`` on member values: noise-free, its compiled rule itself."""
+    step, noise = h._apply, h.noise
+    if noise is None:
+        return step
+    code = _flag_codes(noise, seed.value, 1)[0]
+    return lambda value: _flip(noise, step(value), code)
 
 
 def _trial_outcomes(h: PhysicalDynamics, value: Value, base: TrialSeed, trials: int) -> tuple:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count
-from types import SimpleNamespace
 from typing import Mapping
 
 from .dynamics import AbstractDynamics, PhysicalDynamics, TrialSeed, derive_seed
@@ -33,9 +32,7 @@ from .spaces import (
     contains,
     enumerate_values,
 )
-from .verification import (
-    CommutationReport, DiagramSpec, _check_tolerances, _grade, _in_domain, _reports
-)
+from .verification import CommutationReport, _check_tolerances, _grade, _in_domain, _reports
 
 
 @_declaration("layer")
@@ -105,12 +102,11 @@ class LayerReport:
 
 def check_layer(relation: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
     """Check one adjacent layer pair over every upper state, as one column of squares."""
-    spec = SimpleNamespace(epsilon=epsilon, trials=1, required_success=1.0)
-    _check_tolerances(spec, "layer check")
+    tolerances = _check_tolerances("check_layer", epsilon)
     upper, values = relation.upper, list(enumerate_values(relation.upper.space))
     expected = list(map(relation.lower.dynamics._apply, map(relation._apply, values)))
-    column = _grade(spec, upper.dynamics, values, expected, metric, (), relation)
-    return LayerReport(relation.id, epsilon, all(column[0]), (upper.space, values, column))
+    column = _grade(tolerances, upper.dynamics, values, expected, metric, (), relation)
+    return LayerReport(relation.id, tolerances[0], all(column[0]), (upper.space, values, column))
 
 
 @_declaration("stack")
@@ -193,23 +189,23 @@ def check_stack_to_device(
     validated: the boundary checks themselves stand in for validation on the
     reachable set.
     """
+    tolerances = _check_tolerances("check_stack_to_device", epsilon, trials, required_success)
     layer_reports = tuple(check_layer(rel, epsilon, metric) for rel in stack.relations)
-    return _ground(stack, layer_reports, epsilon, metric, seed, trials, required_success)
+    return _ground(stack, layer_reports, tolerances, metric, seed)
 
 
 def _ground(
-    stack: RefinementStack, layer_reports: tuple[LayerReport, ...], epsilon: float,
-    metric: Metric, base_seed: TrialSeed, trials: int, required_success: float,
+    stack: RefinementStack, layer_reports: tuple[LayerReport, ...],
+    tolerances: tuple[float, int, float], metric: Metric, base_seed: TrialSeed,
 ) -> StackReport:
     """The stack's report: ``layer_reports`` and one column of reachable bottom states' squares."""
     theory, program = stack.theory, stack.layers[-1].dynamics
-    spec = DiagramSpec(theory, program, stack.device, epsilon, metric, trials, required_success)
     bottoms = reachable_bottom_states(stack)
     # Each prepared state reads as its bottom state: _prepare chose it so.
     starts = [_in_domain(theory, prepared) for prepared in _prepare(theory, bottoms)]
     uppers = [program._apply(bottom.value) for bottom in bottoms]
     seeds = (derive_seed(base_seed, i) for i in count())
     values = [p.value for p in starts]
-    column = _grade(spec, stack.device, values, uppers, metric, seeds, theory.representation)
+    column = _grade(tolerances, stack.device, values, uppers, metric, seeds, theory.representation)
     entries = tuple(map(DeviceCheckEntry, bottoms, _reports(starts, column)))
     return StackReport(stack.id, layer_reports, entries)

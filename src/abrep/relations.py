@@ -29,8 +29,7 @@ from .dynamics import (
     TrialSeed,
     _canonical_table,
     _each,
-    _flag_codes,
-    _flip,
+    _trial_step,
 )
 from .errors import DeclarationError, NotInstantiable, OutOfDomain, _shown, resolve
 from .spaces import (
@@ -247,8 +246,7 @@ def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[Physi
     relation = theory.representation
     read = relation._apply  # prepared configurations are in its domain: checked at declaration
     engineering = theory.instantiation.engineering
-    step, noise = engineering._apply, engineering.noise  # seeds are in its space: checked too
-    code = None if noise is None else _flag_codes(noise, _ENGINEERING_SEED.value, 1)[0]
+    step = _trial_step(engineering, _ENGINEERING_SEED)  # seeds are in its space: checked too
     seeds = iter(theory.instantiation.seeds)
     first: dict[Value, Value] = {}
     for target in targets:
@@ -258,8 +256,6 @@ def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[Physi
         if goal not in first:
             for seed in seeds:
                 value = step(seed.value)
-                if noise is not None:
-                    value = _flip(noise, value, code)
                 reading = read(value)
                 first.setdefault(reading, value)
                 if reading == goal:

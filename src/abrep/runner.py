@@ -15,11 +15,11 @@ compute cycles.
 from __future__ import annotations
 
 import fnmatch
-import json
 from dataclasses import dataclass
 from typing import Any
 
 from .composition import FactorizationWitness, brute_force_classify, classify
+from .document import _json_text
 from .dynamics import TrialSeed, derive_seed
 from .errors import EmptyDomain, ModelError, UnknownReference, resolve
 from .refinement import LayerReport, SimulationRelation, _ground, check_layer
@@ -101,13 +101,8 @@ class _Run:
     def _diagram_spec(self, theory: Theory, check: CheckSpec) -> DiagramSpec:
         prediction = self._prediction(theory, check)
         return DiagramSpec(
-            theory=theory,
-            abstract_dynamics=prediction.abstract,
-            physical_dynamics=prediction.physical,
-            epsilon=check.epsilon,
-            metric=check.metric,
-            trials=check.trials,
-            required_success=check.required_success,
+            theory, prediction.abstract, prediction.physical,
+            check.epsilon, check.metric, check.trials, check.required_success,
         )
 
     def _layer(self, relation: SimulationRelation, check: CheckSpec) -> LayerReport:
@@ -208,9 +203,8 @@ class _Run:
     def _run_stack(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
         stack = resolve(self.stacks, check.stack, f"check {check.name!r}")
         layers = tuple(self._layer(rel, check) for rel in stack.relations)
-        report = _ground(
-            stack, layers, check.epsilon, check.metric, seed, check.trials, check.required_success
-        )
+        tolerances = check.epsilon, check.trials, check.required_success  # checked by CheckSpec
+        report = _ground(stack, layers, tolerances, check.metric, seed)
         self._count_coverage(stack.theory.id, len(report.device_entries))
         detail = {
             "layers": {r.relation_id: r.passed for r in report.layer_reports},
@@ -311,7 +305,7 @@ def report_to_json(report: RunReport) -> str:
 def render_report(data: dict, fmt: str) -> str:
     """Render a report dictionary as canonical JSON (``fmt`` "json") or as text."""
     if fmt == "json":
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return _json_text(data, sort_keys=True)
     lines = []
     for check in data["checks"]:
         line = f"{check['status'].upper():5s} {check['name']} ({check['kind']})"

@@ -10,7 +10,7 @@ double as format documentation.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Literal, get_type_hints
+from typing import Literal, get_args, get_type_hints
 
 from .composition import Component, JointSystem, Verdict, componentwise_joint
 from .dynamics import (
@@ -54,7 +54,8 @@ from .spaces import (
 )
 from .verification import _check_tolerances
 
-FORMAT_VERSION = "1"
+#: The document format versions a bundle may carry: one, written and read.
+FormatVersion = Literal["1"]
 
 
 CheckKind = Literal[
@@ -90,7 +91,7 @@ class CheckSpec:
     required_success: float = 1.0
 
     def __post_init__(self, owner):
-        _check_tolerances(self, owner)
+        _check_tolerances(owner, self.epsilon, self.trials, self.required_success)
         for name in ("state", "input", "expect"):
             if _too_deep(getattr(self, name)):
                 raise _field_error(owner, name, f"nests more than {_SHOWN_DEPTH} containers")
@@ -108,7 +109,7 @@ def _tuples(value):
 class ScenarioBundle:
     """Everything needed to run verification with no further input."""
 
-    format_version: str
+    format_version: FormatVersion
     abstract_spaces: tuple[AbstractSpace, ...]
     physical_spaces: tuple[PhysicalSpace, ...]
     relations: tuple[RepresentationRelation, ...]
@@ -153,9 +154,9 @@ def _bundle(checks: tuple, *declared) -> ScenarioBundle:
     hints = get_type_hints(ScenarioBundle)
     sections = {
         field: tuple(obj for obj in (*declared, *checks) if isinstance(obj, each))
-        for field, _, each, _ in _rules(hints, list(hints))
+        for field, _, each, _ in _rules(hints, list(hints)[1:])  # the sections, after the version
     }
-    return ScenarioBundle(FORMAT_VERSION, **sections)
+    return ScenarioBundle(*get_args(FormatVersion), **sections)
 
 
 def _bits(n: int, width: int) -> str:

@@ -76,19 +76,25 @@ class DiagramSpec:
             or self.physical_dynamics.space != relation.domain
         ):
             raise DeclarationError(f"{owner}: its dynamics do not act on the theory's spaces")
-        _check_tolerances(self, owner)
+        _check_tolerances(owner, self.epsilon, self.trials, self.required_success)
+
+    _tolerances = property(lambda self: (self.epsilon, self.trials, self.required_success))
 
 
-def _check_tolerances(decl, owner: str) -> None:
-    """Range-check ``decl``'s tolerances, which their annotations type; ``owner`` names ``decl``."""
-    if decl.epsilon < 0:
+def _check_tolerances(owner: str, epsilon: float, trials: int = 1, required: float = 1.0) -> tuple:
+    """A square's tolerances, range-checked, as ``_grade`` takes them; ``owner`` names their holder.
+
+    Their types are checked where they are declared or passed. Numbers come back as floats.
+    """
+    if epsilon < 0:
         raise _field_error(owner, "epsilon", "must be non-negative")
-    if decl.trials < 1:
+    if trials < 1:
         raise _field_error(owner, "trials", "must be at least 1")
-    if decl.trials > sys.maxsize:  # past it, a column of trials cannot be indexed
+    if trials > sys.maxsize:  # past it, a column of trials cannot be indexed
         raise _field_error(owner, "trials", f"must be at most {sys.maxsize}")
-    if not (0.0 < decl.required_success <= 1.0):
+    if not (0.0 < required <= 1.0):
         raise _field_error(owner, "required_success", "must lie in (0, 1]")
+    return float(epsilon), trials, float(required)
 
 
 @dataclass(frozen=True)
@@ -128,20 +134,22 @@ class CommutationReport:
 
 
 def _grade(
-    spec: DiagramSpec, device: PhysicalDynamics | AbstractDynamics, starts: list, uppers: list,
-    metric: Metric, seeds: Iterable, relation: RepresentationRelation | None = None,
+    tolerances: tuple[float, int, float], device: PhysicalDynamics | AbstractDynamics,
+    starts: list, uppers: list, metric: Metric, seeds: Iterable,
+    relation: RepresentationRelation | None = None,
 ) -> tuple:
     """Grade a column of squares on values: the one place a square passes or fails.
 
     Square i runs ``device``, a device update or a layer's upper program, from
     member value ``starts[i]``, reads the outcome through ``relation`` if given,
-    and measures it against ``uppers[i]`` with ``spec``'s tolerances. Noise-free,
-    as a program is, each compiled map runs once over the column and ``seeds``
-    is not read. Noisy, each distinct flag code that square i draws from its
-    seed is flipped, read and measured once, with its count of trials. The
-    column is returned as ``_reports`` reads it, verdicts first.
+    and measures it against ``uppers[i]`` within ``tolerances``, the triple of
+    ``_check_tolerances``. Noise-free, as a program is, each compiled map runs
+    once over the column and ``seeds`` is not read. Noisy, each distinct flag
+    code that square i draws from its seed is flipped, read and measured once,
+    with its count of trials. The column is returned as ``_reports`` reads it,
+    verdicts first.
     """
-    trials, epsilon = spec.trials, spec.epsilon
+    epsilon, trials, required = tolerances
     kind, space, read = PhysicalState, device.space, lambda value: value
     if relation is not None:
         kind, space, read = AbstractState, relation.codomain, relation._apply
@@ -165,7 +173,6 @@ def _grade(
             codes.append(drawn)
             graded.append(outcomes)
             fractions.append(successes / trials)
-    required = spec.required_success
     passed = [fraction >= required for fraction in fractions]
     return passed, fractions, epsilon, required, kind, space, uppers, codes, graded
 
@@ -193,7 +200,9 @@ def check_commutation(spec: DiagramSpec, p: PhysicalState, seed: TrialSeed) -> C
     _in_domain(spec.theory, p)
     relation = spec.theory.representation
     upper = spec.abstract_dynamics._apply(relation._apply(p.value))
-    column = _grade(spec, spec.physical_dynamics, [p.value], [upper], spec.metric, [seed], relation)
+    column = _grade(
+        spec._tolerances, spec.physical_dynamics, [p.value], [upper], spec.metric, [seed], relation
+    )
     return next(_reports([p], column))
 
 
@@ -212,7 +221,7 @@ def check_history(
     """
     evolved = evolve_abstract(spec.abstract_dynamics, m)
     p, q = _prepare(spec.theory, (m, evolved))
-    column = _grade(spec, spec.physical_dynamics, [p.value], [q.value], physical_metric, [seed])
+    column = _grade(spec._tolerances, spec.physical_dynamics, [p.value], [q.value], physical_metric, [seed])
     return next(_reports([p], column))
 
 
@@ -264,6 +273,7 @@ def validate_theory(
     coverage is reported, extrapolation is never assumed. Each
     prediction's squares are graded as one column.
     """
+    tolerances = _check_tolerances("validate_theory", epsilon, trials, required_success)
     if not theory.domain:
         raise EmptyDomain(f"theory {theory.id!r} declares no domain states")
     if not theory.predictions:
@@ -271,12 +281,11 @@ def validate_theory(
     relation = theory.representation
     values = [state.value for state in theory.domain]  # the relation's: checked at declaration
     readings = list(map(relation._apply, values))
-    columns, tolerances = [], (epsilon, metric, trials, required_success)
+    columns = []
     for pi, pred in enumerate(theory.predictions):
-        spec = DiagramSpec(theory, pred.abstract, pred.physical, *tolerances)
         seeds = (derive_seed(seed, si, pi) for si in count())
         uppers = list(map(pred.abstract._apply, readings))
-        columns.append(_grade(spec, pred.physical, values, uppers, metric, seeds, relation))
+        columns.append(_grade(tolerances, pred.physical, values, uppers, metric, seeds, relation))
     names = [pred.name for pred in theory.predictions]
     all_passed = all(all(column[0]) for column in columns)
     evidence = ValidityReport(

@@ -13,7 +13,6 @@ from abrep import (
     Component,
     DISCRETE,
     DiagramSpec,
-    HAMMING,
     TableRule,
     TrialSeed,
     brute_force_classify,
@@ -29,7 +28,6 @@ from abrep import (
     emit_scenario,
     enumerate_values,
     evolve_abstract,
-    factorize_representation,
     instantiate,
     parse_scenario,
     represent,
@@ -165,7 +163,7 @@ def test_criterion_5_epsilon_monotonicity():
             theory = random_deterministic_theory(rng, f"m{i}")
             verdicts = []
             for eps in grid:
-                _, evidence = validate_theory(theory, eps, HAMMING, 1, 1.0, SEED)
+                _, evidence = validate_theory(theory, eps, "hamming", 1, 1.0, SEED)
                 verdicts.append(evidence.all_passed)
             for lo, hi in zip(verdicts, verdicts[1:]):
                 assert not (lo and not hi), (i, verdicts)
@@ -215,8 +213,9 @@ def test_criterion_7_canonical_classifications():
 
         social = build_social_machine()
         galaxy = social.joint("social.galaxy-zoo")
-        assert classify(galaxy).value == "Heterotic"
-        assert factorize_representation(galaxy) is None
+        decision = classify(galaxy)
+        assert decision.value == "Heterotic"
+        assert decision.witness.representation_factors is None
         assert brute_force_classify(galaxy).value == "Heterotic"
 
         def component(theory, dynamics):

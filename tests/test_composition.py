@@ -14,6 +14,7 @@ from abrep import (
     AbstractState,
     BitSpace,
     BuiltinRule,
+    CheckSpec,
     Component,
     DISCRETE,
     DeclarationError,
@@ -28,6 +29,7 @@ from abrep import (
     PhysicalState,
     PhysicalTupleSpace,
     Prediction,
+    ProductRule,
     RealVectorSpace,
     RepresentationRelation,
     TableRule,
@@ -47,13 +49,16 @@ from abrep import (
     compose_parallel,
     enumerate_states,
     enumerate_values,
+    emit_scenario,
     evolve_abstract,
     factorize_dynamics,
-    factorize_representation,
     identity_dynamics,
+    parse_scenario,
     represent,
     validate_theory,
 )
+from abrep.runner import run_checks
+from abrep.scenarios import _bundle
 from support import count_calls, random_joint_system, xor_joint_variant
 
 SEED = TrialSeed(0)
@@ -142,10 +147,10 @@ def test_compose_adder_with_swap_acts_componentwise_but_is_not_enumerable():
         classify(joint)
 
 
-def test_factorize_representation_of_componentwise_joint():
+def test_the_witness_splits_the_reading_of_a_componentwise_joint():
     left, right, _ = xor_components()
     joint = compose_parallel(left, right, "both")
-    factors = factorize_representation(joint)
+    factors = classify(joint).witness.representation_factors
     assert factors is not None
     fmap, gmap = factors
     for p in enumerate_states(left.theory.representation.domain):
@@ -173,14 +178,15 @@ def test_xor_coupled_representation_does_not_factor():
     joint = JointSystem(
         "coupled-joint", base.left, base.right, space, coupled, base.joint_dynamics, "declared"
     )
-    assert factorize_representation(joint) is None
-    assert classify(joint).value == HETEROTIC
+    decision = classify(joint)
+    assert decision.witness.representation_factors is None
+    assert decision.value == HETEROTIC
 
 
 def test_social_machine_representation_returns_none():
     bundle = build_social_machine()
     joint = bundle.joint("social.galaxy-zoo")
-    assert factorize_representation(joint) is None
+    assert classify(joint).witness.representation_factors is None
 
 
 def test_factorize_dynamics_examples():
@@ -397,9 +403,63 @@ def test_mismatched_factors_classify_heterotic_in_both_classifiers():
         AbstractDynamics("ident", pair, BuiltinRule("identity")),
         "declared",
     )
-    assert factorize_representation(joint) is not None
-    assert classify(joint).value == HETEROTIC
+    decision = classify(joint)
+    assert decision.witness.representation_factors is not None
+    assert decision.value == HETEROTIC
     assert brute_force_classify(joint).value == HETEROTIC
+
+
+def _look_alike_bundle():
+    """The xor components under a declared joint whose reading splits into look-alikes of theirs.
+
+    The joint reads each cell as its component does, value for value, but into
+    width-1 bit spaces with other ids than the components' ``xor.bit``; the
+    joint dynamics are the identity. A classify check expects Heterotic, with the oracle.
+    """
+    xor = build_xor_joint()
+    base = xor.joint("xor.joint")
+    left, right = base.joint_space.components
+    look_left, look_right = BitSpace("look.left.bit", 1), BitSpace("look.right.bit", 1)
+    pair = TupleSpace("look.pair", (look_left, look_right))
+    reads = [
+        RepresentationRelation(f"look.{side}.read", cell, bit, TableRule({"off": "0", "on": "1"}))
+        for side, cell, bit in (("left", left, look_left), ("right", right, look_right))
+    ]
+    reading = RepresentationRelation("look.read-pair", base.joint_space, pair, ProductRule(tuple(reads)))
+    keep = AbstractDynamics("look.keep-pair", pair, BuiltinRule("identity"))
+    joint = replace(base, id="look.joint", joint_representation=reading, joint_dynamics=keep)
+    check = CheckSpec(
+        "classify-look-alike", "classify", joint="look.joint", expect_class="Heterotic", oracle=True
+    )
+    return _bundle(
+        (check,), *xor.abstract_spaces, look_left, look_right, pair, *xor.physical_spaces,
+        *xor.relations, *reads, reading, *xor.abstract_dynamics, keep, *xor.physical_dynamics,
+        *xor.theories, joint,
+    )
+
+
+def test_a_reading_into_look_alike_spaces_is_not_the_declared_reading():
+    """Gate: factors that agree with the declared readings value for value, in other spaces, are not them.
+
+    Each reading factor equals its component's reading on every cell, yet
+    reads into a space that is not the component's codomain, so neither
+    classifier may call the joint Hybrid.
+    """
+    joint = _look_alike_bundle().joint("look.joint")
+    decision = classify(joint)
+    declared = (joint.left.theory.representation, joint.right.theory.representation)
+    for factors, relation in zip(decision.witness.representation_factors, declared):
+        assert factors == relation.rule.entries
+    assert factorize_dynamics(joint.joint_dynamics) is not None
+    assert decision.value == brute_force_classify(joint).value == HETEROTIC
+
+
+def test_a_document_of_the_look_alike_joint_runs_heterotic():
+    bundle = parse_scenario(emit_scenario(_look_alike_bundle()))
+    report = run_checks(bundle)
+    assert report.exit_code == 0
+    (result,) = [r for r in report.results if r.kind == "classify"]
+    assert (result.detail["class"], result.detail["oracle_class"]) == ("Heterotic", "Heterotic")
 
 
 def test_brute_force_finds_witness_for_factorable_dynamics():

@@ -11,7 +11,9 @@ import pytest
 from abrep import (
     BUILTIN_SCENARIOS,
     DISCRETE,
+    AbstractDynamics,
     BitSpace,
+    BuiltinRule,
     CheckSpec,
     CoordinateFlipNoise,
     CoordinateUpdateRule,
@@ -26,25 +28,34 @@ from abrep import (
     LookupRule,
     NotEnumerable,
     PhysicalLabelSpace,
+    PhysicalState,
     PhysicalTupleSpace,
+    Prediction,
     RealVectorSpace,
     RepresentationRelation,
     ScenarioSyntaxError,
+    TableRule,
+    Theory,
     ThresholdRule,
     TrialSeed,
     TupleSpace,
     UnknownReference,
     VersionUnsupported,
+    build_refinement_stack,
     build_social_machine,
+    build_swap_device,
     build_voltage_adder,
     check_layer,
+    check_stack_to_device,
     emit_scenario,
     enumerate_values,
+    identity_dynamics,
     parse_scenario,
+    validate_theory,
 )
 from abrep import scenarios, spaces
 from abrep.cli import main
-from abrep.runner import run_checks
+from abrep.runner import report_to_json, run_checks
 from abrep.scenarios import _bundle
 from abrep.spaces import normalize_value
 from support import adder_theory, at, field_sites
@@ -128,10 +139,47 @@ def test_syntax_error_carries_line_and_column():
 
 
 def test_version_gate():
-    with pytest.raises(VersionUnsupported):
+    with pytest.raises(VersionUnsupported) as err:
         parse_scenario(doc(format_version="2"))
+    assert str(err.value) == "unsupported format version '2'"
     with pytest.raises(VersionUnsupported):
         parse_scenario(json.dumps({"spaces": {}}))
+
+
+@pytest.mark.parametrize("version", ["2", "", "1.0", 1, None])
+def test_a_bundle_carries_only_the_format_version_it_can_write(version):
+    """A bundle of another version would report it and emit a document that the reader refuses."""
+    with pytest.raises(DeclarationError) as err:
+        replace(build_swap_device(), format_version=version)
+    assert str(err.value) == "bundle: format_version: expected one of '1'"
+
+
+def _huge_int_bundle(*checks: CheckSpec):
+    """A valid bundle whose abstract space holds only ints past the digit limit of ``repr``."""
+    huge = 10**5000
+    n = IntSpace("n", huge, huge + 1)
+    cell = PhysicalLabelSpace("cell", ("low", "high"))
+    read = RepresentationRelation("read", cell, n, TableRule({"low": huge, "high": huge + 1}))
+    keep, hold = AbstractDynamics("keep", n, BuiltinRule("identity")), identity_dynamics("hold", cell)
+    theory = Theory("t", read, (PhysicalState(cell, "low"),), (Prediction("hold", keep, hold),))
+    return _bundle(checks, n, cell, read, keep, hold, theory)
+
+
+def test_emitting_an_int_too_long_to_write_is_a_declaration_error():
+    """The reader refuses such an int in ``_loads``; the writer refuses it as a model error, not a traceback."""
+    with pytest.raises(DeclarationError, match="^an integer is too large to write: Exceeds the limit"):
+        emit_scenario(_huge_int_bundle())
+    small = parse_scenario(doc())
+    huge_input = replace(small, checks=(CheckSpec("c", "compute", theory="cell-theory", input=10**5000),))
+    with pytest.raises(DeclarationError, match="^an integer is too large to write"):
+        emit_scenario(huge_input)
+
+
+def test_a_report_holding_an_int_too_long_to_write_is_a_declaration_error():
+    report = run_checks(_huge_int_bundle(CheckSpec("square", "commutation", theory="t", state="low")))
+    assert report.overall == "pass" and report.results[0].detail["expected"]["value"] == 10**5000
+    with pytest.raises(DeclarationError, match="^an integer is too large to write: Exceeds the limit"):
+        report_to_json(report)
 
 
 def test_unknown_reference_reports_path_and_identifier():
@@ -534,7 +582,15 @@ def _diagram(**fields) -> DiagramSpec:
         (lambda: _diagram(required_success=1.5), "diagram: required_success: must lie in (0, 1]"),
         (lambda: BitSpace("x", 0), "space 'x': width: must be at least 1"),
         (lambda: check_layer(BUILTIN_SCENARIOS["refinement-stack"]().stacks[0].relations[0], -1, DISCRETE),
-         "layer check: epsilon: must be non-negative"),
+         "check_layer: epsilon: must be non-negative"),
+        (lambda: validate_theory(adder_theory(1), -1.0, DISCRETE, 1, 1.0, TrialSeed(0)),
+         "validate_theory: epsilon: must be non-negative"),
+        (lambda: validate_theory(adder_theory(1), 0.0, DISCRETE, 0, 1.0, TrialSeed(0)),
+         "validate_theory: trials: must be at least 1"),
+        (lambda: check_stack_to_device(build_refinement_stack().stacks[0], -1, DISCRETE, TrialSeed(0)),
+         "check_stack_to_device: epsilon: must be non-negative"),
+        (lambda: check_stack_to_device(build_refinement_stack().stacks[0], 0, DISCRETE, TrialSeed(0), 1, 0),
+         "check_stack_to_device: required_success: must lie in (0, 1]"),
         (lambda: CheckSpec("c", "compute", trials=0), "check 'c': trials: must be at least 1"),
         (lambda: CheckSpec("c", "stack", epsilon=-1), "check 'c': epsilon: must be non-negative"),
         (lambda: CheckSpec("c", "experiment", required_success=0),
@@ -544,7 +600,8 @@ def _diagram(**fields) -> DiagramSpec:
     ],
     ids=[
         "flip-probability", "label-probability", "seed-too-large", "seed-negative", "epsilon",
-        "trials", "success-zero", "success-above-one", "width", "layer-epsilon", "check-trials",
+        "trials", "success-zero", "success-above-one", "width", "layer-epsilon",
+        "validate-epsilon", "validate-trials", "stack-epsilon", "stack-success", "check-trials",
         "check-epsilon", "check-success-zero", "check-success-above-one",
     ],
 )

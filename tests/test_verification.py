@@ -411,13 +411,11 @@ def test_validate_theory_matches_its_own_exhaustive_path():
 def test_epsilon_monotonicity_on_random_deterministic_theories():
     rng = random.Random(11)
     grid = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
-    from abrep import HAMMING
-
     for i in range(25):
         theory = random_deterministic_theory(rng, f"mono{i}")
         verdicts = []
         for eps in grid:
-            _, evidence = validate_theory(theory, eps, HAMMING, 1, 1.0, SEED)
+            _, evidence = validate_theory(theory, eps, "hamming", 1, 1.0, SEED)
             verdicts.append(evidence.all_passed)
         for lo, hi in zip(verdicts, verdicts[1:]):
             assert not (lo and not hi)
