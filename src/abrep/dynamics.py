@@ -353,6 +353,8 @@ class PhysicalDynamics:
         if isinstance(self.rule, TableRule):
             return self.rule.entries.__getitem__
         updates = tuple(map(_update, self.rule.assignments))
+        if not updates:  # the identity, as every real-vector hold is: no copy
+            return lambda value: value
 
         def step(value):
             working = list(value)

@@ -129,6 +129,12 @@ class RepresentationRelation:
         thresholds = rule.thresholds
         return lambda value: split(bytes(map(ge, value, thresholds)).translate(_BITS).decode())
 
+    @cached_property
+    def _bits(self) -> Callable[[Value], str]:
+        """A threshold reading's row of bits, uncut: a seed scan's key, which its joined registers spell."""
+        thresholds = self.rule.thresholds
+        return lambda value: bytes(map(ge, value, thresholds)).translate(_BITS).decode()
+
 
 _BITS = bytes.maketrans(b"\0\1", b"01")
 
@@ -244,7 +250,8 @@ def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[Physi
     if theory.instantiation is None:
         raise NotInstantiable(f"theory {theory.id!r} declares no instantiation procedure")
     relation = theory.representation
-    read = relation._apply  # prepared configurations are in its domain: checked at declaration
+    bits = isinstance(relation.rule, ThresholdRule)
+    read = relation._bits if bits else relation._apply  # prepared values are in its domain: checked at declaration
     engineering = theory.instantiation.engineering
     step = _trial_step(engineering, _ENGINEERING_SEED)  # seeds are in its space: checked too
     seeds = iter(theory.instantiation.seeds)
@@ -252,14 +259,14 @@ def _prepare(theory: Theory, targets: Iterable[AbstractState]) -> Iterator[Physi
     for target in targets:
         if not contains(relation.codomain, target):
             raise OutOfDomain(f"target is not in the codomain of relation {relation.id!r}")
-        goal = target.value
-        if goal not in first:
+        key = "".join(target.value) if bits else target.value  # one register's bits join to themselves
+        if key not in first:
             for seed in seeds:
                 value = step(seed.value)
                 reading = read(value)
                 first.setdefault(reading, value)
-                if reading == goal:
+                if reading == key:
                     break
             else:
-                raise NotInstantiable(f"theory {theory.id!r}: no seed prepares {_shown(goal)}")
-        yield _trusted(PhysicalState, engineering.space, first[goal])
+                raise NotInstantiable(f"theory {theory.id!r}: no seed prepares {_shown(target.value)}")
+        yield _trusted(PhysicalState, engineering.space, first[key])

@@ -93,31 +93,47 @@ def count_compiled(monkeypatch, **classes) -> dict:
     """
     counts = dict.fromkeys(classes, 0)
     for key, cls in classes.items():
-        compiled = vars(cls)["_apply"]
-
-        def counting(decl, key=key, compiled=compiled):
-            apply = compiled.__get__(decl, type(decl))
-
-            def counted(value):
-                counts[key] += 1
-                return apply(value)
-
-            return counted
-
-        monkeypatch.setattr(cls, "_apply", property(counting))
+        _count_compiled(monkeypatch, counts, key, cls, "_apply")
     return counts
 
 
+def _count_compiled(monkeypatch, counts: dict, key: str, cls: type, name: str) -> None:
+    """Add each call of the function that ``cls``'s cached property ``name`` compiles to ``counts[key]``."""
+    compiled = vars(cls)[name]
+
+    def counting(decl):
+        apply = compiled.__get__(decl, type(decl))
+
+        def counted(value):
+            counts[key] += 1
+            return apply(value)
+
+        return counted
+
+    monkeypatch.setattr(cls, name, property(counting))
+
+
 def count_device_work(monkeypatch) -> dict:
-    """Count device-rule applications (``rule``) and reads (``read``) from here on."""
-    return count_compiled(monkeypatch, rule=PhysicalDynamics, read=RepresentationRelation)
+    """Count device-rule applications (``rule``) and reads (``read``) from here on.
+
+    A read is a call of a relation's compiled reading, or of a threshold
+    relation's seed-scan key, its row of bits uncut, so a scan's reads are
+    counted whichever of the two it reads through.
+    """
+    counts = count_compiled(monkeypatch, rule=PhysicalDynamics, read=RepresentationRelation)
+    _count_compiled(monkeypatch, counts, "read", RepresentationRelation, "_bits")
+    return counts
 
 
-def adder_theory(width: int) -> Theory:
+def adder_theory(width: int, seed_grid: bool = False) -> Theory:
     """A noise-free voltage adder of two ``width``-bit registers, every input pair in its domain.
 
     Its 3w+1 lines hold both addends and a (w+1)-bit sum, read at 2.5 V and
     written by one binary-sum update, as in the benchmark's adder family.
+    With ``seed_grid`` it also declares an instantiation procedure that
+    holds every high/low pattern of its lines, in the order the patterns
+    count in binary, so the seed a target needs sits at the index its bits
+    spell.
     """
     n = 3 * width + 1
     lines = RealVectorSpace(f"adder{width}.lines", ((0.0, 5.0),) * n)
@@ -131,12 +147,18 @@ def adder_theory(width: int) -> Theory:
         tuple(range(width)), tuple(range(width, 2 * width)), tuple(range(2 * width, n)), 2.5, 0.0, 5.0
     )
     volts = PhysicalDynamics(f"adder{width}.volts", lines, CoordinateUpdateRule((update,)))
-    inputs = (format(i, f"0{2 * width}b") for i in range(1 << (2 * width)))
-    domain = tuple(
-        PhysicalState(lines, tuple(5.0 if c == "1" else 0.0 for c in bits) + (0.0,) * (width + 1))
-        for bits in inputs
-    )
-    return Theory(f"adder{width}", read, domain, (Prediction("add", add, volts),))
+    inputs = (format(i, f"0{2 * width}b") + "0" * (width + 1) for i in range(1 << (2 * width)))
+    domain = tuple(PhysicalState(lines, _volts(bits)) for bits in inputs)
+    instantiation = None
+    if seed_grid:
+        grid = tuple(PhysicalState(lines, _volts(format(i, f"0{n}b"))) for i in range(1 << n))
+        instantiation = InstantiationProcedure(grid, identity_dynamics(f"adder{width}.hold", lines))
+    return Theory(f"adder{width}", read, domain, (Prediction("add", add, volts),), instantiation)
+
+
+def _volts(bits: str) -> tuple[float, ...]:
+    """The levels that read as ``bits`` at 2.5 V: 5 V for a 1, 0 V for a 0."""
+    return tuple(5.0 if c == "1" else 0.0 for c in bits)
 
 
 def random_deterministic_theory(rng: random.Random, tag: str) -> Theory:

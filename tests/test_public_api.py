@@ -60,7 +60,7 @@ def test_every_name_the_benchmark_imports_resolves():
 
 #: The most lines ``src/abrep/*.py`` may hold, counted as ``wc -l`` counts them. A change that
 #: grows ``src/`` raises this number and says why in CHANGES.md; one that shrinks it lowers it.
-MAX_SOURCE_LINES = 3968
+MAX_SOURCE_LINES = 3977
 
 
 def test_the_source_does_not_grow_past_its_line_count():

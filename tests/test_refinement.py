@@ -314,11 +314,19 @@ def test_simulation_relation_must_be_total_with_images_in_lower_space():
 
 
 def test_stack_check_scans_the_seeds_once(monkeypatch):
-    """Gate: one scan of the 128 seeds prepares every reachable bottom state."""
+    """Gate and cost law: one scan steps and reads seeds in order, each once, up to the last it needs.
+
+    The 112 reachable bottom words sit at seeds 0 to 126 of 128, the indices
+    their bits spell, so the scan stops at seed 126. Each noise-free square
+    then steps and reads the device once.
+    """
+    bundle = BUILTIN_SCENARIOS["refinement-stack"]()
+    assert len(bundle.stack("stack.adder").theory.instantiation.seeds) == 128
     counts = count_device_work(monkeypatch)
-    report = run_checks(BUILTIN_SCENARIOS["refinement-stack"]())
+    report = run_checks(bundle)
     assert report.exit_code == 0
-    assert counts["rule"] <= 239  # 7,280 when each bottom state rescanned the seeds
+    assert report.results[-1].detail["device_states"] == 112
+    assert counts == {"rule": 127 + 112, "read": 127 + 112}  # 7,280 steps when each bottom state rescanned
 
 
 def test_stack_check_normalizes_no_value(monkeypatch):

@@ -11,6 +11,9 @@ from abrep import (
     AbstractState,
     BitSpace,
     BuiltinRule,
+    ConstantUpdate,
+    CoordinateFlipNoise,
+    CoordinateUpdateRule,
     InstantiationProcedure,
     IntSpace,
     LabelSpace,
@@ -34,6 +37,7 @@ from abrep import (
     build_voltage_adder,
     emit_scenario,
     enumerate_states,
+    enumerate_values,
     identity_dynamics,
     instantiate,
     parse_scenario,
@@ -42,7 +46,8 @@ from abrep import (
 from abrep.dynamics import ProductRule
 from abrep.errors import DeclarationError
 from abrep.relations import _prepare
-from support import count_device_work
+import reference
+from support import adder_theory, count_device_work
 
 
 def test_threshold_reads_high_voltage_as_one():
@@ -288,6 +293,72 @@ def test_preparation_resumes_one_scan_and_fails_at_the_target_without_a_seed(mon
     assert next(preparation).value == "a"
     with pytest.raises(NotInstantiable, match="no seed prepares 'w'"):
         next(preparation)
+
+
+def _prepared_in_turn(prepare, targets) -> list:
+    """Each target's prepared state, in turn, up to the first NotInstantiable, and then its message."""
+    results = []
+    try:
+        for target in targets:
+            results.append(prepare(target))
+    except NotInstantiable as error:
+        results.append(str(error))
+    return results
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_seed_scan_prepares_what_the_reference_search_prepares(data):
+    """One scan and each ``instantiate`` give the reference's first seed per target, or its error.
+
+    Threshold readings into one bit space, a one-register tuple and several
+    registers; few levels, so that seeds often read alike; targets drawn from
+    the seeds' readings and the whole codomain, with repeats, so that some
+    have no seed; noise-free and noisy engineering, with an empty update or
+    one pinned line.
+    """
+    shape = data.draw(st.sampled_from(("bits", "one-register", "registers")))
+    many = shape == "registers"
+    widths = data.draw(st.lists(st.integers(1, 2 if many else 3), min_size=1 + many, max_size=1 + 2 * many))
+    registers = tuple(BitSpace(f"r{w}", w) for w in widths)
+    codomain = registers[0] if shape == "bits" else TupleSpace("registers", registers)
+    n = sum(widths)
+    lines = RealVectorSpace(f"v{n}", ((0.0, 5.0),) * n)
+    thresholds = data.draw(st.lists(st.sampled_from([1.0, 2.5, 5.0]), min_size=n, max_size=n))
+    read = RepresentationRelation("read", lines, codomain, ThresholdRule(tuple(thresholds)))
+    levels = st.lists(st.sampled_from([0.0, 1.0, 2.5, 5.0]), min_size=n, max_size=n)
+    seeds = tuple(PhysicalState(lines, tuple(v)) for v in data.draw(st.lists(levels, max_size=8)))
+    noise = data.draw(st.none() | st.builds(
+        CoordinateFlipNoise, st.sampled_from([0.3, 0.7, 1.0]),
+        st.lists(st.integers(0, n - 1), max_size=3).map(tuple), st.just(2.5), st.just(0.0), st.just(5.0),
+    ))
+    pins = data.draw(st.sampled_from([(), (ConstantUpdate((0,), (5.0,)),)]))
+    engineering = PhysicalDynamics("settle", lines, CoordinateUpdateRule(pins), noise)
+    theory = Theory("scan", read, (), (), InstantiationProcedure(seeds, engineering))
+    readings = [represent(read, seed) for seed in seeds]
+    everything = [AbstractState(codomain, v) for v in enumerate_values(codomain)]
+    targets = data.draw(st.lists(st.sampled_from(readings + everything), min_size=1, max_size=6))
+    expected = _prepared_in_turn(lambda target: reference.instantiate(theory, target), targets)
+    scan = _prepare(theory, targets)
+    assert _prepared_in_turn(lambda target: next(scan), targets) == expected
+    assert _prepared_in_turn(lambda target: instantiate(theory, target), targets) == expected
+
+
+def test_instantiate_steps_and_reads_the_seeds_up_to_its_target_once_each(monkeypatch):
+    """Cost law: on the 3-bit adder's seed grid, (a, b, 0000) sits at seed 128a + 16b, and no earlier.
+
+    So ``instantiate`` steps and reads exactly 128a + 16b + 1 seeds, and
+    stops at the first seed that reads as its target.
+    """
+    theory = adder_theory(3, seed_grid=True)
+    seeds = theory.instantiation.seeds
+    assert len(seeds) == 1024
+    counts = count_device_work(monkeypatch)
+    for a, b in ((0, 0), (0, 5), (3, 1), (7, 7)):
+        counts.update(rule=0, read=0)
+        target = AbstractState(theory.representation.codomain, (format(a, "03b"), format(b, "03b"), "0000"))
+        assert instantiate(theory, target) == seeds[128 * a + 16 * b]
+        assert counts == {"rule": 128 * a + 16 * b + 1, "read": 128 * a + 16 * b + 1}
 
 
 def test_instantiate_matches_exhaustive_seed_search_on_adder():

@@ -440,24 +440,23 @@ def test_diagram_spec_numbers_are_checked(field, value):
 
 
 def test_history_square_prepares_both_ends_in_one_seed_scan(monkeypatch):
-    """Gate: the start and the target share one scan of the 3-bit adder's 1,024-seed grid."""
-    theory = adder_theory(3)
-    lines = theory.representation.domain
-    grid = tuple(
-        PhysicalState(lines, tuple(5.0 if c == "1" else 0.0 for c in format(i, "010b")))
-        for i in range(1024)
-    )
-    seeded = replace(theory, instantiation=InstantiationProcedure(grid, identity_dynamics("hold", lines)))
-    pred = seeded.predictions[0]
+    """Gate and cost law: the square at (a, b) reads one seed more than the index its sum's bits spell.
+
+    On the 3-bit adder's seed grid the start (a, b, 0000) sits at seed
+    128a + 16b, and its sum (a, b, a + b) at 128a + 16b + a + b, no earlier:
+    one scan reads every seed up to the sum once. The device then steps
+    the start once, and the physical metric reads nothing.
+    """
+    theory = adder_theory(3, seed_grid=True)
+    pred = theory.predictions[0]
+    spec = DiagramSpec(theory, pred.abstract, pred.physical)
     counts = count_device_work(monkeypatch)
-    report = check_history(
-        DiagramSpec(seeded, pred.abstract, pred.physical),
-        machine_state(seeded, ("111", "111", "0000")),
-        MAX_COORDINATE,
-        SEED,
-    )
-    assert report.passed
-    assert counts["rule"] <= len(grid) + 1  # 2,033 when each end scanned from the first seed
+    for a, b in itertools.product(range(8), repeat=2):
+        counts.update(rule=0, read=0)
+        m = machine_state(theory, (format(a, "03b"), format(b, "03b"), "0000"))
+        assert check_history(spec, m, MAX_COORDINATE, SEED).passed
+        index = 128 * a + 16 * b + a + b  # 2,033 steps at (7, 7) when each end scanned from the first seed
+        assert counts == {"rule": index + 2, "read": index + 1}
 
 
 def test_noisy_squares_draw_their_trials_without_a_seed_object_each(monkeypatch):
