@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from functools import partial
+from functools import lru_cache, partial
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, NoReturn, get_args
 
@@ -446,11 +447,63 @@ def _loads(text: str, what: str = ""):
 
 
 def _json_text(doc: Any, sort_keys: bool = False) -> str:
-    """``doc`` as JSON text indented by 2, with a final newline, as both writers write it."""
+    """``doc`` as ``json.dumps(doc, indent=2, sort_keys=sort_keys)`` writes it, with a final newline.
+
+    Both writers write this. Python walks only the containers that hold
+    containers. Each other value, a container of exact scalars included, is
+    one call of CPython's C encoder, which ``json.dumps`` runs only unindented.
+    """
+    out: list[str] = []
     try:
-        return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+        _put(doc, _level(0, sort_keys), out)
     except ValueError as err:  # an int past the digit limit, which _loads refuses too
         raise DeclarationError(f"an integer is too large to write: {err}") from err
+    return "".join(out) + "\n"
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})  # exact types: one hash lookup per item
+
+
+@lru_cache(maxsize=None)
+def _level(depth: int, sort_keys: bool) -> tuple:
+    """``(depth, sort_keys, encoder, pad)`` for a value ``depth`` levels deep: ``pad`` starts a line at
+    ``depth``, and the C encoder separates the value's items as ``indent=2`` does one level deeper."""
+    pad = "\n" + "  " * depth
+    encoder = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None, ": ",
+                             "," + pad + "  ", sort_keys, False, True)
+    return depth, sort_keys, encoder, pad
+
+
+def _put(value: Any, level: tuple, out: list) -> None:
+    """Append ``value``'s text at ``level`` to ``out``."""
+    _, _, encoder, pad = level
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        out += encoder(value, 0)
+    elif _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        text = "".join(encoder(value, 0))  # each item but the first already starts a line
+        out += (text[0], pad, "  ", text[1:-1], pad, text[-1]) if value else (text,)
+    else:
+        _walk(value, is_dict, level, out)
+
+
+def _walk(value: Any, is_dict: bool, level: tuple, out: list) -> None:
+    """Append a container that holds a container, each item on a line of its own."""
+    depth, sort_keys, encoder, pad = level
+    inner = _level(depth + 1, sort_keys)
+    out.append("{" if is_dict else "[")
+    sep = "," + inner[3]
+    for i, item in enumerate((sorted(value.items()) if sort_keys else value.items()) if is_dict else value):
+        out.append(sep if i else inner[3])
+        if is_dict:
+            key, item = item
+            if not isinstance(key, str):  # json quotes the text of an int, float, bool or None key
+                if not isinstance(key, (int, float, type(None))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                key = "".join(encoder(key, 0))
+            out += (encode_basestring_ascii(key), ": ")
+        _put(item, inner, out)
+    out += (pad, "}" if is_dict else "]")
 
 
 def parse_scenario(text: str) -> ScenarioBundle:
