@@ -33,6 +33,7 @@ from .dynamics import (
     PhysicalDynamics,
     ProductRule,
     TableRule,
+    ThresholdRule,
     TrialSeed,
     derive_seed,
     evolve_abstract,
@@ -70,7 +71,6 @@ from .relations import (
     Prediction,
     RepresentationRelation,
     Theory,
-    ThresholdRule,
     TupleWiseRule,
     instantiate,
     represent,

@@ -41,6 +41,7 @@ from .dynamics import (
     PhysicalDynamics,
     ProductRule,
     TableRule,
+    ThresholdRule,
 )
 from .errors import (
     DeclarationError,
@@ -53,13 +54,7 @@ from .errors import (
     resolve,
 )
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
-from .relations import (
-    InstantiationProcedure,
-    Prediction,
-    RepresentationRelation,
-    Theory,
-    ThresholdRule,
-)
+from .relations import InstantiationProcedure, Prediction, RepresentationRelation, Theory
 from .scenarios import CheckSpec, FormatVersion, ScenarioBundle
 from .spaces import (
     BitSpace,

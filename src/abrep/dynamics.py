@@ -6,20 +6,21 @@ randomness is counter-based: every random draw is a pure function of the
 trial seed and a draw index, so trial k of a batch can be reproduced in
 isolation and independent trials may run concurrently.
 
-Each dynamics is compiled once, on first use, to a function on member
-values (the device's without its noise), and every step goes through it.
-Representation relations declare their lookups and tuple-wise readings
-with the table and product rules defined here.
+Every rule kind is declared here, the threshold readings of relations
+included, and ``_compiled`` alone turns a rule into a function on member
+values. Each program, device update (without its noise) and relation
+compiles its rule once, on first use, and every step and read goes through it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import and_, ge, itemgetter, xor
 from typing import Literal, Union, get_args
 
 from .errors import DeclarationError, OutOfDomain, _shown
@@ -134,6 +135,18 @@ class ProductRule:
     parts: tuple[AbstractDynamics | RepresentationRelation, ...]
 
 
+@_declaration("threshold rule", name=None)
+class ThresholdRule:
+    """A relation's reading of one bit per real coordinate: level >= threshold reads as 1.
+
+    The bits fill the codomain in coordinate order, either a single
+    bitstring register or a tuple of registers whose widths sum to the
+    vector dimension.
+    """
+
+    thresholds: tuple[float, ...]
+
+
 AbstractRule = Union[TableRule, BuiltinRule, ChainRule, ProductRule]
 
 
@@ -165,24 +178,52 @@ class AbstractDynamics:
                     f"{owner}: product parts must act on the components of its space, in order"
                 )
 
-    @cached_property
-    def _apply(self) -> Callable[[Value], Value]:
-        """The program as a function on member values, compiled on first use."""
-        rule = self.rule
-        if isinstance(rule, TableRule):
-            return rule.entries.__getitem__
-        if isinstance(rule, BuiltinRule):
-            return _builtin(rule.name, self.space)
-        steps = tuple(part._apply for part in rule.parts)
-        if isinstance(rule, ProductRule):
-            return _each(len(steps))(*steps)
+    _apply = cached_property(lambda self: _compiled(self.rule, self.space))
 
-        def chain(value):  # left to right, in one frame however long the chain
-            for step in steps:
-                value = step(value)
-            return value
 
-        return chain
+def _compiled(rule, space, codomain=None) -> Callable[[Value], Value]:
+    """``rule`` as a function on member values of ``space``, into ``codomain`` for a reading.
+
+    Each owner's cached ``_apply`` is one call of this, so a declaration is
+    compiled once, on first use, and no later call walks its rule's type; a
+    chain's or product's parts are compiled through their own ``_apply``. A
+    threshold reading compares every line in one pass, as bytes 0 and 1, and
+    cuts the row of bits into its registers.
+    """
+    if isinstance(rule, TableRule):
+        return rule.entries.__getitem__
+    if isinstance(rule, BuiltinRule):
+        return _builtin(rule.name, space)
+    if isinstance(rule, ThresholdRule):
+        ends = tuple(accumulate(_register_widths(codomain)))
+        split = itemgetter(*map(slice, (0,) + ends, ends))  # one register: its bits, untupled
+        if isinstance(codomain, TupleSpace) and len(ends) == 1:
+            split = lambda bits: (bits,)
+        thresholds = rule.thresholds
+        return lambda value: split(bytes(map(ge, value, thresholds)).translate(_BITS).decode())
+    if isinstance(rule, CoordinateUpdateRule):
+        updates = tuple(map(_update, rule.assignments))
+        if not updates:  # the identity, as every real-vector hold is: no copy
+            return lambda value: value
+
+        def step(value):
+            working = list(value)
+            for update in updates:
+                for line, level in update(working):
+                    working[line] = level
+            return tuple(working)
+
+        return step
+    steps = tuple(part._apply for part in rule.parts)
+    if isinstance(rule, ProductRule):
+        return _each(len(steps))(*steps)
+
+    def chain(value):  # left to right, in one frame however long the chain
+        for step in steps:
+            value = step(value)
+        return value
+
+    return chain
 
 
 @lru_cache(maxsize=None)
@@ -197,6 +238,7 @@ def _each(arity: int) -> Callable[..., Callable[[tuple], tuple]]:
 
 
 _NOT = str.maketrans("01", "10")
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _builtin(name: str, space: AbstractSpace) -> Callable[[Value], Value]:
@@ -211,7 +253,7 @@ def _builtin(name: str, space: AbstractSpace) -> Callable[[Value], Value]:
     mask, fmt = (1 << width) - 1, f"0{width}b"
     if name == "ripple-add":
         return lambda v: (v[0], v[1], format(int(v[0], 2) + int(v[1], 2) & mask, fmt))
-    op = operator.and_ if name == "and" else operator.xor
+    op = and_ if name == "and" else xor
     return lambda v: (format(op(int(v[0], 2), int(v[1], 2)), fmt), v[1])
 
 
@@ -347,23 +389,7 @@ class PhysicalDynamics:
             _check_update_levels(owner, self.space, self.rule)
         _check_noise(owner, self.space, self.noise)
 
-    @cached_property
-    def _apply(self) -> Callable[[Value], Value]:
-        """The rule, without the noise, as a function on member values, compiled on first use."""
-        if isinstance(self.rule, TableRule):
-            return self.rule.entries.__getitem__
-        updates = tuple(map(_update, self.rule.assignments))
-        if not updates:  # the identity, as every real-vector hold is: no copy
-            return lambda value: value
-
-        def step(value):
-            working = list(value)
-            for update in updates:
-                for line, level in update(working):
-                    working[line] = level
-            return tuple(working)
-
-        return step
+    _apply = cached_property(lambda self: _compiled(self.rule, self.space))  # without the noise
 
 
 def _update(upd: BinarySumUpdate | ConstantUpdate) -> Callable[[list], Iterable]:

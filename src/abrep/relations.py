@@ -7,9 +7,9 @@ configuration that represents a wanted abstract state, is realized here as
 an exhaustive search over declared seed configurations driven through an
 engineering dynamics, which keeps preparation decidable and reproducible.
 
-Each relation is compiled once, on first use, to a function from member
-values to readings; every read goes through it, and only ``represent``
-checks membership.
+A relation's rule, a table, threshold or product rule, is declared and
+compiled in ``dynamics.py`` as every rule is. Every read goes through the
+compiled function, and only ``represent`` checks membership.
 """
 
 from __future__ import annotations
@@ -17,18 +17,19 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import field
 from functools import cached_property
-from itertools import accumulate
-from operator import ge, itemgetter
+from operator import ge
 from typing import Union
 
 from .dynamics import (
+    _BITS,
     AbstractDynamics,
     PhysicalDynamics,
     ProductRule,
     TableRule,
+    ThresholdRule,
     TrialSeed,
     _canonical_table,
-    _each,
+    _compiled,
     _trial_step,
 )
 from .errors import DeclarationError, NotInstantiable, OutOfDomain, _shown, resolve
@@ -46,18 +47,6 @@ from .spaces import (
     _trusted,
     contains,
 )
-
-
-@_declaration("threshold rule", name=None)
-class ThresholdRule:
-    """One bit per real coordinate: level >= threshold reads as 1.
-
-    The bits fill the codomain in coordinate order, either a single
-    bitstring register or a tuple of registers whose widths sum to the
-    vector dimension.
-    """
-
-    thresholds: tuple[float, ...]
 
 
 #: A lookup is a table rule, and a tuple-wise reading a product rule of relations.
@@ -110,33 +99,13 @@ class RepresentationRelation:
                         f"{owner}: part {part.id!r} does not line up with the product components"
                     )
 
-    @cached_property
-    def _apply(self) -> Callable[[Value], Value]:
-        """The relation as a function from member values to readings, compiled on first use.
-
-        A threshold reading compares every line in one pass, as bytes 0 and
-        1, and cuts the row of bits into its registers.
-        """
-        rule = self.rule
-        if isinstance(rule, TableRule):
-            return rule.entries.__getitem__
-        if isinstance(rule, ProductRule):
-            return _each(len(rule.parts))(*(part._apply for part in rule.parts))
-        ends = tuple(accumulate(_register_widths(self.codomain)))
-        split = itemgetter(*map(slice, (0,) + ends, ends))  # one register: its bits, untupled
-        if isinstance(self.codomain, TupleSpace) and len(ends) == 1:
-            split = lambda bits: (bits,)
-        thresholds = rule.thresholds
-        return lambda value: split(bytes(map(ge, value, thresholds)).translate(_BITS).decode())
+    _apply = cached_property(lambda self: _compiled(self.rule, self.domain, self.codomain))
 
     @cached_property
     def _bits(self) -> Callable[[Value], str]:
         """A threshold reading's row of bits, uncut: a seed scan's key, which its joined registers spell."""
         thresholds = self.rule.thresholds
         return lambda value: bytes(map(ge, value, thresholds)).translate(_BITS).decode()
-
-
-_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def represent(relation: RepresentationRelation, p: PhysicalState) -> AbstractState:

@@ -23,17 +23,12 @@ from .dynamics import (
     PhysicalDynamics,
     ProductRule,
     TableRule,
+    ThresholdRule,
     identity_dynamics,
 )
 from .errors import DuplicateIdentifier, _SHOWN_DEPTH, _too_deep, resolve
 from .refinement import RefinementLayer, RefinementStack, SimulationRelation
-from .relations import (
-    InstantiationProcedure,
-    Prediction,
-    RepresentationRelation,
-    Theory,
-    ThresholdRule,
-)
+from .relations import InstantiationProcedure, Prediction, RepresentationRelation, Theory
 from .spaces import (
     AbstractSpace,
     BitSpace,

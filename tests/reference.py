@@ -15,12 +15,16 @@ from functools import cached_property
 from types import SimpleNamespace as Report
 
 from abrep import (
+    HETEROTIC,
+    HYBRID,
     AbstractState,
     DiagramSpec,
     EmptyDomain,
     NotInstantiable,
     OutOfDomain,
+    PhysicalState,
     TrialSeed,
+    TupleSpace,
     derive_seed,
     distance,
     enumerate_values,
@@ -140,6 +144,37 @@ def check_stack_to_device(
         stack_id=stack.id, layer_reports=layers, device_entries=entries,
         passed=all(r.passed for r in layers) and all(e.report.passed for e in entries),
     )
+
+
+def classify(joint) -> str:
+    """``"Hybrid"`` iff the joint is its two components run side by side, else ``"Heterotic"``.
+
+    Decided pair by pair, without factor tables: the joint reading must read
+    into the pair of the declared codomains, and read every pair (a, b) of
+    cells as the left reading of a and the right reading of b; each
+    coordinate of the joint dynamics must depend on its own half only.
+    """
+    left, right = joint.left.theory.representation, joint.right.theory.representation
+    codomain = joint.joint_representation.codomain
+    if not (isinstance(codomain, TupleSpace) and codomain.components == (left.codomain, right.codomain)):
+        return HETEROTIC
+
+    def read(relation, value):
+        return represent(relation, PhysicalState(relation.domain, value)).value
+
+    cells = [(a, b) for a in enumerate_values(left.domain) for b in enumerate_values(right.domain)]
+    if any(read(joint.joint_representation, (a, b)) != (read(left, a), read(right, b)) for a, b in cells):
+        return HETEROTIC
+    firsts, seconds = (list(enumerate_values(half)) for half in codomain.components)
+    image = {
+        (a, b): evolve_abstract(joint.joint_dynamics, AbstractState(codomain, (a, b))).value
+        for a in firsts
+        for b in seconds
+    }
+    own_half = all(
+        v[0] == image[a, seconds[0]][0] and v[1] == image[firsts[0], b][1] for (a, b), v in image.items()
+    )
+    return HYBRID if own_half else HETEROTIC
 
 
 def state_json(state) -> dict:

@@ -59,6 +59,7 @@ from abrep import (
 )
 from abrep.runner import run_checks
 from abrep.scenarios import _bundle
+import reference
 from support import count_calls, random_joint_system, xor_joint_variant
 
 SEED = TrialSeed(0)
@@ -554,19 +555,38 @@ def decision(result):
 
 
 def test_oracle_agrees_on_random_joint_systems():
+    """The classifier, its oracle and the reference classify agree, on joints of both classes."""
     rng = random.Random(2024)
+    verdicts = set()
     for i in range(60):
         joint = random_joint_system(rng, f"rnd{i}")
-        assert decision(classify(joint)) == decision(brute_force_classify(joint))
+        decided = classify(joint)
+        assert decision(decided) == decision(brute_force_classify(joint))
+        assert decided.value == reference.classify(joint)
+        verdicts.add(decided.value)
+    assert verdicts == {HYBRID, HETEROTIC}
 
 
 @pytest.mark.parametrize(
-    "joint",
-    [build_xor_joint().joint("xor.joint"), build_social_machine().joint("social.galaxy-zoo")],
-    ids=["xor", "social-machine"],
+    "build, verdict",
+    [
+        (lambda: build_xor_joint().joint("xor.joint"), HETEROTIC),
+        (lambda: build_social_machine().joint("social.galaxy-zoo"), HETEROTIC),
+        (lambda: _look_alike_bundle().joint("look.joint"), HETEROTIC),
+        (lambda: xor_joint_variant("not-first"), HYBRID),
+    ],
+    ids=["xor", "social-machine", "look-alike", "xor-not-first"],
 )
-def test_oracle_finds_the_classifier_s_witness_on_the_builtin_joints(joint):
+def test_oracle_and_reference_agree_with_the_classifier_on_fixed_joints(build, verdict):
+    """Gate: the oracle finds the classifier's witness, and the reference its verdict.
+
+    The reference decides pair by pair and shares no code with the two
+    classifiers, so a fault in their common ``_verdict`` or
+    ``_factors_match_declared`` shows here.
+    """
+    joint = build()
     assert decision(classify(joint)) == decision(brute_force_classify(joint))
+    assert reference.classify(joint) == classify(joint).value == verdict
 
 
 def test_both_classifiers_refuse_continuous_halves():

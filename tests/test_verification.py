@@ -1,6 +1,8 @@
 import bisect
+import copy
 import itertools
 import math
+import pickle
 import random
 from dataclasses import replace
 
@@ -13,7 +15,9 @@ from abrep import (
     BUILTIN_SCENARIOS,
     AbstractDynamics,
     AbstractState,
+    BitSpace,
     BuiltinRule,
+    ChainRule,
     ConstantUpdate,
     CoordinateUpdateRule,
     DISCRETE,
@@ -27,12 +31,19 @@ from abrep import (
     NotInstantiable,
     OutOfDomain,
     PhysicalDynamics,
+    PhysicalLabelSpace,
     PhysicalState,
+    PhysicalTupleSpace,
     Prediction,
+    ProductRule,
+    RealVectorSpace,
     RepresentationRelation,
+    TableRule,
     Theory,
     TheoryNotValidated,
+    ThresholdRule,
     TrialSeed,
+    TupleSpace,
     build_swap_device,
     build_voltage_adder,
     check_commutation,
@@ -42,6 +53,7 @@ from abrep import (
     derive_seed,
     emit_scenario,
     enumerate_states,
+    evolve_abstract,
     evolve_physical,
     identity_dynamics,
     instantiate,
@@ -58,6 +70,7 @@ from support import (
     count_compiled,
     count_device_work,
     random_deterministic_theory,
+    record_calls,
 )
 
 SEED = TrialSeed(0)
@@ -597,19 +610,89 @@ def test_noise_free_validation_derives_no_seed(monkeypatch):
 
 def test_two_validations_compile_each_evaluator_once(monkeypatch):
     """Gate: the relation, the program and the device rule are each compiled on first use only."""
-    builds = dict.fromkeys(("RepresentationRelation", "AbstractDynamics", "PhysicalDynamics"), 0)
-    for cls in (RepresentationRelation, AbstractDynamics, PhysicalDynamics):
-        compiled = vars(cls)["_apply"]
-
-        def counting(decl, build=compiled.func, name=cls.__name__):
-            builds[name] += 1
-            return build(decl)
-
-        monkeypatch.setattr(compiled, "func", counting)
+    compiled = record_calls(monkeypatch, abrep.dynamics._compiled)
     theory = adder_theory(3)  # new declarations, none compiled yet
     for seed in (TrialSeed(1), TrialSeed(2)):
         assert validate_theory(theory, 0.0, DISCRETE, 1, 1.0, seed)[1].all_passed
-    assert builds == dict.fromkeys(builds, 1)
+    (pred,) = theory.predictions
+    assert [call[0] for call in compiled] == [theory.representation.rule, pred.abstract.rule, pred.physical.rule]
+
+
+_BIT = BitSpace("gate.bit", 1)
+_PAIR = TupleSpace("gate.pair", (_BIT, _BIT))
+_CELLS = PhysicalLabelSpace("gate.cells", ("off", "on"))
+_CELL_PAIR = PhysicalTupleSpace("gate.cell-pair", (_CELLS, _CELLS))
+_LINES = RealVectorSpace("gate.lines", ((0.0, 5.0),) * 2)
+_FLIP, _READ = {"0": "1", "1": "0"}, {"off": "0", "on": "1"}
+
+
+def _program(rule, space=_BIT) -> AbstractDynamics:
+    return AbstractDynamics("gate.program", space, rule)
+
+
+def _reading(rule, domain=_CELLS, codomain=_BIT) -> RepresentationRelation:
+    return RepresentationRelation("gate.read", domain, codomain, rule)
+
+
+#: For each owner and rule kind, a new declaration, none compiled yet, and a state to apply it to.
+_OWNERS = {
+    "program-table": lambda: (_program(TableRule(_FLIP)), AbstractState(_BIT, "0")),
+    "program-builtin": lambda: (_program(BuiltinRule("bit-not")), AbstractState(_BIT, "0")),
+    "program-chain": lambda: (
+        _program(ChainRule((_program(TableRule(_FLIP)), _program(BuiltinRule("bit-not"))))),
+        AbstractState(_BIT, "0"),
+    ),
+    "program-product": lambda: (
+        _program(ProductRule((_program(TableRule(_FLIP)), _program(BuiltinRule("bit-not")))), _PAIR),
+        AbstractState(_PAIR, ("0", "1")),
+    ),
+    "device-table": lambda: (
+        PhysicalDynamics("gate.device", _CELLS, TableRule({"off": "on", "on": "off"})),
+        PhysicalState(_CELLS, "off"),
+    ),
+    "device-coordinate-update": lambda: (
+        PhysicalDynamics("gate.device", _LINES, CoordinateUpdateRule((ConstantUpdate((1,), (5.0,)),))),
+        PhysicalState(_LINES, (0.0, 0.0)),
+    ),
+    "relation-table": lambda: (_reading(TableRule(_READ)), PhysicalState(_CELLS, "on")),
+    "relation-threshold": lambda: (
+        _reading(ThresholdRule((2.5, 2.5)), _LINES, BitSpace("gate.word", 2)),
+        PhysicalState(_LINES, (0.0, 5.0)),
+    ),
+    "relation-product": lambda: (
+        _reading(ProductRule((_reading(TableRule(_READ)), _reading(TableRule(_READ)))), _CELL_PAIR, _PAIR),
+        PhysicalState(_CELL_PAIR, ("on", "off")),
+    ),
+}
+
+
+def _run(decl, state):
+    """``decl`` applied to ``state`` through its public function."""
+    if isinstance(decl, AbstractDynamics):
+        return evolve_abstract(decl, state)
+    if isinstance(decl, PhysicalDynamics):
+        return evolve_physical(decl, state, SEED)
+    return represent(decl, state)
+
+
+@pytest.mark.parametrize("owner", _OWNERS)
+def test_each_rule_compiles_once_per_declaration(monkeypatch, owner):
+    """Gate: each pair of owner and rule kind compiles on first use only, and each part once.
+
+    A copy or a pickle drops the compiled function, so it compiles again,
+    once: a copy shares its rule's parts, compiled already, and a pickle's
+    parts are new and compile once each.
+    """
+    decl, state = _OWNERS[owner]()
+    compiled = record_calls(monkeypatch, abrep.dynamics._compiled)
+    rules = [decl.rule, *(part.rule for part in getattr(decl.rule, "parts", ()))]
+    image = _run(decl, state)
+    assert [_run(decl, state) for _ in range(3)] == [image] * 3
+    assert [call[0] for call in compiled] == rules
+    for again, expected in ((copy.copy(decl), rules[:1]), (pickle.loads(pickle.dumps(decl)), rules)):
+        compiled.clear()
+        assert [_run(again, state) for _ in range(3)] == [image] * 3
+        assert [call[0] for call in compiled] == expected
 
 
 def _seeded_calls() -> dict:
