@@ -18,7 +18,6 @@ from .composition import (
     classify,
     componentwise_joint,
     compose_parallel,
-    factorize_dynamics,
 )
 from .document import emit_scenario, parse_scenario
 from .dynamics import (

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen = commands.add_parser("scenarios", help="built-in scenarios")
     scen_sub = scen.add_subparsers(dest="scenario_command", required=True)
     emit = scen_sub.add_parser("emit", help="print a built-in scenario document")
-    emit.add_argument("name", help=f"one of: {', '.join(sorted(BUILTIN_SCENARIOS))}")
+    emit.add_argument("name", choices=sorted(BUILTIN_SCENARIOS))
 
     return parser
 
@@ -119,15 +119,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "scenarios":
-        builder = BUILTIN_SCENARIOS.get(args.name)
-        if builder is None:
-            print(
-                f"error: unknown scenario {args.name!r};"
-                f" available: {', '.join(sorted(BUILTIN_SCENARIOS))}",
-                file=sys.stderr,
-            )
-            return 2
-        sys.stdout.write(emit_scenario(builder()))
+        sys.stdout.write(emit_scenario(BUILTIN_SCENARIOS[args.name]()))
         return 0
 
     bundle = _load_bundle(args.file)

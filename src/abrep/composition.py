@@ -10,12 +10,12 @@ system is *heterotic*.
 
 The classifier decides this structurally. One splitter walks the pairs of the
 two halves row by row, checks that each coordinate of the joint map depends
-on its own half only, and reads the factor tables off; the reading and the
-dynamics are each one call to it. ``brute_force_classify`` is its independent
-oracle. It observes the joint reading and the joint dynamics once per pair,
-through the public ``represent`` and ``evolve_abstract``, and one search then
-takes for each factor in turn the first candidate function, in canonical
-order, that reproduces its coordinate of the observed table.
+on its own half only, and reads the factor tables off. ``classify`` calls it
+on the reading and on the dynamics, and its witness is the one factorization
+API. ``brute_force_classify`` is the independent oracle. It observes both
+joint maps once per pair, through the public ``represent`` and
+``evolve_abstract``, and one search then takes for each factor the first
+candidate function, in canonical order, that reproduces its coordinate.
 """
 
 from __future__ import annotations
@@ -160,16 +160,6 @@ def _split_coordinates(space, codomain, joint) -> tuple[dict, dict] | None:
     return fmap, {b: column.pop() for b, column in zip(bvals, seconds)}
 
 
-def factorize_dynamics(d: AbstractDynamics) -> tuple[dict, dict] | None:
-    """Split dynamics on a two-part product into independent actions.
-
-    Returns value-keyed endomap tables (f, g) with d(a, b) = (f(a), g(b)) on
-    every state, or None when the coordinates are coupled or the space is not
-    a two-part product.
-    """
-    return _split_coordinates(d.space, d.space, d._apply)  # its space is its own codomain
-
-
 def _factors_match_declared(j: JointSystem, factors: tuple[dict, dict]) -> bool:
     """True iff each reading factor, keyed by its half's domain values, is its declared reading."""
     spaces = j.joint_representation.codomain.components
@@ -187,9 +177,9 @@ def classify(j: JointSystem) -> CompositionClass:
     declared component representations and the joint dynamics to factor into
     some pair of independent component actions. Anything else is heterotic.
     """
-    rep = j.joint_representation
+    rep, dyn = j.joint_representation, j.joint_dynamics
     rep_factors = _split_coordinates(j.joint_space, rep.codomain, rep._apply)  # pairs of domain members
-    return _verdict(j, rep_factors, factorize_dynamics(j.joint_dynamics))
+    return _verdict(j, rep_factors, _split_coordinates(dyn.space, dyn.space, dyn._apply))
 
 
 def _verdict(j: JointSystem, rep_factors, dyn_factors) -> CompositionClass:

@@ -1,21 +1,22 @@
 """Scenario documents: parsing, resolution, and emission.
 
 A scenario file is a UTF-8 JSON document with a fixed section order
-(spaces, relations, dynamics, theories, stacks, compositions, checks). Identifiers must be declared before they are referenced and are
-unique per section. Parsing yields a fully resolved bundle; emission writes
-a document that parses back to a structurally equal bundle. Check
-declarations keep their object references as identifiers so that a check
-naming a missing object degrades to a per-check error at run time instead
-of poisoning the whole document.
+(spaces, relations, dynamics, theories, stacks, compositions, checks).
+Identifiers must be declared before they are referenced and are unique per
+section. Parsing yields a fully resolved bundle; emission writes a document
+that parses back to an equal bundle, and refuses with a DeclarationError
+what the reader would refuse or read as another object. Check declarations
+keep their object references as identifiers, so that a check naming a
+missing object is a per-check error at run time, not a bad document.
 
 The field tables below, walked from ``_SECTIONS``, are the one description
 of the format. Each declaration kind lists its fields in document order:
 JSON key, kind of value, the attribute it fills and its default. One reader
-(``_read``) and one writer (``_write``) walk them, so what parses is exactly
-what is emitted. The reader checks only what JSON alone decides: shapes,
-identifiers, tags, references and state values. Each constructor checks its
-own fields and names the one it rejects, and the reader reports that field
-at its document path.
+(``_read``) and one writer (``_write``) walk them, and each enters what it
+declares in the same registry (``_enter``). The reader checks only what JSON
+alone decides: shapes, identifiers, tags, references and state values. Each
+constructor checks its own fields and names the one it rejects, and the
+reader reports that field at its document path.
 """
 
 from __future__ import annotations
@@ -174,8 +175,6 @@ def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any
     build, fields = decl.build, list(decl.fields)
     try:
         _expect(obj, path, dict, "an object")
-        if decl.fresh:
-            reg[decl.fresh] = {}
         scope = SimpleNamespace()
         scopes = (scope, *outer)
         for f in fields:  # a tag appends its declaration's fields
@@ -200,12 +199,19 @@ def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any
         key = next((f.key for f in fields if attr == (f.attr or f.key)), None)
         where = f"{path}: {err}" if key is None else f"{path}.{key}{bracket}{index}: {err.reason}"
         raise ScenarioSyntaxError(where) from err
+    _enter(decl, built, path, reg)
+    return built
+
+
+def _enter(decl: _Decl, obj: Any, path: str, reg: dict) -> None:
+    """Declare ``obj``, read or written at ``path``, in ``reg``; the ``fresh`` table starts over."""
     if decl.tables:
-        ident = getattr(scope, decl.fields[0].key)
+        ident = getattr(obj, decl.fields[0].key)
         if any(ident in reg[table] for table in decl.tables):
             raise DuplicateIdentifier(path, ident)
-        reg[decl.tables[0]][ident] = built
-    return built
+        reg[decl.tables[0]][ident] = obj
+    if decl.fresh:
+        reg[decl.fresh] = {}
 
 
 def _value(f: _F, v: Any, path: str, reg: dict, scopes: tuple) -> Any:
@@ -241,8 +247,8 @@ def _value(f: _F, v: Any, path: str, reg: dict, scopes: tuple) -> Any:
     return tuple([_trusted(PhysicalState, space, x) for x in values])
 
 
-def _write(decl: _Decl, obj: Any, outer: tuple = ()) -> dict:
-    """The JSON object that declares ``obj``, its fields in document order."""
+def _write(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> dict:
+    """The JSON object that declares ``obj`` at ``path``, its fields in document order, then declared."""
     out: dict[str, Any] = {}
     scopes = (obj, *outer)
     fields = list(decl.fields)
@@ -254,35 +260,42 @@ def _write(decl: _Decl, obj: Any, outer: tuple = ()) -> dict:
             else:
                 tag = next((t for t, d in choices.items() if type(obj) is d.build), None)
             if tag not in choices:
-                owner = next(s.id for s in scopes if hasattr(s, "id"))
-                raise DeclarationError(
-                    f"declaration {owner!r}: no {f.arg[0]} writes a {type(obj).__name__}"
-                )
+                raise DeclarationError(f"{path}: no {f.arg[0]} writes a {type(obj).__name__}")
             out[f.key] = tag
             fields += choices[tag].fields
             continue
         value = getattr(obj, f.attr or f.key)
         if value is not None and (value or f.kind != "flag"):
-            out[f.key] = _json(f, value, scopes)
+            out[f.key] = _json(f, value, f"{path}.{f.key}", reg, scopes)
+    _enter(decl, obj, path, reg)
     return out
 
 
-def _json(f: _F, value: Any, scopes: tuple) -> Any:
-    """Field ``f``'s attribute ``value`` encoded as JSON."""
+def _json(f: _F, value: Any, path: str, reg: dict, scopes: tuple) -> Any:
+    """Field ``f``'s attribute ``value``, at ``path``, encoded as JSON."""
     kind = f.kind
     if kind == "ref":
-        return value.id
+        return _ref(reg[f.arg], value, path)
     if kind == "refs":
-        return [v.id for v in value]
+        return [_ref(reg[f.arg], v, f"{path}[{i}]") for i, v in enumerate(value)]
     if kind == "states":
         return [s.value for s in value]  # the encoder writes tuples as arrays
     if kind == "entries":
         return [(k, value[k]) for k in enumerate_values(_find(scopes, f.arg[0]))]
     if kind == "one":
-        return _write(f.arg, value, scopes)
+        return _write(f.arg, value, path, reg, scopes)
     if kind == "many":
-        return [_write(f.arg, v, scopes) for v in value]
+        return [_write(f.arg, v, f"{path}[{i}]", reg, scopes) for i, v in enumerate(value)]
     return value
+
+
+def _ref(table: dict, obj: Any, path: str) -> str:
+    """``obj``'s identifier, which ``table`` declares as ``obj`` or as its equal in each written field."""
+    declared = resolve(table, obj.id, path)  # compared in the constructor's fields: no theory's evidence
+    if declared is not obj and (type(declared) is not type(obj) or any(
+            getattr(declared, name) != getattr(obj, name) for name in obj.__match_args__)):
+        raise DeclarationError(f"{path}: {obj.id!r} is declared before it as another object")
+    return obj.id
 
 
 def _tag(key: str, noun: str, choices: dict) -> _F:
@@ -531,11 +544,15 @@ def parse_scenario(text: str) -> ScenarioBundle:
 
 
 def emit_scenario(bundle: ScenarioBundle) -> str:
-    """Serialize a bundle as document text that parses back equal."""
+    """Serialize a bundle as document text that parses back equal, or raise a DeclarationError."""
     doc: dict[str, Any] = {"format_version": bundle.format_version}
+    reg: dict = defaultdict(dict)  # as parse_scenario's
     for field, path, decl in _SECTIONS:
         section, _, part = path.partition(".")
-        decls = [_write(decl, obj) for obj in getattr(bundle, field)]
+        try:
+            decls = [_write(decl, obj, f"{path}[{i}]", reg) for i, obj in enumerate(getattr(bundle, field))]
+        except ScenarioError as err:  # what the reader would refuse, at the same path
+            raise DeclarationError(str(err)) from err
         if part:
             doc.setdefault(section, {})[part] = decls
         else:

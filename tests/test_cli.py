@@ -296,7 +296,9 @@ def test_scenarios_emit_prints_parseable_documents(capsys):
 
     bundle = parse_scenario(text)
     assert bundle.joint("social.galaxy-zoo")
-    assert main(["scenarios", "emit", "not-a-scenario"]) == 2
+    with pytest.raises(SystemExit) as exit_info:  # argparse refuses it as a usage error
+        main(["scenarios", "emit", "not-a-scenario"])
+    assert exit_info.value.code == 2
 
 
 def test_epsilon_and_trials_overrides_apply(tmp_path, capsys):

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import abrep.composition
 import abrep.dynamics
 import abrep.spaces
 from abrep import (
@@ -51,7 +52,6 @@ from abrep import (
     enumerate_values,
     emit_scenario,
     evolve_abstract,
-    factorize_dynamics,
     identity_dynamics,
     parse_scenario,
     represent,
@@ -190,30 +190,50 @@ def test_social_machine_representation_returns_none():
     assert classify(joint).witness.representation_factors is None
 
 
-def test_factorize_dynamics_examples():
-    bit = BitSpace("b1", 1)
-    pair = TupleSpace("bb", (bit, bit))
-    flip = {"0": "1", "1": "0"}
+def test_the_witness_splits_factorable_dynamics_and_refuses_the_rest():
+    """``classify``'s witness is the one factorization API: its dynamics tables, or None."""
+    identity = {"0": "0", "1": "1"}
+    f, g = classify(xor_joint_variant("not-first")).witness.dynamics_factors
+    assert f == {"0": "1", "1": "0"} and g == identity
+    f, g = classify(xor_joint_variant("identity")).witness.dynamics_factors
+    assert f == identity and g == identity
 
-    not_first = AbstractDynamics(
-        "notfirst", pair, TableRule({(a, b): (flip[a], b) for (a, b) in enumerate_values(pair)})
-    )
-    factors = factorize_dynamics(not_first)
-    assert factors is not None
-    f, g = factors
-    assert f == flip
-    assert g == {"0": "0", "1": "1"}
+    # xor couples the halves; galaxy-zoo's joint codomain is not a pair
+    assert classify(build_xor_joint().joint("xor.joint")).witness.dynamics_factors is None
+    galaxy_zoo = build_social_machine().joint("social.galaxy-zoo")
+    assert not isinstance(galaxy_zoo.joint_dynamics.space, TupleSpace)
+    assert classify(galaxy_zoo).witness.dynamics_factors is None
 
-    from abrep import BuiltinRule
 
-    ident = AbstractDynamics("ident", pair, BuiltinRule("identity"))
-    f, g = factorize_dynamics(ident)
-    assert f == {"0": "0", "1": "1"} and g == {"0": "0", "1": "1"}
+def test_classify_evaluates_each_joint_map_once_per_pair_until_a_row_couples(monkeypatch):
+    """Gate: the splitter's evaluation law, as the (reading, dynamics) evaluations of one classification.
 
-    xor = AbstractDynamics("xor", pair, BuiltinRule("xor"))
-    assert factorize_dynamics(xor) is None
+    Each map is evaluated once per pair of its two halves' values, row by
+    row. The split stops after the first row whose first coordinate depends
+    on the second half, and a codomain that is not a pair evaluates nothing.
+    """
+    split, counts = abrep.composition._split_coordinates, []
 
-    assert factorize_dynamics(AbstractDynamics("flat", bit, BuiltinRule("identity"))) is None
+    def counted_split(space, codomain, joint):
+        counts.append(0)
+
+        def counted(pair):
+            counts[-1] += 1
+            return joint(pair)
+
+        return split(space, codomain, counted)
+
+    monkeypatch.setattr(abrep.composition, "_split_coordinates", counted_split)
+    social, xor = build_social_machine(), build_xor_joint()
+    cases = [
+        (social.joint("social.side-by-side"), (6 * 4, 3 * 3)),  # every pair of each map
+        (social.joint("social.galaxy-zoo"), (0, 0)),  # reads into labels, not a pair
+        (xor.joint("xor.joint"), (2 * 2, 2)),  # xor's first row already depends on b
+    ]
+    for joint, evaluations in cases:
+        counts.clear()
+        classify(joint)
+        assert tuple(counts) == evaluations, joint.id
 
 
 def test_classify_composed_outputs_are_hybrid():
@@ -451,7 +471,7 @@ def test_a_reading_into_look_alike_spaces_is_not_the_declared_reading():
     declared = (joint.left.theory.representation, joint.right.theory.representation)
     for factors, relation in zip(decision.witness.representation_factors, declared):
         assert factors == relation.rule.entries
-    assert factorize_dynamics(joint.joint_dynamics) is not None
+    assert decision.witness.dynamics_factors is not None
     assert decision.value == brute_force_classify(joint).value == HETEROTIC
 
 

@@ -15,6 +15,7 @@ from abrep import (
     BitSpace,
     BuiltinRule,
     CheckSpec,
+    Component,
     CoordinateFlipNoise,
     CoordinateUpdateRule,
     DeclarationError,
@@ -47,6 +48,7 @@ from abrep import (
     build_voltage_adder,
     check_layer,
     check_stack_to_device,
+    compose_parallel,
     emit_scenario,
     enumerate_values,
     identity_dynamics,
@@ -471,9 +473,68 @@ def test_emitting_a_rule_the_format_cannot_write_names_its_declaration():
     """A composed joint's product dynamics have no document kind; its mode says how it was made."""
     bundle = build_social_machine()
     product = bundle.joint("social.side-by-side").joint_dynamics
-    listed = replace(bundle, abstract_dynamics=(*bundle.abstract_dynamics, product))
-    with pytest.raises(DeclarationError, match="'social.side-by-side.dynamics'"):
+    listed = replace(bundle, abstract_spaces=(*bundle.abstract_spaces, product.space),
+                     abstract_dynamics=(*bundle.abstract_dynamics, product))
+    refusal = r"^dynamics\.abstract\[3\]\.rule: no rule kind writes a ProductRule$"
+    with pytest.raises(DeclarationError, match=refusal):
         emit_scenario(listed)
+
+
+def _look_alike_digits(bundle: ScenarioBundle) -> ScenarioBundle:
+    """The swap device with its listed digit reading replaced by another table of the same id."""
+    read_digit = bundle.relations[0]
+    backwards = replace(read_digit, rule=TableRule({str(d): 9 - d for d in range(10)}))
+    return replace(bundle, relations=(backwards, *bundle.relations[1:]))
+
+
+def _twin_layers(bundle: ScenarioBundle) -> ScenarioBundle:
+    """The refinement stack with its middle layer renamed to its top layer's id."""
+    stack = bundle.stack("stack.adder")
+    top, middle, bottom = stack.layers
+    twin = replace(middle, id=top.id)
+    down, up = stack.relations
+    twinned = replace(stack, layers=(top, twin, bottom),
+                      relations=(replace(down, lower=twin), replace(up, upper=twin)))
+    return replace(bundle, stacks=(twinned,))
+
+
+@pytest.mark.parametrize("build, change, message", [
+    (build_swap_device, lambda b: replace(b, relations=b.relations[1:]),
+     "relations[0].rule.parts[0]: unknown identifier 'swap.read-digit'"),
+    (build_swap_device, _look_alike_digits,
+     "relations[1].rule.parts[0]: 'swap.read-digit' is declared before it as another object"),
+    (build_swap_device, lambda b: replace(b, relations=b.relations[::-1]),
+     "relations[0].rule.parts[0]: unknown identifier 'swap.read-digit'"),
+    (build_swap_device, lambda b: replace(b, abstract_spaces=b.abstract_spaces[::-1]),
+     "spaces.abstract[0].components[0]: unknown identifier 'swap.number'"),
+    (build_refinement_stack, _twin_layers,
+     "stacks[0].layers[1]: duplicate identifier 'stack.dec-layer'"),
+], ids=["missing", "look-alike", "whole-before-part", "space-before-parts", "twin-layers"])
+def test_emission_refuses_a_document_that_would_not_parse_back_to_its_bundle(build, change, message):
+    """Gate: each bundle runs its checks, but its document would read as another bundle, or not at all."""
+    bundle = change(build())
+    assert run_checks(bundle).exit_code == 0
+    with pytest.raises(DeclarationError) as refused:
+        emit_scenario(bundle)
+    assert str(refused.value) == message
+
+
+def test_emission_compares_a_referenced_theory_in_the_fields_it_writes():
+    """A validated theory is written as its declared one: a theory's evidence is not in the document."""
+    bundle = BUILTIN_SCENARIOS["xor-joint"]()
+    joint = bundle.joint("xor.joint")
+    left, right = (
+        Component(validate_theory(part.theory, 0.0, DISCRETE, 1, 1.0, TrialSeed(0))[0], part.dynamics)
+        for part in (joint.left, joint.right)
+    )
+    assert left.theory != joint.left.theory and left.theory.is_valid
+    side_by_side = compose_parallel(left, right, "xor.side-by-side")
+    check = CheckSpec("classify-side-by-side", "classify", joint="xor.side-by-side", oracle=True)
+    bundle = replace(bundle, joints=(*bundle.joints, side_by_side), checks=(*bundle.checks, check))
+    parsed = parse_scenario(emit_scenario(bundle))
+    assert parsed.joint("xor.side-by-side").left.theory.evidence is None
+    report = report_to_json(run_checks(bundle))
+    assert report_to_json(run_checks(parsed)) == report and '"Hybrid"' in report
 
 
 def test_embeddings_section_is_no_longer_accepted():
