@@ -125,6 +125,13 @@ def componentwise_joint(id: str, left: Component, right: Component) -> JointSyst
     return JointSystem(id, left, right, space, joint_rep, joint_dyn, "composed-parallel")
 
 
+def _is_componentwise(j: JointSystem) -> bool:
+    """True iff ``j``'s space, reading and dynamics are those ``componentwise_joint`` builds of its halves."""
+    built = componentwise_joint(j.id, j.left, j.right)
+    fields = ("joint_space", "joint_representation", "joint_dynamics")
+    return all(getattr(j, f) == getattr(built, f) for f in fields)
+
+
 def compose_parallel(a: Component, b: Component, joint_id: str = "parallel") -> JointSystem:
     """Run both computations side by side on the composed input."""
     for comp in (a, b):

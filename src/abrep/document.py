@@ -28,7 +28,7 @@ from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, NoReturn, get_args
 
-from .composition import Component, JointSystem, componentwise_joint
+from .composition import Component, JointSystem, _is_componentwise, componentwise_joint
 from .dynamics import (
     AbstractDynamics,
     BUILTIN_NAMES,
@@ -413,7 +413,7 @@ _COMPOSITION = _Decl(None, (
     }),
     _F("left", "one", arg=_COMPONENT),
     _F("right", "one", arg=_COMPONENT),
-), ("joints",), tag_of=lambda joint: joint.provenance.removeprefix("composed-"))
+), ("joints",), tag_of=lambda joint: "parallel" if _is_componentwise(joint) else "declared")
 _CHECK = _Decl(CheckSpec, (
     _F("name", "name"),
     _F("kind", "enum"),

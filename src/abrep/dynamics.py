@@ -9,18 +9,20 @@ isolation and independent trials may run concurrently.
 Every rule kind is declared here, the threshold readings of relations
 included, and ``_compiled`` alone turns a rule into a function on member
 values. Each program, device update (without its noise) and relation
-compiles its rule once, on first use, and every step and read goes through it.
+compiles its rule once, on first use, and every step and read goes through
+it, except that ``_sliced`` runs a threshold device's update on a whole
+column of readings at once, bit-sliced, to find the cells that need one.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import accumulate
-from operator import and_, ge, itemgetter, xor
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, compress, count
+from operator import and_, ge, itemgetter, or_, xor
 from typing import Literal, Union, get_args
 
 from .errors import DeclarationError, OutOfDomain, _shown
@@ -224,6 +226,46 @@ def _compiled(rule, space, codomain=None) -> Callable[[Value], Value]:
         return value
 
     return chain
+
+
+def _sliced(rule: PhysicalRule, reading) -> Callable[[list, list], Iterator[int]] | None:
+    """``rule`` run on a whole column at once and read by the threshold rule ``reading``, or None.
+
+    The function returned takes each cell's reading before the update and the
+    value it must read as after it, and yields the index of each cell where they
+    differ. Lane j packs every cell's bit on line j, cell i's in byte i (Biham,
+    1997): a constant pins a lane, a binary sum ripples its carry through its
+    addends' lanes, and a written level sets the bit it reads as at line j's cut.
+    A lane is what a sum reads only if the sum cuts the line there too; else None.
+    """
+    if not (isinstance(rule, CoordinateUpdateRule) and isinstance(reading, ThresholdRule)):
+        return None
+    cuts, updates, n = reading.thresholds, rule.assignments, len(reading.thresholds)
+    sums = [u for u in updates if isinstance(u, BinarySumUpdate)]
+    if any(cuts[line] != u.threshold for u in sums for line in u.a_lines + u.b_lines):
+        return None
+
+    def differing(readings: list, uppers: list) -> Iterator[int]:
+        ones = int.from_bytes(b"\1" * len(readings), "little")
+        rows = ("".join(map("".join, column)).encode() for column in (readings, uppers))  # low bit: the bit
+        lanes, above = ([int.from_bytes(row[j::n], "little") & ones for j in range(n)] for row in rows)
+        for upd in updates:
+            if isinstance(upd, ConstantUpdate):
+                for line, level in zip(upd.lines, upd.values):
+                    lanes[line] = ones if level >= cuts[line] else 0
+                continue
+            pad, carry, bits = [0] * len(upd.out_lines), 0, []
+            a, b = ([lanes[i] for i in lines[::-1]] + pad for lines in (upd.a_lines, upd.b_lines))
+            for x, y, _ in zip(a, b, pad):  # least significant first, to the target's width
+                bits.append(x ^ y ^ carry)
+                carry = x & y | carry & (x ^ y)
+            for line, bit in zip(upd.out_lines, bits[::-1]):
+                high, low = upd.high >= cuts[line], upd.low >= cuts[line]
+                lanes[line] = (bit if high else 0) | (bit ^ ones if low else 0)
+        differ = reduce(or_, map(xor, lanes, above), 0)
+        return compress(count(), differ.to_bytes(len(readings), "little"))
+
+    return differing
 
 
 @lru_cache(maxsize=None)

@@ -203,9 +203,10 @@ def _ground(
     bottoms = reachable_bottom_states(stack)
     # Each prepared state reads as its bottom state: _prepare chose it so.
     starts = [_in_domain(theory, prepared) for prepared in _prepare(theory, bottoms)]
-    uppers = [program._apply(bottom.value) for bottom in bottoms]
+    readings = [bottom.value for bottom in bottoms]
+    uppers = list(map(program._apply, readings))
     seeds = (derive_seed(base_seed, i) for i in count())
     values = [p.value for p in starts]
-    column = _grade(tolerances, stack.device, values, uppers, metric, seeds, theory.representation)
+    column = _grade(tolerances, stack.device, values, uppers, metric, seeds, theory.representation, readings)
     entries = tuple(map(DeviceCheckEntry, bottoms, _reports(starts, column)))
     return StackReport(stack.id, layer_reports, entries)

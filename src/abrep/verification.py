@@ -28,6 +28,7 @@ from .dynamics import (
     PhysicalDynamics,
     TrialSeed,
     _flip,
+    _sliced,
     _trial_outcomes,
     derive_seed,
     evolve_abstract,
@@ -136,18 +137,20 @@ class CommutationReport:
 def _grade(
     tolerances: tuple[float, int, float], device: PhysicalDynamics | AbstractDynamics,
     starts: list, uppers: list, metric: Metric, seeds: Iterable,
-    relation: RepresentationRelation | None = None,
+    relation: RepresentationRelation | None = None, readings: list | None = None,
 ) -> tuple:
     """Grade a column of squares on values: the one place a square passes or fails.
 
     Square i runs ``device``, a device update or a layer's upper program, from
     member value ``starts[i]``, reads the outcome through ``relation`` if given,
     and measures it against ``uppers[i]`` within ``tolerances``, the triple of
-    ``_check_tolerances``. Noise-free, as a program is, each compiled map runs
-    once over the column and ``seeds`` is not read. Noisy, each distinct flag
-    code that square i draws from its seed is flipped, read and measured once,
-    with its count of trials. The column is returned as ``_reports`` reads it,
-    verdicts first.
+    ``_check_tolerances``. Noise-free, as a program is, ``seeds`` is not read
+    and each compiled map runs once per square; given the starts' ``readings``
+    under the discrete metric, only on the squares that ``_sliced`` finds
+    differ, and each other square's lower is its upper, at distance 0. Noisy,
+    each distinct flag code that square i draws from its seed is flipped, read
+    and measured once, with its count of trials. The column is returned as
+    ``_reports`` reads it, verdicts first.
     """
     epsilon, trials, required = tolerances
     kind, space, read = PhysicalState, device.space, lambda value: value
@@ -155,8 +158,15 @@ def _grade(
         kind, space, read = AbstractState, relation.codomain, relation._apply
     measure = _metric(metric, space)
     if device.noise is None:
-        lowers = list(map(read, map(device._apply, starts)))
-        distances = list(map(measure, lowers, uppers))
+        differing = readings is not None and metric == "discrete" and _sliced(device.rule, relation.rule)
+        if differing:
+            lowers, distances = list(uppers), [0.0] * len(uppers)
+            for i in differing(readings, uppers):
+                lowers[i] = read(device._apply(starts[i]))
+                distances[i] = measure(lowers[i], uppers[i])
+        else:
+            lowers = list(map(read, map(device._apply, starts)))
+            distances = list(map(measure, lowers, uppers))
         codes = [(0,) * trials] * len(lowers)
         graded = [{0: pair} for pair in zip(lowers, distances)]
         fractions = [1.0 if d <= epsilon else 0.0 for d in distances]
@@ -285,7 +295,7 @@ def validate_theory(
     for pi, pred in enumerate(theory.predictions):
         seeds = (derive_seed(seed, si, pi) for si in count())
         uppers = list(map(pred.abstract._apply, readings))
-        columns.append(_grade(tolerances, pred.physical, values, uppers, metric, seeds, relation))
+        columns.append(_grade(tolerances, pred.physical, values, uppers, metric, seeds, relation, readings))
     names = [pred.name for pred in theory.predictions]
     all_passed = all(all(column[0]) for column in columns)
     evidence = ValidityReport(

@@ -366,6 +366,37 @@ def test_unknown_provenance_is_a_declaration_error():
         replace(joint, provenance="composed-sequential")
 
 
+def _swapped(joint: JointSystem) -> JointSystem:
+    """``joint`` rebuilt with its halves swapped: it reads and steps each pair the other way round."""
+    rep, dyn, space = joint.joint_representation, joint.joint_dynamics, joint.joint_space
+    floor = PhysicalTupleSpace(f"{space.id}.swapped", space.components[::-1])
+    values = TupleSpace(f"{dyn.space.id}.swapped", dyn.space.components[::-1])
+    read = RepresentationRelation(f"{rep.id}.swapped", floor, values, TableRule({
+        (b, a): represent(rep, PhysicalState(space, (a, b))).value[::-1] for a, b in enumerate_values(space)
+    }))
+    step = AbstractDynamics(f"{dyn.id}.swapped", values, TableRule({
+        (y, x): evolve_abstract(dyn, AbstractState(dyn.space, (x, y))).value[::-1]
+        for x, y in enumerate_values(dyn.space)
+    }))
+    return JointSystem(f"{joint.id}.swapped", joint.right, joint.left, floor, read, step, "declared")
+
+
+@pytest.mark.parametrize("build, verdict", [
+    (lambda: build_social_machine().joint("social.side-by-side"), HYBRID),
+    (lambda: build_xor_joint().joint("xor.joint"), HETEROTIC),
+], ids=["side-by-side", "xor"])
+def test_a_joint_keeps_its_class_with_its_halves_swapped(build, verdict):
+    """Metamorphic: which half is the left one is a naming choice, and no classifier may depend on it.
+
+    Catches a ``_split_coordinates`` that checks that each row of the table
+    has one first coordinate but not that each column has one second: the
+    swapped xor writes its parity into the second cell, and would classify Hybrid.
+    """
+    joint = build()
+    for decide in (classify, brute_force_classify):
+        assert decide(joint).value == decide(_swapped(joint)).value == verdict
+
+
 def test_classify_xor_joint_is_heterotic():
     _, _, joint = xor_components()
     decision = classify(joint)

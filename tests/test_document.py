@@ -11,6 +11,7 @@ import pytest
 from abrep import (
     BUILTIN_SCENARIOS,
     DISCRETE,
+    HETEROTIC,
     AbstractDynamics,
     BitSpace,
     BuiltinRule,
@@ -47,6 +48,7 @@ from abrep import (
     build_swap_device,
     build_voltage_adder,
     check_layer,
+    classify,
     check_stack_to_device,
     compose_parallel,
     emit_scenario,
@@ -332,6 +334,25 @@ def test_composed_joint_round_trips_through_mode():
     with pytest.raises(ScenarioSyntaxError) as err:
         parse_scenario(json.dumps(data))
     assert str(err.value) == "compositions[1].mode: unknown composition mode 'sequential'"
+
+
+def test_a_joint_is_written_in_the_mode_its_maps_have_not_the_one_its_label_names():
+    """Gate: the xor joint relabelled composed-parallel is written declared, and reads back Heterotic.
+
+    Written by its label, it read back as the componentwise joint of its
+    halves, which classifies Hybrid.
+    """
+    bundle = BUILTIN_SCENARIOS["xor-joint"]()
+    relabelled = replace(bundle.joint("xor.joint"), id="xor.relabelled", provenance="composed-parallel")
+    check = CheckSpec("classify-relabelled", "classify", joint="xor.relabelled", oracle=True)
+    bundle = replace(bundle, joints=(*bundle.joints, relabelled), checks=(*bundle.checks, check))
+    text = emit_scenario(bundle)
+    assert [c["mode"] for c in json.loads(text)["compositions"]] == ["declared", "declared"]
+    parsed = parse_scenario(text)
+    assert classify(parsed.joint("xor.relabelled")) == classify(relabelled)
+    assert classify(relabelled).value == HETEROTIC
+    report = report_to_json(run_checks(bundle))
+    assert report_to_json(run_checks(parsed)) == report and '"Hybrid"' not in report
 
 
 def _adder_doc() -> dict:

@@ -317,8 +317,9 @@ def test_stack_check_scans_the_seeds_once(monkeypatch):
     """Gate and cost law: one scan steps and reads seeds in order, each once, up to the last it needs.
 
     The 112 reachable bottom words sit at seeds 0 to 126 of 128, the indices
-    their bits spell, so the scan stops at seed 126. Each noise-free square
-    then steps and reads the device once.
+    their bits spell, so the scan stops at seed 126. The noise-free device
+    column is then graded on lanes from the bottom words, and no square
+    disagrees, so none steps or reads the device.
     """
     bundle = BUILTIN_SCENARIOS["refinement-stack"]()
     assert len(bundle.stack("stack.adder").theory.instantiation.seeds) == 128
@@ -326,7 +327,7 @@ def test_stack_check_scans_the_seeds_once(monkeypatch):
     report = run_checks(bundle)
     assert report.exit_code == 0
     assert report.results[-1].detail["device_states"] == 112
-    assert counts == {"rule": 127 + 112, "read": 127 + 112}  # 7,280 steps when each bottom state rescanned
+    assert counts == {"rule": 127, "read": 127}  # 7,280 steps when each bottom state rescanned, 239 row-wise
 
 
 def test_stack_check_normalizes_no_value(monkeypatch):
@@ -362,10 +363,11 @@ def test_a_stack_run_grades_every_square_in_the_one_grader(monkeypatch):
     for relation, (_, device, starts, *_, read) in zip(stack.relations, columns[:2]):
         assert device is relation.upper.dynamics and read is relation
         assert starts == list(enumerate_values(relation.upper.space))
-    _, device, starts, *_, read = columns[2]
+    _, device, starts, *_, read, readings = columns[2]  # the device column's starts read as the bottoms
     assert device is stack.device and read is stack.theory.representation
-    bottoms = {state.value for state in reachable_bottom_states(stack)}
-    assert [len(column[2]) for column in columns] == [112, 128, len(bottoms)] == [112, 128, 112]
+    bottoms = [state.value for state in reachable_bottom_states(stack)]
+    assert readings == bottoms == list(map(read._apply, starts))
+    assert [len(column[2]) for column in columns] == [112, 128, len(set(bottoms))] == [112, 128, 112]
 
 
 def test_layer_and_stack_checks_run_on_values(monkeypatch):

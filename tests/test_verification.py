@@ -5,8 +5,10 @@ import math
 import pickle
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import abrep.dynamics
 import abrep.spaces
@@ -15,6 +17,7 @@ from abrep import (
     BUILTIN_SCENARIOS,
     AbstractDynamics,
     AbstractState,
+    BinarySumUpdate,
     BitSpace,
     BuiltinRule,
     ChainRule,
@@ -511,7 +514,12 @@ def test_validation_cost_per_cell_does_not_grow_with_the_domain(monkeypatch, bui
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_noise_free_validation_cost_law(monkeypatch, width):
-    """Gate: per cell, one device step, one program step, and two reads: its state and its image."""
+    """Gate and cost law: D reads and D*P program steps, plus a device step and a read per disagreeing cell.
+
+    The adder's device is a threshold device whose sum reads its lines where
+    the relation cuts them, so its column is graded on lanes, and a sound
+    adder disagrees nowhere: no cell steps the device or reads its image.
+    """
     theory = adder_theory(width)
     counts = count_compiled(
         monkeypatch, rule=PhysicalDynamics, read=RepresentationRelation, program=AbstractDynamics
@@ -519,7 +527,110 @@ def test_noise_free_validation_cost_law(monkeypatch, width):
     _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
     cells = evidence.coverage
     assert evidence.all_passed and cells == 4**width
-    assert counts == {"rule": cells, "read": 2 * cells, "program": cells}
+    assert counts == {"rule": 0, "read": cells, "program": cells}  # rule: cells, read: 2 * cells row-wise
+
+
+def test_a_faulted_adder_steps_its_device_once_per_failing_cell(monkeypatch):
+    """Gate: the stuck sum line fails the 8 odd sums of 16, and only those cells run the device rule.
+
+    Each failing cell's lower reading and distance come from the device's own
+    step and read, as the public square computes them.
+    """
+    _, theory, _ = adder_pieces(faulted=True)
+    counts = count_compiled(
+        monkeypatch, rule=PhysicalDynamics, read=RepresentationRelation, program=AbstractDynamics
+    )
+    _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    failing = [cell for cell in evidence.cells if not cell.report.passed]
+    assert len(failing) == 8 and evidence.coverage == 16
+    assert counts == {"rule": 8, "read": 16 + 8, "program": 16}
+    for cell in failing:
+        assert cell.report.distances == (1.0,)
+        assert cell.report.lower_path_results == (represent(theory.representation, evolve_physical(
+            theory.predictions[0].physical, cell.state, SEED)),)
+
+
+def _both_columns(device, relation, starts, uppers, epsilon=0.0):
+    """``_grade``'s noise-free column given the starts' readings and not, and the device steps of the first."""
+    steps, apply = [], device._apply
+    vars(device)["_apply"] = lambda value: steps.append(value) or apply(value)  # its cached function, counted
+    tolerances, readings = (float(epsilon), 1, 1.0), list(map(relation._apply, starts))
+    column = partial(abrep.verification._grade, tolerances, device, starts, uppers, DISCRETE, (), relation)
+    sliced = column(readings)
+    vars(device)["_apply"] = apply
+    return sliced, column(), len(steps)
+
+
+@pytest.mark.parametrize(
+    "build, failing",
+    [*((partial(adder_theory, w), 0) for w in range(1, 7)), (lambda: adder_pieces(faulted=True)[1], 8)],
+    ids=[*(f"{w}-bit" for w in range(1, 7)), "faulted"],
+)
+def test_an_adder_column_on_lanes_is_its_row_wise_column(build, failing):
+    """Differential: each cell of the lane-graded column is the row-wise cell; only failing cells step."""
+    theory = build()
+    relation, (pred,) = theory.representation, theory.predictions
+    starts = [state.value for state in theory.domain]
+    uppers = list(map(pred.abstract._apply, map(relation._apply, starts)))
+    sliced, rows, steps = _both_columns(pred.physical, relation, starts, uppers)
+    assert sliced == rows and steps == rows[0].count(False) == failing
+
+
+@st.composite
+def _threshold_columns(draw):
+    """A noise-free threshold device, a threshold reading of its lines, and a column of starts and uppers.
+
+    Lines repeat and run out of order, sums write over the lines they read,
+    registers differ in width, levels fall on either side of each cut, and
+    constants stack. Unless the example is ``matched``, a sum may read a
+    line at another cut than the reading's.
+    """
+    n = draw(st.integers(1, 7))
+    line, level = st.integers(0, n - 1), st.sampled_from((0.0, 1.0, 2.5, 4.0, 5.0))
+    cut = st.sampled_from((1.0, 2.5, 4.5))
+    lines = st.lists(line, max_size=4).map(tuple)
+    cuts, matched, shared = draw(st.lists(cut, min_size=n, max_size=n)), draw(st.booleans()), draw(cut)
+    updates = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            pins = draw(st.lists(st.tuples(line, level), max_size=3))
+            updates.append(ConstantUpdate(tuple(p[0] for p in pins), tuple(p[1] for p in pins)))
+            continue
+        a, b, out = draw(lines), draw(lines), draw(lines)
+        updates.append(BinarySumUpdate(a, b, out, shared if matched else draw(cut), draw(level), draw(level)))
+        for i in (a + b) * matched:
+            cuts[i] = shared
+    space = RealVectorSpace("slice.lines", ((0.0, 5.0),) * n)
+    splits = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    ends = [end for end, split in enumerate(splits, 1) if split]
+    widths = [end - start for start, end in zip([0, *ends], [*ends, n])]
+    registers = tuple(BitSpace(f"slice.r{i}", w) for i, w in enumerate(widths))
+    codomain = registers[0] if len(widths) == 1 and draw(st.booleans()) else TupleSpace("slice.word", registers)
+    relation = RepresentationRelation("slice.read", space, codomain, ThresholdRule(tuple(cuts)))
+    device = PhysicalDynamics("slice.device", space, CoordinateUpdateRule(tuple(updates)))
+    starts = draw(st.lists(st.tuples(*[level] * n), min_size=1, max_size=12))
+    uppers = [relation._apply(device._apply(start)) for start in starts]
+    others = st.tuples(st.integers(0, len(starts) - 1), st.tuples(*[level] * n))
+    for i, other in draw(st.lists(others, max_size=4)):
+        uppers[i] = relation._apply(other)  # some other word, or by chance the same
+    sums = [u for u in updates if isinstance(u, BinarySumUpdate)]
+    sliceable = all(cuts[i] == u.threshold for u in sums for i in u.a_lines + u.b_lines)
+    return device, relation, starts, uppers, sliceable
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_threshold_columns(), st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+def test_a_threshold_column_on_lanes_is_its_row_wise_column(column, epsilon):
+    """Differential: random threshold devices grade each cell on lanes as row by row.
+
+    A sum read at another cut than the reading's is graded row by row and
+    steps every cell; a sliced column steps only the cells it fails.
+    """
+    device, relation, starts, uppers, sliceable = column
+    sliced, rows, steps = _both_columns(device, relation, starts, uppers, epsilon)
+    assert sliced == rows
+    disagreeing = sum(graded[0][1] > 0 for graded in rows[8])
+    assert steps == (disagreeing if sliceable else len(starts))
 
 
 def test_validation_compiles_the_metric_once_per_prediction_column(monkeypatch):
@@ -609,13 +720,19 @@ def test_noise_free_validation_derives_no_seed(monkeypatch):
 
 
 def test_two_validations_compile_each_evaluator_once(monkeypatch):
-    """Gate: the relation, the program and the device rule are each compiled on first use only."""
+    """Gate: the relation and the program are each compiled on first use only.
+
+    The sound adder's device column is graded on lanes and no cell disagrees,
+    so the device rule is never compiled; the faulted adder's is, once.
+    """
     compiled = record_calls(monkeypatch, abrep.dynamics._compiled)
-    theory = adder_theory(3)  # new declarations, none compiled yet
-    for seed in (TrialSeed(1), TrialSeed(2)):
-        assert validate_theory(theory, 0.0, DISCRETE, 1, 1.0, seed)[1].all_passed
-    (pred,) = theory.predictions
-    assert [call[0] for call in compiled] == [theory.representation.rule, pred.abstract.rule, pred.physical.rule]
+    for theory, valid in ((adder_theory(3), True), (adder_pieces(faulted=True)[1], False)):  # none compiled yet
+        compiled.clear()
+        for seed in (TrialSeed(1), TrialSeed(2)):
+            assert validate_theory(theory, 0.0, DISCRETE, 1, 1.0, seed)[1].all_passed == valid
+        (pred,) = theory.predictions
+        device = [] if valid else [pred.physical.rule]
+        assert [call[0] for call in compiled] == [theory.representation.rule, pred.abstract.rule, *device]
 
 
 _BIT = BitSpace("gate.bit", 1)
