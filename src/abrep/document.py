@@ -203,12 +203,12 @@ def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any
     return built
 
 
-def _enter(decl: _Decl, obj: Any, path: str, reg: dict) -> None:
+def _enter(decl: _Decl, obj: Any, path: str | tuple, reg: dict) -> None:
     """Declare ``obj``, read or written at ``path``, in ``reg``; the ``fresh`` table starts over."""
     if decl.tables:
         ident = getattr(obj, decl.fields[0].key)
         if any(ident in reg[table] for table in decl.tables):
-            raise DuplicateIdentifier(path, ident)
+            raise DuplicateIdentifier(_at(path), ident)
         reg[decl.tables[0]][ident] = obj
     if decl.fresh:
         reg[decl.fresh] = {}
@@ -247,7 +247,7 @@ def _value(f: _F, v: Any, path: str, reg: dict, scopes: tuple) -> Any:
     return tuple([_trusted(PhysicalState, space, x) for x in values])
 
 
-def _write(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> dict:
+def _write(decl: _Decl, obj: Any, path: tuple, reg: dict, outer: tuple = ()) -> dict:
     """The JSON object that declares ``obj`` at ``path``, its fields in document order, then declared."""
     out: dict[str, Any] = {}
     scopes = (obj, *outer)
@@ -260,24 +260,24 @@ def _write(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> di
             else:
                 tag = next((t for t, d in choices.items() if type(obj) is d.build), None)
             if tag not in choices:
-                raise DeclarationError(f"{path}: no {f.arg[0]} writes a {type(obj).__name__}")
+                raise DeclarationError(f"{_at(path)}: no {f.arg[0]} writes a {type(obj).__name__}")
             out[f.key] = tag
             fields += choices[tag].fields
             continue
         value = getattr(obj, f.attr or f.key)
         if value is not None and (value or f.kind != "flag"):
-            out[f.key] = _json(f, value, f"{path}.{f.key}", reg, scopes)
+            out[f.key] = _json(f, value, (path, f.key), reg, scopes)
     _enter(decl, obj, path, reg)
     return out
 
 
-def _json(f: _F, value: Any, path: str, reg: dict, scopes: tuple) -> Any:
+def _json(f: _F, value: Any, path: tuple, reg: dict, scopes: tuple) -> Any:
     """Field ``f``'s attribute ``value``, at ``path``, encoded as JSON."""
     kind = f.kind
     if kind == "ref":
         return _ref(reg[f.arg], value, path)
     if kind == "refs":
-        return [_ref(reg[f.arg], v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [_ref(reg[f.arg], v, (path, i)) for i, v in enumerate(value)]
     if kind == "states":
         return [s.value for s in value]  # the encoder writes tuples as arrays
     if kind == "entries":
@@ -285,17 +285,24 @@ def _json(f: _F, value: Any, path: str, reg: dict, scopes: tuple) -> Any:
     if kind == "one":
         return _write(f.arg, value, path, reg, scopes)
     if kind == "many":
-        return [_write(f.arg, v, f"{path}[{i}]", reg, scopes) for i, v in enumerate(value)]
+        return [_write(f.arg, v, (path, i), reg, scopes) for i, v in enumerate(value)]
     return value
 
 
-def _ref(table: dict, obj: Any, path: str) -> str:
-    """``obj``'s identifier, which ``table`` declares as ``obj`` or as its equal in each written field."""
-    declared = resolve(table, obj.id, path)  # compared in the constructor's fields: no theory's evidence
+def _ref(table: dict, obj: Any, path: tuple) -> str:
+    """``obj``'s identifier, which ``table`` declares as ``obj`` or as its equal in each constructor field."""
+    declared = table[obj.id] if obj.id in table else resolve(table, obj.id, _at(path))
     if declared is not obj and (type(declared) is not type(obj) or any(
             getattr(declared, name) != getattr(obj, name) for name in obj.__match_args__)):
-        raise DeclarationError(f"{path}: {obj.id!r} is declared before it as another object")
+        raise DeclarationError(f"{_at(path)}: {obj.id!r} is declared before it as another object")
     return obj.id
+
+
+def _at(path) -> str:
+    """A document path as a refusal reads it; ``_write`` keeps it as (parent, key or index) pairs."""
+    if isinstance(path, str):
+        return path
+    return _at(path[0]) + (f"[{path[1]}]" if isinstance(path[1], int) else f".{path[1]}")
 
 
 def _tag(key: str, noun: str, choices: dict) -> _F:
@@ -550,7 +557,7 @@ def emit_scenario(bundle: ScenarioBundle) -> str:
     for field, path, decl in _SECTIONS:
         section, _, part = path.partition(".")
         try:
-            decls = [_write(decl, obj, f"{path}[{i}]", reg) for i, obj in enumerate(getattr(bundle, field))]
+            decls = [_write(decl, obj, (path, i), reg) for i, obj in enumerate(getattr(bundle, field))]
         except ScenarioError as err:  # what the reader would refuse, at the same path
             raise DeclarationError(str(err)) from err
         if part:

@@ -7,22 +7,23 @@ trial seed and a draw index, so trial k of a batch can be reproduced in
 isolation and independent trials may run concurrently.
 
 Every rule kind is declared here, the threshold readings of relations
-included, and ``_compiled`` alone turns a rule into a function on member
-values. Each program, device update (without its noise) and relation
-compiles its rule once, on first use, and every step and read goes through
-it, except that ``_sliced`` runs a threshold device's update on a whole
-column of readings at once, bit-sliced, to find the cells that need one.
+included, and ``_compiled`` turns a rule into a function on member values,
+once per declaration, on first use. A column of cells also runs on lanes,
+one int per bit (Biham, 1997): ``_sliced`` runs a threshold device's update,
+and ``_laned`` a program, on all cells at once. So a sliced validation of D
+states and P predictions steps and reads only the cells that disagree, once
+each, and makes D program steps only for each program with no lane form.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, compress, count
-from operator import and_, ge, itemgetter, or_, xor
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import and_, ge, itemgetter, xor
 from typing import Literal, Union, get_args
 
 from .errors import DeclarationError, OutOfDomain, _shown
@@ -181,6 +182,7 @@ class AbstractDynamics:
                 )
 
     _apply = cached_property(lambda self: _compiled(self.rule, self.space))
+    _lanes = cached_property(lambda self: _laned(self.rule, self.space))
 
 
 def _compiled(rule, space, codomain=None) -> Callable[[Value], Value]:
@@ -197,11 +199,7 @@ def _compiled(rule, space, codomain=None) -> Callable[[Value], Value]:
     if isinstance(rule, BuiltinRule):
         return _builtin(rule.name, space)
     if isinstance(rule, ThresholdRule):
-        ends = tuple(accumulate(_register_widths(codomain)))
-        split = itemgetter(*map(slice, (0,) + ends, ends))  # one register: its bits, untupled
-        if isinstance(codomain, TupleSpace) and len(ends) == 1:
-            split = lambda bits: (bits,)
-        thresholds = rule.thresholds
+        split, thresholds = _registers(codomain), rule.thresholds
         return lambda value: split(bytes(map(ge, value, thresholds)).translate(_BITS).decode())
     if isinstance(rule, CoordinateUpdateRule):
         updates = tuple(map(_update, rule.assignments))
@@ -228,44 +226,66 @@ def _compiled(rule, space, codomain=None) -> Callable[[Value], Value]:
     return chain
 
 
-def _sliced(rule: PhysicalRule, reading) -> Callable[[list, list], Iterator[int]] | None:
-    """``rule`` run on a whole column at once and read by the threshold rule ``reading``, or None.
+def _sliced(rule: PhysicalRule, reading) -> Callable[[list, int], list] | None:
+    """``rule`` on lanes, to the lanes its image reads as under the threshold rule ``reading``; or None.
 
-    The function returned takes each cell's reading before the update and the
-    value it must read as after it, and yields the index of each cell where they
-    differ. Lane j packs every cell's bit on line j, cell i's in byte i (Biham,
-    1997): a constant pins a lane, a binary sum ripples its carry through its
-    addends' lanes, and a written level sets the bit it reads as at line j's cut.
-    A lane is what a sum reads only if the sum cuts the line there too; else None.
+    Lane j packs every cell's bit on line j, cell i's in byte i (Biham, 1997),
+    and ``ones`` is the lane of all ones: a constant pins a lane, a binary sum
+    ripples its carry through its addends' lanes, and a written level sets the
+    bit it reads as at line j's cut. None unless every sum cuts its lines there.
     """
     if not (isinstance(rule, CoordinateUpdateRule) and isinstance(reading, ThresholdRule)):
         return None
-    cuts, updates, n = reading.thresholds, rule.assignments, len(reading.thresholds)
+    cuts, updates = reading.thresholds, rule.assignments
     sums = [u for u in updates if isinstance(u, BinarySumUpdate)]
     if any(cuts[line] != u.threshold for u in sums for line in u.a_lines + u.b_lines):
         return None
 
-    def differing(readings: list, uppers: list) -> Iterator[int]:
-        ones = int.from_bytes(b"\1" * len(readings), "little")
-        rows = ("".join(map("".join, column)).encode() for column in (readings, uppers))  # low bit: the bit
-        lanes, above = ([int.from_bytes(row[j::n], "little") & ones for j in range(n)] for row in rows)
+    def step(lanes: list, ones: int) -> list:
+        lanes = list(lanes)
         for upd in updates:
             if isinstance(upd, ConstantUpdate):
                 for line, level in zip(upd.lines, upd.values):
                     lanes[line] = ones if level >= cuts[line] else 0
                 continue
-            pad, carry, bits = [0] * len(upd.out_lines), 0, []
-            a, b = ([lanes[i] for i in lines[::-1]] + pad for lines in (upd.a_lines, upd.b_lines))
-            for x, y, _ in zip(a, b, pad):  # least significant first, to the target's width
-                bits.append(x ^ y ^ carry)
-                carry = x & y | carry & (x ^ y)
-            for line, bit in zip(upd.out_lines, bits[::-1]):
+            a, b = ([lanes[i] for i in lines[::-1]] for lines in (upd.a_lines, upd.b_lines))
+            for line, bit in zip(upd.out_lines, _ripple(a, b, len(upd.out_lines))[::-1]):
                 high, low = upd.high >= cuts[line], upd.low >= cuts[line]
                 lanes[line] = (bit if high else 0) | (bit ^ ones if low else 0)
-        differ = reduce(or_, map(xor, lanes, above), 0)
-        return compress(count(), differ.to_bytes(len(readings), "little"))
+        return lanes
 
-    return differing
+    return step
+
+
+def _ripple(a: list, b: list, width: int) -> list:
+    """The lanes of addend lanes ``a`` plus ``b``, each least significant first, modulo ``2**width``."""
+    pad, carry, bits = [0] * width, 0, []
+    for x, y, _ in zip(a + pad, b + pad, pad):
+        bits.append(x ^ y ^ carry)
+        carry = x & y | carry & (x ^ y)
+    return bits
+
+
+def _lanes_of(row: bytes, n: int, ones: int) -> list:
+    """The lanes of ``row``: ``n`` bits a cell, cell after cell, each the low bit of a byte."""
+    return [int.from_bytes(row[j::n], "little") & ones for j in range(n)]
+
+
+def _unpacked(lanes: list, cells: int, codomain) -> list:
+    """Each of ``cells`` cells' value in the registers ``codomain``, out of its ``lanes``."""
+    n, row = len(lanes), bytearray(cells * len(lanes))
+    for j, lane in enumerate(lanes):
+        row[j::n] = lane.to_bytes(cells, "little")
+    text, split = row.translate(_BITS).decode(), _registers(codomain)
+    return [split(text[i : i + n]) for i in range(0, cells * n, n)]
+
+
+def _registers(codomain) -> Callable[[str], Value]:
+    """A row of bits, cut into the registers of ``codomain``: one register, its bits untupled."""
+    ends = tuple(accumulate(_register_widths(codomain)))
+    if isinstance(codomain, TupleSpace) and len(ends) == 1:
+        return lambda bits: (bits,)
+    return itemgetter(*map(slice, (0,) + ends, ends))
 
 
 @lru_cache(maxsize=None)
@@ -297,6 +317,39 @@ def _builtin(name: str, space: AbstractSpace) -> Callable[[Value], Value]:
         return lambda v: (v[0], v[1], format(int(v[0], 2) + int(v[1], 2) & mask, fmt))
     op = and_ if name == "and" else xor
     return lambda v: (format(op(int(v[0], 2), int(v[1], 2)), fmt), v[1])
+
+
+def _laned(rule: AbstractRule, space: AbstractSpace) -> Callable[[list, int], list] | None:
+    """``rule`` on the lanes of ``space``'s registers laid end to end, as ``_sliced`` takes lanes, or None.
+
+    Each program's cached ``_lanes`` is one call of this. A table has no lane
+    form, nor has a chain or product with such a part, nor a rule off registers.
+    """
+    widths = _register_widths(space)
+    if widths is None or isinstance(rule, TableRule):
+        return None
+    if isinstance(rule, BuiltinRule):
+        w, op = widths[0], and_ if rule.name == "and" else xor
+        x, y = slice(w - 1, None, -1), slice(2 * w - 1, w - 1, -1)  # ripple-add's addends, low bit first
+        return {
+            "identity": lambda lanes, ones: lanes,
+            "bit-not": lambda lanes, ones: [lane ^ ones for lane in lanes],
+            "swap-pair": lambda lanes, ones: lanes[w:] + lanes[:w],
+            "ripple-add": lambda lanes, ones: lanes[: 2 * w] + _ripple(lanes[x], lanes[y], w + 1)[::-1],
+        }.get(rule.name, lambda lanes, ones: [*map(op, lanes[:w], lanes[w:]), *lanes[w:]])
+    steps = [part._lanes for part in rule.parts]
+    if None in steps:
+        return None
+    if isinstance(rule, ProductRule):
+        split = _registers(space)  # each part's lanes
+        return lambda lanes, ones: [out for f, part in zip(steps, split(lanes)) for out in f(part, ones)]
+
+    def chained(lanes, ones):
+        for step in steps:
+            lanes = step(lanes, ones)
+        return lanes
+
+    return chained
 
 
 def _canonical_table(decl, owner: str, keys, values) -> None:

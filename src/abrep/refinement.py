@@ -92,7 +92,7 @@ class LayerReport:
     @cached_property
     def entries(self) -> tuple[LayerCheckEntry, ...]:
         """Each upper value's entry: both paths' images and their distance."""
-        upper, values, (passed, *_, lower, expected, _, graded) = self._column
+        upper, values, (passed, *_, lower, (expected, _, graded)) = self._column
         state = partial(_trusted, AbstractState)
         return tuple(
             LayerCheckEntry(state(upper, v), state(lower, g[0][0]), state(lower, b), g[0][1], ok)
@@ -104,8 +104,7 @@ def check_layer(relation: SimulationRelation, epsilon: float, metric: Metric) ->
     """Check one adjacent layer pair over every upper state, as one column of squares."""
     tolerances = _check_tolerances("check_layer", epsilon)
     upper, values = relation.upper, list(enumerate_values(relation.upper.space))
-    expected = list(map(relation.lower.dynamics._apply, map(relation._apply, values)))
-    column = _grade(tolerances, upper.dynamics, values, expected, metric, (), relation)
+    column = _grade(tolerances, upper.dynamics, values, relation.lower.dynamics, metric, (), relation)
     return LayerReport(relation.id, tolerances[0], all(column[0]), (upper.space, values, column))
 
 
@@ -203,10 +202,9 @@ def _ground(
     bottoms = reachable_bottom_states(stack)
     # Each prepared state reads as its bottom state: _prepare chose it so.
     starts = [_in_domain(theory, prepared) for prepared in _prepare(theory, bottoms)]
-    readings = [bottom.value for bottom in bottoms]
-    uppers = list(map(program._apply, readings))
+    uppers = [program._apply(bottom.value) for bottom in bottoms]
     seeds = (derive_seed(base_seed, i) for i in count())
     values = [p.value for p in starts]
-    column = _grade(tolerances, stack.device, values, uppers, metric, seeds, theory.representation, readings)
+    column = _grade(tolerances, stack.device, values, uppers, metric, seeds, theory.representation)
     entries = tuple(map(DeviceCheckEntry, bottoms, _reports(starts, column)))
     return StackReport(stack.id, layer_reports, entries)

@@ -20,16 +20,19 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, count, repeat
+from functools import cached_property, reduce
+from itertools import chain, compress, count, cycle, repeat
+from operator import ge, or_, xor
 
 from .dynamics import (
     AbstractDynamics,
     PhysicalDynamics,
     TrialSeed,
     _flip,
+    _lanes_of,
     _sliced,
     _trial_outcomes,
+    _unpacked,
     derive_seed,
     evolve_abstract,
     evolve_physical,
@@ -136,18 +139,19 @@ class CommutationReport:
 
 def _grade(
     tolerances: tuple[float, int, float], device: PhysicalDynamics | AbstractDynamics,
-    starts: list, uppers: list, metric: Metric, seeds: Iterable,
-    relation: RepresentationRelation | None = None, readings: list | None = None,
+    starts: list, uppers: list | AbstractDynamics, metric: Metric, seeds: Iterable,
+    relation: RepresentationRelation | None = None,
 ) -> tuple:
     """Grade a column of squares on values: the one place a square passes or fails.
 
     Square i runs ``device``, a device update or a layer's upper program, from
     member value ``starts[i]``, reads the outcome through ``relation`` if given,
     and measures it against ``uppers[i]`` within ``tolerances``, the triple of
-    ``_check_tolerances``. Noise-free, as a program is, ``seeds`` is not read
-    and each compiled map runs once per square; given the starts' ``readings``
-    under the discrete metric, only on the squares that ``_sliced`` finds
-    differ, and each other square's lower is its upper, at distance 0. Noisy,
+    ``_check_tolerances``, or against the program ``uppers``' image of its
+    reading. Noise-free, ``seeds`` is not read and each compiled map runs once
+    per square; but a discrete column of two or more squares on a device that
+    ``_sliced`` runs reads its levels, and runs a lane program, on all squares
+    at once, and only the squares that differ step, read and measure. Noisy,
     each distinct flag code that square i draws from its seed is flipped, read
     and measured once, with its count of trials. The column is returned as
     ``_reports`` reads it, verdicts first.
@@ -157,40 +161,68 @@ def _grade(
     if relation is not None:
         kind, space, read = AbstractState, relation.codomain, relation._apply
     measure = _metric(metric, space)
-    if device.noise is None:
-        differing = readings is not None and metric == "discrete" and _sliced(device.rule, relation.rule)
-        if differing:
-            lowers, distances = list(uppers), [0.0] * len(uppers)
-            for i in differing(readings, uppers):
-                lowers[i] = read(device._apply(starts[i]))
-                distances[i] = measure(lowers[i], uppers[i])
-        else:
-            lowers = list(map(read, map(device._apply, starts)))
-            distances = list(map(measure, lowers, uppers))
-        codes = [(0,) * trials] * len(lowers)
+    program = uppers if isinstance(uppers, AbstractDynamics) else None
+    step = device.noise is None and metric == "discrete" and len(starts) > 1
+    step = step and _sliced(device.rule, getattr(relation, "rule", None))
+    if program and not step:
+        uppers = list(map(program._apply, map(read, starts)))
+    if step:
+        cells, cuts = len(starts), relation.rule.thresholds
+        ones, n, laned = int.from_bytes(b"\1" * cells, "little"), len(cuts), program and program._lanes
+        lanes = _lanes_of(bytes(map(ge, chain.from_iterable(starts), cycle(cuts))), n, ones)
+        if program and not laned:
+            uppers = list(map(program._apply, _unpacked(lanes, cells, space)))
+        above = laned(lanes, ones) if laned else _lanes_of("".join(map("".join, uppers)).encode(), n, ones)
+        differ = reduce(or_, map(xor, step(lanes, ones), above), 0)
+        flagged = dict.fromkeys(compress(count(), differ.to_bytes(cells, "little")))
+        if laned and flagged:
+            uppers, laned = _unpacked(above, cells, space), None
+        fractions = [1.0] * cells
+        for i in flagged:
+            lower = read(device._apply(starts[i]))
+            flagged[i] = lower, measure(lower, uppers[i])
+            fractions[i] = 1.0 if flagged[i][1] <= epsilon else 0.0
+        squares = cells, trials, above if laned else uppers, laned and space, flagged  # as _agreeing takes them
+    elif device.noise is None:
+        lowers = list(map(read, map(device._apply, starts)))
+        distances = list(map(measure, lowers, uppers))
         graded = [{0: pair} for pair in zip(lowers, distances)]
+        squares = uppers, [(0,) * trials] * len(lowers), graded
         fractions = [1.0 if d <= epsilon else 0.0 for d in distances]
     else:
         codes, graded, fractions = [], [], []
         for value, upper, seed in zip(starts, uppers, seeds):
             image, drawn = _trial_outcomes(device, value, seed, trials)
             outcomes, successes = {}, 0
-            for code, count in Counter(drawn).items():
+            for code, times in Counter(drawn).items():
                 lower = read(_flip(device.noise, image, code))
                 d = measure(lower, upper)
                 outcomes[code] = lower, d
-                successes += count if d <= epsilon else 0
+                successes += times if d <= epsilon else 0
             codes.append(drawn)
             graded.append(outcomes)
             fractions.append(successes / trials)
+        squares = uppers, codes, graded
     passed = [fraction >= required for fraction in fractions]
-    return passed, fractions, epsilon, required, kind, space, uppers, codes, graded
+    return passed, fractions, epsilon, required, kind, space, squares
+
+
+def _agreeing(cells: int, trials: int, uppers: list, codomain, flagged: dict) -> tuple:
+    """A lane-graded column's uppers, flag codes and graded outcomes, from what ``_grade`` kept.
+
+    ``uppers`` holds values, or lanes in ``codomain``; a lower is its upper at distance 0 unless ``flagged``.
+    """
+    uppers = uppers if codomain is None else _unpacked(uppers, cells, codomain)
+    graded = [{0: (upper, 0.0)} for upper in uppers]
+    for i, outcome in flagged.items():
+        graded[i] = {0: outcome}
+    return uppers, [(0,) * trials] * cells, graded
 
 
 def _reports(starts, column: tuple) -> Iterator[CommutationReport]:
     """The report of each square in a ``column`` that ``_grade`` graded, run from ``starts``."""
-    passed, fractions, epsilon, required, kind, space, *per_square = column
-    trials = zip(repeat(kind), repeat(space), *per_square)
+    passed, fractions, epsilon, required, kind, space, squares = column
+    trials = zip(repeat(kind), repeat(space), *(_agreeing(*squares) if len(squares) == 5 else squares))
     tolerances = repeat(epsilon), repeat(required)
     return map(CommutationReport, starts, fractions, passed, *tolerances, trials)
 
@@ -208,11 +240,8 @@ def check_commutation(spec: DiagramSpec, p: PhysicalState, seed: TrialSeed) -> C
     the theory: the program's answer is the prediction the device must hit.
     """
     _in_domain(spec.theory, p)
-    relation = spec.theory.representation
-    upper = spec.abstract_dynamics._apply(relation._apply(p.value))
-    column = _grade(
-        spec._tolerances, spec.physical_dynamics, [p.value], [upper], spec.metric, [seed], relation
-    )
+    relation, program = spec.theory.representation, spec.abstract_dynamics
+    column = _grade(spec._tolerances, spec.physical_dynamics, [p.value], program, spec.metric, [seed], relation)
     return next(_reports([p], column))
 
 
@@ -290,12 +319,10 @@ def validate_theory(
         raise EmptyDomain(f"theory {theory.id!r} declares no predictions")
     relation = theory.representation
     values = [state.value for state in theory.domain]  # the relation's: checked at declaration
-    readings = list(map(relation._apply, values))
     columns = []
     for pi, pred in enumerate(theory.predictions):
         seeds = (derive_seed(seed, si, pi) for si in count())
-        uppers = list(map(pred.abstract._apply, readings))
-        columns.append(_grade(tolerances, pred.physical, values, uppers, metric, seeds, relation, readings))
+        columns.append(_grade(tolerances, pred.physical, values, pred.abstract, metric, seeds, relation))
     names = [pred.name for pred in theory.predictions]
     all_passed = all(all(column[0]) for column in columns)
     evidence = ValidityReport(

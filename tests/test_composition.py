@@ -388,13 +388,28 @@ def _swapped(joint: JointSystem) -> JointSystem:
 def test_a_joint_keeps_its_class_with_its_halves_swapped(build, verdict):
     """Metamorphic: which half is the left one is a naming choice, and no classifier may depend on it.
 
-    Catches a ``_split_coordinates`` that checks that each row of the table
-    has one first coordinate but not that each column has one second: the
-    swapped xor writes its parity into the second cell, and would classify Hybrid.
+    The class holds, and the witness swaps: the swapped joint's left factor
+    tables are the original's right ones, and the other way round, each keyed
+    by its own half. Catches a ``_split_coordinates`` that checks that each
+    row of the table has one first coordinate but not that each column has
+    one second: the swapped xor writes its parity into the second cell, and
+    would classify Hybrid. Catches a classifier that returns its dynamics
+    factors in the wrong order, which no verdict shows: side-by-side's left
+    factor acts on tags, and its right one on tallies.
     """
     joint = build()
+    halves = {
+        "representation_factors": joint.joint_space.components,
+        "dynamics_factors": joint.joint_dynamics.space.components,
+    }
     for decide in (classify, brute_force_classify):
-        assert decide(joint).value == decide(_swapped(joint)).value == verdict
+        original, swapped = decide(joint), decide(_swapped(joint))
+        assert original.value == swapped.value == verdict
+        for name, spaces in halves.items():
+            factors = getattr(original.witness, name)
+            assert getattr(swapped.witness, name) == (None if factors is None else factors[::-1])
+            assert factors is None or [set(t) for t in factors] == [set(enumerate_values(h)) for h in spaces]
+        assert (original.witness.dynamics_factors is None) == (verdict == HETEROTIC)
 
 
 def test_classify_xor_joint_is_heterotic():

@@ -250,13 +250,21 @@ def test_a_metric_that_does_not_apply_fails_the_layer_check_not_its_view():
 
 
 def test_deferred_reports_copy_and_pickle_before_their_views_are_read():
-    """A check's report carries only values until read, so copies and pickles build the same views."""
+    """A check's report carries only values until read, so copies and pickles build the same views.
+
+    The sound and the faulted adder's evidence is graded on lanes, and keeps
+    lanes, or the uppers and the failing squares, for its cells to be built from.
+    """
     bundle = BUILTIN_SCENARIOS["voltage-adder-noisy"]()
     theory = bundle.theory("adder")
     _, evidence = validate_theory(theory, 0.0, DISCRETE, 20, 0.5, TrialSeed(4))
     relation = BUILTIN_SCENARIOS["refinement-stack"]().stack("stack.adder").relations[1]
     layer = check_layer(relation, 0.0, DISCRETE)
-    for report in (evidence, layer):
+    lanes = [
+        validate_theory(BUILTIN_SCENARIOS[name]().theory("adder"), 0.0, DISCRETE, 1, 1.0, TrialSeed(4))[1]
+        for name in ("voltage-adder", "voltage-adder-faulted")
+    ]
+    for report in (evidence, layer, *lanes):
         copies = [copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))]
         views = [_read_views(c) for c in copies]
         assert views == [_read_views(report)] * 3 and copies == [report] * 3

@@ -318,8 +318,8 @@ def test_stack_check_scans_the_seeds_once(monkeypatch):
 
     The 112 reachable bottom words sit at seeds 0 to 126 of 128, the indices
     their bits spell, so the scan stops at seed 126. The noise-free device
-    column is then graded on lanes from the bottom words, and no square
-    disagrees, so none steps or reads the device.
+    column is then graded on lanes read off the prepared states' levels, and
+    no square disagrees, so none steps or reads the device.
     """
     bundle = BUILTIN_SCENARIOS["refinement-stack"]()
     assert len(bundle.stack("stack.adder").theory.instantiation.seeds) == 128
@@ -363,10 +363,11 @@ def test_a_stack_run_grades_every_square_in_the_one_grader(monkeypatch):
     for relation, (_, device, starts, *_, read) in zip(stack.relations, columns[:2]):
         assert device is relation.upper.dynamics and read is relation
         assert starts == list(enumerate_values(relation.upper.space))
-    _, device, starts, *_, read, readings = columns[2]  # the device column's starts read as the bottoms
+    _, device, starts, uppers, *_, read = columns[2]  # the device column's starts read as the bottoms
     assert device is stack.device and read is stack.theory.representation
     bottoms = [state.value for state in reachable_bottom_states(stack)]
-    assert readings == bottoms == list(map(read._apply, starts))
+    assert bottoms == list(map(read._apply, starts))
+    assert uppers == list(map(stack.layers[-1].dynamics._apply, bottoms))
     assert [len(column[2]) for column in columns] == [112, 128, len(set(bottoms))] == [112, 128, 112]
 
 
@@ -392,6 +393,46 @@ def test_a_noise_free_device_boundary_derives_no_seed(monkeypatch):
     counts = count_calls(monkeypatch, derive=abrep.dynamics.derive_seed)
     assert check_stack_to_device(stack, 0.0, DISCRETE, SEED).passed
     assert counts["derive"] == 0  # 112 with one per reachable bottom state
+
+
+def _with_identity_layer(stack: RefinementStack, at: int) -> RefinementStack:
+    """``stack`` with a copy of layer ``at`` inserted below it, mapped to it by the identity.
+
+    The copy has the layer's space and dynamics, and takes over the layer's
+    map down, so that the stack computes exactly what it did.
+    """
+    layer = stack.layers[at]
+    again = RefinementLayer(f"{layer.id}.again", layer.space, layer.dynamics)
+    same = SimulationRelation(f"{layer.id}.same", layer, again, {v: v for v in enumerate_values(layer.space)})
+    relations = list(stack.relations)
+    if at < len(relations):
+        below = relations[at]
+        relations[at] = SimulationRelation(below.id, again, below.lower, below.entries)
+    layers = (*stack.layers[: at + 1], again, *stack.layers[at + 1 :])
+    return RefinementStack(stack.id, layers, (*relations[:at], same, *relations[at:]), stack.theory, stack.device)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mis_declared", [False, True], ids=["stack", "miswired"])
+def test_an_identity_layer_adds_one_passing_layer_report_and_changes_no_device_square(mis_declared, seed):
+    """Metamorphic: a layer copied below itself and mapped by the identity changes nothing it grounds.
+
+    At every depth, the stack check gains one layer report, which passes on
+    every entry; every other layer report and every device square's report
+    is the one the stack had. Catches a grounding that reads its bottom
+    values or its program off the wrong layer: ``reachable_bottom_states``
+    stopping one map short, or ``_ground`` taking the program of the layer
+    above the bottom.
+    """
+    _, stack = stack_pieces(mis_declared)
+    before = check_stack_to_device(stack, 0.0, DISCRETE, TrialSeed(seed))
+    for at in range(len(stack.layers)):
+        after = check_stack_to_device(_with_identity_layer(stack, at), 0.0, DISCRETE, TrialSeed(seed))
+        added = after.layer_reports[at]
+        assert added.passed and all(entry.passed for entry in added.entries)
+        assert [*after.layer_reports[:at], *after.layer_reports[at + 1 :]] == list(before.layer_reports)
+        assert after.device_entries == before.device_entries
+        assert after.passed == before.passed != mis_declared
 
 
 def _stack_variants():

@@ -8,7 +8,7 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import abrep.dynamics
 import abrep.spaces
@@ -56,6 +56,7 @@ from abrep import (
     derive_seed,
     emit_scenario,
     enumerate_states,
+    enumerate_values,
     evolve_abstract,
     evolve_physical,
     identity_dynamics,
@@ -67,6 +68,9 @@ from abrep import (
     run_compute_cycle,
     validate_theory,
 )
+from abrep.dynamics import BUILTIN_NAMES, _lanes_of, _unpacked
+from abrep.spaces import _register_widths
+from abrep.verification import _reports
 from support import (
     adder_theory,
     count_calls,
@@ -512,29 +516,30 @@ def test_validation_cost_per_cell_does_not_grow_with_the_domain(monkeypatch, bui
     assert counts["__eq__"] <= evidence.coverage
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
 def test_noise_free_validation_cost_law(monkeypatch, width):
-    """Gate and cost law: D reads and D*P program steps, plus a device step and a read per disagreeing cell.
+    """Gate and cost law: a sliceable column reads, runs a lane program and steps only the cells that differ.
 
     The adder's device is a threshold device whose sum reads its lines where
-    the relation cuts them, so its column is graded on lanes, and a sound
-    adder disagrees nowhere: no cell steps the device or reads its image.
+    the relation cuts them, and its program a builtin with a lane form, so
+    its column is graded on lanes from the domain's levels, and a sound adder
+    disagrees nowhere: no cell steps the device, reads or runs the program.
     """
     theory = adder_theory(width)
     counts = count_compiled(
         monkeypatch, rule=PhysicalDynamics, read=RepresentationRelation, program=AbstractDynamics
     )
     _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
-    cells = evidence.coverage
-    assert evidence.all_passed and cells == 4**width
-    assert counts == {"rule": 0, "read": cells, "program": cells}  # rule: cells, read: 2 * cells row-wise
+    assert evidence.all_passed and evidence.coverage == 4**width
+    assert counts == {"rule": 0, "read": 0, "program": 0}  # row-wise: rule and program cells, read 2 * cells
 
 
 def test_a_faulted_adder_steps_its_device_once_per_failing_cell(monkeypatch):
     """Gate: the stuck sum line fails the 8 odd sums of 16, and only those cells run the device rule.
 
     Each failing cell's lower reading and distance come from the device's own
-    step and read, as the public square computes them.
+    step and read, as the public square computes them; its upper comes off
+    the program's lanes, and no cell runs the compiled program.
     """
     _, theory, _ = adder_pieces(faulted=True)
     counts = count_compiled(
@@ -543,7 +548,7 @@ def test_a_faulted_adder_steps_its_device_once_per_failing_cell(monkeypatch):
     _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
     failing = [cell for cell in evidence.cells if not cell.report.passed]
     assert len(failing) == 8 and evidence.coverage == 16
-    assert counts == {"rule": 8, "read": 16 + 8, "program": 16}
+    assert counts == {"rule": 8, "read": 8, "program": 0}
     for cell in failing:
         assert cell.report.distances == (1.0,)
         assert cell.report.lower_path_results == (represent(theory.representation, evolve_physical(
@@ -551,14 +556,19 @@ def test_a_faulted_adder_steps_its_device_once_per_failing_cell(monkeypatch):
 
 
 def _both_columns(device, relation, starts, uppers, epsilon=0.0):
-    """``_grade``'s noise-free column given the starts' readings and not, and the device steps of the first."""
+    """The reports of ``_grade``'s column, those of its squares graded one at a time, and the first's steps.
+
+    ``uppers`` is a list of upper values or a program. A column of one square
+    is graded row by row, so the second list holds the row-wise reports.
+    """
     steps, apply = [], device._apply
     vars(device)["_apply"] = lambda value: steps.append(value) or apply(value)  # its cached function, counted
-    tolerances, readings = (float(epsilon), 1, 1.0), list(map(relation._apply, starts))
-    column = partial(abrep.verification._grade, tolerances, device, starts, uppers, DISCRETE, (), relation)
-    sliced = column(readings)
+    grade = partial(abrep.verification._grade, (float(epsilon), 1, 1.0), device)
+    column = grade(starts, uppers, DISCRETE, (), relation)
     vars(device)["_apply"] = apply
-    return sliced, column(), len(steps)
+    each = [uppers] * len(starts) if isinstance(uppers, AbstractDynamics) else [[upper] for upper in uppers]
+    rows = [_reports([start], grade([start], upper, DISCRETE, (), relation)) for start, upper in zip(starts, each)]
+    return list(_reports(starts, column)), [next(row) for row in rows], len(steps)
 
 
 @pytest.mark.parametrize(
@@ -571,21 +581,131 @@ def test_an_adder_column_on_lanes_is_its_row_wise_column(build, failing):
     theory = build()
     relation, (pred,) = theory.representation, theory.predictions
     starts = [state.value for state in theory.domain]
-    uppers = list(map(pred.abstract._apply, map(relation._apply, starts)))
-    sliced, rows, steps = _both_columns(pred.physical, relation, starts, uppers)
-    assert sliced == rows and steps == rows[0].count(False) == failing
+    lanes, rows, steps = _both_columns(pred.physical, relation, starts, pred.abstract)
+    assert lanes == rows and steps == sum(not row.passed for row in rows) == failing
+
+
+def _has_table(program) -> bool:
+    rule = program.rule
+    return isinstance(rule, TableRule) or any(map(_has_table, getattr(rule, "parts", ())))
+
+
+#: The register shapes a kind of program fits, where not every shape.
+_SHAPES = {
+    "bit-not": ["one"], "and": ["pair"], "xor": ["pair"], "swap-pair": ["pair"], "ripple-add": ["adder"],
+    "product": ["pair", "adder", "split"],
+}
+_KINDS = [*BUILTIN_NAMES, "table", "chain", "product"]
+
+
+@st.composite
+def _register_programs(draw, space, depth=2, kind=None):
+    """A program of ``kind`` on the register space ``space``: a builtin, a table, a chain or a product.
+
+    Unless given, the kind is drawn from those that fit. Tables, and chains
+    and products with a table among their parts, have no lane form.
+    """
+    if kind is None:
+        kinds = [*BUILTIN_NAMES, "table"] + ["chain", "product"] * (depth > 0)
+        kind = draw(st.sampled_from([k for k in kinds if _fits(k, space)]))
+    if kind in BUILTIN_NAMES:
+        return AbstractDynamics("lanes.builtin", space, BuiltinRule(kind))
+    if kind == "table":
+        values, rng = list(enumerate_values(space)), random.Random(draw(st.integers(0, 2**32)))
+        return AbstractDynamics("lanes.table", space, TableRule({v: rng.choice(values) for v in values}))
+    if kind == "chain":
+        parts = draw(st.lists(_register_programs(space, depth - 1), min_size=2, max_size=3))
+        return AbstractDynamics("lanes.chain", space, ChainRule(tuple(parts)))
+    parts = tuple(draw(_register_programs(part, depth - 1)) for part in space.components)
+    return AbstractDynamics("lanes.product", space, ProductRule(parts))
+
+
+def _fits(kind: str, space) -> bool:
+    if kind == "product":
+        return isinstance(space, TupleSpace)
+    if kind not in BUILTIN_NAMES:
+        return True
+    try:
+        AbstractDynamics("lanes.fit", space, BuiltinRule(kind))
+    except DeclarationError:
+        return False
+    return True
+
+
+@st.composite
+def _register_spaces(draw, shapes=("one", "pair", "adder", "split")):
+    """Registers of at most 7 bits in all: one register, one register twice, an adder's, or any split."""
+    shape = draw(st.sampled_from(shapes))
+    if shape == "pair":
+        register = BitSpace("lanes.r", draw(st.integers(1, 3)))
+        return TupleSpace("lanes.pair", (register, register))
+    if shape == "adder":
+        w = draw(st.integers(1, 2))
+        x, total = BitSpace("lanes.x", w), BitSpace("lanes.sum", w + 1)
+        return TupleSpace("lanes.adder", (x, x, total))
+    n = draw(st.integers(1, 7))
+    if shape == "one":
+        return BitSpace("lanes.r", n)
+    splits = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    ends = [end for end, split in enumerate(splits, 1) if split]
+    widths = [end - start for start, end in zip([0, *ends], [*ends, n])]
+    return TupleSpace("lanes.word", tuple(BitSpace(f"lanes.r{i}", w) for i, w in enumerate(widths)))
+
+
+@st.composite
+def _programs(draw):
+    """A program of a kind drawn first, each builtin's, a table's, a chain's or a product's, on registers it fits."""
+    kind = draw(st.sampled_from(_KINDS))
+    space = draw(_register_spaces(_SHAPES.get(kind, ("one", "pair", "adder", "split"))))
+    return draw(_register_programs(space, kind=kind))
+
+
+@st.composite
+def _programs_and_values(draw):
+    program = draw(_programs())
+    values = draw(st.lists(st.sampled_from(list(enumerate_values(program.space))), min_size=1, max_size=20))
+    return program, values
+
+
+_PAIR_OF_TWO = TupleSpace("lanes.pair", (BitSpace("lanes.r", 2),) * 2)
+_SWAP_THEN_XOR = AbstractDynamics("lanes.chain", _PAIR_OF_TWO, ChainRule(tuple(
+    AbstractDynamics("lanes.builtin", _PAIR_OF_TWO, BuiltinRule(name)) for name in ("swap-pair", "xor")
+)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_programs_and_values())
+@example((_SWAP_THEN_XOR, list(enumerate_values(_PAIR_OF_TWO))))  # its parts do not commute
+def test_a_program_on_lanes_is_its_compiled_rule_cell_by_cell(subject):
+    """Differential: every builtin, chain and product runs on lanes as its compiled rule runs on each value.
+
+    Values go into lanes and back unchanged, and a program leaves the lanes it is given as they were.
+    """
+    program, values = subject
+    width, ones = sum(_register_widths(program.space)), int.from_bytes(b"\1" * len(values), "little")
+    lanes = _lanes_of("".join(map("".join, values)).encode(), width, ones)
+    assert _unpacked(lanes, len(values), program.space) == values
+    laned = program._lanes
+    assert (laned is None) == _has_table(program)
+    if laned is not None:
+        given_lanes = list(lanes)
+        images = _unpacked(laned(lanes, ones), len(values), program.space)
+        assert images == list(map(program._apply, values)) and lanes == given_lanes
 
 
 @st.composite
 def _threshold_columns(draw):
-    """A noise-free threshold device, a threshold reading of its lines, and a column of starts and uppers.
+    """A noise-free threshold device, a threshold reading of its lines, a program and a column of starts.
 
     Lines repeat and run out of order, sums write over the lines they read,
     registers differ in width, levels fall on either side of each cut, and
     constants stack. Unless the example is ``matched``, a sum may read a
-    line at another cut than the reading's.
+    line at another cut than the reading's. The uppers are the program, or
+    the device's own images with some replaced by other words.
     """
-    n = draw(st.integers(1, 7))
+    program = draw(_programs())
+    codomain = program.space
+    n = sum(_register_widths(codomain))
     line, level = st.integers(0, n - 1), st.sampled_from((0.0, 1.0, 2.5, 4.0, 5.0))
     cut = st.sampled_from((1.0, 2.5, 4.5))
     lines = st.lists(line, max_size=4).map(tuple)
@@ -601,35 +721,33 @@ def _threshold_columns(draw):
         for i in (a + b) * matched:
             cuts[i] = shared
     space = RealVectorSpace("slice.lines", ((0.0, 5.0),) * n)
-    splits = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
-    ends = [end for end, split in enumerate(splits, 1) if split]
-    widths = [end - start for start, end in zip([0, *ends], [*ends, n])]
-    registers = tuple(BitSpace(f"slice.r{i}", w) for i, w in enumerate(widths))
-    codomain = registers[0] if len(widths) == 1 and draw(st.booleans()) else TupleSpace("slice.word", registers)
     relation = RepresentationRelation("slice.read", space, codomain, ThresholdRule(tuple(cuts)))
     device = PhysicalDynamics("slice.device", space, CoordinateUpdateRule(tuple(updates)))
     starts = draw(st.lists(st.tuples(*[level] * n), min_size=1, max_size=12))
-    uppers = [relation._apply(device._apply(start)) for start in starts]
-    others = st.tuples(st.integers(0, len(starts) - 1), st.tuples(*[level] * n))
-    for i, other in draw(st.lists(others, max_size=4)):
-        uppers[i] = relation._apply(other)  # some other word, or by chance the same
+    uppers = program
+    if draw(st.booleans()):  # the device's own images, which lanes must find agree
+        uppers = [relation._apply(device._apply(start)) for start in starts]
+        others = st.tuples(st.integers(0, len(starts) - 1), st.tuples(*[level] * n))
+        for i, other in draw(st.lists(others, max_size=4)):
+            uppers[i] = relation._apply(other)  # some other word, or by chance the same
     sums = [u for u in updates if isinstance(u, BinarySumUpdate)]
-    sliceable = all(cuts[i] == u.threshold for u in sums for i in u.a_lines + u.b_lines)
+    sliceable = all(cuts[i] == u.threshold for u in sums for i in u.a_lines + u.b_lines) and len(starts) > 1
     return device, relation, starts, uppers, sliceable
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(_threshold_columns(), st.sampled_from((0.0, 0.5, 1.0, 2.0)))
 def test_a_threshold_column_on_lanes_is_its_row_wise_column(column, epsilon):
-    """Differential: random threshold devices grade each cell on lanes as row by row.
+    """Differential: random threshold devices and programs grade each cell on lanes as row by row.
 
-    A sum read at another cut than the reading's is graded row by row and
-    steps every cell; a sliced column steps only the cells it fails.
+    A sum read at another cut than the reading's, or a column of one square,
+    is graded row by row and steps every cell; a sliced column steps only
+    the cells it fails.
     """
     device, relation, starts, uppers, sliceable = column
-    sliced, rows, steps = _both_columns(device, relation, starts, uppers, epsilon)
-    assert sliced == rows
-    disagreeing = sum(graded[0][1] > 0 for graded in rows[8])
+    lanes, rows, steps = _both_columns(device, relation, starts, uppers, epsilon)
+    assert lanes == rows
+    disagreeing = sum(row.distances[0] > 0 for row in rows)
     assert steps == (disagreeing if sliceable else len(starts))
 
 
@@ -720,19 +838,24 @@ def test_noise_free_validation_derives_no_seed(monkeypatch):
 
 
 def test_two_validations_compile_each_evaluator_once(monkeypatch):
-    """Gate: the relation and the program are each compiled on first use only.
+    """Gate: each evaluator is compiled on first use only, the program's lane form included.
 
-    The sound adder's device column is graded on lanes and no cell disagrees,
-    so the device rule is never compiled; the faulted adder's is, once.
+    The sound adder's column is read off its levels and run on lanes, and no
+    cell disagrees, so its device rule and compiled program are never built,
+    and its reading, fetched by the grader, is never called; the faulted
+    adder's failing cells also compile its device rule, once.
     """
     compiled = record_calls(monkeypatch, abrep.dynamics._compiled)
+    laned = record_calls(monkeypatch, abrep.dynamics._laned)
     for theory, valid in ((adder_theory(3), True), (adder_pieces(faulted=True)[1], False)):  # none compiled yet
         compiled.clear()
+        laned.clear()
         for seed in (TrialSeed(1), TrialSeed(2)):
             assert validate_theory(theory, 0.0, DISCRETE, 1, 1.0, seed)[1].all_passed == valid
         (pred,) = theory.predictions
         device = [] if valid else [pred.physical.rule]
-        assert [call[0] for call in compiled] == [theory.representation.rule, pred.abstract.rule, *device]
+        assert [call[0] for call in compiled] == [theory.representation.rule, *device]
+        assert [call[0] for call in laned] == [pred.abstract.rule]
 
 
 _BIT = BitSpace("gate.bit", 1)
