@@ -56,6 +56,19 @@ _ONES = int.from_bytes(b"\1".ljust(16, b"\0") * _BLOCK, "little")
 _RAMP = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(_BLOCK)), "little")
 
 
+@lru_cache(maxsize=8)  # a run meets few block sizes: its trial counts, each up to _BLOCK, and their tails
+def _block(count: int) -> tuple[int, int, int, int, int]:
+    """The ones, ramp, masks, carries and ``_GOLDEN`` of a pass of ``count`` slots, cut from a full pass's."""
+    ones = _ONES >> 128 * (_BLOCK - count)
+    return ones, _RAMP & (1 << 128 * count) - 1, _MASK64 * ones, ones << 64, _GOLDEN * ones
+
+
+@lru_cache(maxsize=8)
+def _bias(probability: float, count: int) -> int:
+    """What each of ``count`` slots adds to a draw so that bit 64 is set when its line keeps its level."""
+    return ((1 << 64) - (math.ceil(probability * (1 << 53)) << 11)) * _block(count)[0]
+
+
 def _mix(z: int, mask: int) -> int:
     """SplitMix64's mix of each 64-bit word that ``mask`` keeps in ``z`` (see ``_flag_codes``)."""
     z &= mask
@@ -564,16 +577,16 @@ def _trial_outcomes(h: PhysicalDynamics, value: Value, base: TrialSeed, trials: 
     for the state p of ``value``, is ``_flip(h.noise, image, codes[k])``. The
     rule ignores the seed, so it runs once and only the noise is drawn,
     ``_BLOCK`` trials per kernel pass, with ``base`` mixed into the seeds
-    once. ``h`` must be noisy.
+    once. A pass's constants are built once per block size, and its bias
+    once per probability too. ``h`` must be noisy.
     """
     image = h._apply(value)
     head = _mix(_GOLDEN + base.value, _MASK64)
     codes = ()
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)
-        ones, ramp = _ONES >> 128 * (_BLOCK - count), _RAMP & ((1 << 128 * count) - 1)
-        seeds = _mix((head + start) * ones + ramp, _MASK64 * ones)
-        codes += _flag_codes(h.noise, seeds, count)
+        ones, ramp, mask, *_ = _block(count)
+        codes += _flag_codes(h.noise, _mix((head + start) * ones + ramp, mask), count)
     return image, codes
 
 
@@ -599,10 +612,8 @@ def _flag_codes(noise: Noise, seeds: int, count: int) -> tuple[int, ...]:
     two equal bits. The flags of 64 lines at a time are shifted into the
     top word of each slot, and the top words are unpacked, one per trial.
     """
-    ones = _ONES >> 128 * (_BLOCK - count)
-    mask, carries = _MASK64 * ones, ones << 64
-    bias = ((1 << 64) - (math.ceil(noise.probability * (1 << 53)) << 11)) * ones
-    heads = _mix(seeds + _GOLDEN * ones, mask)
+    ones, _, mask, carries, golden = _block(count)
+    bias, heads = _bias(noise.probability, count), _mix(seeds + golden, mask)
     lines = (0,) if isinstance(noise, LabelFlipNoise) else noise.coordinates
     codes = (0,) * count
     for first in range(0, len(lines), 64):

@@ -32,7 +32,7 @@ from .spaces import (
     contains,
     enumerate_values,
 )
-from .verification import CommutationReport, _check_tolerances, _grade, _in_domain, _reports
+from .verification import CommutationReport, _check_tolerances, _filled, _grade, _in_domain, _reports
 
 
 @_declaration("layer")
@@ -69,7 +69,7 @@ class SimulationRelation:
         return _trusted(AbstractState, self.lower.space, self.entries[state.value])
 
 
-@dataclass(frozen=True)
+@_filled
 class LayerCheckEntry:
     """One upper state with both paths into the lower layer."""
 
@@ -91,11 +91,12 @@ class LayerReport:
 
     @cached_property
     def entries(self) -> tuple[LayerCheckEntry, ...]:
-        """Each upper value's entry: both paths' images and their distance."""
+        """Each upper value's entry: both paths' images and their distance, one image where they agree."""
         upper, values, (passed, *_, lower, (expected, _, graded)) = self._column
         state = partial(_trusted, AbstractState)
         return tuple(
             LayerCheckEntry(state(upper, v), state(lower, g[0][0]), state(lower, b), g[0][1], ok)
+            if g else LayerCheckEntry(state(upper, v), state(lower, b), state(lower, b), 0.0, ok)
             for v, b, g, ok in zip(values, expected, graded, passed)
         )
 
@@ -141,7 +142,7 @@ class RefinementStack:
             raise DeclarationError(f"{owner}: device dynamics act on the wrong space")
 
 
-@dataclass(frozen=True)
+@_filled
 class DeviceCheckEntry:
     """The device-boundary square for one reachable bottom-layer state."""
 

@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
 from itertools import chain, compress, count, cycle, repeat
 from operator import ge, or_, xor
@@ -101,7 +101,20 @@ def _check_tolerances(owner: str, epsilon: float, trials: int = 1, required: flo
     return float(epsilon), trials, float(required)
 
 
-@dataclass(frozen=True)
+def _filled(cls: type) -> type:
+    """``cls`` as a frozen dataclass whose fields, none with a default, are filled in one step.
+
+    Its ``__init__``, generated once from ``fields``, runs one ``__dict__``
+    update where the dataclass's runs one ``object.__setattr__`` per field.
+    """
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    filled = ", ".join(f"{name}={name}" for name in names)
+    cls.__init__ = eval(f"lambda self, {', '.join(names)}: self.__dict__.update({filled})")
+    return cls
+
+
+@_filled
 class CommutationReport:
     """Both paths of one square, per-trial distances, and the verdict.
 
@@ -110,7 +123,8 @@ class CommutationReport:
     checks the endpoints are physical rather than abstract states. Only a
     check builds one: it keeps each trial's flag code and each distinct
     code's graded outcome in ``_trials``, and both paths' results and
-    ``distances`` are built from them on first read.
+    ``distances`` are built from them on first read. A noise-free square
+    whose lower equals its upper keeps None, read as the upper at 0.0.
     """
 
     initial_physical: PhysicalState
@@ -128,13 +142,15 @@ class CommutationReport:
     @cached_property
     def lower_path_results(self) -> tuple[AbstractState | PhysicalState, ...]:
         kind, space, _, codes, graded = self._trials
+        if graded is None:
+            return (self.upper_path_result,) * len(codes)
         states = {code: _trusted(kind, space, lower) for code, (lower, _) in graded.items()}
         return tuple(map(states.__getitem__, codes))
 
     @cached_property
     def distances(self) -> tuple[float, ...]:
         *_, codes, graded = self._trials
-        return tuple([graded[code][1] for code in codes])
+        return (0.0,) * len(codes) if graded is None else tuple([graded[code][1] for code in codes])
 
 
 def _grade(
@@ -153,8 +169,9 @@ def _grade(
     ``_sliced`` runs reads its levels, and runs a lane program, on all squares
     at once, and only the squares that differ step, read and measure. Noisy,
     each distinct flag code that square i draws from its seed is flipped, read
-    and measured once, with its count of trials. The column is returned as
-    ``_reports`` reads it, verdicts first.
+    and measured once, with its count of trials. An agreeing noise-free square
+    keeps None (``_settled``). The column is returned as ``_reports`` reads
+    it, verdicts first.
     """
     epsilon, trials, required = tolerances
     kind, space, read = PhysicalState, device.space, lambda value: value
@@ -174,21 +191,17 @@ def _grade(
             uppers = list(map(program._apply, _unpacked(lanes, cells, space)))
         above = laned(lanes, ones) if laned else _lanes_of("".join(map("".join, uppers)).encode(), n, ones)
         differ = reduce(or_, map(xor, step(lanes, ones), above), 0)
-        flagged = dict.fromkeys(compress(count(), differ.to_bytes(cells, "little")))
-        if laned and flagged:
+        if laned and differ:
             uppers, laned = _unpacked(above, cells, space), None
-        fractions = [1.0] * cells
-        for i in flagged:
-            lower = read(device._apply(starts[i]))
-            flagged[i] = lower, measure(lower, uppers[i])
-            fractions[i] = 1.0 if flagged[i][1] <= epsilon else 0.0
-        squares = cells, trials, above if laned else uppers, laned and space, flagged  # as _agreeing takes them
+        graded, fractions = [None] * cells, [1.0] * cells
+        for i in compress(count(), differ.to_bytes(cells, "little")):  # each differs, so keeps its outcome
+            graded[i] = _settled(read(device._apply(starts[i])), uppers[i], measure)
+            fractions[i] = 1.0 if graded[i][0][1] <= epsilon else 0.0
+        squares = cells, trials, above if laned else uppers, laned and space, graded  # as _agreeing takes them
     elif device.noise is None:
-        lowers = list(map(read, map(device._apply, starts)))
-        distances = list(map(measure, lowers, uppers))
-        graded = [{0: pair} for pair in zip(lowers, distances)]
-        squares = uppers, [(0,) * trials] * len(lowers), graded
-        fractions = [1.0 if d <= epsilon else 0.0 for d in distances]
+        graded = list(map(_settled, map(read, map(device._apply, starts)), uppers, repeat(measure)))
+        squares = uppers, [(0,) * trials] * len(graded), graded
+        fractions = [1.0 if g is None or g[0][1] <= epsilon else 0.0 for g in graded]
     else:
         codes, graded, fractions = [], [], []
         for value, upper, seed in zip(starts, uppers, seeds):
@@ -207,15 +220,20 @@ def _grade(
     return passed, fractions, epsilon, required, kind, space, squares
 
 
-def _agreeing(cells: int, trials: int, uppers: list, codomain, flagged: dict) -> tuple:
+def _settled(lower, upper, measure) -> dict | None:
+    """A noise-free square's graded outcome; None, read as the upper at 0.0, when ``lower`` equals ``upper``.
+
+    Every metric measures equal values as exactly 0.0. Both fills of a column apply this one rule.
+    """
+    return None if lower == upper else {0: (lower, measure(lower, upper))}
+
+
+def _agreeing(cells: int, trials: int, uppers: list, codomain, graded: list) -> tuple:
     """A lane-graded column's uppers, flag codes and graded outcomes, from what ``_grade`` kept.
 
-    ``uppers`` holds values, or lanes in ``codomain``; a lower is its upper at distance 0 unless ``flagged``.
+    ``uppers`` holds values, or lanes in ``codomain``.
     """
     uppers = uppers if codomain is None else _unpacked(uppers, cells, codomain)
-    graded = [{0: (upper, 0.0)} for upper in uppers]
-    for i, outcome in flagged.items():
-        graded[i] = {0: outcome}
     return uppers, [(0,) * trials] * cells, graded
 
 
@@ -264,7 +282,7 @@ def check_history(
     return next(_reports([p], column))
 
 
-@dataclass(frozen=True)
+@_filled
 class ValidityCell:
     """One (domain state, prediction) square inside a validation run."""
 

@@ -39,7 +39,7 @@ from abrep import (
     identity_dynamics,
     represent,
 )
-from abrep.dynamics import _BLOCK, ProductRule, _each, _flip, _trial_outcomes, unit_draw
+from abrep.dynamics import _BLOCK, ProductRule, _bias, _block, _each, _flip, _trial_outcomes, unit_draw
 from abrep.errors import DeclarationError
 from support import count_calls
 
@@ -693,6 +693,39 @@ def test_every_lane_of_every_pass_follows_the_draws_by_definition(kind, probabil
     assert trial_values(device, start, base, trials) == expected
     if 0.0 < probability < 1.0 and trials > 2:
         assert len(set(expected)) > 1
+
+
+@pytest.mark.parametrize("probabilities", [(0.3, 0.7), (0.7, 0.3)], ids=["0.3-first", "0.7-first"])
+def test_the_kernel_constants_are_cached_per_block_size_and_the_bias_per_probability_too(probabilities):
+    """Each block's constants are built once per block size, and a noise's bias once per probability and size.
+
+    Two probabilities meet each of 1, 400 and 1,025 trials (a full pass and a
+    pass of one) in turn, from empty caches, and every trial is the one drawn
+    by definition. Catches a bias cached by block size alone, which hands the
+    second probability the first one's bias.
+    """
+    _block.cache_clear()
+    _bias.cache_clear()
+    base = TrialSeed(0x5EED)
+    for trials in (1, 400, _BLOCK + 1):
+        seeds = [derive_seed(base, k) for k in range(trials)]
+        for probability in probabilities:
+            device, start = noisy_hold("coordinate", probability, (2, 5, 2))
+            expected = [noise_by_definition(device.noise, start.value, seed) for seed in seeds]
+            assert trial_values(device, start, base, trials) == expected
+    assert _bias.cache_info()[:2] == (2, 2 * 3)  # block sizes 1, 400 and 1024; 1,025's tail of one hits
+
+
+def test_the_kernel_caches_stay_within_their_bound():
+    """The caches are bounded: 50 trial counts, at two probabilities, keep at most ``maxsize`` entries each."""
+    base = TrialSeed(3)
+    for trials in range(1, 51):
+        for probability in (0.3, 0.7):
+            device, start = noisy_hold("label", probability, ())
+            trial_values(device, start, base, trials)
+    for cache in (_block, _bias):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < 50
 
 
 @pytest.mark.parametrize("lane", [1, 129, _BLOCK + 1])

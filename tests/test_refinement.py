@@ -435,6 +435,30 @@ def test_an_identity_layer_adds_one_passing_layer_report_and_changes_no_device_s
         assert after.passed == before.passed != mis_declared
 
 
+def test_two_passing_layers_compose_into_a_passing_layer():
+    """Metamorphic: maps composed across a dropped middle layer commute when both maps did.
+
+    On ``refinement-stack``, both layer checks pass at epsilon 0 under
+    ``discrete``; the decimal layer mapped straight to the machine word, by
+    the two tables composed, must pass too (the transitivity of data
+    refinement; only this direction holds). Each composed entry's paths are
+    the first pair's upper path mapped on down, and the second pair's lower
+    path from the first map's image. Catches ``LayerReport.entries`` reading
+    an agreeing square as the upper value, where it is the lower program's image.
+    """
+    _, stack = stack_pieces()
+    (top, _, bottom), (upper, lower) = stack.layers, stack.relations
+    entries = {v: lower.entries[w] for v, w in upper.entries.items()}
+    composed = SimulationRelation("stack.dec-to-asm", top, bottom, entries)
+    report, first, second = (check_layer(r, 0.0, DISCRETE) for r in (composed, upper, lower))
+    assert report.passed and first.passed and second.passed
+    below = {entry.state.value: entry for entry in second.entries}
+    for entry, above in zip(report.entries, first.entries, strict=True):
+        assert entry.state == above.state and entry.passed and entry.distance == 0.0
+        assert entry.mapped_after_upper == lower.map_state(above.mapped_after_upper)
+        assert entry.lower_after_mapped == below[upper.entries[entry.state.value]].lower_after_mapped
+
+
 def _stack_variants():
     """Both built-in stacks, and the first with flips on its device's sum lines."""
     stack = stack_pieces()[1]

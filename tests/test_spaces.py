@@ -6,7 +6,7 @@ import sys
 from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import abrep
 from abrep import (
@@ -506,6 +506,57 @@ def test_every_metric_on_every_space_shape(shape, kind):
             assert measure(metric) == want
     if want is not None:
         assert distance(metric, make(space, a), make(space, a)) == 0.0
+
+
+@st.composite
+def _equal_values(draw, physical: bool, depth: int = 2):
+    """A space of a kind drawn from those ``physical`` allows, and two equal members built apart.
+
+    The second is rebuilt from the first, with each real zero negated, so
+    ``0.0`` meets ``-0.0``.
+    """
+    kinds = (["labels", "vector"] if physical else ["labels", "bits", "ints"]) + ["tuple"] * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "tuple":
+        parts = draw(st.lists(_equal_values(physical, depth - 1), min_size=1, max_size=3))
+        space = (PhysicalTupleSpace if physical else TupleSpace)(f"eq.tuple{depth}", tuple(p[0] for p in parts))
+        return space, tuple(p[1] for p in parts), tuple(p[2] for p in parts)
+    if kind == "vector":
+        bounds = draw(st.lists(st.tuples(st.floats(-8.0, 0.0), st.floats(0.0, 8.0)), min_size=1, max_size=3))
+        value = tuple(draw(st.sampled_from([lo, 0.0, hi]) | st.floats(lo, hi)) for lo, hi in bounds)
+        return RealVectorSpace("eq.vector", bounds), value, tuple(-x if x == 0 else x for x in value)
+    if kind == "ints":
+        lo = draw(st.integers(-5, 5))
+        value = draw(st.integers(lo, lo + 6))
+        return IntSpace("eq.ints", lo, lo + 6), value, int(str(value))
+    if kind == "bits":
+        value = draw(st.text("01", min_size=1, max_size=6))
+        return BitSpace("eq.bits", len(value)), value, "".join(list(value))
+    labels = draw(st.lists(st.text("xyz", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    value = draw(st.sampled_from(labels))
+    return (PhysicalLabelSpace if physical else LabelSpace)("eq.labels", labels), value, "".join(list(value))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.booleans().flatmap(_equal_values))
+def test_every_metric_measures_equal_values_as_exactly_zero(drawn):
+    """Law: each metric that applies to a space gives exactly the float ``0.0`` on two equal values.
+
+    A noise-free square whose two paths end on equal values keeps no graded
+    outcome and reads as distance 0.0; this law is what makes that exact.
+    """
+    space, a, b = drawn
+    assert a == b
+    make = PhysicalState if isinstance(space, abrep.PhysicalSpace) else AbstractState
+    applied = 0
+    for metric in abrep.METRICS:
+        try:
+            both = [distance(metric, make(space, x), make(space, y)) for x, y in ((a, b), (b, a))]
+        except MetricMismatch:
+            continue
+        assert [(type(d), repr(d)) for d in both] == [(float, "0.0")] * 2
+        applied += 1
+    assert applied >= 1  # discrete applies everywhere
 
 
 def test_a_vector_space_has_no_cardinality():

@@ -585,6 +585,30 @@ def test_an_adder_column_on_lanes_is_its_row_wise_column(build, failing):
     assert lanes == rows and steps == sum(not row.passed for row in rows) == failing
 
 
+@pytest.mark.parametrize(
+    "build", [partial(adder_theory, 5), lambda: adder_pieces(faulted=True)[1]], ids=["5-bit", "faulted"]
+)
+def test_an_agreeing_square_keeps_no_outcome_however_its_column_was_filled(build):
+    """Each lane-graded cell's report is its square checked alone, and keeps None exactly where it agrees.
+
+    A noise-free square whose lower equals its upper keeps None for its
+    graded outcome, in the lane fill and the row-wise fill alike; a failing
+    square keeps its outcome. Catches a lane fill that keeps None for a
+    flagged cell, or one that keeps ``{0: (upper, 0.0)}`` where the row-wise fill keeps None.
+    """
+    theory = build()
+    (pred,) = theory.predictions
+    spec = DiagramSpec(theory, pred.abstract, pred.physical)
+    _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    for si, cell in enumerate(evidence.cells):
+        alone = check_commutation(spec, cell.state, derive_seed(SEED, si, 0))
+        assert alone == cell.report
+        for report in (alone, cell.report):
+            assert (report._trials[4] is None) is report.passed is (report.distances == (0.0,))
+    failing = sum(not cell.report.passed for cell in evidence.cells)
+    assert failing == (0 if len(evidence.cells) == 1024 else 8)
+
+
 def _has_table(program) -> bool:
     rule = program.rule
     return isinstance(rule, TableRule) or any(map(_has_table, getattr(rule, "parts", ())))
