@@ -92,7 +92,7 @@ class LayerReport:
     @cached_property
     def entries(self) -> tuple[LayerCheckEntry, ...]:
         """Each upper value's entry: both paths' images and their distance, one image where they agree."""
-        upper, values, (passed, *_, lower, (expected, _, graded)) = self._column
+        upper, values, (passed, *_, (_, lower, expected, _, graded)) = self._column
         state = partial(_trusted, AbstractState)
         return tuple(
             LayerCheckEntry(state(upper, v), state(lower, g[0][0]), state(lower, b), g[0][1], ok)
@@ -152,17 +152,20 @@ class DeviceCheckEntry:
 
 @dataclass(frozen=True)
 class StackReport:
-    """Each layer's report and each device square; the verdict is read off them."""
+    """Each layer's report and the device squares' ``_column``; ``device_entries`` is built from it on first read."""
 
     stack_id: str
     layer_reports: tuple[LayerReport, ...]
-    device_entries: tuple[DeviceCheckEntry, ...]
+    _column: tuple = field(repr=False, hash=False)
 
     @cached_property
     def passed(self) -> bool:
-        return all(r.passed for r in self.layer_reports) and all(
-            e.report.passed for e in self.device_entries
-        )
+        return all(r.passed for r in self.layer_reports) and all(self._column[2][0])
+
+    @cached_property
+    def device_entries(self) -> tuple[DeviceCheckEntry, ...]:
+        bottoms, starts, column = self._column
+        return tuple(map(DeviceCheckEntry, bottoms, _reports(starts, column)))
 
 
 def reachable_bottom_states(stack: RefinementStack) -> list[AbstractState]:
@@ -198,7 +201,7 @@ def _ground(
     stack: RefinementStack, layer_reports: tuple[LayerReport, ...],
     tolerances: tuple[float, int, float], metric: Metric, base_seed: TrialSeed,
 ) -> StackReport:
-    """The stack's report: ``layer_reports`` and one column of reachable bottom states' squares."""
+    """The stack's report: ``layer_reports``, and the reachable bottom states, prepared, in one column of squares."""
     theory, program = stack.theory, stack.layers[-1].dynamics
     bottoms = reachable_bottom_states(stack)
     # Each prepared state reads as its bottom state: _prepare chose it so.
@@ -207,5 +210,4 @@ def _ground(
     seeds = (derive_seed(base_seed, i) for i in count())
     values = [p.value for p in starts]
     column = _grade(tolerances, stack.device, values, uppers, metric, seeds, theory.representation)
-    entries = tuple(map(DeviceCheckEntry, bottoms, _reports(starts, column)))
-    return StackReport(stack.id, layer_reports, entries)
+    return StackReport(stack.id, layer_reports, (bottoms, starts, column))

@@ -205,13 +205,12 @@ class _Run:
         layers = tuple(self._layer(rel, check) for rel in stack.relations)
         tolerances = check.epsilon, check.trials, check.required_success  # checked by CheckSpec
         report = _ground(stack, layers, tolerances, check.metric, seed)
-        self._count_coverage(stack.theory.id, len(report.device_entries))
+        bottoms, _, (verdicts, *_) = report._column  # the entries' states and verdicts, none built
+        self._count_coverage(stack.theory.id, len(bottoms))
         detail = {
             "layers": {r.relation_id: r.passed for r in report.layer_reports},
-            "device_states": len(report.device_entries),
-            "device_failures": [
-                _state_json(e.state) for e in report.device_entries if not e.report.passed
-            ],
+            "device_states": len(bottoms),
+            "device_failures": [_state_json(b) for b, ok in zip(bottoms, verdicts) if not ok],
         }
         return (PASS if report.passed else FAIL), detail
 

@@ -20,7 +20,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from copy import copy
 from dataclasses import dataclass, field, fields
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain, compress, count, cycle, repeat
 from operator import ge, or_, xor
 
@@ -46,6 +46,7 @@ from .relations import (
     represent,
 )
 from .spaces import (
+    AbstractSpace,
     AbstractState,
     Metric,
     PhysicalState,
@@ -101,30 +102,43 @@ def _check_tolerances(owner: str, epsilon: float, trials: int = 1, required: flo
     return float(epsilon), trials, float(required)
 
 
-def _filled(cls: type) -> type:
-    """``cls`` as a frozen dataclass whose fields, none with a default, are filled in one step.
+def _filled(cls: type, hidden: tuple = ()) -> type:
+    """``cls`` as a frozen dataclass kept in ``__slots__``: a record is one object, with no dict.
 
-    Its ``__init__``, generated once from ``fields``, runs one ``__dict__``
-    update where the dataclass's runs one ``object.__setattr__`` per field.
+    Each field without a default has a slot, and so has each name in
+    ``hidden``; a field whose default is a property is read through it. The
+    ``__init__``, generated once, takes the fields, then the slots past them as
+    None unless given, and stores argument k in slot k through its descriptor.
+    A class with ``cached_property`` views gets a ``__dict__`` slot, filled on
+    first read. ``__reduce__`` rebuilds a record from its fields, views unread.
     """
-    cls = dataclass(frozen=True, init=False)(cls)
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    slots = [name for name in cls.__annotations__ if name not in body] + list(hidden)
+    views = ["__dict__"] * any(isinstance(v, cached_property) for v in body.values())
+    cls = dataclass(frozen=True, init=False)(type(cls.__name__, (), {**body, "__slots__": (*slots, *views)}))
     names = [f.name for f in fields(cls)]
-    filled = ", ".join(f"{name}={name}" for name in names)
-    cls.__init__ = eval(f"lambda self, {', '.join(names)}: self.__dict__.update({filled})")
+    args = names + slots[len(names):]  # the argument of a field read through a property goes to a hidden slot
+    scope = {f"_{k}": getattr(cls, slot).__set__ for k, slot in enumerate(slots)}
+    signature = ", ".join(names + [f"{arg}=None" for arg in args[len(names):]])
+    exec(f"def __init__(self, {signature}):" + "".join(f"\n _{k}(self, {a})" for k, a in enumerate(args)), scope)
+    cls.__init__ = scope["__init__"]
+    cls.__reduce__ = lambda self: (type(self), tuple(map(self.__getattribute__, names)))
     return cls
 
 
-@_filled
+@partial(_filled, hidden=("_column", "_at"))
 class CommutationReport:
     """Both paths of one square, per-trial distances, and the verdict.
 
     A trial succeeds when its distance is at most epsilon; the square passes
     when the success fraction reaches the required fraction. For history
     checks the endpoints are physical rather than abstract states. Only a
-    check builds one: it keeps each trial's flag code and each distinct
-    code's graded outcome in ``_trials``, and both paths' results and
-    ``distances`` are built from them on first read. A noise-free square
-    whose lower equals its upper keeps None, read as the upper at 0.0.
+    check builds one, and it keeps the column its square was graded in and
+    its index there. ``_trials``, the square's upper value, each trial's flag
+    code and each distinct code's graded outcome, is read off them, and both
+    paths' results and ``distances`` are built from it on first read; a
+    lane-graded column unpacks all its upper values then, once. A noise-free
+    square whose lower equals its upper keeps None, read as the upper at 0.0.
     """
 
     initial_physical: PhysicalState
@@ -132,7 +146,7 @@ class CommutationReport:
     passed: bool
     epsilon: float
     required_success: float
-    _trials: tuple = field(repr=False, hash=False)
+    _trials: tuple = field(default=property(lambda self: _square(self._column, self._at)), repr=False, hash=False)
 
     @cached_property
     def upper_path_result(self) -> AbstractState | PhysicalState:
@@ -183,6 +197,7 @@ def _grade(
     step = step and _sliced(device.rule, getattr(relation, "rule", None))
     if program and not step:
         uppers = list(map(program._apply, map(read, starts)))
+    codes = [(0,) * trials] * len(starts)  # noise-free, every trial draws flag code 0
     if step:
         cells, cuts = len(starts), relation.rule.thresholds
         ones, n, laned = int.from_bytes(b"\1" * cells, "little"), len(cuts), program and program._lanes
@@ -191,16 +206,13 @@ def _grade(
             uppers = list(map(program._apply, _unpacked(lanes, cells, space)))
         above = laned(lanes, ones) if laned else _lanes_of("".join(map("".join, uppers)).encode(), n, ones)
         differ = reduce(or_, map(xor, step(lanes, ones), above), 0)
-        if laned and differ:
-            uppers, laned = _unpacked(above, cells, space), None
+        uppers = _Unpacked(above, cells, space) if laned else uppers
         graded, fractions = [None] * cells, [1.0] * cells
         for i in compress(count(), differ.to_bytes(cells, "little")):  # each differs, so keeps its outcome
             graded[i] = _settled(read(device._apply(starts[i])), uppers[i], measure)
             fractions[i] = 1.0 if graded[i][0][1] <= epsilon else 0.0
-        squares = cells, trials, above if laned else uppers, laned and space, graded  # as _agreeing takes them
     elif device.noise is None:
         graded = list(map(_settled, map(read, map(device._apply, starts)), uppers, repeat(measure)))
-        squares = uppers, [(0,) * trials] * len(graded), graded
         fractions = [1.0 if g is None or g[0][1] <= epsilon else 0.0 for g in graded]
     else:
         codes, graded, fractions = [], [], []
@@ -215,9 +227,8 @@ def _grade(
             codes.append(drawn)
             graded.append(outcomes)
             fractions.append(successes / trials)
-        squares = uppers, codes, graded
     passed = [fraction >= required for fraction in fractions]
-    return passed, fractions, epsilon, required, kind, space, squares
+    return passed, fractions, epsilon, required, (kind, space, uppers, codes, graded)
 
 
 def _settled(lower, upper, measure) -> dict | None:
@@ -228,21 +239,30 @@ def _settled(lower, upper, measure) -> dict | None:
     return None if lower == upper else {0: (lower, measure(lower, upper))}
 
 
-def _agreeing(cells: int, trials: int, uppers: list, codomain, graded: list) -> tuple:
-    """A lane-graded column's uppers, flag codes and graded outcomes, from what ``_grade`` kept.
+@dataclass(frozen=True)
+class _Unpacked:
+    """A lane-graded column's upper values: ``cells`` values in ``codomain``, unpacked from ``lanes`` when read."""
 
-    ``uppers`` holds values, or lanes in ``codomain``.
-    """
-    uppers = uppers if codomain is None else _unpacked(uppers, cells, codomain)
-    return uppers, [(0,) * trials] * cells, graded
+    lanes: list
+    cells: int
+    codomain: AbstractSpace
+    values = cached_property(lambda self: _unpacked(self.lanes, self.cells, self.codomain))
+    __getitem__ = lambda self, i: self.values[i]
+
+
+def _square(squares: tuple, at: int | None) -> tuple:
+    """A report's ``_trials``: kind, space, upper, flag codes and outcome of square ``at``, or ``squares`` itself."""
+    if at is None:
+        return squares
+    kind, space, uppers, codes, graded = squares
+    return kind, space, uppers[at], codes[at], graded[at]
 
 
 def _reports(starts, column: tuple) -> Iterator[CommutationReport]:
-    """The report of each square in a ``column`` that ``_grade`` graded, run from ``starts``."""
-    passed, fractions, epsilon, required, kind, space, squares = column
-    trials = zip(repeat(kind), repeat(space), *(_agreeing(*squares) if len(squares) == 5 else squares))
+    """Each square's report in a ``column`` that ``_grade`` graded, run from ``starts``; each keeps the column."""
+    passed, fractions, epsilon, required, squares = column
     tolerances = repeat(epsilon), repeat(required)
-    return map(CommutationReport, starts, fractions, passed, *tolerances, trials)
+    return map(CommutationReport, starts, fractions, passed, *tolerances, repeat(squares), count())
 
 
 def _in_domain(theory: Theory, p: PhysicalState) -> PhysicalState:

@@ -7,8 +7,9 @@ and count the objects and flips the fast paths make.
 """
 
 import copy
+import gc
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -46,9 +47,9 @@ from abrep import (
     run_checks,
     validate_theory,
 )
-from abrep.refinement import LayerCheckEntry
+from abrep.refinement import DeviceCheckEntry, LayerCheckEntry
 from abrep.verification import ValidityCell
-from support import count_calls
+from support import adder_theory, count_calls
 
 #: The views each report builds on first read, and the reports it holds.
 VIEWS = {
@@ -137,37 +138,78 @@ def test_every_view_is_the_reference_view(name, seed):
     assert compared == sum(c.kind not in ("compute", "classify") for c in bundle.checks) > 0
 
 
-def count_builds(monkeypatch, *classes) -> dict:
-    """Count the objects of each of ``classes`` built from here on, by class name."""
-    counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
+def _alive(cls) -> int:
+    """How many objects of ``cls`` are alive: the collector tracks every record, each in its slots."""
+    gc.collect()
+    return sum(type(obj) is cls for obj in gc.get_objects())
+
+
+def count_builds(monkeypatch, *classes):
+    """A function that counts the objects of each of ``classes`` built from here on, by class name.
+
+    It counts every construction path, ``__init__`` or not (``__new__``,
+    ``copy``, ``pickle``, ``replace``): each object built since is dead now,
+    and counted by a patched ``__del__``, or alive now and counted by the
+    collector, over those alive here.
+    """
+    alive, died = {cls: _alive(cls) for cls in classes}, dict.fromkeys(classes, 0)
     for cls in classes:
-        init = cls.__init__
 
-        def counting(self, *args, init=init, name=cls.__name__, **kwargs):
-            counts[name] += 1
-            init(self, *args, **kwargs)
+        def dying(self, cls=cls):
+            died[cls] += 1
 
-        monkeypatch.setattr(cls, "__init__", counting)
-    return counts
+        monkeypatch.setattr(cls, "__del__", dying, raising=False)
+    return lambda: {cls.__name__: died[cls] + _alive(cls) - alive[cls] for cls in classes}
 
 
 def test_passing_checks_build_no_entry_or_cell_until_read(monkeypatch):
     """Gate: verdicts come from values; entries and cells are built only when read."""
-    made = count_builds(monkeypatch, LayerCheckEntry, ValidityCell)
+    made = count_builds(monkeypatch, LayerCheckEntry, ValidityCell, DeviceCheckEntry)
     for name in ("refinement-stack", "voltage-adder"):
         assert run_checks(BUILTIN_SCENARIOS[name]()).exit_code == 0
-    assert made == {"LayerCheckEntry": 0, "ValidityCell": 0}  # 240 and 16 when built eagerly
+    assert made() == {"LayerCheckEntry": 0, "ValidityCell": 0, "DeviceCheckEntry": 0}  # 240, 16, 112 if eager
 
     stack = BUILTIN_SCENARIOS["refinement-stack"]().stack("stack.adder")
     report = check_stack_to_device(stack, 0.0, DISCRETE, TrialSeed(0))
-    assert report.passed and made["LayerCheckEntry"] == 0
+    assert report.passed and made() == {"LayerCheckEntry": 0, "ValidityCell": 0, "DeviceCheckEntry": 0}
     entries = sum(len(layer.entries) for layer in report.layer_reports)
-    assert made["LayerCheckEntry"] == entries > 0
+    assert made()["LayerCheckEntry"] == entries > 0 and made()["DeviceCheckEntry"] == 0
+    assert len(report.device_entries) == made()["DeviceCheckEntry"] == 112
 
     theory = BUILTIN_SCENARIOS["voltage-adder"]().theory("adder")
     _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, TrialSeed(0))
-    assert evidence.all_passed and evidence.coverage == 16 and made["ValidityCell"] == 0
-    assert len(evidence.cells) == made["ValidityCell"] == 16
+    assert evidence.all_passed and evidence.coverage == 16 and made()["ValidityCell"] == 0
+    assert len(evidence.cells) == made()["ValidityCell"] == 16
+
+
+def test_count_builds_counts_records_built_around_init(monkeypatch):
+    """The gate's counter sees a record however it is built, kept or dropped, not only through ``__init__``."""
+    made = count_builds(monkeypatch, ValidityCell)
+    kept = [object.__new__(ValidityCell)]  # one kept and one dropped, neither through __init__
+    object.__new__(ValidityCell)
+    cell = ValidityCell(None, "p", None)
+    kept += [copy.copy(cell), copy.deepcopy(cell), pickle.loads(pickle.dumps(cell)), replace(cell)]
+    assert made() == {"ValidityCell": 7} and len(kept) == 5
+
+
+def test_reading_cells_costs_two_objects_a_cell():
+    """Cost law: each of a 5-bit adder validation's 1,024 cells leaves two collector-tracked objects.
+
+    They are its ``ValidityCell`` and its ``CommutationReport``, each one
+    object in its slots; the report keeps its column and index, not a
+    ``_trials`` tuple of its own or an unpacked upper value. It was 6 a cell
+    when each record made a dict and a trials tuple.
+    """
+    _, evidence = validate_theory(adder_theory(5), 0.0, DISCRETE, 1, 1.0, TrialSeed(0))
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        cells = evidence.cells
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(cells) == 1024 and grown <= 2 * len(cells) + 2  # and the cells' tuple
 
 
 def test_a_report_equals_the_same_square_checked_alone():
@@ -268,3 +310,75 @@ def test_deferred_reports_copy_and_pickle_before_their_views_are_read():
         copies = [copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))]
         views = [_read_views(c) for c in copies]
         assert views == [_read_views(report)] * 3 and copies == [report] * 3
+
+
+def _graded_alone(case):
+    """Each record of ``case``'s report, paired with the same square graded alone and built by its constructor.
+
+    The 5-bit adder's validation column is graded on lanes and passes (every
+    41st cell is taken), the faulted adder's on lanes with 8 failing cells,
+    and the noisy adder's row by row at 20 trials, some failing; a stack's device column
+    and its layers' columns are graded on values.
+    """
+    base = TrialSeed(4)
+    if case in ("5-bit", "voltage-adder-faulted", "voltage-adder-noisy"):
+        theory = adder_theory(5) if case == "5-bit" else BUILTIN_SCENARIOS[case]().theory("adder")
+        trials, required = (20, 0.9) if case == "voltage-adder-noisy" else (1, 1.0)
+        (pred,) = theory.predictions
+        spec = DiagramSpec(theory, pred.abstract, pred.physical, 0.0, DISCRETE, trials, required)
+        _, evidence = validate_theory(theory, 0.0, DISCRETE, trials, required, base)
+        for si, cell in list(enumerate(evidence.cells))[:: 41 if case == "5-bit" else 1]:
+            alone = check_commutation(spec, cell.state, derive_seed(base, si, 0))
+            yield cell.report, alone
+            yield cell, ValidityCell(cell.state, pred.name, alone)
+        return
+    stack = BUILTIN_SCENARIOS[case]().stack("stack.adder")
+    report = check_stack_to_device(stack, 0.0, DISCRETE, base)
+    spec = DiagramSpec(stack.theory, stack.layers[-1].dynamics, stack.device)
+    for i, entry in enumerate(report.device_entries):
+        alone = check_commutation(spec, instantiate(stack.theory, entry.state), derive_seed(base, i))
+        yield entry.report, alone
+        yield entry, DeviceCheckEntry(entry.state, alone)
+    for relation, layer in zip(stack.relations, report.layer_reports):
+        yield from zip(layer.entries, reference.check_layer(relation, 0.0, DISCRETE).entries, strict=True)
+
+
+def _views_of(record) -> list:
+    report = getattr(record, "report", record)
+    return [getattr(report, name) for name in VIEWS.get(type(report), ())]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["5-bit", "voltage-adder-faulted", "voltage-adder-noisy", "refinement-stack", "refinement-stack-miswired"],
+)
+def test_every_record_keeps_the_record_contract(case):
+    """Contract: a record a column serves is the record of its square graded alone, and a frozen dataclass.
+
+    Before any view is read, and again after each is read in turn, it equals,
+    hashes and prints as the square graded alone; ``copy``, ``deepcopy``,
+    ``pickle`` and ``replace`` give an equal record of its class, whose views
+    are the lone square's; ``replace`` with another field differs; and
+    assigning any field raises ``FrozenInstanceError``.
+    """
+    classes, failing = set(), 0
+    for record, alone in _graded_alone(case):
+        report = getattr(record, "report", record)
+        for read in (None, *VIEWS.get(type(report), ())):
+            if read is not None:
+                getattr(report, read)
+            assert record == alone and hash(record) == hash(alone) and repr(record) == repr(alone)
+            made = copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)), replace(record)
+            for twin in made:
+                assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
+                assert _views_of(twin) == _views_of(alone)
+        first = fields(record)[0].name
+        assert replace(record, **{first: None}) != record
+        for name in (f.name for f in fields(record)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+        classes.add(type(record))
+        failing += isinstance(record, CommutationReport) and not record.passed
+    entries = {DeviceCheckEntry, LayerCheckEntry} if case.startswith("refinement") else {ValidityCell}
+    assert classes == {CommutationReport, *entries}
+    assert (failing > 0) == (case in ("voltage-adder-faulted", "voltage-adder-noisy"))

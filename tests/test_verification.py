@@ -28,6 +28,8 @@ from abrep import (
     DiagramSpec,
     EmptyDomain,
     InstantiationProcedure,
+    LabelFlipNoise,
+    LabelSpace,
     MAX_COORDINATE,
     METRICS,
     MetricMismatch,
@@ -40,7 +42,9 @@ from abrep import (
     Prediction,
     ProductRule,
     RealVectorSpace,
+    RefinementLayer,
     RepresentationRelation,
+    SimulationRelation,
     TableRule,
     Theory,
     TheoryNotValidated,
@@ -1102,3 +1106,114 @@ def test_a_metric_that_does_not_apply_fails_validation_as_the_square_does(metric
         validate_theory(theory, 0.0, METRICS[metric], 5, 1.0, SEED)
     message = f"{metric} does not apply to space 'adder.machine'"
     assert str(validation.value) == str(square.value) == message
+
+
+@st.composite
+def _relabelled(draw):
+    """A label device theory and two layer maps, one into and one out of its abstract space, built twice.
+
+    The second build renames the space's values by a drawn bijection,
+    declares them in a drawn order, and carries the renaming through every
+    table that reads or writes them: the reading, the program, and both
+    maps. Returns both builds and the renaming.
+    """
+
+    def table(keys, images):
+        return {key: draw(st.sampled_from(images)) for key in keys}
+
+    cells, values, tops, bottoms = (
+        tuple(f"{kind}{i}" for i in range(draw(st.integers(1 + (kind != "t"), 4)))) for kind in "cvtb"
+    )
+    rename = dict(zip(values, draw(st.permutations([f"w{i}" for i in range(len(values))]))))
+    order = tuple(draw(st.permutations(list(rename.values()))))
+    read, program, device = table(cells, values), table(values, values), table(cells, cells)
+    above, below = table(tops, values), table(values, bottoms)
+    partners = dict(zip(cells, draw(st.permutations(cells))))
+    flips = draw(st.sampled_from([None, LabelFlipNoise(0.3, partners)]))
+
+    def layer(name, labels):
+        space = LabelSpace(f"rl.{name}", labels)
+        step = AbstractDynamics(f"rl.{name}-step", space, TableRule(table(labels, labels)))
+        return RefinementLayer(f"rl.{name}", space, step)
+
+    upper, lower = layer("top", tops), layer("bottom", bottoms)
+
+    def build(labels, name):
+        physical, space = PhysicalLabelSpace("rl.cells", cells), LabelSpace("rl.values", labels)
+        reading = TableRule({c: name[v] for c, v in read.items()})
+        step = AbstractDynamics("rl.program", space, TableRule({name[v]: name[w] for v, w in program.items()}))
+        states = tuple(PhysicalState(physical, c) for c in cells)
+        prediction = Prediction("step", step, PhysicalDynamics("rl.device", physical, TableRule(device), flips))
+        hold = InstantiationProcedure(states, identity_dynamics("rl.hold", physical))
+        relation = RepresentationRelation("rl.read", physical, space, reading)
+        theory = Theory("rl", relation, states, (prediction,), hold)
+        middle = RefinementLayer("rl.middle", space, step)
+        maps = (
+            SimulationRelation("rl.down", upper, middle, {t: name[v] for t, v in above.items()}),
+            SimulationRelation("rl.further", middle, lower, {name[v]: b for v, b in below.items()}),
+        )
+        return theory, maps
+
+    return build(values, dict(zip(values, values))), build(order, rename), rename
+
+
+def _verdict(report) -> tuple:
+    return report.passed, report.success_fraction, report.distances
+
+
+def _history(spec, value, seed) -> tuple | None:
+    """The verdict of the history square at abstract ``value``; None where no seed prepares it or its image."""
+    state = AbstractState(spec.theory.representation.codomain, value)
+    try:
+        return _verdict(check_history(spec, state, DISCRETE, seed))
+    except NotInstantiable:
+        return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_relabelled(), st.sampled_from((0.0, 0.5, 1.0)), st.sampled_from(((1, 1.0), (8, 0.5), (8, 1.0))))
+def test_a_relabelled_abstract_space_keeps_every_verdict_and_distance(built, epsilon, tolerances):
+    """Metamorphic: renaming an abstract space's values, through every table that touches them, keeps every verdict.
+
+    The renaming is a drawn bijection, and the renamed space declares its
+    values in a drawn order. Under ``discrete``, the one metric of a label
+    space, every distance is kept too, and every image is the renamed image:
+    in each validation cell, each history square and each entry of a layer
+    map into or out of the space. Catches ``_settled`` counting a lower value
+    that sorts before its upper as agreeing (``<=`` for ``==``), and a
+    ``discrete`` metric that measures how far apart two labels are declared.
+    """
+    (theory, maps), (renamed, renamed_maps), rename = built
+    trials, required = tolerances
+
+    def value(state):  # a renamed value, or a top or bottom label as it was
+        return rename.get(state.value, state.value)
+
+    for seed in map(TrialSeed, (0, 1)):
+        (_, before), (_, after) = (
+            validate_theory(t, epsilon, DISCRETE, trials, required, seed) for t in (theory, renamed)
+        )
+        assert after.all_passed == before.all_passed
+        for cell, twin in zip(before.cells, after.cells, strict=True):
+            assert _verdict(twin.report) == _verdict(cell.report)
+            assert twin.report.upper_path_result.value == value(cell.report.upper_path_result)
+            lowers = [s.value for s in twin.report.lower_path_results]
+            assert lowers == list(map(value, cell.report.lower_path_results))
+        specs = [
+            DiagramSpec(t, pred.abstract, pred.physical, epsilon, DISCRETE, trials, required)
+            for t in (theory, renamed)
+            for pred in t.predictions
+        ]
+        for v, w in rename.items():
+            assert _history(specs[0], v, seed) == _history(specs[1], w, seed)
+    for relation, twin in zip(maps, renamed_maps):
+        report, other = check_layer(relation, epsilon, DISCRETE), check_layer(twin, epsilon, DISCRETE)
+        entries = [
+            (value(e.state), value(e.mapped_after_upper), value(e.lower_after_mapped), e.distance, e.passed)
+            for e in report.entries
+        ]
+        twins = [
+            (e.state.value, e.mapped_after_upper.value, e.lower_after_mapped.value, e.distance, e.passed)
+            for e in other.entries
+        ]
+        assert other.passed == report.passed and sorted(twins) == sorted(entries)
