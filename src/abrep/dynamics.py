@@ -10,16 +10,16 @@ Every rule kind is declared here, the threshold readings of relations
 included, and ``_compiled`` turns a rule into a function on member values,
 once per declaration, on first use. A column of cells also runs on lanes,
 one int per bit (Biham, 1997): ``_sliced`` runs a threshold device's update,
-and ``_laned`` a program, on all cells at once. So a sliced validation of D
-states and P predictions steps and reads only the cells that disagree, once
-each, and makes D program steps only for each program with no lane form.
+and ``_laned`` the program ``ripple-add``, on all cells at once. So a sliced
+validation of D states and P predictions steps and reads only the cells that
+disagree, once each, and makes D steps of each program but ``ripple-add``.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -219,11 +219,15 @@ def _compiled(rule, space, codomain=None) -> Callable[[Value], Value]:
         if not updates:  # the identity, as every real-vector hold is: no copy
             return lambda value: value
 
-        def step(value):
+        def step(value):  # every update reads the working levels before it writes any
             working = list(value)
-            for update in updates:
-                for line, level in update(working):
-                    working[line] = level
+            for reads, cut, writes in updates:
+                total = 0
+                for line, weight in reads:
+                    if working[line] >= cut:
+                        total += weight
+                for line, k, levels in writes:
+                    working[line] = levels[total >> k & 1]
             return tuple(working)
 
         return step
@@ -335,34 +339,14 @@ def _builtin(name: str, space: AbstractSpace) -> Callable[[Value], Value]:
 def _laned(rule: AbstractRule, space: AbstractSpace) -> Callable[[list, int], list] | None:
     """``rule`` on the lanes of ``space``'s registers laid end to end, as ``_sliced`` takes lanes, or None.
 
-    Each program's cached ``_lanes`` is one call of this. A table has no lane
-    form, nor has a chain or product with such a part, nor a rule off registers.
+    Each program's cached ``_lanes`` is one call of this. Only ``ripple-add``, the
+    one program a workload validates on a threshold device, has a lane form.
     """
-    widths = _register_widths(space)
-    if widths is None or isinstance(rule, TableRule):
+    if not (isinstance(rule, BuiltinRule) and rule.name == "ripple-add"):
         return None
-    if isinstance(rule, BuiltinRule):
-        w, op = widths[0], and_ if rule.name == "and" else xor
-        x, y = slice(w - 1, None, -1), slice(2 * w - 1, w - 1, -1)  # ripple-add's addends, low bit first
-        return {
-            "identity": lambda lanes, ones: lanes,
-            "bit-not": lambda lanes, ones: [lane ^ ones for lane in lanes],
-            "swap-pair": lambda lanes, ones: lanes[w:] + lanes[:w],
-            "ripple-add": lambda lanes, ones: lanes[: 2 * w] + _ripple(lanes[x], lanes[y], w + 1)[::-1],
-        }.get(rule.name, lambda lanes, ones: [*map(op, lanes[:w], lanes[w:]), *lanes[w:]])
-    steps = [part._lanes for part in rule.parts]
-    if None in steps:
-        return None
-    if isinstance(rule, ProductRule):
-        split = _registers(space)  # each part's lanes
-        return lambda lanes, ones: [out for f, part in zip(steps, split(lanes)) for out in f(part, ones)]
-
-    def chained(lanes, ones):
-        for step in steps:
-            lanes = step(lanes, ones)
-        return lanes
-
-    return chained
+    w = _register_widths(space)[0]
+    x, y = slice(w - 1, None, -1), slice(2 * w - 1, w - 1, -1)  # the addends, low bit first
+    return lambda lanes, ones: lanes[: 2 * w] + _ripple(lanes[x], lanes[y], w + 1)[::-1]
 
 
 def _canonical_table(decl, owner: str, keys, values) -> None:
@@ -500,20 +484,18 @@ class PhysicalDynamics:
     _apply = cached_property(lambda self: _compiled(self.rule, self.space))  # without the noise
 
 
-def _update(upd: BinarySumUpdate | ConstantUpdate) -> Callable[[list], Iterable]:
-    """``upd`` as a function from the working levels to the (line, level) pairs it assigns."""
+def _update(upd: BinarySumUpdate | ConstantUpdate) -> tuple:
+    """``upd`` as the (line, weight) pairs it reads, their threshold, and the (line, bit, levels) it writes.
+
+    A step totals the weights read at or above the threshold, then writes each line in declared order at
+    the level its bit of the total picks: a sum adds its addends as integers, most significant line first;
+    a constant reads nothing and picks between two equal levels.
+    """
     if isinstance(upd, ConstantUpdate):
-        pins = tuple(zip(upd.lines, upd.values))
-        return lambda working: pins
-    a_lines, b_lines, out_lines, cut = upd.a_lines, upd.b_lines, upd.out_lines, upd.threshold
-    width, levels = len(out_lines), {"0": upd.low, "1": upd.high}
-    mask, fmt = (1 << width) - 1, f"0{width}b"
-
-    @lru_cache(maxsize=1 << 12)  # every sum of a target of up to 12 lines, built once
-    def pairs(total: int) -> tuple:
-        return tuple(zip(out_lines, map(levels.__getitem__, format(total, fmt))))
-
-    return lambda w: pairs(_register_int(w, a_lines, cut) + _register_int(w, b_lines, cut) & mask)
+        return (), 0.0, tuple((line, 0, (level, level)) for line, level in zip(upd.lines, upd.values))
+    reads = tuple((line, 1 << k) for lines in (upd.a_lines, upd.b_lines) for k, line in enumerate(lines[::-1]))
+    writes = zip(upd.out_lines, range(len(upd.out_lines) - 1, -1, -1))
+    return reads, upd.threshold, tuple((line, k, (upd.low, upd.high)) for line, k in writes)
 
 
 def _check_lines(owner: str, space: RealVectorSpace, lines, *levels: float) -> None:
@@ -588,13 +570,6 @@ def _trial_outcomes(h: PhysicalDynamics, value: Value, base: TrialSeed, trials: 
         ones, ramp, mask, *_ = _block(count)
         codes += _flag_codes(h.noise, _mix((head + start) * ones + ramp, mask), count)
     return image, codes
-
-
-def _register_int(coords: list[float], lines: tuple[int, ...], threshold: float) -> int:
-    n = 0
-    for line in lines:
-        n = (n << 1) | (1 if coords[line] >= threshold else 0)
-    return n
 
 
 def _flag_codes(noise: Noise, seeds: int, count: int) -> tuple[int, ...]:

@@ -180,8 +180,8 @@ def _grade(
     ``_check_tolerances``, or against the program ``uppers``' image of its
     reading. Noise-free, ``seeds`` is not read and each compiled map runs once
     per square; but a discrete column of two or more squares on a device that
-    ``_sliced`` runs reads its levels, and runs a lane program, on all squares
-    at once, and only the squares that differ step, read and measure. Noisy,
+    ``_sliced`` runs reads its levels, and runs ``ripple-add``, on all squares at
+    once (any other program per square), and only those that differ step, read and measure. Noisy,
     each distinct flag code that square i draws from its seed is flipped, read
     and measured once, with its count of trials. An agreeing noise-free square
     keeps None (``_settled``). The column is returned as ``_reports`` reads

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -41,7 +42,7 @@ from abrep import (
 )
 from abrep.dynamics import _BLOCK, ProductRule, _bias, _block, _each, _flip, _trial_outcomes, unit_draw
 from abrep.errors import DeclarationError
-from support import count_calls
+from support import adder_theory, count_calls
 
 
 def machine_space(width: int) -> TupleSpace:
@@ -434,6 +435,23 @@ def test_coordinate_updates_follow_their_definition(assignments, levels):
     device = PhysicalDynamics("update", lines, rule)
     out = evolve_physical(device, PhysicalState(lines, levels), TrialSeed(0))
     assert out.value == updated_by_definition(rule, levels)
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_the_adder_family_steps_by_the_integer_definition(width):
+    """The w-bit adder's device writes the integer sum of its addends on all w + 1 target lines.
+
+    The drawn updates above have targets of at most 4 lines; these reach 7.
+    Every domain state up to 3 bits, a fixed sample of 256 beyond. Kills a
+    row-wise sum that drops its last carry, which never writes the top target
+    line high.
+    """
+    theory = adder_theory(width)
+    (pred,) = theory.predictions
+    states = theory.domain if width <= 3 else random.Random(width).sample(theory.domain, 256)
+    for state in states:
+        out = evolve_physical(pred.physical, state, TrialSeed(0))
+        assert out.value == updated_by_definition(pred.physical.rule, state.value)
 
 
 @pytest.mark.parametrize(

@@ -613,11 +613,6 @@ def test_an_agreeing_square_keeps_no_outcome_however_its_column_was_filled(build
     assert failing == (0 if len(evidence.cells) == 1024 else 8)
 
 
-def _has_table(program) -> bool:
-    rule = program.rule
-    return isinstance(rule, TableRule) or any(map(_has_table, getattr(rule, "parts", ())))
-
-
 #: The register shapes a kind of program fits, where not every shape.
 _SHAPES = {
     "bit-not": ["one"], "and": ["pair"], "xor": ["pair"], "swap-pair": ["pair"], "ripple-add": ["adder"],
@@ -630,8 +625,8 @@ _KINDS = [*BUILTIN_NAMES, "table", "chain", "product"]
 def _register_programs(draw, space, depth=2, kind=None):
     """A program of ``kind`` on the register space ``space``: a builtin, a table, a chain or a product.
 
-    Unless given, the kind is drawn from those that fit. Tables, and chains
-    and products with a table among their parts, have no lane form.
+    Unless given, the kind is drawn from those that fit. Only ``ripple-add``
+    has a lane form.
     """
     if kind is None:
         kinds = [*BUILTIN_NAMES, "table"] + ["chain", "product"] * (depth > 0)
@@ -695,30 +690,68 @@ def _programs_and_values(draw):
     return program, values
 
 
-_PAIR_OF_TWO = TupleSpace("lanes.pair", (BitSpace("lanes.r", 2),) * 2)
-_SWAP_THEN_XOR = AbstractDynamics("lanes.chain", _PAIR_OF_TWO, ChainRule(tuple(
-    AbstractDynamics("lanes.builtin", _PAIR_OF_TWO, BuiltinRule(name)) for name in ("swap-pair", "xor")
-)))
+def _every_adder(test):
+    """``test`` with one example per adder width 1 to 4: ``ripple-add`` and every value of its space."""
+    for w in range(1, 5):
+        x = BitSpace("lanes.x", w)
+        space = TupleSpace("lanes.adder", (x, x, BitSpace("lanes.sum", w + 1)))
+        adder = AbstractDynamics("lanes.builtin", space, BuiltinRule("ripple-add"))
+        test = example((adder, list(enumerate_values(space))))(test)
+    return test
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(_programs_and_values())
-@example((_SWAP_THEN_XOR, list(enumerate_values(_PAIR_OF_TWO))))  # its parts do not commute
+@_every_adder
 def test_a_program_on_lanes_is_its_compiled_rule_cell_by_cell(subject):
-    """Differential: every builtin, chain and product runs on lanes as its compiled rule runs on each value.
+    """Differential: ``ripple-add`` runs on lanes as its compiled rule does on each value; nothing else has lanes.
 
-    Values go into lanes and back unchanged, and a program leaves the lanes it is given as they were.
+    Values go into lanes and back unchanged on every drawn space, and
+    ``ripple-add`` leaves the lanes it is given as they were. Every other
+    program is graded once per cell, on values unpacked from the lanes.
     """
     program, values = subject
     width, ones = sum(_register_widths(program.space)), int.from_bytes(b"\1" * len(values), "little")
     lanes = _lanes_of("".join(map("".join, values)).encode(), width, ones)
     assert _unpacked(lanes, len(values), program.space) == values
     laned = program._lanes
-    assert (laned is None) == _has_table(program)
+    assert (laned is None) == (program.rule != BuiltinRule("ripple-add"))
     if laned is not None:
         given_lanes = list(lanes)
         images = _unpacked(laned(lanes, ones), len(values), program.space)
         assert images == list(map(program._apply, values)) and lanes == given_lanes
+
+
+@pytest.mark.parametrize("kind", ["table", "chain"])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_a_program_with_no_lane_form_runs_once_per_cell(monkeypatch, width, kind):
+    """Cost law: off lanes, the sound adder's program runs once per cell, and its device never steps or reads.
+
+    The program is ``ripple-add``'s images as a table, or ``ripple-add`` then
+    the identity as a chain; neither has a lane form, so ``_grade`` unpacks
+    the readings from the lanes and runs it on each. The chain, first compiled
+    while counting, also counts its two parts' steps. The evidence is the
+    builtin program's.
+    """
+    theory = adder_theory(width)
+    (pred,) = theory.predictions
+    add = pred.abstract
+    if kind == "table":
+        program = replace(add, rule=TableRule({v: add._apply(v) for v in enumerate_values(add.space)}))
+    else:
+        keep = AbstractDynamics("keep", add.space, BuiltinRule("identity"))
+        program = replace(add, rule=ChainRule((replace(add), keep)))
+    _, builtin = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    counts = count_compiled(
+        monkeypatch, rule=PhysicalDynamics, read=RepresentationRelation, program=AbstractDynamics
+    )
+    theory = replace(theory, predictions=(replace(pred, abstract=program),))
+    _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
+    assert program._lanes is None
+    steps = 1 if kind == "table" else 3
+    assert counts == {"rule": 0, "read": 0, "program": steps * 4**width}
+    assert evidence.all_passed and evidence.coverage == builtin.coverage == 4**width
+    assert evidence.cells == builtin.cells
 
 
 @st.composite

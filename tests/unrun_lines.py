@@ -43,9 +43,9 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest with ``pytest_args``, tracing the lines run under ``SOURCE``, by file."""
-    prefix, ran = str(SOURCE) + "/", {}
+def line_tracer(ran: dict[str, set[int]]):
+    """A ``sys.settrace`` function that adds each line run under ``SOURCE`` to ``ran``, by file."""
+    prefix = str(SOURCE) + "/"
 
     def local(frame, event, arg):
         if event == "line":
@@ -58,6 +58,24 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
             return None
         ran.setdefault(filename, set()).add(frame.f_lineno)
         return local
+
+    return follow
+
+
+def unrun_lines(ran: dict[str, set[int]]) -> list[str]:
+    """Each executable line under ``SOURCE`` that ``ran`` lacks, as ``path:line: source``."""
+    unrun = []
+    for path in sorted(SOURCE.glob("*.py")):
+        source = path.read_text(encoding="utf-8").splitlines()
+        for line in sorted(executable_lines(path) - ran.get(str(path), set())):
+            unrun.append(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
+    return unrun
+
+
+def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """Run pytest with ``pytest_args``, tracing the lines run under ``SOURCE``, by file."""
+    ran = {}
+    follow = line_tracer(ran)
 
     class Retrace:
         """Sets the tracer again before each test: Python unsets one that hits the recursion limit."""
@@ -80,11 +98,7 @@ def main() -> int:
     code, ran = run_traced(
         ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")]
     )
-    unrun = []
-    for path in sorted(SOURCE.glob("*.py")):
-        source = path.read_text(encoding="utf-8").splitlines()
-        for line in sorted(executable_lines(path) - ran.get(str(path), set())):
-            unrun.append(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
+    unrun = unrun_lines(ran)
     print("\n".join(unrun))
     print(f"{len(unrun)} unrun lines (at most {PINNED} allowed)")
     if code != 0:
