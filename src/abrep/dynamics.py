@@ -22,7 +22,7 @@ import struct
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import and_, ge, itemgetter, xor
 from typing import Literal, Union, get_args
 
@@ -559,17 +559,18 @@ def _trial_outcomes(h: PhysicalDynamics, value: Value, base: TrialSeed, trials: 
     for the state p of ``value``, is ``_flip(h.noise, image, codes[k])``. The
     rule ignores the seed, so it runs once and only the noise is drawn,
     ``_BLOCK`` trials per kernel pass, with ``base`` mixed into the seeds
-    once. A pass's constants are built once per block size, and its bias
-    once per probability too. ``h`` must be noisy.
+    once, and the passes' codes joined once, so trials cost linear time. A
+    pass's constants are built once per block size, and its bias once per
+    probability too. ``h`` must be noisy.
     """
     image = h._apply(value)
     head = _mix(_GOLDEN + base.value, _MASK64)
-    codes = ()
+    blocks = []
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)
         ones, ramp, mask, *_ = _block(count)
-        codes += _flag_codes(h.noise, _mix((head + start) * ones + ramp, mask), count)
-    return image, codes
+        blocks.append(_flag_codes(h.noise, _mix((head + start) * ones + ramp, mask), count))
+    return image, blocks[0] if len(blocks) == 1 else tuple(chain.from_iterable(blocks))
 
 
 def _flag_codes(noise: Noise, seeds: int, count: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .dynamics import AbstractDynamics, PhysicalDynamics, TrialSeed, derive_seed
 from .errors import DeclarationError, OutOfDomain
@@ -32,7 +32,7 @@ from .spaces import (
     contains,
     enumerate_values,
 )
-from .verification import CommutationReport, _check_tolerances, _filled, _grade, _in_domain, _reports
+from .verification import CommutationReport, _check_tolerances, _grade, _in_domain, _picked, _record, _reports
 
 
 @_declaration("layer")
@@ -69,7 +69,7 @@ class SimulationRelation:
         return _trusted(AbstractState, self.lower.space, self.entries[state.value])
 
 
-@_filled
+@_record
 class LayerCheckEntry:
     """One upper state with both paths into the lower layer."""
 
@@ -89,16 +89,16 @@ class LayerReport:
     passed: bool
     _column: tuple = field(repr=False, hash=False)
 
-    @cached_property
-    def entries(self) -> tuple[LayerCheckEntry, ...]:
-        """Each upper value's entry: both paths' images and their distance, one image where they agree."""
+    def _entries(self, failing: bool = False) -> Iterator[LayerCheckEntry]:
+        """Each upper value's entry, or only each failing one: both paths' images and their distance."""
         upper, values, (passed, *_, (_, lower, expected, _, graded)) = self._column
-        state = partial(_trusted, AbstractState)
-        return tuple(
-            LayerCheckEntry(state(upper, v), state(lower, g[0][0]), state(lower, b), g[0][1], ok)
-            if g else LayerCheckEntry(state(upper, v), state(lower, b), state(lower, b), 0.0, ok)
-            for v, b, g, ok in zip(values, expected, graded, passed)
-        )
+        mapped = [b if g is None else g[0][0] for b, g in zip(expected, graded)]  # g is None where both paths agree
+        columns = values, mapped, expected, [0.0 if g is None else g[0][1] for g in graded], passed
+        values, mapped, expected, distances, passed = _picked(columns, passed, failing)
+        up, down = (partial(_trusted, AbstractState, space) for space in (upper, lower))
+        return LayerCheckEntry._make(map(up, values), map(down, mapped), map(down, expected), distances, passed)
+
+    entries = cached_property(lambda self: tuple(self._entries()))
 
 
 def check_layer(relation: SimulationRelation, epsilon: float, metric: Metric) -> LayerReport:
@@ -142,7 +142,7 @@ class RefinementStack:
             raise DeclarationError(f"{owner}: device dynamics act on the wrong space")
 
 
-@_filled
+@_record
 class DeviceCheckEntry:
     """The device-boundary square for one reachable bottom-layer state."""
 
@@ -165,7 +165,7 @@ class StackReport:
     @cached_property
     def device_entries(self) -> tuple[DeviceCheckEntry, ...]:
         bottoms, starts, column = self._column
-        return tuple(map(DeviceCheckEntry, bottoms, _reports(starts, column)))
+        return tuple(DeviceCheckEntry._make(bottoms, _reports(starts, column)))
 
 
 def reachable_bottom_states(stack: RefinementStack) -> list[AbstractState]:

@@ -155,8 +155,7 @@ class _Run:
         self._count_coverage(theory.id, evidence.coverage)
         failing = [] if evidence.all_passed else [
             {"state": _state_json(cell.state), "prediction": cell.prediction}
-            for cell in evidence.cells
-            if not cell.report.passed
+            for cell in evidence._cells(failing=True)
         ]
         detail = {
             "validity": graded.validity,
@@ -194,8 +193,7 @@ class _Run:
                 "via_lower": _state_json(e.lower_after_mapped),
                 "distance": e.distance,
             }
-            for e in report.entries
-            if not e.passed
+            for e in report._entries(failing=True)
         ]
         detail = {"states": len(relation.entries), "failing": failing}  # the table is total
         return (PASS if report.passed else FAIL), detail

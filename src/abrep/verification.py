@@ -19,10 +19,10 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from copy import copy
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from itertools import chain, compress, count, cycle, repeat
-from operator import ge, or_, xor
+from operator import attrgetter, ge, itemgetter, not_, or_, xor
 
 from .dynamics import (
     AbstractDynamics,
@@ -102,31 +102,40 @@ def _check_tolerances(owner: str, epsilon: float, trials: int = 1, required: flo
     return float(epsilon), trials, float(required)
 
 
-def _filled(cls: type, hidden: tuple = ()) -> type:
-    """``cls`` as a frozen dataclass kept in ``__slots__``: a record is one object, with no dict.
+def _record(cls: type, hidden: tuple = ()) -> type:
+    """``cls`` as a frozen dataclass kept in a tuple: its fields without a default, then ``hidden``, are its items.
 
-    Each field without a default has a slot, and so has each name in
-    ``hidden``; a field whose default is a property is read through it. The
-    ``__init__``, generated once, takes the fields, then the slots past them as
-    None unless given, and stores argument k in slot k through its descriptor.
-    A class with ``cached_property`` views gets a ``__dict__`` slot, filled on
-    first read. ``__reduce__`` rebuilds a record from its fields, views unread.
+    Each item is read by an item getter, and a field whose default is a property through it. ``__new__``,
+    generated once, takes the fields, then the items past them as None unless given; ``_make(*columns)``
+    builds a record per row in C. A record equals only a record of its class with equal fields, and is not
+    ordered. ``__reduce__`` rebuilds a record from its fields, its ``cached_property`` views unread.
     """
     body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
-    slots = [name for name in cls.__annotations__ if name not in body] + list(hidden)
-    views = ["__dict__"] * any(isinstance(v, cached_property) for v in body.values())
-    cls = dataclass(frozen=True, init=False)(type(cls.__name__, (), {**body, "__slots__": (*slots, *views)}))
-    names = [f.name for f in fields(cls)]
-    args = names + slots[len(names):]  # the argument of a field read through a property goes to a hidden slot
-    scope = {f"_{k}": getattr(cls, slot).__set__ for k, slot in enumerate(slots)}
-    signature = ", ".join(names + [f"{arg}=None" for arg in args[len(names):]])
-    exec(f"def __init__(self, {signature}):" + "".join(f"\n _{k}(self, {a})" for k, a in enumerate(args)), scope)
-    cls.__init__ = scope["__init__"]
-    cls.__reduce__ = lambda self: (type(self), tuple(map(self.__getattribute__, names)))
+    names = list(cls.__annotations__)  # each annotation is a field
+    items = [name for name in names if name not in body] + list(hidden)
+    args, key, scope = names + items[len(names):], attrgetter(*names), {"_new": tuple.__new__}
+    defaults = [f"{arg}=None" for arg in args[len(names):]]  # a field read through a property is a hidden item
+    exec(f"def __new__(cls, {', '.join(names + defaults)}): return _new(cls, ({', '.join(args)},))", scope)
+    same = lambda self, other: type(other) is type(self) and key(self) == key(other)
+    body.update(dict.fromkeys(("__lt__", "__le__", "__gt__", "__ge__"), _unordered), __new__=scope["__new__"])
+    body.update(__eq__=same, __ne__=lambda *pair: not same(*pair), __reduce__=lambda self: (type(self), key(self)))
+    body.update(_make=classmethod(lambda cls, *columns: map(tuple.__new__, repeat(cls), zip(*columns))))
+    cls = dataclass(frozen=True, init=False)(type(cls.__name__, (tuple,), body))
+    for k, name in enumerate(items):
+        setattr(cls, name, property(itemgetter(k)))
     return cls
 
 
-@partial(_filled, hidden=("_column", "_at"))
+def _unordered(self, other):
+    raise TypeError(f"{type(self).__name__} records are not ordered")
+
+
+def _picked(columns: tuple, passed: list, failing: bool) -> Iterable:
+    """``columns``, or if ``failing`` of each only the rows whose square failed, by the verdicts ``passed``."""
+    return map(compress, columns, repeat(list(map(not_, passed)))) if failing else columns
+
+
+@partial(_record, hidden=("_column", "_at"))
 class CommutationReport:
     """Both paths of one square, per-trial distances, and the verdict.
 
@@ -184,8 +193,8 @@ def _grade(
     once (any other program per square), and only those that differ step, read and measure. Noisy,
     each distinct flag code that square i draws from its seed is flipped, read
     and measured once, with its count of trials. An agreeing noise-free square
-    keeps None (``_settled``). The column is returned as ``_reports`` reads
-    it, verdicts first.
+    keeps None (``_settled``). The column is returned verdicts first, so a caller
+    reads verdicts off it and ``_reports`` builds records, a column at a time.
     """
     epsilon, trials, required = tolerances
     kind, space, read = PhysicalState, device.space, lambda value: value
@@ -258,11 +267,11 @@ def _square(squares: tuple, at: int | None) -> tuple:
     return kind, space, uppers[at], codes[at], graded[at]
 
 
-def _reports(starts, column: tuple) -> Iterator[CommutationReport]:
-    """Each square's report in a ``column`` that ``_grade`` graded, run from ``starts``; each keeps the column."""
+def _reports(starts, column: tuple, failing: bool = False) -> Iterator[CommutationReport]:
+    """Each square's report, or each failing square's, in a ``column`` graded from ``starts``: one ``_make``."""
     passed, fractions, epsilon, required, squares = column
-    tolerances = repeat(epsilon), repeat(required)
-    return map(CommutationReport, starts, fractions, passed, *tolerances, repeat(squares), count())
+    columns = starts, fractions, passed, repeat(epsilon), repeat(required), repeat(squares), count()
+    return CommutationReport._make(*_picked(columns, passed, failing))
 
 
 def _in_domain(theory: Theory, p: PhysicalState) -> PhysicalState:
@@ -302,7 +311,7 @@ def check_history(
     return next(_reports([p], column))
 
 
-@_filled
+@_record
 class ValidityCell:
     """One (domain state, prediction) square inside a validation run."""
 
@@ -324,15 +333,17 @@ class ValidityReport:
     coverage: int
     _columns: tuple = field(repr=False, hash=False)
 
-    @cached_property
-    def cells(self) -> tuple[ValidityCell, ...]:
-        """The domain's cells by the prediction names, in order, each from its graded column."""
+    def _cells(self, failing: bool = False) -> Iterator[ValidityCell]:
+        """The domain's cells by the prediction names, in order, or only the failing ones; no other is built."""
         domain, names, columns = self._columns
         per_prediction = [
-            map(ValidityCell, domain, repeat(name), _reports(domain, column))
-            for name, column in zip(names, columns)
+            ValidityCell._make(*_picked((domain, repeat(name)), c[0], failing), _reports(domain, c, failing))
+            for name, c in zip(names, columns)
         ]
-        return tuple(chain.from_iterable(zip(*per_prediction)))
+        flags = map(not_, chain(*zip(*(c[0] for c in columns)))) if failing else repeat(True, len(domain) * len(names))
+        return map(next, compress(cycle(per_prediction), flags))  # state by state, each prediction's next cell
+
+    cells = cached_property(lambda self: tuple(self._cells()))
 
 
 def validate_theory(

@@ -1,0 +1,113 @@
+"""Count what each benchmark workload's ops cost in calls and in memory, and compare with the pinned counts.
+
+Run from the repository root:
+
+    python tests/op_counts.py
+
+For each workload in ``perfbench/workloads.py`` it runs ``prepare`` and
+``setup``, then passes 0 to ``PASSES - 1`` of ops three times: once to warm
+every cache, once under ``cProfile`` and once under ``tracemalloc``. An op is
+``run`` then ``check``, the work that the benchmark's untraced loop times as
+one op, so a record read in ``check`` counts. The collector is collected and
+then off for each counted pass, so no collection lands in one. It records:
+
+- ``calls_per_op``: the Python-level calls, of Python and of C functions,
+  that cProfile counts, per op (a C function that C code calls, such as
+  ``map`` calling ``tuple.__new__``, is not one);
+- ``alloc_peak_kb``: the largest peak of memory traced by ``tracemalloc``
+  over one pass, counted from 0 at its start.
+
+It prints the counts as one JSON object on standard output. When
+``op_counts.json`` beside it was recorded with the same Python minor version,
+it compares them exactly, prints each count that differs on standard error,
+and exits 1 if one does; with another version it only prints them. A change
+that moves a count records the new output in ``op_counts.json`` and says why
+in ``CHANGES.md``:
+
+    python tests/op_counts.py > counts.json; mv counts.json tests/op_counts.json
+
+It imports ``perfbench/`` and edits none of its files.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import gc
+import json
+import pstats
+import sys
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED = Path(__file__).with_name("op_counts.json")
+#: The workloads' seed, ``perfbench/run.py``'s default.
+SEED = 0
+#: Passes of ops counted per workload; builtin-suite's passes go through its four seeds.
+PASSES = 4
+
+
+def _pass(workload, state, p: int, plain, root) -> int:
+    """Run and check each op of pass ``p`` with the collector off; the number of ops."""
+    ops = workload.ops(state, p)
+    gc.collect()
+    gc.disable()
+    try:
+        for op in ops:
+            _, result = workload.run(plain, root, op, state)
+            workload.check(op, result)
+            del result
+    finally:
+        gc.enable()
+    return len(ops)
+
+
+def counts() -> dict:
+    """``calls_per_op`` and ``alloc_peak_kb`` of each workload, by name."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import spans
+    from workloads import WORKLOADS
+
+    plain, found = spans.NullTracer(), {}
+    for name, cls in WORKLOADS.items():
+        workload = cls(SEED)
+        workload.prepare()
+        state = workload.setup(plain)
+        for p in range(PASSES):
+            _pass(workload, state, p, plain, spans.ROOT)
+        profile, ops = cProfile.Profile(), 0
+        for p in range(PASSES):
+            profile.enable()
+            ops += _pass(workload, state, p, plain, spans.ROOT)
+            profile.disable()
+        peak = 0
+        for p in range(PASSES):
+            tracemalloc.start()
+            _pass(workload, state, p, plain, spans.ROOT)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        calls = pstats.Stats(profile).total_calls
+        found[name] = {"calls_per_op": round(calls / ops, 2), "alloc_peak_kb": round(peak / 1024, 1)}
+    return found
+
+
+def main() -> int:
+    python = "{}.{}".format(*sys.version_info)
+    found = {"python": python, "passes": PASSES, "workloads": counts()}
+    print(json.dumps(found, indent=2))
+    pinned = json.loads(PINNED.read_text()) if PINNED.exists() else {}
+    if pinned.get("python") != python:
+        print(f"not compared: {PINNED.name} holds counts for Python {pinned.get('python')}", file=sys.stderr)
+        return 0
+    differ = [
+        f"{name} {metric}: pinned {pinned['workloads'].get(name, {}).get(metric)}, now {value}"
+        for name, metrics in found["workloads"].items()
+        for metric, value in metrics.items()
+        if pinned["workloads"].get(name, {}).get(metric) != value
+    ]
+    print("\n".join(differ) or f"all counts equal the pinned ones in {PINNED.name}", file=sys.stderr)
+    return 1 if differ or pinned["passes"] != PASSES else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

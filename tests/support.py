@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 import sys
 
@@ -123,6 +124,31 @@ def count_device_work(monkeypatch) -> dict:
     counts = count_compiled(monkeypatch, rule=PhysicalDynamics, read=RepresentationRelation)
     _count_compiled(monkeypatch, counts, "read", RepresentationRelation, "_bits")
     return counts
+
+
+def _alive(cls) -> int:
+    """How many objects of ``cls`` are alive: the collector tracks every record, a tuple subclass."""
+    gc.collect()
+    return sum(type(obj) is cls for obj in gc.get_objects())
+
+
+def count_builds(monkeypatch, *classes):
+    """A function that counts the objects of each of ``classes`` built from here on, by class name.
+
+    It counts every construction path, the class's ``__new__`` or not
+    (``tuple.__new__``, ``_make``, ``copy``, ``pickle``, ``replace``): each
+    object built since is dead now,
+    and counted by a patched ``__del__``, or alive now and counted by the
+    collector, over those alive here.
+    """
+    alive, died = {cls: _alive(cls) for cls in classes}, dict.fromkeys(classes, 0)
+    for cls in classes:
+
+        def dying(self, cls=cls):
+            died[cls] += 1
+
+        monkeypatch.setattr(cls, "__del__", dying, raising=False)
+    return lambda: {cls.__name__: died[cls] + _alive(cls) - alive[cls] for cls in classes}
 
 
 def adder_theory(width: int, seed_grid: bool = False) -> Theory:

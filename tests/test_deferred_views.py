@@ -9,7 +9,10 @@ and count the objects and flips the fast paths make.
 import copy
 import gc
 import pickle
+import random
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
+from operator import ge, gt, le, lt
 
 import pytest
 
@@ -43,13 +46,14 @@ from abrep import (
     check_layer,
     check_stack_to_device,
     derive_seed,
+    enumerate_values,
     instantiate,
     run_checks,
     validate_theory,
 )
 from abrep.refinement import DeviceCheckEntry, LayerCheckEntry
 from abrep.verification import ValidityCell
-from support import adder_theory, count_calls
+from support import adder_theory, count_builds, count_calls, random_deterministic_theory
 
 #: The views each report builds on first read, and the reports it holds.
 VIEWS = {
@@ -138,30 +142,6 @@ def test_every_view_is_the_reference_view(name, seed):
     assert compared == sum(c.kind not in ("compute", "classify") for c in bundle.checks) > 0
 
 
-def _alive(cls) -> int:
-    """How many objects of ``cls`` are alive: the collector tracks every record, each in its slots."""
-    gc.collect()
-    return sum(type(obj) is cls for obj in gc.get_objects())
-
-
-def count_builds(monkeypatch, *classes):
-    """A function that counts the objects of each of ``classes`` built from here on, by class name.
-
-    It counts every construction path, ``__init__`` or not (``__new__``,
-    ``copy``, ``pickle``, ``replace``): each object built since is dead now,
-    and counted by a patched ``__del__``, or alive now and counted by the
-    collector, over those alive here.
-    """
-    alive, died = {cls: _alive(cls) for cls in classes}, dict.fromkeys(classes, 0)
-    for cls in classes:
-
-        def dying(self, cls=cls):
-            died[cls] += 1
-
-        monkeypatch.setattr(cls, "__del__", dying, raising=False)
-    return lambda: {cls.__name__: died[cls] + _alive(cls) - alive[cls] for cls in classes}
-
-
 def test_passing_checks_build_no_entry_or_cell_until_read(monkeypatch):
     """Gate: verdicts come from values; entries and cells are built only when read."""
     made = count_builds(monkeypatch, LayerCheckEntry, ValidityCell, DeviceCheckEntry)
@@ -183,10 +163,10 @@ def test_passing_checks_build_no_entry_or_cell_until_read(monkeypatch):
 
 
 def test_count_builds_counts_records_built_around_init(monkeypatch):
-    """The gate's counter sees a record however it is built, kept or dropped, not only through ``__init__``."""
+    """The gate's counter sees a record however it is built, kept or dropped, not only through ``__new__``."""
     made = count_builds(monkeypatch, ValidityCell)
-    kept = [object.__new__(ValidityCell)]  # one kept and one dropped, neither through __init__
-    object.__new__(ValidityCell)
+    kept = [tuple.__new__(ValidityCell)]  # one kept and one dropped, neither through __new__
+    tuple.__new__(ValidityCell, ("s", "p", None))
     cell = ValidityCell(None, "p", None)
     kept += [copy.copy(cell), copy.deepcopy(cell), pickle.loads(pickle.dumps(cell)), replace(cell)]
     assert made() == {"ValidityCell": 7} and len(kept) == 5
@@ -196,7 +176,7 @@ def test_reading_cells_costs_two_objects_a_cell():
     """Cost law: each of a 5-bit adder validation's 1,024 cells leaves two collector-tracked objects.
 
     They are its ``ValidityCell`` and its ``CommutationReport``, each one
-    object in its slots; the report keeps its column and index, not a
+    tuple of its items; the report keeps its column and index, not a
     ``_trials`` tuple of its own or an unpacked upper value. It was 6 a cell
     when each record made a dict and a trials tuple.
     """
@@ -210,6 +190,77 @@ def test_reading_cells_costs_two_objects_a_cell():
     finally:
         gc.enable()
     assert len(cells) == 1024 and grown <= 2 * len(cells) + 2  # and the cells' tuple
+
+
+def _python_calls(read) -> int:
+    """The Python-level calls, of Python functions and of C functions, that ``read()`` makes."""
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event in ("call", "c_call") and calls.append(event))
+    try:
+        read()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_reading_cells_makes_as_many_python_calls_at_any_width():
+    """Cost law: reading ``cells`` builds every record in C, so its Python calls do not grow with the cells.
+
+    The 4-bit adder's validation has 256 cells and the 5-bit adder's 1,024;
+    both reads make the same calls. Built by a Python ``__init__`` per
+    record, the 5-bit read made 1,536 calls more.
+    """
+    evidence = [validate_theory(adder_theory(w), 0.0, DISCRETE, 1, 1.0, TrialSeed(0))[1] for w in (4, 5)]
+    calls = [_python_calls(lambda: e.cells) for e in evidence]
+    assert [len(e.cells) for e in evidence] == [256, 1024]
+    assert calls[0] == calls[1] < 40
+
+
+def test_failing_checks_build_only_their_failing_records(monkeypatch):
+    """Gate: a failing layer or validation check builds one record per failing entry or cell, and no other.
+
+    The run reads the verdicts off the graded column, as a stack check does,
+    and lists each failure from its record; the reports' bytes are the
+    golden ones. Built from every entry and cell, it made 112 and 16.
+    """
+    bundles = {name: BUILTIN_SCENARIOS[name]() for name in ("refinement-stack-miswired", "voltage-adder-faulted")}
+    made = count_builds(monkeypatch, LayerCheckEntry, ValidityCell, DeviceCheckEntry)
+    results = [r for bundle in bundles.values() for r in run_checks(bundle).results]
+    entries = sum(len(r.detail["failing"]) for r in results if r.kind == "layer")
+    cells = sum(len(r.detail["failing_cells"]) for r in results if r.kind == "validate-theory")
+    assert made() == {"LayerCheckEntry": entries, "ValidityCell": cells, "DeviceCheckEntry": 0}
+    assert (entries, cells) == (56, 8)
+
+
+def _predicted_thrice(rng, tag):
+    """A random noise-free theory with three predictions, each a random program and device on its spaces."""
+    theory = random_deterministic_theory(rng, tag)
+    words, cells = theory.representation.codomain, theory.representation.domain
+    values, labels, predictions = list(enumerate_values(words)), cells.labels, list(theory.predictions)
+    for k in (1, 2):
+        program = AbstractDynamics(f"{tag}.p{k}", words, TableRule({w: rng.choice(values) for w in values}))
+        device = PhysicalDynamics(f"{tag}.d{k}", cells, TableRule({c: rng.choice(labels) for c in labels}))
+        predictions.append(Prediction(f"step{k}", program, device))
+    return replace(theory, predictions=tuple(predictions))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_failing_records_are_those_the_full_views_hold(seed):
+    """Differential: the failing cells and entries a run lists are, in order, those ``cells`` and ``entries`` hold.
+
+    Each theory has three predictions, so the failing cells of a state come
+    from several columns and are listed by prediction.
+    """
+    rng = random.Random(seed)
+    evidence = validate_theory(_predicted_thrice(rng, f"fail{seed}"), 0.0, DISCRETE, 1, 1.0, TrialSeed(seed))[1]
+    failing = list(evidence._cells(failing=True))
+    assert failing == [cell for cell in evidence.cells if not cell.report.passed]
+    states = [cell.state for cell in failing]
+    assert len(set(states)) < len(states)  # some state fails in two or three columns
+    stack = BUILTIN_SCENARIOS["refinement-stack-miswired"]().stack("stack.adder")
+    for relation in stack.relations:
+        layer = check_layer(relation, 0.0, DISCRETE)
+        assert list(layer._entries(failing=True)) == [e for e in layer.entries if not e.passed]
 
 
 def test_a_report_equals_the_same_square_checked_alone():
@@ -343,6 +394,10 @@ def _graded_alone(case):
         yield from zip(layer.entries, reference.check_layer(relation, 0.0, DISCRETE).entries, strict=True)
 
 
+#: The per-square record classes: each a frozen dataclass kept in a tuple.
+RECORDS = {CommutationReport, ValidityCell, LayerCheckEntry, DeviceCheckEntry}
+
+
 def _views_of(record) -> list:
     report = getattr(record, "report", record)
     return [getattr(report, name) for name in VIEWS.get(type(report), ())]
@@ -359,7 +414,10 @@ def test_every_record_keeps_the_record_contract(case):
     hashes and prints as the square graded alone; ``copy``, ``deepcopy``,
     ``pickle`` and ``replace`` give an equal record of its class, whose views
     are the lone square's; ``replace`` with another field differs; and
-    assigning any field raises ``FrozenInstanceError``.
+    assigning any field raises ``FrozenInstanceError``. A record is kept in a
+    tuple, yet it equals neither a plain tuple of its items, either way round,
+    nor a record of another class with the same items, and it is not ordered
+    against a record or a tuple.
     """
     classes, failing = set(), 0
     for record, alone in _graded_alone(case):
@@ -377,6 +435,14 @@ def test_every_record_keeps_the_record_contract(case):
         for name in (f.name for f in fields(record)):
             with pytest.raises(FrozenInstanceError):
                 setattr(record, name, getattr(record, name))
+        items = tuple(record)
+        assert record != items and items != record and not record == items and not items == record
+        for other in RECORDS - {type(record)}:
+            assert record != tuple.__new__(other, items) and tuple.__new__(other, items) != record
+        for compare in (lt, le, gt, ge):
+            for left, right in ((record, alone), (record, items), (items, record), (record, ())):
+                with pytest.raises(TypeError, match="records are not ordered"):
+                    compare(left, right)
         classes.add(type(record))
         failing += isinstance(record, CommutationReport) and not record.passed
     entries = {DeviceCheckEntry, LayerCheckEntry} if case.startswith("refinement") else {ValidityCell}

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -711,6 +712,27 @@ def test_every_lane_of_every_pass_follows_the_draws_by_definition(kind, probabil
     assert trial_values(device, start, base, trials) == expected
     if 0.0 < probability < 1.0 and trials > 2:
         assert len(set(expected)) > 1
+
+
+def test_trials_cost_linear_time():
+    """Cost law: a square's trials cost time linear in their number, not in its square.
+
+    Best of 3, the time per trial at 2**20 trials is at most 3 times that at
+    2**14. Each 1,024-trial pass's codes are kept and joined once; appended
+    to one growing tuple, 2**20 trials copied about 2**29 codes, and took
+    about 8 times as long per trial as 2**14 did.
+    """
+    device, start = noisy_hold("label", 0.5, ())
+    per_trial = []
+    for trials in (2**14, 2**20):
+        best = math.inf
+        for _ in range(3):
+            began = time.perf_counter()
+            _, codes = _trial_outcomes(device, start.value, TrialSeed(trials), trials)
+            best = min(best, time.perf_counter() - began)
+        assert len(codes) == trials and set(codes) == {0, 1}
+        per_trial.append(best / trials)
+    assert per_trial[1] <= 3 * per_trial[0]
 
 
 @pytest.mark.parametrize("probabilities", [(0.3, 0.7), (0.7, 0.3)], ids=["0.3-first", "0.7-first"])
