@@ -24,11 +24,9 @@ from .dynamics import (
     AbstractDynamics,
     BinarySumUpdate,
     BuiltinRule,
-    ChainRule,
     ConstantUpdate,
     CoordinateFlipNoise,
     CoordinateUpdateRule,
-    LabelFlipNoise,
     PhysicalDynamics,
     ProductRule,
     TableRule,

@@ -34,11 +34,9 @@ from .dynamics import (
     BUILTIN_NAMES,
     BinarySumUpdate,
     BuiltinRule,
-    ChainRule,
     ConstantUpdate,
     CoordinateFlipNoise,
     CoordinateUpdateRule,
-    LabelFlipNoise,
     PhysicalDynamics,
     ProductRule,
     TableRule,
@@ -346,7 +344,6 @@ _ABSTRACT_DYNAMICS = _Decl(AbstractDynamics, (
     _F("rule", "one", arg=_Decl(None, (_tag("kind", "rule kind", {
         "table": _TABLE,
         "builtin": _Decl(BuiltinRule, (_F("name", "enum"),)),
-        "chain": _Decl(ChainRule, (_F("parts", "refs", arg="abstract_dynamics"),)),
     }),))),
 ), ("abstract_dynamics", "physical_dynamics"))
 _ASSIGNMENT = _Decl(None, (_tag("op", "assignment op", {
@@ -359,7 +356,6 @@ _ASSIGNMENT = _Decl(None, (_tag("op", "assignment op", {
 _NOISE = _Decl(None, (
     _tag("kind", "noise kind", {
         "coordinate-flip": _Decl(CoordinateFlipNoise, (_F("coordinates", "list"), *_LEVELS)),
-        "label-flip": _Decl(LabelFlipNoise, (_F("partners", "entries", arg=("space", "space")),)),
     }),
     _F("probability", "number"),
 ))

@@ -1,7 +1,8 @@
 """Abstract evolutions (programs) and physical evolutions (device updates).
 
-Both kinds of dynamics are single discrete-time steps; multi-step programs
-are modeled as chains. Physical dynamics may carry a noise model whose
+Both kinds of dynamics are single discrete-time steps, as the square
+compares one step on each side; layered computation is what refinement
+stacks model. Physical dynamics may carry a noise model whose
 randomness is counter-based: every random draw is a pure function of the
 trial seed and a draw index, so trial k of a batch can be reproduced in
 isolation and independent trials may run concurrently.
@@ -23,22 +24,19 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
-from operator import and_, ge, itemgetter, xor
+from operator import ge, itemgetter
 from typing import Literal, Union, get_args
 
 from .errors import DeclarationError, OutOfDomain, _shown
 from .spaces import (
     AbstractSpace,
     AbstractState,
-    BitSpace,
-    PhysicalLabelSpace,
     PhysicalSpace,
     PhysicalState,
     RealVectorSpace,
     TupleSpace,
     Value,
     _check,
-    _check_depth,
     _declaration,
     _field_error,
     _register_widths,
@@ -105,7 +103,7 @@ def unit_draw(seed: TrialSeed, *counters: int) -> float:
     return (_blend(seed.value, *counters) >> 11) / float(1 << 53)
 
 
-BuiltinName = Literal["identity", "bit-not", "and", "xor", "ripple-add", "swap-pair"]
+BuiltinName = Literal["identity", "xor", "ripple-add", "swap-pair"]
 BUILTIN_NAMES = get_args(BuiltinName)
 
 
@@ -123,21 +121,14 @@ class TableRule:
 class BuiltinRule:
     """One of the named built-in evolutions.
 
-    identity: any space. bit-not: flips every bit of a bitstring.
-    and / xor: on a pair of equal-width bitstrings, (a, b) -> (a op b, b).
+    identity: any space. xor: on a pair of equal-width bitstrings,
+    (a, b) -> (a xor b, b).
     ripple-add: on (x, y, out) registers of widths (w, w, w+1), writes the
     exact sum of x and y into out. swap-pair: (a, b) -> (b, a) on a pair of
     like spaces.
     """
 
     name: BuiltinName
-
-
-@_declaration("chain rule", name=None)
-class ChainRule:
-    """Apply component dynamics left to right."""
-
-    parts: tuple[AbstractDynamics, ...]
 
 
 @_declaration("product rule", name=None)
@@ -163,7 +154,7 @@ class ThresholdRule:
     thresholds: tuple[float, ...]
 
 
-AbstractRule = Union[TableRule, BuiltinRule, ChainRule, ProductRule]
+AbstractRule = Union[TableRule, BuiltinRule, ProductRule]
 
 
 @_declaration("dynamics")
@@ -181,13 +172,7 @@ class AbstractDynamics:
             _canonical_table(self, owner, self.space, self.space)
         elif isinstance(rule, BuiltinRule):
             _check_builtin_shape(owner, self.space, rule.name)
-        elif isinstance(rule, ChainRule):
-            _check_depth(self, owner, "rule", rule.parts, "programs")
-            for part in rule.parts:
-                if part.space != self.space:
-                    raise DeclarationError(f"{owner}: chain part {part.id!r} acts on a different space")
-        else:
-            _check_depth(self, owner, "rule", rule.parts, "programs")
+        else:  # nests no deeper than its space, which _check_components bounds
             spaces = tuple(part.space if isinstance(part, AbstractDynamics) else None for part in rule.parts)
             if not (isinstance(self.space, TupleSpace) and self.space.components == spaces):
                 raise DeclarationError(
@@ -203,7 +188,7 @@ def _compiled(rule, space, codomain=None) -> Callable[[Value], Value]:
 
     Each owner's cached ``_apply`` is one call of this, so a declaration is
     compiled once, on first use, and no later call walks its rule's type; a
-    chain's or product's parts are compiled through their own ``_apply``. A
+    product's parts are compiled through their own ``_apply``. A
     threshold reading compares every line in one pass, as bytes 0 and 1, and
     cuts the row of bits into its registers.
     """
@@ -231,16 +216,7 @@ def _compiled(rule, space, codomain=None) -> Callable[[Value], Value]:
             return tuple(working)
 
         return step
-    steps = tuple(part._apply for part in rule.parts)
-    if isinstance(rule, ProductRule):
-        return _each(len(steps))(*steps)
-
-    def chain(value):  # left to right, in one frame however long the chain
-        for step in steps:
-            value = step(value)
-        return value
-
-    return chain
+    return _each(len(rule.parts))(*(part._apply for part in rule.parts))
 
 
 def _sliced(rule: PhysicalRule, reading) -> Callable[[list, int], list] | None:
@@ -316,7 +292,6 @@ def _each(arity: int) -> Callable[..., Callable[[tuple], tuple]]:
     return eval(f"lambda {', '.join(f'f{i}' for i in range(arity))}: lambda v: ({calls})")
 
 
-_NOT = str.maketrans("01", "10")
 _BITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -324,16 +299,13 @@ def _builtin(name: str, space: AbstractSpace) -> Callable[[Value], Value]:
     """The builtin ``name`` on ``space``, whose shape was checked where it was declared."""
     if name == "identity":
         return lambda value: value
-    if name == "bit-not":
-        return lambda value: value.translate(_NOT)
     if name == "swap-pair":
         return lambda value: (value[1], value[0])
     width = space.components[-1].width
     mask, fmt = (1 << width) - 1, f"0{width}b"
     if name == "ripple-add":
         return lambda v: (v[0], v[1], format(int(v[0], 2) + int(v[1], 2) & mask, fmt))
-    op = and_ if name == "and" else xor
-    return lambda v: (format(op(int(v[0], 2), int(v[1], 2)), fmt), v[1])
+    return lambda v: (format(int(v[0], 2) ^ int(v[1], 2), fmt), v[1])
 
 
 def _laned(rule: AbstractRule, space: AbstractSpace) -> Callable[[list, int], list] | None:
@@ -359,12 +331,9 @@ def _canonical_table(decl, owner: str, keys, values) -> None:
 def _check_builtin_shape(owner: str, space: AbstractSpace, name: str) -> None:
     parts = space.components if isinstance(space, TupleSpace) else ()
     widths = _register_widths(space) or ()
-    pair = len(widths) == 2 and widths[0] == widths[1], "a pair of equal-width bitstring registers"
     ok, requirement = {
         "identity": (True, ""),
-        "bit-not": (isinstance(space, BitSpace), "a bitstring space"),
-        "and": pair,
-        "xor": pair,
+        "xor": (len(widths) == 2 and widths[0] == widths[1], "a pair of equal-width bitstring registers"),
         "ripple-add": (
             len(widths) == 3 and widths[0] == widths[1] == widths[2] - 1,
             "registers of widths (w, w, w+1)",
@@ -380,11 +349,6 @@ def evolve_abstract(c: AbstractDynamics, m: AbstractState) -> AbstractState:
     if not contains(c.space, m):
         raise OutOfDomain(f"state is not in the space of dynamics {c.id!r}")
     return _trusted(AbstractState, c.space, c._apply(m.value))
-
-
-def _check_probability(noise, owner: str) -> None:
-    if not (0.0 <= noise.probability <= 1.0):
-        raise _field_error(owner, "probability", "must lie in [0, 1]")
 
 
 @_declaration("binary-sum update", name=None)
@@ -446,21 +410,8 @@ class CoordinateFlipNoise:
     high: float
 
     def __post_init__(self, owner):
-        _check_probability(self, owner)
-
-
-@_declaration("label-flip noise", name=None)
-class LabelFlipNoise:
-    """Relabeling noise for finite devices; every label needs a partner."""
-
-    probability: float
-    partners: Mapping[str, str]
-
-    def __post_init__(self, owner):
-        _check_probability(self, owner)
-
-
-Noise = Union[CoordinateFlipNoise, LabelFlipNoise]
+        if not (0.0 <= self.probability <= 1.0):
+            raise _field_error(owner, "probability", "must lie in [0, 1]")
 
 
 @_declaration("dynamics")
@@ -470,7 +421,7 @@ class PhysicalDynamics:
     id: str
     space: PhysicalSpace
     rule: PhysicalRule
-    noise: Noise | None = None
+    noise: CoordinateFlipNoise | None = None
 
     def __post_init__(self, owner):
         if isinstance(self.rule, TableRule):
@@ -519,17 +470,12 @@ def _check_update_levels(owner: str, space: RealVectorSpace, rule: CoordinateUpd
                 _check_lines(owner, space, (line,), value)
 
 
-def _check_noise(owner: str, space: PhysicalSpace, noise: Noise | None) -> None:
+def _check_noise(owner: str, space: PhysicalSpace, noise: CoordinateFlipNoise | None) -> None:
     if noise is None:
         return
-    if isinstance(noise, CoordinateFlipNoise):
-        if not isinstance(space, RealVectorSpace):
-            raise DeclarationError(f"{owner}: coordinate-flip noise needs a real-vector space")
-        _check_lines(owner, space, noise.coordinates, noise.low, noise.high)
-    else:
-        if not isinstance(space, PhysicalLabelSpace):
-            raise DeclarationError(f"{owner}: label-flip noise needs a labeled space")
-        check_total_table(owner, noise.partners, space, space)
+    if not isinstance(space, RealVectorSpace):
+        raise DeclarationError(f"{owner}: coordinate-flip noise needs a real-vector space")
+    _check_lines(owner, space, noise.coordinates, noise.low, noise.high)
 
 
 def evolve_physical(h: PhysicalDynamics, p: PhysicalState, seed: TrialSeed) -> PhysicalState:
@@ -573,7 +519,7 @@ def _trial_outcomes(h: PhysicalDynamics, value: Value, base: TrialSeed, trials: 
     return image, blocks[0] if len(blocks) == 1 else tuple(chain.from_iterable(blocks))
 
 
-def _flag_codes(noise: Noise, seeds: int, count: int) -> tuple[int, ...]:
+def _flag_codes(noise: CoordinateFlipNoise, seeds: int, count: int) -> tuple[int, ...]:
     """One flag code per trial of ``noise``, for the ``count`` seeds that ``seeds`` packs, in order.
 
     Trial k's seed is the 64-bit word in 128-bit slot k, and each SplitMix
@@ -584,14 +530,13 @@ def _flag_codes(noise: Noise, seeds: int, count: int) -> tuple[int, ...]:
     exactly ``x < cut``, with ``cut = ceil(p * 2**53) << 11 <= 2**64``. So
     each slot adds ``2**64 - cut``, and its bit 64 is set when the line
     keeps its level. Bit j of a trial's code is that flag for the j-th
-    listed line (line 0 alone for label noise), so a line listed twice has
-    two equal bits. The flags of 64 lines at a time are shifted into the
-    top word of each slot, and the top words are unpacked, one per trial.
+    listed line, so a line listed twice has two equal bits. The flags of
+    64 lines at a time are shifted into the top word of each slot, and the
+    top words are unpacked, one per trial.
     """
     ones, _, mask, carries, golden = _block(count)
     bias, heads = _bias(noise.probability, count), _mix(seeds + golden, mask)
-    lines = (0,) if isinstance(noise, LabelFlipNoise) else noise.coordinates
-    codes = (0,) * count
+    lines, codes = noise.coordinates, (0,) * count
     for first in range(0, len(lines), 64):
         flags = 0
         for j, line in enumerate(lines[first : first + 64]):
@@ -601,10 +546,8 @@ def _flag_codes(noise: Noise, seeds: int, count: int) -> tuple[int, ...]:
     return codes
 
 
-def _flip(noise: Noise, value: Value, code: int) -> Value:
+def _flip(noise: CoordinateFlipNoise, value: Value, code: int) -> Value:
     """``value`` after ``noise`` flips, in order, each listed line whose bit in ``code`` is 0."""
-    if isinstance(noise, LabelFlipNoise):
-        return value if code & 1 else noise.partners[value]
     working = list(value)
     for j, line in enumerate(noise.coordinates):
         if not code >> j & 1:

@@ -2,8 +2,8 @@
 
 from contextlib import suppress
 
-#: The nesting bound: a check value nests at most this many containers, a product space this many
-#: products and a program this many programs; a message shows a value nested this deep as a stand-in.
+#: The nesting bound: a check value nests at most this many containers, and a product space, so a
+#: product program on it, this many products; a message shows a value nested this deep as a stand-in.
 _SHOWN_DEPTH = 100
 _CONTAINERS = (tuple, list, set, frozenset, dict)
 

@@ -17,6 +17,15 @@ then off for each counted pass, so no collection lands in one. It records:
 - ``alloc_peak_kb``: the largest peak of memory traced by ``tracemalloc``
   over one pass, counted from 0 at its start.
 
+It also records, under ``documents``, the calls of one ``parse_scenario``
+pass over the emitted document of every built-in scenario (``parse_calls``)
+and of one ``emit_scenario`` pass over the bundles that pass parsed
+(``emit_calls``), after a warm pass of each, with the collector off. The
+calls are summed over cProfile's entries, one per code object or C function:
+``pstats`` keys them by file, line and name, so two functions that share a
+key, such as the ``__init__`` that dataclasses generate at ``<string>:2``,
+would overwrite each other there.
+
 It prints the counts as one JSON object on standard output. When
 ``op_counts.json`` beside it was recorded with the same Python minor version,
 it compares them exactly, prints each count that differs on standard error,
@@ -34,7 +43,6 @@ from __future__ import annotations
 import cProfile
 import gc
 import json
-import pstats
 import sys
 import tracemalloc
 from pathlib import Path
@@ -45,6 +53,11 @@ PINNED = Path(__file__).with_name("op_counts.json")
 SEED = 0
 #: Passes of ops counted per workload; builtin-suite's passes go through its four seeds.
 PASSES = 4
+
+
+def _calls(profile: cProfile.Profile) -> int:
+    """Every call that ``profile`` counted, summed over its entries, one per code object or C function."""
+    return sum(entry.callcount for entry in profile.getstats())
 
 
 def _pass(workload, state, p: int, plain, root) -> int:
@@ -86,25 +99,52 @@ def counts() -> dict:
             _pass(workload, state, p, plain, spans.ROOT)
             peak = max(peak, tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        calls = pstats.Stats(profile).total_calls
-        found[name] = {"calls_per_op": round(calls / ops, 2), "alloc_peak_kb": round(peak / 1024, 1)}
+        found[name] = {"calls_per_op": round(_calls(profile) / ops, 2), "alloc_peak_kb": round(peak / 1024, 1)}
     return found
+
+
+def _profiled(step, items) -> tuple[list, int]:
+    """``step`` of each of ``items``, with the collector off, and the calls that cProfile counted."""
+    profile = cProfile.Profile()
+    gc.collect()
+    gc.disable()
+    try:
+        profile.enable()
+        done = [step(item) for item in items]
+        profile.disable()
+    finally:
+        gc.enable()
+    return done, _calls(profile)
+
+
+def document_calls() -> dict:
+    """The calls of one ``parse_scenario`` and one ``emit_scenario`` pass over the built-ins' documents."""
+    from abrep import BUILTIN_SCENARIOS, emit_scenario, parse_scenario
+
+    texts = [emit_scenario(build()) for build in BUILTIN_SCENARIOS.values()]
+    for text in texts:  # the warm pass
+        emit_scenario(parse_scenario(text))
+    bundles, parse_calls = _profiled(parse_scenario, texts)
+    _, emit_calls = _profiled(emit_scenario, bundles)
+    return {"parse_calls": parse_calls, "emit_calls": emit_calls}
+
+
+def _flat(record: dict) -> dict:
+    """Each count of ``record``, keyed by its workload's name, or ``documents``, and its metric."""
+    rows = {**record.get("workloads", {}), "documents": record.get("documents", {})}
+    return {f"{name} {metric}": value for name, metrics in rows.items() for metric, value in metrics.items()}
 
 
 def main() -> int:
     python = "{}.{}".format(*sys.version_info)
-    found = {"python": python, "passes": PASSES, "workloads": counts()}
+    found = {"python": python, "passes": PASSES, "workloads": counts(), "documents": document_calls()}
     print(json.dumps(found, indent=2))
     pinned = json.loads(PINNED.read_text()) if PINNED.exists() else {}
     if pinned.get("python") != python:
         print(f"not compared: {PINNED.name} holds counts for Python {pinned.get('python')}", file=sys.stderr)
         return 0
-    differ = [
-        f"{name} {metric}: pinned {pinned['workloads'].get(name, {}).get(metric)}, now {value}"
-        for name, metrics in found["workloads"].items()
-        for metric, value in metrics.items()
-        if pinned["workloads"].get(name, {}).get(metric) != value
-    ]
+    was = _flat(pinned)
+    differ = [f"{key}: pinned {was.get(key)}, now {v}" for key, v in _flat(found).items() if was.get(key) != v]
     print("\n".join(differ) or f"all counts equal the pinned ones in {PINNED.name}", file=sys.stderr)
     return 1 if differ or pinned["passes"] != PASSES else 0
 

@@ -88,7 +88,7 @@ def count_compiled(monkeypatch, **classes) -> dict:
     The evaluator is the cached property ``_apply``, and its calls are
     counted wherever they are made. A property patched over it on the class
     hands out the compiled function, built or cached as usual, wrapped in a
-    counter. A tuple-wise relation or a chain first compiled while counting
+    counter. A tuple-wise relation or a product program first compiled while counting
     keeps its parts' wrapped functions, so its later calls still add to this
     dict.
     """

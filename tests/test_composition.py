@@ -99,11 +99,9 @@ def test_compose_parallel_acts_componentwise():
 
 def test_compose_two_validated_not_devices():
     # the construction is definitional: paired reading, coordinate-wise action
-    from abrep import BuiltinRule
-
     bundle = build_xor_joint()
     bit_not = AbstractDynamics(
-        "invert", bundle.theory("xor.left").representation.codomain, BuiltinRule("bit-not")
+        "invert", bundle.theory("xor.left").representation.codomain, TableRule({"0": "1", "1": "0"})
     )
     left = Component(validated(bundle.theory("xor.left")), bit_not)
     right = Component(validated(bundle.theory("xor.right")), bit_not)

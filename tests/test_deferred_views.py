@@ -24,21 +24,22 @@ from abrep import (
     METRICS,
     AbstractDynamics,
     AbstractState,
+    BitSpace,
     CommutationReport,
+    CoordinateFlipNoise,
+    CoordinateUpdateRule,
     DiagramSpec,
-    LabelFlipNoise,
-    LabelSpace,
     LayerReport,
-    LookupRule,
     MetricMismatch,
     PhysicalDynamics,
-    PhysicalLabelSpace,
     PhysicalState,
     Prediction,
+    RealVectorSpace,
     RepresentationRelation,
     StackReport,
     TableRule,
     Theory,
+    ThresholdRule,
     TrialSeed,
     ValidityReport,
     check_commutation,
@@ -287,16 +288,17 @@ def test_a_report_equals_the_same_square_checked_alone():
 def test_reports_whose_trials_drew_other_flag_codes_differ_though_their_views_agree():
     """Equality compares the flag codes each trial drew, not only what the views show.
 
-    The device's noise swaps two labels that the relation reads alike, so every
-    trial reads the same and only the drawn codes tell two seeds apart.
+    The device's noise moves its line between two levels, 3 V and 5 V, that
+    the relation reads alike, so every trial reads the same and only the drawn
+    codes tell two seeds apart.
     """
-    cells = PhysicalLabelSpace("eq.cells", ("a", "b"))
-    reading = LabelSpace("eq.reading", ("x",))
-    read = RepresentationRelation("eq.read", cells, reading, LookupRule({"a": "x", "b": "x"}))
-    program = AbstractDynamics("eq.program", reading, TableRule({"x": "x"}))
-    noise = LabelFlipNoise(0.5, {"a": "b", "b": "a"})
-    device = PhysicalDynamics("eq.device", cells, TableRule({"a": "a", "b": "b"}), noise)
-    start = PhysicalState(cells, "a")
+    line = RealVectorSpace("eq.line", ((0.0, 5.0),))
+    reading = BitSpace("eq.reading", 1)
+    read = RepresentationRelation("eq.read", line, reading, ThresholdRule((2.5,)))
+    program = AbstractDynamics("eq.program", reading, TableRule({"0": "0", "1": "1"}))
+    noise = CoordinateFlipNoise(0.5, (0,), 4.0, 3.0, 5.0)
+    device = PhysicalDynamics("eq.device", line, CoordinateUpdateRule(()), noise)
+    start = PhysicalState(line, (5.0,))
     theory = Theory("eq", read, (start,), (Prediction("p", program, device),))
     spec = DiagramSpec(theory, program, device, trials=8)
     first, *others = [check_commutation(spec, start, TrialSeed(s)) for s in range(4)]

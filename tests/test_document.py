@@ -25,7 +25,6 @@ from abrep import (
     ScenarioBundle,
     ScenarioError,
     IntSpace,
-    LabelFlipNoise,
     LabelSpace,
     LookupRule,
     NotEnumerable,
@@ -59,6 +58,7 @@ from abrep import (
 )
 from abrep import scenarios, spaces
 from abrep.cli import main
+from abrep.dynamics import BUILTIN_NAMES
 from abrep.runner import report_to_json, run_checks
 from abrep.scenarios import _bundle
 from abrep.spaces import normalize_value
@@ -216,15 +216,6 @@ def test_duplicate_across_abstract_and_physical_dynamics_rejected():
         parse_scenario(text)
     assert err.value.path == "dynamics.physical[0]"
     assert err.value.identifier == "xor.left.hold"
-
-
-def test_reserved_builtin_names_rejected_as_dynamics_ids():
-    bad = json.loads(doc())
-    bad["dynamics"]["abstract"].append(
-        {"id": "xor", "space": "bit", "rule": {"kind": "builtin", "name": "identity"}}
-    )
-    with pytest.raises(ScenarioSyntaxError):
-        parse_scenario(json.dumps(bad))
 
 
 def test_check_naming_missing_theory_parses_but_errors_at_run():
@@ -624,12 +615,11 @@ def test_every_field_is_checked_at_its_path(name, path, field):
     "declare, field",
     [
         (lambda: CoordinateFlipNoise(0.5, 5, 2.5, 0.0, 5.0), "coordinates"),
-        (lambda: LabelFlipNoise(0.5, 5), "partners"),
         (lambda: CoordinateUpdateRule(5), "assignments"),
         (lambda: ThresholdRule((1, "a")), "thresholds[1]"),
         (lambda: CheckSpec("c", "commutation", trials=2.9), "trials"),
     ],
-    ids=["flip-lines", "label-partners", "assignments", "threshold", "trials"],
+    ids=["flip-lines", "assignments", "threshold", "trials"],
 )
 def test_constructors_check_the_fields_the_reader_passes_on(declare, field):
     with pytest.raises(DeclarationError) as err:
@@ -655,7 +645,6 @@ def _diagram(**fields) -> DiagramSpec:
     [
         (lambda: CoordinateFlipNoise(1.5, (0,), 2.5, 0.0, 5.0),
          "coordinate-flip noise: probability: must lie in [0, 1]"),
-        (lambda: LabelFlipNoise(-0.5, {"a": "a"}), "label-flip noise: probability: must lie in [0, 1]"),
         (lambda: TrialSeed(2**64), "trial seed: value: must fit in 64 bits"),
         (lambda: TrialSeed(-1), "trial seed: value: must fit in 64 bits"),
         (lambda: _diagram(epsilon=-0.1), "diagram: epsilon: must be non-negative"),
@@ -681,7 +670,7 @@ def _diagram(**fields) -> DiagramSpec:
          "check 'c': required_success: must lie in (0, 1]"),
     ],
     ids=[
-        "flip-probability", "label-probability", "seed-too-large", "seed-negative", "epsilon",
+        "flip-probability", "seed-too-large", "seed-negative", "epsilon",
         "trials", "success-zero", "success-above-one", "width", "layer-epsilon",
         "validate-epsilon", "validate-trials", "stack-epsilon", "stack-success", "check-trials",
         "check-epsilon", "check-success-zero", "check-success-above-one",
@@ -780,47 +769,42 @@ def test_a_commutation_check_runs_from_a_declared_state_or_reports_it_missing():
     }
 
 
-def _noisy_doc(partners, vector: bool = False) -> dict:
-    """The minimal document, its device flipping labels to ``partners``; with ``vector``, on a vector space."""
+def _device_doc(entries) -> dict:
+    """The minimal document, its device's table given as ``entries``."""
     data = json.loads(doc())
-    device = data["dynamics"]["physical"][0]
-    if vector:
-        data["spaces"]["physical"].append({"id": "v1", "kind": "vector", "bounds": [[0, 5]]})
-        device.update(space="v1", rule={"kind": "coordinate-update", "assignments": []})
-    device["noise"] = {"kind": "label-flip", "probability": 0.5, "partners": partners}
+    data["dynamics"]["physical"][0]["rule"]["entries"] = entries
     return data
 
 
-def test_label_flip_partners_round_trip_through_a_document():
-    """Partners read back equal, and are written in the order the device's labels are declared, not sorted."""
-    data = _noisy_doc([["off", "on"], ["on", "off"]])
+def test_a_device_table_round_trips_in_the_order_its_labels_are_declared():
+    """A table over labels reads back equal, and is written in the order the labels are declared, not sorted."""
+    data = _device_doc([["off", "on"], ["on", "off"]])
     data["spaces"]["physical"][0]["labels"] = ["on", "off"]
     bundle = parse_scenario(json.dumps(data))
-    assert bundle.physical_dynamics[0].noise == LabelFlipNoise(0.5, {"off": "on", "on": "off"})
+    assert bundle.physical_dynamics[0].rule == TableRule({"off": "on", "on": "off"})
     text = emit_scenario(bundle)
-    assert json.loads(text)["dynamics"]["physical"][0]["noise"]["partners"] == [["on", "off"], ["off", "on"]]
+    assert json.loads(text)["dynamics"]["physical"][0]["rule"]["entries"] == [["on", "off"], ["off", "on"]]
     assert parse_scenario(text) == bundle
 
 
 @pytest.mark.parametrize(
-    "partners, vector, message",
+    "entries, message",
     [
-        ([["off", "zz"], ["on", "off"]], False, "partners[0][1]: value 'zz' is not a member of space 'cell'"),
-        ([[["off"], "on"]], False, "partners[0][0]: value ['off'] is not a member of space 'cell'"),
-        ([["off", "on"], ["on", "off"]], True, "partners[0][0]: value 'off' is not a member of space 'v1'"),
+        ([["off", "zz"], ["on", "on"]], "entries[0][1]: value 'zz' is not a member of space 'cell'"),
+        ([[["off"], "on"]], "entries[0][0]: value ['off'] is not a member of space 'cell'"),
     ],
-    ids=["image", "unhashable-key", "vector-device"],
+    ids=["image", "unhashable-key"],
 )
-def test_a_partner_outside_the_device_labels_is_refused_at_its_path(partners, vector, message):
-    """Partners are a table over the device's labels: a non-member is named where it is written."""
+def test_a_table_value_outside_the_device_labels_is_refused_at_its_path(entries, message):
+    """A device's table is read over its labels: a non-member is named where it is written."""
     with pytest.raises(ScenarioSyntaxError) as err:
-        parse_scenario(json.dumps(_noisy_doc(partners, vector)))
-    assert str(err.value) == f"dynamics.physical[0].noise.{message}"
+        parse_scenario(json.dumps(_device_doc(entries)))
+    assert str(err.value) == f"dynamics.physical[0].rule.{message}"
 
 
-def test_a_missing_partner_is_refused_at_the_dynamics():
+def test_a_missing_table_key_is_refused_at_the_dynamics():
     with pytest.raises(ScenarioSyntaxError) as err:
-        parse_scenario(json.dumps(_noisy_doc([["off", "on"]])))
+        parse_scenario(json.dumps(_device_doc([["off", "on"]])))
     assert str(err.value) == "dynamics.physical[0]: dynamics 'hold': 1 images for the 2 keys of 'cell'"
 
 
@@ -929,44 +913,63 @@ def test_a_check_value_holds_tuples_at_every_level():
     assert repr(check.expect) == "({'a': [1]}, 2.5)"
 
 
-def _program_doc(steps: int = 1, depth: int = 0) -> dict:
-    """The minimal document, its prediction a chain of ``steps`` bit-nots, inside ``depth`` one-part chains."""
+#: The kept builtins, in declared order, as a refusal of another name lists them.
+KEPT_BUILTINS = ("identity", "xor", "ripple-add", "swap-pair")
+_NOT_A_BUILTIN = "expected one of " + ", ".join(map(repr, KEPT_BUILTINS))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda d: d["dynamics"]["abstract"].append(
+                {"id": "twice", "space": "bit", "rule": {"kind": "chain", "parts": ["keep", "keep"]}}
+            ),
+            "dynamics.abstract[1].rule.kind: unknown rule kind 'chain'",
+        ),
+        (
+            lambda d: d["dynamics"]["physical"][0].__setitem__(
+                "noise", {"kind": "label-flip", "probability": 0.5, "partners": [["off", "on"], ["on", "off"]]}
+            ),
+            "dynamics.physical[0].noise.kind: unknown noise kind 'label-flip'",
+        ),
+        (
+            lambda d: d["dynamics"]["abstract"][0]["rule"].__setitem__("name", "bit-not"),
+            f"dynamics.abstract[0].rule.name: {_NOT_A_BUILTIN}",
+        ),
+        (
+            lambda d: d["dynamics"]["abstract"][0]["rule"].__setitem__("name", "and"),
+            f"dynamics.abstract[0].rule.name: {_NOT_A_BUILTIN}",
+        ),
+    ],
+    ids=["chain", "label-flip", "bit-not", "and"],
+)
+def test_a_deleted_modelling_entry_is_refused_at_its_path(tmp_path, capsys, mutate, message):
+    """The format keeps only the vocabulary an example uses: the rest is a diagnostic, and ``abrep check`` exits 2."""
     data = json.loads(doc())
-    programs = [
-        {"id": "not", "space": "bit", "rule": {"kind": "builtin", "name": "bit-not"}},
-        {"id": "p0", "space": "bit", "rule": {"kind": "chain", "parts": ["not"] * steps}},
-    ]
-    programs += [
-        {"id": f"p{i}", "space": "bit", "rule": {"kind": "chain", "parts": [f"p{i - 1}"]}}
-        for i in range(1, depth + 1)
-    ]
-    data["dynamics"]["abstract"] = programs
-    data["theories"][0]["predictions"][0]["abstract"] = programs[-1]["id"]
-    return data
-
-
-@pytest.mark.parametrize("steps", [1000, 2000])
-def test_a_long_chain_in_a_document_runs(tmp_path, capsys, steps):
-    """An even number of bit-nots holds the bit, as the device does, so the theory validates."""
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(_program_doc(steps)), encoding="utf-8")
-    assert main(["check", str(path)]) == 0
-    assert "overall: PASS" in capsys.readouterr().out
-
-
-def test_a_program_nested_past_the_bound_is_a_diagnostic_at_its_rule(tmp_path, capsys):
-    """Chains 100 deep over a chain of two steps run; one level more is refused at its rule, and exits 2."""
-    path = tmp_path / "nested.json"
-    path.write_text(json.dumps(_program_doc(2, 99)), encoding="utf-8")
-    assert main(["check", str(path)]) == 0
-    text = json.dumps(_program_doc(2, 100))
+    mutate(data)
     with pytest.raises(ScenarioSyntaxError) as err:
-        parse_scenario(text)
-    assert str(err.value) == "dynamics.abstract[101].rule: nests more than 100 programs"
-    path.write_text(text, encoding="utf-8")
+        parse_scenario(json.dumps(data))
+    assert str(err.value) == message
+    path = tmp_path / "deleted.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["check", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: ScenarioSyntaxError: dynamics.abstract[101].rule: nests more than 100 programs\n"
+    assert capsys.readouterr().err == f"error: ScenarioSyntaxError: {message}\n"
+
+
+def test_the_reserved_dynamics_ids_are_exactly_the_kept_builtin_names():
+    """A dynamics id may not be a kept builtin's name; the deleted builtins' names are ordinary ids."""
+    assert BUILTIN_NAMES == KEPT_BUILTINS
+    for name in KEPT_BUILTINS + ("bit-not", "and"):
+        data = json.loads(doc())
+        data["dynamics"]["abstract"][0]["id"] = name
+        data["theories"][0]["predictions"][0]["abstract"] = name
+        if name in KEPT_BUILTINS:
+            with pytest.raises(ScenarioSyntaxError) as err:
+                parse_scenario(json.dumps(data))
+            assert str(err.value) == f"dynamics.abstract[0].id: {name!r} is a reserved builtin name"
+        else:
+            assert parse_scenario(json.dumps(data)).abstract_dynamics[0].id == name
 
 
 def _chain_doc(depth: int) -> dict:
@@ -1066,16 +1069,16 @@ def test_table_keys_are_compared_as_members_of_their_space():
 
 
 @pytest.mark.parametrize(
-    "partners, message",
+    "entries, message",
     [
-        ([["off", "on"], ["on", "off"], ["off", "off"]], r"partners\[2\]\[0\]: duplicate key 'off'"),
-        ([[0, "on"], ["on", "off"], [0.0, "off"]], r"partners\[0\]\[0\]: value 0 is not a member of space 'cell'"),
+        ([["off", "on"], ["on", "off"], ["off", "off"]], r"entries\[2\]\[0\]: duplicate key 'off'"),
+        ([[0, "on"], ["on", "off"], [0.0, "off"]], r"entries\[0\]\[0\]: value 0 is not a member of space 'cell'"),
     ],
     ids=["label", "equal-numbers"],
 )
-def test_a_repeated_noise_partner_is_refused_at_its_path(partners, message):
-    with pytest.raises(ScenarioSyntaxError, match=rf"^dynamics\.physical\[0\]\.noise\.{message}$"):
-        parse_scenario(json.dumps(_noisy_doc(partners)))
+def test_a_repeated_device_table_key_is_refused_at_its_path(entries, message):
+    with pytest.raises(ScenarioSyntaxError, match=rf"^dynamics\.physical\[0\]\.rule\.{message}$"):
+        parse_scenario(json.dumps(_device_doc(entries)))
 
 
 def _reading_family(width: int) -> tuple[str, SimpleNamespace]:

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import re
@@ -14,12 +13,10 @@ from abrep import (
     BinarySumUpdate,
     BitSpace,
     BuiltinRule,
-    ChainRule,
     ConstantUpdate,
     CoordinateFlipNoise,
     CoordinateUpdateRule,
     IntSpace,
-    LabelFlipNoise,
     LabelSpace,
     LookupRule,
     OutOfDomain,
@@ -81,133 +78,66 @@ def test_identity_and_swap_builtins():
     assert evolve_abstract(swap, AbstractState(pair, (4, 4))).value == (4, 4)
 
 
-def test_and_xor_builtins_match_bit_arithmetic():
-    bit = BitSpace("b1", 1)
-    pair = TupleSpace("bp", (bit, bit))
-    conj = AbstractDynamics("conj", pair, BuiltinRule("and"))
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_the_xor_builtin_follows_its_definition(width):
+    bits = BitSpace(f"b{width}", width)
+    pair = TupleSpace(f"bp{width}", (bits, bits))
     parity = AbstractDynamics("parity", pair, BuiltinRule("xor"))
-    for a, b in itertools.product("01", repeat=2):
-        state = AbstractState(pair, (a, b))
-        assert evolve_abstract(conj, state).value == (str(int(a) & int(b)), b)
-        assert evolve_abstract(parity, state).value == (str(int(a) ^ int(b)), b)
+    for state in enumerate_states(pair):
+        a, b = state.value
+        combined = "".join(str(int(x) ^ int(y)) for x, y in zip(a, b))
+        assert evolve_abstract(parity, state).value == (combined, b)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
-def test_bitwise_builtins_follow_their_definitions(width):
+@pytest.mark.parametrize("name", ["xor", "swap-pair"])
+def test_the_self_inverse_builtins_undo_themselves(name, width):
+    """Two steps of ``xor`` or ``swap-pair`` give back every state of a register pair; one step moves some."""
     bits = BitSpace(f"b{width}", width)
     pair = TupleSpace(f"bp{width}", (bits, bits))
-    flip = AbstractDynamics("not", bits, BuiltinRule("bit-not"))
-    for state in enumerate_states(bits):
-        assert evolve_abstract(flip, state).value == "".join("10"[int(c)] for c in state.value)
-    for name, bit in (("and", lambda x, y: x == y == "1"), ("xor", lambda x, y: x != y)):
-        dynamics = AbstractDynamics(name, pair, BuiltinRule(name))
-        for state in enumerate_states(pair):
-            a, b = state.value
-            combined = "".join("1" if bit(x, y) else "0" for x, y in zip(a, b))
-            assert evolve_abstract(dynamics, state).value == (combined, b)
+    program = AbstractDynamics(name, pair, BuiltinRule(name))
+    moved = 0
+    for state in enumerate_states(pair):
+        once = evolve_abstract(program, state)
+        assert evolve_abstract(program, once) == state
+        moved += once != state
+    assert moved == 4**width - 2**width  # xor fixes a zero second register, swap-pair equal registers
 
 
-def test_bit_not_is_an_involution():
-    bits = BitSpace("b3", 3)
-    flip = AbstractDynamics("f", bits, BuiltinRule("bit-not"))
-    chained = AbstractDynamics("f>>f", bits, ChainRule((flip, flip)))
-    for state in enumerate_states(bits):
-        assert evolve_abstract(chained, state) == state
+def _complement(dyn_id: str, bits: BitSpace) -> AbstractDynamics:
+    """The program that flips every bit of ``bits``, as a table."""
+    flipped = str.maketrans("01", "10")
+    return AbstractDynamics(dyn_id, bits, TableRule({v: v.translate(flipped) for v in enumerate_values(bits)}))
 
 
-def test_an_empty_chain_is_the_identity():
-    bits = BitSpace("b2", 2)
-    empty = AbstractDynamics("none", bits, ChainRule(()))
-    for state in enumerate_states(bits):
-        assert evolve_abstract(empty, state) == state
+def test_product_programs_nest_at_most_100_deep_through_their_spaces():
+    """A product program acts on the tuple of its parts' spaces, so the space's bound is the program's.
 
-
-def test_a_long_chain_runs_its_steps_in_order_in_one_loop():
-    """A chain costs no frame per step, so its length is not bounded by the interpreter's stack."""
-    ints = IntSpace("z7", 0, 6)
-    double = AbstractDynamics("double", ints, TableRule({v: 2 * v % 7 for v in range(7)}))
-    succ = AbstractDynamics("succ", ints, TableRule({v: (v + 1) % 7 for v in range(7)}))
-    chain = AbstractDynamics("many", ints, ChainRule((double, succ) * 2500))
-    for start in range(7):
-        expected = start
-        for _ in range(2500):
-            expected = (2 * expected + 1) % 7
-        assert evolve_abstract(chain, AbstractState(ints, start)).value == expected
-
-
-def _nested_programs(depth: int, space) -> AbstractDynamics:
-    """A bit-not program inside ``depth`` one-part chains."""
-    program = AbstractDynamics("p0", space, BuiltinRule("bit-not"))
-    for i in range(1, depth + 1):
-        program = AbstractDynamics(f"p{i}", space, ChainRule((program,)))
-    return program
-
-
-def test_programs_nest_at_most_100_deep():
-    """Chains and products count toward one bound, refused at the rule that passes it."""
+    A program 100 products deep builds and runs; one more level is refused at
+    its space's ``components``, before any program is declared on it.
+    """
     bit = BitSpace("b1", 1)
-    deep = _nested_programs(100, bit)
-    assert evolve_abstract(deep, AbstractState(bit, "0")).value == "1"
-    one = TupleSpace("one", (bit,))
-    past = [
-        lambda: AbstractDynamics("p101", bit, ChainRule((deep,))),
-        lambda: AbstractDynamics("p101", one, ProductRule((deep,))),
-    ]
-    for declare in past:
-        with pytest.raises(DeclarationError) as err:
-            declare()
-        assert str(err.value) == "dynamics 'p101': rule: nests more than 100 programs"
-        assert err.value.field == "rule"
-    inner = AbstractDynamics("p99", one, ProductRule((_nested_programs(98, bit),)))
-    outer = AbstractDynamics("p100", one, ChainRule((inner,)))
-    assert evolve_abstract(outer, AbstractState(one, ("1",))).value == ("0",)
-
-
-def test_compose_identity_is_neutral():
-    bits = BitSpace("b2", 2)
-    ident = AbstractDynamics("i", bits, BuiltinRule("identity"))
-    flip = AbstractDynamics("f", bits, BuiltinRule("bit-not"))
-    composed = AbstractDynamics("i>>f", bits, ChainRule((ident, flip)))
-    for state in enumerate_states(bits):
-        assert evolve_abstract(composed, state) == evolve_abstract(flip, state)
-
-
-def test_staged_ripple_add_chain_equals_direct_table():
-    space = machine_space(2)
-    # stage 1 parks the first register in the output; stage 2 adds the second
-    stage1 = AbstractDynamics(
-        "park",
-        space,
-        TableRule({(x, y, z): (x, y, "0" + x) for (x, y, z) in enumerate_values(space)}),
-    )
-    stage2 = AbstractDynamics(
-        "accumulate",
-        space,
-        TableRule(
-            {
-                (x, y, z): (x, y, format((int(z, 2) + int(y, 2)) % 8, "03b"))
-                for (x, y, z) in enumerate_values(space)
-            }
-        ),
-    )
-    chained = AbstractDynamics("park>>accumulate", space, ChainRule((stage1, stage2)))
-    direct = AbstractDynamics("add", space, BuiltinRule("ripple-add"))
-    for state in enumerate_states(space):
-        assert evolve_abstract(chained, state) == evolve_abstract(direct, state)
-
-
-def test_compose_rejects_space_mismatch():
-    a = AbstractDynamics("a", BitSpace("b1", 1), BuiltinRule("identity"))
-    b = AbstractDynamics("b", BitSpace("b2", 2), BuiltinRule("identity"))
-    with pytest.raises(DeclarationError, match="chain part 'b' acts on a different space"):
-        AbstractDynamics("a>>b", a.space, ChainRule((a, b)))
+    program = _complement("p0", bit)
+    for i in range(1, 101):
+        program = AbstractDynamics(f"p{i}", TupleSpace(f"s{i}", (program.space,)), ProductRule((program,)))
+    value = "0"
+    for _ in range(100):
+        value = (value,)
+    flipped = evolve_abstract(program, AbstractState(program.space, value)).value
+    for _ in range(100):
+        flipped = flipped[0]
+    assert flipped == "1"
+    with pytest.raises(DeclarationError) as err:
+        TupleSpace("s101", (program.space,))
+    assert str(err.value) == "space 's101': components: nests more than 100 tuple spaces"
+    assert err.value.field == "components"
 
 
 def test_product_rule_maps_each_part_over_its_component():
     bit = BitSpace("b1", 1)
     pair = BitSpace("b2", 2)
-    flip = AbstractDynamics("flip", bit, BuiltinRule("bit-not"))
-    spin = AbstractDynamics("spin", pair, BuiltinRule("bit-not"))
+    flip = _complement("flip", bit)
+    spin = _complement("spin", pair)
     both = AbstractDynamics("both", TupleSpace("pair", (bit, pair)), ProductRule((flip, spin)))
     for state in enumerate_states(both.space):
         a, b = state.value
@@ -219,8 +149,8 @@ def test_product_rule_maps_each_part_over_its_component():
 
 
 def test_product_parts_must_act_on_the_components_in_order():
-    flip = AbstractDynamics("flip", BitSpace("b1", 1), BuiltinRule("bit-not"))
-    spin = AbstractDynamics("spin", BitSpace("b2", 2), BuiltinRule("bit-not"))
+    flip = _complement("flip", BitSpace("b1", 1))
+    spin = _complement("spin", BitSpace("b2", 2))
     for space, parts in (
         (TupleSpace("pair", (flip.space, spin.space)), (spin, flip)),
         (TupleSpace("pair", (flip.space, spin.space)), (flip,)),
@@ -286,7 +216,7 @@ def test_labels_that_look_like_code_read_and_step_as_data():
 
 def test_the_product_maker_is_generated_once_per_arity():
     bit = BitSpace("b1", 1)
-    flip = AbstractDynamics("flip", bit, BuiltinRule("bit-not"))
+    flip = _complement("flip", bit)
     _each.cache_clear()
     for n in (2, 3, 2, 3, 2):
         both = AbstractDynamics(f"flip{n}", TupleSpace(f"bits{n}", (bit,) * n), ProductRule((flip,) * n))
@@ -296,18 +226,13 @@ def test_the_product_maker_is_generated_once_per_arity():
 @pytest.mark.parametrize(
     "declare",
     [
-        lambda: AbstractDynamics("x", BitSpace("b", 1), ChainRule(("a",))),
-        lambda: ChainRule(5),
         lambda: ProductRule(("a",)),
+        lambda: ProductRule(5),
         lambda: ProductRule(None),
         lambda: TupleWiseRule(("z",)),
         lambda: TupleWiseRule((identity_dynamics("hold", PhysicalLabelSpace("c", ("a",))),)),
-        lambda: ChainRule((identity_dynamics("hold", PhysicalLabelSpace("c", ("a",))),)),
     ],
-    ids=[
-        "chain-of-str", "chain-of-int", "product-of-str", "product-of-none",
-        "tuple-wise-of-str", "tuple-wise-of-dynamics", "chain-of-physical",
-    ],
+    ids=["product-of-str", "product-of-int", "product-of-none", "tuple-wise-of-str", "tuple-wise-of-dynamics"],
 )
 def test_rule_parts_are_type_checked(declare):
     with pytest.raises(DeclarationError):
@@ -318,7 +243,7 @@ def test_builtin_shape_validation():
     with pytest.raises(DeclarationError):
         AbstractDynamics("bad", BitSpace("b2", 2), BuiltinRule("swap-pair"))
     with pytest.raises(DeclarationError):
-        AbstractDynamics("bad", machine_space(2), BuiltinRule("bit-not"))
+        AbstractDynamics("bad", machine_space(2), BuiltinRule("xor"))
     uneven = TupleSpace("u", (BitSpace("x", 2), BitSpace("y", 2), BitSpace("z", 2)))
     with pytest.raises(DeclarationError):
         AbstractDynamics("bad", uneven, BuiltinRule("ripple-add"))
@@ -583,32 +508,8 @@ def test_noise_free_dynamics_ignore_the_seed(seed_a, seed_b):
     )
 
 
-def test_label_noise_requires_total_partner_map():
-    cells = PhysicalLabelSpace("c", ("a", "b", "c"))
-    with pytest.raises(DeclarationError):
-        PhysicalDynamics(
-            "noisy",
-            cells,
-            TableRule({l: l for l in cells.labels}),
-            LabelFlipNoise(0.5, {"a": "b"}),
-        )
-
-
-def test_label_noise_flips_to_partner():
-    cells = PhysicalLabelSpace("c", ("a", "b"))
-    noisy = PhysicalDynamics(
-        "noisy",
-        cells,
-        TableRule({"a": "a", "b": "b"}),
-        LabelFlipNoise(1.0, {"a": "b", "b": "a"}),
-    )
-    assert evolve_physical(noisy, PhysicalState(cells, "a"), TrialSeed(0)).value == "b"
-
-
 def noise_by_definition(noise, value, seed: TrialSeed):
     """One trial of ``noise`` on ``value``, drawn line by line through ``unit_draw``."""
-    if isinstance(noise, LabelFlipNoise):
-        return noise.partners[value] if unit_draw(seed, 0) < noise.probability else value
     working = list(value)
     for line in noise.coordinates:
         if unit_draw(seed, line) < noise.probability:
@@ -627,32 +528,44 @@ CELLS = PhysicalLabelSpace("cells", ("a", "b", "c"))
 
 
 @pytest.mark.parametrize(
-    "space, partners, message",
+    "space, lines, low, message",
     [
-        (VOLTS, {"a": "b"}, "label-flip noise needs a labeled space"),
-        (CELLS, {"a": "b", "b": "z", "c": "c"}, "image of 'b' leaves 'cells'"),
-        (CELLS, {"a": "b", "b": "a", "c": "c", "z": "a"}, "4 images for the 3 keys of 'cells'"),
+        (CELLS, (0,), 0.0, "coordinate-flip noise needs a real-vector space"),
+        (VOLTS, (7,), 0.0, "line 7 out of range"),
+        (VOLTS, (0,), -1.0, "level -1.0 leaves the bounds of line 0"),
     ],
-    ids=["vector-space", "partner-outside", "label-outside"],
+    ids=["labeled-space", "line-outside", "level-outside"],
 )
-def test_label_noise_errors_name_the_dynamics(space, partners, message):
+def test_noise_errors_name_the_dynamics(space, lines, low, message):
     rule = CoordinateUpdateRule(()) if space is VOLTS else TableRule({l: l for l in CELLS.labels})
     with pytest.raises(DeclarationError, match=re.escape(f"dynamics 'noisy': {message}")):
-        PhysicalDynamics("noisy", space, rule, LabelFlipNoise(0.5, partners))
+        PhysicalDynamics("noisy", space, rule, CoordinateFlipNoise(0.5, lines, 2.5, low, 5.0))
 
 
-def noisy_hold(kind: str, probability: float, lines: tuple[int, ...]):
-    """A device that holds its state under ``kind`` noise, and a start state it can flip.
+def noisy_hold(probability: float, lines: tuple[int, ...]):
+    """A device that holds its state under noise on ``lines``, and a start state it can flip."""
+    noise = CoordinateFlipNoise(probability, lines, 2.5, 0.0, 5.0)
+    device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
+    return device, PhysicalState(VOLTS, (0.0,) * 7)
 
-    Label noise draws on line 0 alone; coordinate noise on ``lines``.
+
+#: Noisy devices by kind: one holds its lines, the other adds 3 and 1 into lines 4 to 6 before the flips.
+DEVICE_KINDS = ["hold", "adder"]
+
+
+def noisy_device(kind: str, probability: float, lines: tuple[int, ...]):
+    """A device of ``kind`` under noise on ``lines``, a start state, and the rule's noise-free image of it.
+
+    The adder's image differs from its start, so a kernel that flipped the
+    start in place of the rule's image would not pass.
     """
-    if kind == "coordinate":
-        noise = CoordinateFlipNoise(probability, lines, 2.5, 0.0, 5.0)
-        device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
-        return device, PhysicalState(VOLTS, (0.0,) * 7)
-    noise = LabelFlipNoise(probability, {"a": "b", "b": "a", "c": "c"})
-    device = PhysicalDynamics("noisy", CELLS, TableRule({l: l for l in CELLS.labels}), noise)
-    return device, PhysicalState(CELLS, "a")
+    device, start = noisy_hold(probability, lines)
+    if kind == "hold":
+        return device, start, start.value
+    start = PhysicalState(VOLTS, encode("11" + "01" + "000"))
+    image = evolve_physical(PhysicalDynamics("adder", VOLTS, ADDER_RULE), start, TrialSeed(0)).value
+    assert image == encode("11" + "01" + "100")
+    return PhysicalDynamics("noisy", VOLTS, ADDER_RULE, device.noise), start, image
 
 
 probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -660,18 +573,13 @@ probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @st.composite
 def noisy_starts(draw):
-    """A noisy hold device, either noise kind, and a start state on it."""
+    """A noisy hold device and a start state on it."""
     probability = draw(probabilities)
-    if draw(st.booleans()):
-        lines = draw(st.lists(st.integers(0, 6), max_size=10))  # repeats allowed
-        noise = CoordinateFlipNoise(probability, tuple(lines), 2.5, 0.0, 5.0)
-        levels = draw(st.lists(st.sampled_from([0.0, 2.5, 5.0]), min_size=7, max_size=7))
-        device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
-        return device, PhysicalState(VOLTS, tuple(levels))
-    partners = dict(zip(CELLS.labels, draw(st.permutations(CELLS.labels))))
-    noise = LabelFlipNoise(probability, partners)
-    device = PhysicalDynamics("noisy", CELLS, TableRule({l: l for l in CELLS.labels}), noise)
-    return device, PhysicalState(CELLS, draw(st.sampled_from(CELLS.labels)))
+    lines = draw(st.lists(st.integers(0, 6), max_size=10))  # repeats allowed
+    noise = CoordinateFlipNoise(probability, tuple(lines), 2.5, 0.0, 5.0)
+    levels = draw(st.lists(st.sampled_from([0.0, 2.5, 5.0]), min_size=7, max_size=7))
+    device = PhysicalDynamics("noisy", VOLTS, CoordinateUpdateRule(()), noise)
+    return device, PhysicalState(VOLTS, tuple(levels))
 
 
 @settings(max_examples=150, deadline=None)
@@ -684,14 +592,14 @@ def test_trial_outcomes_follow_the_draws_by_definition(case, base, trials):
     assert [evolve_physical(device, start, seed).value for seed in seeds] == expected
 
 
-@pytest.mark.parametrize("kind", ["coordinate", "label"])
+@pytest.mark.parametrize("kind", DEVICE_KINDS)
 def test_a_line_does_not_flip_at_a_probability_equal_to_its_draw(kind):
-    base, line = TrialSeed(7), 3 if kind == "coordinate" else 0
+    base, line = TrialSeed(7), 3
     draw = unit_draw(derive_seed(base, 0), line)
 
     def flips_at(probability) -> bool:
-        device, start = noisy_hold(kind, probability, (line,))
-        return trial_values(device, start, base, 1) != [start.value]
+        device, start, image = noisy_device(kind, probability, (line,))
+        return trial_values(device, start, base, 1) != [image]
 
     assert not flips_at(draw)  # the comparison is strict
     assert flips_at(math.nextafter(draw, 1.0))
@@ -703,12 +611,12 @@ LANE_COUNTS = sorted({1, 2, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1})
 
 @pytest.mark.parametrize("trials", LANE_COUNTS)
 @pytest.mark.parametrize("probability", [0.0, 1.0, 0.3])
-@pytest.mark.parametrize("kind", ["coordinate", "label"])
+@pytest.mark.parametrize("kind", DEVICE_KINDS)
 def test_every_lane_of_every_pass_follows_the_draws_by_definition(kind, probability, trials):
-    device, start = noisy_hold(kind, probability, (2, 5, 2))  # line 2 flips twice or not at all
+    device, start, image = noisy_device(kind, probability, (2, 5, 2))  # line 2 flips twice or not at all
     base = TrialSeed(0x5EED)
     seeds = [derive_seed(base, k) for k in range(trials)]
-    expected = [noise_by_definition(device.noise, start.value, seed) for seed in seeds]
+    expected = [noise_by_definition(device.noise, image, seed) for seed in seeds]
     assert trial_values(device, start, base, trials) == expected
     if 0.0 < probability < 1.0 and trials > 2:
         assert len(set(expected)) > 1
@@ -722,7 +630,7 @@ def test_trials_cost_linear_time():
     to one growing tuple, 2**20 trials copied about 2**29 codes, and took
     about 8 times as long per trial as 2**14 did.
     """
-    device, start = noisy_hold("label", 0.5, ())
+    device, start = noisy_hold(0.5, (0,))
     per_trial = []
     for trials in (2**14, 2**20):
         best = math.inf
@@ -750,7 +658,7 @@ def test_the_kernel_constants_are_cached_per_block_size_and_the_bias_per_probabi
     for trials in (1, 400, _BLOCK + 1):
         seeds = [derive_seed(base, k) for k in range(trials)]
         for probability in probabilities:
-            device, start = noisy_hold("coordinate", probability, (2, 5, 2))
+            device, start = noisy_hold(probability, (2, 5, 2))
             expected = [noise_by_definition(device.noise, start.value, seed) for seed in seeds]
             assert trial_values(device, start, base, trials) == expected
     assert _bias.cache_info()[:2] == (2, 2 * 3)  # block sizes 1, 400 and 1024; 1,025's tail of one hits
@@ -761,7 +669,7 @@ def test_the_kernel_caches_stay_within_their_bound():
     base = TrialSeed(3)
     for trials in range(1, 51):
         for probability in (0.3, 0.7):
-            device, start = noisy_hold("label", probability, ())
+            device, start = noisy_hold(probability, (0,))
             trial_values(device, start, base, trials)
     for cache in (_block, _bias):
         info = cache.cache_info()
@@ -769,14 +677,14 @@ def test_the_kernel_caches_stay_within_their_bound():
 
 
 @pytest.mark.parametrize("lane", [1, 129, _BLOCK + 1])
-@pytest.mark.parametrize("kind", ["coordinate", "label"])
+@pytest.mark.parametrize("kind", DEVICE_KINDS)
 def test_a_lane_does_not_flip_at_a_probability_equal_to_its_draw(kind, lane):
-    base, line = TrialSeed(7), 3 if kind == "coordinate" else 0
+    base, line = TrialSeed(7), 3
     draw = unit_draw(derive_seed(base, lane), line)
 
     def flips_at(probability) -> bool:
-        device, start = noisy_hold(kind, probability, (line,))
-        return trial_values(device, start, base, lane + 1)[lane] != start.value
+        device, start, image = noisy_device(kind, probability, (line,))
+        return trial_values(device, start, base, lane + 1)[lane] != image
 
     assert not flips_at(draw)  # the comparison is strict
     assert flips_at(math.nextafter(draw, 1.0))
@@ -791,12 +699,17 @@ WIDE_LINES = {
 
 
 @pytest.mark.parametrize("trials", LANE_COUNTS)
+@pytest.mark.parametrize("probability", [0.0, 1.0, 0.3])
 @pytest.mark.parametrize("listed", sorted(WIDE_LINES))
-def test_wide_noise_follows_the_draws_by_definition(listed, trials):
-    """Every flag of every lane, past 8 and 64 listed lines, is the draw's, and so is every run."""
+def test_wide_noise_follows_the_draws_by_definition(listed, probability, trials):
+    """Every flag of every lane, past 8 and 64 listed lines, is the draw's, and so is every run.
+
+    At probability 0 every flag of a code is set, across both of the 70
+    lines' words, and at 1 none is.
+    """
     lines = WIDE_LINES[listed]
     assert len(lines) == listed and len(set(lines)) < listed
-    noise = CoordinateFlipNoise(0.3, lines, 2.5, 0.0, 5.0)
+    noise = CoordinateFlipNoise(probability, lines, 2.5, 0.0, 5.0)
     device = PhysicalDynamics("noisy", WIDE, CoordinateUpdateRule(()), noise)
     start = PhysicalState(WIDE, tuple((0.0, 2.5, 5.0)[i % 3] for i in range(66)))
     base = TrialSeed(0xC0DE + listed)
@@ -804,7 +717,10 @@ def test_wide_noise_follows_the_draws_by_definition(listed, trials):
     expected = [noise_by_definition(noise, start.value, seed) for seed in seeds]
     assert trial_values(device, start, base, trials) == expected
     assert [evolve_physical(device, start, seed).value for seed in seeds] == expected
-    if trials > 2:
+    if probability in (0.0, 1.0):
+        every = 0 if probability else (1 << listed) - 1
+        assert set(_trial_outcomes(device, start.value, base, trials)[1]) == {every}
+    elif trials > 2:
         assert len(set(expected)) > 1
 
 

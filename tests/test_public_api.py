@@ -10,10 +10,10 @@ import abrep
 
 EXPORTS = """
     AbstractDynamics AbstractSpace AbstractState BUILTIN_SCENARIOS BinarySumUpdate BitSpace
-    BuiltinRule ChainRule CheckSpec CommutationReport Component CompositionClass ComputeResult
+    BuiltinRule CheckSpec CommutationReport Component CompositionClass ComputeResult
     ConstantUpdate CoordinateFlipNoise CoordinateUpdateRule DISCRETE DeclarationError
     DiagramSpec DuplicateIdentifier EmptyDomain FactorizationWitness HETEROTIC HYBRID
-    InstantiationProcedure IntSpace JointSystem LabelFlipNoise LabelSpace LayerReport
+    InstantiationProcedure IntSpace JointSystem LabelSpace LayerReport
     LookupRule MAX_COORDINATE METRICS Metric MetricMismatch ModelError NotEnumerable
     NotInstantiable OutOfDomain PhysicalDynamics PhysicalLabelSpace PhysicalSpace
     PhysicalState PhysicalTupleSpace Prediction ProductRule RealVectorSpace RefinementLayer
@@ -62,7 +62,7 @@ def test_every_name_the_benchmark_imports_resolves():
 #: The lines ``src/abrep/*.py`` hold, counted as ``wc -l`` counts them, pinned exactly so that no
 #: slack builds up. A change that grows ``src/`` raises this number and says why in CHANGES.md;
 #: one that shrinks it lowers it.
-MAX_SOURCE_LINES = 4194
+MAX_SOURCE_LINES = 4127
 
 
 def test_the_source_does_not_grow_past_its_line_count():

@@ -198,7 +198,7 @@ def test_a_lookup_is_a_table_rule_and_a_tuple_wise_reading_a_product_rule():
 def test_a_product_rule_of_the_wrong_kind_of_parts_is_a_declaration_error(parts):
     """A relation's product reads through relations and a program's runs programs, not the other."""
     read, read_pair = _pair_reading(TableRule, ProductRule)
-    flip = AbstractDynamics("flip", read.codomain, BuiltinRule("bit-not"))
+    flip = AbstractDynamics("flip", read.codomain, TableRule({"0": "1", "1": "0"}))
     relation_parts, program_parts = {
         "programs": ((flip, flip), (read, read)), "mixed": ((read, flip), (flip, read)),
     }[parts]

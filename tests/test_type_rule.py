@@ -28,10 +28,8 @@ from abrep import (
     BUILTIN_SCENARIOS,
     DISCRETE,
     AbstractState,
-    ChainRule,
     DeclarationError,
     DiagramSpec,
-    LabelFlipNoise,
     OutOfDomain,
     PhysicalState,
     TrialSeed,
@@ -177,7 +175,7 @@ NOT_DECLARATIONS = {
 
 @functools.cache
 def _declarations() -> dict:
-    """One instance of each declaration class: from the built-ins, and the few they lack."""
+    """One instance of each declaration class: from the built-ins, and a diagram spec, which they lack."""
     found: dict = {}
     seen: dict = {}  # by id, holding each object so that no id is reused
 
@@ -199,8 +197,6 @@ def _declarations() -> dict:
     for build in BUILTIN_SCENARIOS.values():
         walk(build())
     walk(DiagramSpec(theory, pred.abstract, pred.physical))
-    walk(ChainRule((pred.abstract,)))
-    walk(LabelFlipNoise(0.5, {"a": "b", "b": "a"}))
     return found
 
 

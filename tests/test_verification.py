@@ -20,15 +20,14 @@ from abrep import (
     BinarySumUpdate,
     BitSpace,
     BuiltinRule,
-    ChainRule,
     ConstantUpdate,
+    CoordinateFlipNoise,
     CoordinateUpdateRule,
     DISCRETE,
     DeclarationError,
     DiagramSpec,
     EmptyDomain,
     InstantiationProcedure,
-    LabelFlipNoise,
     LabelSpace,
     MAX_COORDINATE,
     METRICS,
@@ -614,31 +613,25 @@ def test_an_agreeing_square_keeps_no_outcome_however_its_column_was_filled(build
 
 
 #: The register shapes a kind of program fits, where not every shape.
-_SHAPES = {
-    "bit-not": ["one"], "and": ["pair"], "xor": ["pair"], "swap-pair": ["pair"], "ripple-add": ["adder"],
-    "product": ["pair", "adder", "split"],
-}
-_KINDS = [*BUILTIN_NAMES, "table", "chain", "product"]
+_SHAPES = {"xor": ["pair"], "swap-pair": ["pair"], "ripple-add": ["adder"], "product": ["pair", "adder", "split"]}
+_KINDS = [*BUILTIN_NAMES, "table", "product"]
 
 
 @st.composite
 def _register_programs(draw, space, depth=2, kind=None):
-    """A program of ``kind`` on the register space ``space``: a builtin, a table, a chain or a product.
+    """A program of ``kind`` on the register space ``space``: a builtin, a table or a product.
 
     Unless given, the kind is drawn from those that fit. Only ``ripple-add``
     has a lane form.
     """
     if kind is None:
-        kinds = [*BUILTIN_NAMES, "table"] + ["chain", "product"] * (depth > 0)
+        kinds = [*BUILTIN_NAMES, "table"] + ["product"] * (depth > 0)
         kind = draw(st.sampled_from([k for k in kinds if _fits(k, space)]))
     if kind in BUILTIN_NAMES:
         return AbstractDynamics("lanes.builtin", space, BuiltinRule(kind))
     if kind == "table":
         values, rng = list(enumerate_values(space)), random.Random(draw(st.integers(0, 2**32)))
         return AbstractDynamics("lanes.table", space, TableRule({v: rng.choice(values) for v in values}))
-    if kind == "chain":
-        parts = draw(st.lists(_register_programs(space, depth - 1), min_size=2, max_size=3))
-        return AbstractDynamics("lanes.chain", space, ChainRule(tuple(parts)))
     parts = tuple(draw(_register_programs(part, depth - 1)) for part in space.components)
     return AbstractDynamics("lanes.product", space, ProductRule(parts))
 
@@ -677,7 +670,7 @@ def _register_spaces(draw, shapes=("one", "pair", "adder", "split")):
 
 @st.composite
 def _programs(draw):
-    """A program of a kind drawn first, each builtin's, a table's, a chain's or a product's, on registers it fits."""
+    """A program of a kind drawn first, each builtin's, a table's or a product's, on registers it fits."""
     kind = draw(st.sampled_from(_KINDS))
     space = draw(_register_spaces(_SHAPES.get(kind, ("one", "pair", "adder", "split"))))
     return draw(_register_programs(space, kind=kind))
@@ -722,25 +715,18 @@ def test_a_program_on_lanes_is_its_compiled_rule_cell_by_cell(subject):
         assert images == list(map(program._apply, values)) and lanes == given_lanes
 
 
-@pytest.mark.parametrize("kind", ["table", "chain"])
 @pytest.mark.parametrize("width", [1, 2, 3])
-def test_a_program_with_no_lane_form_runs_once_per_cell(monkeypatch, width, kind):
+def test_a_program_with_no_lane_form_runs_once_per_cell(monkeypatch, width):
     """Cost law: off lanes, the sound adder's program runs once per cell, and its device never steps or reads.
 
-    The program is ``ripple-add``'s images as a table, or ``ripple-add`` then
-    the identity as a chain; neither has a lane form, so ``_grade`` unpacks
-    the readings from the lanes and runs it on each. The chain, first compiled
-    while counting, also counts its two parts' steps. The evidence is the
-    builtin program's.
+    The program is ``ripple-add``'s images as a table, which has no lane
+    form, so ``_grade`` unpacks the readings from the lanes and runs it on
+    each. The evidence is the builtin program's.
     """
     theory = adder_theory(width)
     (pred,) = theory.predictions
     add = pred.abstract
-    if kind == "table":
-        program = replace(add, rule=TableRule({v: add._apply(v) for v in enumerate_values(add.space)}))
-    else:
-        keep = AbstractDynamics("keep", add.space, BuiltinRule("identity"))
-        program = replace(add, rule=ChainRule((replace(add), keep)))
+    program = replace(add, rule=TableRule({v: add._apply(v) for v in enumerate_values(add.space)}))
     _, builtin = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
     counts = count_compiled(
         monkeypatch, rule=PhysicalDynamics, read=RepresentationRelation, program=AbstractDynamics
@@ -748,8 +734,7 @@ def test_a_program_with_no_lane_form_runs_once_per_cell(monkeypatch, width, kind
     theory = replace(theory, predictions=(replace(pred, abstract=program),))
     _, evidence = validate_theory(theory, 0.0, DISCRETE, 1, 1.0, SEED)
     assert program._lanes is None
-    steps = 1 if kind == "table" else 3
-    assert counts == {"rule": 0, "read": 0, "program": steps * 4**width}
+    assert counts == {"rule": 0, "read": 0, "program": 4**width}
     assert evidence.all_passed and evidence.coverage == builtin.coverage == 4**width
     assert evidence.cells == builtin.cells
 
@@ -921,6 +906,7 @@ def test_two_validations_compile_each_evaluator_once(monkeypatch):
 
 _BIT = BitSpace("gate.bit", 1)
 _PAIR = TupleSpace("gate.pair", (_BIT, _BIT))
+_ADDER = TupleSpace("gate.adder", (_BIT, _BIT, BitSpace("gate.sum", 2)))
 _CELLS = PhysicalLabelSpace("gate.cells", ("off", "on"))
 _CELL_PAIR = PhysicalTupleSpace("gate.cell-pair", (_CELLS, _CELLS))
 _LINES = RealVectorSpace("gate.lines", ((0.0, 5.0),) * 2)
@@ -938,13 +924,15 @@ def _reading(rule, domain=_CELLS, codomain=_BIT) -> RepresentationRelation:
 #: For each owner and rule kind, a new declaration, none compiled yet, and a state to apply it to.
 _OWNERS = {
     "program-table": lambda: (_program(TableRule(_FLIP)), AbstractState(_BIT, "0")),
-    "program-builtin": lambda: (_program(BuiltinRule("bit-not")), AbstractState(_BIT, "0")),
-    "program-chain": lambda: (
-        _program(ChainRule((_program(TableRule(_FLIP)), _program(BuiltinRule("bit-not"))))),
-        AbstractState(_BIT, "0"),
+    "program-builtin": lambda: (_program(BuiltinRule("xor"), _PAIR), AbstractState(_PAIR, ("1", "1"))),
+    "program-identity": lambda: (_program(BuiltinRule("identity")), AbstractState(_BIT, "1")),
+    "program-swap-pair": lambda: (_program(BuiltinRule("swap-pair"), _PAIR), AbstractState(_PAIR, ("0", "1"))),
+    "program-ripple-add": lambda: (
+        _program(BuiltinRule("ripple-add"), _ADDER),
+        AbstractState(_ADDER, ("1", "1", "00")),
     ),
     "program-product": lambda: (
-        _program(ProductRule((_program(TableRule(_FLIP)), _program(BuiltinRule("bit-not")))), _PAIR),
+        _program(ProductRule((_program(TableRule(_FLIP)), _program(BuiltinRule("identity")))), _PAIR),
         AbstractState(_PAIR, ("0", "1")),
     ),
     "device-table": lambda: (
@@ -953,6 +941,15 @@ _OWNERS = {
     ),
     "device-coordinate-update": lambda: (
         PhysicalDynamics("gate.device", _LINES, CoordinateUpdateRule((ConstantUpdate((1,), (5.0,)),))),
+        PhysicalState(_LINES, (0.0, 0.0)),
+    ),
+    "device-noisy": lambda: (
+        PhysicalDynamics(
+            "gate.device",
+            _LINES,
+            CoordinateUpdateRule((ConstantUpdate((1,), (5.0,)),)),
+            CoordinateFlipNoise(0.5, (0, 1), 2.5, 0.0, 5.0),
+        ),
         PhysicalState(_LINES, (0.0, 0.0)),
     ),
     "relation-table": lambda: (_reading(TableRule(_READ)), PhysicalState(_CELLS, "on")),
@@ -1161,8 +1158,6 @@ def _relabelled(draw):
     order = tuple(draw(st.permutations(list(rename.values()))))
     read, program, device = table(cells, values), table(values, values), table(cells, cells)
     above, below = table(tops, values), table(values, bottoms)
-    partners = dict(zip(cells, draw(st.permutations(cells))))
-    flips = draw(st.sampled_from([None, LabelFlipNoise(0.3, partners)]))
 
     def layer(name, labels):
         space = LabelSpace(f"rl.{name}", labels)
@@ -1176,7 +1171,7 @@ def _relabelled(draw):
         reading = TableRule({c: name[v] for c, v in read.items()})
         step = AbstractDynamics("rl.program", space, TableRule({name[v]: name[w] for v, w in program.items()}))
         states = tuple(PhysicalState(physical, c) for c in cells)
-        prediction = Prediction("step", step, PhysicalDynamics("rl.device", physical, TableRule(device), flips))
+        prediction = Prediction("step", step, PhysicalDynamics("rl.device", physical, TableRule(device)))
         hold = InstantiationProcedure(states, identity_dynamics("rl.hold", physical))
         relation = RepresentationRelation("rl.read", physical, space, reading)
         theory = Theory("rl", relation, states, (prediction,), hold)
