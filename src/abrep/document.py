@@ -22,7 +22,7 @@ reader reports that field at its document path.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import lru_cache, partial
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from types import SimpleNamespace
@@ -75,6 +75,13 @@ def _expect(obj: Any, path: str, kind: type, what: str) -> Any:
     if not isinstance(obj, kind):
         raise ScenarioSyntaxError(f"{path}: expected {what}")
     return obj
+
+
+def _refuse_unknown(obj: dict, keys, path: str, what: str = "key") -> None:
+    """Refuse the first key of ``obj`` that ``keys`` does not hold, at ``path``."""
+    if obj.keys() - keys:
+        key = next(k for k in obj if k not in keys)
+        raise ScenarioSyntaxError(f"{path}: unknown {what} {key!r}")
 
 
 def _reject(space, encoded: Any, path: str) -> NoReturn:
@@ -189,6 +196,7 @@ def _read(decl: _Decl, obj: Any, path: str, reg: dict, outer: tuple = ()) -> Any
                 fields += value.fields
             else:
                 setattr(scope, f.attr or f.key, value)
+        _refuse_unknown(obj, [f.key for f in fields], path)
         built = build(**vars(scope))
     except ScenarioError:
         raise
@@ -448,13 +456,22 @@ _TOP_LEVEL = {"format_version"} | {path.partition(".")[0] for _, path, _ in _SEC
 
 
 def _loads(text: str, what: str = ""):
-    """``text`` read as JSON, or a ScenarioSyntaxError starting with ``what``."""
+    """``text`` read as JSON, or a ScenarioSyntaxError starting with ``what``; an object repeats no key."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as err:
         raise ScenarioSyntaxError(f"{what}{err.msg}", err.lineno, err.colno) from err
-    except (ValueError, RecursionError) as err:  # past the digit limit, or nested past the stack
+    except (ValueError, RecursionError) as err:  # past the digit limit, a repeated key, or nested too deep
         raise ScenarioSyntaxError(f"{what}{err}") from err
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, or a ValueError naming the first key that it repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
 
 
 def _json_text(doc: Any, sort_keys: bool = False) -> str:
@@ -525,9 +542,7 @@ def parse_scenario(text: str) -> ScenarioBundle:
     """
     doc = _loads(text)
     _expect(doc, "document", dict, "a JSON object")
-    for key in doc:
-        if key not in _TOP_LEVEL:
-            raise ScenarioSyntaxError(f"document: unknown section {key!r}")
+    _refuse_unknown(doc, _TOP_LEVEL, "document", "section")
     version = doc.get("format_version")
     if version not in get_args(FormatVersion):
         raise VersionUnsupported(f"unsupported format version {version!r}")
@@ -538,17 +553,18 @@ def parse_scenario(text: str) -> ScenarioBundle:
         section, _, part = path.partition(".")
         decls = doc.get(section, {} if part else [])
         if part:
-            decls = _expect(decls, section, dict, "an object").get(part, [])
+            _refuse_unknown(_expect(decls, section, dict, "an object"), ("abstract", "physical"), section)
+            decls = decls.get(part, [])
         parsed[field] = tuple(
             _read(decl, d, f"{path}[{i}]", reg)
             for i, d in enumerate(_expect(decls, path, list, "a list"))
         )
-    return ScenarioBundle(format_version=version, **parsed)
+    return ScenarioBundle(**parsed)
 
 
 def emit_scenario(bundle: ScenarioBundle) -> str:
     """Serialize a bundle as document text that parses back equal, or raise a DeclarationError."""
-    doc: dict[str, Any] = {"format_version": bundle.format_version}
+    doc: dict[str, Any] = {"format_version": get_args(FormatVersion)[0]}
     reg: dict = defaultdict(dict)  # as parse_scenario's
     for field, path, decl in _SECTIONS:
         section, _, part = path.partition(".")

@@ -189,16 +189,15 @@ def _compiled(rule, space, codomain=None) -> Callable[[Value], Value]:
     Each owner's cached ``_apply`` is one call of this, so a declaration is
     compiled once, on first use, and no later call walks its rule's type; a
     product's parts are compiled through their own ``_apply``. A
-    threshold reading compares every line in one pass, as bytes 0 and 1, and
-    cuts the row of bits into its registers.
+    threshold reading cuts its ``_row`` of bits into its registers.
     """
     if isinstance(rule, TableRule):
         return rule.entries.__getitem__
     if isinstance(rule, BuiltinRule):
         return _builtin(rule.name, space)
     if isinstance(rule, ThresholdRule):
-        split, thresholds = _registers(codomain), rule.thresholds
-        return lambda value: split(bytes(map(ge, value, thresholds)).translate(_BITS).decode())
+        split, row = _registers(codomain), _row(rule)
+        return lambda value: split(row(value))
     if isinstance(rule, CoordinateUpdateRule):
         updates = tuple(map(_update, rule.assignments))
         if not updates:  # the identity, as every real-vector hold is: no copy
@@ -271,6 +270,12 @@ def _unpacked(lanes: list, cells: int, codomain) -> list:
         row[j::n] = lane.to_bytes(cells, "little")
     text, split = row.translate(_BITS).decode(), _registers(codomain)
     return [split(text[i : i + n]) for i in range(0, cells * n, n)]
+
+
+def _row(rule: ThresholdRule) -> Callable[[Value], str]:
+    """The threshold reading ``rule`` as a row of bits, uncut: each line compared in one pass."""
+    thresholds = rule.thresholds
+    return lambda value: bytes(map(ge, value, thresholds)).translate(_BITS).decode()
 
 
 def _registers(codomain) -> Callable[[str], Value]:

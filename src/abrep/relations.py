@@ -14,14 +14,12 @@ compiled function, and only ``represent`` checks membership.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import field
 from functools import cached_property
-from operator import ge
 from typing import Union
 
 from .dynamics import (
-    _BITS,
     AbstractDynamics,
     PhysicalDynamics,
     ProductRule,
@@ -30,6 +28,7 @@ from .dynamics import (
     TrialSeed,
     _canonical_table,
     _compiled,
+    _row,
     _trial_step,
 )
 from .errors import DeclarationError, NotInstantiable, OutOfDomain, _shown, resolve
@@ -100,12 +99,7 @@ class RepresentationRelation:
                     )
 
     _apply = cached_property(lambda self: _compiled(self.rule, self.domain, self.codomain))
-
-    @cached_property
-    def _bits(self) -> Callable[[Value], str]:
-        """A threshold reading's row of bits, uncut: a seed scan's key, which its joined registers spell."""
-        thresholds = self.rule.thresholds
-        return lambda value: bytes(map(ge, value, thresholds)).translate(_BITS).decode()
+    _bits = cached_property(lambda self: _row(self.rule))  # a threshold reading uncut: a seed scan's key
 
 
 def represent(relation: RepresentationRelation, p: PhysicalState) -> AbstractState:

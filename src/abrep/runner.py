@@ -15,16 +15,17 @@ compute cycles.
 from __future__ import annotations
 
 import fnmatch
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, get_args
 
-from .composition import FactorizationWitness, brute_force_classify, classify
+from .composition import FactorizationWitness, JointSystem, brute_force_classify, classify
 from .document import _json_text
 from .dynamics import TrialSeed, derive_seed
 from .errors import EmptyDomain, ModelError, UnknownReference, resolve
-from .refinement import LayerReport, SimulationRelation, _ground, check_layer
+from .refinement import LayerReport, RefinementStack, SimulationRelation, _ground, check_layer
 from .relations import Prediction, Theory, instantiate
-from .scenarios import CheckSpec, ScenarioBundle
+from .scenarios import CheckSpec, FormatVersion, ScenarioBundle
 from .spaces import AbstractState, PhysicalState, normalize_value
 from .verification import (
     CommutationReport,
@@ -82,14 +83,13 @@ def _commutation_detail(report: CommutationReport) -> dict:
 
 class _Run:
     def __init__(self, bundle: ScenarioBundle):
-        self.theories: dict[str, Theory] = {t.id: t for t in bundle.theories}
-        self.stacks = {s.id: s for s in bundle.stacks}
-        self.joints = {j.id: j for j in bundle.joints}
-        self.coverage: dict[str, int] = {}
+        self.declared = {  # the theories, stacks and joints by id, under the check field that names one
+            "theory": {t.id: t for t in bundle.theories},
+            "stack": {s.id: s for s in bundle.stacks},
+            "joint": {j.id: j for j in bundle.joints},
+        }
+        self.coverage: Counter[str] = Counter()
         self.layers: dict[tuple[int, float, str], LayerReport] = {}  # by id(relation)
-
-    def _count_coverage(self, theory_id: str, cells: int) -> None:
-        self.coverage[theory_id] = self.coverage.get(theory_id, 0) + cells
 
     def _prediction(self, theory: Theory, check: CheckSpec) -> Prediction:
         if check.prediction:
@@ -120,9 +120,12 @@ class _Run:
         raise UnknownReference(f"check {check.name!r}", "<state or input>")
 
     def execute(self, check: CheckSpec, seed: TrialSeed) -> CheckResult:
+        """Run ``check`` on the theory, stack or joint it names; its handler's verdict is pass or fail."""
         try:
-            status, detail = _HANDLERS[check.kind](self, check, seed)
-            return CheckResult(check.name, check.kind, status, detail)
+            handler, field = _HANDLERS[check.kind]
+            target = resolve(self.declared[field], getattr(check, field), f"check {check.name!r}")
+            passed, detail = handler(self, check, target, seed)
+            return CheckResult(check.name, check.kind, PASS if passed else FAIL, detail)
         except ModelError as err:
             return CheckResult(
                 check.name,
@@ -132,27 +135,24 @@ class _Run:
                 {"type": type(err).__name__, "message": str(err)},
             )
 
-    def _run_commutation(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        theory = resolve(self.theories, check.theory, f"check {check.name!r}")
+    def _run_commutation(self, check: CheckSpec, theory: Theory, seed: TrialSeed) -> tuple[bool, dict]:
         spec = self._diagram_spec(theory, check)
         report = check_commutation(spec, self._initial_state(theory, check), seed)
-        self._count_coverage(theory.id, 1)
-        return (PASS if report.passed else FAIL), _commutation_detail(report)
+        self.coverage[theory.id] += 1
+        return report.passed, _commutation_detail(report)
 
-    def _run_history(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        theory = resolve(self.theories, check.theory, f"check {check.name!r}")
+    def _run_history(self, check: CheckSpec, theory: Theory, seed: TrialSeed) -> tuple[bool, dict]:
         spec = self._diagram_spec(theory, check)
         state = AbstractState(theory.representation.codomain, check.input)
         report = check_history(spec, state, check.physical_metric, seed)
-        return (PASS if report.passed else FAIL), _commutation_detail(report)
+        return report.passed, _commutation_detail(report)
 
-    def _run_validate(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        theory = resolve(self.theories, check.theory, f"check {check.name!r}")
+    def _run_validate(self, check: CheckSpec, theory: Theory, seed: TrialSeed) -> tuple[bool, dict]:
         graded, evidence = validate_theory(
             theory, check.epsilon, check.metric, check.trials, check.required_success, seed
         )
-        self.theories[theory.id] = graded
-        self._count_coverage(theory.id, evidence.coverage)
+        self.declared["theory"][theory.id] = graded
+        self.coverage[theory.id] += evidence.coverage
         failing = [] if evidence.all_passed else [
             {"state": _state_json(cell.state), "prediction": cell.prediction}
             for cell in evidence._cells(failing=True)
@@ -162,10 +162,9 @@ class _Run:
             "coverage": evidence.coverage,
             "failing_cells": failing,
         }
-        return (PASS if evidence.all_passed else FAIL), detail
+        return evidence.all_passed, detail
 
-    def _run_compute(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        theory = resolve(self.theories, check.theory, f"check {check.name!r}")
+    def _run_compute(self, check: CheckSpec, theory: Theory, seed: TrialSeed) -> tuple[bool, dict]:
         prediction = self._prediction(theory, check)
         codomain = theory.representation.codomain
         state = AbstractState(codomain, check.input)
@@ -177,12 +176,11 @@ class _Run:
             "program": result.program,
         }
         if expect is None:
-            return PASS, detail
+            return True, detail
         detail["expected"] = expect
-        return (PASS if result.output.value == expect else FAIL), detail
+        return result.output.value == expect, detail
 
-    def _run_layer(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        stack = resolve(self.stacks, check.stack, f"check {check.name!r}")
+    def _run_layer(self, check: CheckSpec, stack: RefinementStack, seed: TrialSeed) -> tuple[bool, dict]:
         relations = {r.id: r for r in stack.relations}
         relation = resolve(relations, check.relation, f"check {check.name!r}")
         report = self._layer(relation, check)
@@ -196,24 +194,22 @@ class _Run:
             for e in report._entries(failing=True)
         ]
         detail = {"states": len(relation.entries), "failing": failing}  # the table is total
-        return (PASS if report.passed else FAIL), detail
+        return report.passed, detail
 
-    def _run_stack(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        stack = resolve(self.stacks, check.stack, f"check {check.name!r}")
+    def _run_stack(self, check: CheckSpec, stack: RefinementStack, seed: TrialSeed) -> tuple[bool, dict]:
         layers = tuple(self._layer(rel, check) for rel in stack.relations)
         tolerances = check.epsilon, check.trials, check.required_success  # checked by CheckSpec
         report = _ground(stack, layers, tolerances, check.metric, seed)
         bottoms, _, (verdicts, *_) = report._column  # the entries' states and verdicts, none built
-        self._count_coverage(stack.theory.id, len(bottoms))
+        self.coverage[stack.theory.id] += len(bottoms)
         detail = {
             "layers": {r.relation_id: r.passed for r in report.layer_reports},
             "device_states": len(bottoms),
             "device_failures": [_state_json(b) for b, ok in zip(bottoms, verdicts) if not ok],
         }
-        return (PASS if report.passed else FAIL), detail
+        return report.passed, detail
 
-    def _run_classify(self, check: CheckSpec, seed: TrialSeed) -> tuple[str, dict]:
-        joint = resolve(self.joints, check.joint, f"check {check.name!r}")
+    def _run_classify(self, check: CheckSpec, joint: JointSystem, seed: TrialSeed) -> tuple[bool, dict]:
         decision = classify(joint)
         detail: dict[str, Any] = {
             "class": decision.value,
@@ -225,20 +221,20 @@ class _Run:
             detail["oracle_class"] = oracle_decision.value
             detail["oracle_agrees"] = oracle_decision.value == decision.value
             ok = ok and detail["oracle_agrees"]
-        return (PASS if ok else FAIL), detail
+        return ok, detail
 
 
-#: One handler per check kind. An ``experiment`` is read as a commutation
-#: check; its report keeps the declared kind.
+#: Each check kind's handler, and the check field that names the object it runs on. An
+#: ``experiment`` is read as a commutation check; its report keeps the declared kind.
 _HANDLERS = {
-    "commutation": _Run._run_commutation,
-    "experiment": _Run._run_commutation,
-    "history": _Run._run_history,
-    "validate-theory": _Run._run_validate,
-    "compute": _Run._run_compute,
-    "layer": _Run._run_layer,
-    "stack": _Run._run_stack,
-    "classify": _Run._run_classify,
+    "commutation": (_Run._run_commutation, "theory"),
+    "experiment": (_Run._run_commutation, "theory"),
+    "history": (_Run._run_history, "theory"),
+    "validate-theory": (_Run._run_validate, "theory"),
+    "compute": (_Run._run_compute, "theory"),
+    "layer": (_Run._run_layer, "stack"),
+    "stack": (_Run._run_stack, "stack"),
+    "classify": (_Run._run_classify, "joint"),
 }
 
 
@@ -269,7 +265,7 @@ def run_checks(
     statuses = {r.status for r in selected}
     overall = next((status for status in (ERROR, FAIL) if status in statuses), PASS)
     return RunReport(
-        format_version=bundle.format_version,
+        format_version=get_args(FormatVersion)[0],
         seed=seed.value,
         results=tuple(selected),
         coverage=dict(sorted(run.coverage.items())),

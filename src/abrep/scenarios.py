@@ -10,7 +10,7 @@ double as format documentation.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Literal, get_args, get_type_hints
+from typing import Literal, get_type_hints
 
 from .composition import Component, JointSystem, Verdict, componentwise_joint
 from .dynamics import (
@@ -49,7 +49,7 @@ from .spaces import (
 )
 from .verification import _check_tolerances
 
-#: The document format versions a bundle may carry: one, written and read.
+#: The document format versions: one, written and read.
 FormatVersion = Literal["1"]
 
 
@@ -104,7 +104,6 @@ def _tuples(value):
 class ScenarioBundle:
     """Everything needed to run verification with no further input."""
 
-    format_version: FormatVersion
     abstract_spaces: tuple[AbstractSpace, ...]
     physical_spaces: tuple[PhysicalSpace, ...]
     relations: tuple[RepresentationRelation, ...]
@@ -149,9 +148,9 @@ def _bundle(checks: tuple, *declared) -> ScenarioBundle:
     hints = get_type_hints(ScenarioBundle)
     sections = {
         field: tuple(obj for obj in (*declared, *checks) if isinstance(obj, each))
-        for field, _, each, _ in _rules(hints, list(hints)[1:])  # the sections, after the version
+        for field, _, each, _ in _rules(hints, list(hints))
     }
-    return ScenarioBundle(*get_args(FormatVersion), **sections)
+    return ScenarioBundle(**sections)
 
 
 def _bits(n: int, width: int) -> str:

@@ -150,14 +150,6 @@ def test_version_gate():
         parse_scenario(json.dumps({"spaces": {}}))
 
 
-@pytest.mark.parametrize("version", ["2", "", "1.0", 1, None])
-def test_a_bundle_carries_only_the_format_version_it_can_write(version):
-    """A bundle of another version would report it and emit a document that the reader refuses."""
-    with pytest.raises(DeclarationError) as err:
-        replace(build_swap_device(), format_version=version)
-    assert str(err.value) == "bundle: format_version: expected one of '1'"
-
-
 def _huge_int_bundle(*checks: CheckSpec):
     """A valid bundle whose abstract space holds only ints past the digit limit of ``repr``."""
     huge = 10**5000
@@ -856,7 +848,7 @@ def test_a_check_value_nested_past_the_bound_is_refused_at_its_field(depth):
 
 
 def test_a_check_value_at_the_bound_is_written_and_read_back():
-    bare = ScenarioBundle("1", (), (), (), (), (), (), (), (), ())
+    bare = ScenarioBundle((), (), (), (), (), (), (), (), ())
     for field in CHECK_VALUES:
         bundle = _deep_check(100, bare, field)
         assert parse_scenario(emit_scenario(bundle)) == bundle
@@ -955,6 +947,61 @@ def test_a_deleted_modelling_entry_is_refused_at_its_path(tmp_path, capsys, muta
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err == f"error: ScenarioSyntaxError: {message}\n"
+
+
+_FLIP = {"kind": "coordinate-flip", "probability": 0.5, "coordinates": [0], "threshold": 2.5, "low": 0.0, "high": 5.0}
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["checks"][0].__setitem__("trails", 7), "checks[0]: unknown key 'trails'"),
+        (lambda d: d["checks"][0].__setitem__("epsilonn", 0.5), "checks[0]: unknown key 'epsilonn'"),
+        (lambda d: d["relations"][0]["rule"].__setitem__("entires", []), "relations[0].rule: unknown key 'entires'"),
+        (
+            lambda d: d["dynamics"]["physical"][0].__setitem__("noise", {**_FLIP, "probabilty": 1.0}),
+            "dynamics.physical[0].noise: unknown key 'probabilty'",
+        ),
+        (lambda d: d["theories"][0].__setitem__("instantiaton", {}), "theories[0]: unknown key 'instantiaton'"),
+        (lambda d: d["spaces"]["abstract"][0].__setitem__("widht", 3), "spaces.abstract[0]: unknown key 'widht'"),
+        (lambda d: d["spaces"].__setitem__("abstrct", []), "spaces: unknown key 'abstrct'"),
+        (lambda d: d["dynamics"].__setitem__("physicl", []), "dynamics: unknown key 'physicl'"),
+        (
+            lambda d: d["checks"].__setitem__(0, {"zeta": 1, **d["checks"][0], "alpha": 2}),
+            "checks[0]: unknown key 'zeta'",
+        ),
+    ],
+    ids=["check", "check-tolerance", "rule", "noise", "theory", "space", "spaces", "dynamics", "first-in-order"],
+)
+def test_a_key_that_no_field_declares_is_refused_at_its_path(tmp_path, capsys, mutate, message):
+    """A misspelt key would be dropped and its field read at its default: it is a diagnostic, and exits 2."""
+    data = json.loads(doc())
+    mutate(data)
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(data))
+    assert str(err.value) == message
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: ScenarioSyntaxError: {message}\n"
+
+
+def test_a_key_repeated_in_one_object_is_refused(tmp_path, capsys):
+    """JSON keeps a repeated key's last copy, so the first ``trials``, 0, would go unread and unchecked."""
+    text = doc().replace('"kind": "validate-theory",', '"kind": "validate-theory", "trials": 0, "trials": 1,')
+    assert text != doc()
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(text)
+    assert str(err.value) == "duplicate key 'trials'"
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: ScenarioSyntaxError: duplicate key 'trials'\n"
+    path.write_text(doc(), encoding="utf-8")
+    repeated = '{"a": 1, "a": 2}'
+    for values in (["--input", repeated], ["--input", '"1"', "--expect", repeated]):  # read as the document is
+        assert main(["compute", str(path), "--theory", "cell-theory", *values]) == 2
+        assert capsys.readouterr().err == "error: ScenarioSyntaxError: state value: duplicate key 'a'\n"
 
 
 def test_the_reserved_dynamics_ids_are_exactly_the_kept_builtin_names():

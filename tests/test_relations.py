@@ -47,7 +47,7 @@ from abrep.dynamics import ProductRule
 from abrep.errors import DeclarationError
 from abrep.relations import _prepare
 import reference
-from support import adder_theory, count_device_work
+from support import _count_compiled, adder_theory, count_compiled, count_device_work
 
 
 def test_threshold_reads_high_voltage_as_one():
@@ -187,7 +187,7 @@ def test_a_lookup_is_a_table_rule_and_a_tuple_wise_reading_a_product_rule():
     assert old == new
     assert represent(new[1], PhysicalState(new[1].domain, ("on", "off"))).value == ("1", "0")
     spaces = (new[0].codomain, new[1].codomain), (new[0].domain, new[1].domain)
-    bundles = [ScenarioBundle("1", *spaces, rels, (), (), (), (), (), ()) for rels in (old, new)]
+    bundles = [ScenarioBundle(*spaces, rels, (), (), (), (), (), ()) for rels in (old, new)]
     text = emit_scenario(bundles[0])
     assert emit_scenario(bundles[1]) == text
     assert [r["rule"]["kind"] for r in json.loads(text)["relations"]] == ["lookup", "tuple-wise"]
@@ -359,6 +359,30 @@ def test_instantiate_steps_and_reads_the_seeds_up_to_its_target_once_each(monkey
         target = AbstractState(theory.representation.codomain, (format(a, "03b"), format(b, "03b"), "0000"))
         assert instantiate(theory, target) == seeds[128 * a + 16 * b]
         assert counts == {"rule": 128 * a + 16 * b + 1, "read": 128 * a + 16 * b + 1}
+
+
+def test_a_threshold_seed_scan_reads_each_seed_once_by_its_uncut_row(monkeypatch):
+    """Cost law: a threshold seed scan keys each scanned seed by ``_bits``, once, and never reads ``_apply``.
+
+    ``_apply`` cuts the same row of bits into registers, so one reader could
+    serve both, but the cut costs the scan its speed: keyed by ``_apply``,
+    adder-encode's median op rose from 0.78 to 1.07 ms (the medians of five
+    alternating 5-s ``perfbench/run.py`` runs each, on a 2-core shared Xeon
+    with Python 3.11.7).
+    So the scan keeps the uncut row, and joins each target's registers to match it.
+    """
+    theory = adder_theory(3, seed_grid=True)
+    codomain = theory.representation.codomain
+    counts = count_compiled(monkeypatch, cut=RepresentationRelation)
+    counts["row"] = 0
+    _count_compiled(monkeypatch, counts, "row", RepresentationRelation, "_bits")
+    addends = ((3, 1), (7, 7), (0, 5))
+    targets = [AbstractState(codomain, (format(a, "03b"), format(b, "03b"), "0000")) for a, b in addends]
+    prepared = list(_prepare(theory, targets))
+    assert counts == {"cut": 0, "row": 128 * 7 + 16 * 7 + 1}  # (3, 1) and (0, 5) come before (7, 7)
+    counts.update(cut=0, row=0)
+    assert [instantiate(theory, t) for t in targets] == prepared
+    assert counts == {"cut": 0, "row": (128 * 3 + 16 + 1) + (128 * 7 + 16 * 7 + 1) + (16 * 5 + 1)}
 
 
 def test_instantiate_matches_exhaustive_seed_search_on_adder():
