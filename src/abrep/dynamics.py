@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from operator import ge, itemgetter
@@ -36,7 +35,6 @@ from .spaces import (
     RealVectorSpace,
     TupleSpace,
     Value,
-    _check,
     _declaration,
     _field_error,
     _register_widths,
@@ -82,15 +80,15 @@ def _blend(*words: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@_declaration("trial seed", name=None)
 class TrialSeed:
     """A 64-bit seed identifying one reproducible trial."""
 
     value: int = 0
 
-    def __post_init__(self):
-        if not (0 <= _check("trial seed", "value", self.value, (int,), None) <= _MASK64):
-            raise _field_error("trial seed", "value", "must fit in 64 bits")
+    def __post_init__(self, owner):
+        if not 0 <= self.value <= _MASK64:
+            raise _field_error(owner, "value", "must fit in 64 bits")
 
 
 def derive_seed(base: TrialSeed, *counters: int) -> TrialSeed:

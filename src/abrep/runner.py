@@ -54,7 +54,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class RunReport:
-    format_version: str
     seed: int
     results: tuple[CheckResult, ...]
     coverage: dict
@@ -123,7 +122,7 @@ class _Run:
         """Run ``check`` on the theory, stack or joint it names; its handler's verdict is pass or fail."""
         try:
             handler, field = _HANDLERS[check.kind]
-            target = resolve(self.declared[field], getattr(check, field), f"check {check.name!r}")
+            target = _named(self.declared[field], check, field)
             passed, detail = handler(self, check, target, seed)
             return CheckResult(check.name, check.kind, PASS if passed else FAIL, detail)
         except ModelError as err:
@@ -181,8 +180,7 @@ class _Run:
         return result.output.value == expect, detail
 
     def _run_layer(self, check: CheckSpec, stack: RefinementStack, seed: TrialSeed) -> tuple[bool, dict]:
-        relations = {r.id: r for r in stack.relations}
-        relation = resolve(relations, check.relation, f"check {check.name!r}")
+        relation = _named({r.id: r for r in stack.relations}, check, "relation")
         report = self._layer(relation, check)
         failing = [] if report.passed else [
             {
@@ -238,6 +236,13 @@ _HANDLERS = {
 }
 
 
+def _named(table: dict, check: CheckSpec, field: str):
+    """The object that ``check``'s ``field`` names in ``table``; UnknownReference names an unset field."""
+    if (ident := getattr(check, field)) is None:  # not looked up, so no declared id can match
+        raise UnknownReference(f"check {check.name!r}", f"<{field}>")
+    return resolve(table, ident, f"check {check.name!r}")
+
+
 def _witness_json(witness: FactorizationWitness) -> dict:
     return {
         name: None if factors is None else dict(zip(("left", "right"), (list(t.items()) for t in factors)))
@@ -265,7 +270,6 @@ def run_checks(
     statuses = {r.status for r in selected}
     overall = next((status for status in (ERROR, FAIL) if status in statuses), PASS)
     return RunReport(
-        format_version=get_args(FormatVersion)[0],
         seed=seed.value,
         results=tuple(selected),
         coverage=dict(sorted(run.coverage.items())),
@@ -281,7 +285,7 @@ def report_to_dict(report: RunReport) -> dict:
         "errors": sum(1 for r in report.results if r.status == ERROR),
     }
     return {
-        "format_version": report.format_version,
+        "format_version": get_args(FormatVersion)[0],
         "seed": report.seed,
         "overall": report.overall,
         "summary": counts,

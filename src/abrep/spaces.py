@@ -46,11 +46,11 @@ def _declaration(kind: str, name: str | None = "id"):
     """A class decorator: the class as a frozen dataclass of declarations of ``kind``.
 
     Construction checks, in order: that the identifier field ``name`` (None
-    for kinds without one) holds a string; that each field ``_rule`` covers
-    holds what its annotation names, stored as ``_check`` stores it; and the
-    class's own ``__post_init__(self, owner)``, where ``owner`` names the
-    declaration, as in ``space 'bits'``. Annotations are read on first use.
-    Copies and pickles leave out cached properties, which are rebuilt on first use.
+    for kinds without one, states and the trial seed among them) holds a string;
+    that each other field ``_rule`` covers holds what its annotation names, stored
+    as ``_check`` stores it; and the class's own ``__post_init__(self, owner)``,
+    where ``owner`` names the declaration, as in ``space 'bits'``. Annotations
+    are read on first use. Copies and pickles leave out cached properties, which are rebuilt on first use.
 
     A space hashes by its id alone: states hash their space at every lookup,
     and a string caches its own hash. Equal spaces have equal ids.
@@ -69,7 +69,7 @@ def _declaration(kind: str, name: str | None = "id"):
                 owner = f"{kind} {ident!r}"
             if checks is None:
                 hints = get_type_hints(cls, localns=vars(sys.modules[__package__]))
-                checks = _rules(hints, [f.name for f in fields(cls) if f.init])
+                checks = _rules(hints, [f.name for f in fields(cls) if f.init and f.name != name])
             for field, kinds, each, plain in checks:
                 value = getattr(self, field)
                 if not isinstance(value, plain):
@@ -93,14 +93,15 @@ def _declaration(kind: str, name: str | None = "id"):
 #: The scalar annotations the rule covers, and the reason that rejects a value for each.
 _SCALARS = {
     float: "expected a finite number", int: "expected an integer", bool: "expected true or false",
+    str: "expected a string",
 }
 
 
-def _rule(hint, scalars: tuple = ()) -> tuple[tuple, tuple | None, tuple] | None:
+def _rule(hint) -> tuple[tuple, tuple | None, tuple] | None:
     """What a value annotated ``hint`` must be, ``(kinds, each, plain)``; None if the rule skips it.
 
     The rule covers ``abrep`` classes, ``Mapping``, ``float``, ``int``,
-    ``bool``, ``scalars``, None, ``Literal`` sets of names, unions of them, and
+    ``bool``, ``str``, None, ``Literal`` sets of names, unions of them, and
     ``tuple[X, ...]`` of those: a tuple or a list, whose items are each one of
     ``each``. ``plain`` is ``kinds`` when an instance of one is stored as it is, else ``()``.
     """
@@ -108,13 +109,13 @@ def _rule(hint, scalars: tuple = ()) -> tuple[tuple, tuple | None, tuple] | None
     for member in get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,):
         origin, args = get_origin(member) or member, get_args(member)
         if origin is tuple:
-            inner = _rule(args[0], scalars) if args[1:] == (...,) else None
+            inner = _rule(args[0]) if args[1:] == (...,) else None
             if inner is None or inner[1] is not None:
                 return None
             kinds, each = kinds + [tuple, list], inner[0]
         elif origin is Literal:
             kinds.append(_OneOf("one of", (), {"names": args}))
-        elif origin in (NoneType, Mapping, *_SCALARS, *scalars) or (
+        elif origin in (NoneType, Mapping, *_SCALARS) or (
             isinstance(origin, type) and origin.__module__.startswith(f"{__package__}.")
         ):
             kinds.append(origin)
@@ -131,9 +132,9 @@ class _OneOf(type):
         return value in cls.names
 
 
-def _rules(hints: dict, names: list, scalars: tuple = ()) -> list:
+def _rules(hints: dict, names: list) -> list:
     """``(name, kinds, each, plain)`` for each of ``names`` whose annotation ``_rule`` covers."""
-    rules = ((n, _rule(hints.get(n), scalars)) for n in names)
+    rules = ((n, _rule(hints.get(n))) for n in names)
     return [(n, *rule) for n, rule in rules if rule is not None]
 
 
@@ -176,12 +177,13 @@ def _mistyped(owner: str, field: str, value, kinds: tuple) -> DeclarationError:
         return DeclarationError(f"{owner}: {reason}", field, reason)
     if isinstance(kinds[0], _OneOf):
         return _field_error(owner, field, f"expected one of {', '.join(map(repr, kinds[0].names))}")
-    names = ["list"] if list in kinds else [k.__name__ for k in kinds if k is not NoneType]
-    return _field_error(owner, field, _SCALARS.get(kinds[0]) or f"expected a {' or '.join(names)}")
+    names = " or ".join(["list"] if list in kinds else [k.__name__ for k in kinds if k is not NoneType])
+    article = "an" if names[0] in "AEIOUaeiou" else "a"
+    return _field_error(owner, field, _SCALARS.get(kinds[0]) or f"expected {article} {names}")
 
 
 def _checked(function):
-    """``function``, checking first each argument ``_rule`` covers, with ``str``; or itself if none.
+    """``function``, checking first each argument ``_rule`` covers; or itself if none.
 
     ``*counters: int`` is checked as a tuple of ints. A state argument is left
     to the function, which raises OutOfDomain for a non-member. Only exports
@@ -193,7 +195,7 @@ def _checked(function):
         hints[rest] = tuple[hints[rest], ...]
     rules = [
         (list(params).index(name), name, kinds, each)
-        for name, kinds, each, _ in _rules(hints, list(params), (str,))
+        for name, kinds, each, _ in _rules(hints, list(params))
         if not set(kinds) <= {AbstractState, PhysicalState}
     ]
     if not rules:
@@ -323,15 +325,10 @@ def _check_components(space, owner: str) -> None:
 
 
 def _check_labels(space, owner: str) -> None:
-    labels = tuple(_check(owner, "labels", space.labels, (tuple, list), None))
-    if not labels:
+    if not space.labels:
         raise DeclarationError(f"{owner}: label set must be non-empty")
-    for i, label in enumerate(labels):
-        if not isinstance(label, str):
-            raise _field_error(owner, f"labels[{i}]", "expected a string label")
-    object.__setattr__(space, "labels", labels)
-    object.__setattr__(space, "_members", frozenset(labels))  # _labels' membership test
-    if len(space._members) != len(labels):
+    object.__setattr__(space, "_members", frozenset(space.labels))  # _labels' membership test
+    if len(space._members) != len(space.labels):
         raise DeclarationError(f"{owner}: duplicate labels")
 
 
@@ -398,27 +395,25 @@ def normalize_value(space: Space, value) -> Value:
     raise OutOfDomain(f"value {_shown(value)} is not a member of space {space.id!r}")
 
 
-@dataclass(frozen=True)
+@_declaration("abstract state", name=None)
 class AbstractState:
     """A value tagged with the abstract space it belongs to."""
 
     space: AbstractSpace
     value: Value
 
-    def __post_init__(self):
-        _check("abstract state", "space", self.space, (AbstractSpace,), None)
+    def __post_init__(self, owner):
         object.__setattr__(self, "value", normalize_value(self.space, self.value))
 
 
-@dataclass(frozen=True)
+@_declaration("physical state", name=None)
 class PhysicalState:
     """A simulated device configuration tagged with its space."""
 
     space: PhysicalSpace
     value: Value
 
-    def __post_init__(self):
-        _check("physical state", "space", self.space, (PhysicalSpace,), None)
+    def __post_init__(self, owner):
         object.__setattr__(self, "value", normalize_value(self.space, self.value))
 
 

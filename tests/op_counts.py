@@ -26,6 +26,12 @@ calls are summed over cProfile's entries, one per code object or C function:
 key, such as the ``__init__`` that dataclasses generate at ``<string>:2``,
 would overwrite each other there.
 
+Under ``import``, it records the calls (``import_calls``), and the ``exec``
+and ``eval`` calls among them (``import_execs``), that cProfile counts while
+``import abrep`` runs in a fresh ``sys.executable``. Before that import, the
+fresh interpreter imports every standard-library module that ``import abrep``
+loads, and ``src/abrep`` is byte-compiled, so neither moves the counts.
+
 It prints the counts as one JSON object on standard output. When
 ``op_counts.json`` beside it was recorded with the same Python minor version,
 it compares them exactly, prints each count that differs on standard error,
@@ -41,8 +47,10 @@ It imports ``perfbench/`` and edits none of its files.
 from __future__ import annotations
 
 import cProfile
+import compileall
 import gc
 import json
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -129,15 +137,52 @@ def document_calls() -> dict:
     return {"parse_calls": parse_calls, "emit_calls": emit_calls}
 
 
+#: Run as ``python -I -c _IMPORT src module...``: import the modules, then ``abrep`` from ``src`` under cProfile.
+_IMPORT = """
+import cProfile, importlib, json, sys
+for name in sys.argv[2:]:
+    importlib.import_module(name)
+sys.path.insert(0, sys.argv[1])
+profile = cProfile.Profile()
+profile.enable()
+import abrep
+profile.disable()
+stats = profile.getstats()
+execs = ("<built-in method builtins.exec>", "<built-in method builtins.eval>")
+calls = {"import_calls": sum(e.callcount for e in stats)}
+print(json.dumps({**calls, "import_execs": sum(e.callcount for e in stats if e.code in execs)}))
+"""
+#: Run as ``python -I -c _LOADED src``: the modules other than abrep's that ``import abrep`` leaves loaded.
+_LOADED = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import abrep
+print(*(name for name in sys.modules if name.partition(".")[0] != "abrep"))
+"""
+
+
+def import_calls() -> dict:
+    """The calls and the ``exec`` and ``eval`` calls of ``import abrep`` in a fresh interpreter."""
+    src = str(ROOT / "src")
+    compileall.compile_dir(ROOT / "src" / "abrep", quiet=1)
+
+    def python(code: str, *args: str) -> str:
+        run = subprocess.run([sys.executable, "-I", "-c", code, src, *args], capture_output=True, text=True, check=True)
+        return run.stdout
+
+    return json.loads(python(_IMPORT, *python(_LOADED).split()))
+
+
 def _flat(record: dict) -> dict:
-    """Each count of ``record``, keyed by its workload's name, or ``documents``, and its metric."""
-    rows = {**record.get("workloads", {}), "documents": record.get("documents", {})}
+    """Each count of ``record``, keyed by its workload's name, ``documents`` or ``import``, and its metric."""
+    rows = {**record.get("workloads", {}), **{row: record.get(row, {}) for row in ("documents", "import")}}
     return {f"{name} {metric}": value for name, metrics in rows.items() for metric, value in metrics.items()}
 
 
 def main() -> int:
     python = "{}.{}".format(*sys.version_info)
     found = {"python": python, "passes": PASSES, "workloads": counts(), "documents": document_calls()}
+    found["import"] = import_calls()
     print(json.dumps(found, indent=2))
     pinned = json.loads(PINNED.read_text()) if PINNED.exists() else {}
     if pinned.get("python") != python:

@@ -329,7 +329,7 @@ def test_component_references_are_type_checked():
     theory = build_xor_joint().theory("xor.left")
     with pytest.raises(DeclarationError, match="component: theory: expected a Theory"):
         Component("t", "d")
-    with pytest.raises(DeclarationError, match="component: dynamics: expected a AbstractDynamics"):
+    with pytest.raises(DeclarationError, match="component: dynamics: expected an AbstractDynamics"):
         Component(theory, "d")
 
 

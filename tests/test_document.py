@@ -420,7 +420,7 @@ def test_labels_are_checked_at_their_own_path(side, labels, at):
     bad["spaces"][side][1]["labels"] = labels
     with pytest.raises(ScenarioSyntaxError) as err:
         parse_scenario(json.dumps(bad))
-    assert str(err.value) == f"spaces.{side}[1].labels[{at}]: expected a string label"
+    assert str(err.value) == f"spaces.{side}[1].labels[{at}]: expected a string"
 
 
 def test_infinite_vector_bounds_are_rejected():
@@ -759,6 +759,40 @@ def test_a_commutation_check_runs_from_a_declared_state_or_reports_it_missing():
         "type": "UnknownReference",
         "message": "check 'from-nothing': unknown identifier '<state or input>'",
     }
+
+
+@pytest.mark.parametrize(
+    "scenario, index, change, field",
+    [
+        ("swap-device", 1, {"kind": "stack"}, "stack"),
+        ("swap-device", 1, {"kind": "classify"}, "joint"),
+        ("swap-device", 1, {"theory": None}, "theory"),
+        ("refinement-stack", 0, {"relation": None}, "relation"),
+    ],
+    ids=["stack", "joint", "theory", "relation"],
+)
+def test_a_check_that_names_no_object_reports_the_field_it_leaves_unset(scenario, index, change, field):
+    """Through a document and through ``run_checks``, the error names the unset field, not ``None``."""
+    bundle = BUILTIN_SCENARIOS[scenario]()
+    data = json.loads(emit_scenario(bundle))
+    written = data["checks"][index]
+    written.update(change)
+    for key in [k for k, v in change.items() if v is None]:  # the writer leaves an unset field out
+        del written[key]
+    check = replace(bundle.checks[index], **change)
+    message = f"check {check.name!r}: unknown identifier '<{field}>'"
+    for report in run_checks(parse_scenario(json.dumps(data))), run_checks(bundle, checks=(check,)):
+        result = next(r for r in report.results if r.name == check.name)
+        assert result.error == {"type": "UnknownReference", "message": message}
+
+
+def test_an_unset_field_matches_no_declared_id_spelt_like_it():
+    bundle = BUILTIN_SCENARIOS["refinement-stack"]()
+    renamed = replace(bundle, stacks=(replace(bundle.stacks[0], id="<stack>"),))
+    check = replace(bundle.checks[2], stack=None)
+    unset, named = run_checks(renamed, checks=(check, replace(check, stack="<stack>"))).results
+    assert unset.error["message"] == "check 'end-to-end': unknown identifier '<stack>'"
+    assert named.status == "pass"
 
 
 def _device_doc(entries) -> dict:

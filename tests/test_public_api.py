@@ -62,7 +62,7 @@ def test_every_name_the_benchmark_imports_resolves():
 #: The lines ``src/abrep/*.py`` hold, counted as ``wc -l`` counts them, pinned exactly so that no
 #: slack builds up. A change that grows ``src/`` raises this number and says why in CHANGES.md;
 #: one that shrinks it lowers it.
-MAX_SOURCE_LINES = 4137
+MAX_SOURCE_LINES = 4134
 
 
 def test_the_source_does_not_grow_past_its_line_count():

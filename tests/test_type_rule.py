@@ -3,9 +3,8 @@
 Both sweeps read the functions, classes, parameters and fields from the
 package's exports and annotations, so a new one is covered without editing
 this file. A value is typed when its annotation names only ``abrep`` classes,
-``Mapping``, ``float``, ``int``, ``bool``, None (and ``str``, for a
-function's parameter), ``Literal`` sets of names, unions of them, or
-``tuple[X, ...]`` of those; a function's ``*counters: int`` is a tuple of
+``Mapping``, ``float``, ``int``, ``bool``, ``str``, None, ``Literal`` sets of
+names, unions of them, or ``tuple[X, ...]`` of those; a function's ``*counters: int`` is a tuple of
 ints. Each site gets every value of ``BAD`` that its annotation does not
 admit, and a list field or argument also gets a one-item list of each value
 its items do not admit. A wrong-typed value is a DeclarationError that
@@ -50,10 +49,10 @@ def _members(hint) -> tuple:
     return (hint if typing.get_origin(hint) is typing.Literal else typing.get_origin(hint) or hint,)
 
 
-def _typed(hint, scalars=()) -> bool:
+def _typed(hint) -> bool:
     classes = _members(hint)
     return classes is not None and all(
-        c in (type(None), Mapping, float, int, bool, *scalars)
+        c in (type(None), Mapping, float, int, bool, str)
         or typing.get_origin(c) is typing.Literal
         or getattr(c, "__module__", "").startswith("abrep.")
         for c in classes
@@ -130,7 +129,7 @@ def _argument_sites():
         hints = typing.get_type_hints(function)
         for param in inspect.signature(function).parameters.values():
             hint = hints.get(param.name)
-            if _typed(hint, (str,)):  # for *counters, the hint of each item
+            if _typed(hint):  # for *counters, the hint of each item
                 for bad, value, item in _wrong(hint):
                     yield pytest.param(name, param.name, value, item, id=f"{name}-{param.name}-{bad}")
 
@@ -165,17 +164,19 @@ def test_every_typed_argument_is_checked(name, param, bad, item):
     assert str(err.value).startswith(f"{name}: ")
 
 
-#: The exported dataclasses that are states, reports, results or plain values.
+#: The exported dataclasses that are reports, results or plain values.
 NOT_DECLARATIONS = {
-    "AbstractState", "PhysicalState", "TrialSeed", "CommutationReport",
-    "ValidityReport", "LayerReport", "StackReport", "RunReport", "ComputeResult",
+    "CommutationReport", "ValidityReport", "LayerReport", "StackReport", "RunReport", "ComputeResult",
     "CompositionClass", "FactorizationWitness",
 }
 
 
 @functools.cache
 def _declarations() -> dict:
-    """One instance of each declaration class: from the built-ins, and a diagram spec, which they lack."""
+    """One instance of each declaration class: from the built-ins, and those they lack.
+
+    No built-in holds a diagram spec, an abstract state or a trial seed.
+    """
     found: dict = {}
     seen: dict = {}  # by id, holding each object so that no id is reused
 
@@ -197,6 +198,8 @@ def _declarations() -> dict:
     for build in BUILTIN_SCENARIOS.values():
         walk(build())
     walk(DiagramSpec(theory, pred.abstract, pred.physical))
+    walk(AbstractState(theory.representation.codomain, ("01", "10", "000")))
+    walk(TrialSeed(0))
     return found
 
 

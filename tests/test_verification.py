@@ -1081,9 +1081,9 @@ def _mistyped_calls() -> dict:
             "run_checks", "checks[0]", "CheckSpec", lambda: run_checks(bundle, checks=("abc",)),
         ),
         "run_checks-name_filter": (
-            "run_checks", "name_filter", "str", lambda: run_checks(bundle, SEED, 5),
+            "run_checks", "name_filter", "string", lambda: run_checks(bundle, SEED, 5),
         ),
-        "parse_scenario-text": ("parse_scenario", "text", "str", lambda: parse_scenario(5)),
+        "parse_scenario-text": ("parse_scenario", "text", "string", lambda: parse_scenario(5)),
         "emit_scenario-bundle": (
             "emit_scenario", "bundle", "ScenarioBundle", lambda: emit_scenario("b"),
         ),
@@ -1120,7 +1120,7 @@ def test_a_diagram_rejects_dynamics_on_other_spaces():
     for program, device in ((swap.abstract, pred.physical), (pred.abstract, swap.physical)):
         with pytest.raises(DeclarationError, match="dynamics do not act on the theory's spaces"):
             DiagramSpec(theory, program, device)
-    message = "diagram: abstract_dynamics: expected a AbstractDynamics"
+    message = "diagram: abstract_dynamics: expected an AbstractDynamics"
     with pytest.raises(DeclarationError, match=message):
         DiagramSpec(theory, pred.physical, pred.physical)
 
